@@ -7,7 +7,12 @@ Two independent routes are implemented and pinned against each other:
 
       {A,B}_D = {A,B} + ( {A,T3}{T4,B} - {A,T4}{T3,B} ) / {T3,T4},
 
-  using nothing but the constraint definitions; it is the oracle;
+  using nothing but the constraint definitions; it is the oracle.  The
+  correction lives in one place: ``dirac_core`` evaluates the fields,
+  calP, grad calP^0, grad T3, grad T4 and {T3,T4} once per state, and
+  ``DiracCore.flow`` maps grad B to {z, B}_D, so that {A,B}_D =
+  grad A . flow(grad B).  ``dynamics.dirac_rhs`` is flow(grad H), and
+  each report below reads one matrix G_A flow(G_B)^T per state;
 
 * the *closed-form* route evaluates the reduced brackets of the
   physical pairs (x, calP, S) through the coefficient blocks
@@ -33,10 +38,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .minkowski import ETA_DIAG, contract_2
-from .phase import (Observable, field_data, kinetic_momentum, obs_coord,
-                    obs_energy, obs_hamiltonian, obs_kinetic, obs_spin,
-                    obs_t3, obs_t4, pair_gradients, spin_tensor, _p0_and_grad,
-                    _t34_grad)
+from .phase import (field_data, kinetic_momentum, obs_coord, obs_energy,
+                    obs_hamiltonian, obs_kinetic, obs_spin, obs_t3, obs_t4,
+                    pair_gradients, spin_tensor, symplectic_apply,
+                    _p0_and_grad, _t34_grad)
 
 SPIN_INDEX_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
@@ -48,7 +53,7 @@ P0_OBS = obs_energy()
 
 @dataclass(frozen=True)
 class DiracCore:
-    """Per-state bundle shared by bracket evaluations at a fixed z."""
+    """Per-state bundle shared by every Dirac evaluation at a fixed z."""
 
     fd: object
     P: np.ndarray
@@ -57,12 +62,27 @@ class DiracCore:
     g_t4: np.ndarray
     t34: float
 
+    def flow(self, G):
+        """J G + ( {T4,B} J grad T3 - {T3,B} J grad T4 ) / {T3,T4}.
+
+        G = grad B is one (16,) gradient or an (n, 16) stack of them;
+        the result (same shape) holds {z^k, B}_D, so that
+        grad A . flow(grad B) = {A, B}_D.
+        """
+        h3 = pair_gradients(self.g_t3, G)
+        h4 = pair_gradients(self.g_t4, G)
+        out = symplectic_apply(G)
+        out += np.multiply.outer(h4 / self.t34, symplectic_apply(self.g_t3))
+        out -= np.multiply.outer(h3 / self.t34, symplectic_apply(self.g_t4))
+        return out
+
 
 def dirac_core(z, model):
+    """The second-class data at z; raises where {T3,T4} is too small to invert."""
     fd = field_data(model, z.x)
     P, g_p0 = _p0_and_grad(z, model, fd)
-    g_t3 = _t34_grad(z, model, fd, z.w, 8)
-    g_t4 = _t34_grad(z, model, fd, z.pi, 12)
+    g_t3 = _t34_grad(z, model, fd, P, g_p0, 8)
+    g_t4 = _t34_grad(z, model, fd, P, g_p0, 12)
     t34 = pair_gradients(g_t3, g_t4)
     floor = 1e-10 * (1.0 + (model.m * model.c) ** 2)
     if abs(t34) < floor:
@@ -74,18 +94,7 @@ def dirac_core(z, model):
 def dirac_bracket(A, B, z, model, core=None):
     """Direct {A, B}_D from exact gradients; the package oracle."""
     core = core or dirac_core(z, model)
-    ga = A.grad(z, model)
-    gb = B.grad(z, model)
-    pb = pair_gradients(ga, gb)
-    a3 = pair_gradients(ga, core.g_t3)
-    a4 = pair_gradients(ga, core.g_t4)
-    b3 = pair_gradients(core.g_t3, gb)
-    b4 = pair_gradients(core.g_t4, gb)
-    return pb + (a3 * b4 - a4 * b3) / core.t34
-
-
-def poisson_of(A, B, z, model):
-    return pair_gradients(A.grad(z, model), B.grad(z, model))
+    return float(A.grad(z, model) @ core.flow(B.grad(z, model)))
 
 
 # ---------------------------------------------------------------------------
@@ -309,36 +318,23 @@ def aux_table_entries(z, model, energy_row_variant="resolved"):
     return entries
 
 
-_ROW_OBSERVABLES = None
-
-
-def _row_observables():
-    global _ROW_OBSERVABLES
-    if _ROW_OBSERVABLES is None:
-        obs = {}
-        for i in (1, 2, 3):
-            obs[("x", i)] = obs_coord("x", i)
-            obs[("P", i)] = obs_kinetic(i)
-        obs[("P0", None)] = P0_OBS
-        for mu in range(4):
-            obs[("omega", mu)] = obs_coord("omega", mu)
-            obs[("pi", mu)] = obs_coord("pi", mu)
-        for pair in SPIN_INDEX_PAIRS:
-            obs[("S", pair)] = obs_spin(*pair)
-        _ROW_OBSERVABLES = obs
-    return _ROW_OBSERVABLES
+ROW_OBSERVABLES = {("x", i): obs_coord("x", i) for i in (1, 2, 3)}
+ROW_OBSERVABLES.update({("P", i): obs_kinetic(i) for i in (1, 2, 3)})
+ROW_OBSERVABLES[("P0", None)] = P0_OBS
+ROW_OBSERVABLES.update({("omega", mu): obs_coord("omega", mu) for mu in range(4)})
+ROW_OBSERVABLES.update({("pi", mu): obs_coord("pi", mu) for mu in range(4)})
+ROW_OBSERVABLES.update({("S", pair): obs_spin(*pair) for pair in SPIN_INDEX_PAIRS})
 
 
 def aux_table_oracle(z, model):
     """The same table computed directly from the canonical bracket."""
     cols = {"P0": P0_OBS, "T3": T3_OBS, "T4": T4_OBS}
-    out = {}
-    col_grads = {k: o.grad(z, model) for k, o in cols.items()}
-    for (kind, idx), obs in _row_observables().items():
-        gb = obs.grad(z, model)
-        for ck, gc in col_grads.items():
-            out[(ck, kind, idx)] = pair_gradients(gc, gb)
-    return out
+    C = np.array([ob.grad(z, model) for ob in cols.values()])
+    R = np.array([ob.grad(z, model) for ob in ROW_OBSERVABLES.values()])
+    table = C @ symplectic_apply(R).T
+    return {(ck, kind, idx): val
+            for ck, row in zip(cols, table.tolist())
+            for (kind, idx), val in zip(ROW_OBSERVABLES, row)}
 
 
 def aux_table_report(states, model):
@@ -384,59 +380,52 @@ def aux_table_report(states, model):
 # whole-package verification report (drives the CLI `brackets` command)
 
 
-def _physical_pair_observables():
-    xs = {i: obs_coord("x", i) for i in (1, 2, 3)}
-    Ps = {i: obs_kinetic(i) for i in (1, 2, 3)}
-    Ss = {pair: obs_spin(*pair) for pair in SPIN_INDEX_PAIRS}
-    return xs, Ps, Ss
+# rows of the per-state bracket matrix: x^1..3, calP^1..3, S^{mu nu}
+PHYSICAL_OBSERVABLES = [ob for (kind, _), ob in ROW_OBSERVABLES.items()
+                        if kind in ("x", "P", "S")]
 
 
 def closed_vs_direct_report(states, model):
     """Max relative deviation closed-form vs. direct oracle per family."""
-    xs, Ps, Ss = _physical_pair_observables()
     dev = {k: 0.0 for k in ("xx", "xP", "PP", "Sx", "SP", "SS", "T3T4")}
 
     def upd(fam, closed, direct):
-        d = abs(closed - direct) / (1.0 + abs(direct))
+        d = float(abs(closed - direct) / (1.0 + abs(direct)))
         if d > dev[fam]:
             dev[fam] = d
 
     for z in states:
-        fd = field_data(model, z.x)
-        coef = dirac_coefficients(z, model, fd)
         core = dirac_core(z, model)
+        fd = core.fd
+        coef = dirac_coefficients(z, model, fd)
+        G = np.array([ob.grad(z, model) for ob in PHYSICAL_OBSERVABLES])
+        D = G @ core.flow(G).T
+        xx, xP, PP = D[:3, :3], D[:3, 3:6], D[3:6, 3:6]
+        Sx, SP, SS = D[6:, :3], D[6:, 3:6], D[6:, 6:]
         upd("T3T4", t3t4_closed(z, model, coef), core.t34)
         for i in (1, 2, 3):
             for j in (1, 2, 3):
-                upd("xx", closed_xx(z, model, i, j, coef),
-                    dirac_bracket(xs[i], xs[j], z, model, core))
-                upd("xP", closed_xP(z, model, i, j, coef, fd),
-                    dirac_bracket(xs[i], Ps[j], z, model, core))
-                upd("PP", closed_PP(z, model, i, j, coef, fd),
-                    dirac_bracket(Ps[i], Ps[j], z, model, core))
-        for munu in SPIN_INDEX_PAIRS:
+                upd("xx", closed_xx(z, model, i, j, coef), xx[i - 1, j - 1])
+                upd("xP", closed_xP(z, model, i, j, coef, fd), xP[i - 1, j - 1])
+                upd("PP", closed_PP(z, model, i, j, coef, fd), PP[i - 1, j - 1])
+        for a, munu in enumerate(SPIN_INDEX_PAIRS):
             for j in (1, 2, 3):
-                upd("Sx", closed_Sx(z, model, munu, j, coef),
-                    dirac_bracket(Ss[munu], xs[j], z, model, core))
-                upd("SP", closed_SP(z, model, munu, j, coef, fd),
-                    dirac_bracket(Ss[munu], Ps[j], z, model, core))
-            for albet in SPIN_INDEX_PAIRS:
-                upd("SS", closed_SS(z, model, munu, albet, coef),
-                    dirac_bracket(Ss[munu], Ss[albet], z, model, core))
+                upd("Sx", closed_Sx(z, model, munu, j, coef), Sx[a, j - 1])
+                upd("SP", closed_SP(z, model, munu, j, coef, fd), SP[a, j - 1])
+            for b, albet in enumerate(SPIN_INDEX_PAIRS):
+                upd("SS", closed_SS(z, model, munu, albet, coef), SS[a, b])
     return dev
+
+
+DEFINING_OBSERVABLES = [*ROW_OBSERVABLES.values(), H_OBS]
 
 
 def defining_property_report(states, model):
     """Max |{T_a, X}_D| over the second-class pair and all observables."""
-    xs, Ps, Ss = _physical_pair_observables()
-    others = list(xs.values()) + list(Ps.values()) + list(Ss.values())
-    others += [obs_coord("omega", mu) for mu in range(4)]
-    others += [obs_coord("pi", mu) for mu in range(4)]
-    others += [H_OBS, P0_OBS]
     worst = 0.0
     for z in states:
         core = dirac_core(z, model)
-        for T in (T3_OBS, T4_OBS):
-            for X in others:
-                worst = max(worst, abs(dirac_bracket(T, X, z, model, core)))
+        G = np.array([ob.grad(z, model) for ob in DEFINING_OBSERVABLES])
+        D = np.array([core.g_t3, core.g_t4]) @ core.flow(G).T
+        worst = max(worst, float(np.max(np.abs(D))))
     return worst

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -65,44 +66,44 @@ def load_config(path):
     return data
 
 
+# what a field of each kind must hold, as the error message names it
+_FIELD_KINDS = {float: "a finite number", int: "an integer", str: "a string",
+                bool: "a boolean", "vec3": "a list of three finite numbers"}
+
+
+def _is_kind(val, kind):
+    if kind == "vec3":
+        return (isinstance(val, (list, tuple)) and len(val) == 3
+                and all(_is_kind(x, float) for x in val))
+    if kind is float:
+        if isinstance(val, bool) or not isinstance(val, (int, float)):
+            return False
+        try:
+            return math.isfinite(val)
+        except OverflowError:  # an integer beyond the float range
+            return False
+    return isinstance(val, kind) and (kind is bool or not isinstance(val, bool))
+
+
 def _get(cfg, path, kind, default=None, required=False):
     cur = cfg
     parts = path.split(".")
-    for part in parts[:-1]:
-        cur = cur.get(part, {}) if isinstance(cur, dict) else {}
-    if not isinstance(cur, dict) or parts[-1] not in cur:
+    for n, part in enumerate(parts[:-1]):
+        cur = cur.get(part, {})
+        if not isinstance(cur, dict):
+            raise ConfigError(f"config: section '{'.'.join(parts[:n + 1])}' "
+                              f"must be a mapping, got {cur!r}")
+    if parts[-1] not in cur:
         if required:
             raise ConfigError(f"config: missing required field '{path}'")
         return default
     val = cur[parts[-1]]
-    if kind is float:
-        if not isinstance(val, (int, float)) or isinstance(val, bool):
-            raise ConfigError(f"config: field '{path}' must be a number, "
-                              f"got {val!r}")
-        return float(val)
-    if kind is int:
-        if not isinstance(val, int) or isinstance(val, bool):
-            raise ConfigError(f"config: field '{path}' must be an integer, "
-                              f"got {val!r}")
-        return val
-    if kind is str:
-        if not isinstance(val, str):
-            raise ConfigError(f"config: field '{path}' must be a string, "
-                              f"got {val!r}")
-        return val
-    if kind is bool:
-        if not isinstance(val, bool):
-            raise ConfigError(f"config: field '{path}' must be a boolean, "
-                              f"got {val!r}")
-        return val
+    if not _is_kind(val, kind):
+        raise ConfigError(f"config: field '{path}' must be "
+                          f"{_FIELD_KINDS[kind]}, got {val!r}")
     if kind == "vec3":
-        if (not isinstance(val, (list, tuple)) or len(val) != 3
-                or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                           for x in val)):
-            raise ConfigError(f"config: field '{path}' must be a list of "
-                              f"three numbers, got {val!r}")
         return tuple(float(x) for x in val)
-    raise AssertionError(kind)
+    return float(val) if kind is float else val
 
 
 def model_from_config(cfg):
@@ -205,6 +206,9 @@ def cmd_simulate(args):
         raise ConfigError("config: simulate.dt and simulate.t_final must be "
                           "positive")
     record_every = _get(cfg, "simulate.record_every", int, 1)
+    if record_every < 1:
+        raise ConfigError("config: field 'simulate.record_every' must be >= 1, "
+                          f"got {record_every}")
     method = _get(cfg, "simulate.method", str, "rk4")
     if method not in ("rk4", "dop853"):
         raise ConfigError("config: simulate.method must be rk4 or dop853, "

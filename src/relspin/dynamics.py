@@ -5,8 +5,11 @@ is its Dirac bracket with H, so the raw equations of motion are
 
     zdot = J grad H + ( {T4,H} J grad T3 - {T3,H} J grad T4 ) / {T3,T4}
 
-with x^0 slaved to the evolution parameter (dx^0/dt = c) and p^0 a
-spectator equal to H/c, exactly conserved in stationary backgrounds.
+i.e. ``brackets.dirac_core(z).flow(grad H)``, the correction written once
+in ``DiracCore.flow`` for the bracket oracle too; the {T3,T4} floor of
+``dirac_core`` makes it raise ValueError where the pair is not
+invertible.  x^0 is slaved to the evolution parameter (dx^0/dt = c) and
+p^0 a spectator equal to H/c, exactly conserved in stationary backgrounds.
 
 The continuous flow preserves all four constraints: T3 and T4 by
 construction of the bracket, T2 and T5 because {T2,T3} = -T3 and its
@@ -24,38 +27,26 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
+from .brackets import H_OBS, dirac_core
 from .phase import (PhaseState, dipole_vector, field_data, kinetic_momentum,
                     obs_t2, obs_t3, obs_t4, obs_t5, spin_square, spin_vector,
-                    symplectic_apply, pair_gradients, _p0_and_grad, _t34_grad,
-                    t2, t3, t4, t5)
+                    symplectic_apply, t2, t3, t4, t5)
 
 # ---------------------------------------------------------------------------
 # right-hand sides
 
 
-def _grad_h(z, model, fd, g_p0):
-    gh = model.c * g_p0.copy()
-    gh[1:4] += model.e * fd.dA[0, 1:]
-    return gh
-
-
 def dirac_rhs(vec, model, spinless=False):
     """d(vec)/dt for the 16-component state; t is laboratory time."""
     z = PhaseState(vec=np.asarray(vec, dtype=float), spinless=spinless)
-    fd = field_data(model, z.x)
-    P, g_p0 = _p0_and_grad(z, model, fd)
-    gh = _grad_h(z, model, fd, g_p0)
-    zdot = symplectic_apply(gh)
-    if not spinless:
-        g_t3 = _t34_grad(z, model, fd, z.w, 8)
-        g_t4 = _t34_grad(z, model, fd, z.pi, 12)
-        t34 = pair_gradients(g_t3, g_t4)
-        h3 = pair_gradients(g_t3, gh)
-        h4 = pair_gradients(g_t4, gh)
-        zdot += (h4 / t34) * symplectic_apply(g_t3)
-        zdot -= (h3 / t34) * symplectic_apply(g_t4)
+    if spinless:
+        zdot = symplectic_apply(H_OBS.grad(z, model))
+    else:
+        core = dirac_core(z, model)
+        gh = model.c * core.g_p0
+        gh[0:4] += model.e * core.fd.dA[0, :]
+        zdot = core.flow(gh)
     zdot[0] = model.c
     zdot[4] = 0.0
     return zdot
@@ -189,32 +180,38 @@ def integrate(model, z0, t_final, dt, t0=0.0, record_every=1,
     method "rk4" is the deterministic fixed-step workhorse; "dop853"
     delegates the stepping to scipy between recording times.  Both
     apply the Newton projection at recording times (rk4 additionally
-    every project_every internal steps).
+    every project_every internal steps).  Both end at t_final: when
+    (t_final - t0)/dt is not an integer to rounding, rk4 takes
+    floor((t_final - t0)/dt) steps of dt and one shorter last step,
+    which is always recorded.
     """
     spinless = z0.spinless
     f = lambda y: dirac_rhs(y, model, spinless)
-    n_steps = int(round((t_final - t0) / dt))
+    ratio = (t_final - t0) / dt
+    n_full = int(round(ratio))
+    short = abs(ratio - n_full) > 1e-9 * max(1.0, abs(ratio))
+    if short:
+        n_full = int(np.floor(ratio))
+    n_steps = n_full + int(short)
     ts = [t0]
     zs = [z0.vec.copy()]
     stats = {"method": method, "n_steps": n_steps, "projections": 0}
 
     if method == "rk4":
         y = z0.vec.copy()
-        z_cur = z0
         for k in range(1, n_steps + 1):
-            y = _rk4_step(f, y, dt)
-            need_proj = project and (k % project_every == 0 or k % record_every == 0)
-            if need_proj or k % record_every == 0 or k == n_steps:
-                z_cur = PhaseState(vec=y, spinless=spinless)
-                if need_proj:
-                    z_cur = project_state(z_cur, model)
-                    stats["projections"] += 1
-                    y = z_cur.vec.copy()
+            h = dt if k <= n_full else t_final - (t0 + n_full * dt)
+            y = _rk4_step(f, y, h)
+            if project and (k % project_every == 0 or k % record_every == 0):
+                y = project_state(PhaseState(vec=y, spinless=spinless), model).vec.copy()
+                stats["projections"] += 1
             if k % record_every == 0 or k == n_steps:
-                ts.append(t0 + k * dt)
+                ts.append(t0 + k * dt if k <= n_full else t_final)
                 zs.append(y.copy())
     elif method == "dop853":
-        t_eval = t0 + dt * record_every * np.arange(1, n_steps // record_every + 1)
+        from scipy.integrate import solve_ivp
+
+        t_eval = t0 + dt * record_every * np.arange(1, n_full // record_every + 1)
         if len(t_eval) == 0 or t_eval[-1] < t_final - 1e-12 * abs(t_final):
             t_eval = np.append(t_eval, t_final)
         y = z0.vec.copy()

@@ -31,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 ALPHA_FS = 7.2973525693e-3
 MC2_EV = 510998.95
@@ -117,6 +116,8 @@ def radial_expectations_numerov(n, l, h=0.01, r_max=None):
     # prepend the origin: every integrand below vanishes there for l >= 1
     r0 = np.concatenate(([0.0], r))
     u0 = np.concatenate(([0.0], u))
+
+    from scipy.integrate import simpson
 
     def moment(vals):
         return float(simpson(np.concatenate(([0.0], vals)), x=r0))

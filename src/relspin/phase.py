@@ -271,10 +271,13 @@ def _p0_and_grad(z, model, fd):
     return P, _grad_w_rad(z, model, fd) / (2.0 * P[0])
 
 
-def _t34_grad(z, model, fd, v, v_index):
-    """Gradient of -calP^0 v^0 + calP^i v^i for v = omega (index 8) or pi (12)."""
+def _t34_grad(z, model, fd, P, gP0, v_index):
+    """Gradient of -calP^0 v^0 + calP^i v^i for v = omega (index 8) or pi (12).
+
+    P and gP0 are calP and grad calP^0 at z, as returned by _p0_and_grad.
+    """
     e, c = model.e, model.c
-    P, gP0 = _p0_and_grad(z, model, fd)
+    v = z.vec[v_index:v_index + 4]
     out = -v[0] * gP0
     out[0:4] += -(e / c) * (v[1:] @ fd.dA[1:, :])
     out[5:8] += v[1:]
@@ -359,20 +362,21 @@ def obs_t5():
     return Observable("T5", lambda z, model: t5(z, model), grd)
 
 
-def obs_t3():
+def _obs_t34(name, value, v_index):
     def grd(z, model):
         fd = field_data(model, z.x)
-        return _t34_grad(z, model, fd, z.w, 8)
+        P, gP0 = _p0_and_grad(z, model, fd)
+        return _t34_grad(z, model, fd, P, gP0, v_index)
 
-    return Observable("T3", lambda z, model: t3(z, model), grd)
+    return Observable(name, value, grd)
+
+
+def obs_t3():
+    return _obs_t34("T3", t3, 8)
 
 
 def obs_t4():
-    def grd(z, model):
-        fd = field_data(model, z.x)
-        return _t34_grad(z, model, fd, z.pi, 12)
-
-    return Observable("T4", lambda z, model: t4(z, model), grd)
+    return _obs_t34("T4", t4, 12)
 
 
 def obs_hamiltonian():
@@ -397,19 +401,21 @@ def poisson_bracket(A, B, z, model):
 
 
 def pair_gradients(ga, gb):
+    """{A, B} from grad A (16,) and grad B, a (16,) gradient or an (n, 16) stack."""
     ax, ap, aw, aq = ga[0:4], ga[4:8], ga[8:12], ga[12:16]
-    bx, bp, bw, bq = gb[0:4], gb[4:8], gb[8:12], gb[12:16]
-    return float(ax @ (ETA_DIAG * bp) - ap @ (ETA_DIAG * bx)
-                 + aw @ (ETA_DIAG * bq) - aq @ (ETA_DIAG * bw))
+    bx, bp, bw, bq = gb[..., 0:4], gb[..., 4:8], gb[..., 8:12], gb[..., 12:16]
+    out = ((ETA_DIAG * bp) @ ax - (ETA_DIAG * bx) @ ap
+           + (ETA_DIAG * bq) @ aw - (ETA_DIAG * bw) @ aq)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def symplectic_apply(gb):
-    """J grad(B): the 16-vector of {z^k, B} for all coordinates."""
-    out = np.empty(16)
-    out[0:4] = ETA_DIAG * gb[4:8]
-    out[4:8] = -ETA_DIAG * gb[0:4]
-    out[8:12] = ETA_DIAG * gb[12:16]
-    out[12:16] = -ETA_DIAG * gb[8:12]
+    """J grad(B): {z^k, B} for all coordinates, row by row for an (n, 16) stack."""
+    out = np.empty(np.shape(gb))
+    out[..., 0:4] = ETA_DIAG * gb[..., 4:8]
+    out[..., 4:8] = -ETA_DIAG * gb[..., 0:4]
+    out[..., 8:12] = ETA_DIAG * gb[..., 12:16]
+    out[..., 12:16] = -ETA_DIAG * gb[..., 8:12]
     return out
 
 

@@ -140,6 +140,18 @@ def test_exit_code_two_on_config_errors(tmp_path, capsys):
                  BRK_CFG.replace("kind: crossed", "kind: dipole"))
     assert main(["brackets", "--config", cfg]) == 2
     assert "background.kind" in capsys.readouterr().err
+    # non-finite numbers, an integer beyond the float range, a zero
+    # recording stride and a section that is not a mapping
+    for old, new, field in (("t_final: 2.0", "t_final: .nan", "simulate.t_final"),
+                            ("t_final: 2.0", "t_final: .inf", "simulate.t_final"),
+                            ("[-15.0, 0.0, 0.0]", "[-15.0, .nan, 0.0]", "simulate.x0"),
+                            ("m: 1.0", "m: " + "1" * 400, "model.m"),
+                            ("record_every: 10", "record_every: 0",
+                             "simulate.record_every"),
+                            ("units: {c: 10.0, hbar: 1.0}", "units: 5", "units")):
+        cfg = _write(tmp_path, "bad5.yaml", SIM_CFG.replace(old, new))
+        assert main(["simulate", "--config", cfg]) == 2, new
+        assert f"'{field}'" in capsys.readouterr().err
 
 
 def test_exit_code_without_subcommand(capsys):

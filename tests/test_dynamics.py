@@ -8,8 +8,9 @@ from relspin.dynamics import (cyclotron_reference, dirac_rhs, integrate,
                               larmor_reference, orbit_plane_rate,
                               project_state, spin_plane_rate)
 from relspin.fields import make_background, with_gauge_shift
+from relspin.minkowski import contract_2
 from relspin.phase import (Model, PhaseState, constraint_residuals,
-                           init_state)
+                           field_data, init_state, spin_tensor)
 
 from conftest import build_model
 
@@ -27,6 +28,40 @@ def test_p0_is_frozen():
     zdot = dirac_rhs(z.vec, model)
     assert zdot[4] == 0.0
     assert zdot[0] == model.c
+
+
+def test_rhs_raises_where_t3t4_vanishes():
+    """With (SF) on the pole of a, 4 m^2 c^3 / (e (g+1)), {T3,T4} is
+    zero to rounding and the second-class pair cannot be inverted; the
+    right-hand side must refuse the state, not return a finite vector."""
+    model = _uniform_b_model(B=1.0)
+    z = init_state(model, x3=(0.0, 0.0, 0.0), P3=(0.0, 0.0, 0.0),
+                   spin_dir=(0.0, 0.0, 1.0))
+    sf = contract_2(field_data(model, z.x).F, spin_tensor(z))
+    pole = 4.0 * model.m**2 * model.c**3 / (model.e * (model.g + 1.0))
+    vec = z.vec.copy()
+    vec[12:16] *= pole / sf
+    with pytest.raises(ValueError, match="T3,T4"):
+        dirac_rhs(vec, model)
+
+
+def test_integrate_ends_at_t_final():
+    model = build_model("crossed")
+    z0 = init_state(model, x3=(0.5, -0.2, 0.1), P3=(0.4, 0.1, -0.3),
+                    spin_dir=(0.2, 0.9, -0.1))
+    # ten steps of dt and a last step of 0.05; x^0 = c t counts its length
+    traj = integrate(model, z0, 1.05, 0.1)
+    assert traj.t[-1] == 1.05 and len(traj.t) == 12
+    assert np.isclose(traj.Z[-1][0], model.c * 1.05, rtol=1e-14)
+    # shorter than one step
+    traj = integrate(model, z0, 0.04, 0.1)
+    assert list(traj.t) == [0.0, 0.04]
+    assert np.isclose(traj.Z[-1][0], model.c * 0.04, rtol=1e-14)
+    # a whole number of steps keeps the times t0 + k dt
+    assert list(integrate(model, z0, 0.3, 0.1).t) == [k * 0.1 for k in range(4)]
+    # dop853 rounded 10.6 steps up and ran past t_final
+    traj = integrate(model, z0, 1.06, 0.1, record_every=5, method="dop853")
+    assert list(traj.t) == [0.0, 0.5, 1.0, 1.06]
 
 
 def test_spinless_cyclotron_closure():
