@@ -38,17 +38,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .minkowski import ETA_DIAG, contract_2
-from .phase import (field_data, kinetic_momentum, obs_coord, obs_energy,
-                    obs_hamiltonian, obs_kinetic, obs_spin, obs_t3, obs_t4,
-                    pair_gradients, spin_tensor, symplectic_apply,
+from .phase import (constraint_gradients, field_data, kinetic_momentum,
+                    obs_coord, obs_energy, obs_hamiltonian, obs_kinetic,
+                    obs_spin, pair_gradients, spin_tensor, symplectic_apply,
                     _p0_and_grad, _t34_grad)
 
 SPIN_INDEX_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
-T3_OBS = obs_t3()
-T4_OBS = obs_t4()
 H_OBS = obs_hamiltonian()
-P0_OBS = obs_energy()
 
 
 @dataclass(frozen=True)
@@ -320,7 +317,7 @@ def aux_table_entries(z, model, energy_row_variant="resolved"):
 
 ROW_OBSERVABLES = {("x", i): obs_coord("x", i) for i in (1, 2, 3)}
 ROW_OBSERVABLES.update({("P", i): obs_kinetic(i) for i in (1, 2, 3)})
-ROW_OBSERVABLES[("P0", None)] = P0_OBS
+ROW_OBSERVABLES[("P0", None)] = obs_energy()
 ROW_OBSERVABLES.update({("omega", mu): obs_coord("omega", mu) for mu in range(4)})
 ROW_OBSERVABLES.update({("pi", mu): obs_coord("pi", mu) for mu in range(4)})
 ROW_OBSERVABLES.update({("S", pair): obs_spin(*pair) for pair in SPIN_INDEX_PAIRS})
@@ -328,12 +325,12 @@ ROW_OBSERVABLES.update({("S", pair): obs_spin(*pair) for pair in SPIN_INDEX_PAIR
 
 def aux_table_oracle(z, model):
     """The same table computed directly from the canonical bracket."""
-    cols = {"P0": P0_OBS, "T3": T3_OBS, "T4": T4_OBS}
-    C = np.array([ob.grad(z, model) for ob in cols.values()])
+    g_p0, G = constraint_gradients(z, model)
+    C = np.array([g_p0, G[1], G[2]])
     R = np.array([ob.grad(z, model) for ob in ROW_OBSERVABLES.values()])
     table = C @ symplectic_apply(R).T
     return {(ck, kind, idx): val
-            for ck, row in zip(cols, table.tolist())
+            for ck, row in zip(("P0", "T3", "T4"), table.tolist())
             for (kind, idx), val in zip(ROW_OBSERVABLES, row)}
 
 

@@ -8,7 +8,8 @@ Subcommands
 
 All numeric output is deterministic: same config, same seed, same
 bytes.  Exit codes: 0 success, 1 runtime failure, 2 config error (the
-message names the offending field or YAML line).
+message names the offending field or YAML line; a key the subcommand
+does not read is one).
 """
 
 from __future__ import annotations
@@ -48,6 +49,9 @@ def _fmt(v):
 
 
 def load_config(path):
+    """The Config read from the YAML file at path; empty for path None."""
+    if path is None:
+        return Config({})
     try:
         with open(path) as fh:
             text = fh.read()
@@ -63,7 +67,7 @@ def load_config(path):
         data = {}
     if not isinstance(data, dict):
         raise ConfigError("config: top level must be a mapping")
-    return data
+    return Config(data)
 
 
 # what a field of each kind must hold, as the error message names it
@@ -85,50 +89,72 @@ def _is_kind(val, kind):
     return isinstance(val, kind) and (kind is bool or not isinstance(val, bool))
 
 
-def _get(cfg, path, kind, default=None, required=False):
-    cur = cfg
-    parts = path.split(".")
-    for n, part in enumerate(parts[:-1]):
-        cur = cur.get(part, {})
-        if not isinstance(cur, dict):
-            raise ConfigError(f"config: section '{'.'.join(parts[:n + 1])}' "
-                              f"must be a mapping, got {cur!r}")
-    if parts[-1] not in cur:
-        if required:
-            raise ConfigError(f"config: missing required field '{path}'")
-        return default
-    val = cur[parts[-1]]
-    if not _is_kind(val, kind):
-        raise ConfigError(f"config: field '{path}' must be "
-                          f"{_FIELD_KINDS[kind]}, got {val!r}")
-    if kind == "vec3":
-        return tuple(float(x) for x in val)
-    return float(val) if kind is float else val
+class Config:
+    """A YAML mapping that remembers which fields and sections were read."""
+
+    def __init__(self, data):
+        self.data = data
+        self.read = set()
+
+    def get(self, path, kind, default=None, required=False):
+        cur = self.data
+        parts = path.split(".")
+        for n in range(1, len(parts)):
+            section = ".".join(parts[:n])
+            self.read.add(section)
+            cur = cur.get(parts[n - 1], {})
+            if not isinstance(cur, dict):
+                raise ConfigError(f"config: section '{section}' must be a "
+                                  f"mapping, got {cur!r}")
+        self.read.add(path)
+        if parts[-1] not in cur:
+            if required:
+                raise ConfigError(f"config: missing required field '{path}'")
+            return default
+        val = cur[parts[-1]]
+        if not _is_kind(val, kind):
+            raise ConfigError(f"config: field '{path}' must be "
+                              f"{_FIELD_KINDS[kind]}, got {val!r}")
+        if kind == "vec3":
+            return tuple(float(x) for x in val)
+        return float(val) if kind is float else val
+
+    def reject_unread(self):
+        """ConfigError naming the first key that no get() has read."""
+        def walk(node, prefix):
+            for key, val in node.items():
+                path = f"{prefix}{key}"
+                if path not in self.read:
+                    raise ConfigError(f"config: unknown or unused field '{path}'")
+                if isinstance(val, dict):
+                    walk(val, path + ".")
+
+        walk(self.data, "")
 
 
 def model_from_config(cfg):
-    c = _get(cfg, "units.c", float, 10.0)
-    hbar = _get(cfg, "units.hbar", float, 1.0)
+    c = cfg.get("units.c", float, 10.0)
+    hbar = cfg.get("units.hbar", float, 1.0)
     if c <= 0 or hbar <= 0:
         raise ConfigError("config: units.c and units.hbar must be positive")
-    kind = _get(cfg, "background.kind", str, "zero")
+    kind = cfg.get("background.kind", str, "zero")
     if kind not in KINDS:
         raise ConfigError(f"config: background.kind must be one of {KINDS}, "
                           f"got {kind!r}")
     params = {}
     if kind in ("uniform-E", "crossed"):
-        params["E"] = _get(cfg, "background.E", "vec3", required=True)
+        params["E"] = cfg.get("background.E", "vec3", required=True)
     if kind in ("uniform-B", "crossed"):
-        params["B"] = _get(cfg, "background.B", "vec3", required=True)
+        params["B"] = cfg.get("background.B", "vec3", required=True)
     if kind == "coulomb":
-        params["q"] = _get(cfg, "background.q", float, required=True)
-    e = _get(cfg, "model.e", float, 1.0)
+        params["q"] = cfg.get("background.q", float, required=True)
+    e = cfg.get("model.e", float, 1.0)
     bg = make_background(kind, e=e, c=c, **params)
-    m = _get(cfg, "model.m", float, 1.0)
+    m = cfg.get("model.m", float, 1.0)
     if m <= 0:
         raise ConfigError("config: model.m must be positive")
-    g = _get(cfg, "model.g", float, 2.0)
-    alpha = _get(cfg, "model.alpha", float, 0.75 * hbar**2)
+    g = cfg.get("model.g", float, 2.0)
+    alpha = cfg.get("model.alpha", float, 0.75 * hbar**2)
     if alpha < 0:
         raise ConfigError("config: model.alpha must be >= 0 "
                           "(0 switches spin off)")
@@ -195,25 +221,26 @@ def _json_default(obj):
 
 
 def cmd_simulate(args):
-    cfg = load_config(args.config) if args.config else {}
+    cfg = load_config(args.config)
     model = model_from_config(cfg)
-    x0 = _get(cfg, "simulate.x0", "vec3", (0.0, 0.0, 0.0))
-    P0 = _get(cfg, "simulate.P0", "vec3", (0.0, 0.0, 0.0))
-    spin_dir = _get(cfg, "simulate.spin_dir", "vec3", (0.0, 0.0, 1.0))
-    t_final = _get(cfg, "simulate.t_final", float, required=True)
-    dt = _get(cfg, "simulate.dt", float, required=True)
+    x0 = cfg.get("simulate.x0", "vec3", (0.0, 0.0, 0.0))
+    P0 = cfg.get("simulate.P0", "vec3", (0.0, 0.0, 0.0))
+    spin_dir = cfg.get("simulate.spin_dir", "vec3", (0.0, 0.0, 1.0))
+    t_final = cfg.get("simulate.t_final", float, required=True)
+    dt = cfg.get("simulate.dt", float, required=True)
     if dt <= 0 or t_final <= 0:
         raise ConfigError("config: simulate.dt and simulate.t_final must be "
                           "positive")
-    record_every = _get(cfg, "simulate.record_every", int, 1)
+    record_every = cfg.get("simulate.record_every", int, 1)
     if record_every < 1:
         raise ConfigError("config: field 'simulate.record_every' must be >= 1, "
                           f"got {record_every}")
-    method = _get(cfg, "simulate.method", str, "rk4")
+    method = cfg.get("simulate.method", str, "rk4")
     if method not in ("rk4", "dop853"):
         raise ConfigError("config: simulate.method must be rk4 or dop853, "
                           f"got {method!r}")
-    project = _get(cfg, "simulate.project", bool, True)
+    project = cfg.get("simulate.project", bool, True)
+    cfg.reject_unread()
     z0 = init_state(model, x3=x0, P3=P0, spin_dir=spin_dir)
     traj = integrate(model, z0, t_final, dt, record_every=record_every,
                      method=method, project=project)
@@ -222,8 +249,9 @@ def cmd_simulate(args):
 
 
 def cmd_brackets(args):
-    cfg = load_config(args.config) if args.config else {}
+    cfg = load_config(args.config)
     model = model_from_config(cfg)
+    cfg.reject_unread()
     rng = np.random.default_rng(args.seed)
     n_states = args.states
     states = [random_constrained_state(model, rng) for _ in range(n_states)]
@@ -256,13 +284,14 @@ def cmd_brackets(args):
 
 
 def cmd_expand(args):
-    cfg = load_config(args.config) if args.config else {}
-    background = _get(cfg, "expand.background", str, "crossed")
+    cfg = load_config(args.config)
+    background = cfg.get("expand.background", str, "crossed")
     if background not in ("crossed", "coulomb"):
         raise ConfigError("config: expand.background must be crossed or "
                           f"coulomb, got {background!r}")
-    ladder = expansion.bracket_ladder(background)
     model = model_from_config(cfg)
+    cfg.reject_unread()
+    ladder = expansion.bracket_ladder(background)
     shift = expansion.primed_shift_example(model)
     report = {
         "background": background,
@@ -290,15 +319,16 @@ def cmd_expand(args):
 
 
 def cmd_spectrum(args):
-    cfg = load_config(args.config) if args.config else {}
+    cfg = load_config(args.config)
     hm = hydrogen.HydrogenModel(
-        alpha=_get(cfg, "spectrum.alpha_fs", float, hydrogen.ALPHA_FS),
-        mc2=_get(cfg, "spectrum.mc2", float, hydrogen.MC2_EV),
-        g=_get(cfg, "spectrum.g", float, 2.0),
+        alpha=cfg.get("spectrum.alpha_fs", float, hydrogen.ALPHA_FS),
+        mc2=cfg.get("spectrum.mc2", float, hydrogen.MC2_EV),
+        g=cfg.get("spectrum.g", float, 2.0),
     )
-    n_max = _get(cfg, "spectrum.n_max", int, 3)
+    n_max = cfg.get("spectrum.n_max", int, 3)
     if n_max < 1:
         raise ConfigError("config: spectrum.n_max must be >= 1")
+    cfg.reject_unread()
     rows = hydrogen.fine_structure_table(hm, n_max)
     summary = {
         "p_splitting_n2": hydrogen.p_level_splitting(hm),
@@ -386,11 +416,13 @@ def build_parser():
         p = sub.add_parser(name)
         p.add_argument("--config", help="YAML configuration file")
         p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--format", choices=("csv", "json", "plot"),
-                       default="json" if name != "simulate" else "csv")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--states", type=int, default=8,
-                       help="random states for the brackets report")
+        plot = ("plot",) if name == "simulate" else ()
+        p.add_argument("--format", choices=("csv", "json", *plot),
+                       default="csv" if plot else "json")
+        if name == "brackets":
+            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--states", type=int, default=8,
+                           help="random states for the report")
         p.set_defaults(fn=fn)
     return ap
 

@@ -16,6 +16,10 @@ construction of the bracket, T2 and T5 because {T2,T3} = -T3 and its
 three siblings vanish on the surface.  Numerical drift is removed by a
 minimal-norm Gauss-Newton projection of the (omega, pi) block, which
 also pins S.S = 8 alpha since that is a consequence of T2 = T5 = 0.
+The projection keeps x, so it evaluates the fields once and reads the
+constraint values and gradients from ``phase.constraint_values`` and
+``phase.constraint_gradients``; it raises RuntimeError when it cannot
+reach its tolerance, and ``integrate`` lets that stop the run.
 
 Spinless states follow the plain Lorentz force; the correction terms
 vanish identically at omega = pi = 0 so the reduced branch is an exact
@@ -29,9 +33,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .brackets import H_OBS, dirac_core
-from .phase import (PhaseState, dipole_vector, field_data, kinetic_momentum,
-                    obs_t2, obs_t3, obs_t4, obs_t5, spin_square, spin_vector,
-                    symplectic_apply, t2, t3, t4, t5)
+from .phase import (CONSTRAINT_NAMES, PhaseState, constraint_gradients,
+                    constraint_values, dipole_vector, field_data, spin_square,
+                    spin_vector, symplectic_apply)
 
 # ---------------------------------------------------------------------------
 # right-hand sides
@@ -56,48 +60,42 @@ def dirac_rhs(vec, model, spinless=False):
 # constraint projection
 
 
-_CONSTRAINT_OBS = (obs_t2(), obs_t3(), obs_t4(), obs_t5())
-
-
 def project_state(z, model, tol_scale=1e-14, max_iter=12):
     """Gauss-Newton projection onto T2 = T3 = T4 = T5 = 0.
 
     Minimal-norm correction of the full (omega, pi) block with the
     exact constraint gradients; x and p are untouched, so projection
-    never moves the orbit.  (A reduced parametrization by omega^0,
-    pi^0 and two overall scales is singular at rest-like states where
-    omega and pi are spatial and orthogonal, so all eight spin slots
-    participate.)  If the iteration fails to improve, the input state
-    is returned unchanged rather than a half-projected one.
+    never moves the orbit and the fields are evaluated once per call.
+    (A reduced parametrization by omega^0, pi^0 and two overall scales
+    is singular at rest-like states where omega and pi are spatial and
+    orthogonal, so all eight spin slots participate.)  The first
+    iterate whose largest residual is below tol_scale (1 + (m c)^2) is
+    returned; if max_iter iterations do not get there, RuntimeError
+    names the residual before and the best one reached.
     """
     if z.spinless:
         return z
     tol = tol_scale * (1.0 + (model.m * model.c) ** 2)
-
-    def residual(zz):
-        return np.array([ob(zz, model) for ob in _CONSTRAINT_OBS])
-
-    best_vec = z.vec
-    best_err = np.max(np.abs(residual(z)))
+    fd = field_data(model, z.x)
     vec = z.vec.copy()
+    errs = []
     for _ in range(max_iter):
         zz = PhaseState(vec=vec)
-        r = residual(zz)
-        err = np.max(np.abs(r))
-        if err < best_err:
-            best_vec, best_err = vec.copy(), err
-        if err < tol:
-            break
-        J = np.stack([ob.grad(zz, model)[8:16] for ob in _CONSTRAINT_OBS])
+        r = constraint_values(zz, model, fd)[1]
+        errs.append(np.max(np.abs(r)))
+        if errs[-1] < tol:
+            return zz
+        J = constraint_gradients(zz, model, fd)[1][:, 8:16]
         step, *_ = np.linalg.lstsq(J, r, rcond=None)
         # damp absurd steps so a bad linearization cannot destroy the state
         cap = 0.25 * max(np.linalg.norm(vec[8:16]), 1.0)
         nrm = np.linalg.norm(step)
         if nrm > cap:
             step *= cap / nrm
-        vec = vec.copy()
         vec[8:16] -= step
-    return PhaseState(vec=best_vec.copy(), spinless=False)
+    raise RuntimeError(f"constraint projection did not converge in {max_iter} "
+                       f"iterations: max residual {errs[0]:.3e} before, "
+                       f"{min(errs):.3e} at best, tolerance {tol:.1e}")
 
 
 # ---------------------------------------------------------------------------
@@ -136,20 +134,17 @@ class Trajectory:
         H = np.empty(n)
         S3 = np.zeros((n, 3))
         D3 = np.zeros((n, 3))
-        res = {k: np.zeros(n) for k in ("T2", "T3", "T4", "T5", "spin2")}
+        T = np.zeros((n, 4))
+        spin2 = np.zeros(n)
         for k in range(n):
             z = self.state(k)
             fd = field_data(self.model, z.x)
-            P[k] = kinetic_momentum(z, self.model, fd)
+            P[k], T[k] = constraint_values(z, self.model, fd)
             H[k] = self.model.c * P[k, 0] + self.model.e * fd.A[0]
             if not self.spinless:
                 S3[k] = spin_vector(z)
                 D3[k] = dipole_vector(z)
-                res["T2"][k] = t2(z)
-                res["T3"][k] = t3(z, self.model)
-                res["T4"][k] = t4(z, self.model)
-                res["T5"][k] = t5(z, self.model)
-                res["spin2"][k] = spin_square(z) - 8.0 * self.model.alpha
+                spin2[k] = spin_square(z) - 8.0 * self.model.alpha
         for mu in range(4):
             out[f"P{mu}"] = P[:, mu]
         for i, nm in enumerate(("S1", "S2", "S3")):
@@ -157,8 +152,8 @@ class Trajectory:
         for i, nm in enumerate(("D1", "D2", "D3")):
             out[nm] = D3[:, i]
         out["H"] = H
-        for k, v in res.items():
-            out[k] = v
+        out.update(zip(CONSTRAINT_NAMES, T.T))
+        out["spin2"] = spin2
         self._channels = out
         return out
 
@@ -180,10 +175,11 @@ def integrate(model, z0, t_final, dt, t0=0.0, record_every=1,
     method "rk4" is the deterministic fixed-step workhorse; "dop853"
     delegates the stepping to scipy between recording times.  Both
     apply the Newton projection at recording times (rk4 additionally
-    every project_every internal steps).  Both end at t_final: when
-    (t_final - t0)/dt is not an integer to rounding, rk4 takes
-    floor((t_final - t0)/dt) steps of dt and one shorter last step,
-    which is always recorded.
+    every project_every internal steps); a projection that does not
+    converge raises RuntimeError and ends the run.  Both end at
+    t_final: when (t_final - t0)/dt is not an integer to rounding, rk4
+    takes floor((t_final - t0)/dt) steps of dt and one shorter last
+    step, which is always recorded.
     """
     spinless = z0.spinless
     f = lambda y: dirac_rhs(y, model, spinless)

@@ -26,6 +26,9 @@ pair
 and in the covariant Hamiltonian H = c calP^0 + e A^0.  The remaining
 first-class pair is T2 = omega.pi and T5 = pi^2 - alpha/omega^2; on
 T2 = T5 = 0 the spin magnitude is fixed, S_{mu nu} S^{mu nu} = 8 alpha.
+The four are written once: constraint_values gives calP and their
+values, constraint_gradients grad calP^0 and their (4, 16) gradient
+rows, each from one field evaluation.
 """
 
 from __future__ import annotations
@@ -74,19 +77,6 @@ class PhaseState:
     def copy(self):
         return PhaseState(vec=self.vec.copy(), spinless=self.spinless)
 
-    def as_dict(self):
-        return {
-            "x": self.x.tolist(),
-            "p": self.p.tolist(),
-            "omega": self.w.tolist(),
-            "pi": self.pi.tolist(),
-            "spinless": self.spinless,
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls.from_parts(d["x"], d["p"], d["omega"], d["pi"],
-                              spinless=bool(d.get("spinless", False)))
 
 
 @dataclass(frozen=True)
@@ -180,25 +170,23 @@ def kinetic_momentum(z, model, fd=None):
     return out
 
 
-def t2(z, model=None):
-    return mdot(z.w, z.pi)
+CONSTRAINT_NAMES = ("T2", "T3", "T4", "T5")
 
 
-def t5(z, model):
+def constraint_values(z, model, fd=None):
+    """calP and the values (T2, T3, T4, T5) at z, from one field evaluation.
+
+    A spinless state carries no constraints; its values are zero.
+    """
+    P = kinetic_momentum(z, model, fd)
+    if z.spinless:
+        return P, np.zeros(4)
     w2 = mdot(z.w, z.w)
     if w2 == 0.0:
         raise ValueError("T5 undefined at omega^2 = 0")
-    return mdot(z.pi, z.pi) - model.alpha / w2
-
-
-def t3(z, model, fd=None):
-    P = kinetic_momentum(z, model, fd)
-    return float(np.dot(ETA_DIAG * P, z.w))
-
-
-def t4(z, model, fd=None):
-    P = kinetic_momentum(z, model, fd)
-    return float(np.dot(ETA_DIAG * P, z.pi))
+    return P, np.array([mdot(z.w, z.pi), float(np.dot(ETA_DIAG * P, z.w)),
+                        float(np.dot(ETA_DIAG * P, z.pi)),
+                        mdot(z.pi, z.pi) - model.alpha / w2])
 
 
 def ssc_vector(z, model, fd=None):
@@ -211,15 +199,11 @@ def constraint_residuals(z, model):
     """All constraint values at z (exact zeros define the surface)."""
     if z.spinless:
         return {"T2": 0.0, "T3": 0.0, "T4": 0.0, "T5": 0.0, "ssc": 0.0, "spin2": 0.0}
-    fd = field_data(model, z.x)
-    return {
-        "T2": t2(z),
-        "T3": t3(z, model, fd),
-        "T4": t4(z, model, fd),
-        "T5": t5(z, model),
-        "ssc": float(np.max(np.abs(ssc_vector(z, model, fd)))),
-        "spin2": spin_square(z) - 8.0 * model.alpha,
-    }
+    P, T = constraint_values(z, model)
+    S = spin_tensor(z)
+    return {**dict(zip(CONSTRAINT_NAMES, T.tolist())),
+            "ssc": float(np.max(np.abs(S @ (ETA_DIAG * P)))),
+            "spin2": contract_2(S, S) - 8.0 * model.alpha}
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +270,20 @@ def _t34_grad(z, model, fd, P, gP0, v_index):
     return out
 
 
+def constraint_gradients(z, model, fd=None):
+    """grad calP^0 and the (4, 16) rows grad (T2, T3, T4, T5) at z."""
+    fd = fd or field_data(model, z.x)
+    P, g_p0 = _p0_and_grad(z, model, fd)
+    G = np.zeros((4, 16))
+    G[0, 8:12] = ETA_DIAG * z.pi
+    G[0, 12:16] = ETA_DIAG * z.w
+    G[1] = _t34_grad(z, model, fd, P, g_p0, 8)
+    G[2] = _t34_grad(z, model, fd, P, g_p0, 12)
+    G[3, 8:12] = 2.0 * model.alpha * (ETA_DIAG * z.w) / mdot(z.w, z.w)**2
+    G[3, 12:16] = 2.0 * ETA_DIAG * z.pi
+    return g_p0, G
+
+
 def obs_coord(block, mu):
     idx = 4 * BLOCKS.index(block) + mu
     one = np.zeros(16)
@@ -341,42 +339,27 @@ def obs_spin(mu, nu):
     return Observable(f"S^{mu}{nu}", f, grd)
 
 
+def _obs_constraint(a):
+    """Constraint T_a as one row of constraint_values / constraint_gradients."""
+    return Observable(CONSTRAINT_NAMES[a],
+                      lambda z, model: constraint_values(z, model)[1][a],
+                      lambda z, model: constraint_gradients(z, model)[1][a])
+
+
 def obs_t2():
-    def grd(z, model):
-        out = np.zeros(16)
-        out[8:12] = ETA_DIAG * z.pi
-        out[12:16] = ETA_DIAG * z.w
-        return out
-
-    return Observable("T2", lambda z, model: t2(z), grd)
-
-
-def obs_t5():
-    def grd(z, model):
-        w2 = mdot(z.w, z.w)
-        out = np.zeros(16)
-        out[8:12] = 2.0 * model.alpha * (ETA_DIAG * z.w) / w2**2
-        out[12:16] = 2.0 * ETA_DIAG * z.pi
-        return out
-
-    return Observable("T5", lambda z, model: t5(z, model), grd)
-
-
-def _obs_t34(name, value, v_index):
-    def grd(z, model):
-        fd = field_data(model, z.x)
-        P, gP0 = _p0_and_grad(z, model, fd)
-        return _t34_grad(z, model, fd, P, gP0, v_index)
-
-    return Observable(name, value, grd)
+    return _obs_constraint(0)
 
 
 def obs_t3():
-    return _obs_t34("T3", t3, 8)
+    return _obs_constraint(1)
 
 
 def obs_t4():
-    return _obs_t34("T4", t4, 12)
+    return _obs_constraint(2)
+
+
+def obs_t5():
+    return _obs_constraint(3)
 
 
 def obs_hamiltonian():

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from relspin.phase import Observable, field_data
+
 N = 16
 
 
@@ -94,8 +96,6 @@ def lift_fields(model, z):
     list of duals holding F_{mu nu}; first derivatives come from the
     background's analytic dA and dF.
     """
-    from .phase import field_data
-
     fd = field_data(model, z.x)
     A = []
     for mu in range(4):
@@ -121,8 +121,6 @@ def dual_observable(name, expr):
     grad wastes the value; this path is for verification and ad-hoc
     observables, not for hot loops.
     """
-    from .phase import Observable
-
     def run(z, model):
         return expr(lift_state(z), *lift_fields(model, z), model)
 

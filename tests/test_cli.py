@@ -1,10 +1,17 @@
 """Command-line behavior: formats, exit codes, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
+import yaml
 
+from relspin import cli, expansion, hydrogen
 from relspin.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
+BENCH_CONFIGS = ROOT / "perfbench" / "configs"
 
 SIM_CFG = """\
 units: {c: 10.0, hbar: 1.0}
@@ -141,17 +148,61 @@ def test_exit_code_two_on_config_errors(tmp_path, capsys):
     assert main(["brackets", "--config", cfg]) == 2
     assert "background.kind" in capsys.readouterr().err
     # non-finite numbers, an integer beyond the float range, a zero
-    # recording stride and a section that is not a mapping
+    # recording stride, a section that is not a mapping and unread keys
     for old, new, field in (("t_final: 2.0", "t_final: .nan", "simulate.t_final"),
                             ("t_final: 2.0", "t_final: .inf", "simulate.t_final"),
                             ("[-15.0, 0.0, 0.0]", "[-15.0, .nan, 0.0]", "simulate.x0"),
                             ("m: 1.0", "m: " + "1" * 400, "model.m"),
                             ("record_every: 10", "record_every: 0",
                              "simulate.record_every"),
-                            ("units: {c: 10.0, hbar: 1.0}", "units: 5", "units")):
+                            ("units: {c: 10.0, hbar: 1.0}", "units: 5", "units"),
+                            # keys and sections the command does not read
+                            ("model: {m: 1.0, e: 1.0, g: 2.0, alpha: 0.75}",
+                             "model: {gee: 3.0}", "model.gee"),
+                            ("record_every: 10", "record_evry: 10",
+                             "simulate.record_evry"),
+                            ("simulate:", "spectrum: {g: 2.0}\nsimulate:",
+                             "spectrum")):
         cfg = _write(tmp_path, "bad5.yaml", SIM_CFG.replace(old, new))
         assert main(["simulate", "--config", cfg]) == 2, new
         assert f"'{field}'" in capsys.readouterr().err
+
+
+class _Reached(Exception):
+    """Raised in place of the first computation of a command."""
+
+
+def _reached(*args, **kwargs):
+    raise _Reached
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.yaml"))
+                         + sorted(BENCH_CONFIGS.glob("*.yaml")),
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_shipped_configs_pass_validation(path, monkeypatch):
+    """Every shipped config holds only keys its command reads: the
+    command gets past validation to its first computation."""
+    for mod, name in ((cli, "init_state"), (cli, "random_constrained_state"),
+                      (expansion, "bracket_ladder"),
+                      (hydrogen, "fine_structure_table")):
+        monkeypatch.setattr(mod, name, _reached)
+    sections = yaml.safe_load(path.read_text())
+    command = next((c for c in ("simulate", "expand", "spectrum")
+                    if c in sections), "brackets")
+    with pytest.raises(_Reached):
+        main([command, "--config", str(path)])
+
+
+@pytest.mark.parametrize("argv", (["spectrum", "--seed", "1"],
+                                  ["expand", "--states", "3"],
+                                  ["brackets", "--format", "plot"]))
+def test_options_belong_to_their_subcommand(argv, capsys):
+    # --seed and --states feed only the brackets report; plot output
+    # is a time-series layout, offered only by simulate
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert argv[1] in capsys.readouterr().err
 
 
 def test_exit_code_without_subcommand(capsys):

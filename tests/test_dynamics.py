@@ -157,6 +157,20 @@ def test_projection_restores_surface():
         assert abs(val) < 1e-11, (key, val)
 
 
+def test_projection_raises_when_it_cannot_converge():
+    """(omega, pi) pushed off the surface by N(0,1) noise is out of the
+    Gauss-Newton projection's reach (the best iterate keeps a residual
+    near 8); it must raise and name the residuals, not hand back an
+    unimproved state."""
+    model = build_model("uniform-B", g=2.0)
+    z = init_state(model, x3=(1.0, 0.0, 0.0), P3=(0.3, 0.1, -0.2),
+                   spin_dir=(0.2, -0.5, 0.8))
+    vec = z.vec.copy()
+    vec[8:16] += np.random.default_rng(8).normal(size=8)
+    with pytest.raises(RuntimeError, match="did not converge.*before.*at best"):
+        project_state(PhaseState(vec=vec), model)
+
+
 def test_projection_fixed_point_on_rest_like_states():
     """Regression: states with spatial, mutually orthogonal omega and
     pi (any state built at low momentum) made the old reduced-variable

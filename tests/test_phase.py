@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relspin import duals
 from relspin.phase import (Model, PhaseState, constraint_residuals,
                            dipole_vector, field_data, init_state,
                            kinetic_momentum, obs_coord, obs_energy,
@@ -18,6 +17,7 @@ from relspin.phase import (Model, PhaseState, constraint_residuals,
                            spin_vector, ssc_vector)
 from relspin.minkowski import ETA_DIAG, contract_2
 
+import duals
 from conftest import BACKGROUND_PARAMS, build_model, state_batch
 
 
