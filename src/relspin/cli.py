@@ -18,6 +18,7 @@ import argparse
 import json
 import math
 import sys
+import time
 
 import numpy as np
 import yaml
@@ -358,49 +359,75 @@ def cmd_spectrum(args):
 
 
 def run_selftest():
+    """Run each check and print one line per check: PASS or FAIL, the
+    name and the measured quantity against its tolerance; each check's
+    wall time goes to a line of its own on stderr."""
     from .quantum import (build_operators, correspondence_report,
                           g_minus_one_residual, shift_identity_residual)
-
-    checks = []
 
     bg = make_background("coulomb", e=1.0, c=10.0, q=1.0)
     model = Model(background=bg, m=1.0, g=2.0)
     rng = np.random.default_rng(0)
     states = [random_constrained_state(model, rng) for _ in range(3)]
-    dp = defining_property_report(states, model)
-    checks.append(("dirac bracket kills the second-class pair", dp < 1e-10))
-    cvd = closed_vs_direct_report(states, model)
-    checks.append(("closed forms match the direct oracle",
-                   max(cvd.values()) < 1e-8))
-
-    lad = expansion.bracket_ladder("crossed", cs=(10.0, 20.0, 40.0))
-    checks.append(("low-energy ladder decreases",
-                   all(expansion.ladder_decreasing(e) for e in lad.values())))
-
     hm = hydrogen.HydrogenModel()
-    dev = max(abs(hydrogen.level_shift(hm, n, l, j)
-                  - hydrogen.sommerfeld_shift(hm, n, j))
-              for n in (2, 3) for l in range(1, n)
-              for j in (l - 0.5, l + 0.5))
-    checks.append(("fine structure matches the frozen oracle", dev < 1e-18))
-
     ps = build_operators("uniform-E")
-    checks.append(("potential shift identity is exact",
-                   shift_identity_residual(ps).is_zero()))
-    checks.append(("spin-orbit coupling carries g-1",
-                   g_minus_one_residual(ps).is_zero()))
-    rep = correspondence_report("free")
-    checks.append(("operator correspondence floors hold",
-                   all(v["ok"] for v in rep.values())))
+
+    def fine_structure_dev():
+        return max(abs(hydrogen.level_shift(hm, n, l, j)
+                       - hydrogen.sommerfeld_shift(hm, n, j))
+                   for n in (2, 3) for l in range(1, n)
+                   for j in (l - 0.5, l + 0.5))
+
+    def ladder_not_decreasing():
+        lad = expansion.bracket_ladder("crossed", cs=(10.0, 20.0, 40.0))
+        return sum(not expansion.ladder_decreasing(e) for e in lad.values())
+
+    # name, measured quantity, measurement, bound (None: must be exactly 0)
+    checks = (
+        ("dirac bracket kills the second-class pair", "max_dev",
+         lambda: defining_property_report(states, model), 1e-10),
+        ("closed forms match the direct oracle", "max_rel",
+         lambda: max(closed_vs_direct_report(states, model).values()), 1e-8),
+        ("low-energy ladder decreases", "families_not_decreasing",
+         ladder_not_decreasing, None),
+        ("fine structure matches the frozen oracle", "max_dev",
+         fine_structure_dev, 1e-18),
+        ("potential shift identity is exact", "residual_terms",
+         lambda: len(shift_identity_residual(ps).blocks), None),
+        ("spin-orbit coupling carries g-1", "residual_terms",
+         lambda: len(g_minus_one_residual(ps).blocks), None),
+        ("operator correspondence floors hold", "families_below_floor",
+         lambda: sum(not v["ok"]
+                     for v in correspondence_report("free").values()), None),
+    )
 
     ok = True
-    for name, passed in checks:
-        print(f"{'PASS' if passed else 'FAIL'}  {name}")
+    for name, quantity, measure, bound in checks:
+        t0 = time.perf_counter()
+        value = measure()
+        secs = time.perf_counter() - t0
+        passed = value == 0 if bound is None else value < bound
+        limit = "(exact)" if bound is None else f"< {bound:g}"
+        print(f"{'PASS' if passed else 'FAIL'}  {name}  "
+              f"{quantity}={value:.3g} {limit}")
+        # wall time varies from run to run; stdout stays byte-identical
+        print(f"{name}  {secs:.3f} s", file=sys.stderr)
         ok = ok and passed
     return 0 if ok else 1
 
 
 # ---------------------------------------------------------------------------
+
+
+def _positive_int(text):
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= 1, got {text!r}")
+    return n
 
 
 def build_parser():
@@ -421,7 +448,7 @@ def build_parser():
                        default="csv" if plot else "json")
         if name == "brackets":
             p.add_argument("--seed", type=int, default=0)
-            p.add_argument("--states", type=int, default=8,
+            p.add_argument("--states", type=_positive_int, default=8,
                            help="random states for the report")
         p.set_defaults(fn=fn)
     return ap

@@ -29,12 +29,8 @@ from dataclasses import dataclass
 
 import sympy as sp
 
-from .weyl import (Op, I2, anticommutator, commutator, cinv, cross, dot, e,
-                   hbar, m)
-
-g_sym = sp.Symbol("g", real=True)
-B_SYM = sp.symbols("B1 B2 B3", real=True)
-E_SYM = sp.symbols("E1 E2 E3", real=True)
+from .weyl import (B_SYM, E_SYM, Op, anticommutator, cinv, commutator, cross,
+                   dot, e, g_sym, hbar, m, to_ring)
 
 EPS = {}
 for _i in range(3):
@@ -44,36 +40,30 @@ for _i in range(3):
 
 FIELD_KINDS = ("free", "uniform-E", "uniform-B", "crossed")
 
-
-def _eps_combo(vec_j, vec_k):
-    """eps_{ijk} vec_j vec_k as a 3-tuple of Ops (i free)."""
-    out = []
-    for i in range(3):
-        acc = Op()
-        for j in range(3):
-            for k in range(3):
-                if EPS[(i, j, k)]:
-                    acc = acc + (vec_j[j] * vec_k[k]).scale(EPS[(i, j, k)])
-        out.append(acc)
-    return tuple(out)
-
-
-def _eps_combo_rev(vec_k, vec_j):
-    """eps_{ijk} vec_k vec_j: same index pattern, reversed product order."""
-    out = []
-    for i in range(3):
-        acc = Op()
-        for j in range(3):
-            for k in range(3):
-                if EPS[(i, j, k)]:
-                    acc = acc + (vec_k[k] * vec_j[j]).scale(EPS[(i, j, k)])
-        out.append(acc)
-    return tuple(out)
+# background parameters and the constants of the realization, as
+# elements of the coefficient ring
+_B_RING = tuple(to_ring(b) for b in B_SYM)
+_E_RING = tuple(to_ring(v) for v in E_SYM)
+_NO_FIELD = (to_ring(0),) * 3
+_HALF = to_ring(sp.Rational(1, 2))
+_HBAR = to_ring(hbar)
+_IHBAR = to_ring(sp.I * hbar)
+_E = to_ring(e)
+_E_CINV = to_ring(e * cinv)
+_SHIFT = to_ring(hbar * cinv**2 / (4 * m**2))
+_DIPOLE = to_ring(hbar * cinv / (2 * m))
+_XX = to_ring(hbar * cinv**2 / (2 * m**2))
+_XS = to_ring(cinv**2 / m**2)
+_SO = to_ring(e * cinv**2 / (2 * m**2))
+_ZEEMAN = to_ring(e * cinv / (2 * m))
+_KINETIC = to_ring(1 / (2 * m))
+_P4 = to_ring(cinv**2 / (8 * m**3))
 
 
 @dataclass(frozen=True)
 class PauliSet:
-    """Operator family for one uniform background."""
+    """Operator family for one uniform background; E and B are the field
+    components as elements of the coefficient ring."""
 
     kind: str
     x: tuple
@@ -91,53 +81,47 @@ class PauliSet:
     A0_hat: Op
 
 
+def _scalars(vec):
+    return tuple(Op.scalar(v) for v in vec)
+
+
 def _vector_potential(B, pos):
     """A = B x r / 2 componentwise on operator positions."""
-    out = []
-    for i in range(3):
-        acc = Op()
-        for j in range(3):
-            for k in range(3):
-                if EPS[(i, j, k)] and B[j] != 0:
-                    acc = acc + pos[k].scale(sp.Rational(EPS[(i, j, k)], 2) * B[j])
-        out.append(acc)
-    return tuple(out)
+    return tuple(a.scale(_HALF) for a in cross(_scalars(B), pos))
 
 
 def build_operators(kind="uniform-B"):
     """All operators of the realization for a uniform background."""
     if kind not in FIELD_KINDS:
         raise ValueError(f"unknown field kind {kind!r}; use one of {FIELD_KINDS}")
-    Bv = B_SYM if kind in ("uniform-B", "crossed") else (0, 0, 0)
-    Ev = E_SYM if kind in ("uniform-E", "crossed") else (0, 0, 0)
+    Bv = _B_RING if kind in ("uniform-B", "crossed") else _NO_FIELD
+    Ev = _E_RING if kind in ("uniform-E", "crossed") else _NO_FIELD
 
     x = tuple(Op.x(i) for i in (1, 2, 3))
     p = tuple(Op.p(i) for i in (1, 2, 3))
     sig = tuple(Op.sigma(i) for i in (1, 2, 3))
-    S = tuple(s.scale(hbar / 2) for s in sig)
+    S = tuple(s.scale(_HBAR * _HALF) for s in sig)
 
     A_at_x = _vector_potential(Bv, x)
-    P0hat = tuple(p[i] - A_at_x[i].scale(e * cinv) for i in range(3))
+    P0hat = tuple(p[i] - A_at_x[i].scale(_E_CINV) for i in range(3))
 
-    shift = _eps_combo(P0hat, sig)
-    xhat = tuple(x[i] - shift[i].scale(hbar * cinv**2 / (4 * m**2))
-                 for i in range(3))
+    shift = cross(P0hat, sig)
+    xhat = tuple(x[i] - shift[i].scale(_SHIFT) for i in range(3))
 
     A_at_xhat = _vector_potential(Bv, xhat)
-    Phat = tuple(p[i] - A_at_xhat[i].scale(e * cinv) for i in range(3))
+    Phat = tuple(p[i] - A_at_xhat[i].scale(_E_CINV) for i in range(3))
 
     # symmetrized: A(xhat) inside Phat carries sigma, so the bare
     # product would miss hermiticity at higher order
-    Dhat = tuple(
-        (op + opT).scale(hbar * cinv / (2 * m))
-        for op, opT in zip(_eps_combo(Phat, sig), _eps_combo_rev(sig, Phat)))
+    Dhat = tuple((a - b).scale(_DIPOLE)
+                 for a, b in zip(cross(Phat, sig), cross(sig, Phat)))
 
     Shat = {}
     for i in range(3):
         for j in range(3):
             if i != j:
                 k = 3 - i - j
-                Shat[(i + 1, j + 1)] = sig[k].scale(hbar * EPS[(i, j, k)])
+                Shat[(i + 1, j + 1)] = sig[k].scale(_HBAR * EPS[(i, j, k)])
 
     A0 = Op()
     A0_hat = Op()
@@ -156,38 +140,33 @@ def build_operators(kind="uniform-B"):
 
 
 def _by_ihbar(op):
-    return op.scale(1 / (sp.I * hbar))
+    """op / (i hbar), exact: ExactQuotientFailed where hbar does not divide."""
+    return Op({k: tuple(u.exquo(_IHBAR) for u in blk)
+               for k, blk in op.blocks.items()})
 
 
-def _target_xx(ps, i, j):
+def _eps_sum(vec, i, j):
+    """eps_{ijk} vec_k for 1-based i, j; the zero Op when i == j."""
     acc = Op()
     for k in range(3):
         if EPS[(i - 1, j - 1, k)]:
-            acc = acc + ps.sigma[k].scale(EPS[(i - 1, j - 1, k)])
-    return acc.scale(hbar * cinv**2 / (2 * m**2))
+            acc = acc + vec[k].scale(EPS[(i - 1, j - 1, k)])
+    return acc
+
+
+def _target_xx(ps, i, j):
+    return _eps_sum(ps.sigma, i, j).scale(_XX)
 
 
 def _target_PP(ps, i, j):
-    val = 0
-    for k in range(3):
-        if EPS[(i - 1, j - 1, k)] and ps.B[k] != 0:
-            val += EPS[(i - 1, j - 1, k)] * ps.B[k]
-    return Op.scalar(e * cinv * val)
+    return _eps_sum(_scalars(ps.B), i, j).scale(_E_CINV)
 
 
 def _target_xS(ps, i, j):
     out = ps.S[j - 1] * ps.Phat[i - 1]
     if i == j:
         out = out - dot(ps.S, ps.Phat)
-    return out.scale(cinv**2 / m**2)
-
-
-def _target_SS(ps, i, j):
-    acc = Op()
-    for k in range(3):
-        if EPS[(i - 1, j - 1, k)]:
-            acc = acc + ps.S[k].scale(EPS[(i - 1, j - 1, k)])
-    return acc
+    return out.scale(_XS)
 
 
 def correspondence_residuals(ps):
@@ -216,7 +195,7 @@ def correspondence_residuals(ps):
                  - _target_xS(ps, i, j))
             keep("PS", _by_ihbar(commutator(ps.Phat[i - 1], ps.S[j - 1])))
             keep("SS", _by_ihbar(commutator(ps.S[i - 1], ps.S[j - 1]))
-                 - _target_SS(ps, i, j))
+                 - _eps_sum(ps.S, i, j))
     return {fam: res.get(fam) for fam in worst}
 
 
@@ -249,22 +228,23 @@ def correspondence_report(kind="uniform-B"):
 
 def potential_shift(ps):
     """e A^0(xhat) - e A^0(x); exact as an operator for linear A^0."""
-    return (ps.A0_hat - ps.A0).scale(e)
+    return (ps.A0_hat - ps.A0).scale(_E)
+
+
+def _s_dot_p_cross_e(ps):
+    return dot(ps.S, cross(ps.P0hat, _scalars(ps.E)))
 
 
 def shift_identity_residual(ps):
     """potential_shift + (e cinv^2 / 2 m^2) S.(P x E); zero for a
     uniform electric field."""
-    PxE = _eps_combo(ps.P0hat, tuple(Op.scalar(v) for v in ps.E))
-    target = dot(ps.S, PxE).scale(-e * cinv**2 / (2 * m**2))
-    return potential_shift(ps) - target
+    return potential_shift(ps) + _s_dot_p_cross_e(ps).scale(_SO)
 
 
 def covariant_spin_orbit(ps, g=g_sym):
     """(e g / 2 m^2 c^2) S.(P x E), the coupling the expanded
     Hamiltonian inherits from the covariant dipole term."""
-    PxE = _eps_combo(ps.P0hat, tuple(Op.scalar(v) for v in ps.E))
-    return dot(ps.S, PxE).scale(e * g * cinv**2 / (2 * m**2))
+    return _s_dot_p_cross_e(ps).scale(_SO * to_ring(g))
 
 
 def assembled_spin_orbit(ps, g=g_sym):
@@ -274,10 +254,12 @@ def assembled_spin_orbit(ps, g=g_sym):
 
 
 def g_minus_one_residual(ps, g=g_sym):
-    """assembled - (g-1)/g * covariant; identically zero iff the
-    noncommutative shift converts the coupling g -> g - 1."""
-    return assembled_spin_orbit(ps, g) - covariant_spin_orbit(ps, g).scale(
-        sp.Rational(1) * (g - 1) / g)
+    """g * assembled - (g-1) * covariant, the polynomial form of
+    assembled = (g-1)/g * covariant.  For g != 0 it is identically zero
+    iff the noncommutative shift converts the coupling g -> g - 1."""
+    g = to_ring(g)
+    return (assembled_spin_orbit(ps, g).scale(g)
+            - covariant_spin_orbit(ps, g).scale(g - 1))
 
 
 def pauli_hamiltonian(kind="uniform-E", g=g_sym, include_so=True):
@@ -292,19 +274,15 @@ def pauli_hamiltonian(kind="uniform-E", g=g_sym, include_so=True):
     is Hermitian by construction.
     """
     ps = build_operators(kind)
+    g = to_ring(g)
     P2 = dot(ps.Phat, ps.Phat)
-    H = P2.scale(sp.Rational(1, 2) / m)
-    H = H - (P2 * P2).scale(cinv**2 / (8 * m**3))
-    H = H + ps.A0_hat.scale(e)
+    H = P2.scale(_KINETIC) - (P2 * P2).scale(_P4) + ps.A0_hat.scale(_E)
     if include_so:
-        PxE = _eps_combo(ps.Phat, tuple(Op.scalar(v) for v in ps.E))
+        PxE = cross(ps.Phat, _scalars(ps.E))
         so = Op()
         for k in range(3):
-            so = so + anticommutator(ps.S[k], PxE[k]).scale(sp.Rational(1, 2))
-        H = H + so.scale(e * g * cinv**2 / (2 * m**2))
-        BS = Op()
-        for k in range(3):
-            if ps.B[k] != 0:
-                BS = BS + ps.S[k].scale(ps.B[k])
-        H = H - BS.scale(e * g * cinv / (2 * m))
+            so = so + anticommutator(ps.S[k], PxE[k])
+        H = H + so.scale(_HALF * _SO * g)
+        BS = dot(ps.S, _scalars(ps.B))
+        H = H - BS.scale(_ZEEMAN * g)
     return H

@@ -1,6 +1,7 @@
 """Command-line behavior: formats, exit codes, determinism."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -195,10 +196,13 @@ def test_shipped_configs_pass_validation(path, monkeypatch):
 
 @pytest.mark.parametrize("argv", (["spectrum", "--seed", "1"],
                                   ["expand", "--states", "3"],
-                                  ["brackets", "--format", "plot"]))
+                                  ["brackets", "--format", "plot"],
+                                  ["brackets", "--states", "0"],
+                                  ["brackets", "--states", "-3"]))
 def test_options_belong_to_their_subcommand(argv, capsys):
     # --seed and --states feed only the brackets report; plot output
-    # is a time-series layout, offered only by simulate
+    # is a time-series layout, offered only by simulate; an empty
+    # report would read as a perfect verification
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -212,6 +216,16 @@ def test_exit_code_without_subcommand(capsys):
 
 def test_selftest_passes(capsys):
     assert main(["--selftest"]) == 0
-    out = capsys.readouterr().out
+    captured = capsys.readouterr()
+    out = captured.out
     assert "PASS" in out
     assert "FAIL" not in out
+    # stdout: verdict, name, measured value against its tolerance
+    result = re.compile(r"PASS  (\S.*\S)  \w+=\S+ (\(exact\)|< \S+)")
+    names = [result.fullmatch(text).group(1) for text in out.splitlines()]
+    assert len(names) == 7
+    assert "spin-orbit coupling carries g-1  residual_terms=0 (exact)" in out
+    # stderr: the wall time of each check, in the same order
+    timing = re.compile(r"(\S.*\S)  \d+\.\d{3} s")
+    assert [timing.fullmatch(text).group(1)
+            for text in captured.err.splitlines()] == names

@@ -3,11 +3,13 @@
 import pytest
 import sympy as sp
 
-from relspin.quantum import (CORRESPONDENCE_FLOORS, build_operators,
-                             correspondence_report, correspondence_residuals,
-                             covariant_spin_orbit, g_minus_one_residual,
-                             g_sym, pauli_hamiltonian, potential_shift,
-                             shift_identity_residual)
+from sympy.polys.polyerrors import ExactQuotientFailed
+
+from relspin.quantum import (CORRESPONDENCE_FLOORS, FIELD_KINDS, _by_ihbar,
+                             build_operators, correspondence_report,
+                             correspondence_residuals, covariant_spin_orbit,
+                             g_minus_one_residual, g_sym, pauli_hamiltonian,
+                             potential_shift, shift_identity_residual)
 from relspin.weyl import Op, cinv, hbar
 
 
@@ -16,7 +18,7 @@ def test_unknown_kind_raises():
         build_operators("dipole")
 
 
-@pytest.mark.parametrize("kind", ["free", "uniform-E"])
+@pytest.mark.parametrize("kind", FIELD_KINDS)
 def test_correspondence_floors(kind):
     rep = correspondence_report(kind)
     for fam, row in rep.items():
@@ -34,6 +36,13 @@ def test_free_xx_residual_is_pure_fourth_order():
                 continue
             poly = sp.Poly(entry, cinv)
             assert {mon[0] for mon in poly.monoms()} == {4}
+
+
+def test_division_by_ihbar_is_exact():
+    assert _by_ihbar(Op.x(1).scale(sp.I * hbar**2)) == Op.x(1).scale(hbar)
+    # without a factor hbar it raises instead of producing 1/hbar terms
+    with pytest.raises(ExactQuotientFailed):
+        _by_ihbar(Op.x(1))
 
 
 def test_free_xs_mismatch_sits_at_its_floor():
@@ -86,13 +95,12 @@ def test_g_minus_one_identity():
 
 
 def test_pauli_hamiltonian_hermitian():
-    H = pauli_hamiltonian("uniform-E", g=g_sym)
-    assert H.is_hermitian()
+    for kind in ("uniform-E", "uniform-B", "crossed"):
+        H = pauli_hamiltonian(kind, g=g_sym)
+        assert H.is_hermitian(), kind
 
 
 def test_uniform_b_hamiltonian_pieces_hermitian():
-    # full H for uniform-B is dominated by an enormous P^4 expansion;
-    # hermiticity lives in the lower pieces, so check those directly
     from relspin.weyl import dot
     ps = build_operators("uniform-B")
     P2 = dot(ps.Phat, ps.Phat)

@@ -2,8 +2,9 @@
 
 import sympy as sp
 
+from relspin import quantum
 from relspin.weyl import (Op, anticommutator, cinv, commutator, cross, dot,
-                          hbar)
+                          hbar, m)
 
 I = sp.I
 
@@ -94,3 +95,22 @@ def test_linear_structure():
     assert (1 + x1) == x1 + 1
     assert (2 * x1) == x1.scale(2)
     assert (-x1) + x1 == Op()
+
+
+def test_sympy_boundary_round_trip():
+    # sympy in through Op.scalar (m read as 1/minv), sympy out through the
+    # terms view (minv written back as 1/m)
+    expr = hbar * cinv**2 / (4 * m**2)
+    (key, Mat), = Op.scalar(expr).terms.items()
+    assert key == (0, 0, 0, 0, 0, 0)
+    assert sp.simplify(Mat - expr * sp.eye(2)) == sp.zeros(2, 2)
+
+
+def test_g_minus_one_residual_sees_a_wrong_assembly(monkeypatch):
+    ps = quantum.build_operators("uniform-E")
+    assert quantum.g_minus_one_residual(ps).is_zero()
+    # without the potential shift the assembled coupling keeps g, and
+    # the polynomial form g * assembled - (g-1) * covariant is nonzero
+    monkeypatch.setattr(quantum, "potential_shift", lambda ps: Op())
+    assert not quantum.g_minus_one_residual(ps).is_zero()
+    assert not quantum.g_minus_one_residual(ps, g=sp.Integer(2)).is_zero()
