@@ -15,6 +15,7 @@ does not read is one).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -166,14 +167,19 @@ def model_from_config(cfg):
 # output writers
 
 
-def _open_out(path):
-    return open(path, "w") if path else sys.stdout
+@contextlib.contextmanager
+def _output(path):
+    """The file at path, opened for writing and closed after; stdout for None."""
+    if not path:
+        yield sys.stdout
+        return
+    with open(path, "w") as fh:
+        yield fh
 
 
 def write_channels(channels, fmt, out_path):
     names = [n for n in CHANNEL_ORDER if n in channels]
-    fh = _open_out(out_path)
-    try:
+    with _output(out_path) as fh:
         if fmt == "csv":
             fh.write(",".join(names) + "\n")
             n = len(channels["t"])
@@ -196,19 +202,12 @@ def write_channels(channels, fmt, out_path):
                              f"{_fmt(float(channels[nm][k]))}\n")
         else:
             raise AssertionError(fmt)
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
 
 
 def write_json(payload, out_path):
-    fh = _open_out(out_path)
-    try:
+    with _output(out_path) as fh:
         json.dump(payload, fh, indent=1, default=_json_default)
         fh.write("\n")
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
 
 
 def _json_default(obj):
@@ -265,8 +264,7 @@ def cmd_brackets(args):
         "aux_table": aux_table_report(states, model),
     }
     if args.format == "csv":
-        fh = _open_out(args.out)
-        try:
+        with _output(args.out) as fh:
             fh.write("quantity,value\n")
             fh.write(f"defining_property_max,"
                      f"{_fmt(report['defining_property_max'])}\n")
@@ -276,9 +274,6 @@ def cmd_brackets(args):
                 fh.write(f"aux_resolved_{row},{_fmt(v)}\n")
             fh.write(f"aux_transcribed_energy_row,"
                      f"{_fmt(report['aux_table']['transcribed_energy_row_max_dev'])}\n")
-        finally:
-            if fh is not sys.stdout:
-                fh.close()
     else:
         write_json(report, args.out)
     return 0
@@ -304,16 +299,12 @@ def cmd_expand(args):
         "primed_shift_example": shift,
     }
     if args.format == "csv":
-        fh = _open_out(args.out)
-        try:
+        with _output(args.out) as fh:
             fh.write("family,c,residual,scaled\n")
             for fam, ent in report["ladder"].items():
                 for c, r, s in zip(ent["cs"], ent["residuals"], ent["scaled"]):
                     fh.write(f"{fam},{_fmt(float(c))},{_fmt(float(r))},"
                              f"{_fmt(float(s))}\n")
-        finally:
-            if fh is not sys.stdout:
-                fh.close()
     else:
         write_json(report, args.out)
     return 0
@@ -336,8 +327,7 @@ def cmd_spectrum(args):
         "p_splitting_n2_bare_g": hydrogen.p_level_splitting_naive(hm),
     }
     if args.format == "csv":
-        fh = _open_out(args.out)
-        try:
+        with _output(args.out) as fh:
             fh.write("n,l,j,kinetic,spin_orbit,total,sommerfeld,defect\n")
             for row in rows:
                 cells = [str(row["n"]), str(row["l"]), _fmt(float(row["j"]))]
@@ -346,9 +336,6 @@ def cmd_spectrum(args):
                     v = row[key]
                     cells.append("" if v is None else _fmt(float(v)))
                 fh.write(",".join(cells) + "\n")
-        finally:
-            if fh is not sys.stdout:
-                fh.close()
     else:
         write_json({"levels": rows, "summary": summary}, args.out)
     return 0

@@ -28,9 +28,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import sympy as sp
+from sympy import QQ_I
+from sympy.polys.polyerrors import ExactQuotientFailed
 
-from .weyl import (B_SYM, E_SYM, Op, anticommutator, cinv, commutator, cross,
-                   dot, e, g_sym, hbar, m, to_ring)
+from .weyl import (B_SYM, E_SYM, Op, R, anticommutator, cinv, commutator,
+                   cross, dot, e, g_sym, hbar, m, to_ring)
 
 EPS = {}
 for _i in range(3):
@@ -48,6 +50,8 @@ _NO_FIELD = (to_ring(0),) * 3
 _HALF = to_ring(sp.Rational(1, 2))
 _HBAR = to_ring(hbar)
 _IHBAR = to_ring(sp.I * hbar)
+_HBAR_AT = R.symbols.index(hbar)
+_MINUS_I = QQ_I(0, -1)
 _E = to_ring(e)
 _E_CINV = to_ring(e * cinv)
 _SHIFT = to_ring(hbar * cinv**2 / (4 * m**2))
@@ -140,8 +144,16 @@ def build_operators(kind="uniform-B"):
 
 
 def _by_ihbar(op):
-    """op / (i hbar), exact: ExactQuotientFailed where hbar does not divide."""
-    return Op({k: tuple(u.exquo(_IHBAR) for u in blk)
+    """op / (i hbar), exact: each monomial's hbar exponent drops by one and
+    its coefficient is multiplied by -i; ExactQuotientFailed where a
+    monomial carries no hbar."""
+    def divide(u):
+        if any(mon[_HBAR_AT] == 0 for mon in u):
+            raise ExactQuotientFailed(u, _IHBAR)
+        return R.from_dict({mon[:_HBAR_AT] + (mon[_HBAR_AT] - 1,)
+                            + mon[_HBAR_AT + 1:]: c * _MINUS_I
+                            for mon, c in u.items()})
+    return Op({k: tuple(divide(u) for u in blk)
                for k, blk in op.blocks.items()})
 
 

@@ -8,13 +8,16 @@ route was written and pinned first, the closed forms were reconciled
 against it afterwards.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from relspin.brackets import (SPIN_INDEX_PAIRS, aux_table_entries,
-                              aux_table_oracle, aux_table_report,
-                              closed_PP, closed_SP, closed_SS, closed_Sx,
-                              closed_vs_direct_report, closed_xP, closed_xx,
+from relspin import brackets
+from relspin.brackets import (CLOSED_FAMILIES, PHYSICAL_OBSERVABLES,
+                              aux_table_entries, aux_table_oracle,
+                              aux_table_report, closed_brackets,
+                              closed_vs_direct_report,
                               defining_property_report, dirac_bracket,
                               dirac_core, dirac_coefficients, t3t4_closed)
 from relspin.phase import (field_data, init_state, obs_coord, obs_hamiltonian,
@@ -55,18 +58,58 @@ def test_bracket_antisymmetry_and_leibniz_spots():
     assert abs(dirac_bracket(s13, s13, z, model, core)) < 1e-14
 
 
+def _direct_physical(z, model):
+    """G flow(G)^T over PHYSICAL_OBSERVABLES, the oracle's matrix."""
+    core = dirac_core(z, model)
+    G = np.array([ob.grad(z, model) for ob in PHYSICAL_OBSERVABLES])
+    return G @ core.flow(G).T
+
+
+def test_closed_matrix_matches_oracle_in_every_block():
+    # the mirrored blocks below the diagonal come from antisymmetry
+    model = build_model("coulomb", g=2.3)
+    for z in state_batch(model, 2, seed=22):
+        D = _direct_physical(z, model)
+        C = closed_brackets(z, model)
+        assert C.shape == (12, 12)
+        assert np.max(np.abs(C - D) / (1.0 + np.abs(D))) < 1e-8
+
+
+@pytest.mark.parametrize("kind", ["coulomb", "crossed", "uniform-B"])
+def test_flipped_l_sign_fails_the_oracle(kind):
+    """Negative control: with L -> -L the spin-position and spin-spin
+    blocks leave the direct oracle over a batch, so the comparison sees
+    the sign of the L term."""
+    model = build_model(kind, g=2.3)
+    worst = dict.fromkeys(("Sx", "SS"), 0.0)
+    for z in state_batch(model, 8, seed=22):
+        fd = field_data(model, z.x)
+        coef = dirac_coefficients(z, model, fd)
+        flipped = dataclasses.replace(coef, L=-coef.L)
+        D = _direct_physical(z, model)
+        rel = np.abs(closed_brackets(z, model, flipped, fd) - D) / (1.0 + np.abs(D))
+        for fam in worst:
+            worst[fam] = max(worst[fam], rel[CLOSED_FAMILIES[fam]].max())
+    assert min(worst.values()) > 1e-6, worst
+
+
+def test_nan_closed_forms_do_not_read_as_agreement(monkeypatch):
+    model = build_model("coulomb", g=2.3)
+    states = state_batch(model, 2, seed=22)
+    original = brackets.closed_brackets
+    monkeypatch.setattr(brackets, "closed_brackets",
+                        lambda *args: original(*args) * np.nan)
+    rep = closed_vs_direct_report(states, model)
+    assert all(np.isnan(rep[fam]) for fam in CLOSED_FAMILIES)
+
+
 def test_ss_closed_form_antisymmetry():
     # swapping the index pairs must flip the sign; this is what pinned
     # down the mirrored L-term in the spin-spin closed form
     model = build_model("crossed", g=2.6)
     z = state_batch(model, 1, seed=8)[0]
-    fd = field_data(model, z.x)
-    coef = dirac_coefficients(z, model, fd)
-    for munu in SPIN_INDEX_PAIRS:
-        for albe in SPIN_INDEX_PAIRS:
-            a = closed_SS(z, model, munu, albe, coef)
-            b = closed_SS(z, model, albe, munu, coef)
-            assert np.isclose(a, -b, atol=1e-13)
+    SS = closed_brackets(z, model)[CLOSED_FAMILIES["SS"]]
+    assert np.allclose(SS, -SS.T, atol=1e-13)
 
 
 def test_t3t4_closed_form():
@@ -112,9 +155,16 @@ def test_aux_table_variants_agree_without_fields():
     res = aux_table_entries(z, model, "resolved")
     tra = aux_table_entries(z, model, "transcribed")
     orc = aux_table_oracle(z, model)
-    for key in res:
-        assert np.isclose(res[key], tra[key], atol=1e-14)
-        assert np.isclose(res[key], orc[key], atol=1e-12)
+    assert res.shape == orc.shape == (3, 21)
+    assert np.allclose(res, tra, atol=1e-14)
+    assert np.allclose(res, orc, atol=1e-12)
+
+
+def test_aux_table_rejects_unknown_variant():
+    model = build_model("zero", g=2.3)
+    z = state_batch(model, 1, seed=31)[0]
+    with pytest.raises(ValueError):
+        aux_table_entries(z, model, "printed")
 
 
 # ---------------------------------------------------------------------------
@@ -156,15 +206,14 @@ def test_free_position_bracket_boost_correction():
         P0 = np.sqrt(p**2 + (model.m * model.c) ** 2)
         worst_quoted = 0.0
         worst_exact = 0.0
-        fd = field_data(model, z.x)
-        coef = dirac_coefficients(z, model, fd)
+        closed = closed_brackets(z, model)
         for i in (1, 2, 3):
             for j in (1, 2, 3):
                 direct = dirac_bracket(xs[i], xs[j], z, model, core)
                 worst_quoted = max(worst_quoted,
                                    abs(direct - S[i, j] / (2 * model.m * model.c * P0)))
                 worst_exact = max(worst_exact,
-                                  abs(direct - closed_xx(z, model, i, j, coef)))
+                                  abs(direct - closed[i - 1, j - 1]))
         assert worst_exact < 1e-14
         devs.append(worst_quoted)
     # quadratic growth: doubling beta quadruples the deviation
@@ -182,13 +231,8 @@ def test_spinless_states_reduce_to_canonical():
     from relspin.phase import PhaseState
     z = PhaseState(vec=vec, spinless=True)
     fd = field_data(model, z.x)
-    coef = dirac_coefficients(z, model, fd)
-    for i in (1, 2, 3):
-        for j in (1, 2, 3):
-            assert abs(closed_xx(z, model, i, j, coef)) < 1e-15
-            want = 1.0 if i == j else 0.0
-            assert np.isclose(closed_xP(z, model, i, j, coef, fd), want,
-                              atol=1e-14)
-            want_pp = model.e / model.c * fd.F_low[i, j]
-            assert np.isclose(closed_PP(z, model, i, j, coef, fd), want_pp,
-                              atol=1e-14)
+    C = closed_brackets(z, model)
+    xx, xP, PP = (C[CLOSED_FAMILIES[fam]] for fam in ("xx", "xP", "PP"))
+    assert np.all(np.abs(xx) < 1e-15)
+    assert np.allclose(xP, np.eye(3), atol=1e-14)
+    assert np.allclose(PP, model.e / model.c * fd.F_low[1:, 1:], atol=1e-14)

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from relspin.brackets import dirac_core
-from relspin.expansion import (LADDER_ORDERS, bracket_ladder, exact_bracket,
-                               expanded_bracket, from_primed,
-                               hamiltonian_expanded, ladder_decreasing,
-                               obs_spin3, primed_shift_example, to_primed,
-                               _ladder_state)
+from relspin.expansion import (LADDER_ORDERS, VECTOR_OBSERVABLES,
+                               bracket_ladder, expanded_brackets,
+                               from_primed, hamiltonian_expanded,
+                               ladder_decreasing, obs_spin3,
+                               primed_shift_example, to_primed, _ladder_state)
 from relspin.fields import make_background
 from relspin.phase import Model, init_state, spin_vector
 
@@ -45,16 +45,15 @@ def test_expanded_bracket_values_free():
     z = init_state(model, x3=(0.1, 0.2, -0.3), P3=(0.4, -0.1, 0.2),
                    spin_dir=(0.2, 0.5, -1.0))
     S = spin_vector(z)
-    assert np.isclose(expanded_bracket("xx", 1, 2, z, model),
+    table = expanded_brackets(z, model)
+    assert list(table) == list(LADDER_ORDERS)
+    assert np.isclose(table["xx"][0, 1],
                       S[2] / (model.m * model.c) ** 2, rtol=0, atol=1e-15)
-    assert expanded_bracket("xP", 1, 1, z, model) == 1.0
-    assert expanded_bracket("xP", 1, 2, z, model) == 0.0
-    assert expanded_bracket("PP", 2, 3, z, model) == 0.0
-    assert expanded_bracket("PS", 1, 3, z, model) == 0.0
-    assert np.isclose(expanded_bracket("SS", 1, 2, z, model), S[2],
-                      rtol=0, atol=1e-15)
-    with pytest.raises(ValueError):
-        expanded_bracket("qq", 1, 1, z, model)
+    assert table["xP"][0, 0] == 1.0
+    assert table["xP"][0, 1] == 0.0
+    assert table["PP"][1, 2] == 0.0
+    assert table["PS"][0, 2] == 0.0
+    assert np.isclose(table["SS"][0, 1], S[2], rtol=0, atol=1e-15)
 
 
 def test_obs_spin3_matches_spin_vector():
@@ -78,19 +77,22 @@ def test_primed_positions_commute_to_higher_order():
         for a, b, cc, s in ((0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1),
                             (0, 2, 1, -1), (2, 1, 0, -1), (1, 0, 2, -1)):
             eps[a, b, cc] = s
+        # exact {x_i, .} of the 3-vectors: columns x, then P, then S
+        rows = [ob for vec in VECTOR_OBSERVABLES.values() for ob in vec]
+        G = np.array([ob.grad(z, model) for ob in rows])
+        D = G @ core.flow(G).T
+        xx, xP, xS = D[:3, :3], D[:3, 3:6], D[:3, 6:]
         i, j = 1, 2
-        val = exact_bracket("xx", i, j, z, model, core)
+        val = xx[i - 1, j - 1]
         pref = 1.0 / (2.0 * model.m**2 * c**2)
         for k in range(3):
             for l in range(3):
                 if eps[j - 1, k, l]:
                     val += pref * eps[j - 1, k, l] * (
-                        exact_bracket("xP", i, k + 1, z, model, core) * S[l]
-                        + P[k] * exact_bracket("xS", i, l + 1, z, model, core))
+                        xP[i - 1, k] * S[l] + P[k] * xS[i - 1, l])
                 if eps[i - 1, k, l]:
                     val -= pref * eps[i - 1, k, l] * (
-                        exact_bracket("xP", j, k + 1, z, model, core) * S[l]
-                        + P[k] * exact_bracket("xS", j, l + 1, z, model, core))
+                        xP[j - 1, k] * S[l] + P[k] * xS[j - 1, l])
         res.append(abs(val))
     assert res[0] < 1e-4
     assert res[1] < res[0] / 8.0
