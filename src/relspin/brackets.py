@@ -89,8 +89,8 @@ def dirac_core(z, model):
     g_t4 = _t34_grad(z, model, fd, P, g_p0, 12)
     t34 = pair_gradients(g_t3, g_t4)
     floor = 1e-10 * (1.0 + (model.m * model.c) ** 2)
-    if abs(t34) < floor:
-        raise ValueError(f"{{T3,T4}} = {t34} too close to zero; "
+    if not abs(t34) >= floor:   # NaN fails this test too
+        raise ValueError(f"{{T3,T4}} = {t34} too close to zero or undefined; "
                          "second-class inversion breaks down at this state")
     return DiracCore(fd=fd, P=P, g_p0=g_p0, g_t3=g_t3, g_t4=g_t4, t34=t34)
 

@@ -9,7 +9,8 @@ Subcommands
 All numeric output is deterministic: same config, same seed, same
 bytes.  Exit codes: 0 success, 1 runtime failure, 2 config error (the
 message names the offending field or YAML line; a key the subcommand
-does not read is one).
+does not read is one).  SCHEMAS holds every key each subcommand reads,
+with its kind, default and lower bound.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import argparse
 import contextlib
 import json
 import math
+import operator
 import sys
 import time
 
@@ -47,13 +49,69 @@ def _fmt(v):
 
 
 # ---------------------------------------------------------------------------
-# config handling
+# config schema
 
 
-def load_config(path):
-    """The Config read from the YAML file at path; empty for path None."""
+# Each table maps a key, section.name, to (kind, default, lower bound):
+# kind is float, int, bool, "vec3" or a tuple of choices; the default is
+# a value, REQUIRED, or a function of the keys before it; the bound is
+# (">", 0), (">=", 1) or None.
+REQUIRED = object()
+_BOUNDS = {">": operator.gt, ">=": operator.ge}
+_KIND_NAMES = {float: "a finite number", int: "an integer", bool: "a boolean",
+               "vec3": "a list of three finite numbers"}
+
+# units, model and background, shared by the commands that build a Model;
+# alpha defaults to the spin one-half invariant 3 hbar^2 / 4
+MODEL_KEYS = {
+    "units.c": (float, 10.0, (">", 0)),
+    "units.hbar": (float, 1.0, (">", 0)),
+    "background.kind": (KINDS, "zero", None),
+    "model.e": (float, 1.0, None),
+    "model.m": (float, 1.0, (">", 0)),
+    "model.g": (float, 2.0, None),
+    "model.alpha": (float, lambda cfg: 0.75 * cfg["units.hbar"] ** 2,
+                    (">=", 0)),
+}
+
+# the parameters each background kind requires
+_VEC3 = ("vec3", REQUIRED, None)
+BACKGROUND_KEYS = {
+    "zero": {},
+    "uniform-E": {"background.E": _VEC3},
+    "uniform-B": {"background.B": _VEC3},
+    "crossed": {"background.E": _VEC3, "background.B": _VEC3},
+    "coulomb": {"background.q": (float, REQUIRED, None)},
+}
+
+SCHEMAS = {
+    "simulate": {
+        **MODEL_KEYS,
+        "simulate.x0": ("vec3", (0.0, 0.0, 0.0), None),
+        "simulate.P0": ("vec3", (0.0, 0.0, 0.0), None),
+        "simulate.spin_dir": ("vec3", (0.0, 0.0, 1.0), None),
+        "simulate.t_final": (float, REQUIRED, (">", 0)),
+        "simulate.dt": (float, REQUIRED, (">", 0)),
+        "simulate.record_every": (int, 1, (">=", 1)),
+        "simulate.method": (("rk4", "dop853"), "rk4", None),
+        "simulate.project": (bool, True, None),
+    },
+    "brackets": MODEL_KEYS,
+    "expand": {"expand.background": (("crossed", "coulomb"), "crossed", None),
+               **MODEL_KEYS},
+    "spectrum": {
+        "spectrum.alpha_fs": (float, hydrogen.ALPHA_FS, (">", 0)),
+        "spectrum.mc2": (float, hydrogen.MC2_EV, (">", 0)),
+        "spectrum.g": (float, 2.0, None),
+        "spectrum.n_max": (int, 3, (">=", 1)),
+    },
+}
+
+
+def _load_yaml(path):
+    """The mapping in the YAML file at path; empty for path None."""
     if path is None:
-        return Config({})
+        return {}
     try:
         with open(path) as fh:
             text = fh.read()
@@ -69,15 +127,12 @@ def load_config(path):
         data = {}
     if not isinstance(data, dict):
         raise ConfigError("config: top level must be a mapping")
-    return Config(data)
-
-
-# what a field of each kind must hold, as the error message names it
-_FIELD_KINDS = {float: "a finite number", int: "an integer", str: "a string",
-                bool: "a boolean", "vec3": "a list of three finite numbers"}
+    return data
 
 
 def _is_kind(val, kind):
+    if isinstance(kind, tuple):
+        return isinstance(val, str) and val in kind
     if kind == "vec3":
         return (isinstance(val, (list, tuple)) and len(val) == 3
                 and all(_is_kind(x, float) for x in val))
@@ -91,129 +146,87 @@ def _is_kind(val, kind):
     return isinstance(val, kind) and (kind is bool or not isinstance(val, bool))
 
 
-class Config:
-    """A YAML mapping that remembers which fields and sections were read."""
+def _value(data, key, spec, cfg):
+    """The value of key in data, checked against its table entry spec; a
+    default may read the keys already in cfg."""
+    kind, default, bound = spec
+    section, name = key.split(".")
+    node = data.get(section, {})
+    if name in node:
+        val = node[name]
+    elif default is REQUIRED:
+        raise ConfigError(f"config: missing required field '{key}'")
+    elif callable(default):
+        try:
+            val = default(cfg)
+        except OverflowError:
+            val = math.inf
+    else:
+        val = default
+    if not _is_kind(val, kind):
+        what = (f"one of {kind}" if isinstance(kind, tuple)
+                else _KIND_NAMES[kind])
+        raise ConfigError(f"config: field '{key}' must be {what}, got {val!r}")
+    if kind == "vec3":
+        val = tuple(float(x) for x in val)
+    elif kind is float:
+        val = float(val)
+    if bound and not _BOUNDS[bound[0]](val, bound[1]):
+        raise ConfigError(f"config: field '{key}' must be {bound[0]} "
+                          f"{bound[1]}, got {val!r}")
+    return val
 
-    def __init__(self, data):
-        self.data = data
-        self.read = set()
 
-    def get(self, path, kind, default=None, required=False):
-        cur = self.data
-        parts = path.split(".")
-        for n in range(1, len(parts)):
-            section = ".".join(parts[:n])
-            self.read.add(section)
-            cur = cur.get(parts[n - 1], {})
-            if not isinstance(cur, dict):
-                raise ConfigError(f"config: section '{section}' must be a "
-                                  f"mapping, got {cur!r}")
-        self.read.add(path)
-        if parts[-1] not in cur:
-            if required:
-                raise ConfigError(f"config: missing required field '{path}'")
-            return default
-        val = cur[parts[-1]]
-        if not _is_kind(val, kind):
-            raise ConfigError(f"config: field '{path}' must be "
-                              f"{_FIELD_KINDS[kind]}, got {val!r}")
-        if kind == "vec3":
-            return tuple(float(x) for x in val)
-        return float(val) if kind is float else val
-
-    def reject_unread(self):
-        """ConfigError naming the first key that no get() has read."""
-        def walk(node, prefix):
-            for key, val in node.items():
-                path = f"{prefix}{key}"
-                if path not in self.read:
-                    raise ConfigError(f"config: unknown or unused field '{path}'")
-                if isinstance(val, dict):
-                    walk(val, path + ".")
-
-        walk(self.data, "")
+def read_config(path, command):
+    """{key: value} for every key of SCHEMAS[command] and the background
+    parameters its kind requires, defaults filled in; ConfigError names
+    the first section or field that breaks the table."""
+    data = _load_yaml(path)
+    table = SCHEMAS[command]
+    for section, node in data.items():
+        if not any(key.startswith(f"{section}.") for key in table):
+            raise ConfigError(f"config: unknown or unused field '{section}'")
+        if not isinstance(node, dict):
+            raise ConfigError(f"config: section '{section}' must be a "
+                              f"mapping, got {node!r}")
+    if "background.kind" in table:
+        kind = _value(data, "background.kind", table["background.kind"], {})
+        table = {**table, **BACKGROUND_KEYS[kind]}
+    cfg = {}
+    for key, spec in table.items():
+        cfg[key] = _value(data, key, spec, cfg)
+    unknown = [f"{section}.{name}" for section, node in data.items()
+               for name in node if f"{section}.{name}" not in table]
+    if unknown:
+        raise ConfigError(f"config: unknown or unused field '{unknown[0]}'")
+    return cfg
 
 
 def model_from_config(cfg):
-    c = cfg.get("units.c", float, 10.0)
-    hbar = cfg.get("units.hbar", float, 1.0)
-    if c <= 0 or hbar <= 0:
-        raise ConfigError("config: units.c and units.hbar must be positive")
-    kind = cfg.get("background.kind", str, "zero")
-    if kind not in KINDS:
-        raise ConfigError(f"config: background.kind must be one of {KINDS}, "
-                          f"got {kind!r}")
-    params = {}
-    if kind in ("uniform-E", "crossed"):
-        params["E"] = cfg.get("background.E", "vec3", required=True)
-    if kind in ("uniform-B", "crossed"):
-        params["B"] = cfg.get("background.B", "vec3", required=True)
-    if kind == "coulomb":
-        params["q"] = cfg.get("background.q", float, required=True)
-    e = cfg.get("model.e", float, 1.0)
-    bg = make_background(kind, e=e, c=c, **params)
-    m = cfg.get("model.m", float, 1.0)
-    if m <= 0:
-        raise ConfigError("config: model.m must be positive")
-    g = cfg.get("model.g", float, 2.0)
-    alpha = cfg.get("model.alpha", float, 0.75 * hbar**2)
-    if alpha < 0:
-        raise ConfigError("config: model.alpha must be >= 0 "
-                          "(0 switches spin off)")
-    return Model(background=bg, m=m, g=g, hbar=hbar, alpha=alpha)
+    kind = cfg["background.kind"]
+    params = {key.split(".")[1]: cfg[key] for key in BACKGROUND_KEYS[kind]}
+    bg = make_background(kind, e=cfg["model.e"], c=cfg["units.c"], **params)
+    return Model(background=bg, m=cfg["model.m"], g=cfg["model.g"],
+                 hbar=cfg["units.hbar"], alpha=cfg["model.alpha"])
 
 
 # ---------------------------------------------------------------------------
-# output writers
+# output
 
 
-@contextlib.contextmanager
-def _output(path):
-    """The file at path, opened for writing and closed after; stdout for None."""
-    if not path:
-        yield sys.stdout
-        return
-    with open(path, "w") as fh:
-        yield fh
-
-
-def write_channels(channels, fmt, out_path):
-    names = [n for n in CHANNEL_ORDER if n in channels]
-    with _output(out_path) as fh:
-        if fmt == "csv":
-            fh.write(",".join(names) + "\n")
-            n = len(channels["t"])
-            for k in range(n):
-                fh.write(",".join(_fmt(float(channels[nm][k])) for nm in names)
-                         + "\n")
-        elif fmt == "json":
-            payload = {nm: [float(v) for v in channels[nm]] for nm in names}
+def write_report(args, payload, header, rows):
+    """Write to args.out (stdout if unset) the payload as JSON for
+    --format json, otherwise a CSV of header and rows, each cell
+    through _fmt and None as an empty cell."""
+    out = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
+    with out as fh:
+        if args.format == "json":
             json.dump(payload, fh, indent=1)
             fh.write("\n")
-        elif fmt == "plot":
-            # long format for plotting front ends
-            fh.write("series,t,value\n")
-            t = channels["t"]
-            for nm in names:
-                if nm == "t":
-                    continue
-                for k in range(len(t)):
-                    fh.write(f"{nm},{_fmt(float(t[k]))},"
-                             f"{_fmt(float(channels[nm][k]))}\n")
-        else:
-            raise AssertionError(fmt)
-
-
-def write_json(payload, out_path):
-    with _output(out_path) as fh:
-        json.dump(payload, fh, indent=1, default=_json_default)
-        fh.write("\n")
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
+            return
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join("" if v is None else _fmt(v) for v in row) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -221,74 +234,56 @@ def _json_default(obj):
 
 
 def cmd_simulate(args):
-    cfg = load_config(args.config)
+    cfg = read_config(args.config, "simulate")
     model = model_from_config(cfg)
-    x0 = cfg.get("simulate.x0", "vec3", (0.0, 0.0, 0.0))
-    P0 = cfg.get("simulate.P0", "vec3", (0.0, 0.0, 0.0))
-    spin_dir = cfg.get("simulate.spin_dir", "vec3", (0.0, 0.0, 1.0))
-    t_final = cfg.get("simulate.t_final", float, required=True)
-    dt = cfg.get("simulate.dt", float, required=True)
-    if dt <= 0 or t_final <= 0:
-        raise ConfigError("config: simulate.dt and simulate.t_final must be "
-                          "positive")
-    record_every = cfg.get("simulate.record_every", int, 1)
-    if record_every < 1:
-        raise ConfigError("config: field 'simulate.record_every' must be >= 1, "
-                          f"got {record_every}")
-    method = cfg.get("simulate.method", str, "rk4")
-    if method not in ("rk4", "dop853"):
-        raise ConfigError("config: simulate.method must be rk4 or dop853, "
-                          f"got {method!r}")
-    project = cfg.get("simulate.project", bool, True)
-    cfg.reject_unread()
-    z0 = init_state(model, x3=x0, P3=P0, spin_dir=spin_dir)
-    traj = integrate(model, z0, t_final, dt, record_every=record_every,
-                     method=method, project=project)
-    write_channels(traj.channels(), args.format, args.out)
+    z0 = init_state(model, x3=cfg["simulate.x0"], P3=cfg["simulate.P0"],
+                    spin_dir=cfg["simulate.spin_dir"])
+    traj = integrate(model, z0, cfg["simulate.t_final"], cfg["simulate.dt"],
+                     record_every=cfg["simulate.record_every"],
+                     method=cfg["simulate.method"],
+                     project=cfg["simulate.project"])
+    channels = traj.channels()
+    names = [nm for nm in CHANNEL_ORDER if nm in channels]
+    columns = [[float(v) for v in channels[nm]] for nm in names]
+    if args.format == "plot":
+        # long format for plotting front ends; names[0] is t
+        header = ("series", "t", "value")
+        rows = ((nm, t, v) for nm, col in zip(names[1:], columns[1:])
+                for t, v in zip(columns[0], col))
+    else:
+        header, rows = names, zip(*columns)
+    write_report(args, dict(zip(names, columns)), header, rows)
     return 0
 
 
 def cmd_brackets(args):
-    cfg = load_config(args.config)
-    model = model_from_config(cfg)
-    cfg.reject_unread()
+    model = model_from_config(read_config(args.config, "brackets"))
     rng = np.random.default_rng(args.seed)
-    n_states = args.states
-    states = [random_constrained_state(model, rng) for _ in range(n_states)]
+    states = [random_constrained_state(model, rng) for _ in range(args.states)]
     report = {
         "background": model.background.kind,
         "seed": args.seed,
-        "n_states": n_states,
+        "n_states": args.states,
         "defining_property_max": defining_property_report(states, model),
         "closed_vs_direct_max_rel": closed_vs_direct_report(states, model),
         "aux_table": aux_table_report(states, model),
     }
-    if args.format == "csv":
-        with _output(args.out) as fh:
-            fh.write("quantity,value\n")
-            fh.write(f"defining_property_max,"
-                     f"{_fmt(report['defining_property_max'])}\n")
-            for fam, v in report["closed_vs_direct_max_rel"].items():
-                fh.write(f"closed_vs_direct_{fam},{_fmt(v)}\n")
-            for row, v in report["aux_table"]["resolved_max_dev"].items():
-                fh.write(f"aux_resolved_{row},{_fmt(v)}\n")
-            fh.write(f"aux_transcribed_energy_row,"
-                     f"{_fmt(report['aux_table']['transcribed_energy_row_max_dev'])}\n")
-    else:
-        write_json(report, args.out)
+    aux = report["aux_table"]
+    rows = [("defining_property_max", report["defining_property_max"]),
+            *((f"closed_vs_direct_{fam}", v)
+              for fam, v in report["closed_vs_direct_max_rel"].items()),
+            *((f"aux_resolved_{row}", v)
+              for row, v in aux["resolved_max_dev"].items()),
+            ("aux_transcribed_energy_row", aux["transcribed_energy_row_max_dev"])]
+    write_report(args, report, ("quantity", "value"), rows)
     return 0
 
 
 def cmd_expand(args):
-    cfg = load_config(args.config)
-    background = cfg.get("expand.background", str, "crossed")
-    if background not in ("crossed", "coulomb"):
-        raise ConfigError("config: expand.background must be crossed or "
-                          f"coulomb, got {background!r}")
+    cfg = read_config(args.config, "expand")
+    background = cfg["expand.background"]
     model = model_from_config(cfg)
-    cfg.reject_unread()
     ladder = expansion.bracket_ladder(background)
-    shift = expansion.primed_shift_example(model)
     report = {
         "background": background,
         "ladder": {fam: {"cs": ent["cs"], "order": ent["order"],
@@ -296,48 +291,30 @@ def cmd_expand(args):
                          "scaled": ent["scaled"],
                          "decreasing": expansion.ladder_decreasing(ent)}
                    for fam, ent in ladder.items()},
-        "primed_shift_example": shift,
+        "primed_shift_example": expansion.primed_shift_example(model),
     }
-    if args.format == "csv":
-        with _output(args.out) as fh:
-            fh.write("family,c,residual,scaled\n")
-            for fam, ent in report["ladder"].items():
-                for c, r, s in zip(ent["cs"], ent["residuals"], ent["scaled"]):
-                    fh.write(f"{fam},{_fmt(float(c))},{_fmt(float(r))},"
-                             f"{_fmt(float(s))}\n")
-    else:
-        write_json(report, args.out)
+    rows = ((fam, float(c), float(r), float(s))
+            for fam, ent in report["ladder"].items()
+            for c, r, s in zip(ent["cs"], ent["residuals"], ent["scaled"]))
+    write_report(args, report, ("family", "c", "residual", "scaled"), rows)
     return 0
 
 
 def cmd_spectrum(args):
-    cfg = load_config(args.config)
-    hm = hydrogen.HydrogenModel(
-        alpha=cfg.get("spectrum.alpha_fs", float, hydrogen.ALPHA_FS),
-        mc2=cfg.get("spectrum.mc2", float, hydrogen.MC2_EV),
-        g=cfg.get("spectrum.g", float, 2.0),
-    )
-    n_max = cfg.get("spectrum.n_max", int, 3)
-    if n_max < 1:
-        raise ConfigError("config: spectrum.n_max must be >= 1")
-    cfg.reject_unread()
-    rows = hydrogen.fine_structure_table(hm, n_max)
+    cfg = read_config(args.config, "spectrum")
+    hm = hydrogen.HydrogenModel(alpha=cfg["spectrum.alpha_fs"],
+                                mc2=cfg["spectrum.mc2"], g=cfg["spectrum.g"])
+    levels = hydrogen.fine_structure_table(hm, cfg["spectrum.n_max"])
     summary = {
         "p_splitting_n2": hydrogen.p_level_splitting(hm),
         "p_splitting_n2_bare_g": hydrogen.p_level_splitting_naive(hm),
     }
-    if args.format == "csv":
-        with _output(args.out) as fh:
-            fh.write("n,l,j,kinetic,spin_orbit,total,sommerfeld,defect\n")
-            for row in rows:
-                cells = [str(row["n"]), str(row["l"]), _fmt(float(row["j"]))]
-                for key in ("kinetic", "spin_orbit", "total", "sommerfeld",
-                            "defect"):
-                    v = row[key]
-                    cells.append("" if v is None else _fmt(float(v)))
-                fh.write(",".join(cells) + "\n")
-    else:
-        write_json({"levels": rows, "summary": summary}, args.out)
+    columns = ("kinetic", "spin_orbit", "total", "sommerfeld", "defect")
+    rows = ((row["n"], row["l"], float(row["j"]),
+             *(None if row[k] is None else float(row[k]) for k in columns))
+            for row in levels)
+    write_report(args, {"levels": levels, "summary": summary},
+                 ("n", "l", "j", *columns), rows)
     return 0
 
 

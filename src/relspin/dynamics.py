@@ -70,8 +70,9 @@ def project_state(z, model, tol_scale=1e-14, max_iter=12):
     is singular at rest-like states where omega and pi are spatial and
     orthogonal, so all eight spin slots participate.)  The first
     iterate whose largest residual is below tol_scale (1 + (m c)^2) is
-    returned; if max_iter iterations do not get there, RuntimeError
-    names the residual before and the best one reached.
+    returned, the one after the last of max_iter steps included; if
+    none gets there, RuntimeError names the residual before and the
+    best one reached.
     """
     if z.spinless:
         return z
@@ -79,12 +80,14 @@ def project_state(z, model, tol_scale=1e-14, max_iter=12):
     fd = field_data(model, z.x)
     vec = z.vec.copy()
     errs = []
-    for _ in range(max_iter):
+    for k in range(max_iter + 1):
         zz = PhaseState(vec=vec)
         r = constraint_values(zz, model, fd)[1]
         errs.append(np.max(np.abs(r)))
         if errs[-1] < tol:
             return zz
+        if k == max_iter:
+            break
         J = constraint_gradients(zz, model, fd)[1][:, 8:16]
         step, *_ = np.linalg.lstsq(J, r, rcond=None)
         # damp absurd steps so a bad linearization cannot destroy the state
@@ -100,6 +103,8 @@ def project_state(z, model, tol_scale=1e-14, max_iter=12):
 
 # ---------------------------------------------------------------------------
 # integrators
+
+PROJECT_EVERY = 25   # rk4 steps between projections, besides recording times
 
 
 def _rk4_step(f, y, h):
@@ -168,14 +173,13 @@ class Trajectory:
 
 
 def integrate(model, z0, t_final, dt, t0=0.0, record_every=1,
-              method="rk4", project=True, project_every=25,
-              rtol=1e-10, atol=1e-12):
+              method="rk4", project=True, rtol=1e-10, atol=1e-12):
     """Advance z0 from t0 to t_final, recording every record_every steps.
 
     method "rk4" is the deterministic fixed-step workhorse; "dop853"
     delegates the stepping to scipy between recording times.  Both
     apply the Newton projection at recording times (rk4 additionally
-    every project_every internal steps); a projection that does not
+    every PROJECT_EVERY internal steps); a projection that does not
     converge raises RuntimeError and ends the run.  Both end at
     t_final: when (t_final - t0)/dt is not an integer to rounding, rk4
     takes floor((t_final - t0)/dt) steps of dt and one shorter last
@@ -198,7 +202,7 @@ def integrate(model, z0, t_final, dt, t0=0.0, record_every=1,
         for k in range(1, n_steps + 1):
             h = dt if k <= n_full else t_final - (t0 + n_full * dt)
             y = _rk4_step(f, y, h)
-            if project and (k % project_every == 0 or k % record_every == 0):
+            if project and (k % PROJECT_EVERY == 0 or k % record_every == 0):
                 y = project_state(PhaseState(vec=y, spinless=spinless), model).vec.copy()
                 stats["projections"] += 1
             if k % record_every == 0 or k == n_steps:

@@ -42,10 +42,6 @@ class HydrogenModel:
     mc2: float = MC2_EV   # rest energy in the output energy unit
     g: float = 2.0
 
-    def bohr_energy(self, n):
-        """Unperturbed level, -mc^2 alpha^2 / 2 n^2."""
-        return -0.5 * self.mc2 * self.alpha**2 / n**2
-
 
 # ---------------------------------------------------------------------------
 # closed-form radial expectation values (Bohr units: a = 1, energies in

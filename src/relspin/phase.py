@@ -74,10 +74,6 @@ class PhaseState:
     def pi(self):
         return self.vec[12:16]
 
-    def copy(self):
-        return PhaseState(vec=self.vec.copy(), spinless=self.spinless)
-
-
 
 @dataclass(frozen=True)
 class Model:

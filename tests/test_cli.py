@@ -1,11 +1,16 @@
 """Command-line behavior: formats, exit codes, determinism."""
 
+import contextlib
+import io
 import json
+import math
 import re
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relspin import cli, expansion, hydrogen
 from relspin.cli import main
@@ -167,6 +172,17 @@ def test_exit_code_two_on_config_errors(tmp_path, capsys):
         cfg = _write(tmp_path, "bad5.yaml", SIM_CFG.replace(old, new))
         assert main(["simulate", "--config", cfg]) == 2, new
         assert f"'{field}'" in capsys.readouterr().err
+    # the fine-structure constant and the rest energy must be positive
+    for text, field in (("spectrum: {alpha_fs: 0.0}", "spectrum.alpha_fs"),
+                        ("spectrum: {alpha_fs: -0.01}", "spectrum.alpha_fs"),
+                        ("spectrum: {mc2: -5.0}", "spectrum.mc2")):
+        cfg = _write(tmp_path, "bad6.yaml", text + "\n")
+        assert main(["spectrum", "--config", cfg]) == 2, text
+        assert f"'{field}'" in capsys.readouterr().err
+    # a huge hbar overflows the default alpha = 3 hbar^2 / 4
+    cfg = _write(tmp_path, "bad7.yaml", "units: {hbar: 1.0e+300}\n")
+    assert main(["brackets", "--config", cfg]) == 2
+    assert "'model.alpha'" in capsys.readouterr().err
 
 
 class _Reached(Exception):
@@ -177,21 +193,117 @@ def _reached(*args, **kwargs):
     raise _Reached
 
 
-@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.yaml"))
-                         + sorted(BENCH_CONFIGS.glob("*.yaml")),
+# the first computation of each command, stubbed with _reached
+FIRST_COMPUTATIONS = ((cli, "init_state"), (cli, "random_constrained_state"),
+                      (expansion, "bracket_ladder"),
+                      (hydrogen, "fine_structure_table"))
+SHIPPED_CONFIGS = (sorted(CONFIGS.glob("*.yaml"))
+                   + sorted(BENCH_CONFIGS.glob("*.yaml")))
+
+
+def _command(sections):
+    return next((c for c in ("simulate", "expand", "spectrum")
+                 if c in sections), "brackets")
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS,
                          ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_shipped_configs_pass_validation(path, monkeypatch):
     """Every shipped config holds only keys its command reads: the
     command gets past validation to its first computation."""
-    for mod, name in ((cli, "init_state"), (cli, "random_constrained_state"),
-                      (expansion, "bracket_ladder"),
-                      (hydrogen, "fine_structure_table")):
+    for mod, name in FIRST_COMPUTATIONS:
         monkeypatch.setattr(mod, name, _reached)
-    sections = yaml.safe_load(path.read_text())
-    command = next((c for c in ("simulate", "expand", "spectrum")
-                    if c in sections), "brackets")
+    command = _command(yaml.safe_load(path.read_text()))
     with pytest.raises(_Reached):
         main([command, "--config", str(path)])
+
+
+# values a mutated config may hold in place of a shipped one
+ODD_VALUES = (math.nan, math.inf, -math.inf, -1.0, -3, 0, 1e300, -1e300,
+              10**400, True, False, None, "text", [1.0, 2.0], {"a": 1.0})
+NEW_NAMES = ("x_", "kind", "g", "alpha_fs", "record_evry", "model", "gee")
+
+
+@st.composite
+def mutated_configs(draw):
+    """(command, config): a shipped config with one to three keys or
+    sections dropped, renamed or given an odd value."""
+    path = draw(st.sampled_from(SHIPPED_CONFIGS))
+    data = yaml.safe_load(path.read_text())
+    command = _command(data)
+    for _ in range(draw(st.integers(1, 3))):
+        keys = [(s,) for s in data] + [(s, n) for s, node in data.items()
+                                       if isinstance(node, dict) for n in node]
+        if not keys:
+            break
+        *parent, name = draw(st.sampled_from(keys))
+        node = data[parent[0]] if parent else data
+        action = draw(st.sampled_from(("drop", "rename", "value", "element")))
+        value = node.pop(name)
+        if action == "rename":
+            node[draw(st.sampled_from(NEW_NAMES))] = value
+        elif action == "value":
+            node[name] = draw(st.sampled_from(ODD_VALUES))
+        elif action == "element":
+            node[name] = value
+            if isinstance(value, list) and value:
+                k = draw(st.integers(0, len(value) - 1))
+                value[k] = draw(st.sampled_from(ODD_VALUES))
+    return command, data
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_configs())
+def test_mutated_configs_exit_two_or_reach_the_computation(tmp_path_factory,
+                                                           case):
+    """A mutated config either exits 2 with a config: message naming a
+    field or section, or passes validation; nothing else escapes."""
+    command, data = case
+    path = tmp_path_factory.mktemp("fuzz") / "cfg.yaml"
+    path.write_text(yaml.safe_dump(data))
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err):
+        for mod, name in FIRST_COMPUTATIONS:
+            mp.setattr(mod, name, _reached)
+        try:
+            rc = main([command, "--config", str(path)])
+        except _Reached:
+            return
+    assert rc == 2, err.getvalue()
+    named = re.fullmatch(r"config: .*?'([^']+)'.*\n", err.getvalue(), re.S)
+    assert named, err.getvalue()
+    fields = {*cli.SCHEMAS[command], *data,
+              *(k for keys in cli.BACKGROUND_KEYS.values() for k in keys),
+              *(f"{s}.{n}" for s, node in data.items()
+                if isinstance(node, dict) for n in node)}
+    assert named.group(1) in fields, err.getvalue()
+
+
+def _readme_config_table():
+    """{key: (kind, default, bound, subcommands)} from the README table."""
+    text = (ROOT / "README.md").read_text()
+    section = text.split("## Config keys", 1)[1].split("\n## ", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        cells = [c.strip() for c in re.split(r"(?<!\\)\|", line)[1:-1]]
+        if len(cells) == 5 and cells[0].startswith("`"):
+            rows[cells[0].strip("`")] = (*cells[1:4], cells[4].split(", "))
+    return rows
+
+
+def test_readme_config_table_matches_schemas():
+    """The README lists every key each subcommand reads, with the
+    bound SCHEMAS gives it, and no other key."""
+    rows = _readme_config_table()
+    background = {k: v for keys in cli.BACKGROUND_KEYS.values()
+                  for k, v in keys.items()}
+    for command, table in cli.SCHEMAS.items():
+        if "background.kind" in table:
+            table = {**table, **background}
+        assert {k for k, row in rows.items() if command in row[3]} == set(table)
+        for key, (_, _, bound) in table.items():
+            assert rows[key][2] == ("" if bound is None else
+                                    f"{bound[0]} {bound[1]}"), key
 
 
 @pytest.mark.parametrize("argv", (["spectrum", "--seed", "1"],

@@ -4,15 +4,17 @@ projection behaviour, integrator cross-checks and gauge invariance."""
 import numpy as np
 import pytest
 
+from relspin.brackets import defining_property_report, dirac_core
 from relspin.dynamics import (cyclotron_reference, dirac_rhs, integrate,
                               larmor_reference, orbit_plane_rate,
                               project_state, spin_plane_rate)
 from relspin.fields import make_background, with_gauge_shift
 from relspin.minkowski import contract_2
 from relspin.phase import (Model, PhaseState, constraint_residuals,
-                           field_data, init_state, spin_tensor)
+                           field_data, init_state, random_constrained_state,
+                           spin_tensor)
 
-from conftest import build_model
+from conftest import build_model, state_batch
 
 
 def _uniform_b_model(B=2.0, g=2.0, spinless_alpha=None):
@@ -43,6 +45,21 @@ def test_rhs_raises_where_t3t4_vanishes():
     vec[12:16] *= pole / sf
     with pytest.raises(ValueError, match="T3,T4"):
         dirac_rhs(vec, model)
+
+
+def test_nan_t3t4_does_not_pass_the_floor():
+    """A NaN slot makes {T3,T4} NaN, which compares False against the
+    floor either way round; the core, the report and the right-hand
+    side must refuse the state, not read or return NaN."""
+    model = build_model("coulomb")
+    vec = state_batch(model, 1)[0].vec.copy()
+    vec[9] = np.nan
+    z = PhaseState(vec=vec)
+    for call in (lambda: dirac_core(z, model),
+                 lambda: defining_property_report([z], model),
+                 lambda: dirac_rhs(vec, model)):
+        with pytest.raises(ValueError, match="T3,T4"):
+            call()
 
 
 def test_integrate_ends_at_t_final():
@@ -169,6 +186,20 @@ def test_projection_raises_when_it_cannot_converge():
     vec[8:16] += np.random.default_rng(8).normal(size=8)
     with pytest.raises(RuntimeError, match="did not converge.*before.*at best"):
         project_state(PhaseState(vec=vec), model)
+
+
+def test_projection_checks_the_iterate_of_its_last_step():
+    """This state needs all twelve steps: the residual is 1.9e-10 after
+    eleven and 3e-16 after the twelfth, below the 1e-12 tolerance, so
+    the projection must return that iterate rather than raise."""
+    model = build_model("crossed")
+    rng = np.random.default_rng(0)
+    vec = [random_constrained_state(model, rng) for _ in range(31)][-1].vec.copy()
+    vec[8:16] = np.random.default_rng(30).normal(size=8)
+    zp = project_state(PhaseState(vec=vec), model)
+    res = constraint_residuals(zp, model)
+    for key in ("T2", "T3", "T4", "T5"):
+        assert abs(res[key]) < 1e-12, (key, res[key])
 
 
 def test_projection_fixed_point_on_rest_like_states():
