@@ -9,10 +9,12 @@ Two independent routes are implemented and pinned against each other:
 
   using nothing but the constraint definitions; it is the oracle.  The
   correction lives in one place: ``dirac_core`` evaluates the fields,
-  calP, grad calP^0, grad T3, grad T4 and {T3,T4} once per state, and
-  ``DiracCore.flow`` maps grad B to {z, B}_D, so that {A,B}_D =
-  grad A . flow(grad B).  ``dynamics.dirac_rhs`` is flow(grad H), and
-  the direct table of n rows is one matrix G flow(G)^T per state;
+  calP, grad calP^0, grad T3, grad T4, J grad T3, J grad T4 and
+  {T3,T4} once per state, and ``DiracCore.flow`` maps grad B to
+  {z, B}_D, applying the constant canonical matrix J to grad B once,
+  so that {A,B}_D = grad A . flow(grad B).  ``dynamics.dirac_rhs`` is
+  flow(grad H), and the direct table of n rows is one matrix
+  G flow(G)^T per state;
 
 * the *closed-form* route evaluates the same tables from the
   coefficient blocks (a, u0, Delta, K, L, g_eff): ``closed_brackets``
@@ -44,10 +46,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .minkowski import ETA_DIAG, contract_2
-from .phase import (constraint_gradients, field_data, kinetic_momentum,
+from .phase import (J, constraint_gradients, field_data, kinetic_momentum,
                     obs_coord, obs_energy, obs_hamiltonian, obs_kinetic,
-                    obs_spin, pair_gradients, spin_tensor, symplectic_apply,
-                    _p0_and_grad, _t34_grad)
+                    obs_spin, spin_tensor, _p0_and_grad, _t34_grads)
 
 SPIN_INDEX_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _MU, _NU = (np.array(ix) for ix in zip(*SPIN_INDEX_PAIRS))
@@ -64,6 +65,8 @@ class DiracCore:
     g_p0: np.ndarray
     g_t3: np.ndarray
     g_t4: np.ndarray
+    jg_t3: np.ndarray   # J grad T3
+    jg_t4: np.ndarray   # J grad T4
     t34: float
 
     def flow(self, G):
@@ -71,28 +74,29 @@ class DiracCore:
 
         G = grad B is one (16,) gradient or an (n, 16) stack of them;
         the result (same shape) holds {z^k, B}_D, so that
-        grad A . flow(grad B) = {A, B}_D.
+        grad A . flow(grad B) = {A, B}_D.  J is applied to G once:
+        {T_a, B} = grad T_a . J G.
         """
-        h3 = pair_gradients(self.g_t3, G)
-        h4 = pair_gradients(self.g_t4, G)
-        out = symplectic_apply(G)
-        out += np.multiply.outer(h4 / self.t34, symplectic_apply(self.g_t3))
-        out -= np.multiply.outer(h3 / self.t34, symplectic_apply(self.g_t4))
-        return out
+        JG = G @ J.T
+        h3 = JG @ self.g_t3
+        h4 = JG @ self.g_t4
+        return (JG + np.multiply.outer(h4 / self.t34, self.jg_t3)
+                - np.multiply.outer(h3 / self.t34, self.jg_t4))
 
 
 def dirac_core(z, model):
     """The second-class data at z; raises where {T3,T4} is too small to invert."""
     fd = field_data(model, z.x)
     P, g_p0 = _p0_and_grad(z, model, fd)
-    g_t3 = _t34_grad(z, model, fd, P, g_p0, 8)
-    g_t4 = _t34_grad(z, model, fd, P, g_p0, 12)
-    t34 = pair_gradients(g_t3, g_t4)
+    g_t34 = _t34_grads(z, model, fd, P, g_p0)
+    jg_t34 = g_t34 @ J.T
+    t34 = float(g_t34[0] @ jg_t34[1])
     floor = 1e-10 * (1.0 + (model.m * model.c) ** 2)
     if not abs(t34) >= floor:   # NaN fails this test too
         raise ValueError(f"{{T3,T4}} = {t34} too close to zero or undefined; "
                          "second-class inversion breaks down at this state")
-    return DiracCore(fd=fd, P=P, g_p0=g_p0, g_t3=g_t3, g_t4=g_t4, t34=t34)
+    return DiracCore(fd=fd, P=P, g_p0=g_p0, g_t3=g_t34[0], g_t4=g_t34[1],
+                     jg_t3=jg_t34[0], jg_t4=jg_t34[1], t34=t34)
 
 
 def dirac_bracket(A, B, z, model, core=None):
@@ -289,7 +293,7 @@ def aux_table_oracle(z, model):
     g_p0, G = constraint_gradients(z, model)
     C = np.array([g_p0, G[1], G[2]])
     R = np.array([ob.grad(z, model) for ob in ROW_OBSERVABLES.values()])
-    return C @ symplectic_apply(R).T
+    return C @ (R @ J.T).T
 
 
 # report groups "{T3,x}", ...: (label, table row, columns), sorted by label
@@ -299,6 +303,22 @@ _AUX_GROUPS = tuple((f"{{{con},{kind}}}", r, _AUX_COLUMNS[kind])
                    for r, con in enumerate(("P0", "T3", "T4"))
                    for kind in sorted(_AUX_COLUMNS))
 _ENERGY_COLUMN = _AUX_COLUMNS["P0"][0]
+
+
+# the adjudicated forms, the same in every report (shared, not rebuilt)
+_AUX_FINDINGS = {
+    "energy_row_coefficients": {"gradient_term": "g/4", "dipole_term": "g"},
+    "resolved_forms": {
+        "Delta": "-(2 c a / e u0) (P^0 S^{mu nu} + P^mu S^{nu 0}"
+                 " + S^{0 mu} P^nu); no extra additive term survives"
+                 " the oracle fit",
+        "energy_row": "{T3|T4, P0} = (e / 2 P0 c) [(g-2) P.F.v"
+                      " + (g/4) v.d(SF) - g E.(P0 v3 - v0 P3)],"
+                      " v the respective auxiliary vector; fitted"
+                      " coefficients g/4 and g, not the printed"
+                      " g/8 and g/2",
+    },
+}
 
 
 def aux_table_report(states, model):
@@ -325,17 +345,7 @@ def aux_table_report(states, model):
         "resolved_max_dev": {label: float(dev_resolved[r, cols].max())
                              for label, r, cols in _AUX_GROUPS},
         "transcribed_energy_row_max_dev": dev_transcribed,
-        "energy_row_coefficients": {"gradient_term": "g/4", "dipole_term": "g"},
-        "resolved_forms": {
-            "Delta": "-(2 c a / e u0) (P^0 S^{mu nu} + P^mu S^{nu 0}"
-                     " + S^{0 mu} P^nu); no extra additive term survives"
-                     " the oracle fit",
-            "energy_row": "{T3|T4, P0} = (e / 2 P0 c) [(g-2) P.F.v"
-                          " + (g/4) v.d(SF) - g E.(P0 v3 - v0 P3)],"
-                          " v the respective auxiliary vector; fitted"
-                          " coefficients g/4 and g, not the printed"
-                          " g/8 and g/2",
-        },
+        **_AUX_FINDINGS,
     }
 
 

@@ -6,7 +6,9 @@ is its Dirac bracket with H, so the raw equations of motion are
     zdot = J grad H + ( {T4,H} J grad T3 - {T3,H} J grad T4 ) / {T3,T4}
 
 i.e. ``brackets.dirac_core(z).flow(grad H)``, the correction written once
-in ``DiracCore.flow`` for the bracket oracle too; the {T3,T4} floor of
+in ``DiracCore.flow`` for the bracket oracle too: one field evaluation,
+one spin tensor and one grad calP^0 per call, and the constant canonical
+matrix J applied to grad H once.  The {T3,T4} floor of
 ``dirac_core`` makes it raise ValueError where the pair is not
 invertible.  x^0 is slaved to the evolution parameter (dx^0/dt = c) and
 p^0 a spectator equal to H/c, exactly conserved in stationary backgrounds.
@@ -33,9 +35,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .brackets import H_OBS, dirac_core
-from .phase import (CONSTRAINT_NAMES, PhaseState, constraint_gradients,
-                    constraint_values, dipole_vector, field_data, spin_square,
-                    spin_vector, symplectic_apply)
+from .phase import (CONSTRAINT_NAMES, J, PhaseState, _values,
+                    constraint_gradients, constraint_values, field_data,
+                    spin_readouts, spin_tensor)
 
 # ---------------------------------------------------------------------------
 # right-hand sides
@@ -45,7 +47,7 @@ def dirac_rhs(vec, model, spinless=False):
     """d(vec)/dt for the 16-component state; t is laboratory time."""
     z = PhaseState(vec=np.asarray(vec, dtype=float), spinless=spinless)
     if spinless:
-        zdot = symplectic_apply(H_OBS.grad(z, model))
+        zdot = H_OBS.grad(z, model) @ J.T
     else:
         core = dirac_core(z, model)
         gh = model.c * core.g_p0
@@ -60,7 +62,11 @@ def dirac_rhs(vec, model, spinless=False):
 # constraint projection
 
 
-def project_state(z, model, tol_scale=1e-14, max_iter=12):
+DAMPED_STEPS = 12   # projection steps that may pass through larger residuals
+CONTRACTION = 0.5   # each later step must shrink the largest residual this much
+
+
+def project_state(z, model, tol_scale=1e-14):
     """Gauss-Newton projection onto T2 = T3 = T4 = T5 = 0.
 
     Minimal-norm correction of the full (omega, pi) block with the
@@ -70,9 +76,16 @@ def project_state(z, model, tol_scale=1e-14, max_iter=12):
     is singular at rest-like states where omega and pi are spatial and
     orthogonal, so all eight spin slots participate.)  The first
     iterate whose largest residual is below tol_scale (1 + (m c)^2) is
-    returned, the one after the last of max_iter steps included; if
-    none gets there, RuntimeError names the residual before and the
-    best one reached.
+    returned.
+
+    The stop depends on the convergence rate (Hairer, Lubich and
+    Wanner, GNI IV.4).  Far from the surface the capped steps may lead
+    through larger residuals, so the first DAMPED_STEPS steps go on
+    regardless.  After them the iteration continues while each step
+    shrinks the largest residual by the factor CONTRACTION, which the
+    quadratically convergent Gauss-Newton phase exceeds by orders of
+    magnitude, and stops at the first step that does not; RuntimeError
+    then names the residual before and the best one reached.
     """
     if z.spinless:
         return z
@@ -80,25 +93,25 @@ def project_state(z, model, tol_scale=1e-14, max_iter=12):
     fd = field_data(model, z.x)
     vec = z.vec.copy()
     errs = []
-    for k in range(max_iter + 1):
+    while True:
         zz = PhaseState(vec=vec)
         r = constraint_values(zz, model, fd)[1]
         errs.append(np.max(np.abs(r)))
         if errs[-1] < tol:
             return zz
-        if k == max_iter:
+        if len(errs) > DAMPED_STEPS and not errs[-1] <= CONTRACTION * errs[-2]:
             break
-        J = constraint_gradients(zz, model, fd)[1][:, 8:16]
-        step, *_ = np.linalg.lstsq(J, r, rcond=None)
+        jac = constraint_gradients(zz, model, fd)[1][:, 8:16]
+        step, *_ = np.linalg.lstsq(jac, r, rcond=None)
         # damp absurd steps so a bad linearization cannot destroy the state
         cap = 0.25 * max(np.linalg.norm(vec[8:16]), 1.0)
         nrm = np.linalg.norm(step)
         if nrm > cap:
             step *= cap / nrm
         vec[8:16] -= step
-    raise RuntimeError(f"constraint projection did not converge in {max_iter} "
-                       f"iterations: max residual {errs[0]:.3e} before, "
-                       f"{min(errs):.3e} at best, tolerance {tol:.1e}")
+    raise RuntimeError(f"constraint projection did not converge: step {len(errs) - 1} "
+                       f"no longer shrank the residual; max residual {errs[0]:.3e} "
+                       f"before, {min(errs):.3e} at best, tolerance {tol:.1e}")
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +140,12 @@ class Trajectory:
         return PhaseState(vec=self.Z[k].copy(), spinless=self.spinless)
 
     def channels(self):
-        """Named scalar time series for output and diagnostics (cached)."""
+        """Named scalar time series for output and diagnostics (cached).
+
+        Each recorded state gets one field evaluation and one spin
+        tensor, which calP, the constraint values and the spin
+        read-outs share.
+        """
         if getattr(self, "_channels", None) is not None:
             return self._channels
         n = len(self.t)
@@ -142,14 +160,14 @@ class Trajectory:
         T = np.zeros((n, 4))
         spin2 = np.zeros(n)
         for k in range(n):
-            z = self.state(k)
+            z = PhaseState(vec=Z[k], spinless=self.spinless)
             fd = field_data(self.model, z.x)
-            P[k], T[k] = constraint_values(z, self.model, fd)
+            S = None if self.spinless else spin_tensor(z)
+            P[k], T[k] = _values(z, self.model, fd, S)
             H[k] = self.model.c * P[k, 0] + self.model.e * fd.A[0]
-            if not self.spinless:
-                S3[k] = spin_vector(z)
-                D3[k] = dipole_vector(z)
-                spin2[k] = spin_square(z) - 8.0 * self.model.alpha
+            if S is not None:
+                S3[k], D3[k], ss = spin_readouts(S)
+                spin2[k] = ss - 8.0 * self.model.alpha
         for mu in range(4):
             out[f"P{mu}"] = P[:, mu]
         for i, nm in enumerate(("S1", "S2", "S3")):

@@ -1,18 +1,23 @@
 """Stationary electromagnetic backgrounds with exact analytic derivatives.
 
-A background supplies four evaluators at a spacetime point x (only the
+A background supplies one evaluator at a spacetime point x (only the
 spatial part matters, the fields are time independent):
 
-    A(x)  -> (4,)      potential A^mu
-    dA(x) -> (4, 4)    dA[mu, nu] = d A^mu / d x^nu
-    F(x)  -> (4, 4)    upper-index field tensor F^{mu nu}
-    dF(x) -> (4, 4, 4) dF[lam, mu, nu] = d F^{mu nu} / d x^lam
+    at(x) -> (A, dA, F, dF)
 
-Stationarity means dA[:, 0] == 0 and dF[0] == 0 identically.  The
-electric field of a static potential is E_i = d_i A_0 = -d_i A^0.
-Exact derivatives are part of the contract: bracket and force
-evaluations chain-rule through these, finite differences are used only
-as test oracles.
+    A   (4,)       potential A^mu
+    dA  (4, 4)     dA[mu, nu] = d A^mu / d x^nu
+    F   (4, 4)     upper-index field tensor F^{mu nu}
+    dF  (4, 4, 4)  dF[lam, mu, nu] = d F^{mu nu} / d x^lam
+
+so a point's geometry (the coulomb radius and its r_min check) is
+computed once for all four; A, dA, F and dF are views of it.  The
+uniform kinds return their constant dA, F and dF arrays, which callers
+must not modify.  Stationarity means dA[:, 0] == 0 and dF[0] == 0
+identically.  The electric field of a static potential is
+E_i = d_i A_0 = -d_i A^0.  Exact derivatives are part of the contract:
+bracket and force evaluations chain-rule through these, finite
+differences are used only as test oracles.
 
 Catalog kinds: "zero", "uniform-E", "uniform-B", "crossed", "coulomb".
 The probe charge e and light speed c ride along on the background so a
@@ -33,6 +38,8 @@ KINDS = ("zero", "uniform-E", "uniform-B", "crossed", "coulomb")
 _Z4 = np.zeros(4)
 _Z44 = np.zeros((4, 4))
 _Z444 = np.zeros((4, 4, 4))
+_EYE3 = np.eye(3)
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
 
 
 @dataclass(frozen=True)
@@ -42,25 +49,22 @@ class FieldBackground:
     c: float
     params: dict
     gauge: str
-    _a: Callable = field(repr=False)
-    _da: Callable = field(repr=False)
-    _f: Callable = field(repr=False)
-    _df: Callable = field(repr=False)
+    at: Callable = field(repr=False)   # x -> (A, dA, F, dF)
 
     def A(self, x):
-        return self._a(x)
+        return self.at(x)[0]
 
     def dA(self, x):
-        return self._da(x)
+        return self.at(x)[1]
 
     def F(self, x):
-        return self._f(x)
+        return self.at(x)[2]
 
     def dF(self, x):
-        return self._df(x)
+        return self.at(x)[3]
 
 
-def _uniform_evaluators(E3, B3):
+def _uniform_at(E3, B3):
     """Linear potentials for constant E and B (symmetric gauge for B)."""
     E3 = np.asarray(E3, dtype=float)
     B3 = np.asarray(B3, dtype=float)
@@ -69,57 +73,43 @@ def _uniform_evaluators(E3, B3):
     dA_const = np.zeros((4, 4))
     dA_const[0, 1:] = -E3
     dA_const[1:, 1:] = 0.5 * np.einsum("ikj,k->ij", EPS3, B3)
+    # B x r written out: the same products and differences as np.cross
+    B_l, B_r = B3[_NEXT], B3[_PREV]
 
-    def a(x):
+    def at(x):
         r = x[1:]
-        out = np.empty(4)
-        out[0] = -float(E3 @ r)
-        out[1:] = 0.5 * np.cross(B3, r)
-        return out
+        A = np.empty(4)
+        A[0] = -float(E3 @ r)
+        A[1:] = 0.5 * (B_l * r[_PREV] - B_r * r[_NEXT])
+        return A, dA_const, F_const, _Z444
 
-    return a, (lambda x: dA_const), (lambda x: F_const), (lambda x: _Z444)
+    return at
 
 
-def _coulomb_evaluators(q, r_min):
-    def _r(x):
+def _coulomb_at(q, r_min):
+    def at(x):
         r3 = x[1:]
         r = float(np.sqrt(r3 @ r3))
         if r < r_min:
             raise ValueError(
                 f"coulomb background evaluated at r={r:.3e} < r_min={r_min:.3e}"
             )
-        return r3, r
-
-    def a(x):
-        _, r = _r(x)
-        out = np.zeros(4)
-        out[0] = q / r
-        return out
-
-    def da(x):
-        r3, r = _r(x)
-        out = np.zeros((4, 4))
-        out[0, 1:] = -q * r3 / r**3
-        return out
-
-    def f(x):
-        r3, r = _r(x)
-        out = np.zeros((4, 4))
+        A = np.zeros(4)
+        A[0] = q / r
         E = q * r3 / r**3
-        out[0, 1:] = E
-        out[1:, 0] = -E
-        return out
-
-    def df(x):
-        r3, r = _r(x)
+        dA = np.zeros((4, 4))
+        dA[0, 1:] = -E
+        F = np.zeros((4, 4))
+        F[0, 1:] = E
+        F[1:, 0] = -E
         # d_l E_i = q (delta_li r^2 - 3 x_l x_i) / r^5
-        dE = q * (np.eye(3) * r**2 - 3.0 * np.outer(r3, r3)) / r**5
-        out = np.zeros((4, 4, 4))
-        out[1:, 0, 1:] = dE
-        out[1:, 1:, 0] = -dE
-        return out
+        dE = q * (_EYE3 * r**2 - 3.0 * np.multiply.outer(r3, r3)) / r**5
+        dF = np.zeros((4, 4, 4))
+        dF[1:, 0, 1:] = dE
+        dF[1:, 1:, 0] = -dE
+        return A, dA, F, dF
 
-    return a, da, f, df
+    return at
 
 
 def make_background(kind, e=1.0, c=10.0, **params):
@@ -130,48 +120,23 @@ def make_background(kind, e=1.0, c=10.0, **params):
     1e-6, evaluations closer to the center are rejected).
     """
     if kind == "zero":
-        evs = ((lambda x: _Z4), (lambda x: _Z44), (lambda x: _Z44), (lambda x: _Z444))
+        at = lambda x: (_Z4, _Z44, _Z44, _Z444)
         gauge = "zero potential"
     elif kind == "uniform-E":
-        evs = _uniform_evaluators(params.get("E", (0, 0, 0)), (0, 0, 0))
+        at = _uniform_at(params.get("E", (0, 0, 0)), (0, 0, 0))
         gauge = "A0 = -E.x"
     elif kind == "uniform-B":
-        evs = _uniform_evaluators((0, 0, 0), params.get("B", (0, 0, 0)))
+        at = _uniform_at((0, 0, 0), params.get("B", (0, 0, 0)))
         gauge = "symmetric, A = (1/2) B x r"
     elif kind == "crossed":
-        evs = _uniform_evaluators(params.get("E", (0, 0, 0)), params.get("B", (0, 0, 0)))
+        at = _uniform_at(params.get("E", (0, 0, 0)), params.get("B", (0, 0, 0)))
         gauge = "A0 = -E.x with symmetric magnetic part"
     elif kind == "coulomb":
         if "q" not in params:
             raise ValueError("coulomb background requires the source charge q")
-        evs = _coulomb_evaluators(float(params["q"]), float(params.get("r_min", 1e-6)))
+        at = _coulomb_at(float(params["q"]), float(params.get("r_min", 1e-6)))
         gauge = "A0 = q/r"
     else:
         raise ValueError(f"unknown background kind {kind!r}, expected one of {KINDS}")
-    a, da, f, df = evs
     return FieldBackground(kind=kind, e=float(e), c=float(c), params=dict(params),
-                           gauge=gauge, _a=a, _da=da, _f=f, _df=df)
-
-
-def with_gauge_shift(bg, dchi, d2chi):
-    """Wrap a background with A^i -> A^i + d_i chi for a static chi(r).
-
-    dchi(x) -> (3,) gradient and d2chi(x) -> (3, 3) Hessian must be
-    exact.  The field tensor is untouched, so every gauge-invariant
-    output (trajectory of x, kinetic momentum, spin) must agree with
-    the unwrapped background; only the canonical momentum shifts.
-    """
-
-    def a(x):
-        out = bg.A(x).copy()
-        out[1:] += dchi(x)
-        return out
-
-    def da(x):
-        out = bg.dA(x).copy()
-        out[1:, 1:] += d2chi(x)
-        return out
-
-    return FieldBackground(kind=bg.kind, e=bg.e, c=bg.c, params=dict(bg.params),
-                           gauge=bg.gauge + " + static gauge shift", _a=a, _da=da,
-                           _f=bg._f, _df=bg._df)
+                           gauge=gauge, at=at)

@@ -28,7 +28,10 @@ first-class pair is T2 = omega.pi and T5 = pi^2 - alpha/omega^2; on
 T2 = T5 = 0 the spin magnitude is fixed, S_{mu nu} S^{mu nu} = 8 alpha.
 The four are written once: constraint_values gives calP and their
 values, constraint_gradients grad calP^0 and their (4, 16) gradient
-rows, each from one field evaluation.
+rows, each from one field evaluation.  calP and grad calP^0 are built
+together from one spin tensor and one calP^i (_p0_and_grad).  The
+canonical structure is the constant matrix J: {z, B} = J grad B
+(grad B @ J.T, also for an (n, 16) stack) and {A, B} = grad A . J grad B.
 """
 
 from __future__ import annotations
@@ -42,6 +45,12 @@ from .fields import FieldBackground, make_background
 from .minkowski import ETA_DIAG, boost_matrix, contract_2, lower2, mdot
 
 BLOCKS = ("x", "p", "omega", "pi")
+
+# the canonical structure, J[a, b] = {z^a, z^b}: {x^mu, p^nu} = eta^{mu nu}
+# and {omega^mu, pi^nu} = eta^{mu nu}; J grad B holds {z^k, B}
+J = np.zeros((16, 16))
+J[0:4, 4:8] = J[8:12, 12:16] = np.diag(ETA_DIAG)
+J[4:8, 0:4] = J[12:16, 8:12] = -np.diag(ETA_DIAG)
 
 
 @dataclass
@@ -118,11 +127,8 @@ class FieldsAt:
 
 
 def field_data(model, x4):
-    bg = model.background
-    F = bg.F(x4)
-    dF = bg.dF(x4)
-    return FieldsAt(A=bg.A(x4), dA=bg.dA(x4), F=F, dF=dF,
-                    F_low=lower2(F),
+    A, dA, F, dF = model.background.at(x4)
+    return FieldsAt(A=A, dA=dA, F=F, dF=dF, F_low=lower2(F),
                     dF_low=ETA_DIAG[None, :, None] * dF * ETA_DIAG[None, None, :])
 
 
@@ -131,39 +137,46 @@ def field_data(model, x4):
 
 
 def spin_tensor(z):
-    w, pi = z.w, z.pi
-    return 2.0 * (np.outer(w, pi) - np.outer(pi, w))
+    wp = np.multiply.outer(z.w, z.pi)
+    return 2.0 * (wp - wp.T)
+
+
+def spin_readouts(S):
+    """Spin three-vector, dipole vector D^i = S^{i0} and S.S of a spin tensor."""
+    return 0.5 * np.array([S[2, 3], S[3, 1], S[1, 2]]), S[1:, 0], contract_2(S, S)
 
 
 def spin_vector(z):
-    S = spin_tensor(z)
-    return 0.5 * np.array([S[2, 3], S[3, 1], S[1, 2]])
+    return spin_readouts(spin_tensor(z))[0]
 
 
 def dipole_vector(z):
-    return spin_tensor(z)[1:, 0].copy()
+    return spin_readouts(spin_tensor(z))[1]
 
 
 def spin_square(z):
-    S = spin_tensor(z)
-    return contract_2(S, S)
+    return spin_readouts(spin_tensor(z))[2]
+
+
+def _kinetic(z, model, fd, S):
+    """calP at z; S is the spin tensor at z, None for a spinless state."""
+    e, c, m, g = model.e, model.c, model.m, model.g
+    P = np.empty(4)
+    P[1:] = z.p[1:] - (e / c) * fd.A[1:]
+    rad = P[1:] @ P[1:]
+    if S is not None:
+        rad = rad - (e * g / (4 * c)) * float(np.sum(fd.F_low * S))
+    rad = rad + (m * c) ** 2
+    if rad <= 0.0:
+        raise ValueError(f"energy radicand {rad} is not positive; state outside model range")
+    P[0] = np.sqrt(rad)
+    return P
 
 
 def kinetic_momentum(z, model, fd=None):
     """Four-vector (calP^0, calP^i) with calP^0 the energy function."""
     fd = fd or field_data(model, z.x)
-    e, c, m, g = model.e, model.c, model.m, model.g
-    P3 = z.p[1:] - (e / c) * fd.A[1:]
-    if z.spinless:
-        rad = P3 @ P3 + (m * c) ** 2
-    else:
-        rad = P3 @ P3 - (e * g / (4 * c)) * contract_2(fd.F, spin_tensor(z)) + (m * c) ** 2
-    if rad <= 0.0:
-        raise ValueError(f"energy radicand {rad} is not positive; state outside model range")
-    out = np.empty(4)
-    out[0] = np.sqrt(rad)
-    out[1:] = P3
-    return out
+    return _kinetic(z, model, fd, None if z.spinless else spin_tensor(z))
 
 
 CONSTRAINT_NAMES = ("T2", "T3", "T4", "T5")
@@ -174,8 +187,14 @@ def constraint_values(z, model, fd=None):
 
     A spinless state carries no constraints; its values are zero.
     """
-    P = kinetic_momentum(z, model, fd)
-    if z.spinless:
+    fd = fd or field_data(model, z.x)
+    return _values(z, model, fd, None if z.spinless else spin_tensor(z))
+
+
+def _values(z, model, fd, S):
+    """constraint_values with the spin tensor S at z given (None if spinless)."""
+    P = _kinetic(z, model, fd, S)
+    if S is None:
         return P, np.zeros(4)
     w2 = mdot(z.w, z.w)
     if w2 == 0.0:
@@ -195,8 +214,8 @@ def constraint_residuals(z, model):
     """All constraint values at z (exact zeros define the surface)."""
     if z.spinless:
         return {"T2": 0.0, "T3": 0.0, "T4": 0.0, "T5": 0.0, "ssc": 0.0, "spin2": 0.0}
-    P, T = constraint_values(z, model)
     S = spin_tensor(z)
+    P, T = _values(z, model, field_data(model, z.x), S)
     return {**dict(zip(CONSTRAINT_NAMES, T.tolist())),
             "ssc": float(np.max(np.abs(S @ (ETA_DIAG * P)))),
             "spin2": contract_2(S, S) - 8.0 * model.alpha}
@@ -231,38 +250,38 @@ class Observable:
         return f"Observable({self.name})"
 
 
-def _grad_w_rad(z, model, fd):
-    """Gradient of the squared energy radicand W = calP^0 ** 2."""
-    e, c, g = model.e, model.c, model.g
-    P3 = z.p[1:] - (e / c) * fd.A[1:]
-    S = spin_tensor(z)
-    out = np.zeros(16)
-    # x block: chain rule through A^i and F
-    out[0:4] = -(2 * e / c) * (P3 @ fd.dA[1:, :])
-    out[0:4] += -(e * g / (4 * c)) * np.einsum("lmn,mn->l", fd.dF_low, S)
-    out[5:8] = 2.0 * P3
-    out[8:12] = -(e * g / c) * (fd.F_low @ z.pi)
-    out[12:16] = (e * g / c) * (fd.F_low @ z.w)
-    return out
-
-
 def _p0_and_grad(z, model, fd):
-    P = kinetic_momentum(z, model, fd)
-    return P, _grad_w_rad(z, model, fd) / (2.0 * P[0])
+    """calP and grad calP^0 at z, from one spin tensor and one calP^i.
+
+    grad calP^0 = grad W / (2 calP^0), W = calP^0 ** 2 the energy radicand.
+    """
+    e, c, g = model.e, model.c, model.g
+    S = spin_tensor(z)
+    P = _kinetic(z, model, fd, None if z.spinless else S)
+    gw = np.empty(16)
+    # x block: chain rule through A^i and F
+    gw[0:4] = -(2 * e / c) * (P[1:] @ fd.dA[1:, :])
+    gw[0:4] += -(e * g / (4 * c)) * (fd.dF_low.reshape(4, 16) @ S.reshape(16))
+    gw[4] = 0.0
+    gw[5:8] = 2.0 * P[1:]
+    gw[8:12] = -(e * g / c) * (fd.F_low @ z.pi)
+    gw[12:16] = (e * g / c) * (fd.F_low @ z.w)
+    return P, gw / (2.0 * P[0])
 
 
-def _t34_grad(z, model, fd, P, gP0, v_index):
-    """Gradient of -calP^0 v^0 + calP^i v^i for v = omega (index 8) or pi (12).
+def _t34_grads(z, model, fd, P, gP0):
+    """(2, 16) gradients of T3 and T4, -calP^0 v^0 + calP^i v^i for
+    v = omega and pi.
 
     P and gP0 are calP and grad calP^0 at z, as returned by _p0_and_grad.
     """
-    e, c = model.e, model.c
-    v = z.vec[v_index:v_index + 4]
-    out = -v[0] * gP0
-    out[0:4] += -(e / c) * (v[1:] @ fd.dA[1:, :])
-    out[5:8] += v[1:]
-    out[v_index] += -P[0]
-    out[v_index + 1:v_index + 4] += P[1:]
+    V = z.vec[8:16].reshape(2, 4)   # rows omega, pi
+    out = np.multiply.outer(-V[:, 0], gP0)
+    out[:, 0:4] += -(model.e / model.c) * (V[:, 1:] @ fd.dA[1:, :])
+    out[:, 5:8] += V[:, 1:]
+    P_low = ETA_DIAG * P
+    out[0, 8:12] += P_low
+    out[1, 12:16] += P_low
     return out
 
 
@@ -273,8 +292,7 @@ def constraint_gradients(z, model, fd=None):
     G = np.zeros((4, 16))
     G[0, 8:12] = ETA_DIAG * z.pi
     G[0, 12:16] = ETA_DIAG * z.w
-    G[1] = _t34_grad(z, model, fd, P, g_p0, 8)
-    G[2] = _t34_grad(z, model, fd, P, g_p0, 12)
+    G[1:3] = _t34_grads(z, model, fd, P, g_p0)
     G[3, 8:12] = 2.0 * model.alpha * (ETA_DIAG * z.w) / mdot(z.w, z.w)**2
     G[3, 12:16] = 2.0 * ETA_DIAG * z.pi
     return g_p0, G
@@ -375,27 +393,8 @@ def obs_hamiltonian():
 
 
 def poisson_bracket(A, B, z, model):
-    """Canonical bracket {A, B} at z from the exact gradients."""
-    return pair_gradients(A.grad(z, model), B.grad(z, model))
-
-
-def pair_gradients(ga, gb):
-    """{A, B} from grad A (16,) and grad B, a (16,) gradient or an (n, 16) stack."""
-    ax, ap, aw, aq = ga[0:4], ga[4:8], ga[8:12], ga[12:16]
-    bx, bp, bw, bq = gb[..., 0:4], gb[..., 4:8], gb[..., 8:12], gb[..., 12:16]
-    out = ((ETA_DIAG * bp) @ ax - (ETA_DIAG * bx) @ ap
-           + (ETA_DIAG * bq) @ aw - (ETA_DIAG * bw) @ aq)
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def symplectic_apply(gb):
-    """J grad(B): {z^k, B} for all coordinates, row by row for an (n, 16) stack."""
-    out = np.empty(np.shape(gb))
-    out[..., 0:4] = ETA_DIAG * gb[..., 4:8]
-    out[..., 4:8] = -ETA_DIAG * gb[..., 0:4]
-    out[..., 8:12] = ETA_DIAG * gb[..., 12:16]
-    out[..., 12:16] = -ETA_DIAG * gb[..., 8:12]
-    return out
+    """Canonical bracket {A, B} = grad A . (J grad B) at z."""
+    return float(A.grad(z, model) @ J @ B.grad(z, model))
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,10 @@ from relspin.brackets import (CLOSED_FAMILIES, PHYSICAL_OBSERVABLES,
                               closed_vs_direct_report,
                               defining_property_report, dirac_bracket,
                               dirac_core, dirac_coefficients, t3t4_closed)
-from relspin.phase import (field_data, init_state, obs_coord, obs_hamiltonian,
-                           obs_spin, spin_tensor)
+from relspin.phase import (PhaseState, field_data, init_state, obs_coord,
+                           obs_hamiltonian, obs_spin, spin_tensor)
 
+import oracles
 from conftest import BACKGROUND_PARAMS, build_model, state_batch
 
 ALL_KINDS = sorted(BACKGROUND_PARAMS)
@@ -228,7 +229,6 @@ def test_spinless_states_reduce_to_canonical():
                     spin_dir=(0, 0, 1))
     vec = z0.vec.copy()
     vec[8:16] = 0.0
-    from relspin.phase import PhaseState
     z = PhaseState(vec=vec, spinless=True)
     fd = field_data(model, z.x)
     C = closed_brackets(z, model)
@@ -236,3 +236,40 @@ def test_spinless_states_reduce_to_canonical():
     assert np.all(np.abs(xx) < 1e-15)
     assert np.allclose(xP, np.eye(3), atol=1e-14)
     assert np.allclose(PP, model.e / model.c * fd.F_low[1:, 1:], atol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# the flow kernel against the three-application form of tests/oracles.py
+
+def _flow_deviation(kind, spinless=False):
+    """Largest relative deviation of DiracCore.flow from the oracle form,
+    over one gradient and a (12, 16) stack per state."""
+    model = build_model(kind, g=2.3)
+    states = state_batch(model, 4, seed=23)
+    if spinless:
+        states = [PhaseState(vec=np.concatenate([z.vec[:8], np.zeros(8)]),
+                             spinless=True) for z in states]
+    worst = 0.0
+    for z in states:
+        core = dirac_core(z, model)
+        for G in (obs_hamiltonian().grad(z, model),
+                  np.array([ob.grad(z, model) for ob in PHYSICAL_OBSERVABLES])):
+            got, want = core.flow(G), oracles.flow(core, G)
+            assert got.shape == want.shape == G.shape
+            worst = max(worst, np.max(np.abs(got - want)) / np.max(np.abs(want)))
+    return worst
+
+
+@pytest.mark.parametrize("spinless", [False, True], ids=["spin", "spinless"])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_flow_matches_three_application_form(kind, spinless):
+    """J applied once to grad B, with J grad T3 and J grad T4 stored in
+    the core, gives the flow of the block-by-block form."""
+    assert _flow_deviation(kind, spinless) <= 1e-15
+
+
+@pytest.mark.parametrize("kind", ["coulomb", "crossed"])
+def test_flow_with_transposed_symplectic_matrix_fails(kind, monkeypatch):
+    """Negative control: J^T = -J in place of J flips the flow."""
+    monkeypatch.setattr(brackets, "J", brackets.J.T)
+    assert _flow_deviation(kind) > 1.0

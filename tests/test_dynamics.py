@@ -1,20 +1,26 @@
 """Trajectory layer: Lorentz-force limits, exact conservation laws,
 projection behaviour, integrator cross-checks and gauge invariance."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from relspin import brackets, dynamics, phase
 from relspin.brackets import defining_property_report, dirac_core
 from relspin.dynamics import (cyclotron_reference, dirac_rhs, integrate,
                               larmor_reference, orbit_plane_rate,
                               project_state, spin_plane_rate)
-from relspin.fields import make_background, with_gauge_shift
+from relspin.fields import make_background
 from relspin.minkowski import contract_2
 from relspin.phase import (Model, PhaseState, constraint_residuals,
-                           field_data, init_state, random_constrained_state,
-                           spin_tensor)
+                           constraint_values, dipole_vector, field_data,
+                           init_state, obs_hamiltonian,
+                           random_constrained_state, spin_square, spin_tensor,
+                           spin_vector)
 
 from conftest import build_model, state_batch
+from oracles import symplectic_apply, with_gauge_shift
 
 
 def _uniform_b_model(B=2.0, g=2.0, spinless_alpha=None):
@@ -260,3 +266,82 @@ def test_circular_coulomb_orbit_stays_circular():
     # expected beta^2 + spin-orbit accuracy
     om = orbit_plane_rate(traj)
     assert np.isclose(abs(om), 0.5 / 4.0, rtol=1e-2)
+
+
+@pytest.mark.parametrize("spinless", [False, True], ids=["spin", "spinless"])
+@pytest.mark.parametrize("kind", ["coulomb", "crossed", "zero"])
+def test_rhs_evaluates_the_fields_once(kind, spinless, monkeypatch):
+    """One dirac_rhs call makes one field_data call, and field_data one
+    call of the background's evaluator."""
+    model = build_model(kind, alpha=0.0 if spinless else 0.75)
+    z = init_state(model, x3=(1.5, 0.3, -0.2), P3=(0.4, 0.1, 0.2))
+    calls = {"field_data": 0, "at": 0}
+    bg_at = model.background.at
+
+    def at(x):
+        calls["at"] += 1
+        return bg_at(x)
+
+    model = Model(background=dataclasses.replace(model.background, at=at),
+                  m=model.m, g=model.g, alpha=model.alpha)
+    inner = phase.field_data
+
+    def counted(*args):
+        calls["field_data"] += 1
+        return inner(*args)
+
+    for mod in (phase, brackets, dynamics):
+        monkeypatch.setattr(mod, "field_data", counted)
+    dirac_rhs(z.vec, model, spinless)
+    assert calls == {"field_data": 1, "at": 1}
+
+
+def test_spinless_rhs_is_the_canonical_flow():
+    """Spinless: zdot = J grad H with x^0 slaved and p^0 frozen, equal to
+    the block-by-block canonical structure of tests/oracles.py."""
+    model = build_model("crossed", alpha=0.0)
+    z = init_state(model, x3=(0.5, -0.2, 0.1), P3=(0.4, 0.1, -0.3))
+    want = symplectic_apply(obs_hamiltonian().grad(z, model))
+    want[0], want[4] = model.c, 0.0
+    assert np.array_equal(dirac_rhs(z.vec, model, spinless=True), want)
+
+
+def test_channels_match_the_per_state_readouts(monkeypatch):
+    """channels builds one spin tensor per recorded state and gives the
+    same bytes as the public per-state read-outs."""
+    model = build_model("coulomb")
+    z = init_state(model, x3=(2.0, 0.0, 0.3), P3=(0.0, 0.6, 0.1),
+                   spin_dir=(0.3, 0.2, 0.9))
+    traj = integrate(model, z, 1.0, 0.05, record_every=4)
+    built = []
+    monkeypatch.setattr(dynamics, "spin_tensor",
+                        lambda z: built.append(1) or spin_tensor(z))
+    ch = traj.channels()
+    assert len(built) == len(traj.t)
+    for k in range(len(traj.t)):
+        zk = traj.state(k)
+        P, T = constraint_values(zk, model)
+        assert np.array_equal([ch[f"P{mu}"][k] for mu in range(4)], P)
+        assert np.array_equal([ch[n][k] for n in ("T2", "T3", "T4", "T5")], T)
+        assert np.array_equal([ch[n][k] for n in ("S1", "S2", "S3")], spin_vector(zk))
+        assert np.array_equal([ch[n][k] for n in ("D1", "D2", "D3")], dipole_vector(zk))
+        assert ch["spin2"][k] == spin_square(zk) - 8.0 * model.alpha
+        assert ch["H"][k] == obs_hamiltonian()(zk, model)
+
+
+@pytest.mark.parametrize("kind, index", [("coulomb", 10), ("coulomb", 15),
+                                         ("crossed", 15), ("zero", 28),
+                                         ("uniform-B", 29)])
+def test_projection_runs_on_while_the_residual_contracts(kind, index):
+    """States whose (omega, pi) are replaced by N(0,1) noise and that
+    still converge after twelve steps (13 to 20 steps here): the
+    projection goes on while each step shrinks the residual and must
+    return a state on the surface, not stop at a step budget."""
+    model = build_model(kind)
+    rng = np.random.default_rng(0)
+    vec = [random_constrained_state(model, rng) for _ in range(index + 1)][-1].vec.copy()
+    vec[8:16] = np.random.default_rng(index).normal(size=8)
+    zp = project_state(PhaseState(vec=vec), model)
+    res = constraint_residuals(zp, model)
+    for key in ("T2", "T3", "T4", "T5"):
+        assert abs(res[key]) < 1e-12, (key, res[key])

@@ -5,8 +5,10 @@ central finite differences here."""
 import numpy as np
 import pytest
 
-from relspin.fields import KINDS, make_background, with_gauge_shift
+from relspin.fields import KINDS, make_background
 from relspin.minkowski import extract_EB, is_antisymmetric
+
+from oracles import with_gauge_shift
 
 PARAMS = {
     "zero": {},
@@ -123,3 +125,21 @@ def test_gauge_shift_leaves_F():
         assert np.allclose(shifted.F(x), bg.F(x))
         assert not np.allclose(shifted.A(x), bg.A(x))
         assert np.allclose(shifted.dA(x), _fd_grad(shifted.A, x), atol=1e-8)
+
+
+def test_backgrounds_alive_at_once_keep_their_own_fields():
+    """Two coulomb backgrounds with different q, and two uniform ones,
+    evaluated in turn: each gives its own fields, and evaluating one
+    leaves the arrays returned by the other untouched."""
+    for kind, a, b in (("coulomb", {"q": 1.0}, {"q": -2.5}),
+                       ("crossed", {"E": (0.2, 0.0, 0.1), "B": (0.0, 0.0, 1.0)},
+                        {"E": (-0.5, 0.0, -0.25), "B": (0.0, 0.0, -2.5)})):
+        bg_a, bg_b = make_background(kind, **a), make_background(kind, **b)
+        for x in POINTS:
+            first = bg_a.at(x)
+            kept = [np.copy(t) for t in first]
+            second = bg_b.at(x)
+            for t_a, t_keep, t_b in zip(first, kept, second):
+                assert np.array_equal(t_a, t_keep)
+                assert np.allclose(t_b, -2.5 * t_a, rtol=1e-14, atol=1e-15)
+            assert np.array_equal(bg_a.at(x)[2], kept[2])
