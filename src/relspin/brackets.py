@@ -8,13 +8,14 @@ Two independent routes are implemented and pinned against each other:
       {A,B}_D = {A,B} + ( {A,T3}{T4,B} - {A,T4}{T3,B} ) / {T3,T4},
 
   using nothing but the constraint definitions; it is the oracle.  The
-  correction lives in one place: ``dirac_core`` evaluates the fields,
-  calP, grad calP^0, grad T3, grad T4, J grad T3, J grad T4 and
-  {T3,T4} once per state, and ``DiracCore.flow`` maps grad B to
-  {z, B}_D, applying the constant canonical matrix J to grad B once,
-  so that {A,B}_D = grad A . flow(grad B).  ``dynamics.dirac_rhs`` is
-  flow(grad H), and the direct table of n rows is one matrix
-  G flow(G)^T per state;
+  correction lives in one place: ``dirac_core`` evaluates the fields
+  and the rows R = grad (calP^0, T3, T4) once per state (``phase._rows``),
+  applies the constant canonical matrix J to all three at once and
+  takes {T3,T4}; ``DiracCore.correct`` adds the second-class terms to
+  J grad B, and ``DiracCore.flow`` maps grad B to {z, B}_D as the
+  correction of grad B @ J.T, so that {A,B}_D = grad A . flow(grad B).
+  ``dynamics.dirac_rhs`` is the correction of J grad H, and the direct
+  table of n rows is one matrix G flow(G)^T per state;
 
 * the *closed-form* route evaluates the same tables from the
   coefficient blocks (a, u0, Delta, K, L, g_eff): ``closed_brackets``
@@ -48,7 +49,7 @@ import numpy as np
 from .minkowski import ETA_DIAG, contract_2
 from .phase import (J, constraint_gradients, field_data, kinetic_momentum,
                     obs_coord, obs_energy, obs_hamiltonian, obs_kinetic,
-                    obs_spin, spin_tensor, _p0_and_grad, _t34_grads)
+                    obs_spin, spin_tensor, _rows)
 
 SPIN_INDEX_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _MU, _NU = (np.array(ix) for ix in zip(*SPIN_INDEX_PAIRS))
@@ -62,41 +63,40 @@ class DiracCore:
 
     fd: object
     P: np.ndarray
-    g_p0: np.ndarray
-    g_t3: np.ndarray
-    g_t4: np.ndarray
-    jg_t3: np.ndarray   # J grad T3
-    jg_t4: np.ndarray   # J grad T4
+    R: np.ndarray    # rows grad calP^0, grad T3, grad T4
+    JR: np.ndarray   # J applied to each row of R
     t34: float
 
-    def flow(self, G):
-        """J G + ( {T4,B} J grad T3 - {T3,B} J grad T4 ) / {T3,T4}.
+    def correct(self, JG):
+        """JG + ( {T4,B} J grad T3 - {T3,B} J grad T4 ) / {T3,T4}.
 
-        G = grad B is one (16,) gradient or an (n, 16) stack of them;
-        the result (same shape) holds {z^k, B}_D, so that
-        grad A . flow(grad B) = {A, B}_D.  J is applied to G once:
-        {T_a, B} = grad T_a . J G.
+        JG = J grad B is one (16,) vector or an (n, 16) stack of them;
+        {T_a, B} = grad T_a . J grad B.  The second-class correction is
+        written here once.
         """
-        JG = G @ J.T
-        h3 = JG @ self.g_t3
-        h4 = JG @ self.g_t4
-        return (JG + np.multiply.outer(h4 / self.t34, self.jg_t3)
-                - np.multiply.outer(h3 / self.t34, self.jg_t4))
+        h3 = JG @ self.R[1]
+        h4 = JG @ self.R[2]
+        return (JG + np.multiply.outer(h4 / self.t34, self.JR[1])
+                - np.multiply.outer(h3 / self.t34, self.JR[2]))
+
+    def flow(self, G):
+        """{z^k, B}_D for G = grad B, one (16,) gradient or an (n, 16)
+        stack: the correction applied to G @ J.T, so that
+        grad A . flow(grad B) = {A, B}_D."""
+        return self.correct(G @ J.T)
 
 
 def dirac_core(z, model):
     """The second-class data at z; raises where {T3,T4} is too small to invert."""
     fd = field_data(model, z.x)
-    P, g_p0 = _p0_and_grad(z, model, fd)
-    g_t34 = _t34_grads(z, model, fd, P, g_p0)
-    jg_t34 = g_t34 @ J.T
-    t34 = float(g_t34[0] @ jg_t34[1])
+    P, R = _rows(z, model, fd)
+    JR = R @ J.T
+    t34 = float(R[1] @ JR[2])
     floor = 1e-10 * (1.0 + (model.m * model.c) ** 2)
     if not abs(t34) >= floor:   # NaN fails this test too
         raise ValueError(f"{{T3,T4}} = {t34} too close to zero or undefined; "
                          "second-class inversion breaks down at this state")
-    return DiracCore(fd=fd, P=P, g_p0=g_p0, g_t3=g_t34[0], g_t4=g_t34[1],
-                     jg_t3=jg_t34[0], jg_t4=jg_t34[1], t34=t34)
+    return DiracCore(fd=fd, P=P, R=R, JR=JR, t34=t34)
 
 
 def dirac_bracket(A, B, z, model, core=None):
@@ -381,6 +381,6 @@ def defining_property_report(states, model):
     for z in states:
         core = dirac_core(z, model)
         G = np.array([ob.grad(z, model) for ob in DEFINING_OBSERVABLES])
-        D = np.array([core.g_t3, core.g_t4]) @ core.flow(G).T
+        D = core.R[1:] @ core.flow(G).T
         worst = float(np.maximum(worst, np.max(np.abs(D))))
     return worst

@@ -5,13 +5,17 @@ is its Dirac bracket with H, so the raw equations of motion are
 
     zdot = J grad H + ( {T4,H} J grad T3 - {T3,H} J grad T4 ) / {T3,T4}
 
-i.e. ``brackets.dirac_core(z).flow(grad H)``, the correction written once
-in ``DiracCore.flow`` for the bracket oracle too: one field evaluation,
-one spin tensor and one grad calP^0 per call, and the constant canonical
-matrix J applied to grad H once.  The {T3,T4} floor of
-``dirac_core`` makes it raise ValueError where the pair is not
-invertible.  x^0 is slaved to the evolution parameter (dx^0/dt = c) and
-p^0 a spectator equal to H/c, exactly conserved in stationary backgrounds.
+with the second-class correction written once, in
+``DiracCore.correct``, for the bracket oracle too.  Per call there is one
+field evaluation and one call of the float kernel ``phase._rows`` for
+grad (calP^0, T3, T4), to whose rows ``dirac_core`` applies the
+constant canonical matrix J at once.  J grad H is then c J grad calP^0
+with -e eta d_x A^0 added to the p block, so J is never applied to
+grad H itself.  The energy radicand check and the {T3,T4} floor of
+``dirac_core`` make it raise ValueError where the state is out of range
+or the pair is not invertible, NaN included.  x^0 is slaved to the
+evolution parameter (dx^0/dt = c) and p^0 a spectator equal to H/c,
+exactly conserved in stationary backgrounds.
 
 The continuous flow preserves all four constraints: T3 and T4 by
 construction of the bracket, T2 and T5 because {T2,T3} = -T3 and its
@@ -20,12 +24,17 @@ minimal-norm Gauss-Newton projection of the (omega, pi) block, which
 also pins S.S = 8 alpha since that is a consequence of T2 = T5 = 0.
 The projection keeps x, so it evaluates the fields once and reads the
 constraint values and gradients from ``phase.constraint_values`` and
-``phase.constraint_gradients``; it raises RuntimeError when it cannot
-reach its tolerance, and ``integrate`` lets that stop the run.
+``phase.constraint_gradients``; it refuses a non-finite state with
+ValueError, raises RuntimeError when it cannot reach its tolerance, and
+``integrate`` lets either stop the run.
 
-Spinless states follow the plain Lorentz force; the correction terms
-vanish identically at omega = pi = 0 so the reduced branch is an exact
-shortcut, not an approximation.
+``Trajectory.stats`` reports what a run did, apart from its results:
+the right-hand-side evaluations, the projections and their Gauss-Newton
+steps, and the largest constraint residual met before a projection.
+
+Spinless states follow the plain Lorentz force, grad H @ J.T from the
+same rows; the correction terms vanish identically at omega = pi = 0 so
+the reduced branch is an exact shortcut, not an approximation.
 """
 
 from __future__ import annotations
@@ -35,6 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .brackets import H_OBS, dirac_core
+from .minkowski import ETA_DIAG
 from .phase import (CONSTRAINT_NAMES, J, PhaseState, _values,
                     constraint_gradients, constraint_values, field_data,
                     spin_readouts, spin_tensor)
@@ -50,9 +60,10 @@ def dirac_rhs(vec, model, spinless=False):
         zdot = H_OBS.grad(z, model) @ J.T
     else:
         core = dirac_core(z, model)
-        gh = model.c * core.g_p0
-        gh[0:4] += model.e * core.fd.dA[0, :]
-        zdot = core.flow(gh)
+        # J grad H: c J grad calP^0, and e A^0 acts on the p block only
+        jh = model.c * core.JR[0]
+        jh[4:8] -= model.e * (ETA_DIAG * core.fd.dA[0])
+        zdot = core.correct(jh)
     zdot[0] = model.c
     zdot[4] = 0.0
     return zdot
@@ -66,7 +77,7 @@ DAMPED_STEPS = 12   # projection steps that may pass through larger residuals
 CONTRACTION = 0.5   # each later step must shrink the largest residual this much
 
 
-def project_state(z, model, tol_scale=1e-14):
+def project_state(z, model, tol_scale=1e-14, *, stats=None):
     """Gauss-Newton projection onto T2 = T3 = T4 = T5 = 0.
 
     Minimal-norm correction of the full (omega, pi) block with the
@@ -85,10 +96,18 @@ def project_state(z, model, tol_scale=1e-14):
     shrinks the largest residual by the factor CONTRACTION, which the
     quadratically convergent Gauss-Newton phase exceeds by orders of
     magnitude, and stops at the first step that does not; RuntimeError
-    then names the residual before and the best one reached.
+    then names the residual before and the best one reached.  A state
+    with a non-finite component is refused with ValueError.
+
+    stats, when given, is a dict whose "projection_steps" grows by the
+    steps taken and whose "max_residual_before_projection" is raised to
+    the largest residual before the first step.
     """
     if z.spinless:
         return z
+    if not np.all(np.isfinite(z.vec)):
+        raise ValueError("cannot project a state with non-finite components in slots "
+                         f"{np.flatnonzero(~np.isfinite(z.vec)).tolist()}")
     tol = tol_scale * (1.0 + (model.m * model.c) ** 2)
     fd = field_data(model, z.x)
     vec = z.vec.copy()
@@ -98,6 +117,10 @@ def project_state(z, model, tol_scale=1e-14):
         r = constraint_values(zz, model, fd)[1]
         errs.append(np.max(np.abs(r)))
         if errs[-1] < tol:
+            if stats is not None:
+                stats["projection_steps"] += len(errs) - 1
+                stats["max_residual_before_projection"] = max(
+                    stats["max_residual_before_projection"], float(errs[0]))
             return zz
         if len(errs) > DAMPED_STEPS and not errs[-1] <= CONTRACTION * errs[-2]:
             break
@@ -204,7 +227,6 @@ def integrate(model, z0, t_final, dt, t0=0.0, record_every=1,
     step, which is always recorded.
     """
     spinless = z0.spinless
-    f = lambda y: dirac_rhs(y, model, spinless)
     ratio = (t_final - t0) / dt
     n_full = int(round(ratio))
     short = abs(ratio - n_full) > 1e-9 * max(1.0, abs(ratio))
@@ -213,7 +235,12 @@ def integrate(model, z0, t_final, dt, t0=0.0, record_every=1,
     n_steps = n_full + int(short)
     ts = [t0]
     zs = [z0.vec.copy()]
-    stats = {"method": method, "n_steps": n_steps, "projections": 0}
+    stats = {"method": method, "n_steps": n_steps, "projections": 0, "rhs_evals": 0,
+             "projection_steps": 0, "max_residual_before_projection": 0.0}
+
+    def f(y):
+        stats["rhs_evals"] += 1
+        return dirac_rhs(y, model, spinless)
 
     if method == "rk4":
         y = z0.vec.copy()
@@ -221,7 +248,8 @@ def integrate(model, z0, t_final, dt, t0=0.0, record_every=1,
             h = dt if k <= n_full else t_final - (t0 + n_full * dt)
             y = _rk4_step(f, y, h)
             if project and (k % PROJECT_EVERY == 0 or k % record_every == 0):
-                y = project_state(PhaseState(vec=y, spinless=spinless), model).vec.copy()
+                y = project_state(PhaseState(vec=y, spinless=spinless), model,
+                                  stats=stats).vec.copy()
                 stats["projections"] += 1
             if k % record_every == 0 or k == n_steps:
                 ts.append(t0 + k * dt if k <= n_full else t_final)
@@ -242,7 +270,8 @@ def integrate(model, z0, t_final, dt, t0=0.0, record_every=1,
                 raise RuntimeError(f"dop853 failed at t={t_prev}: {sol.message}")
             y = sol.y[:, -1]
             if project:
-                zc = project_state(PhaseState(vec=y.copy(), spinless=spinless), model)
+                zc = project_state(PhaseState(vec=y.copy(), spinless=spinless), model,
+                                   stats=stats)
                 y = zc.vec
                 stats["projections"] += 1
             ts.append(t_next)
@@ -275,13 +304,6 @@ def spin_plane_rate(traj, i=0, j=1):
     ch = traj.channels()
     names = ("S1", "S2", "S3")
     ang = unwrapped_angle(ch[names[j]], ch[names[i]])
-    return linear_rate(traj.t, ang)
-
-
-def orbit_plane_rate(traj, center=(0.0, 0.0), i=0, j=1):
-    ch = traj.channels()
-    names = ("x1", "x2", "x3")
-    ang = unwrapped_angle(ch[names[j]] - center[1], ch[names[i]] - center[0])
     return linear_rate(traj.t, ang)
 
 

@@ -164,26 +164,6 @@ def from_primed(xp, Pp, Sp, model):
     return x, P, Sp.copy()
 
 
-def to_primed(x, P, S, model, tol=1e-14, max_iter=100):
-    """Inverse chart by fixed-point iteration; composition with
-    from_primed returns the input to 1e-12 or better."""
-    x = np.asarray(x, float)
-    P = np.asarray(P, float)
-    S = np.asarray(S, float)
-    m, c, e = model.m, model.c, model.e
-    xp = x.copy()
-    for _ in range(max_iter):
-        A3 = model.background.A(np.array([0.0, *xp]))[1:]
-        Pp = P + (e / c) * A3
-        xp_new = x + np.cross(Pp, S) / (2.0 * m**2 * c**2)
-        if np.max(np.abs(xp_new - xp)) < tol:
-            xp = xp_new
-            break
-        xp = xp_new
-    A3 = model.background.A(np.array([0.0, *xp]))[1:]
-    return xp, P + (e / c) * A3, S.copy()
-
-
 def primed_shift_example(model, P3=(1.0, 0.0, 0.0), S3=(0.0, 0.0, np.sqrt(3) / 2)):
     """Reference displacement of the chart at momentum P and spin S.
 

@@ -14,7 +14,11 @@ so a point's geometry (the coulomb radius and its r_min check) is
 computed once for all four; A, dA, F and dF are views of it.  The
 uniform kinds return their constant dA, F and dF arrays, which callers
 must not modify.  Stationarity means dA[:, 0] == 0 and dF[0] == 0
-identically.  The electric field of a static potential is
+identically.  F is antisymmetric, and so is dF in its last two indices;
+the constraint rows of ``phase._rows`` read only the components above
+the diagonal.  Lowered copies of F and dF are made by
+``phase.FieldsAt`` only when a reader asks for them.  The electric field
+of a static potential is
 E_i = d_i A_0 = -d_i A^0.  Exact derivatives are part of the contract:
 bracket and force evaluations chain-rule through these, finite
 differences are used only as test oracles.

@@ -46,23 +46,6 @@ def lower2(T):
     return ETA_DIAG[:, None] * T * ETA_DIAG[None, :]
 
 
-def antisymmetrize(T):
-    return 0.5 * (T - T.T)
-
-
-def is_antisymmetric(T, tol=1e-12):
-    return bool(np.max(np.abs(T + T.T)) <= tol * (1.0 + np.max(np.abs(T))))
-
-
-def tensor_vector(F, v):
-    """(F v)^mu = F^{mu nu} eta_{nu a} v^a, the mixed-index action.
-
-    For F built from (E, B) and purely spatial v this reduces to the
-    familiar three-matrix action (F v)^i = F_{ij} v^j.
-    """
-    return F @ (ETA_DIAG * v)
-
-
 def contract_2(F, S):
     """Full contraction F_{mu nu} S^{mu nu} of two rank-2 tensors.
 
@@ -107,12 +90,3 @@ def boost_matrix(u):
     L[1:, 0] = u[1:]
     L[1:, 1:] = np.eye(3) + np.outer(u[1:], u[1:]) / (1.0 + u[0])
     return L
-
-
-def boost_vector(L, v):
-    return L @ v
-
-
-def boost_tensor(L, T):
-    """T'^{mu nu} = L^mu_a L^nu_b T^{a b}."""
-    return L @ T @ L.T

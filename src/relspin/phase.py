@@ -28,14 +28,20 @@ first-class pair is T2 = omega.pi and T5 = pi^2 - alpha/omega^2; on
 T2 = T5 = 0 the spin magnitude is fixed, S_{mu nu} S^{mu nu} = 8 alpha.
 The four are written once: constraint_values gives calP and their
 values, constraint_gradients grad calP^0 and their (4, 16) gradient
-rows, each from one field evaluation.  calP and grad calP^0 are built
-together from one spin tensor and one calP^i (_p0_and_grad).  The
+rows, each from one field evaluation.  The energy radicand and its check
+live in _energy alone.  The rows grad (calP^0, T3, T4), which every
+Dirac evaluation, the energy and Hamiltonian gradients and the
+projection read, come from one kernel, _rows, written on the 16
+components in float arithmetic: at a single state the arithmetic of
+four-vectors is cheaper than numpy's per-call overhead.  FieldsAt holds
+A, dA, F and dF and lowers F and dF only when a reader asks.  The
 canonical structure is the constant matrix J: {z, B} = J grad B
 (grad B @ J.T, also for an (n, 16) stack) and {A, B} = grad A . J grad B.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -114,22 +120,32 @@ def free_model(m=1.0, g=2.0, c=10.0, e=1.0, hbar=1.0, alpha=None):
                  hbar=hbar, alpha=alpha)
 
 
-@dataclass(frozen=True)
 class FieldsAt:
-    """Background tensors evaluated once at a point."""
+    """Background tensors evaluated once at a point.  The lowered F_{mu nu}
+    and d_lam F_{mu nu} are computed on first read: the constraint rows
+    read only A, dA, F and dF."""
 
-    A: np.ndarray
-    dA: np.ndarray
-    F: np.ndarray
-    dF: np.ndarray
-    F_low: np.ndarray   # F_{mu nu}
-    dF_low: np.ndarray  # d_lam F_{mu nu}
+    __slots__ = ("A", "dA", "F", "dF", "_F_low", "_dF_low")
+
+    def __init__(self, A, dA, F, dF):
+        self.A, self.dA, self.F, self.dF = A, dA, F, dF
+        self._F_low = self._dF_low = None
+
+    @property
+    def F_low(self):
+        if self._F_low is None:
+            self._F_low = lower2(self.F)
+        return self._F_low
+
+    @property
+    def dF_low(self):
+        if self._dF_low is None:
+            self._dF_low = ETA_DIAG[None, :, None] * self.dF * ETA_DIAG[None, None, :]
+        return self._dF_low
 
 
 def field_data(model, x4):
-    A, dA, F, dF = model.background.at(x4)
-    return FieldsAt(A=A, dA=dA, F=F, dF=dF, F_low=lower2(F),
-                    dF_low=ETA_DIAG[None, :, None] * dF * ETA_DIAG[None, None, :])
+    return FieldsAt(*model.background.at(x4))
 
 
 # ---------------------------------------------------------------------------
@@ -158,18 +174,21 @@ def spin_square(z):
     return spin_readouts(spin_tensor(z))[2]
 
 
+def _energy(PP, fs, model):
+    """calP^0 from calP_i calP^i and F_{mu nu} S^{mu nu}: the energy
+    radicand and its one check, shared by calP and the constraint rows."""
+    rad = PP - (model.e * model.g / (4 * model.c)) * fs + (model.m * model.c) ** 2
+    if not rad > 0.0:   # NaN fails this test too
+        raise ValueError(f"energy radicand {rad} is not positive; state outside model range")
+    return math.sqrt(rad)
+
+
 def _kinetic(z, model, fd, S):
     """calP at z; S is the spin tensor at z, None for a spinless state."""
-    e, c, m, g = model.e, model.c, model.m, model.g
     P = np.empty(4)
-    P[1:] = z.p[1:] - (e / c) * fd.A[1:]
-    rad = P[1:] @ P[1:]
-    if S is not None:
-        rad = rad - (e * g / (4 * c)) * float(np.sum(fd.F_low * S))
-    rad = rad + (m * c) ** 2
-    if rad <= 0.0:
-        raise ValueError(f"energy radicand {rad} is not positive; state outside model range")
-    P[0] = np.sqrt(rad)
+    P[1:] = z.p[1:] - (model.e / model.c) * fd.A[1:]
+    P[0] = _energy(P[1:] @ P[1:], 0.0 if S is None else float(np.sum(fd.F_low * S)),
+                   model)
     return P
 
 
@@ -202,12 +221,6 @@ def _values(z, model, fd, S):
     return P, np.array([mdot(z.w, z.pi), float(np.dot(ETA_DIAG * P, z.w)),
                         float(np.dot(ETA_DIAG * P, z.pi)),
                         mdot(z.pi, z.pi) - model.alpha / w2])
-
-
-def ssc_vector(z, model, fd=None):
-    """S^{mu nu} calP_nu; vanishes when T3 = T4 = 0."""
-    P = kinetic_momentum(z, model, fd)
-    return spin_tensor(z) @ (ETA_DIAG * P)
 
 
 def constraint_residuals(z, model):
@@ -250,52 +263,80 @@ class Observable:
         return f"Observable({self.name})"
 
 
-def _p0_and_grad(z, model, fd):
-    """calP and grad calP^0 at z, from one spin tensor and one calP^i.
+def _rows(z, model, fd):
+    """calP and R, the (3, 16) rows grad (calP^0, T3, T4) at z.
 
-    grad calP^0 = grad W / (2 calP^0), W = calP^0 ** 2 the energy radicand.
+    Written on the components in float arithmetic: at one state numpy's
+    per-call cost outweighs the arithmetic of four-vectors, so the
+    inputs are read once with tolist(), the eta signs are written into
+    the expressions, and the rows become one array at the end.  F and dF
+    are antisymmetric in their last two indices, so only the components
+    above the diagonal are read.  grad calP^0 = grad W / (2 calP^0),
+    W = calP^0 ** 2 the energy radicand; grad T_v = -v^0 grad calP^0 plus
+    the explicit dependence of calP^i v^i - calP^0 v^0 on x, p and v.
     """
-    e, c, g = model.e, model.c, model.g
-    S = spin_tensor(z)
-    P = _kinetic(z, model, fd, None if z.spinless else S)
-    gw = np.empty(16)
-    # x block: chain rule through A^i and F
-    gw[0:4] = -(2 * e / c) * (P[1:] @ fd.dA[1:, :])
-    gw[0:4] += -(e * g / (4 * c)) * (fd.dF_low.reshape(4, 16) @ S.reshape(16))
-    gw[4] = 0.0
-    gw[5:8] = 2.0 * P[1:]
-    gw[8:12] = -(e * g / c) * (fd.F_low @ z.pi)
-    gw[12:16] = (e * g / c) * (fd.F_low @ z.w)
-    return P, gw / (2.0 * P[0])
+    e, c = model.e, model.c
+    k = e / c
+    h = e * model.g / c          # W holds -(h / 4) F_{mu nu} S^{mu nu}
+    p1, p2, p3, w0, w1, w2, w3, q0, q1, q2, q3 = z.vec[5:].tolist()
+    A, dA, F, dF = fd.A.tolist(), fd.dA.tolist(), fd.F.tolist(), fd.dF.tolist()
+    P1, P2, P3 = p1 - k * A[1], p2 - k * A[2], p3 - k * A[3]
+    # S^{mu nu} = 2 (omega^mu pi^nu - omega^nu pi^mu) above the diagonal
+    s01, s02, s03 = (2.0 * (w0 * q1 - w1 * q0), 2.0 * (w0 * q2 - w2 * q0),
+                     2.0 * (w0 * q3 - w3 * q0))
+    s12, s13, s23 = (2.0 * (w1 * q2 - w2 * q1), 2.0 * (w1 * q3 - w3 * q1),
+                     2.0 * (w2 * q3 - w3 * q2))
 
+    def fs(T):
+        """T_{mu nu} S^{mu nu}, with T_{0i} = -T^{0i} and T_{ij} = T^{ij}."""
+        return 2.0 * (T[1][2] * s12 + T[1][3] * s13 + T[2][3] * s23
+                      - T[0][1] * s01 - T[0][2] * s02 - T[0][3] * s03)
 
-def _t34_grads(z, model, fd, P, gP0):
-    """(2, 16) gradients of T3 and T4, -calP^0 v^0 + calP^i v^i for
-    v = omega and pi.
+    P0 = _energy(P1 * P1 + P2 * P2 + P3 * P3, 0.0 if z.spinless else fs(F), model)
+    f01, f02, f03 = F[0][1], F[0][2], F[0][3]
+    f12, f13, f23 = F[1][2], F[1][3], F[2][3]
+    cols = list(zip(dA[1], dA[2], dA[3]))   # d_lam A^i for i = 1..3, per lam
+    d = 2.0 * P0
+    # x block: chain rule through A^i and F; omega and pi blocks:
+    # -+ h (F_{mu nu} v^nu) with v = pi and omega
+    g0 = [(-2.0 * k * (P1 * a1 + P2 * a2 + P3 * a3) - 0.25 * h * fs(dl)) / d
+          for (a1, a2, a3), dl in zip(cols, dF)]
+    g0 += [0.0, 2.0 * P1 / d, 2.0 * P2 / d, 2.0 * P3 / d,
+           h * (f01 * q1 + f02 * q2 + f03 * q3) / d,
+           -h * (f01 * q0 + f12 * q2 + f13 * q3) / d,
+           -h * (f02 * q0 - f12 * q1 + f23 * q3) / d,
+           -h * (f03 * q0 - f13 * q1 - f23 * q2) / d,
+           -h * (f01 * w1 + f02 * w2 + f03 * w3) / d,
+           h * (f01 * w0 + f12 * w2 + f13 * w3) / d,
+           h * (f02 * w0 - f12 * w1 + f23 * w3) / d,
+           h * (f03 * w0 - f13 * w1 - f23 * w2) / d]
+    P_low = (-P0, P1, P2, P3)
 
-    P and gP0 are calP and grad calP^0 at z, as returned by _p0_and_grad.
-    """
-    V = z.vec[8:16].reshape(2, 4)   # rows omega, pi
-    out = np.multiply.outer(-V[:, 0], gP0)
-    out[:, 0:4] += -(model.e / model.c) * (V[:, 1:] @ fd.dA[1:, :])
-    out[:, 5:8] += V[:, 1:]
-    P_low = ETA_DIAG * P
-    out[0, 8:12] += P_low
-    out[1, 12:16] += P_low
-    return out
+    def t_row(v0, v1, v2, v3, own):
+        """grad (-calP^0 v^0 + calP^i v^i); own is the first slot of v."""
+        row = [-v0 * gk - k * (v1 * a1 + v2 * a2 + v3 * a3)
+               for gk, (a1, a2, a3) in zip(g0, cols)]
+        row += [-v0 * g0[4], v1 - v0 * g0[5], v2 - v0 * g0[6], v3 - v0 * g0[7]]
+        row += [-v0 * gk for gk in g0[8:]]
+        for mu in range(4):
+            row[own + mu] += P_low[mu]
+        return row
+
+    return (np.array([P0, P1, P2, P3]),
+            np.array([g0, t_row(w0, w1, w2, w3, 8), t_row(q0, q1, q2, q3, 12)]))
 
 
 def constraint_gradients(z, model, fd=None):
     """grad calP^0 and the (4, 16) rows grad (T2, T3, T4, T5) at z."""
     fd = fd or field_data(model, z.x)
-    P, g_p0 = _p0_and_grad(z, model, fd)
+    R = _rows(z, model, fd)[1]
     G = np.zeros((4, 16))
     G[0, 8:12] = ETA_DIAG * z.pi
     G[0, 12:16] = ETA_DIAG * z.w
-    G[1:3] = _t34_grads(z, model, fd, P, g_p0)
+    G[1:3] = R[1:]
     G[3, 8:12] = 2.0 * model.alpha * (ETA_DIAG * z.w) / mdot(z.w, z.w)**2
     G[3, 12:16] = 2.0 * ETA_DIAG * z.pi
-    return g_p0, G
+    return R[0], G
 
 
 def obs_coord(block, mu):
@@ -332,8 +373,7 @@ def obs_energy():
         return kinetic_momentum(z, model)[0]
 
     def grd(z, model):
-        fd = field_data(model, z.x)
-        return _p0_and_grad(z, model, fd)[1]
+        return _rows(z, model, field_data(model, z.x))[1][0]
 
     return Observable("calP^0", f, grd)
 
@@ -353,29 +393,6 @@ def obs_spin(mu, nu):
     return Observable(f"S^{mu}{nu}", f, grd)
 
 
-def _obs_constraint(a):
-    """Constraint T_a as one row of constraint_values / constraint_gradients."""
-    return Observable(CONSTRAINT_NAMES[a],
-                      lambda z, model: constraint_values(z, model)[1][a],
-                      lambda z, model: constraint_gradients(z, model)[1][a])
-
-
-def obs_t2():
-    return _obs_constraint(0)
-
-
-def obs_t3():
-    return _obs_constraint(1)
-
-
-def obs_t4():
-    return _obs_constraint(2)
-
-
-def obs_t5():
-    return _obs_constraint(3)
-
-
 def obs_hamiltonian():
     """Covariant Hamiltonian H = c calP^0 + e A^0 (lab-time generator)."""
 
@@ -385,16 +402,11 @@ def obs_hamiltonian():
 
     def grd(z, model):
         fd = field_data(model, z.x)
-        out = model.c * _p0_and_grad(z, model, fd)[1]
+        out = model.c * _rows(z, model, fd)[1][0]
         out[0:4] += model.e * fd.dA[0, :]
         return out
 
     return Observable("H", f, grd)
-
-
-def poisson_bracket(A, B, z, model):
-    """Canonical bracket {A, B} = grad A . (J grad B) at z."""
-    return float(A.grad(z, model) @ J @ B.grad(z, model))
 
 
 # ---------------------------------------------------------------------------

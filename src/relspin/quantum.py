@@ -31,8 +31,8 @@ import sympy as sp
 from sympy import QQ_I
 from sympy.polys.polyerrors import ExactQuotientFailed
 
-from .weyl import (B_SYM, E_SYM, Op, R, anticommutator, cinv, commutator,
-                   cross, dot, e, g_sym, hbar, m, to_ring)
+from .weyl import (B_SYM, E_SYM, Op, R, cinv, commutator, cross, dot, e,
+                   g_sym, hbar, m, to_ring)
 
 EPS = {}
 for _i in range(3):
@@ -59,9 +59,6 @@ _DIPOLE = to_ring(hbar * cinv / (2 * m))
 _XX = to_ring(hbar * cinv**2 / (2 * m**2))
 _XS = to_ring(cinv**2 / m**2)
 _SO = to_ring(e * cinv**2 / (2 * m**2))
-_ZEEMAN = to_ring(e * cinv / (2 * m))
-_KINETIC = to_ring(1 / (2 * m))
-_P4 = to_ring(cinv**2 / (8 * m**3))
 
 
 @dataclass(frozen=True)
@@ -272,29 +269,3 @@ def g_minus_one_residual(ps, g=g_sym):
     g = to_ring(g)
     return (assembled_spin_orbit(ps, g).scale(g)
             - covariant_spin_orbit(ps, g).scale(g - 1))
-
-
-def pauli_hamiltonian(kind="uniform-E", g=g_sym, include_so=True):
-    """Operator Hamiltonian of the realization for a uniform background,
-    with the constant rest energy dropped (it carries cinv^{-2} and is
-    a multiple of the identity).
-
-        H = P^2/2m - P^4 c^{-2}/8m^3 + e A^0(xhat)
-            + (e g / 2 m c) [ S.(P x E)/(m c) - B.S ]
-
-    Spin factors are symmetrized against momentum factors so the result
-    is Hermitian by construction.
-    """
-    ps = build_operators(kind)
-    g = to_ring(g)
-    P2 = dot(ps.Phat, ps.Phat)
-    H = P2.scale(_KINETIC) - (P2 * P2).scale(_P4) + ps.A0_hat.scale(_E)
-    if include_so:
-        PxE = cross(ps.Phat, _scalars(ps.E))
-        so = Op()
-        for k in range(3):
-            so = so + anticommutator(ps.S[k], PxE[k])
-        H = H + so.scale(_HALF * _SO * g)
-        BS = dot(ps.S, _scalars(ps.B))
-        H = H - BS.scale(_ZEEMAN * g)
-    return H

@@ -1,5 +1,10 @@
-"""Test-only reference code for the Dirac-flow kernel and the field layer.
+"""Test-only reference code for the Dirac-flow kernel, the phase-space
+layer and the field layer.
 
+* ``p0_and_grad`` and ``t34_grads``, the rows grad calP^0, grad T3 and
+  grad T4 written with numpy arrays and matrix products on the lowered
+  field tensors; ``phase._rows`` writes them on the components in float
+  arithmetic and the tests pin it to this form.
 * The three-application form of the Dirac flow: the canonical structure
   applied block by block (``symplectic_apply``), the canonical bracket of
   two gradients written out (``pair_gradients``), and ``flow`` applying
@@ -7,6 +12,8 @@
   applies the constant matrix J once; the tests pin it to this form.
 * ``with_gauge_shift``, a background with A^i -> A^i + d_i chi, for the
   gauge-invariance tests.
+* Four-vector and tensor helpers, canonical brackets of observables and
+  the T-observables that only the tests use.
 """
 
 from __future__ import annotations
@@ -16,6 +23,41 @@ import dataclasses
 import numpy as np
 
 from relspin.minkowski import ETA_DIAG
+from relspin.phase import (CONSTRAINT_NAMES, J, Observable, _kinetic,
+                           constraint_gradients, constraint_values,
+                           kinetic_momentum, spin_tensor)
+
+
+def p0_and_grad(z, model, fd):
+    """calP and grad calP^0 at z, from one spin tensor and one calP^i.
+
+    grad calP^0 = grad W / (2 calP^0), W = calP^0 ** 2 the energy radicand.
+    """
+    e, c, g = model.e, model.c, model.g
+    S = spin_tensor(z)
+    P = _kinetic(z, model, fd, None if z.spinless else S)
+    gw = np.empty(16)
+    # x block: chain rule through A^i and F
+    gw[0:4] = -(2 * e / c) * (P[1:] @ fd.dA[1:, :])
+    gw[0:4] += -(e * g / (4 * c)) * (fd.dF_low.reshape(4, 16) @ S.reshape(16))
+    gw[4] = 0.0
+    gw[5:8] = 2.0 * P[1:]
+    gw[8:12] = -(e * g / c) * (fd.F_low @ z.pi)
+    gw[12:16] = (e * g / c) * (fd.F_low @ z.w)
+    return P, gw / (2.0 * P[0])
+
+
+def t34_grads(z, model, fd, P, gP0):
+    """(2, 16) gradients of T3 and T4, -calP^0 v^0 + calP^i v^i for
+    v = omega and pi; P and gP0 as returned by p0_and_grad."""
+    V = z.vec[8:16].reshape(2, 4)   # rows omega, pi
+    out = np.multiply.outer(-V[:, 0], gP0)
+    out[:, 0:4] += -(model.e / model.c) * (V[:, 1:] @ fd.dA[1:, :])
+    out[:, 5:8] += V[:, 1:]
+    P_low = ETA_DIAG * P
+    out[0, 8:12] += P_low
+    out[1, 12:16] += P_low
+    return out
 
 
 def symplectic_apply(gb):
@@ -36,15 +78,15 @@ def pair_gradients(ga, gb):
             + (ETA_DIAG * bq) @ aw - (ETA_DIAG * bw) @ aq)
 
 
-def flow(core, G):
+def flow(g_t3, g_t4, G):
     """J G + ( {T4,B} J grad T3 - {T3,B} J grad T4 ) / {T3,T4}, with J
     applied to G, grad T3 and grad T4 separately and {T3,T4} recomputed."""
-    t34 = pair_gradients(core.g_t3, core.g_t4)
-    h3 = pair_gradients(core.g_t3, G)
-    h4 = pair_gradients(core.g_t4, G)
+    t34 = pair_gradients(g_t3, g_t4)
+    h3 = pair_gradients(g_t3, G)
+    h4 = pair_gradients(g_t4, G)
     out = symplectic_apply(G)
-    out += np.multiply.outer(h4 / t34, symplectic_apply(core.g_t3))
-    out -= np.multiply.outer(h3 / t34, symplectic_apply(core.g_t4))
+    out += np.multiply.outer(h4 / t34, symplectic_apply(g_t3))
+    out -= np.multiply.outer(h3 / t34, symplectic_apply(g_t4))
     return out
 
 
@@ -67,3 +109,71 @@ def with_gauge_shift(bg, dchi, d2chi):
 
     return dataclasses.replace(bg, params=dict(bg.params),
                                gauge=bg.gauge + " + static gauge shift", at=at)
+
+
+# ---------------------------------------------------------------------------
+# Minkowski helpers
+
+
+def antisymmetrize(T):
+    return 0.5 * (T - T.T)
+
+
+def is_antisymmetric(T, tol=1e-12):
+    return bool(np.max(np.abs(T + T.T)) <= tol * (1.0 + np.max(np.abs(T))))
+
+
+def tensor_vector(F, v):
+    """(F v)^mu = F^{mu nu} eta_{nu a} v^a, the mixed-index action.
+
+    For F built from (E, B) and purely spatial v this reduces to the
+    familiar three-matrix action (F v)^i = F_{ij} v^j.
+    """
+    return F @ (ETA_DIAG * v)
+
+
+def boost_vector(L, v):
+    return L @ v
+
+
+def boost_tensor(L, T):
+    """T'^{mu nu} = L^mu_a L^nu_b T^{a b}."""
+    return L @ T @ L.T
+
+
+# ---------------------------------------------------------------------------
+# phase-space helpers
+
+
+def poisson_bracket(A, B, z, model):
+    """Canonical bracket {A, B} = grad A . (J grad B) at z."""
+    return float(A.grad(z, model) @ J @ B.grad(z, model))
+
+
+def ssc_vector(z, model, fd=None):
+    """S^{mu nu} calP_nu; vanishes when T3 = T4 = 0."""
+    P = kinetic_momentum(z, model, fd)
+    return spin_tensor(z) @ (ETA_DIAG * P)
+
+
+def _obs_constraint(a):
+    """Constraint T_a as one row of constraint_values / constraint_gradients."""
+    return Observable(CONSTRAINT_NAMES[a],
+                      lambda z, model: constraint_values(z, model)[1][a],
+                      lambda z, model: constraint_gradients(z, model)[1][a])
+
+
+def obs_t2():
+    return _obs_constraint(0)
+
+
+def obs_t3():
+    return _obs_constraint(1)
+
+
+def obs_t4():
+    return _obs_constraint(2)
+
+
+def obs_t5():
+    return _obs_constraint(3)

@@ -254,7 +254,7 @@ def _flow_deviation(kind, spinless=False):
         core = dirac_core(z, model)
         for G in (obs_hamiltonian().grad(z, model),
                   np.array([ob.grad(z, model) for ob in PHYSICAL_OBSERVABLES])):
-            got, want = core.flow(G), oracles.flow(core, G)
+            got, want = core.flow(G), oracles.flow(*core.R[1:], G)
             assert got.shape == want.shape == G.shape
             worst = max(worst, np.max(np.abs(got - want)) / np.max(np.abs(want)))
     return worst

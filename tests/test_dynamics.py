@@ -6,11 +6,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from relspin import brackets, dynamics, phase
+from relspin import brackets, dynamics, minkowski, phase
 from relspin.brackets import defining_property_report, dirac_core
 from relspin.dynamics import (cyclotron_reference, dirac_rhs, integrate,
-                              larmor_reference, orbit_plane_rate,
-                              project_state, spin_plane_rate)
+                              larmor_reference, linear_rate, project_state,
+                              spin_plane_rate, unwrapped_angle)
 from relspin.fields import make_background
 from relspin.minkowski import contract_2
 from relspin.phase import (Model, PhaseState, constraint_residuals,
@@ -19,7 +19,8 @@ from relspin.phase import (Model, PhaseState, constraint_residuals,
                            random_constrained_state, spin_square, spin_tensor,
                            spin_vector)
 
-from conftest import build_model, state_batch
+import oracles
+from conftest import BACKGROUND_PARAMS, build_model, state_batch
 from oracles import symplectic_apply, with_gauge_shift
 
 
@@ -53,19 +54,33 @@ def test_rhs_raises_where_t3t4_vanishes():
         dirac_rhs(vec, model)
 
 
-def test_nan_t3t4_does_not_pass_the_floor():
-    """A NaN slot makes {T3,T4} NaN, which compares False against the
-    floor either way round; the core, the report and the right-hand
+def test_nan_t3t4_does_not_pass_the_floor(monkeypatch):
+    """NaN compares False against a bound either way round.  A NaN slot
+    is refused by the energy radicand before the floor sees it, and a
+    NaN {T3,T4} that does reach the floor (here a T3 row of NaN from the
+    kernel) is refused there; the core, the report and the right-hand
     side must refuse the state, not read or return NaN."""
     model = build_model("coulomb")
     vec = state_batch(model, 1)[0].vec.copy()
-    vec[9] = np.nan
-    z = PhaseState(vec=vec)
-    for call in (lambda: dirac_core(z, model),
-                 lambda: defining_property_report([z], model),
-                 lambda: dirac_rhs(vec, model)):
+    calls = (lambda v: dirac_core(PhaseState(vec=v), model),
+             lambda v: defining_property_report([PhaseState(vec=v)], model),
+             lambda v: dirac_rhs(v, model))
+    bad = vec.copy()
+    bad[9] = np.nan
+    for call in calls:
+        with pytest.raises(ValueError, match="radicand nan"):
+            call(bad)
+    rows = brackets._rows
+
+    def nan_t3(*args):
+        P, R = rows(*args)
+        R[1] = np.nan
+        return P, R
+
+    monkeypatch.setattr(brackets, "_rows", nan_t3)
+    for call in calls:
         with pytest.raises(ValueError, match="T3,T4"):
-            call()
+            call(vec)
 
 
 def test_integrate_ends_at_t_final():
@@ -194,6 +209,20 @@ def test_projection_raises_when_it_cannot_converge():
         project_state(PhaseState(vec=vec), model)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_projection_refuses_a_non_finite_state(value, capfd):
+    """A NaN slot used to reach the least-squares solve, which raised
+    LinAlgError and printed a LAPACK message on stderr; the projection
+    must refuse the state with its own ValueError and print nothing."""
+    model = build_model("coulomb")
+    vec = state_batch(model, 1)[0].vec.copy()
+    vec[9] = value
+    with pytest.raises(ValueError, match="non-finite") as err:
+        project_state(PhaseState(vec=vec), model)
+    assert type(err.value) is ValueError
+    assert capfd.readouterr().err == ""
+
+
 def test_projection_checks_the_iterate_of_its_last_step():
     """This state needs all twelve steps: the residual is 1.9e-10 after
     eleven and 3e-16 after the twelfth, below the 1e-12 tolerance, so
@@ -248,6 +277,13 @@ def test_gauge_shift_invisible_in_gauge_invariants():
     assert not np.allclose(tA.Z[-1][5:8], tB.Z[-1][5:8], atol=1e-6)
 
 
+def orbit_plane_rate(traj, center=(0.0, 0.0), i=0, j=1):
+    ch = traj.channels()
+    names = ("x1", "x2", "x3")
+    ang = unwrapped_angle(ch[names[j]] - center[1], ch[names[i]] - center[0])
+    return linear_rate(traj.t, ang)
+
+
 def test_circular_coulomb_orbit_stays_circular():
     bg = make_background("coulomb", e=-1.0, c=10.0, q=1.0)
     model = Model(background=bg, m=1.0, g=2.0, alpha=0.75)
@@ -271,8 +307,8 @@ def test_circular_coulomb_orbit_stays_circular():
 @pytest.mark.parametrize("spinless", [False, True], ids=["spin", "spinless"])
 @pytest.mark.parametrize("kind", ["coulomb", "crossed", "zero"])
 def test_rhs_evaluates_the_fields_once(kind, spinless, monkeypatch):
-    """One dirac_rhs call makes one field_data call, and field_data one
-    call of the background's evaluator."""
+    """One dirac_rhs call makes one field_data call, field_data one call
+    of the background's evaluator, and no lowered field tensor is built."""
     model = build_model(kind, alpha=0.0 if spinless else 0.75)
     z = init_state(model, x3=(1.5, 0.3, -0.2), P3=(0.4, 0.1, 0.2))
     calls = {"field_data": 0, "at": 0}
@@ -292,8 +328,69 @@ def test_rhs_evaluates_the_fields_once(kind, spinless, monkeypatch):
 
     for mod in (phase, brackets, dynamics):
         monkeypatch.setattr(mod, "field_data", counted)
+    # the rows read F and dF; the lowered tensors are never built here
+    calls["lower2"] = 0
+    inner_lower2 = minkowski.lower2
+
+    def lower2(T):
+        calls["lower2"] += 1
+        return inner_lower2(T)
+
+    for mod in (phase, minkowski):
+        monkeypatch.setattr(mod, "lower2", lower2)
     dirac_rhs(z.vec, model, spinless)
-    assert calls == {"field_data": 1, "at": 1}
+    assert calls == {"field_data": 1, "at": 1, "lower2": 0}
+
+
+@pytest.mark.parametrize("kind", sorted(BACKGROUND_PARAMS))
+def test_rhs_matches_the_reference_rows_and_flow(kind):
+    """dirac_rhs equals the flow of grad H built from the numpy reference
+    rows and the three-application form of the correction, to 1e-15
+    relative, on 20 random constrained states."""
+    model = build_model(kind)
+    for z in state_batch(model, 20, seed=41):
+        fd = field_data(model, z.x)
+        P, g_p0 = oracles.p0_and_grad(z, model, fd)
+        g_t3, g_t4 = oracles.t34_grads(z, model, fd, P, g_p0)
+        gh = model.c * g_p0
+        gh[0:4] += model.e * fd.dA[0]
+        want = oracles.flow(g_t3, g_t4, gh)
+        want[0], want[4] = model.c, 0.0
+        got = dirac_rhs(z.vec, model)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)), kind
+
+
+def test_run_reports_its_work(monkeypatch):
+    """Trajectory.stats counts the right-hand sides, the Gauss-Newton
+    steps of every projection and the largest residual met before one."""
+    model = build_model("crossed")
+    z0 = init_state(model, x3=(0.5, -0.2, 0.1), P3=(0.4, 0.1, -0.3),
+                    spin_dir=(0.2, 0.9, -0.1))
+    seen = {"steps": 0, "before": 0.0}
+    project, gradients = dynamics.project_state, dynamics.constraint_gradients
+
+    def projected(z, model, **kw):
+        seen["before"] = max(seen["before"],
+                             np.max(np.abs(constraint_values(z, model)[1])))
+        return project(z, model, **kw)
+
+    def counted(*args):
+        seen["steps"] += 1
+        return gradients(*args)
+
+    monkeypatch.setattr(dynamics, "project_state", projected)
+    monkeypatch.setattr(dynamics, "constraint_gradients", counted)
+    traj = integrate(model, z0, 1.05, 0.1, record_every=2)
+    stats = traj.stats
+    assert stats["n_steps"] == 11 and stats["rhs_evals"] == 4 * 11
+    assert stats["projections"] == 5
+    assert stats["projection_steps"] == seen["steps"] > 0
+    assert stats["max_residual_before_projection"] == seen["before"] > 0.0
+
+    rhs, calls = dynamics.dirac_rhs, []
+    monkeypatch.setattr(dynamics, "dirac_rhs", lambda *a: calls.append(1) or rhs(*a))
+    traj = integrate(model, z0, 1.0, 0.1, record_every=5, method="dop853")
+    assert traj.stats["rhs_evals"] == len(calls) > 0
 
 
 def test_spinless_rhs_is_the_canonical_flow():

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from relspin.fields import KINDS, make_background
-from relspin.minkowski import extract_EB, is_antisymmetric
+from relspin.minkowski import extract_EB
 
-from oracles import with_gauge_shift
+from oracles import is_antisymmetric, with_gauge_shift
 
 PARAMS = {
     "zero": {},

@@ -6,9 +6,10 @@ import pytest
 from relspin.hydrogen import (HydrogenModel, fine_structure_table,
                               kinetic_shift, level_shift,
                               p_level_splitting, p_level_splitting_naive,
-                              radial_expectations_closed,
-                              radial_expectations_numerov, sommerfeld_shift,
-                              spin_orbit_shift, spin_orbit_shift_naive)
+                              sommerfeld_shift, spin_orbit_shift,
+                              spin_orbit_shift_naive)
+
+from radial import radial_expectations_closed, radial_expectations_numerov
 
 
 def test_sommerfeld_match_all_levels_n_le_4():

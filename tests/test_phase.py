@@ -8,17 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relspin.phase import (Model, PhaseState, constraint_residuals,
+from relspin.fields import make_background
+from relspin.phase import (Model, PhaseState, _rows, constraint_residuals,
                            dipole_vector, field_data, init_state,
                            kinetic_momentum, obs_coord, obs_energy,
-                           obs_hamiltonian, obs_kinetic, obs_spin, obs_t2,
-                           obs_t3, obs_t4, obs_t5, poisson_bracket,
+                           obs_hamiltonian, obs_kinetic, obs_spin,
                            random_constrained_state, spin_square, spin_tensor,
-                           spin_vector, ssc_vector)
+                           spin_vector)
 from relspin.minkowski import ETA_DIAG, contract_2
 
 import duals
 from conftest import BACKGROUND_PARAMS, build_model, state_batch
+from oracles import (obs_t2, obs_t3, obs_t4, obs_t5, p0_and_grad,
+                     poisson_bracket, ssc_vector, t34_grads)
 
 
 def _fd_grad16(obs, z, model, h=1e-6):
@@ -161,6 +163,36 @@ def test_observable_gradients_match_duals(kind, name, make, expr):
         gh = hand.grad(z, model)
         gd = dual.grad(z, model)
         assert np.allclose(gh, gd, rtol=1e-11, atol=1e-13), name
+
+
+# ---------------------------------------------------------------------------
+# the float kernel of the constraint rows against the numpy reference
+
+# the catalog plus two fields in which every F^{mu nu} component is
+# nonzero, so that a sign slip in any one of them shows
+KERNEL_BACKGROUNDS = {**{kind: (kind, params) for kind, params in BACKGROUND_PARAMS.items()},
+                      "tilted uniform-B": ("uniform-B", {"B": (0.35, -0.5, 0.3)}),
+                      "crossed, all components": ("crossed", {"E": (0.25, -0.3, 0.15),
+                                                              "B": (-0.4, 0.2, 0.55)})}
+
+
+@pytest.mark.parametrize("spinless", [False, True], ids=["spin", "spinless"])
+@pytest.mark.parametrize("name", sorted(KERNEL_BACKGROUNDS))
+def test_rows_match_the_numpy_reference(name, spinless):
+    """_rows gives calP and grad (calP^0, T3, T4) of the numpy reference
+    to 1e-15 relative, row by row, on 20 random states."""
+    kind, params = KERNEL_BACKGROUNDS[name]
+    model = Model(background=make_background(kind, e=1.0, c=10.0, **params),
+                  m=1.0, g=2.3, alpha=0.0 if spinless else 0.75)
+    for z in state_batch(model, 20, seed=17):
+        assert z.spinless == spinless
+        fd = field_data(model, z.x)
+        P, R = _rows(z, model, fd)
+        P_ref, g_ref = p0_and_grad(z, model, fd)
+        ref = np.vstack([g_ref, t34_grads(z, model, fd, P_ref, g_ref)])
+        assert np.max(np.abs(P - P_ref)) <= 1e-15 * np.max(np.abs(P_ref))
+        scale = np.max(np.abs(ref), axis=1, keepdims=True)
+        assert np.all(np.abs(R - ref) <= 1e-15 * scale), name
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,39 @@ import sympy as sp
 from sympy.polys.polyerrors import ExactQuotientFailed
 
 from relspin.quantum import (CORRESPONDENCE_FLOORS, FIELD_KINDS, _by_ihbar,
-                             build_operators, correspondence_report,
+                             _scalars, build_operators, correspondence_report,
                              correspondence_residuals, covariant_spin_orbit,
-                             g_minus_one_residual, g_sym, pauli_hamiltonian,
-                             potential_shift, shift_identity_residual)
-from relspin.weyl import Op, cinv, hbar
+                             g_minus_one_residual, g_sym, potential_shift,
+                             shift_identity_residual)
+from relspin.weyl import (Op, anticommutator, cinv, cross, dot, e, hbar, m,
+                          to_ring)
+
+
+def pauli_hamiltonian(kind="uniform-E", g=g_sym, include_so=True):
+    """Operator Hamiltonian of the realization for a uniform background,
+    with the constant rest energy dropped (it carries cinv^{-2} and is
+    a multiple of the identity).
+
+        H = P^2/2m - P^4 c^{-2}/8m^3 + e A^0(xhat)
+            + (e g / 2 m c) [ S.(P x E)/(m c) - B.S ]
+
+    Spin factors are symmetrized against momentum factors so the result
+    is Hermitian by construction.
+    """
+    ps = build_operators(kind)
+    g = to_ring(g)
+    P2 = dot(ps.Phat, ps.Phat)
+    H = (P2.scale(to_ring(1 / (2 * m))) - (P2 * P2).scale(to_ring(cinv**2 / (8 * m**3)))
+         + ps.A0_hat.scale(to_ring(e)))
+    if include_so:
+        PxE = cross(ps.Phat, _scalars(ps.E))
+        so = Op()
+        for k in range(3):
+            so = so + anticommutator(ps.S[k], PxE[k])
+        H = H + so.scale(to_ring(e * cinv**2 / (4 * m**2)) * g)
+        BS = dot(ps.S, _scalars(ps.B))
+        H = H - BS.scale(to_ring(e * cinv / (2 * m)) * g)
+    return H
 
 
 def test_unknown_kind_raises():
