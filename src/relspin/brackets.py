@@ -47,9 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .minkowski import ETA_DIAG, contract_2
-from .phase import (J, constraint_gradients, field_data, kinetic_momentum,
-                    obs_coord, obs_energy, obs_hamiltonian, obs_kinetic,
-                    obs_spin, spin_tensor, _rows)
+from .phase import (J, field_data, kinetic_momentum, obs_coord, obs_energy,
+                    obs_hamiltonian, obs_kinetic, obs_spin, spin_tensor, _rows)
 
 SPIN_INDEX_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _MU, _NU = (np.array(ix) for ix in zip(*SPIN_INDEX_PAIRS))
@@ -89,7 +88,7 @@ class DiracCore:
 def dirac_core(z, model):
     """The second-class data at z; raises where {T3,T4} is too small to invert."""
     fd = field_data(model, z.x)
-    P, R = _rows(z, model, fd)
+    P, _, R = _rows(z, model, fd)
     JR = R @ J.T
     t34 = float(R[1] @ JR[2])
     floor = 1e-10 * (1.0 + (model.m * model.c) ** 2)
@@ -290,10 +289,9 @@ def aux_table_entries(z, model, energy_row_variant="resolved"):
 
 def aux_table_oracle(z, model):
     """The same table computed directly from the canonical bracket."""
-    g_p0, G = constraint_gradients(z, model)
-    C = np.array([g_p0, G[1], G[2]])
-    R = np.array([ob.grad(z, model) for ob in ROW_OBSERVABLES.values()])
-    return C @ (R @ J.T).T
+    R = _rows(z, model, field_data(model, z.x))[2]
+    G = np.array([ob.grad(z, model) for ob in ROW_OBSERVABLES.values()])
+    return R @ (G @ J.T).T
 
 
 # report groups "{T3,x}", ...: (label, table row, columns), sorted by label

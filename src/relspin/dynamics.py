@@ -23,7 +23,7 @@ three siblings vanish on the surface.  Numerical drift is removed by a
 minimal-norm Gauss-Newton projection of the (omega, pi) block, which
 also pins S.S = 8 alpha since that is a consequence of T2 = T5 = 0.
 The projection keeps x, so it evaluates the fields once and reads the
-constraint values and gradients from ``phase.constraint_values`` and
+constraint values and gradients of each iterate from one kernel call,
 ``phase.constraint_gradients``; it refuses a non-finite state with
 ValueError, raises RuntimeError when it cannot reach its tolerance, and
 ``integrate`` lets either stop the run.
@@ -32,9 +32,9 @@ ValueError, raises RuntimeError when it cannot reach its tolerance, and
 the right-hand-side evaluations, the projections and their Gauss-Newton
 steps, and the largest constraint residual met before a projection.
 
-Spinless states follow the plain Lorentz force, grad H @ J.T from the
-same rows; the correction terms vanish identically at omega = pi = 0 so
-the reduced branch is an exact shortcut, not an approximation.
+A spinless state is omega = pi = 0 of the same flow: there
+{T3,T4} = calP.calP = -(m c)^2 and {T3,H} = {T4,H} = 0, so the flow
+is J grad H, the plain Lorentz force; it carries no constraints.
 """
 
 from __future__ import annotations
@@ -43,27 +43,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .brackets import H_OBS, dirac_core
+from .brackets import dirac_core
 from .minkowski import ETA_DIAG
-from .phase import (CONSTRAINT_NAMES, J, PhaseState, _values,
-                    constraint_gradients, constraint_values, field_data,
-                    spin_readouts, spin_tensor)
+from .phase import (CONSTRAINT_NAMES, PhaseState, constraint_gradients,
+                    constraint_values, field_data, spin_readouts, spin_tensor)
 
 # ---------------------------------------------------------------------------
 # right-hand sides
 
 
-def dirac_rhs(vec, model, spinless=False):
+def dirac_rhs(vec, model):
     """d(vec)/dt for the 16-component state; t is laboratory time."""
-    z = PhaseState(vec=np.asarray(vec, dtype=float), spinless=spinless)
-    if spinless:
-        zdot = H_OBS.grad(z, model) @ J.T
-    else:
-        core = dirac_core(z, model)
-        # J grad H: c J grad calP^0, and e A^0 acts on the p block only
-        jh = model.c * core.JR[0]
-        jh[4:8] -= model.e * (ETA_DIAG * core.fd.dA[0])
-        zdot = core.correct(jh)
+    core = dirac_core(PhaseState(vec=np.asarray(vec, dtype=float)), model)
+    # J grad H: c J grad calP^0, and e A^0 acts on the p block only
+    jh = model.c * core.JR[0]
+    jh[4:8] -= model.e * (ETA_DIAG * core.fd.dA[0])
+    zdot = core.correct(jh)
     zdot[0] = model.c
     zdot[4] = 0.0
     return zdot
@@ -73,21 +68,23 @@ def dirac_rhs(vec, model, spinless=False):
 # constraint projection
 
 
+PROJECTION_TOL = 1e-14   # largest residual returned, in units of 1 + (m c)^2
 DAMPED_STEPS = 12   # projection steps that may pass through larger residuals
 CONTRACTION = 0.5   # each later step must shrink the largest residual this much
 
 
-def project_state(z, model, tol_scale=1e-14, *, stats=None):
+def project_state(z, model, *, stats=None):
     """Gauss-Newton projection onto T2 = T3 = T4 = T5 = 0.
 
     Minimal-norm correction of the full (omega, pi) block with the
     exact constraint gradients; x and p are untouched, so projection
-    never moves the orbit and the fields are evaluated once per call.
+    never moves the orbit and the fields are evaluated once per call;
+    each iterate reads its values and gradients from one kernel call.
     (A reduced parametrization by omega^0, pi^0 and two overall scales
     is singular at rest-like states where omega and pi are spatial and
     orthogonal, so all eight spin slots participate.)  The first
-    iterate whose largest residual is below tol_scale (1 + (m c)^2) is
-    returned.
+    iterate whose largest residual is below PROJECTION_TOL (1 + (m c)^2)
+    is returned, a spinless state as it is.
 
     The stop depends on the convergence rate (Hairer, Lubich and
     Wanner, GNI IV.4).  Far from the surface the capped steps may lead
@@ -108,13 +105,13 @@ def project_state(z, model, tol_scale=1e-14, *, stats=None):
     if not np.all(np.isfinite(z.vec)):
         raise ValueError("cannot project a state with non-finite components in slots "
                          f"{np.flatnonzero(~np.isfinite(z.vec)).tolist()}")
-    tol = tol_scale * (1.0 + (model.m * model.c) ** 2)
+    tol = PROJECTION_TOL * (1.0 + (model.m * model.c) ** 2)
     fd = field_data(model, z.x)
     vec = z.vec.copy()
     errs = []
     while True:
         zz = PhaseState(vec=vec)
-        r = constraint_values(zz, model, fd)[1]
+        r, G = constraint_gradients(zz, model, fd)
         errs.append(np.max(np.abs(r)))
         if errs[-1] < tol:
             if stats is not None:
@@ -124,8 +121,7 @@ def project_state(z, model, tol_scale=1e-14, *, stats=None):
             return zz
         if len(errs) > DAMPED_STEPS and not errs[-1] <= CONTRACTION * errs[-2]:
             break
-        jac = constraint_gradients(zz, model, fd)[1][:, 8:16]
-        step, *_ = np.linalg.lstsq(jac, r, rcond=None)
+        step, *_ = np.linalg.lstsq(G[:, 8:16], r, rcond=None)
         # damp absurd steps so a bad linearization cannot destroy the state
         cap = 0.25 * max(np.linalg.norm(vec[8:16]), 1.0)
         nrm = np.linalg.norm(step)
@@ -156,18 +152,18 @@ class Trajectory:
     t: np.ndarray
     Z: np.ndarray
     model: object
-    spinless: bool
     stats: dict = field(default_factory=dict)
 
     def state(self, k):
-        return PhaseState(vec=self.Z[k].copy(), spinless=self.spinless)
+        return PhaseState(vec=self.Z[k].copy())
 
     def channels(self):
         """Named scalar time series for output and diagnostics (cached).
 
-        Each recorded state gets one field evaluation and one spin
-        tensor, which calP, the constraint values and the spin
-        read-outs share.
+        Each recorded state gets one field evaluation, which calP, the
+        constraint values and H share, and a spin state one spin tensor
+        for the spin read-outs; a spinless state reads zero in every
+        spin and constraint channel.
         """
         if getattr(self, "_channels", None) is not None:
             return self._channels
@@ -183,13 +179,12 @@ class Trajectory:
         T = np.zeros((n, 4))
         spin2 = np.zeros(n)
         for k in range(n):
-            z = PhaseState(vec=Z[k], spinless=self.spinless)
+            z = PhaseState(vec=Z[k])
             fd = field_data(self.model, z.x)
-            S = None if self.spinless else spin_tensor(z)
-            P[k], T[k] = _values(z, self.model, fd, S)
+            P[k], T[k] = constraint_values(z, self.model, fd)
             H[k] = self.model.c * P[k, 0] + self.model.e * fd.A[0]
-            if S is not None:
-                S3[k], D3[k], ss = spin_readouts(S)
+            if not z.spinless:
+                S3[k], D3[k], ss = spin_readouts(spin_tensor(z))
                 spin2[k] = ss - 8.0 * self.model.alpha
         for mu in range(4):
             out[f"P{mu}"] = P[:, mu]
@@ -226,7 +221,6 @@ def integrate(model, z0, t_final, dt, t0=0.0, record_every=1,
     takes floor((t_final - t0)/dt) steps of dt and one shorter last
     step, which is always recorded.
     """
-    spinless = z0.spinless
     ratio = (t_final - t0) / dt
     n_full = int(round(ratio))
     short = abs(ratio - n_full) > 1e-9 * max(1.0, abs(ratio))
@@ -240,7 +234,7 @@ def integrate(model, z0, t_final, dt, t0=0.0, record_every=1,
 
     def f(y):
         stats["rhs_evals"] += 1
-        return dirac_rhs(y, model, spinless)
+        return dirac_rhs(y, model)
 
     if method == "rk4":
         y = z0.vec.copy()
@@ -248,8 +242,7 @@ def integrate(model, z0, t_final, dt, t0=0.0, record_every=1,
             h = dt if k <= n_full else t_final - (t0 + n_full * dt)
             y = _rk4_step(f, y, h)
             if project and (k % PROJECT_EVERY == 0 or k % record_every == 0):
-                y = project_state(PhaseState(vec=y, spinless=spinless), model,
-                                  stats=stats).vec.copy()
+                y = project_state(PhaseState(vec=y), model, stats=stats).vec.copy()
                 stats["projections"] += 1
             if k % record_every == 0 or k == n_steps:
                 ts.append(t0 + k * dt if k <= n_full else t_final)
@@ -270,8 +263,7 @@ def integrate(model, z0, t_final, dt, t0=0.0, record_every=1,
                 raise RuntimeError(f"dop853 failed at t={t_prev}: {sol.message}")
             y = sol.y[:, -1]
             if project:
-                zc = project_state(PhaseState(vec=y.copy(), spinless=spinless), model,
-                                   stats=stats)
+                zc = project_state(PhaseState(vec=y.copy()), model, stats=stats)
                 y = zc.vec
                 stats["projections"] += 1
             ts.append(t_next)
@@ -280,8 +272,7 @@ def integrate(model, z0, t_final, dt, t0=0.0, record_every=1,
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    return Trajectory(t=np.array(ts), Z=np.array(zs), model=model,
-                      spinless=spinless, stats=stats)
+    return Trajectory(t=np.array(ts), Z=np.array(zs), model=model, stats=stats)
 
 
 # ---------------------------------------------------------------------------

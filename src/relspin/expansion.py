@@ -61,7 +61,7 @@ def hamiltonian_expanded(z, model):
     P = kinetic_momentum(z, model, fd)[1:]
     p2 = float(P @ P)
     E, B = extract_EB(fd.F)
-    S = spin_vector(z) if not z.spinless else np.zeros(3)
+    S = spin_vector(z)
     out = m * c**2 + p2 / (2 * m) - p2**2 / (8 * m**3 * c**2) + e * fd.A[0]
     out += (e * g / (2 * m * c)) * (float(S @ np.cross(P, E)) / (m * c)
                                     - float(B @ S))

@@ -26,17 +26,16 @@ pair
 and in the covariant Hamiltonian H = c calP^0 + e A^0.  The remaining
 first-class pair is T2 = omega.pi and T5 = pi^2 - alpha/omega^2; on
 T2 = T5 = 0 the spin magnitude is fixed, S_{mu nu} S^{mu nu} = 8 alpha.
-The four are written once: constraint_values gives calP and their
-values, constraint_gradients grad calP^0 and their (4, 16) gradient
-rows, each from one field evaluation.  The energy radicand and its check
-live in _energy alone.  The rows grad (calP^0, T3, T4), which every
-Dirac evaluation, the energy and Hamiltonian gradients and the
-projection read, come from one kernel, _rows, written on the 16
-components in float arithmetic: at a single state the arithmetic of
-four-vectors is cheaper than numpy's per-call overhead.  FieldsAt holds
-A, dA, F and dF and lowers F and dF only when a reader asks.  The
-canonical structure is the constant matrix J: {z, B} = J grad B
-(grad B @ J.T, also for an (n, 16) stack) and {A, B} = grad A . J grad B.
+The four are written once, with calP, in the kernel _rows: from one
+field evaluation it gives calP, the values (T2, T3, T4, T5) and the
+rows grad (calP^0, T3, T4), in float arithmetic on the 16 components
+(at one state cheaper than numpy's per-call overhead).  Every reader of
+calP or a constraint reads it; the energy radicand and its check live in
+_energy alone.  A state is its 16 numbers, spinless when omega = pi = 0.
+FieldsAt holds A, dA, F and dF and lowers F and dF only when a reader
+outside the kernel asks.  The canonical structure is the constant matrix
+J: {z, B} = J grad B (grad B @ J.T, also for an (n, 16) stack) and
+{A, B} = grad A . J grad B.
 """
 
 from __future__ import annotations
@@ -61,17 +60,21 @@ J[4:8, 0:4] = J[12:16, 8:12] = -np.diag(ETA_DIAG)
 
 @dataclass
 class PhaseState:
-    """One phase-space point; vec is the flat 16-vector (x, p, omega, pi)."""
+    """One phase-space point; vec is the flat 16-vector (x, p, omega, pi),
+    all of the state: it is spinless when omega = pi = 0."""
 
     vec: np.ndarray
-    spinless: bool = False
 
     @classmethod
-    def from_parts(cls, x, p, w, pi, spinless=False):
+    def from_parts(cls, x, p, w, pi):
         vec = np.concatenate([np.asarray(b, dtype=float) for b in (x, p, w, pi)])
         if vec.shape != (16,):
             raise ValueError("each of x, p, omega, pi must have 4 components")
-        return cls(vec=vec, spinless=spinless)
+        return cls(vec=vec)
+
+    @property
+    def spinless(self):
+        return not self.vec[8:16].any()
 
     @property
     def x(self):
@@ -122,8 +125,8 @@ def free_model(m=1.0, g=2.0, c=10.0, e=1.0, hbar=1.0, alpha=None):
 
 class FieldsAt:
     """Background tensors evaluated once at a point.  The lowered F_{mu nu}
-    and d_lam F_{mu nu} are computed on first read: the constraint rows
-    read only A, dA, F and dF."""
+    and d_lam F_{mu nu} are computed on first read: the kernel _rows, so
+    every right-hand side and projection, reads only A, dA, F and dF."""
 
     __slots__ = ("A", "dA", "F", "dF", "_F_low", "_dF_low")
 
@@ -183,52 +186,16 @@ def _energy(PP, fs, model):
     return math.sqrt(rad)
 
 
-def _kinetic(z, model, fd, S):
-    """calP at z; S is the spin tensor at z, None for a spinless state."""
-    P = np.empty(4)
-    P[1:] = z.p[1:] - (model.e / model.c) * fd.A[1:]
-    P[0] = _energy(P[1:] @ P[1:], 0.0 if S is None else float(np.sum(fd.F_low * S)),
-                   model)
-    return P
-
-
-def kinetic_momentum(z, model, fd=None):
-    """Four-vector (calP^0, calP^i) with calP^0 the energy function."""
-    fd = fd or field_data(model, z.x)
-    return _kinetic(z, model, fd, None if z.spinless else spin_tensor(z))
-
-
 CONSTRAINT_NAMES = ("T2", "T3", "T4", "T5")
 
 
-def constraint_values(z, model, fd=None):
-    """calP and the values (T2, T3, T4, T5) at z, from one field evaluation.
-
-    A spinless state carries no constraints; its values are zero.
-    """
-    fd = fd or field_data(model, z.x)
-    return _values(z, model, fd, None if z.spinless else spin_tensor(z))
-
-
-def _values(z, model, fd, S):
-    """constraint_values with the spin tensor S at z given (None if spinless)."""
-    P = _kinetic(z, model, fd, S)
-    if S is None:
-        return P, np.zeros(4)
-    w2 = mdot(z.w, z.w)
-    if w2 == 0.0:
-        raise ValueError("T5 undefined at omega^2 = 0")
-    return P, np.array([mdot(z.w, z.pi), float(np.dot(ETA_DIAG * P, z.w)),
-                        float(np.dot(ETA_DIAG * P, z.pi)),
-                        mdot(z.pi, z.pi) - model.alpha / w2])
-
-
 def constraint_residuals(z, model):
-    """All constraint values at z (exact zeros define the surface)."""
+    """All constraint values at z (exact zeros define the surface); a
+    spinless state carries no constraints."""
     if z.spinless:
         return {"T2": 0.0, "T3": 0.0, "T4": 0.0, "T5": 0.0, "ssc": 0.0, "spin2": 0.0}
     S = spin_tensor(z)
-    P, T = _values(z, model, field_data(model, z.x), S)
+    P, T = constraint_values(z, model)
     return {**dict(zip(CONSTRAINT_NAMES, T.tolist())),
             "ssc": float(np.max(np.abs(S @ (ETA_DIAG * P)))),
             "spin2": contract_2(S, S) - 8.0 * model.alpha}
@@ -264,12 +231,16 @@ class Observable:
 
 
 def _rows(z, model, fd):
-    """calP and R, the (3, 16) rows grad (calP^0, T3, T4) at z.
+    """calP, the values T = (T2, T3, T4, T5) and R, the (3, 16) rows
+    grad (calP^0, T3, T4) at z: the one evaluation of a state.
 
-    Written on the components in float arithmetic: at one state numpy's
-    per-call cost outweighs the arithmetic of four-vectors, so the
-    inputs are read once with tolist(), the eta signs are written into
-    the expressions, and the rows become one array at the end.  F and dF
+    A spinless state (omega = pi = 0) carries no constraints and its
+    values are zero; at any other omega^2 = 0, T5 is undefined and
+    ValueError is raised.  Written on the components in float
+    arithmetic: at one state numpy's per-call cost outweighs the
+    arithmetic of four-vectors, so the inputs are read once with
+    tolist(), the eta signs are written into the expressions, and the
+    outputs become arrays at the end.  F and dF
     are antisymmetric in their last two indices, so only the components
     above the diagonal are read.  grad calP^0 = grad W / (2 calP^0),
     W = calP^0 ** 2 the energy radicand; grad T_v = -v^0 grad calP^0 plus
@@ -292,7 +263,17 @@ def _rows(z, model, fd):
         return 2.0 * (T[1][2] * s12 + T[1][3] * s13 + T[2][3] * s23
                       - T[0][1] * s01 - T[0][2] * s02 - T[0][3] * s03)
 
-    P0 = _energy(P1 * P1 + P2 * P2 + P3 * P3, 0.0 if z.spinless else fs(F), model)
+    P0 = _energy(P1 * P1 + P2 * P2 + P3 * P3, fs(F), model)
+    ww = w1 * w1 + w2 * w2 + w3 * w3 - w0 * w0
+    if ww != 0.0:   # NaN included: its values stay NaN
+        T = (w1 * q1 + w2 * q2 + w3 * q3 - w0 * q0,
+             P1 * w1 + P2 * w2 + P3 * w3 - P0 * w0,
+             P1 * q1 + P2 * q2 + P3 * q3 - P0 * q0,
+             q1 * q1 + q2 * q2 + q3 * q3 - q0 * q0 - model.alpha / ww)
+    elif w0 or w1 or w2 or w3 or q0 or q1 or q2 or q3:
+        raise ValueError("T5 undefined at omega^2 = 0")
+    else:
+        T = (0.0, 0.0, 0.0, 0.0)
     f01, f02, f03 = F[0][1], F[0][2], F[0][3]
     f12, f13, f23 = F[1][2], F[1][3], F[2][3]
     cols = list(zip(dA[1], dA[2], dA[3]))   # d_lam A^i for i = 1..3, per lam
@@ -322,21 +303,31 @@ def _rows(z, model, fd):
             row[own + mu] += P_low[mu]
         return row
 
-    return (np.array([P0, P1, P2, P3]),
+    return (np.array([P0, P1, P2, P3]), np.array(T),
             np.array([g0, t_row(w0, w1, w2, w3, 8), t_row(q0, q1, q2, q3, 12)]))
 
 
+def kinetic_momentum(z, model, fd=None):
+    """Four-vector (calP^0, calP^i) with calP^0 the energy function."""
+    return _rows(z, model, fd or field_data(model, z.x))[0]
+
+
+def constraint_values(z, model, fd=None):
+    """calP and the values (T2, T3, T4, T5) at z, from one field evaluation."""
+    return _rows(z, model, fd or field_data(model, z.x))[:2]
+
+
 def constraint_gradients(z, model, fd=None):
-    """grad calP^0 and the (4, 16) rows grad (T2, T3, T4, T5) at z."""
-    fd = fd or field_data(model, z.x)
-    R = _rows(z, model, fd)[1]
+    """The values (T2, T3, T4, T5) and their (4, 16) gradient rows at z,
+    from one field evaluation and one kernel call."""
+    _, T, R = _rows(z, model, fd or field_data(model, z.x))
     G = np.zeros((4, 16))
     G[0, 8:12] = ETA_DIAG * z.pi
     G[0, 12:16] = ETA_DIAG * z.w
     G[1:3] = R[1:]
     G[3, 8:12] = 2.0 * model.alpha * (ETA_DIAG * z.w) / mdot(z.w, z.w)**2
     G[3, 12:16] = 2.0 * ETA_DIAG * z.pi
-    return R[0], G
+    return T, G
 
 
 def obs_coord(block, mu):
@@ -373,7 +364,7 @@ def obs_energy():
         return kinetic_momentum(z, model)[0]
 
     def grd(z, model):
-        return _rows(z, model, field_data(model, z.x))[1][0]
+        return _rows(z, model, field_data(model, z.x))[2][0]
 
     return Observable("calP^0", f, grd)
 
@@ -402,7 +393,7 @@ def obs_hamiltonian():
 
     def grd(z, model):
         fd = field_data(model, z.x)
-        out = model.c * _rows(z, model, fd)[1][0]
+        out = model.c * _rows(z, model, fd)[2][0]
         out[0:4] += model.e * fd.dA[0, :]
         return out
 
@@ -443,7 +434,7 @@ def init_state(model, x3, P3, spin_dir=(0, 0, 1.0), t=0.0):
     boost that maps the rest momentum to (calP^0, P3).  Because the
     energy function feeds (F S) back into calP^0, the boost is solved
     by a short fixed-point iteration.  alpha = 0 returns a spinless
-    flagged state instead (omega = pi = 0 would make T5 singular).
+    state instead, omega = pi = 0.
     """
     m, c, e, g = model.m, model.c, model.e, model.g
     x4 = np.concatenate([[c * t], np.asarray(x3, dtype=float)])
@@ -453,7 +444,7 @@ def init_state(model, x3, P3, spin_dir=(0, 0, 1.0), t=0.0):
     if model.alpha == 0.0:
         P0 = np.sqrt(P3 @ P3 + (m * c) ** 2)
         p = np.concatenate([[P0], P3]) + (e / c) * fd.A
-        return PhaseState.from_parts(x4, p, np.zeros(4), np.zeros(4), spinless=True)
+        return PhaseState.from_parts(x4, p, np.zeros(4), np.zeros(4))
 
     a3, b3 = _rest_spin_pair(spin_dir, model.alpha)
     w_rest = np.concatenate([[0.0], a3])
@@ -489,13 +480,17 @@ def init_state(model, x3, P3, spin_dir=(0, 0, 1.0), t=0.0):
     return z
 
 
-def random_constrained_state(model, rng, p_scale=0.15, x_box=1.0):
+SAMPLE_P_SCALE = 0.15   # spread of the sampled calP^i, in units of m c
+SAMPLE_X_BOX = 1.0      # half-width of the sampled box of positions (non-Coulomb)
+
+
+def random_constrained_state(model, rng):
     """Random exactly-constrained state, used by tests and selftests."""
     if model.background.kind == "coulomb":
         u = rng.normal(size=3)
         x3 = (1.5 + 2.0 * rng.random()) * u / np.linalg.norm(u)
     else:
-        x3 = x_box * (2.0 * rng.random(3) - 1.0)
-    P3 = p_scale * model.m * model.c * rng.normal(size=3)
+        x3 = SAMPLE_X_BOX * (2.0 * rng.random(3) - 1.0)
+    P3 = SAMPLE_P_SCALE * model.m * model.c * rng.normal(size=3)
     n = rng.normal(size=3)
     return init_state(model, x3, P3, spin_dir=n / np.linalg.norm(n))

@@ -1,10 +1,12 @@
 """Test-only reference code for the Dirac-flow kernel, the phase-space
 layer and the field layer.
 
-* ``p0_and_grad`` and ``t34_grads``, the rows grad calP^0, grad T3 and
-  grad T4 written with numpy arrays and matrix products on the lowered
-  field tensors; ``phase._rows`` writes them on the components in float
-  arithmetic and the tests pin it to this form.
+* ``kinetic`` and ``values``, calP and the constraint values
+  (T2, T3, T4, T5), and ``p0_and_grad`` and ``t34_grads``, the rows
+  grad calP^0, grad T3 and grad T4, written with numpy arrays and
+  matrix products on the lowered field tensors; ``phase._rows`` writes
+  all of them on the components in float arithmetic and the tests pin
+  it to this form.
 * The three-application form of the Dirac flow: the canonical structure
   applied block by block (``symplectic_apply``), the canonical bracket of
   two gradients written out (``pair_gradients``), and ``flow`` applying
@@ -22,10 +24,33 @@ import dataclasses
 
 import numpy as np
 
-from relspin.minkowski import ETA_DIAG
-from relspin.phase import (CONSTRAINT_NAMES, J, Observable, _kinetic,
+from relspin.minkowski import ETA_DIAG, mdot
+from relspin.phase import (CONSTRAINT_NAMES, J, Observable, _energy,
                            constraint_gradients, constraint_values,
                            kinetic_momentum, spin_tensor)
+
+
+def kinetic(z, model, fd):
+    """calP at z: calP^i = p^i - (e/c) A^i, and calP^0 from the lowered
+    field tensor contracted with the spin tensor."""
+    P = np.empty(4)
+    P[1:] = z.p[1:] - (model.e / model.c) * fd.A[1:]
+    P[0] = _energy(P[1:] @ P[1:], float(np.sum(fd.F_low * spin_tensor(z))), model)
+    return P
+
+
+def values(z, model, fd):
+    """calP and (T2, T3, T4, T5) at z from Minkowski products; zero
+    values for a spinless state."""
+    P = kinetic(z, model, fd)
+    if z.spinless:
+        return P, np.zeros(4)
+    w2 = mdot(z.w, z.w)
+    if w2 == 0.0:
+        raise ValueError("T5 undefined at omega^2 = 0")
+    return P, np.array([mdot(z.w, z.pi), float(np.dot(ETA_DIAG * P, z.w)),
+                        float(np.dot(ETA_DIAG * P, z.pi)),
+                        mdot(z.pi, z.pi) - model.alpha / w2])
 
 
 def p0_and_grad(z, model, fd):
@@ -35,7 +60,7 @@ def p0_and_grad(z, model, fd):
     """
     e, c, g = model.e, model.c, model.g
     S = spin_tensor(z)
-    P = _kinetic(z, model, fd, None if z.spinless else S)
+    P = kinetic(z, model, fd)
     gw = np.empty(16)
     # x block: chain rule through A^i and F
     gw[0:4] = -(2 * e / c) * (P[1:] @ fd.dA[1:, :])
@@ -121,15 +146,6 @@ def antisymmetrize(T):
 
 def is_antisymmetric(T, tol=1e-12):
     return bool(np.max(np.abs(T + T.T)) <= tol * (1.0 + np.max(np.abs(T))))
-
-
-def tensor_vector(F, v):
-    """(F v)^mu = F^{mu nu} eta_{nu a} v^a, the mixed-index action.
-
-    For F built from (E, B) and purely spatial v this reduces to the
-    familiar three-matrix action (F v)^i = F_{ij} v^j.
-    """
-    return F @ (ETA_DIAG * v)
 
 
 def boost_vector(L, v):

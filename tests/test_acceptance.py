@@ -119,7 +119,7 @@ def test_criterion_5_dynamics_sanity():
                     spin_dir=(0.0, 0.0, 1.0))
     vec = z0.vec.copy()
     vec[8:16] = 0.0
-    z0 = PhaseState(vec=vec, spinless=True)
+    z0 = PhaseState(vec=vec)
     traj = integrate(model, z0, ref["period"], 1e-3, record_every=100)
     ch = traj.channels()
     r = np.hypot(ch["x1"], ch["x2"])

@@ -229,7 +229,7 @@ def test_spinless_states_reduce_to_canonical():
                     spin_dir=(0, 0, 1))
     vec = z0.vec.copy()
     vec[8:16] = 0.0
-    z = PhaseState(vec=vec, spinless=True)
+    z = PhaseState(vec=vec)
     fd = field_data(model, z.x)
     C = closed_brackets(z, model)
     xx, xP, PP = (C[CLOSED_FAMILIES[fam]] for fam in ("xx", "xP", "PP"))
@@ -247,8 +247,8 @@ def _flow_deviation(kind, spinless=False):
     model = build_model(kind, g=2.3)
     states = state_batch(model, 4, seed=23)
     if spinless:
-        states = [PhaseState(vec=np.concatenate([z.vec[:8], np.zeros(8)]),
-                             spinless=True) for z in states]
+        states = [PhaseState(vec=np.concatenate([z.vec[:8], np.zeros(8)]))
+                  for z in states]
     worst = 0.0
     for z in states:
         core = dirac_core(z, model)

@@ -73,9 +73,9 @@ def test_nan_t3t4_does_not_pass_the_floor(monkeypatch):
     rows = brackets._rows
 
     def nan_t3(*args):
-        P, R = rows(*args)
+        P, T, R = rows(*args)
         R[1] = np.nan
-        return P, R
+        return P, T, R
 
     monkeypatch.setattr(brackets, "_rows", nan_t3)
     for call in calls:
@@ -113,7 +113,7 @@ def test_spinless_cyclotron_closure():
                     spin_dir=(0, 0, 1))
     vec = z0.vec.copy()
     vec[8:16] = 0.0
-    z0 = PhaseState(vec=vec, spinless=True)
+    z0 = PhaseState(vec=vec)
     traj = integrate(model, z0, ref["period"], 5e-3, record_every=50)
     ch = traj.channels()
     r = np.hypot(ch["x1"], ch["x2"])
@@ -338,7 +338,8 @@ def test_rhs_evaluates_the_fields_once(kind, spinless, monkeypatch):
 
     for mod in (phase, minkowski):
         monkeypatch.setattr(mod, "lower2", lower2)
-    dirac_rhs(z.vec, model, spinless)
+    assert z.spinless == spinless
+    dirac_rhs(z.vec, model)
     assert calls == {"field_data": 1, "at": 1, "lower2": 0}
 
 
@@ -362,11 +363,13 @@ def test_rhs_matches_the_reference_rows_and_flow(kind):
 
 def test_run_reports_its_work(monkeypatch):
     """Trajectory.stats counts the right-hand sides, the Gauss-Newton
-    steps of every projection and the largest residual met before one."""
+    steps of every projection and the largest residual met before one.
+    Each iterate of a projection, the returned one included, reads one
+    constraint_gradients call."""
     model = build_model("crossed")
     z0 = init_state(model, x3=(0.5, -0.2, 0.1), P3=(0.4, 0.1, -0.3),
                     spin_dir=(0.2, 0.9, -0.1))
-    seen = {"steps": 0, "before": 0.0}
+    seen = {"iterates": 0, "before": 0.0}
     project, gradients = dynamics.project_state, dynamics.constraint_gradients
 
     def projected(z, model, **kw):
@@ -375,7 +378,7 @@ def test_run_reports_its_work(monkeypatch):
         return project(z, model, **kw)
 
     def counted(*args):
-        seen["steps"] += 1
+        seen["iterates"] += 1
         return gradients(*args)
 
     monkeypatch.setattr(dynamics, "project_state", projected)
@@ -384,7 +387,8 @@ def test_run_reports_its_work(monkeypatch):
     stats = traj.stats
     assert stats["n_steps"] == 11 and stats["rhs_evals"] == 4 * 11
     assert stats["projections"] == 5
-    assert stats["projection_steps"] == seen["steps"] > 0
+    assert stats["projection_steps"] + stats["projections"] == seen["iterates"]
+    assert stats["projection_steps"] > 0
     assert stats["max_residual_before_projection"] == seen["before"] > 0.0
 
     rhs, calls = dynamics.dirac_rhs, []
@@ -393,14 +397,74 @@ def test_run_reports_its_work(monkeypatch):
     assert traj.stats["rhs_evals"] == len(calls) > 0
 
 
-def test_spinless_rhs_is_the_canonical_flow():
-    """Spinless: zdot = J grad H with x^0 slaved and p^0 frozen, equal to
-    the block-by-block canonical structure of tests/oracles.py."""
-    model = build_model("crossed", alpha=0.0)
-    z = init_state(model, x3=(0.5, -0.2, 0.1), P3=(0.4, 0.1, -0.3))
-    want = symplectic_apply(obs_hamiltonian().grad(z, model))
+@pytest.mark.parametrize("kind", ["coulomb", "crossed"])
+def test_projection_reads_one_kernel_call_per_iterate(kind, monkeypatch):
+    """project_state evaluates the fields once per call and reads the
+    values and gradients of each iterate, the returned one included,
+    from one call of the kernel."""
+    model = build_model(kind)
+    z = state_batch(model, 1, seed=7)[0]
+    vec = z.vec.copy()
+    vec[8:16] *= 1.0 + 1e-3 * np.arange(1, 9)
+    calls = {"field_data": 0, "_rows": 0}
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(dynamics, "field_data", counting("field_data", dynamics.field_data))
+    monkeypatch.setattr(phase, "_rows", counting("_rows", phase._rows))
+    stats = {"projection_steps": 0, "max_residual_before_projection": 0.0}
+    project_state(PhaseState(vec=vec), model, stats=stats)
+    assert stats["projection_steps"] > 0
+    assert calls == {"field_data": 1, "_rows": stats["projection_steps"] + 1}
+
+
+def _canonical_rhs(vec, model):
+    """J grad H with x^0 slaved and p^0 frozen, J applied block by block."""
+    want = symplectic_apply(obs_hamiltonian().grad(PhaseState(vec=vec), model))
     want[0], want[4] = model.c, 0.0
-    assert np.array_equal(dirac_rhs(z.vec, model, spinless=True), want)
+    return want
+
+
+def test_spinless_rhs_is_the_canonical_flow():
+    """At omega = pi = 0 the Dirac flow is zdot = J grad H with x^0
+    slaved and p^0 frozen, equal to the block-by-block canonical
+    structure of tests/oracles.py, in every background."""
+    for kind in sorted(BACKGROUND_PARAMS):
+        model = build_model(kind, alpha=0.0)
+        z = init_state(model, x3=(0.5, -0.2, 0.1), P3=(0.4, 0.1, -0.3))
+        assert z.spinless
+        assert np.array_equal(dirac_rhs(z.vec, model),
+                              _canonical_rhs(z.vec, model)), kind
+
+
+@pytest.mark.parametrize("kind", ["coulomb", "uniform-B"])
+def test_spinless_trajectory_is_the_canonical_flow(kind):
+    """A recorded spinless run is rk4 of the canonical flow, byte for
+    byte: a spinless state is never projected, and it reads zero in
+    every spin and constraint channel."""
+    model = build_model(kind, alpha=0.75)
+    z0 = init_state(model, x3=(1.6, -0.8, 1.1), P3=(0.4, 0.3, -0.2))
+    z0 = PhaseState(vec=np.concatenate([z0.vec[:8], np.zeros(8)]))
+    traj = integrate(model, z0, 1.0, 0.01, record_every=10)
+    y, Z = z0.vec.copy(), [z0.vec.copy()]
+    for k in range(1, 101):
+        y = dynamics._rk4_step(lambda v: _canonical_rhs(v, model), y, 0.01)
+        if k % 10 == 0:
+            Z.append(y.copy())
+    assert np.array_equal(traj.Z, Z)
+    assert traj.stats["projections"] == 12 and traj.stats["projection_steps"] == 0
+    ch = traj.channels()
+    for name in ("S1", "S2", "S3", "D1", "D2", "D3", "T2", "T3", "T4", "T5", "spin2"):
+        assert not ch[name].any(), name
+    for k in range(len(traj.t)):
+        zk = traj.state(k)
+        assert np.array_equal([ch[f"P{mu}"][k] for mu in range(4)],
+                              phase.kinetic_momentum(zk, model))
+        assert ch["H"][k] == obs_hamiltonian()(zk, model)
 
 
 def test_channels_match_the_per_state_readouts(monkeypatch):

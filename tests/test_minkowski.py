@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 from relspin.minkowski import (ETA, ETA_DIAG, boost_matrix, contract_2,
                                extract_EB, field_tensor_from_EB, lower, mdot)
 
-from oracles import (antisymmetrize, boost_tensor, boost_vector,
-                     is_antisymmetric, tensor_vector)
+from oracles import antisymmetrize, boost_tensor, boost_vector, is_antisymmetric
 
 finite = st.floats(-10.0, 10.0, allow_nan=False)
 vec4 = st.tuples(finite, finite, finite, finite).map(np.array)
@@ -98,10 +97,3 @@ def test_boost_tensor_consistency():
     assert is_antisymmetric(FB)
     # the invariant F.F survives any boost
     assert np.isclose(contract_2(F, F), contract_2(FB, FB))
-
-
-@given(vec4, vec3, vec3)
-def test_tensor_vector_matches_einsum(v, E, B):
-    F = field_tensor_from_EB(E, B)
-    # tensor_vector computes F^{mu nu} v_nu
-    assert np.allclose(tensor_vector(F, v), F @ (ETA_DIAG * v))

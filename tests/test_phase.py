@@ -3,22 +3,27 @@ their exact gradients.  Gradients are pinned two independent ways, by
 central finite differences and by the forward-mode dual-number route,
 because every bracket downstream is assembled from them."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relspin.fields import make_background
+from relspin.dynamics import project_state
 from relspin.phase import (Model, PhaseState, _rows, constraint_residuals,
+                           constraint_values,
                            dipole_vector, field_data, init_state,
                            kinetic_momentum, obs_coord, obs_energy,
                            obs_hamiltonian, obs_kinetic, obs_spin,
                            random_constrained_state, spin_square, spin_tensor,
                            spin_vector)
-from relspin.minkowski import ETA_DIAG, contract_2
+from relspin.minkowski import ETA_DIAG, contract_2, mdot
 
 import duals
 from conftest import BACKGROUND_PARAMS, build_model, state_batch
+import oracles
 from oracles import (obs_t2, obs_t3, obs_t4, obs_t5, p0_and_grad,
                      poisson_bracket, ssc_vector, t34_grads)
 
@@ -176,23 +181,65 @@ KERNEL_BACKGROUNDS = {**{kind: (kind, params) for kind, params in BACKGROUND_PAR
                                                               "B": (-0.4, 0.2, 0.55)})}
 
 
+def _kernel_model(name, spinless):
+    kind, params = KERNEL_BACKGROUNDS[name]
+    return Model(background=make_background(kind, e=1.0, c=10.0, **params),
+                 m=1.0, g=2.3, alpha=0.0 if spinless else 0.75)
+
+
 @pytest.mark.parametrize("spinless", [False, True], ids=["spin", "spinless"])
 @pytest.mark.parametrize("name", sorted(KERNEL_BACKGROUNDS))
 def test_rows_match_the_numpy_reference(name, spinless):
-    """_rows gives calP and grad (calP^0, T3, T4) of the numpy reference
-    to 1e-15 relative, row by row, on 20 random states."""
-    kind, params = KERNEL_BACKGROUNDS[name]
-    model = Model(background=make_background(kind, e=1.0, c=10.0, **params),
-                  m=1.0, g=2.3, alpha=0.0 if spinless else 0.75)
+    """_rows gives calP, (T2, T3, T4, T5) and grad (calP^0, T3, T4) of the
+    numpy reference to 1e-15 relative, row by row, on 20 random states,
+    on the surface and off it (omega and pi moved by noise); each value
+    is compared relative to the largest of its terms.  A spinless
+    state's values are zero."""
+    model = _kernel_model(name, spinless)
+    rng = np.random.default_rng(29)
     for z in state_batch(model, 20, seed=17):
         assert z.spinless == spinless
-        fd = field_data(model, z.x)
-        P, R = _rows(z, model, fd)
-        P_ref, g_ref = p0_and_grad(z, model, fd)
-        ref = np.vstack([g_ref, t34_grads(z, model, fd, P_ref, g_ref)])
-        assert np.max(np.abs(P - P_ref)) <= 1e-15 * np.max(np.abs(P_ref))
-        scale = np.max(np.abs(ref), axis=1, keepdims=True)
-        assert np.all(np.abs(R - ref) <= 1e-15 * scale), name
+        off = z.vec.copy()
+        if not spinless:
+            off[8:16] += 0.1 * rng.normal(size=8)
+        for zz in (z, PhaseState(vec=off)):
+            fd = field_data(model, zz.x)
+            P, T, R = _rows(zz, model, fd)
+            P_ref, g_ref = p0_and_grad(zz, model, fd)
+            ref = np.vstack([g_ref, t34_grads(zz, model, fd, P_ref, g_ref)])
+            assert np.max(np.abs(P - P_ref)) <= 1e-15 * np.max(np.abs(P_ref))
+            scale = np.max(np.abs(ref), axis=1, keepdims=True)
+            assert np.all(np.abs(R - ref) <= 1e-15 * scale), name
+            T_ref = oracles.values(zz, model, fd)[1]
+            if spinless:
+                assert not T.any() and not T_ref.any()
+                continue
+            w, q, P_low = zz.w, zz.pi, ETA_DIAG * P_ref
+            scale = [np.max(np.abs(w * q)), np.max(np.abs(P_low * w)),
+                     np.max(np.abs(P_low * q)),
+                     max(np.max(q * q), model.alpha / abs(mdot(w, w)))]
+            assert np.all(np.abs(T - T_ref) <= 1e-15 * np.array(scale)), name
+
+
+def _out_of_range_states():
+    """A state with omega^2 = 0 and one whose energy radicand is NaN with
+    finite components (inf - inf: calP_i calP_i and F S overflow)."""
+    null = PhaseState.from_parts(x=(0.0, 0.3, 0.2, -0.1), p=(0.0, 0.4, 0.1, 0.2),
+                                 w=(1.0, 1.0, 0.0, 0.0), pi=(0.0, 0.0, 1.0, 0.0))
+    nan = PhaseState.from_parts(x=(0.0, 0.3, 0.2, -0.1), p=(0.0, 1e155, 0.0, 0.0),
+                                w=(0.0, 1e155, 0.0, 0.0), pi=(0.0, 0.0, -1e155, 0.0))
+    return {"omega^2 = 0": null, "radicand nan": nan}
+
+
+@pytest.mark.parametrize("read", [kinetic_momentum, constraint_values, project_state],
+                         ids=["kinetic_momentum", "constraint_values", "project_state"])
+@pytest.mark.parametrize("case", sorted(_out_of_range_states()))
+def test_kernel_readers_refuse_out_of_range_states(read, case):
+    """Every reader of the kernel raises ValueError where T5 or calP^0 is
+    undefined, NaN included, rather than return a non-finite value."""
+    model = build_model("uniform-B")   # F^{12} = B^3 < 0 and S^{12} -> -inf
+    with pytest.raises(ValueError, match=re.escape(case)):
+        read(_out_of_range_states()[case], model)
 
 
 # ---------------------------------------------------------------------------
