@@ -7,11 +7,12 @@ is its Dirac bracket with H, so the raw equations of motion are
 
 with the second-class correction written once, in
 ``DiracCore.correct``, for the bracket oracle too.  Per call there is one
-field evaluation and one call of the float kernel ``phase._rows`` for
-grad (calP^0, T3, T4), to whose rows ``dirac_core`` applies the
-constant canonical matrix J at once.  J grad H is then c J grad calP^0
-with -e eta d_x A^0 added to the p block, so J is never applied to
-grad H itself.  The energy radicand check and the {T3,T4} floor of
+field evaluation, whose float tuples the float kernel ``phase._rows``
+reads for grad (calP^0, T3, T4), and ``dirac_core`` applies the
+constant canonical matrix J to those rows at once.  J grad H is then
+c J grad calP^0 with -e eta d_x A^0, read from the same tuples, added to
+the p block, so J is never applied to grad H itself and no field array
+is built.  The energy radicand check and the {T3,T4} floor of
 ``dirac_core`` make it raise ValueError where the state is out of range
 or the pair is not invertible, NaN included.  x^0 is slaved to the
 evolution parameter (dx^0/dt = c) and p^0 a spectator equal to H/c,
@@ -30,7 +31,9 @@ ValueError, raises RuntimeError when it cannot reach its tolerance, and
 
 ``Trajectory.stats`` reports what a run did, apart from its results:
 the right-hand-side evaluations, the projections and their Gauss-Newton
-steps, and the largest constraint residual met before a projection.
+steps, the largest constraint residual met before a projection, and the
+wall time (time.perf_counter spans) of the stepping, ``stepping_s``,
+and of the first ``channels()`` call, ``channels_s``.
 
 A spinless state is omega = pi = 0 of the same flow: there
 {T3,T4} = calP.calP = -(m c)^2 and {T3,H} = {T4,H} = 0, so the flow
@@ -39,12 +42,12 @@ is J grad H, the plain Lorentz force; it carries no constraints.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .brackets import dirac_core
-from .minkowski import ETA_DIAG
 from .phase import (CONSTRAINT_NAMES, PhaseState, constraint_gradients,
                     constraint_values, field_data, spin_readouts, spin_tensor)
 
@@ -57,7 +60,9 @@ def dirac_rhs(vec, model):
     core = dirac_core(PhaseState(vec=np.asarray(vec, dtype=float)), model)
     # J grad H: c J grad calP^0, and e A^0 acts on the p block only
     jh = model.c * core.JR[0]
-    jh[4:8] -= model.e * (ETA_DIAG * core.fd.dA[0])
+    e = model.e
+    d0, d1, d2, d3 = core.fd.floats[1][0]   # d_nu A^0
+    jh[4:8] -= (-e * d0, e * d1, e * d2, e * d3)
     zdot = core.correct(jh)
     zdot[0] = model.c
     zdot[4] = 0.0
@@ -161,12 +166,13 @@ class Trajectory:
         """Named scalar time series for output and diagnostics (cached).
 
         Each recorded state gets one field evaluation, which calP, the
-        constraint values and H share, and a spin state one spin tensor
-        for the spin read-outs; a spinless state reads zero in every
-        spin and constraint channel.
+        constraint values and H (A^0 read from its float tuples) share,
+        and a spin state one spin tensor for the spin read-outs; a
+        spinless state reads zero in every spin and constraint channel.
         """
         if getattr(self, "_channels", None) is not None:
             return self._channels
+        start = time.perf_counter()
         n = len(self.t)
         out = {"t": self.t}
         Z = self.Z
@@ -182,7 +188,7 @@ class Trajectory:
             z = PhaseState(vec=Z[k])
             fd = field_data(self.model, z.x)
             P[k], T[k] = constraint_values(z, self.model, fd)
-            H[k] = self.model.c * P[k, 0] + self.model.e * fd.A[0]
+            H[k] = self.model.c * P[k, 0] + self.model.e * fd.floats[0][0]
             if not z.spinless:
                 S3[k], D3[k], ss = spin_readouts(spin_tensor(z))
                 spin2[k] = ss - 8.0 * self.model.alpha
@@ -196,6 +202,7 @@ class Trajectory:
         out.update(zip(CONSTRAINT_NAMES, T.T))
         out["spin2"] = spin2
         self._channels = out
+        self.stats["channels_s"] = time.perf_counter() - start
         return out
 
     def energy_drift(self):
@@ -221,6 +228,7 @@ def integrate(model, z0, t_final, dt, t0=0.0, record_every=1,
     takes floor((t_final - t0)/dt) steps of dt and one shorter last
     step, which is always recorded.
     """
+    start = time.perf_counter()
     ratio = (t_final - t0) / dt
     n_full = int(round(ratio))
     short = abs(ratio - n_full) > 1e-9 * max(1.0, abs(ratio))
@@ -272,6 +280,7 @@ def integrate(model, z0, t_final, dt, t0=0.0, record_every=1,
     else:
         raise ValueError(f"unknown method {method!r}")
 
+    stats["stepping_s"] = time.perf_counter() - start
     return Trajectory(t=np.array(ts), Z=np.array(zs), model=model, stats=stats)
 
 

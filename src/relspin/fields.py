@@ -1,24 +1,25 @@
 """Stationary electromagnetic backgrounds with exact analytic derivatives.
 
-A background supplies one evaluator at a spacetime point x (only the
-spatial part matters, the fields are time independent):
+A background supplies one evaluator at a spacetime point x, a (4,)
+array (only the spatial part matters, the fields are time independent):
 
     at(x) -> (A, dA, F, dF)
 
     A   (4,)       potential A^mu
-    dA  (4, 4)     dA[mu, nu] = d A^mu / d x^nu
+    dA  (4, 4)     dA[mu][nu] = d A^mu / d x^nu
     F   (4, 4)     upper-index field tensor F^{mu nu}
-    dF  (4, 4, 4)  dF[lam, mu, nu] = d F^{mu nu} / d x^lam
+    dF  (4, 4, 4)  dF[lam][mu][nu] = d F^{mu nu} / d x^lam
 
-so a point's geometry (the coulomb radius and its r_min check) is
-computed once for all four; A, dA, F and dF are views of it.  The
-uniform kinds return their constant dA, F and dF arrays, which callers
-must not modify.  Stationarity means dA[:, 0] == 0 and dF[0] == 0
-identically.  F is antisymmetric, and so is dF in its last two indices;
-the constraint rows of ``phase._rows`` read only the components above
-the diagonal.  Lowered copies of F and dF are made by
-``phase.FieldsAt`` only when a reader asks for them.  The electric field
-of a static potential is
+as nested tuples of Python floats, the form the float kernel
+``phase._rows`` reads; a point's geometry (the coulomb radius and its
+r_min check) is computed once for all four.  The uniform kinds return
+constant dA, F and dF tuples made once at construction, and tuples
+cannot be modified by a caller.  Arrays are built only on demand: by
+``FieldBackground.A/dA/F/dF`` and by ``phase.FieldsAt``, which also
+lowers F and dF when a reader asks.  Stationarity means dA[:, 0] == 0
+and dF[0] == 0 identically.  F is antisymmetric, and so is dF in its
+last two indices; the kernel reads only the components above the
+diagonal.  The electric field of a static potential is
 E_i = d_i A_0 = -d_i A^0.  Exact derivatives are part of the contract:
 bracket and force evaluations chain-rule through these, finite
 differences are used only as test oracles.
@@ -30,6 +31,7 @@ single object fixes the minimal coupling (e/c) A.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -39,11 +41,9 @@ from .minkowski import EPS3, field_tensor_from_EB
 
 KINDS = ("zero", "uniform-E", "uniform-B", "crossed", "coulomb")
 
-_Z4 = np.zeros(4)
-_Z44 = np.zeros((4, 4))
-_Z444 = np.zeros((4, 4, 4))
-_EYE3 = np.eye(3)
-_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
+_Z4 = (0.0, 0.0, 0.0, 0.0)
+_Z44 = (_Z4,) * 4
+_Z444 = (_Z44,) * 4
 
 
 @dataclass(frozen=True)
@@ -53,65 +53,67 @@ class FieldBackground:
     c: float
     params: dict
     gauge: str
-    at: Callable = field(repr=False)   # x -> (A, dA, F, dF)
+    at: Callable = field(repr=False)   # x -> (A, dA, F, dF), nested float tuples
 
     def A(self, x):
-        return self.at(x)[0]
+        return np.array(self.at(x)[0])
 
     def dA(self, x):
-        return self.at(x)[1]
+        return np.array(self.at(x)[1])
 
     def F(self, x):
-        return self.at(x)[2]
+        return np.array(self.at(x)[2])
 
     def dF(self, x):
-        return self.at(x)[3]
+        return np.array(self.at(x)[3])
 
 
 def _uniform_at(E3, B3):
     """Linear potentials for constant E and B (symmetric gauge for B)."""
     E3 = np.asarray(E3, dtype=float)
     B3 = np.asarray(B3, dtype=float)
-    F_const = field_tensor_from_EB(E3, B3)
     # A^0 = -E.x so that E_i = -d_i A^0; A^i = (1/2)(B x r)^i
-    dA_const = np.zeros((4, 4))
-    dA_const[0, 1:] = -E3
-    dA_const[1:, 1:] = 0.5 * np.einsum("ikj,k->ij", EPS3, B3)
-    # B x r written out: the same products and differences as np.cross
-    B_l, B_r = B3[_NEXT], B3[_PREV]
+    dA = np.zeros((4, 4))
+    dA[0, 1:] = -E3
+    dA[1:, 1:] = 0.5 * np.einsum("ikj,k->ij", EPS3, B3)
+    dA, F = (tuple(map(tuple, t.tolist())) for t in (dA, field_tensor_from_EB(E3, B3)))
+    b1, b2, b3 = B3.tolist()
 
     def at(x):
-        r = x[1:]
-        A = np.empty(4)
-        A[0] = -float(E3 @ r)
-        A[1:] = 0.5 * (B_l * r[_PREV] - B_r * r[_NEXT])
-        return A, dA_const, F_const, _Z444
+        _, x1, x2, x3 = x.tolist()
+        # E.x through numpy's dot, whose BLAS kernel fuses multiply-adds;
+        # a float sum would differ from it in the last bit
+        return ((-float(E3 @ x[1:]), 0.5 * (b2 * x3 - b3 * x2),
+                 0.5 * (b3 * x1 - b1 * x3), 0.5 * (b1 * x2 - b2 * x1)), dA, F, _Z444)
 
     return at
 
 
+def _electric(v1, v2, v3):
+    """F^{mu nu} of a pure electric field v: v in row 0, -v in column 0."""
+    return ((0.0, v1, v2, v3), (-v1, 0.0, 0.0, 0.0), (-v2, 0.0, 0.0, 0.0),
+            (-v3, 0.0, 0.0, 0.0))
+
+
 def _coulomb_at(q, r_min):
     def at(x):
-        r3 = x[1:]
-        r = float(np.sqrt(r3 @ r3))
-        if r < r_min:
+        _, x1, x2, x3 = x.tolist()
+        rr = x1 * x1 + x2 * x2 + x3 * x3
+        r = math.sqrt(rr)
+        if not r >= r_min:   # NaN fails this test too
             raise ValueError(
                 f"coulomb background evaluated at r={r:.3e} < r_min={r_min:.3e}"
             )
-        A = np.zeros(4)
-        A[0] = q / r
-        E = q * r3 / r**3
-        dA = np.zeros((4, 4))
-        dA[0, 1:] = -E
-        F = np.zeros((4, 4))
-        F[0, 1:] = E
-        F[1:, 0] = -E
+        r3, r5 = r**3, r**5
+        E1, E2, E3 = q * x1 / r3, q * x2 / r3, q * x3 / r3
         # d_l E_i = q (delta_li r^2 - 3 x_l x_i) / r^5
-        dE = q * (_EYE3 * r**2 - 3.0 * np.multiply.outer(r3, r3)) / r**5
-        dF = np.zeros((4, 4, 4))
-        dF[1:, 0, 1:] = dE
-        dF[1:, 1:, 0] = -dE
-        return A, dA, F, dF
+        d11, d22, d33 = (q * (rr - 3.0 * (x1 * x1)) / r5, q * (rr - 3.0 * (x2 * x2)) / r5,
+                         q * (rr - 3.0 * (x3 * x3)) / r5)
+        d12, d13, d23 = (q * (-3.0 * (x1 * x2)) / r5, q * (-3.0 * (x1 * x3)) / r5,
+                         q * (-3.0 * (x2 * x3)) / r5)
+        return ((q / r, 0.0, 0.0, 0.0), ((0.0, -E1, -E2, -E3), _Z4, _Z4, _Z4),
+                _electric(E1, E2, E3), (_Z44, _electric(d11, d12, d13),
+                                        _electric(d12, d22, d23), _electric(d13, d23, d33)))
 
     return at
 

@@ -32,16 +32,18 @@ rows grad (calP^0, T3, T4), in float arithmetic on the 16 components
 (at one state cheaper than numpy's per-call overhead).  Every reader of
 calP or a constraint reads it; the energy radicand and its check live in
 _energy alone.  A state is its 16 numbers, spinless when omega = pi = 0.
-FieldsAt holds A, dA, F and dF and lowers F and dF only when a reader
-outside the kernel asks.  The canonical structure is the constant matrix
-J: {z, B} = J grad B (grad B @ J.T, also for an (n, 16) stack) and
-{A, B} = grad A . J grad B.
+FieldsAt holds the float tuples that the background's at(x) returns,
+which the kernel reads; the arrays A, dA, F and dF, and the lowered F
+and dF, are built only when a reader outside the kernel asks.  The
+canonical structure is the constant matrix J: {z, B} = J grad B
+(grad B @ J.T, also for an (n, 16) stack) and {A, B} = grad A . J grad B.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -124,31 +126,29 @@ def free_model(m=1.0, g=2.0, c=10.0, e=1.0, hbar=1.0, alpha=None):
 
 
 class FieldsAt:
-    """Background tensors evaluated once at a point.  The lowered F_{mu nu}
-    and d_lam F_{mu nu} are computed on first read: the kernel _rows, so
-    every right-hand side and projection, reads only A, dA, F and dF."""
+    """Background fields evaluated once at a point.  floats is what the
+    background's at(x) returned, the nested float tuples (A, dA, F, dF)
+    that the kernel _rows reads, so a right-hand side or a projection
+    builds no field array.  The arrays A, dA, F and dF and the lowered
+    F_{mu nu} and d_lam F_{mu nu} are computed on first read."""
 
-    __slots__ = ("A", "dA", "F", "dF", "_F_low", "_dF_low")
+    def __init__(self, floats):
+        self.floats = floats
 
-    def __init__(self, A, dA, F, dF):
-        self.A, self.dA, self.F, self.dF = A, dA, F, dF
-        self._F_low = self._dF_low = None
+    A, dA, F, dF = (cached_property(lambda self, k=k: np.array(self.floats[k]))
+                    for k in range(4))
 
-    @property
+    @cached_property
     def F_low(self):
-        if self._F_low is None:
-            self._F_low = lower2(self.F)
-        return self._F_low
+        return lower2(self.F)
 
-    @property
+    @cached_property
     def dF_low(self):
-        if self._dF_low is None:
-            self._dF_low = ETA_DIAG[None, :, None] * self.dF * ETA_DIAG[None, None, :]
-        return self._dF_low
+        return ETA_DIAG[None, :, None] * self.dF * ETA_DIAG[None, None, :]
 
 
 def field_data(model, x4):
-    return FieldsAt(*model.background.at(x4))
+    return FieldsAt(model.background.at(x4))
 
 
 # ---------------------------------------------------------------------------
@@ -238,11 +238,12 @@ def _rows(z, model, fd):
     values are zero; at any other omega^2 = 0, T5 is undefined and
     ValueError is raised.  Written on the components in float
     arithmetic: at one state numpy's per-call cost outweighs the
-    arithmetic of four-vectors, so the inputs are read once with
-    tolist(), the eta signs are written into the expressions, and the
-    outputs become arrays at the end.  F and dF
-    are antisymmetric in their last two indices, so only the components
-    above the diagonal are read.  grad calP^0 = grad W / (2 calP^0),
+    arithmetic of four-vectors, so the state is read once with
+    tolist(), the fields as the float tuples of fd.floats, the eta
+    signs are written into the expressions, and the outputs become
+    arrays at the end.  F and dF are antisymmetric in their last two
+    indices, so only the components above the diagonal are read.
+    grad calP^0 = grad W / (2 calP^0),
     W = calP^0 ** 2 the energy radicand; grad T_v = -v^0 grad calP^0 plus
     the explicit dependence of calP^i v^i - calP^0 v^0 on x, p and v.
     """
@@ -250,7 +251,7 @@ def _rows(z, model, fd):
     k = e / c
     h = e * model.g / c          # W holds -(h / 4) F_{mu nu} S^{mu nu}
     p1, p2, p3, w0, w1, w2, w3, q0, q1, q2, q3 = z.vec[5:].tolist()
-    A, dA, F, dF = fd.A.tolist(), fd.dA.tolist(), fd.F.tolist(), fd.dF.tolist()
+    A, dA, F, dF = fd.floats
     P1, P2, P3 = p1 - k * A[1], p2 - k * A[2], p3 - k * A[3]
     # S^{mu nu} = 2 (omega^mu pi^nu - omega^nu pi^mu) above the diagonal
     s01, s02, s03 = (2.0 * (w0 * q1 - w1 * q0), 2.0 * (w0 * q2 - w2 * q0),
@@ -319,13 +320,16 @@ def constraint_values(z, model, fd=None):
 
 def constraint_gradients(z, model, fd=None):
     """The values (T2, T3, T4, T5) and their (4, 16) gradient rows at z,
-    from one field evaluation and one kernel call."""
+    from one field evaluation and one kernel call; at a spinless state
+    the T5 row reads zero, like its value."""
     _, T, R = _rows(z, model, fd or field_data(model, z.x))
     G = np.zeros((4, 16))
     G[0, 8:12] = ETA_DIAG * z.pi
     G[0, 12:16] = ETA_DIAG * z.w
     G[1:3] = R[1:]
-    G[3, 8:12] = 2.0 * model.alpha * (ETA_DIAG * z.w) / mdot(z.w, z.w)**2
+    ww = mdot(z.w, z.w)
+    if ww != 0.0:   # ww = 0 only when spinless: at any other state _rows raised
+        G[3, 8:12] = 2.0 * model.alpha * (ETA_DIAG * z.w) / ww**2
     G[3, 12:16] = 2.0 * ETA_DIAG * z.pi
     return T, G
 

@@ -12,6 +12,9 @@ layer and the field layer.
   two gradients written out (``pair_gradients``), and ``flow`` applying
   them to grad B, grad T3 and grad T4 separately.  ``DiracCore.flow``
   applies the constant matrix J once; the tests pin it to this form.
+* ``uniform_at`` and ``coulomb_at``, the field evaluators written with
+  numpy arrays; the backgrounds' ``at`` writes them in float arithmetic
+  and returns nested tuples, and the tests pin it to this form.
 * ``with_gauge_shift``, a background with A^i -> A^i + d_i chi, for the
   gauge-invariance tests.
 * Four-vector and tensor helpers, canonical brackets of observables and
@@ -24,7 +27,7 @@ import dataclasses
 
 import numpy as np
 
-from relspin.minkowski import ETA_DIAG, mdot
+from relspin.minkowski import EPS3, ETA_DIAG, field_tensor_from_EB, mdot
 from relspin.phase import (CONSTRAINT_NAMES, J, Observable, _energy,
                            constraint_gradients, constraint_values,
                            kinetic_momentum, spin_tensor)
@@ -115,6 +118,59 @@ def flow(g_t3, g_t4, G):
     return out
 
 
+_EYE3 = np.eye(3)
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
+
+
+def uniform_at(E3, B3):
+    """(A, dA, F, dF) arrays for constant E and B: A^0 = -E.x and the
+    symmetric gauge A^i = (1/2)(B x r)^i."""
+    E3 = np.asarray(E3, dtype=float)
+    B3 = np.asarray(B3, dtype=float)
+    F_const = field_tensor_from_EB(E3, B3)
+    dA_const = np.zeros((4, 4))
+    dA_const[0, 1:] = -E3
+    dA_const[1:, 1:] = 0.5 * np.einsum("ikj,k->ij", EPS3, B3)
+    # B x r written out: the same products and differences as np.cross
+    B_l, B_r = B3[_NEXT], B3[_PREV]
+
+    def at(x):
+        r = x[1:]
+        A = np.empty(4)
+        A[0] = -float(E3 @ r)
+        A[1:] = 0.5 * (B_l * r[_PREV] - B_r * r[_NEXT])
+        return A, dA_const, F_const, np.zeros((4, 4, 4))
+
+    return at
+
+
+def coulomb_at(q, r_min):
+    """(A, dA, F, dF) arrays of the potential A^0 = q/r, refusing r < r_min."""
+    def at(x):
+        r3 = x[1:]
+        r = float(np.sqrt(r3 @ r3))
+        if r < r_min:
+            raise ValueError(
+                f"coulomb background evaluated at r={r:.3e} < r_min={r_min:.3e}"
+            )
+        A = np.zeros(4)
+        A[0] = q / r
+        E = q * r3 / r**3
+        dA = np.zeros((4, 4))
+        dA[0, 1:] = -E
+        F = np.zeros((4, 4))
+        F[0, 1:] = E
+        F[1:, 0] = -E
+        # d_l E_i = q (delta_li r^2 - 3 x_l x_i) / r^5
+        dE = q * (_EYE3 * r**2 - 3.0 * np.multiply.outer(r3, r3)) / r**5
+        dF = np.zeros((4, 4, 4))
+        dF[1:, 0, 1:] = dE
+        dF[1:, 1:, 0] = -dE
+        return A, dA, F, dF
+
+    return at
+
+
 def with_gauge_shift(bg, dchi, d2chi):
     """Wrap a background with A^i -> A^i + d_i chi for a static chi(r).
 
@@ -126,11 +182,11 @@ def with_gauge_shift(bg, dchi, d2chi):
 
     def at(x):
         A, dA, F, dF = bg.at(x)
-        A = A.copy()
+        A = np.array(A)
         A[1:] += dchi(x)
-        dA = dA.copy()
+        dA = np.array(dA)
         dA[1:, 1:] += d2chi(x)
-        return A, dA, F, dF
+        return tuple(A.tolist()), tuple(map(tuple, dA.tolist())), F, dF
 
     return dataclasses.replace(bg, params=dict(bg.params),
                                gauge=bg.gauge + " + static gauge shift", at=at)

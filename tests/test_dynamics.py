@@ -398,6 +398,38 @@ def test_run_reports_its_work(monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["coulomb", "crossed"])
+def test_run_evaluates_the_fields_once_per_rhs_projection_and_record(kind):
+    """An rk4 run calls the background's evaluator once per right-hand
+    side and once per projection, and channels() once per recorded state."""
+    model = build_model(kind)
+    z0 = state_batch(model, 1, seed=5)[0]
+    calls, bg_at = [], model.background.at
+
+    def at(x):
+        calls.append(1)
+        return bg_at(x)
+
+    model = dataclasses.replace(model, background=dataclasses.replace(model.background, at=at))
+    traj = integrate(model, z0, 1.05, 0.1, record_every=2)
+    assert len(calls) == traj.stats["rhs_evals"] + traj.stats["projections"] > 0
+    calls.clear()
+    traj.channels()
+    assert len(calls) == len(traj.t)
+
+
+def test_run_times_stepping_and_channels():
+    """stats holds the wall time of the stepping, set by integrate, and of
+    the channels, set by the first channels() call; a cached read keeps it."""
+    model = build_model("crossed")
+    traj = integrate(model, state_batch(model, 1, seed=5)[0], 0.5, 0.1)
+    assert traj.stats["stepping_s"] > 0.0 and "channels_s" not in traj.stats
+    traj.channels()
+    first = traj.stats["channels_s"]
+    traj.channels()
+    assert traj.stats["channels_s"] == first > 0.0
+
+
+@pytest.mark.parametrize("kind", ["coulomb", "crossed"])
 def test_projection_reads_one_kernel_call_per_iterate(kind, monkeypatch):
     """project_state evaluates the fields once per call and reads the
     values and gradients of each iterate, the returned one included,

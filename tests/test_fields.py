@@ -8,6 +8,7 @@ import pytest
 from relspin.fields import KINDS, make_background
 from relspin.minkowski import extract_EB
 
+import oracles
 from oracles import is_antisymmetric, with_gauge_shift
 
 PARAMS = {
@@ -141,5 +142,49 @@ def test_backgrounds_alive_at_once_keep_their_own_fields():
             second = bg_b.at(x)
             for t_a, t_keep, t_b in zip(first, kept, second):
                 assert np.array_equal(t_a, t_keep)
-                assert np.allclose(t_b, -2.5 * t_a, rtol=1e-14, atol=1e-15)
+                assert np.allclose(t_b, -2.5 * np.asarray(t_a), rtol=1e-14, atol=1e-15)
             assert np.array_equal(bg_a.at(x)[2], kept[2])
+
+
+def _reference_at(kind):
+    """The numpy evaluator of tests/oracles.py for a PARAMS background."""
+    if kind == "coulomb":
+        return oracles.coulomb_at(PARAMS[kind]["q"], 1e-6)
+    return oracles.uniform_at(PARAMS[kind].get("E", (0, 0, 0)), PARAMS[kind].get("B", (0, 0, 0)))
+
+
+def _leaves(t):
+    """The entries of nested tuples; anything else is a leaf."""
+    return [v for u in t for v in _leaves(u)] if isinstance(t, tuple) else [t]
+
+
+# r from a float sum and r from numpy's fused BLAS sum differ by up to one
+# ulp, which moves r^-5 by up to five
+COULOMB_RTOL = 2e-15
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_evaluator_matches_the_numpy_reference(kind):
+    """at(x) gives nested float tuples equal to the numpy evaluator: the
+    uniform kinds exactly, coulomb to COULOMB_RTOL of each tensor's
+    largest entry; FieldBackground.A/dA/F/dF give the same as ndarrays."""
+    bg = make_background(kind, e=1.0, c=10.0, **PARAMS[kind])
+    ref = _reference_at(kind)
+    rng = np.random.default_rng(17)
+    for x in POINTS + list(rng.normal(scale=2.0, size=(200, 4))):
+        got = bg.at(x)
+        for t, shape in zip(got, ((4,), (4, 4), (4, 4), (4, 4, 4))):
+            assert np.shape(t) == shape
+            assert all(type(v) is float for v in _leaves(t))
+        for t, want, arr in zip(got, ref(x), (bg.A(x), bg.dA(x), bg.F(x), bg.dF(x))):
+            assert type(arr) is np.ndarray and np.array_equal(arr, t)
+            if kind == "coulomb":
+                assert np.max(np.abs(np.subtract(t, want))) <= COULOMB_RTOL * np.max(np.abs(want))
+            else:
+                assert np.array_equal(t, want)
+
+
+def test_coulomb_refuses_a_nan_position():
+    bg = make_background("coulomb", q=1.0)
+    with pytest.raises(ValueError, match="r=nan"):
+        bg.at(np.array([0.0, np.nan, 0.0, 0.0]))

@@ -4,6 +4,7 @@ central finite differences and by the forward-mode dual-number route,
 because every bracket downstream is assembled from them."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -12,8 +13,8 @@ from hypothesis import strategies as st
 
 from relspin.fields import make_background
 from relspin.dynamics import project_state
-from relspin.phase import (Model, PhaseState, _rows, constraint_residuals,
-                           constraint_values,
+from relspin.phase import (Model, PhaseState, _rows, constraint_gradients,
+                           constraint_residuals, constraint_values,
                            dipole_vector, field_data, init_state,
                            kinetic_momentum, obs_coord, obs_energy,
                            obs_hamiltonian, obs_kinetic, obs_spin,
@@ -219,6 +220,20 @@ def test_rows_match_the_numpy_reference(name, spinless):
                      np.max(np.abs(P_low * q)),
                      max(np.max(q * q), model.alpha / abs(mdot(w, w)))]
             assert np.all(np.abs(T - T_ref) <= 1e-15 * np.array(scale)), name
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_BACKGROUNDS))
+def test_spinless_constraint_gradients_carry_no_t5_row(name):
+    """At a spinless state (omega = pi = 0) the T5 row reads zero like
+    its value, without a 0/0 (numpy warnings are errors here), and the
+    T3 and T4 rows are the kernel's."""
+    model = _kernel_model(name, spinless=True)
+    for z in state_batch(model, 5, seed=23):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            T, G = constraint_gradients(z, model)
+        assert not T.any() and not G[[0, 3]].any()
+        assert np.array_equal(G[1:3], _rows(z, model, field_data(model, z.x))[2][1:])
 
 
 def _out_of_range_states():
