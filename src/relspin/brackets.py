@@ -7,15 +7,17 @@ Two independent routes are implemented and pinned against each other:
 
       {A,B}_D = {A,B} + ( {A,T3}{T4,B} - {A,T4}{T3,B} ) / {T3,T4},
 
-  using nothing but the constraint definitions; it is the oracle.  The
-  correction lives in one place: ``dirac_core`` evaluates the fields
-  and the rows R = grad (calP^0, T3, T4) once per state (``phase._rows``),
-  applies the constant canonical matrix J to all three at once and
-  takes {T3,T4}; ``DiracCore.correct`` adds the second-class terms to
-  J grad B, and ``DiracCore.flow`` maps grad B to {z, B}_D as the
-  correction of grad B @ J.T, so that {A,B}_D = grad A . flow(grad B).
-  ``dynamics.dirac_rhs`` is the correction of J grad H, and the direct
-  table of n rows is one matrix G flow(G)^T per state;
+  using nothing but the constraint definitions; it is the oracle.
+  ``dirac_core`` evaluates the fields and the kernel ``phase._kernel``
+  once per state, for the rows R = grad (calP^0, T3, T4), applies J to
+  grad T3 and grad T4 as the signed permutation ``phase.symplectic``,
+  and takes {T3,T4} with its floor check in ``_t3t4``, which both forms
+  of the correction share.  ``DiracCore.flow``, the stacked form, maps
+  grad B, one gradient or an (n, 16) stack, to {z, B}_D, so that
+  {A,B}_D = grad A . flow(grad B) and the direct table of n rows is one
+  matrix G flow(G)^T per state; ``float_flow`` is the same correction of
+  one gradient on floats, which ``dynamics.dirac_rhs`` applies to
+  grad H without building a core;
 
 * the *closed-form* route evaluates the same tables from the
   coefficient blocks (a, u0, Delta, K, L, g_eff): ``closed_brackets``
@@ -43,12 +45,14 @@ do not.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
 from .minkowski import ETA_DIAG, contract_2
 from .phase import (J, field_data, kinetic_momentum, obs_coord, obs_energy,
-                    obs_hamiltonian, obs_kinetic, obs_spin, spin_tensor, _rows)
+                    obs_hamiltonian, obs_kinetic, obs_spin, spin_tensor,
+                    symplectic, _kernel, _rows)
 
 SPIN_INDEX_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _MU, _NU = (np.array(ix) for ix in zip(*SPIN_INDEX_PAIRS))
@@ -63,39 +67,55 @@ class DiracCore:
     fd: object
     P: np.ndarray
     R: np.ndarray    # rows grad calP^0, grad T3, grad T4
-    JR: np.ndarray   # J applied to each row of R
+    JR: np.ndarray   # J grad T3, J grad T4
     t34: float
-
-    def correct(self, JG):
-        """JG + ( {T4,B} J grad T3 - {T3,B} J grad T4 ) / {T3,T4}.
-
-        JG = J grad B is one (16,) vector or an (n, 16) stack of them;
-        {T_a, B} = grad T_a . J grad B.  The second-class correction is
-        written here once.
-        """
-        h3 = JG @ self.R[1]
-        h4 = JG @ self.R[2]
-        return (JG + np.multiply.outer(h4 / self.t34, self.JR[1])
-                - np.multiply.outer(h3 / self.t34, self.JR[2]))
 
     def flow(self, G):
         """{z^k, B}_D for G = grad B, one (16,) gradient or an (n, 16)
-        stack: the correction applied to G @ J.T, so that
-        grad A . flow(grad B) = {A, B}_D."""
-        return self.correct(G @ J.T)
+        stack, so that grad A . flow(grad B) = {A, B}_D:
+
+            J grad B + ( {T4,B} J grad T3 - {T3,B} J grad T4 ) / {T3,T4},
+
+        {T_a, B} = grad T_a . J grad B.  The stacked form of the
+        second-class correction; ``float_flow`` is its one-gradient form
+        on floats."""
+        JG = G @ J.T
+        h3 = JG @ self.R[1]
+        h4 = JG @ self.R[2]
+        return (JG + np.multiply.outer(h4 / self.t34, self.JR[0])
+                - np.multiply.outer(h3 / self.t34, self.JR[1]))
+
+
+def _t3t4(r3, jr4, model):
+    """{T3,T4} = grad T3 . J grad T4 from 16 floats each; raises where it
+    is too small to invert, NaN included."""
+    t34 = sum(map(mul, r3, jr4))
+    floor = 1e-10 * (1.0 + (model.m * model.c) ** 2)
+    if not abs(t34) >= floor:   # NaN fails this test too
+        raise ValueError(f"{{T3,T4}} = {t34} too close to zero or undefined; "
+                         "second-class inversion breaks down at this state")
+    return t34
+
+
+def float_flow(r3, r4, gb, model):
+    """{z^k, B}_D as a list, the correction of ``DiracCore.flow`` for one
+    gradient gb = grad B on floats: gb, r3 = grad T3 and r4 = grad T4
+    are 16 floats each.  At one state numpy's per-call cost outweighs
+    this arithmetic."""
+    jr3, jr4, jb = symplectic(r3), symplectic(r4), symplectic(gb)
+    t34 = _t3t4(r3, jr4, model)
+    a3 = sum(map(mul, r3, jb)) / t34
+    a4 = sum(map(mul, r4, jb)) / t34
+    return [j + a4 * u - a3 * v for j, u, v in zip(jb, jr3, jr4)]
 
 
 def dirac_core(z, model):
     """The second-class data at z; raises where {T3,T4} is too small to invert."""
     fd = field_data(model, z.x)
-    P, _, R = _rows(z, model, fd)
-    JR = R @ J.T
-    t34 = float(R[1] @ JR[2])
-    floor = 1e-10 * (1.0 + (model.m * model.c) ** 2)
-    if not abs(t34) >= floor:   # NaN fails this test too
-        raise ValueError(f"{{T3,T4}} = {t34} too close to zero or undefined; "
-                         "second-class inversion breaks down at this state")
-    return DiracCore(fd=fd, P=P, R=R, JR=JR, t34=t34)
+    P, _, rows = _kernel(z.vec, model, fd)
+    JR = [symplectic(r) for r in rows[1:]]
+    return DiracCore(fd=fd, P=np.array(P), R=np.array(rows), JR=np.array(JR),
+                     t34=_t3t4(rows[1], JR[1], model))
 
 
 def dirac_bracket(A, B, z, model, core=None):

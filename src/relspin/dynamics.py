@@ -5,18 +5,20 @@ is its Dirac bracket with H, so the raw equations of motion are
 
     zdot = J grad H + ( {T4,H} J grad T3 - {T3,H} J grad T4 ) / {T3,T4}
 
-with the second-class correction written once, in
-``DiracCore.correct``, for the bracket oracle too.  Per call there is one
-field evaluation, whose float tuples the float kernel ``phase._rows``
-reads for grad (calP^0, T3, T4), and ``dirac_core`` applies the
-constant canonical matrix J to those rows at once.  J grad H is then
-c J grad calP^0 with -e eta d_x A^0, read from the same tuples, added to
-the p block, so J is never applied to grad H itself and no field array
-is built.  The energy radicand check and the {T3,T4} floor of
-``dirac_core`` make it raise ValueError where the state is out of range
-or the pair is not invertible, NaN included.  x^0 is slaved to the
-evolution parameter (dx^0/dt = c) and p^0 a spectator equal to H/c,
-exactly conserved in stationary backgrounds.
+computed in one float pass per call: one field evaluation, whose float
+tuples the kernel ``phase._kernel`` reads for the rows
+grad (calP^0, T3, T4) as floats; grad H = c grad calP^0 + e grad A^0,
+with d_x A^0 read from the same tuples; and ``brackets.float_flow``, the
+one-gradient float form of the second-class correction, which applies J
+as the signed permutation ``phase.symplectic``.  No ``DiracCore`` and
+no field array is built; the one array is the returned vector.  The
+stacked form of the correction, ``DiracCore.flow``, serves the bracket
+reports, and both are pinned to one reference.  The energy radicand
+check and the {T3,T4} floor that ``dirac_core`` shares make it raise
+ValueError where the state is out of range or the pair is not
+invertible, NaN included.  x^0 is slaved to the evolution parameter
+(dx^0/dt = c) and p^0 a spectator equal to H/c, exactly conserved in
+stationary backgrounds.
 
 The continuous flow preserves all four constraints: T3 and T4 by
 construction of the bracket, T2 and T5 because {T2,T3} = -T3 and its
@@ -31,9 +33,11 @@ ValueError, raises RuntimeError when it cannot reach its tolerance, and
 
 ``Trajectory.stats`` reports what a run did, apart from its results:
 the right-hand-side evaluations, the projections and their Gauss-Newton
-steps, the largest constraint residual met before a projection, and the
-wall time (time.perf_counter spans) of the stepping, ``stepping_s``,
-and of the first ``channels()`` call, ``channels_s``.
+steps, the largest constraint residual met before a projection, the
+energy drift of the H channel, ``energy_drift`` (written by the first
+``channels()`` call), and the wall time (time.perf_counter spans) of the
+stepping, ``stepping_s``, and of the first ``channels()`` call,
+``channels_s``.
 
 A spinless state is omega = pi = 0 of the same flow: there
 {T3,T4} = calP.calP = -(m c)^2 and {T3,H} = {T4,H} = 0, so the flow
@@ -47,26 +51,33 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .brackets import dirac_core
+from .brackets import float_flow
 from .phase import (CONSTRAINT_NAMES, PhaseState, constraint_gradients,
-                    constraint_values, field_data, spin_readouts, spin_tensor)
+                    constraint_values, field_data, spin_readouts, spin_tensor,
+                    _kernel)
 
 # ---------------------------------------------------------------------------
 # right-hand sides
 
 
 def dirac_rhs(vec, model):
-    """d(vec)/dt for the 16-component state; t is laboratory time."""
-    core = dirac_core(PhaseState(vec=np.asarray(vec, dtype=float)), model)
-    # J grad H: c J grad calP^0, and e A^0 acts on the p block only
-    jh = model.c * core.JR[0]
-    e = model.e
-    d0, d1, d2, d3 = core.fd.floats[1][0]   # d_nu A^0
-    jh[4:8] -= (-e * d0, e * d1, e * d2, e * d3)
-    zdot = core.correct(jh)
-    zdot[0] = model.c
+    """d(vec)/dt for the 16-component state; t is laboratory time.
+
+    One field evaluation and one kernel call; grad H, J and the
+    second-class correction are float arithmetic, and the one array is
+    built at the end."""
+    vec = np.asarray(vec, dtype=float)
+    fd = field_data(model, vec[0:4])
+    _, _, (g0, r3, r4) = _kernel(vec, model, fd)
+    c, e = model.c, model.e
+    # grad H = c grad calP^0 + e grad A^0, and A^0 depends on x alone
+    d0, d1, d2, d3 = fd.floats[1][0]   # d_nu A^0
+    gh = [c * g0[0] + e * d0, c * g0[1] + e * d1, c * g0[2] + e * d2,
+          c * g0[3] + e * d3, *(c * g for g in g0[4:])]
+    zdot = float_flow(r3, r4, gh, model)
+    zdot[0] = c
     zdot[4] = 0.0
-    return zdot
+    return np.array(zdot)
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +180,8 @@ class Trajectory:
         constraint values and H (A^0 read from its float tuples) share,
         and a spin state one spin tensor for the spin read-outs; a
         spinless state reads zero in every spin and constraint channel.
+        The first call also writes the energy drift of the H channel to
+        stats["energy_drift"].
         """
         if getattr(self, "_channels", None) is not None:
             return self._channels
@@ -202,12 +215,14 @@ class Trajectory:
         out.update(zip(CONSTRAINT_NAMES, T.T))
         out["spin2"] = spin2
         self._channels = out
+        self.stats["energy_drift"] = float(np.max(np.abs(H - H[0])) / abs(H[0]))
         self.stats["channels_s"] = time.perf_counter() - start
         return out
 
     def energy_drift(self):
-        H = self.channels()["H"]
-        return float(np.max(np.abs(H - H[0])) / abs(H[0]))
+        """Largest |H - H(t0)| / |H(t0)| over the recorded states."""
+        self.channels()
+        return self.stats["energy_drift"]
 
     def constraint_drift(self):
         ch = self.channels()

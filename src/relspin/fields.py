@@ -11,7 +11,7 @@ array (only the spatial part matters, the fields are time independent):
     dF  (4, 4, 4)  dF[lam][mu][nu] = d F^{mu nu} / d x^lam
 
 as nested tuples of Python floats, the form the float kernel
-``phase._rows`` reads; a point's geometry (the coulomb radius and its
+``phase._kernel`` reads; a point's geometry (the coulomb radius and its
 r_min check) is computed once for all four.  The uniform kinds return
 constant dA, F and dF tuples made once at construction, and tuples
 cannot be modified by a caller.  Arrays are built only on demand: by
@@ -77,13 +77,14 @@ def _uniform_at(E3, B3):
     dA[0, 1:] = -E3
     dA[1:, 1:] = 0.5 * np.einsum("ikj,k->ij", EPS3, B3)
     dA, F = (tuple(map(tuple, t.tolist())) for t in (dA, field_tensor_from_EB(E3, B3)))
+    e1, e2, e3 = E3.tolist()
     b1, b2, b3 = B3.tolist()
 
     def at(x):
         _, x1, x2, x3 = x.tolist()
-        # E.x through numpy's dot, whose BLAS kernel fuses multiply-adds;
-        # a float sum would differ from it in the last bit
-        return ((-float(E3 @ x[1:]), 0.5 * (b2 * x3 - b3 * x2),
+        # E.x as a float sum, not numpy's dot: whether its BLAS kernel
+        # fuses the multiply-adds, and so the last bit, depends on the host
+        return ((-(e1 * x1 + e2 * x2 + e3 * x3), 0.5 * (b2 * x3 - b3 * x2),
                  0.5 * (b3 * x1 - b1 * x3), 0.5 * (b1 * x2 - b2 * x1)), dA, F, _Z444)
 
     return at

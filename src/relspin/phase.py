@@ -26,17 +26,19 @@ pair
 and in the covariant Hamiltonian H = c calP^0 + e A^0.  The remaining
 first-class pair is T2 = omega.pi and T5 = pi^2 - alpha/omega^2; on
 T2 = T5 = 0 the spin magnitude is fixed, S_{mu nu} S^{mu nu} = 8 alpha.
-The four are written once, with calP, in the kernel _rows: from one
+The four are written once, with calP, in the kernel _kernel: from one
 field evaluation it gives calP, the values (T2, T3, T4, T5) and the
-rows grad (calP^0, T3, T4), in float arithmetic on the 16 components
-(at one state cheaper than numpy's per-call overhead).  Every reader of
-calP or a constraint reads it; the energy radicand and its check live in
-_energy alone.  A state is its 16 numbers, spinless when omega = pi = 0.
-FieldsAt holds the float tuples that the background's at(x) returns,
-which the kernel reads; the arrays A, dA, F and dF, and the lowered F
-and dF, are built only when a reader outside the kernel asks.  The
-canonical structure is the constant matrix J: {z, B} = J grad B
-(grad B @ J.T, also for an (n, 16) stack) and {A, B} = grad A . J grad B.
+rows grad (calP^0, T3, T4) as Python floats, in float arithmetic on the
+16 components (at one state cheaper than numpy's per-call overhead);
+_rows is its array view.  Every reader of calP or a constraint reads
+it; the energy radicand and its check live in _energy alone.  A state
+is its 16 numbers, spinless when omega = pi = 0.  FieldsAt holds the
+float tuples that the background's at(x) returns, which the kernel
+reads; the arrays A, dA, F and dF, and the lowered F and dF, are built
+only when a reader outside the kernel asks.  The canonical structure,
+{z, B} = J grad B and {A, B} = grad A . J grad B, is a signed
+permutation written once, in ``symplectic``; the constant matrix J is
+built from it (grad B @ J.T, also for an (n, 16) stack).
 """
 
 from __future__ import annotations
@@ -53,11 +55,17 @@ from .minkowski import ETA_DIAG, boost_matrix, contract_2, lower2, mdot
 
 BLOCKS = ("x", "p", "omega", "pi")
 
-# the canonical structure, J[a, b] = {z^a, z^b}: {x^mu, p^nu} = eta^{mu nu}
-# and {omega^mu, pi^nu} = eta^{mu nu}; J grad B holds {z^k, B}
-J = np.zeros((16, 16))
-J[0:4, 4:8] = J[8:12, 12:16] = np.diag(ETA_DIAG)
-J[4:8, 0:4] = J[12:16, 8:12] = -np.diag(ETA_DIAG)
+
+def symplectic(v):
+    """J v = {z^k, B} for v = grad B, as a list of 16 numbers, where
+    J[a, b] = {z^a, z^b}: {x^mu, p^nu} = {omega^mu, pi^nu} = eta^{mu nu}.
+    v is 16 floats, or a (16, n) array holding n gradients as columns."""
+    return [-v[4], v[5], v[6], v[7], v[0], -v[1], -v[2], -v[3],
+            -v[12], v[13], v[14], v[15], v[8], -v[9], -v[10], -v[11]]
+
+
+# the matrix of the permutation (+ 0.0 turns a negated zero into 0.0)
+J = np.array(symplectic(np.eye(16))) + 0.0
 
 
 @dataclass
@@ -128,7 +136,7 @@ def free_model(m=1.0, g=2.0, c=10.0, e=1.0, hbar=1.0, alpha=None):
 class FieldsAt:
     """Background fields evaluated once at a point.  floats is what the
     background's at(x) returned, the nested float tuples (A, dA, F, dF)
-    that the kernel _rows reads, so a right-hand side or a projection
+    that _kernel reads, so a right-hand side or a projection
     builds no field array.  The arrays A, dA, F and dF and the lowered
     F_{mu nu} and d_lam F_{mu nu} are computed on first read."""
 
@@ -230,18 +238,19 @@ class Observable:
         return f"Observable({self.name})"
 
 
-def _rows(z, model, fd):
-    """calP, the values T = (T2, T3, T4, T5) and R, the (3, 16) rows
-    grad (calP^0, T3, T4) at z: the one evaluation of a state.
+def _kernel(vec, model, fd):
+    """calP, the values T = (T2, T3, T4, T5) and R, the three rows
+    grad (calP^0, T3, T4) at the state vec: the one evaluation of a state,
+    as Python floats (two 4-tuples and three lists of 16).
 
     A spinless state (omega = pi = 0) carries no constraints and its
     values are zero; at any other omega^2 = 0, T5 is undefined and
     ValueError is raised.  Written on the components in float
     arithmetic: at one state numpy's per-call cost outweighs the
     arithmetic of four-vectors, so the state is read once with
-    tolist(), the fields as the float tuples of fd.floats, the eta
-    signs are written into the expressions, and the outputs become
-    arrays at the end.  F and dF are antisymmetric in their last two
+    tolist(), the fields as the float tuples of fd.floats, and the eta
+    signs are written into the expressions; _rows gives the outputs as
+    arrays.  F and dF are antisymmetric in their last two
     indices, so only the components above the diagonal are read.
     grad calP^0 = grad W / (2 calP^0),
     W = calP^0 ** 2 the energy radicand; grad T_v = -v^0 grad calP^0 plus
@@ -250,7 +259,7 @@ def _rows(z, model, fd):
     e, c = model.e, model.c
     k = e / c
     h = e * model.g / c          # W holds -(h / 4) F_{mu nu} S^{mu nu}
-    p1, p2, p3, w0, w1, w2, w3, q0, q1, q2, q3 = z.vec[5:].tolist()
+    p1, p2, p3, w0, w1, w2, w3, q0, q1, q2, q3 = vec[5:].tolist()
     A, dA, F, dF = fd.floats
     P1, P2, P3 = p1 - k * A[1], p2 - k * A[2], p3 - k * A[3]
     # S^{mu nu} = 2 (omega^mu pi^nu - omega^nu pi^mu) above the diagonal
@@ -304,8 +313,15 @@ def _rows(z, model, fd):
             row[own + mu] += P_low[mu]
         return row
 
-    return (np.array([P0, P1, P2, P3]), np.array(T),
-            np.array([g0, t_row(w0, w1, w2, w3, 8), t_row(q0, q1, q2, q3, 12)]))
+    return ((P0, P1, P2, P3), T,
+            (g0, t_row(w0, w1, w2, w3, 8), t_row(q0, q1, q2, q3, 12)))
+
+
+def _rows(z, model, fd):
+    """The kernel's calP, T and R at z as arrays of shapes (4,), (4,) and
+    (3, 16), for the readers that work on arrays."""
+    P, T, R = _kernel(z.vec, model, fd)
+    return np.array(P), np.array(T), np.array(R)
 
 
 def kinetic_momentum(z, model, fd=None):
@@ -328,7 +344,7 @@ def constraint_gradients(z, model, fd=None):
     G[0, 12:16] = ETA_DIAG * z.w
     G[1:3] = R[1:]
     ww = mdot(z.w, z.w)
-    if ww != 0.0:   # ww = 0 only when spinless: at any other state _rows raised
+    if ww != 0.0:   # ww = 0 only when spinless: at any other state the kernel raised
         G[3, 8:12] = 2.0 * model.alpha * (ETA_DIAG * z.w) / ww**2
     G[3, 12:16] = 2.0 * ETA_DIAG * z.pi
     return T, G

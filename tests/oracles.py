@@ -10,8 +10,10 @@ layer and the field layer.
 * The three-application form of the Dirac flow: the canonical structure
   applied block by block (``symplectic_apply``), the canonical bracket of
   two gradients written out (``pair_gradients``), and ``flow`` applying
-  them to grad B, grad T3 and grad T4 separately.  ``DiracCore.flow``
-  applies the constant matrix J once; the tests pin it to this form.
+  them to grad B, grad T3 and grad T4 separately.  ``phase.symplectic``
+  writes J as a signed permutation; ``DiracCore.flow``, the stacked form
+  of the correction, and ``brackets.float_flow``, its one-gradient float
+  form, apply it once per gradient; the tests pin all three to this form.
 * ``uniform_at`` and ``coulomb_at``, the field evaluators written with
   numpy arrays; the backgrounds' ``at`` writes them in float arithmetic
   and returns nested tuples, and the tests pin it to this form.
@@ -137,7 +139,9 @@ def uniform_at(E3, B3):
     def at(x):
         r = x[1:]
         A = np.empty(4)
-        A[0] = -float(E3 @ r)
+        # the float sum of fields._uniform_at, not E3 @ r: a BLAS dot may
+        # fuse the multiply-adds, which moves the last bit by host
+        A[0] = -(E3[0] * r[0] + E3[1] * r[1] + E3[2] * r[2])
         A[1:] = 0.5 * (B_l * r[_PREV] - B_r * r[_NEXT])
         return A, dA_const, F_const, np.zeros((4, 4, 4))
 

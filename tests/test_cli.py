@@ -70,6 +70,9 @@ def test_simulate_json_format(tmp_path):
     data = json.loads(out.read_text())
     assert len(data["t"]) == len(data["x1"])
     assert data["t"][0] == 0.0
+    # the channels and nothing else: the run's stats (energy drift, wall
+    # times) never reach --out
+    assert tuple(data) == cli.CHANNEL_ORDER
 
 
 def test_simulate_plot_format(tmp_path):

@@ -2,6 +2,7 @@
 projection behaviour, integrator cross-checks and gauge invariance."""
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -22,6 +23,14 @@ from relspin.phase import (Model, PhaseState, constraint_residuals,
 import oracles
 from conftest import BACKGROUND_PARAMS, build_model, state_batch
 from oracles import symplectic_apply, with_gauge_shift
+
+
+def _counting(calls, name, fn):
+    """fn, counting its calls in calls[name]."""
+    def counted(*args):
+        calls[name] += 1
+        return fn(*args)
+    return counted
 
 
 def _uniform_b_model(B=2.0, g=2.0, spinless_alpha=None):
@@ -58,8 +67,9 @@ def test_nan_t3t4_does_not_pass_the_floor(monkeypatch):
     """NaN compares False against a bound either way round.  A NaN slot
     is refused by the energy radicand before the floor sees it, and a
     NaN {T3,T4} that does reach the floor (here a T3 row of NaN from the
-    kernel) is refused there; the core, the report and the right-hand
-    side must refuse the state, not read or return NaN."""
+    kernel, injected wherever the kernel is bound) is refused there; the
+    core, the report and the right-hand side must refuse the state, not
+    read or return NaN."""
     model = build_model("coulomb")
     vec = state_batch(model, 1)[0].vec.copy()
     calls = (lambda v: dirac_core(PhaseState(vec=v), model),
@@ -70,14 +80,14 @@ def test_nan_t3t4_does_not_pass_the_floor(monkeypatch):
     for call in calls:
         with pytest.raises(ValueError, match="radicand nan"):
             call(bad)
-    rows = brackets._rows
+    kernel = phase._kernel
 
     def nan_t3(*args):
-        P, T, R = rows(*args)
-        R[1] = np.nan
-        return P, T, R
+        P, T, (g0, _, r4) = kernel(*args)
+        return P, T, (g0, [np.nan] * 16, r4)
 
-    monkeypatch.setattr(brackets, "_rows", nan_t3)
+    for mod in (phase, brackets, dynamics):
+        monkeypatch.setattr(mod, "_kernel", nan_t3)
     for call in calls:
         with pytest.raises(ValueError, match="T3,T4"):
             call(vec)
@@ -308,39 +318,30 @@ def test_circular_coulomb_orbit_stays_circular():
 @pytest.mark.parametrize("kind", ["coulomb", "crossed", "zero"])
 def test_rhs_evaluates_the_fields_once(kind, spinless, monkeypatch):
     """One dirac_rhs call makes one field_data call, field_data one call
-    of the background's evaluator, and no lowered field tensor is built."""
+    of the background's evaluator, one kernel call and no dirac_core
+    call, and no lowered field tensor is built."""
     model = build_model(kind, alpha=0.0 if spinless else 0.75)
     z = init_state(model, x3=(1.5, 0.3, -0.2), P3=(0.4, 0.1, 0.2))
-    calls = {"field_data": 0, "at": 0}
-    bg_at = model.background.at
-
-    def at(x):
-        calls["at"] += 1
-        return bg_at(x)
-
-    model = Model(background=dataclasses.replace(model.background, at=at),
-                  m=model.m, g=model.g, alpha=model.alpha)
-    inner = phase.field_data
-
-    def counted(*args):
-        calls["field_data"] += 1
-        return inner(*args)
-
+    calls = dict.fromkeys(("field_data", "at", "_kernel", "dirac_core", "lower2"), 0)
+    counting = functools.partial(_counting, calls)
+    bg = dataclasses.replace(model.background, at=counting("at", model.background.at))
+    model = Model(background=bg, m=model.m, g=model.g, alpha=model.alpha)
+    field_data = counting("field_data", phase.field_data)
+    kernel = counting("_kernel", phase._kernel)
     for mod in (phase, brackets, dynamics):
-        monkeypatch.setattr(mod, "field_data", counted)
+        monkeypatch.setattr(mod, "field_data", field_data)
+        monkeypatch.setattr(mod, "_kernel", kernel)
+    # dynamics binds dirac_core only if its right-hand side calls it
+    core = counting("dirac_core", brackets.dirac_core)
+    for mod in (brackets, dynamics):
+        monkeypatch.setattr(mod, "dirac_core", core, raising=False)
     # the rows read F and dF; the lowered tensors are never built here
-    calls["lower2"] = 0
-    inner_lower2 = minkowski.lower2
-
-    def lower2(T):
-        calls["lower2"] += 1
-        return inner_lower2(T)
-
+    lower2 = counting("lower2", minkowski.lower2)
     for mod in (phase, minkowski):
         monkeypatch.setattr(mod, "lower2", lower2)
     assert z.spinless == spinless
     dirac_rhs(z.vec, model)
-    assert calls == {"field_data": 1, "at": 1, "lower2": 0}
+    assert calls == {"field_data": 1, "at": 1, "_kernel": 1, "dirac_core": 0, "lower2": 0}
 
 
 @pytest.mark.parametrize("kind", sorted(BACKGROUND_PARAMS))
@@ -419,14 +420,19 @@ def test_run_evaluates_the_fields_once_per_rhs_projection_and_record(kind):
 
 def test_run_times_stepping_and_channels():
     """stats holds the wall time of the stepping, set by integrate, and of
-    the channels, set by the first channels() call; a cached read keeps it."""
+    the channels, set by the first channels() call; a cached read keeps it.
+    The first channels() call also writes the energy drift of its H
+    channel, the value energy_drift() returns."""
     model = build_model("crossed")
     traj = integrate(model, state_batch(model, 1, seed=5)[0], 0.5, 0.1)
     assert traj.stats["stepping_s"] > 0.0 and "channels_s" not in traj.stats
-    traj.channels()
+    assert "energy_drift" not in traj.stats
+    H = traj.channels()["H"]
     first = traj.stats["channels_s"]
     traj.channels()
     assert traj.stats["channels_s"] == first > 0.0
+    drift = np.max(np.abs(H - H[0])) / abs(H[0])
+    assert traj.stats["energy_drift"] == traj.energy_drift() == drift
 
 
 @pytest.mark.parametrize("kind", ["coulomb", "crossed"])
@@ -439,13 +445,7 @@ def test_projection_reads_one_kernel_call_per_iterate(kind, monkeypatch):
     vec = z.vec.copy()
     vec[8:16] *= 1.0 + 1e-3 * np.arange(1, 9)
     calls = {"field_data": 0, "_rows": 0}
-
-    def counting(name, fn):
-        def counted(*args):
-            calls[name] += 1
-            return fn(*args)
-        return counted
-
+    counting = functools.partial(_counting, calls)
     monkeypatch.setattr(dynamics, "field_data", counting("field_data", dynamics.field_data))
     monkeypatch.setattr(phase, "_rows", counting("_rows", phase._rows))
     stats = {"projection_steps": 0, "max_residual_before_projection": 0.0}

@@ -2,6 +2,8 @@
 in the package chain-rules through them, so A/dA/F/dF are pinned against
 central finite differences here."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,28 @@ def test_uniform_layout():
     # A^0 = -E.x reproduces E_i = -d_i A^0
     x = POINTS[1]
     assert np.isclose(bg.A(x)[0], -np.dot(E, x[1:]))
+
+
+@pytest.mark.parametrize("kind", ["uniform-E", "crossed"])
+def test_uniform_a0_is_the_unfused_float_sum(kind):
+    """A^0 = -E.x is the three rounded products added left to right, with
+    no fused multiply-add, on every host: equal to that sum emulated
+    exactly in fractions, and within the recursive-summation bound
+    gamma_3 sum |E_i x_i| (unit roundoff u = 2^-53) of the exact -E.x.
+    One ulp of -E.x is no bound: where the terms cancel, the rounding of
+    the products alone exceeds it."""
+    bg = make_background(kind, **PARAMS[kind])
+    E = [Fraction(v) for v in PARAMS[kind]["E"]]
+    u = Fraction(1, 2**53)
+    gamma3 = 3 * u / (1 - 3 * u)
+    rng = np.random.default_rng(19)
+    for x in POINTS + list(rng.normal(scale=2.0, size=(200, 4))):
+        terms = [e * Fraction(v) for e, v in zip(E, x[1:].tolist())]
+        p1, p2, p3 = (Fraction(float(t)) for t in terms)
+        unfused = Fraction(float(Fraction(float(p1 + p2)) + p3))
+        a0 = Fraction(bg.at(x)[0][0])
+        assert a0 == -unfused
+        assert abs(a0 + sum(terms)) <= gamma3 * sum(abs(t) for t in terms)
 
 
 def test_coulomb_field_shape():

@@ -13,20 +13,20 @@ from hypothesis import strategies as st
 
 from relspin.fields import make_background
 from relspin.dynamics import project_state
-from relspin.phase import (Model, PhaseState, _rows, constraint_gradients,
+from relspin.phase import (J, Model, PhaseState, _rows, constraint_gradients,
                            constraint_residuals, constraint_values,
                            dipole_vector, field_data, init_state,
                            kinetic_momentum, obs_coord, obs_energy,
                            obs_hamiltonian, obs_kinetic, obs_spin,
                            random_constrained_state, spin_square, spin_tensor,
-                           spin_vector)
+                           spin_vector, symplectic)
 from relspin.minkowski import ETA_DIAG, contract_2, mdot
 
 import duals
 from conftest import BACKGROUND_PARAMS, build_model, state_batch
 import oracles
 from oracles import (obs_t2, obs_t3, obs_t4, obs_t5, p0_and_grad,
-                     poisson_bracket, ssc_vector, t34_grads)
+                     poisson_bracket, ssc_vector, symplectic_apply, t34_grads)
 
 
 def _fd_grad16(obs, z, model, h=1e-6):
@@ -272,6 +272,14 @@ def test_canonical_pairs():
     assert np.isclose(poisson_bracket(w2, pi2, z, model), 1.0)
     assert np.isclose(poisson_bracket(x1, w2, z, model), 0.0)
     assert np.isclose(poisson_bracket(x1, x1, z, model), 0.0)
+    # the signed permutation on 16 floats and on the columns of an
+    # (16, n) array is the block-by-block form, and J is its matrix
+    rng = np.random.default_rng(3)
+    for v in rng.normal(size=(5, 16)):
+        assert np.array_equal(symplectic(v.tolist()), symplectic_apply(v))
+    G = rng.normal(size=(7, 16))
+    assert np.array_equal(np.array(symplectic(G.T)).T, symplectic_apply(G))
+    assert np.array_equal(J, np.array(symplectic(np.eye(16))))
 
 
 @settings(max_examples=20, deadline=None)
