@@ -22,18 +22,15 @@ stationary backgrounds.
 
 The continuous flow preserves all four constraints: T3 and T4 by
 construction of the bracket, T2 and T5 because {T2,T3} = -T3 and its
-three siblings vanish on the surface.  Numerical drift is removed by a
-minimal-norm Gauss-Newton projection of the (omega, pi) block, which
-also pins S.S = 8 alpha since that is a consequence of T2 = T5 = 0.
-The projection keeps x, so it evaluates the fields once and reads the
-constraint values and gradients of each iterate from one kernel call,
-``phase.constraint_gradients``; it refuses a non-finite state with
-ValueError, raises RuntimeError when it cannot reach its tolerance, and
-``integrate`` lets either stop the run.
+three siblings vanish on the surface.  Numerical drift is removed by
+``project_state``: the constraints solved for (omega, pi) at fixed calP,
+repeated with the new calP, which keeps x and pins S.S = 8 alpha too (a
+consequence of T2 = T5 = 0).  Where it refuses a state or stalls, its
+ValueError or RuntimeError ends the run of ``integrate``.
 
 ``Trajectory.stats`` reports what a run did, apart from its results:
-the right-hand-side evaluations, the projections and their Gauss-Newton
-steps, the largest constraint residual met before a projection, the
+the right-hand-side evaluations, the projections and their fixed-point
+passes, the largest constraint residual met before a projection, the
 energy drift of the H channel, ``energy_drift`` (written by the first
 ``channels()`` call), and the wall time (time.perf_counter spans) of the
 stepping, ``stepping_s``, and of the first ``channels()`` call,
@@ -46,15 +43,15 @@ is J grad H, the plain Lorentz force; it carries no constraints.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .brackets import float_flow
-from .phase import (CONSTRAINT_NAMES, PhaseState, constraint_gradients,
-                    constraint_values, field_data, spin_readouts, spin_tensor,
-                    _kernel)
+from .phase import (CONSTRAINT_NAMES, PhaseState, constraint_values, field_data,
+                    spin_readouts, spin_tensor, _kernel)
 
 # ---------------------------------------------------------------------------
 # right-hand sides
@@ -85,66 +82,83 @@ def dirac_rhs(vec, model):
 
 
 PROJECTION_TOL = 1e-14   # largest residual returned, in units of 1 + (m c)^2
-DAMPED_STEPS = 12   # projection steps that may pass through larger residuals
-CONTRACTION = 0.5   # each later step must shrink the largest residual this much
+# smallest omega^2 (pi^2) a pass keeps, relative to the vector's squared
+# Euclidean norm before it: rounding then sets its direction to sqrt(eps)
+SPIN_FLOOR = 2.0 ** -52
+
+
+def _mdot(u, v):
+    """-u0 v0 + u1 v1 + u2 v2 + u3 v3 on four floats each, in the kernel's
+    order (minkowski.mdot is a numpy dot, whose last bit depends on BLAS)."""
+    return u[1] * v[1] + u[2] * v[2] + u[3] * v[3] - u[0] * v[0]
 
 
 def project_state(z, model, *, stats=None):
-    """Gauss-Newton projection onto T2 = T3 = T4 = T5 = 0.
+    """Put z back on T2 = T3 = T4 = T5 = 0, moving (omega, pi) alone.
 
-    Minimal-norm correction of the full (omega, pi) block with the
-    exact constraint gradients; x and p are untouched, so projection
-    never moves the orbit and the fields are evaluated once per call;
-    each iterate reads its values and gradients from one kernel call.
-    (A reduced parametrization by omega^0, pi^0 and two overall scales
-    is singular at rest-like states where omega and pi are spatial and
-    orthogonal, so all eight spin slots participate.)  The first
-    iterate whose largest residual is below PROJECTION_TOL (1 + (m c)^2)
-    is returned, a spinless state as it is.
+    At fixed calP the constraints have an explicit solution, and each
+    pass applies it in float arithmetic on the eight spin slots: remove
+    the calP components of omega and pi (T3 = T4 = 0; calP is timelike,
+    so both become spacelike), remove omega's component from pi
+    (T2 = 0), and scale both by s = (alpha / (omega^2 pi^2))^(1/4)
+    (T5 = 0).  calP depends on (omega, pi) only through (F S) in calP^0,
+    so the passes repeat with the new calP, a fixed point contracting by
+    about (e g / 4 c) |F| |S| / (m c)^2.  A call evaluates the fields
+    once and each pass reads calP and the residuals from one kernel
+    call; the first iterate whose largest residual is below
+    PROJECTION_TOL (1 + (m c)^2) is returned, a spinless state as it is.
+    The projection is not orthogonal, and need not be: a correction the
+    size of the drift keeps the integrator's order (Hairer, Lubich and
+    Wanner, GNI IV.4).
 
-    The stop depends on the convergence rate (Hairer, Lubich and
-    Wanner, GNI IV.4).  Far from the surface the capped steps may lead
-    through larger residuals, so the first DAMPED_STEPS steps go on
-    regardless.  After them the iteration continues while each step
-    shrinks the largest residual by the factor CONTRACTION, which the
-    quadratically convergent Gauss-Newton phase exceeds by orders of
-    magnitude, and stops at the first step that does not; RuntimeError
-    then names the residual before and the best one reached.  A state
-    with a non-finite component is refused with ValueError.
+    RuntimeError, naming the residual before and the best reached: a
+    pass that does not shrink the largest residual.  ValueError: a
+    non-finite component, or a projected omega^2 or pi^2 not above
+    SPIN_FLOOR, where rounding would set the spin (omega parallel to
+    calP; pi in the plane of omega and calP, S = 0 included).
 
     stats, when given, is a dict whose "projection_steps" grows by the
-    steps taken and whose "max_residual_before_projection" is raised to
-    the largest residual before the first step.
+    passes made and whose "max_residual_before_projection" is raised to
+    the largest residual before the first pass.
     """
     if z.spinless:
         return z
-    if not np.all(np.isfinite(z.vec)):
+    vec = z.vec.copy()
+    if not np.all(np.isfinite(vec)):
         raise ValueError("cannot project a state with non-finite components in slots "
-                         f"{np.flatnonzero(~np.isfinite(z.vec)).tolist()}")
+                         f"{np.flatnonzero(~np.isfinite(vec)).tolist()}")
     tol = PROJECTION_TOL * (1.0 + (model.m * model.c) ** 2)
     fd = field_data(model, z.x)
-    vec = z.vec.copy()
+    head = vec[:8].tolist()
     errs = []
     while True:
-        zz = PhaseState(vec=vec)
-        r, G = constraint_gradients(zz, model, fd)
-        errs.append(np.max(np.abs(r)))
+        P, T, _ = _kernel(vec, model, fd)
+        errs.append(max(map(abs, T)))
         if errs[-1] < tol:
             if stats is not None:
                 stats["projection_steps"] += len(errs) - 1
                 stats["max_residual_before_projection"] = max(
-                    stats["max_residual_before_projection"], float(errs[0]))
-            return zz
-        if len(errs) > DAMPED_STEPS and not errs[-1] <= CONTRACTION * errs[-2]:
+                    stats["max_residual_before_projection"], errs[0])
+            return PhaseState(vec=vec)
+        if len(errs) > 1 and not errs[-1] < errs[-2]:
             break
-        step, *_ = np.linalg.lstsq(G[:, 8:16], r, rcond=None)
-        # damp absurd steps so a bad linearization cannot destroy the state
-        cap = 0.25 * max(np.linalg.norm(vec[8:16]), 1.0)
-        nrm = np.linalg.norm(step)
-        if nrm > cap:
-            step *= cap / nrm
-        vec[8:16] -= step
-    raise RuntimeError(f"constraint projection did not converge: step {len(errs) - 1} "
+        w, q = vec[8:12].tolist(), vec[12:].tolist()
+        pp = _mdot(P, P)   # T3 = calP.omega, T4 = calP.pi
+        w1 = [wi - T[1] / pp * Pi for wi, Pi in zip(w, P)]
+        q1 = [qi - T[2] / pp * Pi for qi, Pi in zip(q, P)]
+        ww = _mdot(w1, w1)
+        if not ww > SPIN_FLOOR * sum(v * v for v in w):
+            raise ValueError(f"omega is parallel to calP to rounding (omega^2 = {ww:.3e} "
+                             "after removing its calP component); cannot project")
+        u = _mdot(w1, q1) / ww
+        q1 = [qi - u * wi for qi, wi in zip(q1, w1)]
+        qq = _mdot(q1, q1)
+        if not qq > SPIN_FLOOR * sum(v * v for v in q):
+            raise ValueError(f"pi lies in the plane of omega and calP to rounding "
+                             f"(pi^2 = {qq:.3e} after removing both); cannot project")
+        s = math.sqrt(math.sqrt(model.alpha / (ww * qq)))
+        vec = np.array(head + [s * v for v in w1 + q1])
+    raise RuntimeError(f"constraint projection did not converge: pass {len(errs) - 1} "
                        f"no longer shrank the residual; max residual {errs[0]:.3e} "
                        f"before, {min(errs):.3e} at best, tolerance {tol:.1e}")
 
@@ -236,10 +250,10 @@ def integrate(model, z0, t_final, dt, t0=0.0, record_every=1,
 
     method "rk4" is the deterministic fixed-step workhorse; "dop853"
     delegates the stepping to scipy between recording times.  Both
-    apply the Newton projection at recording times (rk4 additionally
-    every PROJECT_EVERY internal steps); a projection that does not
-    converge raises RuntimeError and ends the run.  Both end at
-    t_final: when (t_final - t0)/dt is not an integer to rounding, rk4
+    apply ``project_state`` at recording times (rk4 additionally
+    every PROJECT_EVERY internal steps); a projection that refuses the
+    state (ValueError) or stalls (RuntimeError) ends the run.  Both end
+    at t_final: when (t_final - t0)/dt is not an integer to rounding, rk4
     takes floor((t_final - t0)/dt) steps of dt and one shorter last
     step, which is always recorded.
     """

@@ -51,7 +51,7 @@ from typing import Callable
 import numpy as np
 
 from .fields import FieldBackground, make_background
-from .minkowski import ETA_DIAG, boost_matrix, contract_2, lower2, mdot
+from .minkowski import ETA_DIAG, boost_matrix, contract_2, lower2
 
 BLOCKS = ("x", "p", "omega", "pi")
 
@@ -332,22 +332,6 @@ def kinetic_momentum(z, model, fd=None):
 def constraint_values(z, model, fd=None):
     """calP and the values (T2, T3, T4, T5) at z, from one field evaluation."""
     return _rows(z, model, fd or field_data(model, z.x))[:2]
-
-
-def constraint_gradients(z, model, fd=None):
-    """The values (T2, T3, T4, T5) and their (4, 16) gradient rows at z,
-    from one field evaluation and one kernel call; at a spinless state
-    the T5 row reads zero, like its value."""
-    _, T, R = _rows(z, model, fd or field_data(model, z.x))
-    G = np.zeros((4, 16))
-    G[0, 8:12] = ETA_DIAG * z.pi
-    G[0, 12:16] = ETA_DIAG * z.w
-    G[1:3] = R[1:]
-    ww = mdot(z.w, z.w)
-    if ww != 0.0:   # ww = 0 only when spinless: at any other state the kernel raised
-        G[3, 8:12] = 2.0 * model.alpha * (ETA_DIAG * z.w) / ww**2
-    G[3, 12:16] = 2.0 * ETA_DIAG * z.pi
-    return T, G
 
 
 def obs_coord(block, mu):

@@ -19,8 +19,10 @@ layer and the field layer.
   and returns nested tuples, and the tests pin it to this form.
 * ``with_gauge_shift``, a background with A^i -> A^i + d_i chi, for the
   gauge-invariance tests.
-* Four-vector and tensor helpers, canonical brackets of observables and
-  the T-observables that only the tests use.
+* Four-vector and tensor helpers, canonical brackets of observables,
+  ``constraint_gradients`` (the values of T2..T5 with their (4, 16)
+  gradient rows) and the T-observables built on it, which only the
+  tests use.
 """
 
 from __future__ import annotations
@@ -30,9 +32,9 @@ import dataclasses
 import numpy as np
 
 from relspin.minkowski import EPS3, ETA_DIAG, field_tensor_from_EB, mdot
-from relspin.phase import (CONSTRAINT_NAMES, J, Observable, _energy,
-                           constraint_gradients, constraint_values,
-                           kinetic_momentum, spin_tensor)
+from relspin.phase import (CONSTRAINT_NAMES, J, Observable, _energy, _rows,
+                           constraint_values, field_data, kinetic_momentum,
+                           spin_tensor)
 
 
 def kinetic(z, model, fd):
@@ -230,6 +232,22 @@ def ssc_vector(z, model, fd=None):
     """S^{mu nu} calP_nu; vanishes when T3 = T4 = 0."""
     P = kinetic_momentum(z, model, fd)
     return spin_tensor(z) @ (ETA_DIAG * P)
+
+
+def constraint_gradients(z, model, fd=None):
+    """The values (T2, T3, T4, T5) and their (4, 16) gradient rows at z,
+    from one field evaluation and one kernel call, which gives the T3 and
+    T4 rows; at a spinless state the T5 row reads zero, like its value."""
+    _, T, R = _rows(z, model, fd or field_data(model, z.x))
+    G = np.zeros((4, 16))
+    G[0, 8:12] = ETA_DIAG * z.pi
+    G[0, 12:16] = ETA_DIAG * z.w
+    G[1:3] = R[1:]
+    ww = mdot(z.w, z.w)
+    if ww != 0.0:   # ww = 0 only when spinless: at any other state the kernel raised
+        G[3, 8:12] = 2.0 * model.alpha * (ETA_DIAG * z.w) / ww**2
+    G[3, 12:16] = 2.0 * ETA_DIAG * z.pi
+    return T, G
 
 
 def _obs_constraint(a):

@@ -13,10 +13,9 @@ from hypothesis import strategies as st
 
 from relspin.fields import make_background
 from relspin.dynamics import project_state
-from relspin.phase import (J, Model, PhaseState, _rows, constraint_gradients,
-                           constraint_residuals, constraint_values,
-                           dipole_vector, field_data, init_state,
-                           kinetic_momentum, obs_coord, obs_energy,
+from relspin.phase import (J, Model, PhaseState, _rows, constraint_residuals,
+                           constraint_values, dipole_vector, field_data,
+                           init_state, kinetic_momentum, obs_coord, obs_energy,
                            obs_hamiltonian, obs_kinetic, obs_spin,
                            random_constrained_state, spin_square, spin_tensor,
                            spin_vector, symplectic)
@@ -224,14 +223,14 @@ def test_rows_match_the_numpy_reference(name, spinless):
 
 @pytest.mark.parametrize("name", sorted(KERNEL_BACKGROUNDS))
 def test_spinless_constraint_gradients_carry_no_t5_row(name):
-    """At a spinless state (omega = pi = 0) the T5 row reads zero like
-    its value, without a 0/0 (numpy warnings are errors here), and the
-    T3 and T4 rows are the kernel's."""
+    """At a spinless state (omega = pi = 0) the T5 row of the gradient
+    oracle reads zero like its value, without a 0/0 (numpy warnings are
+    errors here), and the T3 and T4 rows are the kernel's."""
     model = _kernel_model(name, spinless=True)
     for z in state_batch(model, 5, seed=23):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            T, G = constraint_gradients(z, model)
+            T, G = oracles.constraint_gradients(z, model)
         assert not T.any() and not G[[0, 3]].any()
         assert np.array_equal(G[1:3], _rows(z, model, field_data(model, z.x))[2][1:])
 
