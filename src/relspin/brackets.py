@@ -9,15 +9,15 @@ Two independent routes are implemented and pinned against each other:
 
   using nothing but the constraint definitions; it is the oracle.
   ``dirac_core`` evaluates the fields and the kernel ``phase._kernel``
-  once per state, for the rows R = grad (calP^0, T3, T4), applies J to
-  grad T3 and grad T4 as the signed permutation ``phase.symplectic``,
-  and takes {T3,T4} with its floor check in ``_t3t4``, which both forms
-  of the correction share.  ``DiracCore.flow``, the stacked form, maps
-  grad B, one gradient or an (n, 16) stack, to {z, B}_D, so that
-  {A,B}_D = grad A . flow(grad B) and the direct table of n rows is one
-  matrix G flow(G)^T per state; ``float_flow`` is the same correction of
-  one gradient on floats, which ``dynamics.dirac_rhs`` applies to
-  grad H without building a core;
+  once per state, assembles the rows R = grad (calP^0, T3, T4) from the
+  kernel's pieces with ``phase.t_rows``, applies J to grad T3 and
+  grad T4 as the signed permutation ``phase.symplectic``, and takes
+  {T3,T4} through ``_t3t4``, the floor check that ``dynamics.dirac_rhs``
+  shares.  ``DiracCore.flow`` maps grad B, one gradient or an (n, 16)
+  stack, to {z, B}_D, so that {A,B}_D = grad A . flow(grad B) and the
+  direct table of n rows is one matrix G flow(G)^T per state; the
+  right-hand side needs the flow of grad H alone and takes it from three
+  symplectic pairings of the kernel's pieces, without rows or a core;
 
 * the *closed-form* route evaluates the same tables from the
   coefficient blocks (a, u0, Delta, K, L, g_eff): ``closed_brackets``
@@ -52,7 +52,7 @@ import numpy as np
 from .minkowski import ETA_DIAG, contract_2
 from .phase import (J, field_data, kinetic_momentum, obs_coord, obs_energy,
                     obs_hamiltonian, obs_kinetic, obs_spin, spin_tensor,
-                    symplectic, _kernel, _rows)
+                    symplectic, t_rows, _kernel, _rows)
 
 SPIN_INDEX_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _MU, _NU = (np.array(ix) for ix in zip(*SPIN_INDEX_PAIRS))
@@ -76,9 +76,9 @@ class DiracCore:
 
             J grad B + ( {T4,B} J grad T3 - {T3,B} J grad T4 ) / {T3,T4},
 
-        {T_a, B} = grad T_a . J grad B.  The stacked form of the
-        second-class correction; ``float_flow`` is its one-gradient form
-        on floats."""
+        {T_a, B} = grad T_a . J grad B.  The second-class correction
+        of any gradient; ``dynamics.dirac_rhs`` writes its value at
+        grad H as three pairings of the kernel's pieces."""
         JG = G @ J.T
         h3 = JG @ self.R[1]
         h4 = JG @ self.R[2]
@@ -86,10 +86,9 @@ class DiracCore:
                 - np.multiply.outer(h3 / self.t34, self.JR[1]))
 
 
-def _t3t4(r3, jr4, model):
-    """{T3,T4} = grad T3 . J grad T4 from 16 floats each; raises where it
-    is too small to invert, NaN included."""
-    t34 = sum(map(mul, r3, jr4))
+def _t3t4(t34, model):
+    """{T3,T4} as given, refused where it is too small to invert, NaN
+    included; the one floor check of dirac_core and dynamics.dirac_rhs."""
     floor = 1e-10 * (1.0 + (model.m * model.c) ** 2)
     if not abs(t34) >= floor:   # NaN fails this test too
         raise ValueError(f"{{T3,T4}} = {t34} too close to zero or undefined; "
@@ -97,25 +96,14 @@ def _t3t4(r3, jr4, model):
     return t34
 
 
-def float_flow(r3, r4, gb, model):
-    """{z^k, B}_D as a list, the correction of ``DiracCore.flow`` for one
-    gradient gb = grad B on floats: gb, r3 = grad T3 and r4 = grad T4
-    are 16 floats each.  At one state numpy's per-call cost outweighs
-    this arithmetic."""
-    jr3, jr4, jb = symplectic(r3), symplectic(r4), symplectic(gb)
-    t34 = _t3t4(r3, jr4, model)
-    a3 = sum(map(mul, r3, jb)) / t34
-    a4 = sum(map(mul, r4, jb)) / t34
-    return [j + a4 * u - a3 * v for j, u, v in zip(jb, jr3, jr4)]
-
-
 def dirac_core(z, model):
     """The second-class data at z; raises where {T3,T4} is too small to invert."""
     fd = field_data(model, z.x)
-    P, _, rows = _kernel(z.vec, model, fd)
+    P, _, pieces = _kernel(z.vec, model, fd)
+    rows = t_rows(z.vec, P, pieces)
     JR = [symplectic(r) for r in rows[1:]]
     return DiracCore(fd=fd, P=np.array(P), R=np.array(rows), JR=np.array(JR),
-                     t34=_t3t4(rows[1], JR[1], model))
+                     t34=_t3t4(sum(map(mul, rows[1], JR[1])), model))
 
 
 def dirac_bracket(A, B, z, model, core=None):

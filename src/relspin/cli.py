@@ -27,9 +27,9 @@ import numpy as np
 import yaml
 
 from . import expansion, hydrogen
-from .brackets import (aux_table_report, closed_vs_direct_report,
-                       defining_property_report)
-from .dynamics import integrate
+from .brackets import (H_OBS, aux_table_report, closed_vs_direct_report,
+                       defining_property_report, dirac_core)
+from .dynamics import dirac_rhs, integrate
 from .fields import KINDS, make_background
 from .phase import Model, init_state, random_constrained_state
 
@@ -342,6 +342,17 @@ def run_selftest():
                    for n in (2, 3) for l in range(1, n)
                    for j in (l - 0.5, l + 0.5))
 
+    def rhs_vs_stacked_flow():
+        """dirac_rhs against DiracCore.flow of grad H, x^0 and p^0 set as
+        in the right-hand side; relative to the largest component."""
+        worst = 0.0
+        for z in states:
+            want = dirac_core(z, model).flow(H_OBS.grad(z, model))
+            want[0], want[4] = model.c, 0.0
+            dev = np.max(np.abs(dirac_rhs(z.vec, model) - want)) / np.max(np.abs(want))
+            worst = max(worst, float(dev))
+        return worst
+
     def ladder_not_decreasing():
         lad = expansion.bracket_ladder("crossed", cs=(10.0, 20.0, 40.0))
         return sum(not expansion.ladder_decreasing(e) for e in lad.values())
@@ -352,6 +363,8 @@ def run_selftest():
          lambda: defining_property_report(states, model), 1e-10),
         ("closed forms match the direct oracle", "max_rel",
          lambda: max(closed_vs_direct_report(states, model).values()), 1e-8),
+        ("dirac rhs equals the stacked flow of H", "max_rel",
+         rhs_vs_stacked_flow, 1e-14),
         ("low-energy ladder decreases", "families_not_decreasing",
          ladder_not_decreasing, None),
         ("fine structure matches the frozen oracle", "max_dev",

@@ -5,17 +5,14 @@ is its Dirac bracket with H, so the raw equations of motion are
 
     zdot = J grad H + ( {T4,H} J grad T3 - {T3,H} J grad T4 ) / {T3,T4}
 
-computed in one float pass per call: one field evaluation, whose float
-tuples the kernel ``phase._kernel`` reads for the rows
-grad (calP^0, T3, T4) as floats; grad H = c grad calP^0 + e grad A^0,
-with d_x A^0 read from the same tuples; and ``brackets.float_flow``, the
-one-gradient float form of the second-class correction, which applies J
-as the signed permutation ``phase.symplectic``.  No ``DiracCore`` and
-no field array is built; the one array is the returned vector.  The
-stacked form of the correction, ``DiracCore.flow``, serves the bracket
-reports, and both are pinned to one reference.  The energy radicand
-check and the {T3,T4} floor that ``dirac_core`` shares make it raise
-ValueError where the state is out of range or the pair is not
+computed in one float pass per call (``dirac_rhs``): one field
+evaluation, one call of the kernel ``phase._kernel``, and three
+symplectic pairings of its pieces, which give {T3,T4}, {T3,H} and
+{T4,H}; no row, ``DiracCore`` or field array is built.  The stacked
+form of the correction, ``DiracCore.flow``, serves the bracket reports,
+and both are pinned to one reference.  The energy radicand check and
+the {T3,T4} floor that ``dirac_core`` shares (``brackets._t3t4``) make
+it raise ValueError where the state is out of range or the pair is not
 invertible, NaN included.  x^0 is slaved to the evolution parameter
 (dx^0/dt = c) and p^0 a spectator equal to H/c, exactly conserved in
 stationary backgrounds.
@@ -49,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .brackets import float_flow
+from .brackets import _t3t4
 from .phase import (CONSTRAINT_NAMES, PhaseState, constraint_values, field_data,
                     spin_readouts, spin_tensor, _kernel)
 
@@ -60,21 +57,46 @@ from .phase import (CONSTRAINT_NAMES, PhaseState, constraint_values, field_data,
 def dirac_rhs(vec, model):
     """d(vec)/dt for the 16-component state; t is laboratory time.
 
-    One field evaluation and one kernel call; grad H, J and the
-    second-class correction are float arithmetic, and the one array is
-    built at the end."""
+    One field evaluation and one kernel call, whose pieces g0 = grad calP^0
+    and the explicit gradients e3, e4 (grad T_v = -v^0 g0 + e_v) enter
+    through the symplectic pairing Omega(a, b) = {a, b} =
+    <a_x, b_p> - <a_p, b_x> + <a_omega, b_pi> - <a_pi, b_omega>
+    (Minkowski <,>), with Omega(g0, g0) = 0:
+
+        A_v = Omega(e_v, g0),  {T3,T4} = omega^0 A4 - pi^0 A3 + Omega(e3, e4),
+        {T_v, H} = c A_v + e (v^0 <g0_p, dA^0> - <v, dA^0>),
+
+    and zdot = J (b g0 + e dA^0 + a4 e3 - a3 e4), a_v = {T_v, H}/{T3,T4}
+    and b = c - a4 omega^0 + a3 pi^0, written out block by block.  The p^0
+    slots of g0, e3 and e4 are zero, so no x^0 slot is read."""
     vec = np.asarray(vec, dtype=float)
     fd = field_data(model, vec[0:4])
-    _, _, (g0, r3, r4) = _kernel(vec, model, fd)
+    (P0, P1, P2, P3), _, (g0, ex3, ex4) = _kernel(vec, model, fd)
+    _, g1, g2, g3, _, g5, g6, g7, g8, g9, g10, g11, g12, g13, g14, g15 = g0
+    _, x1, x2, x3 = ex3
+    _, y1, y2, y3 = ex4
+    w0, w1, w2, w3, q0, q1, q2, q3 = vec[8:].tolist()
+    _, d1, d2, d3 = fd.floats[1][0]   # d_i A^0
     c, e = model.c, model.e
-    # grad H = c grad calP^0 + e grad A^0, and A^0 depends on x alone
-    d0, d1, d2, d3 = fd.floats[1][0]   # d_nu A^0
-    gh = [c * g0[0] + e * d0, c * g0[1] + e * d1, c * g0[2] + e * d2,
-          c * g0[3] + e * d3, *(c * g for g in g0[4:])]
-    zdot = float_flow(r3, r4, gh, model)
-    zdot[0] = c
-    zdot[4] = 0.0
-    return np.array(zdot)
+    A3 = (x1 * g5 + x2 * g6 + x3 * g7 - (w1 * g1 + w2 * g2 + w3 * g3)
+          + (P0 * g12 + P1 * g13 + P2 * g14 + P3 * g15))
+    A4 = (y1 * g5 + y2 * g6 + y3 * g7 - (q1 * g1 + q2 * g2 + q3 * g3)
+          - (P0 * g8 + P1 * g9 + P2 * g10 + P3 * g11))
+    t34 = _t3t4(w0 * A4 - q0 * A3 + (x1 * q1 + x2 * q2 + x3 * q3)
+                - (w1 * y1 + w2 * y2 + w3 * y3)
+                + (P1 * P1 + P2 * P2 + P3 * P3 - P0 * P0), model)
+    gd = g5 * d1 + g6 * d2 + g7 * d3
+    a3 = (c * A3 + e * (w0 * gd - (w1 * d1 + w2 * d2 + w3 * d3))) / t34
+    a4 = (c * A4 + e * (q0 * gd - (q1 * d1 + q2 * d2 + q3 * d3))) / t34
+    b = c - a4 * w0 + a3 * q0
+    # x^0 is slaved to t and p^0 is frozen
+    return np.array([
+        c, b * g5 + a4 * w1 - a3 * q1, b * g6 + a4 * w2 - a3 * q2,
+        b * g7 + a4 * w3 - a3 * q3,
+        0.0, -(b * g1 + e * d1 + a4 * x1 - a3 * y1),
+        -(b * g2 + e * d2 + a4 * x2 - a3 * y2), -(b * g3 + e * d3 + a4 * x3 - a3 * y3),
+        -b * g12 - a3 * P0, b * g13 - a3 * P1, b * g14 - a3 * P2, b * g15 - a3 * P3,
+        b * g8 - a4 * P0, -b * g9 - a4 * P1, -b * g10 - a4 * P2, -b * g11 - a4 * P3])
 
 
 # ---------------------------------------------------------------------------

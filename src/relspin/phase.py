@@ -28,10 +28,11 @@ first-class pair is T2 = omega.pi and T5 = pi^2 - alpha/omega^2; on
 T2 = T5 = 0 the spin magnitude is fixed, S_{mu nu} S^{mu nu} = 8 alpha.
 The four are written once, with calP, in the kernel _kernel: from one
 field evaluation it gives calP, the values (T2, T3, T4, T5) and the
-rows grad (calP^0, T3, T4) as Python floats, in float arithmetic on the
-16 components (at one state cheaper than numpy's per-call overhead);
-_rows is its array view.  Every reader of calP or a constraint reads
-it; the energy radicand and its check live in _energy alone.  A state
+pieces of the rows grad (calP^0, T3, T4) as Python floats, in float
+arithmetic on the 16 components (at one state cheaper than numpy's
+per-call overhead); t_rows assembles the rows and _rows is the array
+view.  Every reader of calP or a constraint reads the kernel; the
+energy radicand and its check live in _energy alone.  A state
 is its 16 numbers, spinless when omega = pi = 0.  FieldsAt holds the
 float tuples that the background's at(x) returns, which the kernel
 reads; the arrays A, dA, F and dF, and the lowered F and dF, are built
@@ -118,6 +119,8 @@ class Model:
             object.__setattr__(self, "alpha", 0.75 * self.hbar**2)
         if self.m <= 0:
             raise ValueError("mass must be positive")
+        if not self.alpha >= 0.0:   # NaN fails this test too
+            raise ValueError(f"spin invariant alpha must be >= 0, got {self.alpha}")
 
     @property
     def e(self):
@@ -239,9 +242,16 @@ class Observable:
 
 
 def _kernel(vec, model, fd):
-    """calP, the values T = (T2, T3, T4, T5) and R, the three rows
+    """calP, the values T = (T2, T3, T4, T5) and the pieces of the rows
     grad (calP^0, T3, T4) at the state vec: the one evaluation of a state,
-    as Python floats (two 4-tuples and three lists of 16).
+    as Python floats (two 4-tuples and the pieces (g0, ex3, ex4)).
+
+    g0 = grad calP^0 is 16 floats; ex3 and ex4 are the x-parts of the
+    explicit gradients e3 and e4, -(e/c) v^i d_lam A^i for v = omega and
+    pi, 4 floats each.  With them grad T_v = -v^0 g0 + e_v, where e_v is
+    (ex_v, (0, v^i), calP_low, 0) for v = omega and (ex_v, (0, v^i), 0,
+    calP_low) for v = pi; t_rows assembles the rows, and
+    dynamics.dirac_rhs pairs the pieces without assembling them.
 
     A spinless state (omega = pi = 0) carries no constraints and its
     values are zero; at any other omega^2 = 0, T5 is undefined and
@@ -253,8 +263,7 @@ def _kernel(vec, model, fd):
     arrays.  F and dF are antisymmetric in their last two
     indices, so only the components above the diagonal are read.
     grad calP^0 = grad W / (2 calP^0),
-    W = calP^0 ** 2 the energy radicand; grad T_v = -v^0 grad calP^0 plus
-    the explicit dependence of calP^i v^i - calP^0 v^0 on x, p and v.
+    W = calP^0 ** 2 the energy radicand.
     """
     e, c = model.e, model.c
     k = e / c
@@ -301,27 +310,35 @@ def _kernel(vec, model, fd):
            h * (f01 * w0 + f12 * w2 + f13 * w3) / d,
            h * (f02 * w0 - f12 * w1 + f23 * w3) / d,
            h * (f03 * w0 - f13 * w1 - f23 * w2) / d]
-    P_low = (-P0, P1, P2, P3)
+    ex3 = [-k * (w1 * a1 + w2 * a2 + w3 * a3) for a1, a2, a3 in cols]
+    ex4 = [-k * (q1 * a1 + q2 * a2 + q3 * a3) for a1, a2, a3 in cols]
+    return (P0, P1, P2, P3), T, (g0, ex3, ex4)
 
-    def t_row(v0, v1, v2, v3, own):
+
+def t_rows(vec, P, pieces):
+    """R = grad (calP^0, T3, T4) at the state vec as three lists of 16
+    floats, assembled from the kernel's calP and pieces."""
+    g0, ex3, ex4 = pieces
+    P_low = (-P[0], P[1], P[2], P[3])
+
+    def t_row(v0, v1, v2, v3, ex, own):
         """grad (-calP^0 v^0 + calP^i v^i); own is the first slot of v."""
-        row = [-v0 * gk - k * (v1 * a1 + v2 * a2 + v3 * a3)
-               for gk, (a1, a2, a3) in zip(g0, cols)]
+        row = [-v0 * gk + x for gk, x in zip(g0, ex)]
         row += [-v0 * g0[4], v1 - v0 * g0[5], v2 - v0 * g0[6], v3 - v0 * g0[7]]
         row += [-v0 * gk for gk in g0[8:]]
         for mu in range(4):
             row[own + mu] += P_low[mu]
         return row
 
-    return ((P0, P1, P2, P3), T,
-            (g0, t_row(w0, w1, w2, w3, 8), t_row(q0, q1, q2, q3, 12)))
+    w0, w1, w2, w3, q0, q1, q2, q3 = vec[8:].tolist()
+    return g0, t_row(w0, w1, w2, w3, ex3, 8), t_row(q0, q1, q2, q3, ex4, 12)
 
 
 def _rows(z, model, fd):
-    """The kernel's calP, T and R at z as arrays of shapes (4,), (4,) and
-    (3, 16), for the readers that work on arrays."""
-    P, T, R = _kernel(z.vec, model, fd)
-    return np.array(P), np.array(T), np.array(R)
+    """The kernel's calP and T and the assembled rows R at z as arrays of
+    shapes (4,), (4,) and (3, 16), for the readers that work on arrays."""
+    P, T, pieces = _kernel(z.vec, model, fd)
+    return np.array(P), np.array(T), np.array(t_rows(z.vec, P, pieces))
 
 
 def kinetic_momentum(z, model, fd=None):
@@ -330,8 +347,10 @@ def kinetic_momentum(z, model, fd=None):
 
 
 def constraint_values(z, model, fd=None):
-    """calP and the values (T2, T3, T4, T5) at z, from one field evaluation."""
-    return _rows(z, model, fd or field_data(model, z.x))[:2]
+    """calP and the values (T2, T3, T4, T5) at z, from one field evaluation
+    and one kernel call; no row is assembled."""
+    P, T, _ = _kernel(z.vec, model, fd or field_data(model, z.x))
+    return np.array(P), np.array(T)
 
 
 def obs_coord(block, mu):

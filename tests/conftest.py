@@ -15,6 +15,21 @@ BACKGROUND_PARAMS = {
 }
 
 
+# the catalog plus two fields in which every F^{mu nu} component is
+# nonzero, so that a sign slip in any one of them shows
+KERNEL_BACKGROUNDS = {**{kind: (kind, params) for kind, params in BACKGROUND_PARAMS.items()},
+                      "tilted uniform-B": ("uniform-B", {"B": (0.35, -0.5, 0.3)}),
+                      "crossed, all components": ("crossed", {"E": (0.25, -0.3, 0.15),
+                                                              "B": (-0.4, 0.2, 0.55)})}
+
+
+def kernel_model(name, spinless):
+    """The model of KERNEL_BACKGROUNDS[name] at g = 2.3, spinless when alpha = 0."""
+    kind, params = KERNEL_BACKGROUNDS[name]
+    return Model(background=make_background(kind, e=1.0, c=10.0, **params),
+                 m=1.0, g=2.3, alpha=0.0 if spinless else 0.75)
+
+
 def build_model(kind, g=2.3, e=1.0, c=10.0, m=1.0, alpha=0.75, hbar=1.0):
     bg = make_background(kind, e=e, c=c, **BACKGROUND_PARAMS[kind])
     return Model(background=bg, m=m, g=g, hbar=hbar, alpha=alpha)

@@ -5,15 +5,17 @@ layer and the field layer.
   (T2, T3, T4, T5), and ``p0_and_grad`` and ``t34_grads``, the rows
   grad calP^0, grad T3 and grad T4, written with numpy arrays and
   matrix products on the lowered field tensors; ``phase._rows`` writes
-  all of them on the components in float arithmetic and the tests pin
-  it to this form.
+  all of them on the components in float arithmetic (the kernel's
+  pieces, assembled by ``phase.t_rows``) and the tests pin it to this
+  form.
 * The three-application form of the Dirac flow: the canonical structure
   applied block by block (``symplectic_apply``), the canonical bracket of
   two gradients written out (``pair_gradients``), and ``flow`` applying
   them to grad B, grad T3 and grad T4 separately.  ``phase.symplectic``
   writes J as a signed permutation; ``DiracCore.flow``, the stacked form
-  of the correction, and ``brackets.float_flow``, its one-gradient float
-  form, apply it once per gradient; the tests pin all three to this form.
+  of the correction, applies it once per gradient, and
+  ``dynamics.dirac_rhs`` writes the flow of grad H as symplectic
+  pairings of the kernel's pieces; the tests pin all three to this form.
 * ``uniform_at`` and ``coulomb_at``, the field evaluators written with
   numpy arrays; the backgrounds' ``at`` writes them in float arithmetic
   and returns nested tuples, and the tests pin it to this form.

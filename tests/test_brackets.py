@@ -19,8 +19,7 @@ from relspin.brackets import (CLOSED_FAMILIES, PHYSICAL_OBSERVABLES,
                               aux_table_report, closed_brackets,
                               closed_vs_direct_report,
                               defining_property_report, dirac_bracket,
-                              dirac_core, dirac_coefficients, float_flow,
-                              t3t4_closed)
+                              dirac_core, dirac_coefficients, t3t4_closed)
 from relspin.phase import (PhaseState, field_data, init_state, obs_coord,
                            obs_hamiltonian, obs_spin, spin_tensor, symplectic)
 
@@ -243,26 +242,23 @@ def test_spinless_states_reduce_to_canonical():
 # the flow kernel against the three-application form of tests/oracles.py
 
 def _flow_deviation(kind, spinless=False):
-    """Largest relative deviation from the oracle form of each form of
-    the correction: DiracCore.flow over one gradient and a (12, 16)
-    stack per state, float_flow over the one gradient."""
+    """Largest relative deviation of DiracCore.flow from the oracle form,
+    over one gradient and a (12, 16) stack per state."""
     model = build_model(kind, g=2.3)
     states = state_batch(model, 4, seed=23)
     if spinless:
         states = [PhaseState(vec=np.concatenate([z.vec[:8], np.zeros(8)]))
                   for z in states]
-    worst = {"stacked": 0.0, "float": 0.0}
+    worst = 0.0
     for z in states:
         core = dirac_core(z, model)
         gh = obs_hamiltonian().grad(z, model)
         stack = np.array([ob.grad(z, model) for ob in PHYSICAL_OBSERVABLES])
-        r3, r4 = core.R[1:].tolist()
-        for form, G, got in (("stacked", gh, core.flow(gh)),
-                             ("stacked", stack, core.flow(stack)),
-                             ("float", gh, np.array(float_flow(r3, r4, gh.tolist(), model)))):
+        for G in (gh, stack):
+            got = core.flow(G)
             want = oracles.flow(*core.R[1:], G)
             assert got.shape == want.shape == G.shape
-            worst[form] = max(worst[form], np.max(np.abs(got - want)) / np.max(np.abs(want)))
+            worst = max(worst, np.max(np.abs(got - want)) / np.max(np.abs(want)))
     return worst
 
 
@@ -270,16 +266,17 @@ def _flow_deviation(kind, spinless=False):
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_flow_matches_three_application_form(kind, spinless):
     """J applied once to grad B, with J grad T3 and J grad T4 stored in
-    the core, gives the flow of the block-by-block form, and so does the
-    one-gradient float form."""
-    assert max(_flow_deviation(kind, spinless).values()) <= 1e-15
+    the core, gives the flow of the block-by-block form.  The right-hand
+    side's pairing form is pinned to the same oracle in test_dynamics."""
+    assert _flow_deviation(kind, spinless) <= 1e-15
 
 
 @pytest.mark.parametrize("kind", ["coulomb", "crossed"])
 def test_flow_with_transposed_symplectic_matrix_fails(kind, monkeypatch):
-    """Negative control: J^T = -J in place of J, as the matrix and as the
-    signed permutation, flips the flow in both forms."""
+    """Negative control: J^T = -J in place of J, as the matrix applied to
+    grad B and as the signed permutation applied to grad T3 and grad T4,
+    flips the flow."""
     monkeypatch.setattr(brackets, "J", brackets.J.T)
     monkeypatch.setattr(brackets, "symplectic",
                         lambda v: [-u for u in symplectic(v)])
-    assert min(_flow_deviation(kind).values()) > 1.0
+    assert _flow_deviation(kind) > 1.0

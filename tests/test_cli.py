@@ -338,7 +338,8 @@ def test_selftest_passes(capsys):
     # stdout: verdict, name, measured value against its tolerance
     result = re.compile(r"PASS  (\S.*\S)  \w+=\S+ (\(exact\)|< \S+)")
     names = [result.fullmatch(text).group(1) for text in out.splitlines()]
-    assert len(names) == 7
+    assert len(names) == 8
+    assert names[2] == "dirac rhs equals the stacked flow of H"
     assert "spin-orbit coupling carries g-1  residual_terms=0 (exact)" in out
     # stderr: the wall time of each check, in the same order
     timing = re.compile(r"(\S.*\S)  \d+\.\d{3} s")

@@ -21,7 +21,8 @@ from relspin.phase import (Model, PhaseState, constraint_residuals,
                            spin_vector)
 
 import oracles
-from conftest import BACKGROUND_PARAMS, build_model, state_batch
+from conftest import (BACKGROUND_PARAMS, KERNEL_BACKGROUNDS, build_model, kernel_model,
+                      state_batch)
 from oracles import symplectic_apply, with_gauge_shift
 
 
@@ -66,10 +67,10 @@ def test_rhs_raises_where_t3t4_vanishes():
 def test_nan_t3t4_does_not_pass_the_floor(monkeypatch):
     """NaN compares False against a bound either way round.  A NaN slot
     is refused by the energy radicand before the floor sees it, and a
-    NaN {T3,T4} that does reach the floor (here a T3 row of NaN from the
-    kernel, injected wherever the kernel is bound) is refused there; the
-    core, the report and the right-hand side must refuse the state, not
-    read or return NaN."""
+    NaN {T3,T4} that does reach the floor (here the x-part of e3 set to
+    NaN in the kernel's pieces, injected wherever the kernel is bound) is
+    refused there; the core, the report and the right-hand side must
+    refuse the state, not read or return NaN."""
     model = build_model("coulomb")
     vec = state_batch(model, 1)[0].vec.copy()
     calls = (lambda v: dirac_core(PhaseState(vec=v), model),
@@ -83,8 +84,8 @@ def test_nan_t3t4_does_not_pass_the_floor(monkeypatch):
     kernel = phase._kernel
 
     def nan_t3(*args):
-        P, T, (g0, _, r4) = kernel(*args)
-        return P, T, (g0, [np.nan] * 16, r4)
+        P, T, (g0, _, ex4) = kernel(*args)
+        return P, T, (g0, [np.nan] * 4, ex4)
 
     for mod in (phase, brackets, dynamics):
         monkeypatch.setattr(mod, "_kernel", nan_t3)
@@ -374,22 +375,26 @@ def test_rhs_evaluates_the_fields_once(kind, spinless, monkeypatch):
     assert calls == {"field_data": 1, "at": 1, "_kernel": 1, "dirac_core": 0, "lower2": 0}
 
 
-@pytest.mark.parametrize("kind", sorted(BACKGROUND_PARAMS))
-def test_rhs_matches_the_reference_rows_and_flow(kind):
+@pytest.mark.parametrize("name", sorted(KERNEL_BACKGROUNDS))
+def test_rhs_matches_the_reference_rows_and_flow(name):
     """dirac_rhs equals the flow of grad H built from the numpy reference
     rows and the three-application form of the correction, to 1e-15
-    relative, on 20 random constrained states."""
-    model = build_model(kind)
-    for z in state_batch(model, 20, seed=41):
-        fd = field_data(model, z.x)
-        P, g_p0 = oracles.p0_and_grad(z, model, fd)
-        g_t3, g_t4 = oracles.t34_grads(z, model, fd, P, g_p0)
-        gh = model.c * g_p0
-        gh[0:4] += model.e * fd.dA[0]
-        want = oracles.flow(g_t3, g_t4, gh)
-        want[0], want[4] = model.c, 0.0
-        got = dirac_rhs(z.vec, model)
-        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)), kind
+    relative, on 20 random constrained states and on the same states made
+    spinless, in the catalog and in two fields with every F^{mu nu}
+    component nonzero."""
+    for spinless in (False, True):
+        model = kernel_model(name, spinless)
+        for z in state_batch(model, 20, seed=41):
+            assert z.spinless == spinless
+            fd = field_data(model, z.x)
+            P, g_p0 = oracles.p0_and_grad(z, model, fd)
+            g_t3, g_t4 = oracles.t34_grads(z, model, fd, P, g_p0)
+            gh = model.c * g_p0
+            gh[0:4] += model.e * fd.dA[0]
+            want = oracles.flow(g_t3, g_t4, gh)
+            want[0], want[4] = model.c, 0.0
+            got = dirac_rhs(z.vec, model)
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)), name
 
 
 def test_run_reports_its_work(monkeypatch):

@@ -11,9 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relspin.fields import make_background
 from relspin.dynamics import project_state
-from relspin.phase import (J, Model, PhaseState, _rows, constraint_residuals,
+from relspin.phase import (J, PhaseState, _rows, constraint_residuals,
                            constraint_values, dipole_vector, field_data,
                            init_state, kinetic_momentum, obs_coord, obs_energy,
                            obs_hamiltonian, obs_kinetic, obs_spin,
@@ -22,7 +21,8 @@ from relspin.phase import (J, Model, PhaseState, _rows, constraint_residuals,
 from relspin.minkowski import ETA_DIAG, contract_2, mdot
 
 import duals
-from conftest import BACKGROUND_PARAMS, build_model, state_batch
+from conftest import (BACKGROUND_PARAMS, KERNEL_BACKGROUNDS, build_model, kernel_model,
+                      state_batch)
 import oracles
 from oracles import (obs_t2, obs_t3, obs_t4, obs_t5, p0_and_grad,
                      poisson_bracket, ssc_vector, symplectic_apply, t34_grads)
@@ -71,6 +71,19 @@ def test_rest_spin_length():
     assert np.isclose(spin_square(z), 8.0 * model.alpha)
     # dipole part vanishes at rest
     assert np.allclose(dipole_vector(z), 0.0)
+
+
+@pytest.mark.parametrize("alpha", [-0.75, np.nan], ids=["negative", "nan"])
+def test_model_refuses_a_negative_or_nan_alpha(alpha):
+    """The spin invariant alpha is refused at construction, by name, with
+    no numpy warning: past construction it reaches np.sqrt in init_state,
+    whose NaN spin pair ends in a misleading non-convergence error.
+    alpha = 0 (spinless) is kept."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="alpha"):
+            build_model("zero", alpha=alpha)
+    assert init_state(build_model("zero", alpha=0.0), (0, 0, 0), (0.1, 0, 0)).spinless
 
 
 def test_dipole_ssc_identity():
@@ -173,20 +186,6 @@ def test_observable_gradients_match_duals(kind, name, make, expr):
 # ---------------------------------------------------------------------------
 # the float kernel of the constraint rows against the numpy reference
 
-# the catalog plus two fields in which every F^{mu nu} component is
-# nonzero, so that a sign slip in any one of them shows
-KERNEL_BACKGROUNDS = {**{kind: (kind, params) for kind, params in BACKGROUND_PARAMS.items()},
-                      "tilted uniform-B": ("uniform-B", {"B": (0.35, -0.5, 0.3)}),
-                      "crossed, all components": ("crossed", {"E": (0.25, -0.3, 0.15),
-                                                              "B": (-0.4, 0.2, 0.55)})}
-
-
-def _kernel_model(name, spinless):
-    kind, params = KERNEL_BACKGROUNDS[name]
-    return Model(background=make_background(kind, e=1.0, c=10.0, **params),
-                 m=1.0, g=2.3, alpha=0.0 if spinless else 0.75)
-
-
 @pytest.mark.parametrize("spinless", [False, True], ids=["spin", "spinless"])
 @pytest.mark.parametrize("name", sorted(KERNEL_BACKGROUNDS))
 def test_rows_match_the_numpy_reference(name, spinless):
@@ -195,7 +194,7 @@ def test_rows_match_the_numpy_reference(name, spinless):
     on the surface and off it (omega and pi moved by noise); each value
     is compared relative to the largest of its terms.  A spinless
     state's values are zero."""
-    model = _kernel_model(name, spinless)
+    model = kernel_model(name, spinless)
     rng = np.random.default_rng(29)
     for z in state_batch(model, 20, seed=17):
         assert z.spinless == spinless
@@ -226,7 +225,7 @@ def test_spinless_constraint_gradients_carry_no_t5_row(name):
     """At a spinless state (omega = pi = 0) the T5 row of the gradient
     oracle reads zero like its value, without a 0/0 (numpy warnings are
     errors here), and the T3 and T4 rows are the kernel's."""
-    model = _kernel_model(name, spinless=True)
+    model = kernel_model(name, spinless=True)
     for z in state_batch(model, 5, seed=23):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
