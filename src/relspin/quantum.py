@@ -171,17 +171,27 @@ def _target_PP(ps, i, j):
     return _eps_sum(_scalars(ps.B), i, j).scale(_E_CINV)
 
 
-def _target_xS(ps, i, j):
+def _target_xS(ps, i, j, s_dot_p):
+    """(S_j P_i - delta_ij S.P) cinv^2/m^2, with s_dot_p = S.P."""
     out = ps.S[j - 1] * ps.Phat[i - 1]
     if i == j:
-        out = out - dot(ps.S, ps.Phat)
+        out = out - s_dot_p
     return out.scale(_XS)
 
 
 def correspondence_residuals(ps):
     """Residual operator of each pair family: commutator / (i hbar)
     minus the operator transcription of the expanded classical bracket.
-    Keyed by family; values are Ops (zero Op = exact agreement)."""
+    Keyed by family; values are Ops (zero Op = exact agreement), each
+    the first residual (row-major over i, j) of the family's lowest
+    cinv order.
+
+    xx, PP and SS are evaluated for i < j only.  Their commutators and
+    targets are antisymmetric, so residual(j, i) = -residual(i, j),
+    which has the same cinv order and comes later in row-major order,
+    and residual(i, i) is zero; neither can displace the residual the
+    full 3x3 loop keeps.  The report takes 36 commutators, where the
+    full loop takes 54."""
     res = {}
     worst = {"xx": None, "xP": None, "PP": None, "xS": None, "PS": None,
              "SS": None}
@@ -192,19 +202,21 @@ def correspondence_residuals(ps):
             worst[fam] = o
             res[fam] = op
 
+    s_dot_p = dot(ps.S, ps.Phat)
     for i in (1, 2, 3):
         for j in (1, 2, 3):
-            keep("xx", _by_ihbar(commutator(ps.xhat[i - 1], ps.xhat[j - 1]))
-                 - _target_xx(ps, i, j))
             keep("xP", _by_ihbar(commutator(ps.xhat[i - 1], ps.Phat[j - 1]))
                  - Op.scalar(1 if i == j else 0))
-            keep("PP", _by_ihbar(commutator(ps.Phat[i - 1], ps.Phat[j - 1]))
-                 - _target_PP(ps, i, j))
             keep("xS", _by_ihbar(commutator(ps.xhat[i - 1], ps.S[j - 1]))
-                 - _target_xS(ps, i, j))
+                 - _target_xS(ps, i, j, s_dot_p))
             keep("PS", _by_ihbar(commutator(ps.Phat[i - 1], ps.S[j - 1])))
-            keep("SS", _by_ihbar(commutator(ps.S[i - 1], ps.S[j - 1]))
-                 - _eps_sum(ps.S, i, j))
+    for i, j in ((1, 2), (1, 3), (2, 3)):
+        keep("xx", _by_ihbar(commutator(ps.xhat[i - 1], ps.xhat[j - 1]))
+             - _target_xx(ps, i, j))
+        keep("PP", _by_ihbar(commutator(ps.Phat[i - 1], ps.Phat[j - 1]))
+             - _target_PP(ps, i, j))
+        keep("SS", _by_ihbar(commutator(ps.S[i - 1], ps.S[j - 1]))
+             - _eps_sum(ps.S, i, j))
     return {fam: res.get(fam) for fam in worst}
 
 

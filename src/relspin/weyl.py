@@ -19,9 +19,12 @@ Products are reduced to the normal form with the one-axis identity
     p^n x^m = sum_k  C(n,k) C(m,k) k! (-i hbar)^k  x^{m-k} p^{n-k}
 
 applied axis by axis (different axes commute; blocks commute with
-x and p).  With cinv a generator, "order in 1/c" is the least cinv
-exponent among the monomials, which is how the correspondence with the
-classical brackets is graded.
+x and p).  The commutator is one pass over the monomial pairs, not two
+products: the uncontracted terms of A B and B A differ only in the
+block order, so they cancel where either block is scalar and leave
+[Ma, Mb] otherwise.  With cinv a generator,
+"order in 1/c" is the least cinv exponent among the monomials, which
+is how the correspondence with the classical brackets is graded.
 
 Sympy expressions cross the boundary in to_ring (read with m -> 1/minv),
 which Op.scalar and Op.scale apply, and in the Op.terms view (written
@@ -61,11 +64,31 @@ _MINUS_IHBAR = to_ring(-sp.I * hbar)
 _ZKEY = (0, 0, 0, 0, 0, 0)
 
 
+def _is_scalar(blk):
+    """True for a block u * I2."""
+    return not blk[1] and not blk[2] and blk[0] == blk[3]
+
+
 def _block_mul(A, B):
+    if _is_scalar(A):
+        u = A[0]
+        return tuple(u * v for v in B)
+    if _is_scalar(B):
+        u = B[0]
+        return tuple(v * u for v in A)
     a0, a1, a2, a3 = A
     b0, b1, b2, b3 = B
     return (a0 * b0 + a1 * b2, a0 * b1 + a1 * b3,
             a2 * b0 + a3 * b2, a2 * b1 + a3 * b3)
+
+
+def _block_commutator(A, B):
+    """A B - B A with six ring products."""
+    a0, a1, a2, a3 = A
+    b0, b1, b2, b3 = B
+    da, db = a0 - a3, b0 - b3
+    c0 = a1 * b2 - b1 * a2
+    return (c0, b1 * da - a1 * db, a2 * db - b2 * da, -c0)
 
 
 def _conj(p):
@@ -196,14 +219,6 @@ class Op:
         return min((mon[_CINV] for blk in self.blocks.values()
                     for u in blk for mon in u), default=None)
 
-    def coefficient_of_cinv(self, order):
-        """The operator multiplying cinv**order (cinv set to 1 there)."""
-        def pick(u):
-            return R.from_dict({mon[:_CINV] + (0,) + mon[_CINV + 1:]: c
-                                for mon, c in u.items() if mon[_CINV] == order})
-        return Op({k: tuple(pick(u) for u in blk)
-                   for k, blk in self.blocks.items()})
-
     def __repr__(self):
         if not self.blocks:
             return "Op(0)"
@@ -233,11 +248,38 @@ def _reorder(a, b, c, d):
 
 
 def commutator(A, B):
-    return A * B - B * A
+    """[A, B] in one pass over the monomial pairs, with no product of
+    whole operators.  Per pair: [Ma, Mb] at the uncontracted key
+    x^{a+c} p^{b+d}, where the uncontracted terms of A B and B A meet
+    (skipped when either block is scalar, where they cancel); plus the
+    contractions of x^a p^b x^c p^d times Ma Mb; minus those of
+    x^c p^d x^a p^b times Mb Ma.  A block product is formed only for
+    an order that has contractions."""
+    def split(op):
+        return [(k[:3], k[3:], blk, _is_scalar(blk))
+                for k, blk in op.blocks.items()]
 
-
-def anticommutator(A, B):
-    return A * B + B * A
+    out = {}
+    rhs = split(B)
+    for a, b, Ma, sa in split(A):
+        for c, d, Mb, sb in rhs:
+            if not (sa or sb):
+                comm = _block_commutator(Ma, Mb)
+                if any(comm):
+                    key = tuple(s + t for s, t in zip(a + b, c + d))
+                    _accumulate(out, key, comm)
+            # p^b meets x^c on some axis in A B, p^d meets x^a in B A
+            if any(map(min, b, c)):
+                Mab = _block_mul(Ma, Mb)
+                for key, coeff in _reorder(a, b, c, d):
+                    if coeff is not None:
+                        _accumulate(out, key, _scaled(coeff, Mab))
+            if any(map(min, d, a)):
+                Mba = _block_mul(Mb, Ma)
+                for key, coeff in _reorder(c, d, a, b):
+                    if coeff is not None:
+                        _accumulate(out, key, _scaled(-coeff, Mba))
+    return Op(out)
 
 
 def dot(ops_a, ops_b):

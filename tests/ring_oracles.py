@@ -1,0 +1,70 @@
+"""Test-only reference code for the operator ring and the correspondence.
+
+* ``commutator``, the two-product form A B - B A built from whole
+  normal-ordered products; ``weyl.commutator`` makes one pass over the
+  monomial pairs and the tests pin it to this form.
+* ``anticommutator`` and ``coefficient_of_cinv``, which only the tests
+  use.
+* ``full_residuals``, the correspondence residuals over the full 3x3
+  loop of every family, with the oracle commutator and S.P formed per
+  diagonal pair; ``quantum.correspondence_residuals`` evaluates the
+  antisymmetric families (xx, PP, SS) for i < j only, and the tests pin
+  it to this form.
+"""
+
+from __future__ import annotations
+
+from relspin.quantum import (_XS, _by_ihbar, _eps_sum, _target_PP,
+                             _target_xx)
+from relspin.weyl import _CINV, Op, R, dot
+
+PAIRS = tuple((i, j) for i in (1, 2, 3) for j in (1, 2, 3))
+FAMILIES = ("xx", "xP", "PP", "xS", "PS", "SS")
+
+
+def commutator(A, B):
+    return A * B - B * A
+
+
+def anticommutator(A, B):
+    return A * B + B * A
+
+
+def coefficient_of_cinv(op, order):
+    """The operator multiplying cinv**order in op (cinv set to 1 there)."""
+    def pick(u):
+        return R.from_dict({mon[:_CINV] + (0,) + mon[_CINV + 1:]: c
+                            for mon, c in u.items() if mon[_CINV] == order})
+    return Op({k: tuple(pick(u) for u in blk) for k, blk in op.blocks.items()})
+
+
+def _pair_residuals(ps, i, j):
+    """Residual of every family at the 1-based pair (i, j)."""
+    xi, Pi, Si = ps.xhat[i - 1], ps.Phat[i - 1], ps.S[i - 1]
+    xj, Pj, Sj = ps.xhat[j - 1], ps.Phat[j - 1], ps.S[j - 1]
+    target_xS = Sj * Pi
+    if i == j:
+        target_xS = target_xS - dot(ps.S, ps.Phat)
+    return {
+        "xx": _by_ihbar(commutator(xi, xj)) - _target_xx(ps, i, j),
+        "xP": _by_ihbar(commutator(xi, Pj)) - Op.scalar(1 if i == j else 0),
+        "PP": _by_ihbar(commutator(Pi, Pj)) - _target_PP(ps, i, j),
+        "xS": _by_ihbar(commutator(xi, Sj)) - target_xS.scale(_XS),
+        "PS": _by_ihbar(commutator(Pi, Sj)),
+        "SS": _by_ihbar(commutator(Si, Sj)) - _eps_sum(ps.S, i, j),
+    }
+
+
+def full_residuals(ps):
+    """(per_pair, kept): per_pair[fam][(i, j)] is every residual of the
+    3x3 loop; kept[fam] is the first residual, in row-major order, of
+    the family's lowest cinv order (None when all vanish)."""
+    per_pair = {fam: {} for fam in FAMILIES}
+    kept, worst = dict.fromkeys(FAMILIES), dict.fromkeys(FAMILIES)
+    for i, j in PAIRS:
+        for fam, op in _pair_residuals(ps, i, j).items():
+            per_pair[fam][(i, j)] = op
+            o = op.min_cinv_order()
+            if o is not None and (worst[fam] is None or o < worst[fam]):
+                worst[fam], kept[fam] = o, op
+    return per_pair, kept

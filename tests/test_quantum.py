@@ -5,13 +5,14 @@ import sympy as sp
 
 from sympy.polys.polyerrors import ExactQuotientFailed
 
+from relspin import quantum, weyl
 from relspin.quantum import (CORRESPONDENCE_FLOORS, FIELD_KINDS, _by_ihbar,
                              _scalars, build_operators, correspondence_report,
                              correspondence_residuals, covariant_spin_orbit,
                              g_minus_one_residual, g_sym, potential_shift,
                              shift_identity_residual)
-from relspin.weyl import (Op, anticommutator, cinv, cross, dot, e, hbar, m,
-                          to_ring)
+from relspin.weyl import Op, cinv, cross, dot, e, hbar, m, to_ring
+from ring_oracles import PAIRS, anticommutator, full_residuals
 
 
 def pauli_hamiltonian(kind="uniform-E", g=g_sym, include_so=True):
@@ -142,3 +143,56 @@ def test_dipole_operator_hermitian():
     ps = build_operators("uniform-B")
     for comp in ps.Dhat:
         assert comp.is_hermitian()
+
+
+@pytest.mark.parametrize("kind", FIELD_KINDS)
+def test_upper_triangle_loop_matches_the_full_loop(kind, monkeypatch):
+    """The i < j loop of xx, PP and SS keeps the same residuals and
+    gives the same report as the full 3x3 loop on A B - B A, whose
+    antisymmetric families are antisymmetric with a zero diagonal."""
+    got = {}
+
+    def capture(ps):
+        got.update(correspondence_residuals(ps))
+        return got
+
+    monkeypatch.setattr(quantum, "correspondence_residuals", capture)
+    report = correspondence_report(kind)
+    per_pair, kept = full_residuals(build_operators(kind))
+    monkeypatch.setattr(quantum, "correspondence_residuals",
+                        lambda ps: kept)
+    assert correspondence_report(kind) == report
+    for fam, op in kept.items():
+        assert (got[fam] is None) == (op is None), fam
+        assert op is None or got[fam] == op, fam
+    for fam in ("xx", "PP", "SS"):
+        res = per_pair[fam]
+        for i, j in PAIRS:
+            assert res[(j, i)] == -res[(i, j)], (fam, i, j)
+        assert all(res[(i, i)].is_zero() for i in (1, 2, 3)), fam
+
+
+@pytest.mark.parametrize("kind", FIELD_KINDS)
+def test_report_takes_36_commutators_and_no_product_inside_them(kind, monkeypatch):
+    """xP, xS and PS on all 9 pairs and xx, PP and SS on the 3 with
+    i < j; the commutator forms no product of whole operators."""
+    calls = {"commutator": 0, "mul_inside": 0}
+    inside = []
+    commutator, mul = weyl.commutator, Op.__mul__
+
+    def counted_commutator(A, B):
+        calls["commutator"] += 1
+        inside.append(True)
+        try:
+            return commutator(A, B)
+        finally:
+            inside.pop()
+
+    def counted_mul(self, other):
+        calls["mul_inside"] += bool(inside)
+        return mul(self, other)
+
+    monkeypatch.setattr(quantum, "commutator", counted_commutator)
+    monkeypatch.setattr(Op, "__mul__", counted_mul)
+    correspondence_report(kind)
+    assert calls == {"commutator": 36, "mul_inside": 0}

@@ -1,12 +1,34 @@
 """Exactness of the normal-ordered operator ring."""
 
+import pytest
 import sympy as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import ring_oracles
 from relspin import quantum
-from relspin.weyl import (Op, anticommutator, cinv, commutator, cross, dot,
-                          hbar, m)
+from relspin.weyl import (I2, SIGMA, Op, cinv, commutator, cross, dot, hbar, m,
+                          to_ring)
+from ring_oracles import anticommutator, coefficient_of_cinv
 
 I = sp.I
+
+# blocks I2 and sigma_1..3, each times 1, hbar, cinv or i: some pairs
+# commute and some do not
+_BASES = (I2,) + SIGMA
+_FACTORS = tuple(to_ring(f) for f in (1, hbar, cinv, I))
+
+
+def _monomial_op(key, base, factor):
+    return Op({key: tuple(_FACTORS[factor] * u for u in _BASES[base])})
+
+
+# 1-3 monomials, exponents 0-2 per axis, so contractions occur in A B,
+# in B A, in both and in neither
+_ops = st.lists(st.builds(_monomial_op,
+                          st.tuples(*[st.integers(0, 2)] * 6),
+                          st.integers(0, 3), st.integers(0, 3)),
+                min_size=1, max_size=3).map(lambda ops: sum(ops, Op()))
 
 
 def test_canonical_commutators():
@@ -66,8 +88,8 @@ def test_pauli_algebra():
 def test_min_cinv_order_and_coefficient():
     a = Op.scalar(3 * cinv**2 + cinv**4)
     assert a.min_cinv_order() == 2
-    assert a.coefficient_of_cinv(2) == Op.scalar(3)
-    assert a.coefficient_of_cinv(3).is_zero()
+    assert coefficient_of_cinv(a, 2) == Op.scalar(3)
+    assert coefficient_of_cinv(a, 3).is_zero()
     assert Op.x(1).min_cinv_order() == 0
     assert Op().min_cinv_order() is None
     assert (a - a).min_cinv_order() is None
@@ -114,3 +136,26 @@ def test_g_minus_one_residual_sees_a_wrong_assembly(monkeypatch):
     monkeypatch.setattr(quantum, "potential_shift", lambda ps: Op())
     assert not quantum.g_minus_one_residual(ps).is_zero()
     assert not quantum.g_minus_one_residual(ps, g=sp.Integer(2)).is_zero()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ops, _ops)
+# x1 p1 sigma_1 against x1 p1 sigma_2: contractions in both orders and
+# blocks that do not commute
+@example(_monomial_op((1, 0, 0, 1, 0, 0), 1, 0),
+         _monomial_op((1, 0, 0, 1, 0, 0), 2, 0))
+def test_commutator_matches_the_two_product_form(A, B):
+    assert commutator(A, B) == ring_oracles.commutator(A, B)
+
+
+@pytest.mark.parametrize("kind", ["uniform-B", "crossed"])
+def test_commutator_matches_the_two_product_form_on_the_realization(kind):
+    """Every ordered pair of (xhat_i, Phat_j, S_k): the one-pass
+    commutator equals A B - B A, and the reversed pair its negative."""
+    ps = quantum.build_operators(kind)
+    ops = ps.xhat + ps.Phat + ps.S
+    for a, A in enumerate(ops):
+        for B in ops[a:]:
+            want = ring_oracles.commutator(A, B)
+            assert commutator(A, B) == want
+            assert commutator(B, A) == -want
