@@ -98,9 +98,10 @@ def _t3t4(t34, model):
 
 def dirac_core(z, model):
     """The second-class data at z; raises where {T3,T4} is too small to invert."""
-    fd = field_data(model, z.x)
-    P, _, pieces = _kernel(z.vec, model, fd)
-    rows = t_rows(z.vec, P, pieces)
+    vec = z.vec.tolist()
+    fd = field_data(model, vec[:4])
+    P, _, pieces = _kernel(vec, model, fd)
+    rows = t_rows(vec, P, pieces)
     JR = [symplectic(r) for r in rows[1:]]
     return DiracCore(fd=fd, P=np.array(P), R=np.array(rows), JR=np.array(JR),
                      t34=_t3t4(sum(map(mul, rows[1], JR[1])), model))
@@ -143,7 +144,7 @@ class DiracCoefficients:
 
 
 def dirac_coefficients(z, model, fd=None):
-    fd = fd or field_data(model, z.x)
+    fd = fd or field_data(model, z.x.tolist())
     e, c, m, g = model.e, model.c, model.m, model.g
     S = spin_tensor(z)
     P = kinetic_momentum(z, model, fd)
@@ -208,7 +209,7 @@ def closed_brackets(z, model, coef=None, fd=None):
     """{A_a, A_b}_D through the coefficient blocks, as the (12, 12)
     matrix over PHYSICAL_OBSERVABLES; the blocks below the diagonal
     follow by antisymmetry."""
-    fd = fd or field_data(model, z.x)
+    fd = fd or field_data(model, z.x.tolist())
     coef = coef or dirac_coefficients(z, model, fd)
     e, c = model.e, model.c
     P, S, Delta, ge = coef.P, coef.S, coef.Delta, coef.g_eff
@@ -262,7 +263,7 @@ def aux_table_entries(z, model, energy_row_variant="resolved"):
     else:
         raise ValueError(f"unknown energy_row_variant {energy_row_variant!r}")
 
-    fd = field_data(model, z.x)
+    fd = field_data(model, z.x.tolist())
     P = kinetic_momentum(z, model, fd)
     S = spin_tensor(z)
     P0 = P[0]
@@ -297,7 +298,7 @@ def aux_table_entries(z, model, energy_row_variant="resolved"):
 
 def aux_table_oracle(z, model):
     """The same table computed directly from the canonical bracket."""
-    R = _rows(z, model, field_data(model, z.x))[2]
+    R = _rows(z, model)[2]
     G = np.array([ob.grad(z, model) for ob in ROW_OBSERVABLES.values()])
     return R @ (G @ J.T).T
 

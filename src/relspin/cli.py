@@ -349,7 +349,7 @@ def run_selftest():
         for z in states:
             want = dirac_core(z, model).flow(H_OBS.grad(z, model))
             want[0], want[4] = model.c, 0.0
-            dev = np.max(np.abs(dirac_rhs(z.vec, model) - want)) / np.max(np.abs(want))
+            dev = np.max(np.abs(dirac_rhs(z.vec.tolist(), model) - want)) / np.max(np.abs(want))
             worst = max(worst, float(dev))
         return worst
 

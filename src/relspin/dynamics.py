@@ -5,17 +5,17 @@ is its Dirac bracket with H, so the raw equations of motion are
 
     zdot = J grad H + ( {T4,H} J grad T3 - {T3,H} J grad T4 ) / {T3,T4}
 
-computed in one float pass per call (``dirac_rhs``): one field
-evaluation, one call of the kernel ``phase._kernel``, and three
-symplectic pairings of its pieces, which give {T3,T4}, {T3,H} and
-{T4,H}; no row, ``DiracCore`` or field array is built.  The stacked
-form of the correction, ``DiracCore.flow``, serves the bracket reports,
-and both are pinned to one reference.  The energy radicand check and
-the {T3,T4} floor that ``dirac_core`` shares (``brackets._t3t4``) make
-it raise ValueError where the state is out of range or the pair is not
-invertible, NaN included.  x^0 is slaved to the evolution parameter
-(dx^0/dt = c) and p^0 a spectator equal to H/c, exactly conserved in
-stationary backgrounds.
+computed in one float pass per call (``dirac_rhs``, 16 floats in, a list
+of 16 floats out): one field evaluation, one call of the kernel
+``phase._kernel``, and three symplectic pairings of its pieces, which
+give {T3,T4}, {T3,H} and {T4,H}; no row, ``DiracCore`` or array is
+built.  The stacked form of the correction, ``DiracCore.flow``, serves
+the bracket reports, and both are pinned to one reference.  The energy
+radicand check and the {T3,T4} floor that ``dirac_core`` shares
+(``brackets._t3t4``) make it raise ValueError where the state is out of
+range or the pair is not invertible, NaN included.  x^0 is slaved to
+the evolution parameter (dx^0/dt = c) and p^0 a spectator equal to H/c,
+exactly conserved in stationary backgrounds.
 
 The continuous flow preserves all four constraints: T3 and T4 by
 construction of the bracket, T2 and T5 because {T2,T3} = -T3 and its
@@ -24,6 +24,14 @@ three siblings vanish on the surface.  Numerical drift is removed by
 repeated with the new calP, which keeps x and pins S.S = 8 alpha too (a
 consequence of T2 = T5 = 0).  Where it refuses a state or stalls, its
 ValueError or RuntimeError ends the run of ``integrate``.
+
+Inside the rk4 loop of ``integrate`` the state is a list of 16 Python
+floats, from ``z0.vec.tolist()`` on: ``_rk4_step`` forms its stages and
+the final combination elementwise, in the operation order of the numpy
+form, so a step is the same to the bit, and no array is built inside a
+step or a projection pass.  Arrays appear where a state crosses the
+``PhaseState`` boundary of ``project_state`` and in the recorded
+``Trajectory.Z``.
 
 ``Trajectory.stats`` reports what a run did, apart from its results:
 the right-hand-side evaluations, the projections and their fixed-point
@@ -41,21 +49,23 @@ is J grad H, the plain Lorentz force; it carries no constraints.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .brackets import _t3t4
-from .phase import (CONSTRAINT_NAMES, PhaseState, constraint_values, field_data,
-                    spin_readouts, spin_tensor, _kernel)
+from .phase import (CONSTRAINT_NAMES, PhaseState, field_data, spin_readouts,
+                    spin_tensor, _kernel)
 
 # ---------------------------------------------------------------------------
 # right-hand sides
 
 
 def dirac_rhs(vec, model):
-    """d(vec)/dt for the 16-component state; t is laboratory time.
+    """d(vec)/dt for the 16-component state, a sequence of 16 floats, as
+    a list of 16 floats; t is laboratory time.
 
     One field evaluation and one kernel call, whose pieces g0 = grad calP^0
     and the explicit gradients e3, e4 (grad T_v = -v^0 g0 + e_v) enter
@@ -69,13 +79,12 @@ def dirac_rhs(vec, model):
     and zdot = J (b g0 + e dA^0 + a4 e3 - a3 e4), a_v = {T_v, H}/{T3,T4}
     and b = c - a4 omega^0 + a3 pi^0, written out block by block.  The p^0
     slots of g0, e3 and e4 are zero, so no x^0 slot is read."""
-    vec = np.asarray(vec, dtype=float)
     fd = field_data(model, vec[0:4])
     (P0, P1, P2, P3), _, (g0, ex3, ex4) = _kernel(vec, model, fd)
     _, g1, g2, g3, _, g5, g6, g7, g8, g9, g10, g11, g12, g13, g14, g15 = g0
     _, x1, x2, x3 = ex3
     _, y1, y2, y3 = ex4
-    w0, w1, w2, w3, q0, q1, q2, q3 = vec[8:].tolist()
+    w0, w1, w2, w3, q0, q1, q2, q3 = vec[8:]
     _, d1, d2, d3 = fd.floats[1][0]   # d_i A^0
     c, e = model.c, model.e
     A3 = (x1 * g5 + x2 * g6 + x3 * g7 - (w1 * g1 + w2 * g2 + w3 * g3)
@@ -90,13 +99,13 @@ def dirac_rhs(vec, model):
     a4 = (c * A4 + e * (q0 * gd - (q1 * d1 + q2 * d2 + q3 * d3))) / t34
     b = c - a4 * w0 + a3 * q0
     # x^0 is slaved to t and p^0 is frozen
-    return np.array([
+    return [
         c, b * g5 + a4 * w1 - a3 * q1, b * g6 + a4 * w2 - a3 * q2,
         b * g7 + a4 * w3 - a3 * q3,
         0.0, -(b * g1 + e * d1 + a4 * x1 - a3 * y1),
         -(b * g2 + e * d2 + a4 * x2 - a3 * y2), -(b * g3 + e * d3 + a4 * x3 - a3 * y3),
         -b * g12 - a3 * P0, b * g13 - a3 * P1, b * g14 - a3 * P2, b * g15 - a3 * P3,
-        b * g8 - a4 * P0, -b * g9 - a4 * P1, -b * g10 - a4 * P2, -b * g11 - a4 * P3])
+        b * g8 - a4 * P0, -b * g9 - a4 * P1, -b * g10 - a4 * P2, -b * g11 - a4 * P3]
 
 
 # ---------------------------------------------------------------------------
@@ -127,8 +136,10 @@ def project_state(z, model, *, stats=None):
     so the passes repeat with the new calP, a fixed point contracting by
     about (e g / 4 c) |F| |S| / (m c)^2.  A call evaluates the fields
     once and each pass reads calP and the residuals from one kernel
-    call; the first iterate whose largest residual is below
-    PROJECTION_TOL (1 + (m c)^2) is returned, a spinless state as it is.
+    call, on the state as a list of 16 floats (one tolist() on entry,
+    one array on return); the first iterate whose largest residual is
+    below PROJECTION_TOL (1 + (m c)^2) is returned, a spinless state as
+    it is.
     The projection is not orthogonal, and need not be: a correction the
     size of the drift keeps the integrator's order (Hairer, Lubich and
     Wanner, GNI IV.4).
@@ -143,15 +154,15 @@ def project_state(z, model, *, stats=None):
     passes made and whose "max_residual_before_projection" is raised to
     the largest residual before the first pass.
     """
-    if z.spinless:
+    vec = z.vec.tolist()
+    if not any(vec[8:]):
         return z
-    vec = z.vec.copy()
-    if not np.all(np.isfinite(vec)):
+    if not all(map(math.isfinite, vec)):
         raise ValueError("cannot project a state with non-finite components in slots "
-                         f"{np.flatnonzero(~np.isfinite(vec)).tolist()}")
+                         f"{[i for i, v in enumerate(vec) if not math.isfinite(v)]}")
     tol = PROJECTION_TOL * (1.0 + (model.m * model.c) ** 2)
-    fd = field_data(model, z.x)
-    head = vec[:8].tolist()
+    fd = field_data(model, vec[:4])
+    head = vec[:8]
     errs = []
     while True:
         P, T, _ = _kernel(vec, model, fd)
@@ -161,10 +172,10 @@ def project_state(z, model, *, stats=None):
                 stats["projection_steps"] += len(errs) - 1
                 stats["max_residual_before_projection"] = max(
                     stats["max_residual_before_projection"], errs[0])
-            return PhaseState(vec=vec)
+            return PhaseState(vec=np.array(vec))
         if len(errs) > 1 and not errs[-1] < errs[-2]:
             break
-        w, q = vec[8:12].tolist(), vec[12:].tolist()
+        w, q = vec[8:12], vec[12:]
         pp = _mdot(P, P)   # T3 = calP.omega, T4 = calP.pi
         w1 = [wi - T[1] / pp * Pi for wi, Pi in zip(w, P)]
         q1 = [qi - T[2] / pp * Pi for qi, Pi in zip(q, P)]
@@ -179,7 +190,7 @@ def project_state(z, model, *, stats=None):
             raise ValueError(f"pi lies in the plane of omega and calP to rounding "
                              f"(pi^2 = {qq:.3e} after removing both); cannot project")
         s = math.sqrt(math.sqrt(model.alpha / (ww * qq)))
-        vec = np.array(head + [s * v for v in w1 + q1])
+        vec = head + [s * v for v in w1 + q1]
     raise RuntimeError(f"constraint projection did not converge: pass {len(errs) - 1} "
                        f"no longer shrank the residual; max residual {errs[0]:.3e} "
                        f"before, {min(errs):.3e} at best, tolerance {tol:.1e}")
@@ -192,11 +203,19 @@ PROJECT_EVERY = 25   # rk4 steps between projections, besides recording times
 
 
 def _rk4_step(f, y, h):
+    """One classical rk4 step of y' = f(y) on a list of floats, returning
+    a new list.  The stages are y + (h/2) k and y + h k, and the step
+    y + (h/6) (((k1 + 2 k2) + 2 k3) + k4), elementwise in the operation
+    order of the numpy form (tests/oracles.rk4_step), so both give the
+    same bits."""
     k1 = f(y)
-    k2 = f(y + 0.5 * h * k1)
-    k3 = f(y + 0.5 * h * k2)
-    k4 = f(y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    a = 0.5 * h
+    k2 = f([u + a * k for u, k in zip(y, k1)])
+    k3 = f([u + a * k for u, k in zip(y, k2)])
+    k4 = f([u + h * k for u, k in zip(y, k3)])
+    b = h / 6.0
+    return [u + b * (((p + 2.0 * q) + 2.0 * r) + s)
+            for u, p, q, r, s in zip(y, k1, k2, k3, k4)]
 
 
 @dataclass
@@ -235,8 +254,9 @@ class Trajectory:
         spin2 = np.zeros(n)
         for k in range(n):
             z = PhaseState(vec=Z[k])
-            fd = field_data(self.model, z.x)
-            P[k], T[k] = constraint_values(z, self.model, fd)
+            vec = Z[k].tolist()
+            fd = field_data(self.model, vec[:4])
+            P[k], T[k], _ = _kernel(vec, self.model, fd)
             H[k] = self.model.c * P[k, 0] + self.model.e * fd.floats[0][0]
             if not z.spinless:
                 S3[k], D3[k], ss = spin_readouts(spin_tensor(z))
@@ -277,10 +297,28 @@ def integrate(model, z0, t_final, dt, t0=0.0, record_every=1,
     state (ValueError) or stalls (RuntimeError) ends the run.  Both end
     at t_final: when (t_final - t0)/dt is not an integer to rounding, rk4
     takes floor((t_final - t0)/dt) steps of dt and one shorter last
-    step, which is always recorded.
+    step, which is always recorded.  dt < 0 runs backward to t_final <
+    t0, and t_final == t0 records z0 alone.
+
+    ValueError, naming the argument: a non-finite t0, t_final or dt, a
+    zero dt, a dt that points away from t_final or is too small for a
+    finite step count, and a record_every that is not a positive
+    integer.
     """
     start = time.perf_counter()
+    for name, value in (("t0", t0), ("t_final", t_final), ("dt", dt)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    if dt == 0.0:
+        raise ValueError("dt must be nonzero")
+    if not (isinstance(record_every, numbers.Integral) and record_every >= 1):
+        raise ValueError(f"record_every must be a positive integer, got {record_every!r}")
     ratio = (t_final - t0) / dt
+    if ratio < 0.0:
+        raise ValueError(f"dt = {dt} points away from t_final = {t_final} (t0 = {t0})")
+    if not math.isfinite(ratio):
+        raise ValueError(f"dt = {dt} is too small for a finite step count "
+                         f"from t0 = {t0} to t_final = {t_final}")
     n_full = int(round(ratio))
     short = abs(ratio - n_full) > 1e-9 * max(1.0, abs(ratio))
     if short:
@@ -296,25 +334,27 @@ def integrate(model, z0, t_final, dt, t0=0.0, record_every=1,
         return dirac_rhs(y, model)
 
     if method == "rk4":
-        y = z0.vec.copy()
+        y = z0.vec.tolist()
         for k in range(1, n_steps + 1):
             h = dt if k <= n_full else t_final - (t0 + n_full * dt)
             y = _rk4_step(f, y, h)
             if project and (k % PROJECT_EVERY == 0 or k % record_every == 0):
-                y = project_state(PhaseState(vec=y), model, stats=stats).vec.copy()
+                y = project_state(PhaseState(vec=np.array(y)), model, stats=stats).vec.tolist()
                 stats["projections"] += 1
             if k % record_every == 0 or k == n_steps:
                 ts.append(t0 + k * dt if k <= n_full else t_final)
-                zs.append(y.copy())
+                zs.append(np.array(y))
     elif method == "dop853":
         from scipy.integrate import solve_ivp
 
         t_eval = t0 + dt * record_every * np.arange(1, n_full // record_every + 1)
-        if len(t_eval) == 0 or t_eval[-1] < t_final - 1e-12 * abs(t_final):
+        # the last record falls short of t_final, in the direction of dt
+        if n_steps and (len(t_eval) == 0 or (t_final - t_eval[-1]) * math.copysign(1.0, dt)
+                        > 1e-12 * abs(t_final)):
             t_eval = np.append(t_eval, t_final)
         y = z0.vec.copy()
         t_prev = t0
-        rhs = lambda t, y: f(y)
+        rhs = lambda t, y: f(y.tolist())
         for t_next in t_eval:
             sol = solve_ivp(rhs, (t_prev, t_next), y, method="DOP853",
                             rtol=rtol, atol=atol, dense_output=False)

@@ -1,7 +1,8 @@
 """Stationary electromagnetic backgrounds with exact analytic derivatives.
 
-A background supplies one evaluator at a spacetime point x, a (4,)
-array (only the spatial part matters, the fields are time independent):
+A background supplies one evaluator at a spacetime point x, a sequence
+of four Python floats (only the spatial part matters, the fields are
+time independent):
 
     at(x) -> (A, dA, F, dF)
 
@@ -15,11 +16,13 @@ as nested tuples of Python floats, the form the float kernel
 r_min check) is computed once for all four.  The uniform kinds return
 constant dA, F and dF tuples made once at construction, and tuples
 cannot be modified by a caller.  Arrays are built only on demand: by
-``FieldBackground.A/dA/F/dF`` and by ``phase.FieldsAt``, which also
-lowers F and dF when a reader asks.  Stationarity means dA[:, 0] == 0
-and dF[0] == 0 identically.  F is antisymmetric, and so is dF in its
-last two indices; the kernel reads only the components above the
-diagonal.  The electric field of a static potential is
+``FieldBackground.A/dA/F/dF``, which take an array point and convert
+it once with ``tolist()``, and by ``phase.FieldsAt``, which also lowers
+F and dF when a reader asks.  Stationarity means dA[mu][0] == 0.0 and
+dF[0] == 0.0 identically, in every background, a gauge-shifted one
+included: the kernel relies on it and writes no x^0 derivative.  F is
+antisymmetric, and so is dF in its last two indices; the kernel reads
+only the components above the diagonal.  The electric field of a static potential is
 E_i = d_i A_0 = -d_i A^0.  Exact derivatives are part of the contract:
 bracket and force evaluations chain-rule through these, finite
 differences are used only as test oracles.
@@ -56,16 +59,16 @@ class FieldBackground:
     at: Callable = field(repr=False)   # x -> (A, dA, F, dF), nested float tuples
 
     def A(self, x):
-        return np.array(self.at(x)[0])
+        return np.array(self.at(x.tolist())[0])
 
     def dA(self, x):
-        return np.array(self.at(x)[1])
+        return np.array(self.at(x.tolist())[1])
 
     def F(self, x):
-        return np.array(self.at(x)[2])
+        return np.array(self.at(x.tolist())[2])
 
     def dF(self, x):
-        return np.array(self.at(x)[3])
+        return np.array(self.at(x.tolist())[3])
 
 
 def _uniform_at(E3, B3):
@@ -81,7 +84,7 @@ def _uniform_at(E3, B3):
     b1, b2, b3 = B3.tolist()
 
     def at(x):
-        _, x1, x2, x3 = x.tolist()
+        _, x1, x2, x3 = x
         # E.x as a float sum, not numpy's dot: whether its BLAS kernel
         # fuses the multiply-adds, and so the last bit, depends on the host
         return ((-(e1 * x1 + e2 * x2 + e3 * x3), 0.5 * (b2 * x3 - b3 * x2),
@@ -98,7 +101,7 @@ def _electric(v1, v2, v3):
 
 def _coulomb_at(q, r_min):
     def at(x):
-        _, x1, x2, x3 = x.tolist()
+        _, x1, x2, x3 = x
         rr = x1 * x1 + x2 * x2 + x3 * x3
         r = math.sqrt(rr)
         if not r >= r_min:   # NaN fails this test too

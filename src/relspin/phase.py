@@ -31,9 +31,11 @@ field evaluation it gives calP, the values (T2, T3, T4, T5) and the
 pieces of the rows grad (calP^0, T3, T4) as Python floats, in float
 arithmetic on the 16 components (at one state cheaper than numpy's
 per-call overhead); t_rows assembles the rows and _rows is the array
-view.  Every reader of calP or a constraint reads the kernel; the
-energy radicand and its check live in _energy alone.  A state
-is its 16 numbers, spinless when omega = pi = 0.  FieldsAt holds the
+view.  The kernel, t_rows and the backgrounds' at(x) take plain float
+sequences; the readers that hold a PhaseState convert its array once
+with tolist() at their call.  Every reader of calP or a constraint
+reads the kernel; the energy radicand and its check live in _energy
+alone.  A state is its 16 numbers, spinless when omega = pi = 0.  FieldsAt holds the
 float tuples that the background's at(x) returns, which the kernel
 reads; the arrays A, dA, F and dF, and the lowered F and dF, are built
 only when a reader outside the kernel asks.  The canonical structure,
@@ -159,6 +161,7 @@ class FieldsAt:
 
 
 def field_data(model, x4):
+    """The fields at the point x4, a sequence of four floats."""
     return FieldsAt(model.background.at(x4))
 
 
@@ -243,8 +246,9 @@ class Observable:
 
 def _kernel(vec, model, fd):
     """calP, the values T = (T2, T3, T4, T5) and the pieces of the rows
-    grad (calP^0, T3, T4) at the state vec: the one evaluation of a state,
-    as Python floats (two 4-tuples and the pieces (g0, ex3, ex4)).
+    grad (calP^0, T3, T4) at the state vec, a sequence of 16 floats: the
+    one evaluation of a state, as Python floats (two 4-tuples and the
+    pieces (g0, ex3, ex4)).
 
     g0 = grad calP^0 is 16 floats; ex3 and ex4 are the x-parts of the
     explicit gradients e3 and e4, -(e/c) v^i d_lam A^i for v = omega and
@@ -257,18 +261,23 @@ def _kernel(vec, model, fd):
     values are zero; at any other omega^2 = 0, T5 is undefined and
     ValueError is raised.  Written on the components in float
     arithmetic: at one state numpy's per-call cost outweighs the
-    arithmetic of four-vectors, so the state is read once with
-    tolist(), the fields as the float tuples of fd.floats, and the eta
-    signs are written into the expressions; _rows gives the outputs as
-    arrays.  F and dF are antisymmetric in their last two
-    indices, so only the components above the diagonal are read.
+    arithmetic of four-vectors, so the state is unpacked as floats, the
+    fields read as the float tuples of fd.floats, and the eta signs are
+    written into the expressions; _rows gives the outputs as arrays.
+    F and dF are antisymmetric in their last two indices, so only the
+    components above the diagonal are read.
     grad calP^0 = grad W / (2 calP^0),
     W = calP^0 ** 2 the energy radicand.
+
+    The backgrounds are stationary (fields.py): d_0 A^mu = 0 and
+    d_0 F = 0.  The kernel relies on it and writes the x^0 slots of g0,
+    ex3 and ex4 as 0.0 without reading dA[mu][0] or dF[0]; the x-parts
+    are formed for lam = 1..3 only.
     """
     e, c = model.e, model.c
     k = e / c
     h = e * model.g / c          # W holds -(h / 4) F_{mu nu} S^{mu nu}
-    p1, p2, p3, w0, w1, w2, w3, q0, q1, q2, q3 = vec[5:].tolist()
+    _, _, _, _, _, p1, p2, p3, w0, w1, w2, w3, q0, q1, q2, q3 = vec
     A, dA, F, dF = fd.floats
     P1, P2, P3 = p1 - k * A[1], p2 - k * A[2], p3 - k * A[3]
     # S^{mu nu} = 2 (omega^mu pi^nu - omega^nu pi^mu) above the diagonal
@@ -295,29 +304,33 @@ def _kernel(vec, model, fd):
         T = (0.0, 0.0, 0.0, 0.0)
     f01, f02, f03 = F[0][1], F[0][2], F[0][3]
     f12, f13, f23 = F[1][2], F[1][3], F[2][3]
-    cols = list(zip(dA[1], dA[2], dA[3]))   # d_lam A^i for i = 1..3, per lam
+    # a_il = d_l A^i for i, l = 1..3; the x^0 column is zero (stationarity)
+    (_, a11, a12, a13), (_, a21, a22, a23), (_, a31, a32, a33) = dA[1], dA[2], dA[3]
     d = 2.0 * P0
     # x block: chain rule through A^i and F; omega and pi blocks:
     # -+ h (F_{mu nu} v^nu) with v = pi and omega
-    g0 = [(-2.0 * k * (P1 * a1 + P2 * a2 + P3 * a3) - 0.25 * h * fs(dl)) / d
-          for (a1, a2, a3), dl in zip(cols, dF)]
-    g0 += [0.0, 2.0 * P1 / d, 2.0 * P2 / d, 2.0 * P3 / d,
-           h * (f01 * q1 + f02 * q2 + f03 * q3) / d,
-           -h * (f01 * q0 + f12 * q2 + f13 * q3) / d,
-           -h * (f02 * q0 - f12 * q1 + f23 * q3) / d,
-           -h * (f03 * q0 - f13 * q1 - f23 * q2) / d,
-           -h * (f01 * w1 + f02 * w2 + f03 * w3) / d,
-           h * (f01 * w0 + f12 * w2 + f13 * w3) / d,
-           h * (f02 * w0 - f12 * w1 + f23 * w3) / d,
-           h * (f03 * w0 - f13 * w1 - f23 * w2) / d]
-    ex3 = [-k * (w1 * a1 + w2 * a2 + w3 * a3) for a1, a2, a3 in cols]
-    ex4 = [-k * (q1 * a1 + q2 * a2 + q3 * a3) for a1, a2, a3 in cols]
+    g0 = [0.0, (-2.0 * k * (P1 * a11 + P2 * a21 + P3 * a31) - 0.25 * h * fs(dF[1])) / d,
+          (-2.0 * k * (P1 * a12 + P2 * a22 + P3 * a32) - 0.25 * h * fs(dF[2])) / d,
+          (-2.0 * k * (P1 * a13 + P2 * a23 + P3 * a33) - 0.25 * h * fs(dF[3])) / d,
+          0.0, 2.0 * P1 / d, 2.0 * P2 / d, 2.0 * P3 / d,
+          h * (f01 * q1 + f02 * q2 + f03 * q3) / d,
+          -h * (f01 * q0 + f12 * q2 + f13 * q3) / d,
+          -h * (f02 * q0 - f12 * q1 + f23 * q3) / d,
+          -h * (f03 * q0 - f13 * q1 - f23 * q2) / d,
+          -h * (f01 * w1 + f02 * w2 + f03 * w3) / d,
+          h * (f01 * w0 + f12 * w2 + f13 * w3) / d,
+          h * (f02 * w0 - f12 * w1 + f23 * w3) / d,
+          h * (f03 * w0 - f13 * w1 - f23 * w2) / d]
+    ex3 = [0.0, -k * (w1 * a11 + w2 * a21 + w3 * a31), -k * (w1 * a12 + w2 * a22 + w3 * a32),
+           -k * (w1 * a13 + w2 * a23 + w3 * a33)]
+    ex4 = [0.0, -k * (q1 * a11 + q2 * a21 + q3 * a31), -k * (q1 * a12 + q2 * a22 + q3 * a32),
+           -k * (q1 * a13 + q2 * a23 + q3 * a33)]
     return (P0, P1, P2, P3), T, (g0, ex3, ex4)
 
 
 def t_rows(vec, P, pieces):
-    """R = grad (calP^0, T3, T4) at the state vec as three lists of 16
-    floats, assembled from the kernel's calP and pieces."""
+    """R = grad (calP^0, T3, T4) at the state vec (16 floats) as three
+    lists of 16 floats, assembled from the kernel's calP and pieces."""
     g0, ex3, ex4 = pieces
     P_low = (-P[0], P[1], P[2], P[3])
 
@@ -330,26 +343,28 @@ def t_rows(vec, P, pieces):
             row[own + mu] += P_low[mu]
         return row
 
-    w0, w1, w2, w3, q0, q1, q2, q3 = vec[8:].tolist()
+    w0, w1, w2, w3, q0, q1, q2, q3 = vec[8:]
     return g0, t_row(w0, w1, w2, w3, ex3, 8), t_row(q0, q1, q2, q3, ex4, 12)
 
 
-def _rows(z, model, fd):
+def _rows(z, model, fd=None):
     """The kernel's calP and T and the assembled rows R at z as arrays of
     shapes (4,), (4,) and (3, 16), for the readers that work on arrays."""
-    P, T, pieces = _kernel(z.vec, model, fd)
-    return np.array(P), np.array(T), np.array(t_rows(z.vec, P, pieces))
+    vec = z.vec.tolist()
+    P, T, pieces = _kernel(vec, model, fd or field_data(model, vec[:4]))
+    return np.array(P), np.array(T), np.array(t_rows(vec, P, pieces))
 
 
 def kinetic_momentum(z, model, fd=None):
     """Four-vector (calP^0, calP^i) with calP^0 the energy function."""
-    return _rows(z, model, fd or field_data(model, z.x))[0]
+    return _rows(z, model, fd)[0]
 
 
 def constraint_values(z, model, fd=None):
     """calP and the values (T2, T3, T4, T5) at z, from one field evaluation
     and one kernel call; no row is assembled."""
-    P, T, _ = _kernel(z.vec, model, fd or field_data(model, z.x))
+    vec = z.vec.tolist()
+    P, T, _ = _kernel(vec, model, fd or field_data(model, vec[:4]))
     return np.array(P), np.array(T)
 
 
@@ -367,11 +382,11 @@ def obs_kinetic(i):
         raise ValueError("kinetic momentum observable is spatial, i in 1..3")
 
     def f(z, model):
-        fd = field_data(model, z.x)
+        fd = field_data(model, z.x.tolist())
         return z.p[i] - (model.e / model.c) * fd.A[i]
 
     def grd(z, model):
-        fd = field_data(model, z.x)
+        fd = field_data(model, z.x.tolist())
         out = np.zeros(16)
         out[4 + i] = 1.0
         out[0:4] = -(model.e / model.c) * fd.dA[i, :]
@@ -387,7 +402,7 @@ def obs_energy():
         return kinetic_momentum(z, model)[0]
 
     def grd(z, model):
-        return _rows(z, model, field_data(model, z.x))[2][0]
+        return _rows(z, model)[2][0]
 
     return Observable("calP^0", f, grd)
 
@@ -411,11 +426,11 @@ def obs_hamiltonian():
     """Covariant Hamiltonian H = c calP^0 + e A^0 (lab-time generator)."""
 
     def f(z, model):
-        fd = field_data(model, z.x)
+        fd = field_data(model, z.x.tolist())
         return model.c * kinetic_momentum(z, model, fd)[0] + model.e * fd.A[0]
 
     def grd(z, model):
-        fd = field_data(model, z.x)
+        fd = field_data(model, z.x.tolist())
         out = model.c * _rows(z, model, fd)[2][0]
         out[0:4] += model.e * fd.dA[0, :]
         return out
@@ -462,7 +477,7 @@ def init_state(model, x3, P3, spin_dir=(0, 0, 1.0), t=0.0):
     m, c, e, g = model.m, model.c, model.e, model.g
     x4 = np.concatenate([[c * t], np.asarray(x3, dtype=float)])
     P3 = np.asarray(P3, dtype=float)
-    fd = field_data(model, x4)
+    fd = field_data(model, x4.tolist())
 
     if model.alpha == 0.0:
         P0 = np.sqrt(P3 @ P3 + (m * c) ** 2)

@@ -26,6 +26,7 @@ used by the hydrogen module.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import sympy as sp
 from sympy import QQ_I
@@ -64,7 +65,8 @@ _SO = to_ring(e * cinv**2 / (2 * m**2))
 @dataclass(frozen=True)
 class PauliSet:
     """Operator family for one uniform background; E and B are the field
-    components as elements of the coefficient ring."""
+    components as elements of the coefficient ring.  The dipole operator
+    Dhat is built on first read: no report reads it."""
 
     kind: str
     x: tuple
@@ -74,12 +76,19 @@ class PauliSet:
     P0hat: tuple
     xhat: tuple
     Phat: tuple
-    Dhat: tuple
     Shat: dict
     E: tuple
     B: tuple
     A0: Op
     A0_hat: Op
+
+    @cached_property
+    def Dhat(self):
+        """D = (hbar cinv / 2 m) (Phat x sigma - sigma x Phat), symmetrized:
+        A(xhat) inside Phat carries sigma, so the bare product would miss
+        hermiticity at higher order."""
+        return tuple((a - b).scale(_DIPOLE)
+                     for a, b in zip(cross(self.Phat, self.sigma), cross(self.sigma, self.Phat)))
 
 
 def _scalars(vec):
@@ -112,11 +121,6 @@ def build_operators(kind="uniform-B"):
     A_at_xhat = _vector_potential(Bv, xhat)
     Phat = tuple(p[i] - A_at_xhat[i].scale(_E_CINV) for i in range(3))
 
-    # symmetrized: A(xhat) inside Phat carries sigma, so the bare
-    # product would miss hermiticity at higher order
-    Dhat = tuple((a - b).scale(_DIPOLE)
-                 for a, b in zip(cross(Phat, sig), cross(sig, Phat)))
-
     Shat = {}
     for i in range(3):
         for j in range(3):
@@ -132,7 +136,7 @@ def build_operators(kind="uniform-B"):
             A0_hat = A0_hat - xhat[i].scale(Ev[i])
 
     return PauliSet(kind=kind, x=x, p=p, sigma=sig, S=S, P0hat=P0hat,
-                    xhat=xhat, Phat=Phat, Dhat=Dhat, Shat=Shat,
+                    xhat=xhat, Phat=Phat, Shat=Shat,
                     E=Ev, B=Bv, A0=A0, A0_hat=A0_hat)
 
 

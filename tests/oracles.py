@@ -16,6 +16,9 @@ layer and the field layer.
   of the correction, applies it once per gradient, and
   ``dynamics.dirac_rhs`` writes the flow of grad H as symplectic
   pairings of the kernel's pieces; the tests pin all three to this form.
+* ``rk4_step``, the classical rk4 step written on numpy arrays;
+  ``dynamics._rk4_step`` writes it elementwise on a list of floats and
+  the tests pin the two to the bit.
 * ``uniform_at`` and ``coulomb_at``, the field evaluators written with
   numpy arrays; the backgrounds' ``at`` writes them in float arithmetic
   and returns nested tuples, and the tests pin it to this form.
@@ -122,6 +125,15 @@ def flow(g_t3, g_t4, G):
     out += np.multiply.outer(h4 / t34, symplectic_apply(g_t3))
     out -= np.multiply.outer(h3 / t34, symplectic_apply(g_t4))
     return out
+
+
+def rk4_step(f, y, h):
+    """One rk4 step of y' = f(y) on (16,) arrays."""
+    k1 = f(y)
+    k2 = f(y + 0.5 * h * k1)
+    k3 = f(y + 0.5 * h * k2)
+    k4 = f(y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 _EYE3 = np.eye(3)

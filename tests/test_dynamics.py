@@ -7,7 +7,7 @@ import functools
 import numpy as np
 import pytest
 
-from relspin import brackets, dynamics, minkowski, phase
+from relspin import brackets, dynamics, fields, minkowski, phase
 from relspin.brackets import defining_property_report, dirac_core
 from relspin.dynamics import (cyclotron_reference, dirac_rhs, integrate,
                               larmor_reference, linear_rate, project_state,
@@ -111,6 +111,55 @@ def test_integrate_ends_at_t_final():
     # dop853 rounded 10.6 steps up and ran past t_final
     traj = integrate(model, z0, 1.06, 0.1, record_every=5, method="dop853")
     assert list(traj.t) == [0.0, 0.5, 1.0, 1.06]
+
+
+@pytest.mark.parametrize("args, kwargs, name", [
+    ((-1.0, 0.1), {}, "dt"),            # returned z0 alone, with no error
+    ((1.0, -0.1), {}, "dt"),
+    ((1.0, 0.0), {}, "dt"),             # ZeroDivisionError
+    ((1.0, np.nan), {}, "dt"),          # "cannot convert float NaN"
+    ((1.0, np.inf), {}, "dt"),
+    ((1.0, 1e-320), {}, "dt"),          # OverflowError: no finite step count
+    ((np.inf, 0.1), {}, "t_final"),     # OverflowError
+    ((np.nan, 0.1), {}, "t_final"),
+    ((1.0, 0.1), {"t0": -np.inf}, "t0"),
+    ((1.0, 0.1), {"record_every": 0}, "record_every"),   # ZeroDivisionError
+    ((1.0, 0.1), {"record_every": -2}, "record_every"),
+    ((1.0, 0.1), {"record_every": 2.5}, "record_every"),
+], ids=["away", "away-negative-dt", "dt-zero", "dt-nan", "dt-inf", "dt-subnormal",
+        "t_final-inf", "t_final-nan", "t0-inf", "record_every-zero",
+        "record_every-negative", "record_every-float"])
+@pytest.mark.parametrize("method", ["rk4", "dop853"])
+def test_integrate_refuses_bad_arguments(args, kwargs, name, method):
+    """A time grid that cannot reach t_final, or a bad record_every, is
+    refused with a ValueError whose message starts with the argument's
+    name, before any step; it used to return z0 alone or raise an
+    unrelated ZeroDivisionError, OverflowError or NaN conversion error."""
+    model = build_model("crossed")
+    z0 = state_batch(model, 1, seed=5)[0]
+    with pytest.raises(ValueError, match=f"^{name} "):
+        integrate(model, z0, *args, method=method, **kwargs)
+
+
+def test_integrate_runs_backward_and_records_z0_at_t0():
+    """dt < 0 with t_final < t0 runs backward and ends at t_final, with a
+    short last step as forward (dop853 stopped at the last whole record
+    instead); running it forward again returns to the start; t_final ==
+    t0 records z0 alone (dop853 recorded it twice)."""
+    model = build_model("crossed")
+    z0 = state_batch(model, 1, seed=5)[0]
+    traj = integrate(model, z0, -1.05, -0.1)
+    assert traj.t[-1] == -1.05 and len(traj.t) == 12
+    assert np.isclose(traj.Z[-1][0], model.c * -1.05, rtol=1e-14)
+    dop = integrate(model, z0, -1.06, -0.1, record_every=5, method="dop853")
+    assert list(dop.t) == [0.0, -0.5, -1.0, -1.06]
+    assert np.allclose(dop.Z[-1], integrate(model, z0, -1.06, -0.01).Z[-1], rtol=0.0, atol=1e-9)
+    back = integrate(model, traj.state(-1), 0.0, 0.05, t0=-1.05)
+    assert back.t[-1] == 0.0
+    assert np.allclose(back.Z[-1], z0.vec, rtol=0.0, atol=1e-9)
+    for method in ("rk4", "dop853"):
+        still = integrate(model, z0, 0.0, 0.1, method=method)
+        assert list(still.t) == [0.0] and np.array_equal(still.Z, [z0.vec])
 
 
 def test_spinless_cyclotron_closure():
@@ -509,6 +558,92 @@ def test_spinless_rhs_is_the_canonical_flow():
                               _canonical_rhs(z.vec, model)), kind
 
 
+def _bits(v):
+    """The float64 bit patterns of v, so that -0.0 and 0.0 differ."""
+    return np.asarray(v, dtype=float).view(np.int64)
+
+
+def _stages(ks, seen, as_list):
+    """f for one rk4 step returning the rows of ks in turn, as lists or
+    arrays, and recording the stage states it is called with."""
+    rows = iter(ks)
+
+    def f(v):
+        seen.append(_bits(v))
+        k = next(rows)
+        return k.tolist() if as_list else k.copy()
+    return f
+
+
+def test_rk4_step_on_a_list_is_the_numpy_step_to_the_bit():
+    """_rk4_step on a list of floats equals the numpy form of
+    tests/oracles.py bit for bit: its stage states and its result, on
+    seeded random 16-vectors y and stage slopes k and random step sizes,
+    the short last step of a 1.05 run at dt = 0.1 included; and three
+    steps of the Dirac flow of a coulomb state."""
+    rng = np.random.default_rng(43)
+    for _ in range(100):
+        y = rng.normal(scale=10.0, size=16) * 10.0 ** rng.integers(-3, 4, size=16)
+        ks = rng.normal(scale=5.0, size=(4, 16))
+        for h in (rng.uniform(-1.0, 1.0), 0.25, 1.05 - (0.0 + 10 * 0.1)):
+            seen_list, seen_arr = [], []
+            got = dynamics._rk4_step(_stages(ks, seen_list, True), y.tolist(), h)
+            want = oracles.rk4_step(_stages(ks, seen_arr, False), y, h)
+            assert np.array_equal(_bits(got), _bits(want))
+            assert np.array_equal(seen_list, seen_arr)
+    model = build_model("coulomb")
+    y_arr = state_batch(model, 1, seed=3)[0].vec
+    y_list = y_arr.tolist()
+    for h in (0.1, 0.1, 0.05):
+        y_list = dynamics._rk4_step(lambda v: dirac_rhs(v, model), y_list, h)
+        y_arr = oracles.rk4_step(lambda v: np.array(dirac_rhs(v.tolist(), model)), y_arr, h)
+        assert np.array_equal(_bits(y_list), _bits(y_arr))
+
+
+@pytest.mark.parametrize("kind", ["coulomb", "crossed", "zero"])
+def test_rhs_and_step_return_lists_of_floats(kind):
+    """Given a list of 16 floats, dirac_rhs and _rk4_step return lists of
+    16 Python floats, at a spin state and at a spinless one."""
+    for alpha in (0.75, 0.0):
+        model = build_model(kind, alpha=alpha)
+        v = state_batch(model, 1, seed=9)[0].vec.tolist()
+        for out in (dirac_rhs(v, model),
+                    dynamics._rk4_step(lambda u: dirac_rhs(u, model), v, 0.1)):
+            assert type(out) is list and len(out) == 16
+            assert all(type(x) is float for x in out), (kind, alpha)
+
+
+class _NumpySpy:
+    """Stands in for numpy in a module: records each attribute read."""
+
+    def __init__(self, seen):
+        self._seen = seen
+
+    def __getattr__(self, name):
+        self._seen.append(name)
+        return getattr(np, name)
+
+
+@pytest.mark.parametrize("kind", ["coulomb", "crossed"])
+def test_no_array_inside_a_step_or_a_projection_pass(kind, monkeypatch):
+    """An rk4 step on a list reads nothing of numpy in dynamics, phase,
+    brackets or fields, and a projection of several passes reads it once,
+    for the array of the state it returns."""
+    model = build_model(kind)
+    z = state_batch(model, 1, seed=7)[0]
+    seen = []
+    for mod in (dynamics, phase, brackets, fields):
+        monkeypatch.setattr(mod, "np", _NumpySpy(seen))
+    dynamics._rk4_step(lambda u: dirac_rhs(u, model), z.vec.tolist(), 0.1)
+    assert seen == []
+    vec = z.vec.copy()
+    vec[8:16] *= 1.0 + 1e-3 * np.arange(1, 9)
+    stats = {"projection_steps": 0, "max_residual_before_projection": 0.0}
+    zp = project_state(PhaseState(vec=vec), model, stats=stats)
+    assert stats["projection_steps"] >= 2
+    assert seen == ["array"] and type(zp.vec) is np.ndarray
+
+
 @pytest.mark.parametrize("kind", ["coulomb", "uniform-B"])
 def test_spinless_trajectory_is_the_canonical_flow(kind):
     """A recorded spinless run is rk4 of the canonical flow, byte for
@@ -520,7 +655,7 @@ def test_spinless_trajectory_is_the_canonical_flow(kind):
     traj = integrate(model, z0, 1.0, 0.01, record_every=10)
     y, Z = z0.vec.copy(), [z0.vec.copy()]
     for k in range(1, 101):
-        y = dynamics._rk4_step(lambda v: _canonical_rhs(v, model), y, 0.01)
+        y = oracles.rk4_step(lambda v: _canonical_rhs(v, model), y, 0.01)
         if k % 10 == 0:
             Z.append(y.copy())
     assert np.array_equal(traj.Z, Z)

@@ -67,13 +67,30 @@ def test_F_from_potential(kind):
         assert np.allclose(bg.F(x), F_up, atol=1e-12)
 
 
+def _shifted(bg):
+    """bg with the static gauge shift chi = 0.3 x1 x2 + 0.2 x3^2."""
+    return with_gauge_shift(
+        bg,
+        lambda x: np.array([0.3 * x[2], 0.3 * x[1], 0.4 * x[3]]),
+        lambda x: np.array([[0.0, 0.3, 0.0], [0.3, 0.0, 0.0], [0.0, 0.0, 0.4]]),
+    )
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_stationarity_and_antisymmetry(kind):
+    """No field depends on x^0: dA[mu][0] and every entry of dF[0] are
+    0.0 in the float tuples of at(x), which the kernel relies on when it
+    writes no x^0 derivative, in every catalog kind and under a static
+    gauge shift; F is antisymmetric."""
     bg = make_background(kind, e=1.0, c=10.0, **PARAMS[kind])
     for x in POINTS:
         assert np.all(bg.dA(x)[:, 0] == 0.0)
         assert np.all(bg.dF(x)[0] == 0.0)
         assert is_antisymmetric(bg.F(x))
+        for b in (bg, _shifted(bg)):
+            _, dA, _, dF = b.at(x.tolist())
+            assert all(row[0] == 0.0 for row in dA)
+            assert all(v == 0.0 for row in dF[0] for v in row)
 
 
 def test_uniform_layout():
@@ -104,7 +121,7 @@ def test_uniform_a0_is_the_unfused_float_sum(kind):
         terms = [e * Fraction(v) for e, v in zip(E, x[1:].tolist())]
         p1, p2, p3 = (Fraction(float(t)) for t in terms)
         unfused = Fraction(float(Fraction(float(p1 + p2)) + p3))
-        a0 = Fraction(bg.at(x)[0][0])
+        a0 = Fraction(bg.at(x.tolist())[0][0])
         assert a0 == -unfused
         assert abs(a0 + sum(terms)) <= gamma3 * sum(abs(t) for t in terms)
 
@@ -189,14 +206,15 @@ COULOMB_RTOL = 2e-15
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_evaluator_matches_the_numpy_reference(kind):
-    """at(x) gives nested float tuples equal to the numpy evaluator: the
-    uniform kinds exactly, coulomb to COULOMB_RTOL of each tensor's
-    largest entry; FieldBackground.A/dA/F/dF give the same as ndarrays."""
+    """at(x) on four floats gives nested float tuples equal to the numpy
+    evaluator: the uniform kinds exactly, coulomb to COULOMB_RTOL of each
+    tensor's largest entry; FieldBackground.A/dA/F/dF, on the array x,
+    give the same as ndarrays."""
     bg = make_background(kind, e=1.0, c=10.0, **PARAMS[kind])
     ref = _reference_at(kind)
     rng = np.random.default_rng(17)
     for x in POINTS + list(rng.normal(scale=2.0, size=(200, 4))):
-        got = bg.at(x)
+        got = bg.at(x.tolist())
         for t, shape in zip(got, ((4,), (4, 4), (4, 4), (4, 4, 4))):
             assert np.shape(t) == shape
             assert all(type(v) is float for v in _leaves(t))

@@ -146,6 +146,21 @@ def test_dipole_operator_hermitian():
 
 
 @pytest.mark.parametrize("kind", FIELD_KINDS)
+def test_dipole_operator_is_built_on_first_read(kind):
+    """build_operators leaves Dhat unbuilt (no report reads it); the
+    first read builds it and later reads return the same tuple.  With no
+    magnetic field Phat = p commutes with sigma, and the symmetrized
+    dipole is (hbar cinv / m) p x sigma, the classical 2 (P x S)/(m c)."""
+    ps = build_operators(kind)
+    assert "Dhat" not in vars(ps)
+    D = ps.Dhat
+    assert ps.Dhat is D and len(D) == 3
+    if kind in ("free", "uniform-E"):
+        want = cross(ps.p, ps.sigma)
+        assert D == tuple(w.scale(to_ring(hbar * cinv / m)) for w in want)
+
+
+@pytest.mark.parametrize("kind", FIELD_KINDS)
 def test_upper_triangle_loop_matches_the_full_loop(kind, monkeypatch):
     """The i < j loop of xx, PP and SS keeps the same residuals and
     gives the same report as the full 3x3 loop on A B - B A, whose
