@@ -152,7 +152,10 @@ def project_state(z, model, *, stats=None):
 
     stats, when given, is a dict whose "projection_steps" grows by the
     passes made and whose "max_residual_before_projection" is raised to
-    the largest residual before the first pass.
+    the largest residual before the first pass; before the RuntimeError,
+    "projection_failure" is set to {"residual": the largest residual
+    before the first pass, "best": the least reached, "passes": the
+    passes made}.
     """
     vec = z.vec.tolist()
     if not any(vec[8:]):
@@ -191,6 +194,9 @@ def project_state(z, model, *, stats=None):
                              f"(pi^2 = {qq:.3e} after removing both); cannot project")
         s = math.sqrt(math.sqrt(model.alpha / (ww * qq)))
         vec = head + [s * v for v in w1 + q1]
+    if stats is not None:
+        stats["projection_failure"] = {"residual": errs[0], "best": min(errs),
+                                       "passes": len(errs) - 1}
     raise RuntimeError(f"constraint projection did not converge: pass {len(errs) - 1} "
                        f"no longer shrank the residual; max residual {errs[0]:.3e} "
                        f"before, {min(errs):.3e} at best, tolerance {tol:.1e}")
@@ -294,7 +300,11 @@ def integrate(model, z0, t_final, dt, t0=0.0, record_every=1,
     delegates the stepping to scipy between recording times.  Both
     apply ``project_state`` at recording times (rk4 additionally
     every PROJECT_EVERY internal steps); a projection that refuses the
-    state (ValueError) or stalls (RuntimeError) ends the run.  Both end
+    state (ValueError) or stalls (RuntimeError) ends the run.  The error
+    keeps its type and message and carries the run's stats as
+    ``exc.stats``, with "failed_step" (the rk4 step, or the dop853
+    recording interval, counted from 1) and "t" (its end time) added;
+    after a stall they hold "projection_failure" as well.  Both end
     at t_final: when (t_final - t0)/dt is not an integer to rounding, rk4
     takes floor((t_final - t0)/dt) steps of dt and one shorter last
     step, which is always recorded.  dt < 0 runs backward to t_final <
@@ -333,16 +343,25 @@ def integrate(model, z0, t_final, dt, t0=0.0, record_every=1,
         stats["rhs_evals"] += 1
         return dirac_rhs(y, model)
 
+    def projected(y, step, t):
+        try:
+            return project_state(PhaseState(vec=y), model, stats=stats)
+        except (RuntimeError, ValueError) as exc:
+            stats["failed_step"], stats["t"] = step, t
+            exc.stats = stats
+            raise
+
     if method == "rk4":
         y = z0.vec.tolist()
         for k in range(1, n_steps + 1):
             h = dt if k <= n_full else t_final - (t0 + n_full * dt)
             y = _rk4_step(f, y, h)
+            t = t0 + k * dt if k <= n_full else t_final
             if project and (k % PROJECT_EVERY == 0 or k % record_every == 0):
-                y = project_state(PhaseState(vec=np.array(y)), model, stats=stats).vec.tolist()
+                y = projected(np.array(y), k, t).vec.tolist()
                 stats["projections"] += 1
             if k % record_every == 0 or k == n_steps:
-                ts.append(t0 + k * dt if k <= n_full else t_final)
+                ts.append(t)
                 zs.append(np.array(y))
     elif method == "dop853":
         from scipy.integrate import solve_ivp
@@ -355,15 +374,14 @@ def integrate(model, z0, t_final, dt, t0=0.0, record_every=1,
         y = z0.vec.copy()
         t_prev = t0
         rhs = lambda t, y: f(y.tolist())
-        for t_next in t_eval:
+        for n, t_next in enumerate(t_eval, 1):
             sol = solve_ivp(rhs, (t_prev, t_next), y, method="DOP853",
                             rtol=rtol, atol=atol, dense_output=False)
             if not sol.success:
                 raise RuntimeError(f"dop853 failed at t={t_prev}: {sol.message}")
             y = sol.y[:, -1]
             if project:
-                zc = project_state(PhaseState(vec=y.copy()), model, stats=stats)
-                y = zc.vec
+                y = projected(y.copy(), n, float(t_next)).vec
                 stats["projections"] += 1
             ts.append(t_next)
             zs.append(y.copy())

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import sympy as sp
-from sympy import QQ_I
+from sympy import ZZ_I
 from sympy.polys.polyerrors import ExactQuotientFailed
 
 from .weyl import (B_SYM, E_SYM, Op, R, cinv, commutator, cross, dot, e,
@@ -44,15 +44,15 @@ for _i in range(3):
 FIELD_KINDS = ("free", "uniform-E", "uniform-B", "crossed")
 
 # background parameters and the constants of the realization, as
-# elements of the coefficient ring
+# elements of RQ, the boundary ring that Op.scalar and Op.scale read
 _B_RING = tuple(to_ring(b) for b in B_SYM)
 _E_RING = tuple(to_ring(v) for v in E_SYM)
 _NO_FIELD = (to_ring(0),) * 3
 _HALF = to_ring(sp.Rational(1, 2))
 _HBAR = to_ring(hbar)
-_IHBAR = to_ring(sp.I * hbar)
+_IHBAR = R.from_expr(sp.I * hbar)
 _HBAR_AT = R.symbols.index(hbar)
-_MINUS_I = QQ_I(0, -1)
+_MINUS_I = ZZ_I(0, -1)
 _E = to_ring(e)
 _E_CINV = to_ring(e * cinv)
 _SHIFT = to_ring(hbar * cinv**2 / (4 * m**2))
@@ -65,8 +65,8 @@ _SO = to_ring(e * cinv**2 / (2 * m**2))
 @dataclass(frozen=True)
 class PauliSet:
     """Operator family for one uniform background; E and B are the field
-    components as elements of the coefficient ring.  The dipole operator
-    Dhat is built on first read: no report reads it."""
+    components as elements of RQ.  The dipole operator Dhat is built on
+    first read: no report reads it."""
 
     kind: str
     x: tuple
@@ -146,8 +146,8 @@ def build_operators(kind="uniform-B"):
 
 def _by_ihbar(op):
     """op / (i hbar), exact: each monomial's hbar exponent drops by one and
-    its coefficient is multiplied by -i; ExactQuotientFailed where a
-    monomial carries no hbar."""
+    its Gaussian-integer coefficient is multiplied by -i, with op's den
+    kept; ExactQuotientFailed where a monomial carries no hbar."""
     def divide(u):
         if any(mon[_HBAR_AT] == 0 for mon in u):
             raise ExactQuotientFailed(u, _IHBAR)
@@ -155,7 +155,7 @@ def _by_ihbar(op):
                             + mon[_HBAR_AT + 1:]: c * _MINUS_I
                             for mon, c in u.items()})
     return Op({k: tuple(divide(u) for u in blk)
-               for k, blk in op.blocks.items()})
+               for k, blk in op.blocks.items()}, op.den)
 
 
 def _eps_sum(vec, i, j):

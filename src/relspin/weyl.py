@@ -5,15 +5,19 @@ Operators are finite sums of monomials
     x1^a1 x2^a2 x3^a3  p1^b1 p2^b2 p3^b3  M
 
 with every position factor to the left of every momentum factor and a
-2x2 coefficient block M.  The four entries of M are sparse polynomials
-of one ring
+2x2 coefficient block M.  An Op stores each block as four sparse
+polynomials of one ring
 
-    R = QQ_I[hbar, cinv, minv, e, g, B1, B2, B3, E1, E2, E3]
+    R = ZZ_I[hbar, cinv, minv, e, g, B1, B2, B3, E1, E2, E3]
 
-(sympy.polys.rings): Gaussian-rational coefficients, real generators,
-cinv = 1/c and minv = 1/m.  Every quantity of the realization is a
-polynomial there, so sums, products, zero tests and the conjugation of
-the adjoint are exact ring operations with no simplification step.
+(sympy.polys.rings): Gaussian-integer coefficients, real generators,
+cinv = 1/c and minv = 1/m, plus one positive integer den shared by all
+its blocks; the operator is blocks / den.  Every quantity of the
+realization is a polynomial with Gaussian-rational coefficients, so it
+is exactly one such pair: a product multiplies the dens, a sum brings
+both operands to the lcm of theirs, and zero tests, the conjugation of
+the adjoint and the cinv grading read the integer blocks as they are.
+No rational arithmetic runs inside a sum, a product or a commutator.
 Products are reduced to the normal form with the one-axis identity
 
     p^n x^m = sum_k  C(n,k) C(m,k) k! (-i hbar)^k  x^{m-k} p^{n-k}
@@ -26,17 +30,19 @@ block order, so they cancel where either block is scalar and leave
 "order in 1/c" is the least cinv exponent among the monomials, which
 is how the correspondence with the classical brackets is graded.
 
-Sympy expressions cross the boundary in to_ring (read with m -> 1/minv),
-which Op.scalar and Op.scale apply, and in the Op.terms view (written
-back with minv -> 1/m).
+Gaussian rationals remain at the boundary only.  to_ring reads a
+sympy expression (m -> 1/minv) into RQ, the same generators over QQ_I;
+Op.scalar and Op.scale clear a scalar's denominator once, into an R
+element and an integer; the Op.terms view divides by den in RQ and
+writes minv back as 1/m.
 """
 
 from __future__ import annotations
 
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 import sympy as sp
-from sympy import QQ_I
+from sympy import QQ, QQ_I, ZZ_I
 from sympy.polys.rings import PolyElement, ring
 
 hbar, cinv, m, e = sp.symbols("hbar cinv m e", real=True)
@@ -45,22 +51,42 @@ g_sym = sp.Symbol("g", real=True)
 B_SYM = sp.symbols("B1 B2 B3", real=True)
 E_SYM = sp.symbols("E1 E2 E3", real=True)
 
-R = ring((hbar, cinv, minv, e, g_sym) + B_SYM + E_SYM, QQ_I)[0]
+_GENERATORS = (hbar, cinv, minv, e, g_sym) + B_SYM + E_SYM
+R = ring(_GENERATORS, ZZ_I)[0]
+RQ = ring(_GENERATORS, QQ_I)[0]
 _CINV = R.symbols.index(cinv)
 
 
 def to_ring(expr):
-    """expr as an element of R; a sympy expression is read with m -> 1/minv
-    and must then be a polynomial in the generators."""
+    """expr as an element of RQ; a sympy expression is read with m -> 1/minv
+    and must then be a polynomial in the generators.  A ring element is
+    returned as it is.  ValueError for a value that is or contains a
+    float, which sympy would round to a rational without a word."""
     if isinstance(expr, PolyElement):
         return expr
-    return R.from_expr(sp.sympify(expr).xreplace({m: 1 / minv}))
+    val = sp.sympify(expr)
+    if val.has(sp.Float):
+        raise ValueError(f"to_ring takes exact values only, got the float {expr!r}")
+    return RQ.from_expr(val.xreplace({m: 1 / minv}))
+
+
+def _cleared(c):
+    """(u, den) with c = u / den, u in R and den a positive int; c is an
+    element of RQ or R."""
+    if c.ring is R:
+        return c, 1
+    den = 1
+    for q in c.values():
+        den = lcm(den, q.x.denominator, q.y.denominator)
+    return R.from_dict({mon: ZZ_I(q.x.numerator * (den // q.x.denominator),
+                                  q.y.numerator * (den // q.y.denominator))
+                        for mon, q in c.items()}), den
 
 
 I2 = (R.one, R.zero, R.zero, R.one)
-SIGMA = tuple(tuple(to_ring(v) for v in entries) for entries in
+SIGMA = tuple(tuple(R.from_expr(sp.sympify(v)) for v in entries) for entries in
               ((0, 1, 1, 0), (0, -sp.I, sp.I, 0), (1, 0, 0, -1)))
-_MINUS_IHBAR = to_ring(-sp.I * hbar)
+_MINUS_IHBAR = R.from_expr(-sp.I * hbar)
 _ZKEY = (0, 0, 0, 0, 0, 0)
 
 
@@ -92,11 +118,19 @@ def _block_commutator(A, B):
 
 
 def _conj(p):
-    return R.from_dict({mon: QQ_I(c.x, -c.y) for mon, c in p.items()})
+    return R.from_dict({mon: ZZ_I(c.x, -c.y) for mon, c in p.items()})
 
 
 def _scaled(coeff, blk):
     return blk if coeff is None else tuple(coeff * u for u in blk)
+
+
+def _rescaled(blocks, s):
+    """blocks times the positive int s; blocks itself for s = 1."""
+    if s == 1:
+        return blocks
+    s = ZZ_I(s)
+    return {k: tuple(u.mul_ground(s) for u in blk) for k, blk in blocks.items()}
 
 
 def _accumulate(out, key, blk):
@@ -105,28 +139,32 @@ def _accumulate(out, key, blk):
 
 
 class Op:
-    """Finite normal-ordered operator; blocks maps exponent keys
-    (a1,a2,a3,b1,b2,b3) to 2x2 coefficient blocks, four elements of R
-    in row order.  Zero blocks are dropped."""
+    """Finite normal-ordered operator blocks / den.  blocks maps exponent
+    keys (a1,a2,a3,b1,b2,b3) to 2x2 coefficient blocks, four elements of
+    R in row order; den is a positive int, 1 by default, and need not be
+    the least one.  Zero blocks are dropped."""
 
-    __slots__ = ("blocks",)
+    __slots__ = ("blocks", "den")
 
-    def __init__(self, blocks=None):
+    def __init__(self, blocks=None, den=1):
         self.blocks = {k: blk for k, blk in (blocks or {}).items() if any(blk)}
+        self.den = den
 
     @property
     def terms(self):
-        """Sympy view: each key's block as a 2x2 sp.Matrix, minv as 1/m."""
-        return {k: sp.Matrix(2, 2, [p.as_expr().xreplace({minv: 1 / m})
-                                    for p in blk])
+        """Sympy view: each key's block over den as a 2x2 sp.Matrix, its
+        entries divided in RQ, minv as 1/m."""
+        inv = QQ_I(QQ(1, self.den))
+        return {k: sp.Matrix(2, 2, [p.set_ring(RQ).mul_ground(inv).as_expr()
+                                    .xreplace({minv: 1 / m}) for p in blk])
                 for k, blk in self.blocks.items()}
 
     # -- constructors ------------------------------------------------
 
     @classmethod
     def scalar(cls, expr):
-        c = to_ring(expr)
-        return cls({_ZKEY: (c, R.zero, R.zero, c)})
+        c, den = _cleared(to_ring(expr))
+        return cls({_ZKEY: (c, R.zero, R.zero, c)}, den)
 
     @classmethod
     def x(cls, i):
@@ -149,15 +187,17 @@ class Op:
     def __add__(self, other):
         if not isinstance(other, Op):
             other = Op.scalar(other)
-        out = dict(self.blocks)
-        for k, blk in other.blocks.items():
+        den = lcm(self.den, other.den)
+        out = dict(_rescaled(self.blocks, den // self.den))
+        for k, blk in _rescaled(other.blocks, den // other.den).items():
             _accumulate(out, k, blk)
-        return Op(out)
+        return Op(out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Op({k: tuple(-u for u in blk) for k, blk in self.blocks.items()})
+        return Op({k: tuple(-u for u in blk) for k, blk in self.blocks.items()},
+                  self.den)
 
     def __sub__(self, other):
         if not isinstance(other, Op):
@@ -168,8 +208,9 @@ class Op:
         return Op.scalar(other) + (-self)
 
     def scale(self, expr):
-        c = to_ring(expr)
-        return Op({k: _scaled(c, blk) for k, blk in self.blocks.items()})
+        c, den = _cleared(to_ring(expr))
+        return Op({k: _scaled(c, blk) for k, blk in self.blocks.items()},
+                  self.den * den)
 
     def __rmul__(self, other):
         if isinstance(other, Op):  # pragma: no cover - __mul__ handles it
@@ -186,7 +227,7 @@ class Op:
                 Mab = _block_mul(Ma, Mb)
                 for key, coeff in _reorder(a, b, kb[:3], kb[3:]):
                     _accumulate(out, key, _scaled(coeff, Mab))
-        return Op(out)
+        return Op(out, self.den * other.den)
 
     def __eq__(self, other):
         return (self - other).is_zero()
@@ -205,7 +246,7 @@ class Op:
             # are plain rewriting, they are not conjugated
             for key, coeff in _reorder((0, 0, 0), k[3:], k[:3], (0, 0, 0)):
                 _accumulate(out, key, _scaled(coeff, MH))
-        return Op(out)
+        return Op(out, self.den)
 
     def is_zero(self):
         return not self.blocks
@@ -279,7 +320,7 @@ def commutator(A, B):
                 for key, coeff in _reorder(c, d, a, b):
                     if coeff is not None:
                         _accumulate(out, key, _scaled(-coeff, Mba))
-    return Op(out)
+    return Op(out, A.den * B.den)
 
 
 def dot(ops_a, ops_b):

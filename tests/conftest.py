@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -44,3 +47,13 @@ def state_batch(model, n, seed=0):
 def catalog():
     # generic g so nothing cancels by accident
     return {kind: build_model(kind) for kind in BACKGROUND_PARAMS}
+
+
+def src_env():
+    """os.environ with the repository's src/ first on PYTHONPATH, for
+    tests that start a fresh interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"),
+         *filter(None, [env.get("PYTHONPATH")])])
+    return env

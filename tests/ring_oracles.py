@@ -35,7 +35,8 @@ def coefficient_of_cinv(op, order):
     def pick(u):
         return R.from_dict({mon[:_CINV] + (0,) + mon[_CINV + 1:]: c
                             for mon, c in u.items() if mon[_CINV] == order})
-    return Op({k: tuple(pick(u) for u in blk) for k, blk in op.blocks.items()})
+    return Op({k: tuple(pick(u) for u in blk) for k, blk in op.blocks.items()},
+              op.den)
 
 
 def _pair_residuals(ps, i, j):

@@ -5,6 +5,8 @@ import io
 import json
 import math
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,8 @@ from hypothesis import strategies as st
 
 from relspin import cli, expansion, hydrogen
 from relspin.cli import main
+
+from conftest import src_env
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
@@ -345,3 +349,26 @@ def test_selftest_passes(capsys):
     timing = re.compile(r"(\S.*\S)  \d+\.\d{3} s")
     assert [timing.fullmatch(text).group(1)
             for text in captured.err.splitlines()] == names
+
+
+# the light commands import numpy and yaml only; sympy, scipy and the
+# operator ring wait for the command that needs them
+HEAVY_MODULES = ("sympy", "scipy", "relspin.weyl", "relspin.quantum")
+
+
+def _loaded_after(statement):
+    """The HEAVY_MODULES in sys.modules of a fresh interpreter after
+    running statement."""
+    probe = (f"import sys; {statement}; "
+             f"print(' '.join(m for m in {HEAVY_MODULES!r} if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=src_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def test_importing_the_cli_leaves_sympy_scipy_and_the_ring_unloaded():
+    assert _loaded_after("import relspin.cli") == []
+    # positive control: the probe sees the modules a quantum import loads
+    loaded = _loaded_after("import relspin.cli, relspin.quantum")
+    assert {"sympy", "relspin.weyl", "relspin.quantum"} <= set(loaded)

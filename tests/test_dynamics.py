@@ -313,6 +313,49 @@ def test_projection_raises_when_it_cannot_converge(monkeypatch):
         project_state(z, model)
 
 
+@pytest.mark.parametrize("method", ["rk4", "dop853"])
+def test_a_failed_projection_tells_where_the_run_stopped(method, monkeypatch):
+    """With PROJECTION_TOL at 0 no residual is small enough, so the
+    passes go on until one no longer shrinks it: a forced stall.  The
+    RuntimeError keeps its type and message; project_state records the
+    residuals and passes in stats, and integrate attaches its stats,
+    with the failing step and time, to the error.  A refused state
+    (ValueError) carries the same step and time."""
+    model = build_model("uniform-B", g=2.0)
+    z = init_state(model, x3=(1.0, 0.0, 0.0), P3=(0.3, 0.1, -0.2),
+                   spin_dir=(0.2, -0.5, 0.8))
+    monkeypatch.setattr(dynamics, "PROJECTION_TOL", 0.0)
+    stats = {"projection_steps": 0, "max_residual_before_projection": 0.0}
+    with pytest.raises(RuntimeError) as err:
+        project_state(z, model, stats=stats)
+    fail = stats["projection_failure"]
+    assert set(fail) == {"residual", "best", "passes"}
+    assert fail["passes"] >= 1 and 0.0 <= fail["best"] <= fail["residual"]
+    assert f"pass {fail['passes']} no longer shrank" in str(err.value)
+    assert f"max residual {fail['residual']:.3e} before" in str(err.value)
+
+    with pytest.raises(RuntimeError, match="did not converge.*before.*at best") as err:
+        integrate(model, z, t_final=0.05, dt=0.01, record_every=2, method=method)
+    assert type(err.value) is RuntimeError
+    run = err.value.stats
+    # the first projection: after rk4 step 2, at the end of dop853's
+    # first recording interval
+    assert (run["failed_step"], run["t"]) == ((2 if method == "rk4" else 1), 0.02)
+    assert run["method"] == method and run["projections"] == 0
+    fail = run["projection_failure"]
+    assert f"pass {fail['passes']} no longer shrank" in str(err.value)
+
+    # a state the projection refuses: omega along calP in a free field
+    monkeypatch.undo()
+    free = build_model("zero")
+    vec = state_batch(free, 1)[0].vec.copy()
+    vec[8:12] = phase.kinetic_momentum(PhaseState(vec=vec), free)
+    with pytest.raises(ValueError, match="omega is parallel to calP") as err:
+        integrate(free, PhaseState(vec=vec), t_final=0.05, dt=0.01, method=method)
+    assert (err.value.stats["failed_step"], err.value.stats["t"]) == (1, 0.01)
+    assert "projection_failure" not in err.value.stats
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_projection_refuses_a_non_finite_state(value, capfd):
     """A NaN slot used to reach the least-squares solve, which raised

@@ -5,22 +5,20 @@ and print its closing line; this keeps them in step with the package
 API they import.
 """
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from conftest import src_env
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
 def _run_script(name, *args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])])
     return subprocess.run([sys.executable, str(ROOT / "scripts" / name),
-                           *args], capture_output=True, text=True, env=env,
+                           *args], capture_output=True, text=True, env=src_env(),
                           timeout=300)
 
 

@@ -1,22 +1,25 @@
 """Exactness of the normal-ordered operator ring."""
 
+import re
+
 import pytest
 import sympy as sp
+from sympy import ZZ_I
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ring_oracles
 from relspin import quantum
-from relspin.weyl import (I2, SIGMA, Op, cinv, commutator, cross, dot, hbar, m,
-                          to_ring)
+from relspin.weyl import (I2, SIGMA, Op, R, cinv, commutator, cross, dot, hbar,
+                          m, to_ring)
 from ring_oracles import anticommutator, coefficient_of_cinv
 
 I = sp.I
 
-# blocks I2 and sigma_1..3, each times 1, hbar, cinv or i: some pairs
-# commute and some do not
+# blocks I2 and sigma_1..3, each times 1, hbar, cinv or i (elements of
+# the Gaussian-integer block ring): some pairs commute and some do not
 _BASES = (I2,) + SIGMA
-_FACTORS = tuple(to_ring(f) for f in (1, hbar, cinv, I))
+_FACTORS = tuple(R.from_expr(sp.sympify(f)) for f in (1, hbar, cinv, I))
 
 
 def _monomial_op(key, base, factor):
@@ -126,6 +129,73 @@ def test_sympy_boundary_round_trip():
     (key, Mat), = Op.scalar(expr).terms.items()
     assert key == (0, 0, 0, 0, 0, 0)
     assert sp.simplify(Mat - expr * sp.eye(2)) == sp.zeros(2, 2)
+
+
+# exact scalars whose denominators are not powers of two, some of them
+# Gaussian, so that an Op's den holds factors 3 and 5 as well as 2
+_QS = (sp.Rational(1, 3), I / 6, sp.Rational(2, 5), sp.Rational(-7, 12),
+       sp.Rational(3, 4) - I / 9)
+
+
+def _sympy_sum(*views):
+    out = {}
+    for view in views:
+        for k, Mat in view.items():
+            out[k] = out.get(k, sp.zeros(2, 2)) + Mat
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ops, _ops, st.sampled_from(_QS), st.sampled_from(_QS))
+def test_non_dyadic_and_gaussian_scalars_stay_exact(A, B, q, r):
+    Aq, Br = A.scale(q), B.scale(r)
+    assert Aq.scale(1 / q) == A
+    assert A.is_zero() or Aq != A
+    # the terms view divides by den: the sum's view is the sum of views
+    lhs, rhs = (Aq + Br).terms, _sympy_sum(Aq.terms, Br.terms)
+    for k in set(lhs) | set(rhs):
+        diff = lhs.get(k, sp.zeros(2, 2)) - rhs.get(k, sp.zeros(2, 2))
+        assert diff.applyfunc(sp.expand) == sp.zeros(2, 2), k
+    assert Aq.adjoint().adjoint() == Aq
+    assert Aq.adjoint() == A.adjoint().scale(sp.conjugate(q))
+    assert commutator(Aq, Br) == commutator(A, B).scale(q * r)
+    for op in (Aq, Br, Aq + Br, Aq * Br, commutator(Aq, Br), Aq.adjoint()):
+        assert type(op.den) is int and op.den > 0
+        for blk in op.blocks.values():
+            for u in blk:
+                assert u.ring is R and R.domain == ZZ_I
+                assert all(ZZ_I.of_type(c) for c in u.values())
+
+
+def test_a_denominator_past_double_precision_is_kept():
+    # negative control for the one-den representation: 1/3 and
+    # 1/3 + 2^-60 agree to 18 digits and are still different scalars
+    A = Op.x(1) * Op.p(2) + Op.sigma(3)
+    near = sp.Rational(1, 3) + sp.Rational(1, 2**60)
+    assert A.scale(sp.Rational(1, 3)) != A.scale(near)
+    assert A.scale(sp.Rational(1, 3)).den * 2**60 <= A.scale(near).den
+
+
+@pytest.mark.parametrize("value", [0.1 * 3, 1 / 3, 0.5 * hbar, sp.Float(2),
+                                   1 + 0.5j, cinv + sp.Float("0.25")],
+                         ids=["0.1*3", "1/3", "0.5*hbar", "Float(2)", "complex",
+                              "cinv+Float"])
+def test_to_ring_refuses_floats(value):
+    """sympy would round a float to a rational; the ring takes exact
+    values only, and the error names the value."""
+    with pytest.raises(ValueError, match=re.escape(repr(value))):
+        to_ring(value)
+    with pytest.raises(ValueError, match="float"):
+        Op.x(1).scale(value)
+    with pytest.raises(ValueError, match="float"):
+        Op.scalar(value)
+
+
+def test_to_ring_takes_exact_values():
+    assert to_ring(3) == to_ring(sp.Integer(3))
+    assert Op.x(1).scale(sp.Rational(3, 10)) == Op.x(1).scale(3).scale(sp.Rational(1, 10))
+    assert Op.scalar(I * hbar / 2) == Op.scalar(hbar).scale(I).scale(sp.Rational(1, 2))
+    assert Op.scalar(cinv / m) * Op.scalar(2 / m) == Op.scalar(2 * cinv / m**2)
 
 
 def test_g_minus_one_residual_sees_a_wrong_assembly(monkeypatch):
