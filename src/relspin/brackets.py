@@ -144,8 +144,12 @@ class DiracCoefficients:
 
 
 def dirac_coefficients(z, model, fd=None):
-    fd = fd or field_data(model, z.x.tolist())
+    """The blocks at z; ValueError at e = 0, where they divide by e u0."""
     e, c, m, g = model.e, model.c, model.m, model.g
+    if e == 0.0:
+        raise ValueError(f"the closed-form brackets divide by e u0: charge e must be "
+                         f"nonzero, got {e}")
+    fd = fd or field_data(model, z.x.tolist())
     S = spin_tensor(z)
     P = kinetic_momentum(z, model, fd)
     sf = contract_2(fd.F, S)

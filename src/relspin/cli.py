@@ -93,7 +93,7 @@ SCHEMAS = {
         "simulate.t_final": (float, REQUIRED, (">", 0)),
         "simulate.dt": (float, REQUIRED, (">", 0)),
         "simulate.record_every": (int, 1, (">=", 1)),
-        "simulate.method": (("rk4", "dop853"), "rk4", None),
+        "simulate.method": (("rk4",), "rk4", None),
         "simulate.project": (bool, True, None),
     },
     "brackets": MODEL_KEYS,
@@ -240,7 +240,6 @@ def cmd_simulate(args):
                     spin_dir=cfg["simulate.spin_dir"])
     traj = integrate(model, z0, cfg["simulate.t_final"], cfg["simulate.dt"],
                      record_every=cfg["simulate.record_every"],
-                     method=cfg["simulate.method"],
                      project=cfg["simulate.project"])
     channels = traj.channels()
     names = [nm for nm in CHANNEL_ORDER if nm in channels]

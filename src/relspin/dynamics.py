@@ -203,7 +203,7 @@ def project_state(z, model, *, stats=None):
 
 
 # ---------------------------------------------------------------------------
-# integrators
+# integrator
 
 PROJECT_EVERY = 25   # rk4 steps between projections, besides recording times
 
@@ -292,30 +292,8 @@ class Trajectory:
                 for k in ("T2", "T3", "T4", "T5", "spin2")}
 
 
-def integrate(model, z0, t_final, dt, t0=0.0, record_every=1,
-              method="rk4", project=True, rtol=1e-10, atol=1e-12):
-    """Advance z0 from t0 to t_final, recording every record_every steps.
-
-    method "rk4" is the deterministic fixed-step workhorse; "dop853"
-    delegates the stepping to scipy between recording times.  Both
-    apply ``project_state`` at recording times (rk4 additionally
-    every PROJECT_EVERY internal steps); a projection that refuses the
-    state (ValueError) or stalls (RuntimeError) ends the run.  The error
-    keeps its type and message and carries the run's stats as
-    ``exc.stats``, with "failed_step" (the rk4 step, or the dop853
-    recording interval, counted from 1) and "t" (its end time) added;
-    after a stall they hold "projection_failure" as well.  Both end
-    at t_final: when (t_final - t0)/dt is not an integer to rounding, rk4
-    takes floor((t_final - t0)/dt) steps of dt and one shorter last
-    step, which is always recorded.  dt < 0 runs backward to t_final <
-    t0, and t_final == t0 records z0 alone.
-
-    ValueError, naming the argument: a non-finite t0, t_final or dt, a
-    zero dt, a dt that points away from t_final or is too small for a
-    finite step count, and a record_every that is not a positive
-    integer.
-    """
-    start = time.perf_counter()
+def _grid(t0, t_final, dt, record_every):
+    """(whole steps of dt, steps) from t0 to t_final; ValueError as in integrate."""
     for name, value in (("t0", t0), ("t_final", t_final), ("dt", dt)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
@@ -333,10 +311,33 @@ def integrate(model, z0, t_final, dt, t0=0.0, record_every=1,
     short = abs(ratio - n_full) > 1e-9 * max(1.0, abs(ratio))
     if short:
         n_full = int(np.floor(ratio))
-    n_steps = n_full + int(short)
+    return n_full, n_full + int(short)
+
+
+def integrate(model, z0, t_final, dt, t0=0.0, record_every=1, project=True):
+    """Advance z0 from t0 to t_final by rk4 steps of dt, recording every
+    record_every steps and applying ``project_state`` at recording times
+    and every PROJECT_EVERY steps.
+
+    A projection that refuses the state (ValueError) or stalls
+    (RuntimeError) ends the run; the error keeps its type and message and
+    carries the run's stats as ``exc.stats``, with "failed_step" (counted
+    from 1) and "t" (its end time) added, and "projection_failure" after
+    a stall.  The run ends at t_final: when (t_final - t0)/dt is not an
+    integer to rounding, it takes floor((t_final - t0)/dt) steps of dt
+    and one shorter last step, which is always recorded.  dt < 0 runs
+    backward to t_final < t0, and t_final == t0 records z0 alone.
+
+    ValueError, naming the argument: a non-finite t0, t_final or dt, a
+    zero dt, a dt that points away from t_final or is too small for a
+    finite step count, and a record_every that is not a positive
+    integer.
+    """
+    start = time.perf_counter()
+    n_full, n_steps = _grid(t0, t_final, dt, record_every)
     ts = [t0]
     zs = [z0.vec.copy()]
-    stats = {"method": method, "n_steps": n_steps, "projections": 0, "rhs_evals": 0,
+    stats = {"n_steps": n_steps, "projections": 0, "rhs_evals": 0,
              "projection_steps": 0, "max_residual_before_projection": 0.0}
 
     def f(y):
@@ -351,43 +352,17 @@ def integrate(model, z0, t_final, dt, t0=0.0, record_every=1,
             exc.stats = stats
             raise
 
-    if method == "rk4":
-        y = z0.vec.tolist()
-        for k in range(1, n_steps + 1):
-            h = dt if k <= n_full else t_final - (t0 + n_full * dt)
-            y = _rk4_step(f, y, h)
-            t = t0 + k * dt if k <= n_full else t_final
-            if project and (k % PROJECT_EVERY == 0 or k % record_every == 0):
-                y = projected(np.array(y), k, t).vec.tolist()
-                stats["projections"] += 1
-            if k % record_every == 0 or k == n_steps:
-                ts.append(t)
-                zs.append(np.array(y))
-    elif method == "dop853":
-        from scipy.integrate import solve_ivp
-
-        t_eval = t0 + dt * record_every * np.arange(1, n_full // record_every + 1)
-        # the last record falls short of t_final, in the direction of dt
-        if n_steps and (len(t_eval) == 0 or (t_final - t_eval[-1]) * math.copysign(1.0, dt)
-                        > 1e-12 * abs(t_final)):
-            t_eval = np.append(t_eval, t_final)
-        y = z0.vec.copy()
-        t_prev = t0
-        rhs = lambda t, y: f(y.tolist())
-        for n, t_next in enumerate(t_eval, 1):
-            sol = solve_ivp(rhs, (t_prev, t_next), y, method="DOP853",
-                            rtol=rtol, atol=atol, dense_output=False)
-            if not sol.success:
-                raise RuntimeError(f"dop853 failed at t={t_prev}: {sol.message}")
-            y = sol.y[:, -1]
-            if project:
-                y = projected(y.copy(), n, float(t_next)).vec
-                stats["projections"] += 1
-            ts.append(t_next)
-            zs.append(y.copy())
-            t_prev = t_next
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    y = z0.vec.tolist()
+    for k in range(1, n_steps + 1):
+        h = dt if k <= n_full else t_final - (t0 + n_full * dt)
+        y = _rk4_step(f, y, h)
+        t = t0 + k * dt if k <= n_full else t_final
+        if project and (k % PROJECT_EVERY == 0 or k % record_every == 0):
+            y = projected(np.array(y), k, t).vec.tolist()
+            stats["projections"] += 1
+        if k % record_every == 0 or k == n_steps:
+            ts.append(t)
+            zs.append(np.array(y))
 
     stats["stepping_s"] = time.perf_counter() - start
     return Trajectory(t=np.array(ts), Z=np.array(zs), model=model, stats=stats)

@@ -129,6 +129,11 @@ def make_background(kind, e=1.0, c=10.0, **params):
     crossed takes both, coulomb takes q and optional r_min (default
     1e-6, evaluations closer to the center are rejected).
     """
+    e, c = float(e), float(c)
+    if not (math.isfinite(c) and c > 0):
+        raise ValueError(f"light speed c must be finite and positive, got {c}")
+    if not math.isfinite(e):
+        raise ValueError(f"charge e must be finite, got {e}")
     if kind == "zero":
         at = lambda x: (_Z4, _Z44, _Z44, _Z444)
         gauge = "zero potential"
@@ -148,5 +153,5 @@ def make_background(kind, e=1.0, c=10.0, **params):
         gauge = "A0 = q/r"
     else:
         raise ValueError(f"unknown background kind {kind!r}, expected one of {KINDS}")
-    return FieldBackground(kind=kind, e=float(e), c=float(c), params=dict(params),
+    return FieldBackground(kind=kind, e=e, c=c, params=dict(params),
                            gauge=gauge, at=at)

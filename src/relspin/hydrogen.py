@@ -52,25 +52,27 @@ def kinetic_shift(hm, n, l):
     return pref * (n / (l + 0.5) - 0.75)
 
 
-def spin_orbit_shift(hm, n, l, j):
-    """Spin-orbit shift with the realized e (g-1) coupling; l >= 1."""
+def _spin_orbit(hm, n, l, j, coupling):
+    """Spin-orbit shift of level (n, l, j) for the coupling e (coupling) /
+    2 m^2 c^2; zero for l = 0."""
     if l == 0:
         return 0.0
     if not (abs(j - l) == 0.5 and j > 0):
         raise ValueError(f"j must be l +/- 1/2, got l={l}, j={j}")
     ls = 0.5 * (j * (j + 1) - l * (l + 1) - 0.75)
-    pref = (hm.g - 1.0) * 0.5 * hm.mc2 * hm.alpha**4 / n**3
+    pref = coupling * 0.5 * hm.mc2 * hm.alpha**4 / n**3
     return pref * ls / (l * (l + 0.5) * (l + 1))
+
+
+def spin_orbit_shift(hm, n, l, j):
+    """Spin-orbit shift with the realized e (g-1) coupling; l >= 1."""
+    return _spin_orbit(hm, n, l, j, hm.g - 1.0)
 
 
 def spin_orbit_shift_naive(hm, n, l, j):
     """The same shift if the covariant coupling kept bare g: what the
     spectrum would be without position noncommutativity."""
-    if l == 0:
-        return 0.0
-    ls = 0.5 * (j * (j + 1) - l * (l + 1) - 0.75)
-    pref = hm.g * 0.5 * hm.mc2 * hm.alpha**4 / n**3
-    return pref * ls / (l * (l + 0.5) * (l + 1))
+    return _spin_orbit(hm, n, l, j, hm.g)
 
 
 def level_shift(hm, n, l, j):
@@ -82,15 +84,20 @@ def sommerfeld_shift(hm, n, j):
     return -0.5 * hm.mc2 * hm.alpha**4 / n**4 * (n / (j + 0.5) - 0.75)
 
 
+def _p_splitting(hm, n, coupling):
+    kin = kinetic_shift(hm, n, 1)
+    return ((kin + _spin_orbit(hm, n, 1, 1.5, coupling))
+            - (kin + _spin_orbit(hm, n, 1, 0.5, coupling)))
+
+
 def p_level_splitting(hm, n=2):
     """E(n p_{3/2}) - E(n p_{1/2}); mc^2 alpha^4 / 32 at g = 2, n = 2."""
-    return (level_shift(hm, n, 1, 1.5) - level_shift(hm, n, 1, 0.5))
+    return _p_splitting(hm, n, hm.g - 1.0)
 
 
 def p_level_splitting_naive(hm, n=2):
-    up = kinetic_shift(hm, n, 1) + spin_orbit_shift_naive(hm, n, 1, 1.5)
-    dn = kinetic_shift(hm, n, 1) + spin_orbit_shift_naive(hm, n, 1, 0.5)
-    return up - dn
+    """The same splitting with the bare-g coupling."""
+    return _p_splitting(hm, n, hm.g)
 
 
 def fine_structure_table(hm=None, n_max=3):

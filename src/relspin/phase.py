@@ -119,8 +119,10 @@ class Model:
     def __post_init__(self):
         if self.alpha is None:
             object.__setattr__(self, "alpha", 0.75 * self.hbar**2)
-        if self.m <= 0:
-            raise ValueError("mass must be positive")
+        if not self.m > 0:   # NaN fails this test too
+            raise ValueError(f"mass m must be positive, got {self.m}")
+        if not math.isfinite(self.g):
+            raise ValueError(f"g must be finite, got {self.g}")
         if not self.alpha >= 0.0:   # NaN fails this test too
             raise ValueError(f"spin invariant alpha must be >= 0, got {self.alpha}")
 
@@ -357,7 +359,7 @@ def _rows(z, model, fd=None):
 
 def kinetic_momentum(z, model, fd=None):
     """Four-vector (calP^0, calP^i) with calP^0 the energy function."""
-    return _rows(z, model, fd)[0]
+    return constraint_values(z, model, fd)[0]
 
 
 def constraint_values(z, model, fd=None):

@@ -19,6 +19,9 @@ layer and the field layer.
 * ``rk4_step``, the classical rk4 step written on numpy arrays;
   ``dynamics._rk4_step`` writes it elementwise on a list of floats and
   the tests pin the two to the bit.
+* ``integrate_dop853``, the reference integrator: scipy's adaptive
+  DOP853 on the same right-hand side, grid and projection as
+  ``dynamics.integrate``, which the rk4 runs are compared against.
 * ``uniform_at`` and ``coulomb_at``, the field evaluators written with
   numpy arrays; the backgrounds' ``at`` writes them in float arithmetic
   and returns nested tuples, and the tests pin it to this form.
@@ -33,12 +36,15 @@ layer and the field layer.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
+from scipy.integrate import solve_ivp
 
+from relspin.dynamics import Trajectory, _grid, dirac_rhs, project_state
 from relspin.minkowski import EPS3, ETA_DIAG, field_tensor_from_EB, mdot
-from relspin.phase import (CONSTRAINT_NAMES, J, Observable, _energy, _rows,
-                           constraint_values, field_data, kinetic_momentum,
+from relspin.phase import (CONSTRAINT_NAMES, J, Observable, PhaseState, _energy,
+                           _rows, constraint_values, field_data, kinetic_momentum,
                            spin_tensor)
 
 
@@ -134,6 +140,51 @@ def rk4_step(f, y, h):
     k3 = f(y + 0.5 * h * k2)
     k4 = f(y + h * k3)
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def integrate_dop853(model, z0, t_final, dt, t0=0.0, record_every=1, project=True,
+                     rtol=1e-10, atol=1e-12):
+    """The reference integrator: scipy's adaptive DOP853 on
+    ``dynamics.dirac_rhs`` between the recording times of
+    ``dynamics.integrate``'s grid (``dynamics._grid``, with its
+    ValueErrors), and ``project_state`` at each of them.  Its records
+    are the whole multiples of record_every dt, then t_final.  A failed
+    projection ends the run as in integrate, with the projection stats,
+    "failed_step" (counting recording intervals) and "t" as exc.stats."""
+    n_full, n_steps = _grid(t0, t_final, dt, record_every)
+    ts = [t0]
+    zs = [z0.vec.copy()]
+    stats = {"projections": 0, "projection_steps": 0, "max_residual_before_projection": 0.0}
+
+    def projected(y, step, t):
+        try:
+            return project_state(PhaseState(vec=y), model, stats=stats)
+        except (RuntimeError, ValueError) as exc:
+            stats["failed_step"], stats["t"] = step, t
+            exc.stats = stats
+            raise
+
+    t_eval = t0 + dt * record_every * np.arange(1, n_full // record_every + 1)
+    # the last record falls short of t_final, in the direction of dt
+    if n_steps and (len(t_eval) == 0 or (t_final - t_eval[-1]) * math.copysign(1.0, dt)
+                    > 1e-12 * abs(t_final)):
+        t_eval = np.append(t_eval, t_final)
+    y = z0.vec.copy()
+    t_prev = t0
+    rhs = lambda t, y: dirac_rhs(y.tolist(), model)
+    for n, t_next in enumerate(t_eval, 1):
+        sol = solve_ivp(rhs, (t_prev, t_next), y, method="DOP853",
+                        rtol=rtol, atol=atol, dense_output=False)
+        if not sol.success:
+            raise RuntimeError(f"dop853 failed at t={t_prev}: {sol.message}")
+        y = sol.y[:, -1]
+        if project:
+            y = projected(y.copy(), n, float(t_next)).vec
+            stats["projections"] += 1
+        ts.append(t_next)
+        zs.append(y.copy())
+        t_prev = t_next
+    return Trajectory(t=np.array(ts), Z=np.array(zs), model=model, stats=stats)
 
 
 _EYE3 = np.eye(3)

@@ -114,6 +114,18 @@ def test_brackets_csv(tmp_path):
     assert any(line.startswith("aux_transcribed_energy_row,") for line in lines)
 
 
+def test_brackets_refuses_a_zero_charge(tmp_path, capsys):
+    """The closed forms divide by e u0: at e = 0 the command exits 1 and
+    writes no report; it used to exit 0 with NaN in every
+    closed_vs_direct row."""
+    cfg = _write(tmp_path, "brk.yaml", BRK_CFG.replace("e: 1.0", "e: 0.0"))
+    out = tmp_path / "r.csv"
+    assert main(["brackets", "--config", cfg, "--states", "2",
+                 "--out", str(out), "--format", "csv"]) == 1
+    assert re.fullmatch(r"error: .*charge e must be nonzero.*\n", capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_expand_json(tmp_path):
     out = tmp_path / "exp.json"
     assert main(["expand", "--out", str(out), "--format", "json"]) == 0
@@ -174,6 +186,9 @@ def test_exit_code_two_on_config_errors(tmp_path, capsys):
                              "model: {gee: 3.0}", "model.gee"),
                             ("record_every: 10", "record_evry: 10",
                              "simulate.record_evry"),
+                            # rk4 is the one integrator
+                            ("record_every: 10", "record_every: 10\n  method: dop853",
+                             "simulate.method"),
                             ("simulate:", "spectrum: {g: 2.0}\nsimulate:",
                              "spectrum")):
         cfg = _write(tmp_path, "bad5.yaml", SIM_CFG.replace(old, new))

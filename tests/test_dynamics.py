@@ -25,6 +25,9 @@ from conftest import (BACKGROUND_PARAMS, KERNEL_BACKGROUNDS, build_model, kernel
                       state_batch)
 from oracles import symplectic_apply, with_gauge_shift
 
+# the integrator and the reference that the method parametrizations run
+INTEGRATORS = {"rk4": integrate, "dop853": oracles.integrate_dop853}
+
 
 def _counting(calls, name, fn):
     """fn, counting its calls in calls[name]."""
@@ -108,9 +111,6 @@ def test_integrate_ends_at_t_final():
     assert np.isclose(traj.Z[-1][0], model.c * 0.04, rtol=1e-14)
     # a whole number of steps keeps the times t0 + k dt
     assert list(integrate(model, z0, 0.3, 0.1).t) == [k * 0.1 for k in range(4)]
-    # dop853 rounded 10.6 steps up and ran past t_final
-    traj = integrate(model, z0, 1.06, 0.1, record_every=5, method="dop853")
-    assert list(traj.t) == [0.0, 0.5, 1.0, 1.06]
 
 
 @pytest.mark.parametrize("args, kwargs, name", [
@@ -134,32 +134,28 @@ def test_integrate_refuses_bad_arguments(args, kwargs, name, method):
     """A time grid that cannot reach t_final, or a bad record_every, is
     refused with a ValueError whose message starts with the argument's
     name, before any step; it used to return z0 alone or raise an
-    unrelated ZeroDivisionError, OverflowError or NaN conversion error."""
+    unrelated ZeroDivisionError, OverflowError or NaN conversion error.
+    The reference integrator reads the same grid and refuses the same."""
     model = build_model("crossed")
     z0 = state_batch(model, 1, seed=5)[0]
     with pytest.raises(ValueError, match=f"^{name} "):
-        integrate(model, z0, *args, method=method, **kwargs)
+        INTEGRATORS[method](model, z0, *args, **kwargs)
 
 
 def test_integrate_runs_backward_and_records_z0_at_t0():
     """dt < 0 with t_final < t0 runs backward and ends at t_final, with a
-    short last step as forward (dop853 stopped at the last whole record
-    instead); running it forward again returns to the start; t_final ==
-    t0 records z0 alone (dop853 recorded it twice)."""
+    short last step as forward; running it forward again returns to the
+    start; t_final == t0 records z0 alone."""
     model = build_model("crossed")
     z0 = state_batch(model, 1, seed=5)[0]
     traj = integrate(model, z0, -1.05, -0.1)
     assert traj.t[-1] == -1.05 and len(traj.t) == 12
     assert np.isclose(traj.Z[-1][0], model.c * -1.05, rtol=1e-14)
-    dop = integrate(model, z0, -1.06, -0.1, record_every=5, method="dop853")
-    assert list(dop.t) == [0.0, -0.5, -1.0, -1.06]
-    assert np.allclose(dop.Z[-1], integrate(model, z0, -1.06, -0.01).Z[-1], rtol=0.0, atol=1e-9)
     back = integrate(model, traj.state(-1), 0.0, 0.05, t0=-1.05)
     assert back.t[-1] == 0.0
     assert np.allclose(back.Z[-1], z0.vec, rtol=0.0, atol=1e-9)
-    for method in ("rk4", "dop853"):
-        still = integrate(model, z0, 0.0, 0.1, method=method)
-        assert list(still.t) == [0.0] and np.array_equal(still.Z, [z0.vec])
+    still = integrate(model, z0, 0.0, 0.1)
+    assert list(still.t) == [0.0] and np.array_equal(still.Z, [z0.vec])
 
 
 def test_spinless_cyclotron_closure():
@@ -236,8 +232,8 @@ def test_rk4_vs_dop853():
                     spin_dir=(0.5, 0.5, 0.7))
     t_final = 8.0
     t1 = integrate(model, z0, t_final, 2e-3, record_every=4000)
-    t2 = integrate(model, z0, t_final, 0.5, record_every=1,
-                   method="dop853", rtol=1e-12, atol=1e-13)
+    t2 = oracles.integrate_dop853(model, z0, t_final, 0.5, record_every=1,
+                                  rtol=1e-12, atol=1e-13)
     assert np.allclose(t1.Z[-1], t2.Z[-1], rtol=1e-8, atol=1e-9)
 
 
@@ -320,7 +316,8 @@ def test_a_failed_projection_tells_where_the_run_stopped(method, monkeypatch):
     RuntimeError keeps its type and message; project_state records the
     residuals and passes in stats, and integrate attaches its stats,
     with the failing step and time, to the error.  A refused state
-    (ValueError) carries the same step and time."""
+    (ValueError) carries the same step and time.  The reference
+    integrator reports its failures the same way."""
     model = build_model("uniform-B", g=2.0)
     z = init_state(model, x3=(1.0, 0.0, 0.0), P3=(0.3, 0.1, -0.2),
                    spin_dir=(0.2, -0.5, 0.8))
@@ -335,13 +332,13 @@ def test_a_failed_projection_tells_where_the_run_stopped(method, monkeypatch):
     assert f"max residual {fail['residual']:.3e} before" in str(err.value)
 
     with pytest.raises(RuntimeError, match="did not converge.*before.*at best") as err:
-        integrate(model, z, t_final=0.05, dt=0.01, record_every=2, method=method)
+        INTEGRATORS[method](model, z, t_final=0.05, dt=0.01, record_every=2)
     assert type(err.value) is RuntimeError
     run = err.value.stats
-    # the first projection: after rk4 step 2, at the end of dop853's
-    # first recording interval
+    # the first projection: after rk4 step 2, at the end of the
+    # reference's first recording interval
     assert (run["failed_step"], run["t"]) == ((2 if method == "rk4" else 1), 0.02)
-    assert run["method"] == method and run["projections"] == 0
+    assert run["projections"] == 0
     fail = run["projection_failure"]
     assert f"pass {fail['passes']} no longer shrank" in str(err.value)
 
@@ -351,7 +348,7 @@ def test_a_failed_projection_tells_where_the_run_stopped(method, monkeypatch):
     vec = state_batch(free, 1)[0].vec.copy()
     vec[8:12] = phase.kinetic_momentum(PhaseState(vec=vec), free)
     with pytest.raises(ValueError, match="omega is parallel to calP") as err:
-        integrate(free, PhaseState(vec=vec), t_final=0.05, dt=0.01, method=method)
+        INTEGRATORS[method](free, PhaseState(vec=vec), t_final=0.05, dt=0.01)
     assert (err.value.stats["failed_step"], err.value.stats["t"]) == (1, 0.01)
     assert "projection_failure" not in err.value.stats
 
@@ -519,11 +516,6 @@ def test_run_reports_its_work(monkeypatch):
             == seen["kernel"])
     assert stats["projection_steps"] > 0
     assert stats["max_residual_before_projection"] == seen["before"] > 0.0
-
-    rhs, calls = dynamics.dirac_rhs, []
-    monkeypatch.setattr(dynamics, "dirac_rhs", lambda *a: calls.append(1) or rhs(*a))
-    traj = integrate(model, z0, 1.0, 0.1, record_every=5, method="dop853")
-    assert traj.stats["rhs_evals"] == len(calls) > 0
 
 
 @pytest.mark.parametrize("kind", ["coulomb", "crossed"])

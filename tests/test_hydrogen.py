@@ -77,8 +77,9 @@ def test_spin_orbit_sign_structure():
     assert spin_orbit_shift(hm, 2, 1, 1.5) > 0
     assert spin_orbit_shift(hm, 2, 1, 0.5) < 0
     assert spin_orbit_shift(hm, 3, 0, 0.5) == 0.0
-    with pytest.raises(ValueError):
-        spin_orbit_shift(hm, 2, 1, 2.5)
+    for shift in (spin_orbit_shift, spin_orbit_shift_naive):
+        with pytest.raises(ValueError, match="j must be l"):
+            shift(hm, 2, 1, 2.5)
     # naive and realized couplings are proportional: g vs g - 1
     hm3 = HydrogenModel(g=3.0)
     assert np.isclose(spin_orbit_shift_naive(hm3, 2, 1, 1.5) * (3.0 - 1.0),

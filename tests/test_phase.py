@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relspin import phase
 from relspin.dynamics import project_state
 from relspin.phase import (J, PhaseState, _rows, constraint_residuals,
                            constraint_values, dipole_vector, field_data,
@@ -84,6 +85,39 @@ def test_model_refuses_a_negative_or_nan_alpha(alpha):
         with pytest.raises(ValueError, match="alpha"):
             build_model("zero", alpha=alpha)
     assert init_state(build_model("zero", alpha=0.0), (0, 0, 0), (0.1, 0, 0)).spinless
+
+
+@pytest.mark.parametrize("name, value", [
+    ("c", 0.0),          # ZeroDivisionError in the kernel
+    ("c", -1.0),
+    ("c", np.nan),       # "field-spin fixed point did not converge"
+    ("c", np.inf),
+    ("e", np.nan),
+    ("e", np.inf),
+    ("m", np.nan),       # nan <= 0 is False
+    ("g", np.nan),       # "field-spin fixed point did not converge"
+    ("g", np.inf),
+], ids=["c-zero", "c-negative", "c-nan", "c-inf", "e-nan", "e-inf", "m-nan", "g-nan",
+        "g-inf"])
+def test_model_refuses_unphysical_parameters(name, value):
+    """c must be finite and positive, e and g finite and m positive: each
+    is refused at construction with a ValueError naming it, not later as
+    a division by zero or a misleading non-convergence.  e = 0 is kept."""
+    with pytest.raises(ValueError, match=rf"\b{name} must be"):
+        build_model("crossed", **{name: value})
+    assert build_model("crossed", e=0.0).e == 0.0
+
+
+def test_kinetic_momentum_reads_the_kernel_once(monkeypatch):
+    """calP comes from one kernel call and assembles no row."""
+    model = build_model("crossed")
+    z = state_batch(model, 1, seed=4)[0]
+    seen, kernel, rows = [], phase._kernel, phase.t_rows
+    monkeypatch.setattr(phase, "_kernel", lambda *a: seen.append("_kernel") or kernel(*a))
+    monkeypatch.setattr(phase, "t_rows", lambda *a: seen.append("t_rows") or rows(*a))
+    P = kinetic_momentum(z, model)
+    assert seen == ["_kernel"]
+    assert np.array_equal(P, constraint_values(z, model)[0])
 
 
 def test_dipole_ssc_identity():
