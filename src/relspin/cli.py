@@ -233,14 +233,27 @@ def write_report(args, payload, header, rows):
 # subcommands
 
 
+def write_stats(path, stats):
+    """The run's stats as a JSON sidecar at path, apart from --out."""
+    with open(path, "w") as fh:
+        json.dump(stats, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
 def cmd_simulate(args):
     cfg = read_config(args.config, "simulate")
     model = model_from_config(cfg)
     z0 = init_state(model, x3=cfg["simulate.x0"], P3=cfg["simulate.P0"],
                     spin_dir=cfg["simulate.spin_dir"])
-    traj = integrate(model, z0, cfg["simulate.t_final"], cfg["simulate.dt"],
-                     record_every=cfg["simulate.record_every"],
-                     project=cfg["simulate.project"])
+    try:
+        traj = integrate(model, z0, cfg["simulate.t_final"], cfg["simulate.dt"],
+                         record_every=cfg["simulate.record_every"],
+                         project=cfg["simulate.project"])
+    except (RuntimeError, ValueError) as exc:
+        # a failed projection carries the stats of the run up to it
+        if args.stats and hasattr(exc, "stats"):
+            write_stats(args.stats, exc.stats)
+        raise
     channels = traj.channels()
     names = [nm for nm in CHANNEL_ORDER if nm in channels]
     columns = [[float(v) for v in channels[nm]] for nm in names]
@@ -252,6 +265,8 @@ def cmd_simulate(args):
     else:
         header, rows = names, zip(*columns)
     write_report(args, dict(zip(names, columns)), header, rows)
+    if args.stats:
+        write_stats(args.stats, traj.stats)
     return 0
 
 
@@ -422,6 +437,11 @@ def build_parser():
         plot = ("plot",) if name == "simulate" else ()
         p.add_argument("--format", choices=("csv", "json", *plot),
                        default="csv" if plot else "json")
+        if name == "simulate":
+            p.add_argument("--stats", metavar="PATH",
+                           help="write the run's stats (RHS evaluations, "
+                                "projections, energy drift, wall times) as JSON "
+                                "to PATH, also when a projection fails")
         if name == "brackets":
             p.add_argument("--seed", type=int, default=0)
             p.add_argument("--states", type=_positive_int, default=8,

@@ -122,12 +122,22 @@ def _coulomb_at(q, r_min):
     return at
 
 
+def _finite(name, value):
+    """value itself; ValueError naming the parameter when it, or a
+    component of it, is not a finite number."""
+    if not np.all(np.isfinite(np.asarray(value, dtype=float))):
+        raise ValueError(f"background parameter {name} must be finite, got {value!r}")
+    return value
+
+
 def make_background(kind, e=1.0, c=10.0, **params):
     """Build a catalog background.
 
     Parameters by kind: uniform-E takes E=(3,), uniform-B takes B=(3,),
     crossed takes both, coulomb takes q and optional r_min (default
-    1e-6, evaluations closer to the center are rejected).
+    1e-6, evaluations closer to the center are rejected).  ValueError,
+    naming the parameter, for an E, B, q or r_min that is not finite and
+    for an r_min that is not positive.
     """
     e, c = float(e), float(c)
     if not (math.isfinite(c) and c > 0):
@@ -138,18 +148,23 @@ def make_background(kind, e=1.0, c=10.0, **params):
         at = lambda x: (_Z4, _Z44, _Z44, _Z444)
         gauge = "zero potential"
     elif kind == "uniform-E":
-        at = _uniform_at(params.get("E", (0, 0, 0)), (0, 0, 0))
+        at = _uniform_at(_finite("E", params.get("E", (0, 0, 0))), (0, 0, 0))
         gauge = "A0 = -E.x"
     elif kind == "uniform-B":
-        at = _uniform_at((0, 0, 0), params.get("B", (0, 0, 0)))
+        at = _uniform_at((0, 0, 0), _finite("B", params.get("B", (0, 0, 0))))
         gauge = "symmetric, A = (1/2) B x r"
     elif kind == "crossed":
-        at = _uniform_at(params.get("E", (0, 0, 0)), params.get("B", (0, 0, 0)))
+        at = _uniform_at(_finite("E", params.get("E", (0, 0, 0))),
+                         _finite("B", params.get("B", (0, 0, 0))))
         gauge = "A0 = -E.x with symmetric magnetic part"
     elif kind == "coulomb":
         if "q" not in params:
             raise ValueError("coulomb background requires the source charge q")
-        at = _coulomb_at(float(params["q"]), float(params.get("r_min", 1e-6)))
+        r_min = float(_finite("r_min", params.get("r_min", 1e-6)))
+        if not r_min > 0:
+            # at r_min <= 0 the center itself would pass the r_min check
+            raise ValueError(f"background parameter r_min must be positive, got {r_min}")
+        at = _coulomb_at(float(_finite("q", params["q"])), r_min)
         gauge = "A0 = q/r"
     else:
         raise ValueError(f"unknown background kind {kind!r}, expected one of {KINDS}")

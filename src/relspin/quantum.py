@@ -29,11 +29,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import sympy as sp
-from sympy import ZZ_I
-from sympy.polys.polyerrors import ExactQuotientFailed
 
-from .weyl import (B_SYM, E_SYM, Op, R, cinv, commutator, cross, dot, e,
-                   g_sym, hbar, m, to_ring)
+from .weyl import (B_SYM, E_SYM, Op, _pdiv_ihbar, cinv, commutator, cross, dot,
+                   e, g_sym, hbar, m, to_ring)
 
 EPS = {}
 for _i in range(3):
@@ -44,15 +42,15 @@ for _i in range(3):
 FIELD_KINDS = ("free", "uniform-E", "uniform-B", "crossed")
 
 # background parameters and the constants of the realization, as
-# elements of RQ, the boundary ring that Op.scalar and Op.scale read
+# elements of RQ, the boundary ring: Op.scalar and Op.scale clear each
+# into a Gaussian-integer polynomial dict over an integer den, and no
+# ring arithmetic runs on them after import
 _B_RING = tuple(to_ring(b) for b in B_SYM)
 _E_RING = tuple(to_ring(v) for v in E_SYM)
 _NO_FIELD = (to_ring(0),) * 3
 _HALF = to_ring(sp.Rational(1, 2))
 _HBAR = to_ring(hbar)
-_IHBAR = R.from_expr(sp.I * hbar)
-_HBAR_AT = R.symbols.index(hbar)
-_MINUS_I = ZZ_I(0, -1)
+_HALF_HBAR = to_ring(hbar / 2)
 _E = to_ring(e)
 _E_CINV = to_ring(e * cinv)
 _SHIFT = to_ring(hbar * cinv**2 / (4 * m**2))
@@ -110,7 +108,7 @@ def build_operators(kind="uniform-B"):
     x = tuple(Op.x(i) for i in (1, 2, 3))
     p = tuple(Op.p(i) for i in (1, 2, 3))
     sig = tuple(Op.sigma(i) for i in (1, 2, 3))
-    S = tuple(s.scale(_HBAR * _HALF) for s in sig)
+    S = tuple(s.scale(_HALF_HBAR) for s in sig)
 
     A_at_x = _vector_potential(Bv, x)
     P0hat = tuple(p[i] - A_at_x[i].scale(_E_CINV) for i in range(3))
@@ -126,7 +124,7 @@ def build_operators(kind="uniform-B"):
         for j in range(3):
             if i != j:
                 k = 3 - i - j
-                Shat[(i + 1, j + 1)] = sig[k].scale(_HBAR * EPS[(i, j, k)])
+                Shat[(i + 1, j + 1)] = sig[k].scale(_HBAR).scale(EPS[(i, j, k)])
 
     A0 = Op()
     A0_hat = Op()
@@ -145,17 +143,10 @@ def build_operators(kind="uniform-B"):
 
 
 def _by_ihbar(op):
-    """op / (i hbar), exact: each monomial's hbar exponent drops by one and
-    its Gaussian-integer coefficient is multiplied by -i, with op's den
-    kept; ExactQuotientFailed where a monomial carries no hbar."""
-    def divide(u):
-        if any(mon[_HBAR_AT] == 0 for mon in u):
-            raise ExactQuotientFailed(u, _IHBAR)
-        return R.from_dict({mon[:_HBAR_AT] + (mon[_HBAR_AT] - 1,)
-                            + mon[_HBAR_AT + 1:]: c * _MINUS_I
-                            for mon, c in u.items()})
-    return Op({k: tuple(divide(u) for u in blk)
-               for k, blk in op.blocks.items()}, op.den)
+    """op / (i hbar), exact, with op's den kept; ExactQuotientFailed where
+    a monomial carries no hbar."""
+    return Op({k: tuple(map(_pdiv_ihbar, blk)) for k, blk in op.blocks.items()},
+              op.den)
 
 
 def _eps_sum(vec, i, j):
@@ -269,7 +260,7 @@ def shift_identity_residual(ps):
 def covariant_spin_orbit(ps, g=g_sym):
     """(e g / 2 m^2 c^2) S.(P x E), the coupling the expanded
     Hamiltonian inherits from the covariant dipole term."""
-    return _s_dot_p_cross_e(ps).scale(_SO * to_ring(g))
+    return _s_dot_p_cross_e(ps).scale(_SO).scale(g)
 
 
 def assembled_spin_orbit(ps, g=g_sym):
@@ -282,6 +273,8 @@ def g_minus_one_residual(ps, g=g_sym):
     """g * assembled - (g-1) * covariant, the polynomial form of
     assembled = (g-1)/g * covariant.  For g != 0 it is identically zero
     iff the noncommutative shift converts the coupling g -> g - 1."""
-    g = to_ring(g)
-    return (assembled_spin_orbit(ps, g).scale(g)
-            - covariant_spin_orbit(ps, g).scale(g - 1))
+    covariant = covariant_spin_orbit(ps, g)
+    # (g - 1) * covariant as g * covariant - covariant: the Ops carry
+    # the arithmetic, not the boundary scalar g
+    return ((covariant + potential_shift(ps)).scale(g)
+            - (covariant.scale(g) - covariant))

@@ -5,19 +5,29 @@ Operators are finite sums of monomials
     x1^a1 x2^a2 x3^a3  p1^b1 p2^b2 p3^b3  M
 
 with every position factor to the left of every momentum factor and a
-2x2 coefficient block M.  An Op stores each block as four sparse
-polynomials of one ring
+2x2 coefficient block M.  Each block entry is a polynomial in the
+eleven real generators
 
-    R = ZZ_I[hbar, cinv, minv, e, g, B1, B2, B3, E1, E2, E3]
+    hbar, cinv, minv, e, g, B1, B2, B3, E1, E2, E3
 
-(sympy.polys.rings): Gaussian-integer coefficients, real generators,
-cinv = 1/c and minv = 1/m, plus one positive integer den shared by all
-its blocks; the operator is blocks / den.  Every quantity of the
-realization is a polynomial with Gaussian-rational coefficients, so it
-is exactly one such pair: a product multiplies the dens, a sum brings
-both operands to the lcm of theirs, and zero tests, the conjugation of
-the adjoint and the cinv grading read the integer blocks as they are.
-No rational arithmetic runs inside a sum, a product or a commutator.
+(cinv = 1/c, minv = 1/m) with Gaussian-integer coefficients, held in
+plain Python: a dict from a packed monomial to its coefficient, a pair
+of ints (re, im).  A packed monomial is one int with generator i's
+exponent in bits [12 i, 12 i + 11) and a guard bit above each field, so
+the product of two monomials is one int addition, and an exponent that
+reaches 2^11 sets its guard bit and raises OverflowError instead of
+carrying into the next generator.  No zero coefficient is stored; the
+zero polynomial is {}.  An Op keeps one positive integer den shared by
+all its blocks, the operator being blocks / den: a product multiplies
+the dens, a sum brings both operands to the lcm of theirs.  Every
+quantity of the realization is such a pair, so no rational arithmetic
+and no sympy object takes part in a sum, a product or a commutator.
+The conjugation of the adjoint maps (re, im) to (re, -im); the
+division by i hbar lowers the hbar field by one and maps (re, im) to
+(im, -re); and the order in 1/c of a monomial, by which the
+correspondence with the classical brackets is graded, is a shift and a
+mask.
+
 Products are reduced to the normal form with the one-axis identity
 
     p^n x^m = sum_k  C(n,k) C(m,k) k! (-i hbar)^k  x^{m-k} p^{n-k}
@@ -26,15 +36,13 @@ applied axis by axis (different axes commute; blocks commute with
 x and p).  The commutator is one pass over the monomial pairs, not two
 products: the uncontracted terms of A B and B A differ only in the
 block order, so they cancel where either block is scalar and leave
-[Ma, Mb] otherwise.  With cinv a generator,
-"order in 1/c" is the least cinv exponent among the monomials, which
-is how the correspondence with the classical brackets is graded.
+[Ma, Mb] otherwise.
 
-Gaussian rationals remain at the boundary only.  to_ring reads a
-sympy expression (m -> 1/minv) into RQ, the same generators over QQ_I;
-Op.scalar and Op.scale clear a scalar's denominator once, into an R
-element and an integer; the Op.terms view divides by den in RQ and
-writes minv back as 1/m.
+sympy stays at the boundary.  to_ring reads a sympy expression
+(m -> 1/minv) into RQ, the generators' polynomial ring over QQ_I;
+Op.scalar and Op.scale clear an RQ scalar's denominator once, into a
+dict and an integer (a Python int skips sympy altogether); the Op.terms
+view turns each dict over den back into RQ and writes minv as 1/m.
 """
 
 from __future__ import annotations
@@ -42,7 +50,8 @@ from __future__ import annotations
 from math import comb, factorial, lcm
 
 import sympy as sp
-from sympy import QQ, QQ_I, ZZ_I
+from sympy import QQ, QQ_I
+from sympy.polys.polyerrors import ExactQuotientFailed
 from sympy.polys.rings import PolyElement, ring
 
 hbar, cinv, m, e = sp.symbols("hbar cinv m e", real=True)
@@ -52,9 +61,36 @@ B_SYM = sp.symbols("B1 B2 B3", real=True)
 E_SYM = sp.symbols("E1 E2 E3", real=True)
 
 _GENERATORS = (hbar, cinv, minv, e, g_sym) + B_SYM + E_SYM
-R = ring(_GENERATORS, ZZ_I)[0]
 RQ = ring(_GENERATORS, QQ_I)[0]
-_CINV = R.symbols.index(cinv)
+
+_WIDTH = 12                           # bits per generator: exponent and guard
+_EXP_MASK = (1 << (_WIDTH - 1)) - 1   # one field's exponent bits
+_GUARDS = sum(1 << (_WIDTH * i + _WIDTH - 1) for i in range(len(_GENERATORS)))
+_HBAR_SHIFT = _WIDTH * _GENERATORS.index(hbar)
+_CINV_SHIFT = _WIDTH * _GENERATORS.index(cinv)
+
+
+def _pack(exps):
+    """The packed monomial of an exponent tuple in generator order;
+    OverflowError for an exponent outside [0, 2^11)."""
+    mon = 0
+    for i, n in enumerate(exps):
+        if not 0 <= n <= _EXP_MASK:
+            raise OverflowError(f"exponent {n} of {_GENERATORS[i]} does not fit "
+                                f"its {_WIDTH - 1}-bit field")
+        mon |= n << (_WIDTH * i)
+    return mon
+
+
+def _unpack(mon):
+    """The exponent tuple of a packed monomial, in generator order."""
+    return tuple((mon >> (_WIDTH * i)) & _EXP_MASK for i in range(len(_GENERATORS)))
+
+
+def _overflow(mon):
+    raise OverflowError("a monomial product overflows the exponent field of "
+                        + ", ".join(str(_GENERATORS[i]) for i in range(len(_GENERATORS))
+                                    if (mon >> (_WIDTH * i + _WIDTH - 1)) & 1))
 
 
 def to_ring(expr):
@@ -71,23 +107,113 @@ def to_ring(expr):
 
 
 def _cleared(c):
-    """(u, den) with c = u / den, u in R and den a positive int; c is an
-    element of RQ or R."""
-    if c.ring is R:
-        return c, 1
+    """(u, den) with c = u / den: u a polynomial dict and den a positive
+    int; c is a Python int or anything to_ring reads."""
+    if isinstance(c, int):
+        return ({0: (int(c), 0)} if c else {}), 1
+    c = to_ring(c)
     den = 1
     for q in c.values():
         den = lcm(den, q.x.denominator, q.y.denominator)
-    return R.from_dict({mon: ZZ_I(q.x.numerator * (den // q.x.denominator),
-                                  q.y.numerator * (den // q.y.denominator))
-                        for mon, q in c.items()}), den
+    return {_pack(mon): (int(q.x.numerator) * (den // q.x.denominator),
+                         int(q.y.numerator) * (den // q.y.denominator))
+            for mon, q in c.items()}, den
 
 
-I2 = (R.one, R.zero, R.zero, R.one)
-SIGMA = tuple(tuple(R.from_expr(sp.sympify(v)) for v in entries) for entries in
-              ((0, 1, 1, 0), (0, -sp.I, sp.I, 0), (1, 0, 0, -1)))
-_MINUS_IHBAR = R.from_expr(-sp.I * hbar)
+def _to_rq(u, den=1):
+    """The polynomial dict u over den as an element of RQ."""
+    return RQ.from_dict({_unpack(mon): QQ_I(QQ(re, den), QQ(im, den))
+                         for mon, (re, im) in u.items()})
+
+
+# -- polynomial dicts; a dict stored in an Op is never modified --------
+
+
+def _padd(p, q):
+    if not q:
+        return p
+    if not p:
+        return q
+    out = dict(p)
+    for mon, c in q.items():
+        old = out.get(mon)
+        if old is None:
+            out[mon] = c
+        else:
+            re, im = old[0] + c[0], old[1] + c[1]
+            if re or im:
+                out[mon] = (re, im)
+            else:
+                del out[mon]
+    return out
+
+
+def _pneg(p):
+    return {mon: (-re, -im) for mon, (re, im) in p.items()}
+
+
+def _pmul(p, q):
+    if len(p) > len(q):
+        p, q = q, p
+    if not p:
+        return {}
+    if len(p) == 1:
+        (mon, (re, im)), = p.items()
+        return _term_mul(q, mon, re, im)
+    out = {}
+    for ma, (ar, ai) in p.items():
+        for mb, (br, bi) in q.items():
+            mon = ma + mb
+            if mon & _GUARDS:
+                _overflow(mon)
+            re, im = ar * br - ai * bi, ar * bi + ai * br
+            old = out.get(mon)
+            out[mon] = (re, im) if old is None else (old[0] + re, old[1] + im)
+    return {mon: c for mon, c in out.items() if c[0] or c[1]}
+
+
+def _psub(p, q):
+    return _padd(p, _pneg(q))
+
+
+def _term_mul(p, mon, re, im):
+    """p times the single term (re + i im) * mon, with re + i im nonzero:
+    distinct monomials stay distinct, and Gaussian integers have no zero
+    divisors, so no coefficient meets another or vanishes."""
+    out = {}
+    for mp, (pr, pi) in p.items():
+        mb = mp + mon
+        if mb & _GUARDS:
+            _overflow(mb)
+        out[mb] = (pr * re - pi * im, pr * im + pi * re)
+    return out
+
+
+def _conj(p):
+    return {mon: (re, -im) for mon, (re, im) in p.items()}
+
+
+def _pdiv_ihbar(p):
+    """p / (i hbar), exact: each monomial's hbar field drops by one and
+    its coefficient is multiplied by -i, (re, im) -> (im, -re);
+    ExactQuotientFailed where a monomial carries no hbar."""
+    if any(not (mon >> _HBAR_SHIFT) & _EXP_MASK for mon in p):
+        raise ExactQuotientFailed(_to_rq(p), sp.I * hbar)
+    one = 1 << _HBAR_SHIFT
+    return {mon - one: (im, -re) for mon, (re, im) in p.items()}
+
+
+def _one(re=1, im=0):
+    return {0: (re, im)}
+
+
+I2 = (_one(), {}, {}, _one())
+SIGMA = (({}, _one(), _one(), {}),
+         ({}, _one(0, -1), _one(0, 1), {}),
+         (_one(), {}, {}, _one(-1)))
 _ZKEY = (0, 0, 0, 0, 0, 0)
+# (-i)^k for k mod 4
+_MINUS_I_POW = ((1, 0), (0, -1), (-1, 0), (0, 1))
 
 
 def _is_scalar(blk):
@@ -98,51 +224,49 @@ def _is_scalar(blk):
 def _block_mul(A, B):
     if _is_scalar(A):
         u = A[0]
-        return tuple(u * v for v in B)
+        return tuple(_pmul(u, v) for v in B)
     if _is_scalar(B):
         u = B[0]
-        return tuple(v * u for v in A)
+        return tuple(_pmul(v, u) for v in A)
     a0, a1, a2, a3 = A
     b0, b1, b2, b3 = B
-    return (a0 * b0 + a1 * b2, a0 * b1 + a1 * b3,
-            a2 * b0 + a3 * b2, a2 * b1 + a3 * b3)
+    return (_padd(_pmul(a0, b0), _pmul(a1, b2)), _padd(_pmul(a0, b1), _pmul(a1, b3)),
+            _padd(_pmul(a2, b0), _pmul(a3, b2)), _padd(_pmul(a2, b1), _pmul(a3, b3)))
 
 
 def _block_commutator(A, B):
-    """A B - B A with six ring products."""
+    """A B - B A with six polynomial products."""
     a0, a1, a2, a3 = A
     b0, b1, b2, b3 = B
-    da, db = a0 - a3, b0 - b3
-    c0 = a1 * b2 - b1 * a2
-    return (c0, b1 * da - a1 * db, a2 * db - b2 * da, -c0)
-
-
-def _conj(p):
-    return R.from_dict({mon: ZZ_I(c.x, -c.y) for mon, c in p.items()})
+    da, db = _psub(a0, a3), _psub(b0, b3)
+    c0 = _psub(_pmul(a1, b2), _pmul(b1, a2))
+    return (c0, _psub(_pmul(b1, da), _pmul(a1, db)),
+            _psub(_pmul(a2, db), _pmul(b2, da)), _pneg(c0))
 
 
 def _scaled(coeff, blk):
-    return blk if coeff is None else tuple(coeff * u for u in blk)
+    """blk times a contraction coefficient (mon, re, im), blk itself for
+    None."""
+    return blk if coeff is None else tuple(_term_mul(u, *coeff) for u in blk)
 
 
 def _rescaled(blocks, s):
     """blocks times the positive int s; blocks itself for s = 1."""
     if s == 1:
         return blocks
-    s = ZZ_I(s)
-    return {k: tuple(u.mul_ground(s) for u in blk) for k, blk in blocks.items()}
+    return {k: tuple(_term_mul(u, 0, s, 0) for u in blk) for k, blk in blocks.items()}
 
 
 def _accumulate(out, key, blk):
     old = out.get(key)
-    out[key] = blk if old is None else tuple(u + v for u, v in zip(old, blk))
+    out[key] = blk if old is None else tuple(map(_padd, old, blk))
 
 
 class Op:
     """Finite normal-ordered operator blocks / den.  blocks maps exponent
-    keys (a1,a2,a3,b1,b2,b3) to 2x2 coefficient blocks, four elements of
-    R in row order; den is a positive int, 1 by default, and need not be
-    the least one.  Zero blocks are dropped."""
+    keys (a1,a2,a3,b1,b2,b3) to 2x2 coefficient blocks, four polynomial
+    dicts in row order; den is a positive int, 1 by default, and need not
+    be the least one.  Zero blocks are dropped."""
 
     __slots__ = ("blocks", "den")
 
@@ -153,18 +277,17 @@ class Op:
     @property
     def terms(self):
         """Sympy view: each key's block over den as a 2x2 sp.Matrix, its
-        entries divided in RQ, minv as 1/m."""
-        inv = QQ_I(QQ(1, self.den))
-        return {k: sp.Matrix(2, 2, [p.set_ring(RQ).mul_ground(inv).as_expr()
-                                    .xreplace({minv: 1 / m}) for p in blk])
+        entries elements of RQ turned into expressions, minv as 1/m."""
+        return {k: sp.Matrix(2, 2, [_to_rq(u, self.den).as_expr()
+                                    .xreplace({minv: 1 / m}) for u in blk])
                 for k, blk in self.blocks.items()}
 
     # -- constructors ------------------------------------------------
 
     @classmethod
     def scalar(cls, expr):
-        c, den = _cleared(to_ring(expr))
-        return cls({_ZKEY: (c, R.zero, R.zero, c)}, den)
+        c, den = _cleared(expr)
+        return cls({_ZKEY: (c, {}, {}, c)}, den)
 
     @classmethod
     def x(cls, i):
@@ -196,7 +319,7 @@ class Op:
     __radd__ = __add__
 
     def __neg__(self):
-        return Op({k: tuple(-u for u in blk) for k, blk in self.blocks.items()},
+        return Op({k: tuple(map(_pneg, blk)) for k, blk in self.blocks.items()},
                   self.den)
 
     def __sub__(self, other):
@@ -208,9 +331,9 @@ class Op:
         return Op.scalar(other) + (-self)
 
     def scale(self, expr):
-        c, den = _cleared(to_ring(expr))
-        return Op({k: _scaled(c, blk) for k, blk in self.blocks.items()},
-                  self.den * den)
+        c, den = _cleared(expr)
+        return Op({k: tuple(_pmul(c, u) for u in blk)
+                   for k, blk in self.blocks.items()}, self.den * den)
 
     def __rmul__(self, other):
         if isinstance(other, Op):  # pragma: no cover - __mul__ handles it
@@ -257,7 +380,7 @@ class Op:
     def min_cinv_order(self):
         """Minimal degree in cinv over all nonzero coefficients;
         None for the zero operator."""
-        return min((mon[_CINV] for blk in self.blocks.values()
+        return min(((mon >> _CINV_SHIFT) & _EXP_MASK for blk in self.blocks.values()
                     for u in blk for mon in u), default=None)
 
     def __repr__(self):
@@ -274,7 +397,8 @@ class Op:
 
 def _reorder(a, b, c, d):
     """Normal-order x^a p^b x^c p^d; yields ((key, coefficient), ...), the
-    coefficient an element of R or None for the uncontracted term (1)."""
+    coefficient n (-i hbar)^k as a single term (hbar^k, re, im), or None
+    for the uncontracted term (1)."""
     # per-axis sums over contraction count k_t
     axes = [[(k, comb(b[t], k) * comb(c[t], k) * factorial(k))
              for k in range(min(b[t], c[t]) + 1)] for t in range(3)]
@@ -285,7 +409,12 @@ def _reorder(a, b, c, d):
                 key = tuple(a[t] + c[t] - ks[t] for t in range(3)) + \
                       tuple(b[t] + d[t] - ks[t] for t in range(3))
                 kk = k1 + k2 + k3
-                yield key, n1 * n2 * n3 * _MINUS_IHBAR ** kk if kk else None
+                if not kk:
+                    yield key, None
+                    continue
+                n = n1 * n2 * n3
+                re, im = _MINUS_I_POW[kk % 4]
+                yield key, (kk << _HBAR_SHIFT, n * re, n * im)
 
 
 def commutator(A, B):
@@ -319,7 +448,8 @@ def commutator(A, B):
                 Mba = _block_mul(Mb, Ma)
                 for key, coeff in _reorder(c, d, a, b):
                     if coeff is not None:
-                        _accumulate(out, key, _scaled(-coeff, Mba))
+                        mon, re, im = coeff
+                        _accumulate(out, key, _scaled((mon, -re, -im), Mba))
     return Op(out, A.den * B.den)
 
 

@@ -5,6 +5,11 @@
   monomial pairs and the tests pin it to this form.
 * ``anticommutator`` and ``coefficient_of_cinv``, which only the tests
   use.
+* ``R``, sympy's ring ZZ_I[hbar, cinv, minv, e, g, B, E] over the
+  generators of ``weyl``, the reference for the coefficient arithmetic:
+  ``to_ring_element`` and ``from_ring_element`` carry a polynomial dict
+  of packed monomials and (re, im) pairs to an element of R and back,
+  and ``random_poly`` draws a seeded polynomial dict to compare on.
 * ``full_residuals``, the correspondence residuals over the full 3x3
   loop of every family, with the oracle commutator and S.P formed per
   diagonal pair; ``quantum.correspondence_residuals`` evaluates the
@@ -14,9 +19,15 @@
 
 from __future__ import annotations
 
+from sympy import ZZ_I
+from sympy.polys.rings import ring
+
 from relspin.quantum import (_XS, _by_ihbar, _eps_sum, _target_PP,
                              _target_xx)
-from relspin.weyl import _CINV, Op, R, dot
+from relspin.weyl import _GENERATORS, Op, _pack, _unpack, cinv, dot
+
+R = ring(_GENERATORS, ZZ_I)[0]
+_CINV = _GENERATORS.index(cinv)
 
 PAIRS = tuple((i, j) for i in (1, 2, 3) for j in (1, 2, 3))
 FAMILIES = ("xx", "xP", "PP", "xS", "PS", "SS")
@@ -33,10 +44,40 @@ def anticommutator(A, B):
 def coefficient_of_cinv(op, order):
     """The operator multiplying cinv**order in op (cinv set to 1 there)."""
     def pick(u):
-        return R.from_dict({mon[:_CINV] + (0,) + mon[_CINV + 1:]: c
-                            for mon, c in u.items() if mon[_CINV] == order})
+        out = {}
+        for mon, c in u.items():
+            exps = _unpack(mon)
+            if exps[_CINV] == order:
+                out[_pack(exps[:_CINV] + (0,) + exps[_CINV + 1:])] = c
+        return out
     return Op({k: tuple(pick(u) for u in blk) for k, blk in op.blocks.items()},
               op.den)
+
+
+def to_ring_element(u):
+    """The polynomial dict u as an element of R."""
+    return R.from_dict({_unpack(mon): ZZ_I(re, im) for mon, (re, im) in u.items()})
+
+
+def from_ring_element(r):
+    """An element of R as a polynomial dict."""
+    return {_pack(mon): (int(c.x), int(c.y)) for mon, c in r.items()}
+
+
+def random_poly(rng, max_terms=4, max_coeff=3):
+    """A polynomial dict of up to max_terms terms with coefficient parts
+    in [-max_coeff, max_coeff].  hbar, cinv and minv take exponents 0-2
+    and every other generator 0 or, rarely, 1, so that the terms of a
+    product often meet on one monomial and sometimes cancel there.  Zero
+    coefficients are drawn and dropped, so the dict may be empty."""
+    out = {}
+    for _ in range(rng.randint(0, max_terms)):
+        mon = _pack([rng.randint(0, 2) if i < 3 else int(rng.random() < 0.1)
+                    for i in range(len(_GENERATORS))])
+        re, im = rng.randint(-max_coeff, max_coeff), rng.randint(-max_coeff, max_coeff)
+        if re or im:
+            out[mon] = (re, im)
+    return out
 
 
 def _pair_residuals(ps, i, j):

@@ -14,7 +14,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relspin import cli, expansion, hydrogen
+from relspin import cli, dynamics, expansion, hydrogen
 from relspin.cli import main
 
 from conftest import src_env
@@ -77,6 +77,42 @@ def test_simulate_json_format(tmp_path):
     # the channels and nothing else: the run's stats (energy drift, wall
     # times) never reach --out
     assert tuple(data) == cli.CHANNEL_ORDER
+
+
+def test_simulate_stats_sidecar_leaves_out_unchanged(tmp_path):
+    """--stats writes Trajectory.stats to its own file; the --out bytes
+    are the same with and without it (criterion 9)."""
+    cfg = _write(tmp_path, "sim.yaml", SIM_CFG)
+    plain, with_stats = tmp_path / "a.csv", tmp_path / "b.csv"
+    side = tmp_path / "stats.json"
+    assert main(["simulate", "--config", cfg, "--out", str(plain)]) == 0
+    assert main(["simulate", "--config", cfg, "--out", str(with_stats),
+                 "--stats", str(side)]) == 0
+    assert plain.read_bytes() == with_stats.read_bytes()
+    stats = json.loads(side.read_text())
+    assert stats["n_steps"] == 200 and stats["rhs_evals"] == 800
+    assert stats["projections"] == sum(
+        k % 10 == 0 or k % dynamics.PROJECT_EVERY == 0 for k in range(1, 201))
+    assert {"energy_drift", "stepping_s", "channels_s",
+            "max_residual_before_projection"} <= set(stats)
+
+
+def test_simulate_stats_sidecar_is_written_when_a_projection_fails(
+        tmp_path, monkeypatch, capsys):
+    """With PROJECTION_TOL at 0 the first projection stalls: the command
+    exits 1, writes no --out, and the sidecar holds the stats of the run
+    up to the failing step."""
+    cfg = _write(tmp_path, "sim.yaml", SIM_CFG)
+    out, side = tmp_path / "a.csv", tmp_path / "stats.json"
+    monkeypatch.setattr(dynamics, "PROJECTION_TOL", 0.0)
+    assert main(["simulate", "--config", cfg, "--out", str(out),
+                 "--stats", str(side)]) == 1
+    assert "did not converge" in capsys.readouterr().err
+    assert not out.exists()
+    stats = json.loads(side.read_text())
+    assert (stats["failed_step"], stats["t"]) == (10, 0.1)
+    assert stats["projections"] == 0 and stats["rhs_evals"] == 40
+    assert set(stats["projection_failure"]) == {"residual", "best", "passes"}
 
 
 def test_simulate_plot_format(tmp_path):

@@ -230,3 +230,28 @@ def test_coulomb_refuses_a_nan_position():
     bg = make_background("coulomb", q=1.0)
     with pytest.raises(ValueError, match="r=nan"):
         bg.at(np.array([0.0, np.nan, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("kind, params, name", [
+    ("coulomb", {"q": np.nan}, "q"),
+    ("coulomb", {"q": np.inf}, "q"),
+    ("coulomb", {"q": 1.0, "r_min": np.nan}, "r_min"),
+    ("uniform-E", {"E": (np.nan, 0.0, 0.0)}, "E"),
+    ("uniform-B", {"B": (0.0, 0.0, np.inf)}, "B"),
+    ("crossed", {"E": (np.nan, 0.0, 0.0), "B": (0.0, 0.0, 1.0)}, "E"),
+    ("crossed", {"E": (0.1, 0.0, 0.0), "B": (0.0, -np.inf, 1.0)}, "B"),
+])
+def test_non_finite_parameters_are_refused_by_name(kind, params, name):
+    """A non-finite field parameter is refused where the background is
+    built; it used to build, and a random constrained state on it then
+    failed with a fixed-point error that did not name the parameter."""
+    with pytest.raises(ValueError, match=f"background parameter {name} must be finite"):
+        make_background(kind, **params)
+
+
+@pytest.mark.parametrize("r_min", [0.0, -1.0])
+def test_coulomb_refuses_a_radius_guard_that_admits_the_center(r_min):
+    """At r_min <= 0 an evaluation at the center passed the guard and
+    divided by zero (ZeroDivisionError); the guard must be positive."""
+    with pytest.raises(ValueError, match="r_min must be positive"):
+        make_background("coulomb", q=1.0, r_min=r_min)

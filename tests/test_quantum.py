@@ -211,3 +211,30 @@ def test_report_takes_36_commutators_and_no_product_inside_them(kind, monkeypatc
     monkeypatch.setattr(Op, "__mul__", counted_mul)
     correspondence_report(kind)
     assert calls == {"commutator": 36, "mul_inside": 0}
+
+
+def test_no_sympy_ring_arithmetic_inside_the_algebra(monkeypatch):
+    """With the arithmetic of sympy's ring elements and Gaussian numbers
+    made to raise, the uniform-B report and both exact identities run
+    through and give what they give unpatched: sympy is read at the
+    boundary only, and no sum, product, commutator, adjoint or division
+    by i hbar does arithmetic on its objects."""
+    from sympy.polys.domains.gaussiandomains import GaussianElement
+    from sympy.polys.rings import PolyElement
+
+    want = correspondence_report("uniform-B")
+
+    def refuse(*args):
+        raise AssertionError("sympy ring arithmetic inside the operator algebra")
+
+    for cls in (PolyElement, GaussianElement):
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                     "__rmul__", "__neg__"):
+            monkeypatch.setattr(cls, name, refuse)
+    assert correspondence_report("uniform-B") == want
+    for kind in ("uniform-E", "crossed"):
+        ps = build_operators(kind)
+        assert g_minus_one_residual(ps).is_zero(), kind
+        assert g_minus_one_residual(ps, g=sp.Integer(2)).is_zero(), kind
+        assert shift_identity_residual(ps).is_zero(), kind
+        assert all(D.is_hermitian() for D in ps.Dhat), kind

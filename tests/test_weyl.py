@@ -1,29 +1,56 @@
 """Exactness of the normal-ordered operator ring."""
 
+import random
 import re
 
 import pytest
 import sympy as sp
 from sympy import ZZ_I
+from sympy.polys.polyerrors import ExactQuotientFailed
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ring_oracles
-from relspin import quantum
-from relspin.weyl import (I2, SIGMA, Op, R, cinv, commutator, cross, dot, hbar,
-                          m, to_ring)
-from ring_oracles import anticommutator, coefficient_of_cinv
+from relspin import quantum, weyl
+from relspin.quantum import _by_ihbar
+from relspin.weyl import (_CINV_SHIFT, _EXP_MASK, _HBAR_SHIFT, I2, SIGMA, Op,
+                          _block_commutator, _block_mul, _conj, _pack, _padd,
+                          _pmul, _pneg, _psub, _term_mul, _unpack, cinv,
+                          commutator, cross, dot, hbar, m, minv, to_ring)
+from ring_oracles import (R, anticommutator, coefficient_of_cinv,
+                          from_ring_element, random_poly, to_ring_element)
 
 I = sp.I
 
-# blocks I2 and sigma_1..3, each times 1, hbar, cinv or i (elements of
-# the Gaussian-integer block ring): some pairs commute and some do not
+# blocks I2 and sigma_1..3, each times 1, hbar, cinv or i (polynomial
+# dicts of one term): some pairs commute and some do not
 _BASES = (I2,) + SIGMA
-_FACTORS = tuple(R.from_expr(sp.sympify(f)) for f in (1, hbar, cinv, I))
+_FACTORS = ({0: (1, 0)}, {1 << _HBAR_SHIFT: (1, 0)}, {1 << _CINV_SHIFT: (1, 0)},
+            {0: (0, 1)})
 
 
 def _monomial_op(key, base, factor):
-    return Op({key: tuple(_FACTORS[factor] * u for u in _BASES[base])})
+    # the entries are formed in the reference ring, not by weyl
+    f = to_ring_element(_FACTORS[factor])
+    return Op({key: tuple(from_ring_element(f * to_ring_element(u))
+                          for u in _BASES[base])})
+
+
+def _assert_canonical(op):
+    """The representation invariant: den a positive int; each block four
+    dicts from packed monomials (non-negative ints with no guard bit set)
+    to pairs of Python ints, no zero coefficient stored."""
+    assert type(op.den) is int and op.den > 0
+    for blk in op.blocks.values():
+        assert type(blk) is tuple and len(blk) == 4 and any(blk)
+        for u in blk:
+            assert type(u) is dict
+            for mon, c in u.items():
+                assert type(mon) is int and mon >= 0
+                assert not mon & weyl._GUARDS
+                assert type(c) is tuple and len(c) == 2
+                assert all(type(v) is int for v in c)
+                assert c != (0, 0)
 
 
 # 1-3 monomials, exponents 0-2 per axis, so contractions occur in A B,
@@ -159,12 +186,9 @@ def test_non_dyadic_and_gaussian_scalars_stay_exact(A, B, q, r):
     assert Aq.adjoint().adjoint() == Aq
     assert Aq.adjoint() == A.adjoint().scale(sp.conjugate(q))
     assert commutator(Aq, Br) == commutator(A, B).scale(q * r)
-    for op in (Aq, Br, Aq + Br, Aq * Br, commutator(Aq, Br), Aq.adjoint()):
-        assert type(op.den) is int and op.den > 0
-        for blk in op.blocks.values():
-            for u in blk:
-                assert u.ring is R and R.domain == ZZ_I
-                assert all(ZZ_I.of_type(c) for c in u.values())
+    for op in (Aq, Br, Aq + Br, Aq * Br, commutator(Aq, Br), Aq.adjoint(),
+               _by_ihbar(Aq.scale(hbar)), -Aq, Aq - Br):
+        _assert_canonical(op)
 
 
 def test_a_denominator_past_double_precision_is_kept():
@@ -229,3 +253,130 @@ def test_commutator_matches_the_two_product_form_on_the_realization(kind):
             want = ring_oracles.commutator(A, B)
             assert commutator(A, B) == want
             assert commutator(B, A) == -want
+
+
+# -- the coefficient arithmetic against sympy's ZZ_I ring ----------------
+
+
+def _random_pairs(seed, n=300):
+    rng = random.Random(seed)
+    return [(random_poly(rng), random_poly(rng)) for _ in range(n)]
+
+
+def _conj_reference(r):
+    return R.from_dict({mon: ZZ_I(c.x, -c.y) for mon, c in r.items()})
+
+
+def test_round_trip_through_the_reference_ring():
+    for p, _ in _random_pairs(0, 100):
+        assert from_ring_element(to_ring_element(p)) == p
+        for mon in p:
+            assert _pack(_unpack(mon)) == mon
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_polynomial_arithmetic_matches_the_reference_ring(seed):
+    """Products, sums, differences, negation and conjugation of seeded
+    random Gaussian-integer polynomials, on dicts and in R."""
+    for p, q in _random_pairs(seed):
+        rp, rq = to_ring_element(p), to_ring_element(q)
+        assert _pmul(p, q) == from_ring_element(rp * rq)
+        assert _padd(p, q) == from_ring_element(rp + rq)
+        assert _psub(p, q) == from_ring_element(rp - rq)
+        assert _pneg(p) == from_ring_element(-rp)
+        assert _conj(p) == from_ring_element(_conj_reference(rp))
+        for mon, (re, im) in q.items():
+            assert _term_mul(p, mon, re, im) == from_ring_element(
+                rp * R({_unpack(mon): ZZ_I(re, im)}))
+
+
+def test_products_that_cancel_store_no_zero():
+    # (a + b)(a - b) = a^2 - b^2: the cross terms meet on one monomial
+    a, b = {1 << _HBAR_SHIFT: (1, 2)}, {1 << _CINV_SHIFT: (0, 3)}
+    prod = _pmul(_padd(a, b), _psub(a, b))
+    assert prod == _psub(_pmul(a, a), _pmul(b, b))
+    assert len(prod) == 2
+    assert _padd(a, _pneg(a)) == {}
+
+
+def _reference_block_mul(A, B):
+    a = [to_ring_element(u) for u in A]
+    b = [to_ring_element(u) for u in B]
+    return (a[0] * b[0] + a[1] * b[2], a[0] * b[1] + a[1] * b[3],
+            a[2] * b[0] + a[3] * b[2], a[2] * b[1] + a[3] * b[3])
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_block_products_match_the_reference_ring(seed):
+    rng = random.Random(seed)
+    for _ in range(100):
+        A = tuple(random_poly(rng, 2) for _ in range(4))
+        B = tuple(random_poly(rng, 2) for _ in range(4))
+        # scalar blocks take the shortcut in _block_mul
+        if rng.random() < 0.3:
+            A = (A[0], {}, {}, A[0])
+        AB, BA = _reference_block_mul(A, B), _reference_block_mul(B, A)
+        assert _block_mul(A, B) == tuple(map(from_ring_element, AB))
+        assert _block_commutator(A, B) == tuple(
+            from_ring_element(x - y) for x, y in zip(AB, BA))
+
+
+def _random_op(rng, hbar_in_every_term=False):
+    blocks = {}
+    for _ in range(rng.randint(1, 3)):
+        key = tuple(rng.randint(0, 1) for _ in range(6))
+        blk = tuple(random_poly(rng, 2) for _ in range(4))
+        if hbar_in_every_term:
+            blk = tuple(_term_mul(u, 1 << _HBAR_SHIFT, 1, 0) for u in blk)
+        blocks[key] = blk
+    return Op(blocks, rng.randint(1, 6))
+
+
+def test_cinv_order_and_division_by_ihbar_match_the_reference_ring():
+    rng = random.Random(5)
+    ihbar = R.from_expr(I * hbar)
+    for _ in range(150):
+        op = _random_op(rng, hbar_in_every_term=rng.random() < 0.7)
+        entries = [to_ring_element(u) for blk in op.blocks.values() for u in blk]
+        want = min((mon[1] for r in entries for mon in r), default=None)
+        assert op.min_cinv_order() == want
+        if all(mon[0] for r in entries for mon in r):
+            got = _by_ihbar(op)
+            assert got.den == op.den
+            for blk, gblk in zip(op.blocks.values(), got.blocks.values()):
+                assert gblk == tuple(from_ring_element(to_ring_element(u).exquo(ihbar))
+                                     for u in blk)
+        else:
+            with pytest.raises(ExactQuotientFailed):
+                _by_ihbar(op)
+
+
+def test_coefficient_of_cinv_reads_the_cinv_field_alone():
+    # cinv^2 minv + 3 cinv^2 hbar - i cinv: order 2 keeps minv and hbar
+    a = Op.scalar(cinv**2 / m + 3 * cinv**2 * hbar - I * cinv)
+    assert coefficient_of_cinv(a, 2) == Op.scalar(1 / m + 3 * hbar)
+    assert coefficient_of_cinv(a, 1) == Op.scalar(-I)
+    assert coefficient_of_cinv(a, 0).is_zero()
+
+
+def test_an_exponent_past_its_field_raises_instead_of_carrying():
+    """2^11 - 1 is the largest exponent; one more sets the field's guard
+    bit, which the product refuses, instead of adding one to the next
+    generator (cinv^2048 would otherwise read as minv)."""
+    top = Op.scalar(cinv**_EXP_MASK)
+    assert top.min_cinv_order() == _EXP_MASK
+    with pytest.raises(OverflowError, match="cinv"):
+        top * Op.scalar(cinv)
+    with pytest.raises(OverflowError, match="cinv"):
+        top.scale(cinv)
+    with pytest.raises(OverflowError, match="hbar"):
+        # the contraction of p1 with x1 carries one more hbar
+        commutator(Op.p(1).scale(hbar**_EXP_MASK), Op.x(1))
+    with pytest.raises(OverflowError, match="minv"):
+        Op.scalar(minv**(_EXP_MASK + 1))
+    with pytest.raises(OverflowError):
+        _pack((0, _EXP_MASK + 1) + (0,) * 9)
+    # the largest exponents of two generators side by side stay apart
+    both = Op.scalar(cinv**_EXP_MASK) * Op.scalar(minv**_EXP_MASK)
+    (mon,) = both.blocks[(0,) * 6][0]
+    assert _unpack(mon)[1:3] == (_EXP_MASK, _EXP_MASK)
