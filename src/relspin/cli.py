@@ -9,8 +9,12 @@ Subcommands
 All numeric output is deterministic: same config, same seed, same
 bytes.  Exit codes: 0 success, 1 runtime failure, 2 config error (the
 message names the offending field or YAML line; a key the subcommand
-does not read is one).  SCHEMAS holds every key each subcommand reads,
-with its kind, default and lower bound.
+does not read is one) or an --out or --stats path that cannot be
+written, refused before any computation.  SCHEMAS holds every key each
+subcommand reads, with its kind, default and lower bound.
+
+Each command imports the modules it runs when it runs: spectrum loads
+no numpy, and no command but --selftest loads the operator ring.
 """
 
 from __future__ import annotations
@@ -20,18 +24,14 @@ import contextlib
 import json
 import math
 import operator
+import os
 import sys
 import time
 
-import numpy as np
 import yaml
 
-from . import expansion, hydrogen
-from .brackets import (H_OBS, aux_table_report, closed_vs_direct_report,
-                       defining_property_report, dirac_core)
-from .dynamics import dirac_rhs, integrate
-from .fields import KINDS, make_background
-from .phase import Model, init_state, random_constrained_state
+from . import hydrogen
+from .fields import KINDS
 
 CHANNEL_ORDER = ("t", "x1", "x2", "x3", "P0", "P1", "P2", "P3",
                  "S1", "S2", "S3", "D1", "D2", "D3", "H",
@@ -203,6 +203,9 @@ def read_config(path, command):
 
 
 def model_from_config(cfg):
+    from .fields import make_background
+    from .phase import Model
+
     kind = cfg["background.kind"]
     params = {key.split(".")[1]: cfg[key] for key in BACKGROUND_KEYS[kind]}
     bg = make_background(kind, e=cfg["model.e"], c=cfg["units.c"], **params)
@@ -241,6 +244,9 @@ def write_stats(path, stats):
 
 
 def cmd_simulate(args):
+    from .dynamics import integrate
+    from .phase import init_state
+
     cfg = read_config(args.config, "simulate")
     model = model_from_config(cfg)
     z0 = init_state(model, x3=cfg["simulate.x0"], P3=cfg["simulate.P0"],
@@ -271,6 +277,12 @@ def cmd_simulate(args):
 
 
 def cmd_brackets(args):
+    import numpy as np
+
+    from .brackets import (aux_table_report, closed_vs_direct_report,
+                           defining_property_report)
+    from .phase import random_constrained_state
+
     model = model_from_config(read_config(args.config, "brackets"))
     rng = np.random.default_rng(args.seed)
     states = [random_constrained_state(model, rng) for _ in range(args.states)]
@@ -294,6 +306,8 @@ def cmd_brackets(args):
 
 
 def cmd_expand(args):
+    from . import expansion
+
     cfg = read_config(args.config, "expand")
     background = cfg["expand.background"]
     model = model_from_config(cfg)
@@ -340,6 +354,14 @@ def run_selftest():
     """Run each check and print one line per check: PASS or FAIL, the
     name and the measured quantity against its tolerance; each check's
     wall time goes to a line of its own on stderr."""
+    import numpy as np
+
+    from . import expansion
+    from .brackets import (H_OBS, closed_vs_direct_report,
+                           defining_property_report, dirac_core)
+    from .dynamics import dirac_rhs
+    from .fields import make_background
+    from .phase import Model, random_constrained_state
     from .quantum import (build_operators, correspondence_report,
                           g_minus_one_residual, shift_identity_residual)
 
@@ -410,15 +432,34 @@ def run_selftest():
 # ---------------------------------------------------------------------------
 
 
-def _positive_int(text):
-    try:
-        n = int(text)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise argparse.ArgumentTypeError(
-            f"must be an integer >= 1, got {text!r}")
-    return n
+def _int_at_least(low):
+    """An argparse type: the integer of its text, refused below low."""
+    def parse(text):
+        try:
+            n = int(text)
+        except ValueError:
+            n = low - 1
+        if n < low:
+            raise argparse.ArgumentTypeError(
+                f"must be an integer >= {low}, got {text!r}")
+        return n
+    return parse
+
+
+def _unwritable(args):
+    """A message naming the first of --out and --stats whose path cannot
+    be opened for writing (a directory, or a file in a directory that
+    does not exist); None when both can.  Nothing is created."""
+    for option in ("out", "stats"):
+        path = getattr(args, option, None)
+        if not path:
+            continue
+        parent = os.path.dirname(path) or "."
+        if os.path.isdir(path):
+            return f"--{option} {path}: is a directory"
+        if not os.path.isdir(parent):
+            return f"--{option} {path}: no directory {parent}"
+    return None
 
 
 def build_parser():
@@ -443,8 +484,8 @@ def build_parser():
                                 "projections, energy drift, wall times) as JSON "
                                 "to PATH, also when a projection fails")
         if name == "brackets":
-            p.add_argument("--seed", type=int, default=0)
-            p.add_argument("--states", type=_positive_int, default=8,
+            p.add_argument("--seed", type=_int_at_least(0), default=0)
+            p.add_argument("--states", type=_int_at_least(1), default=8,
                            help="random states for the report")
         p.set_defaults(fn=fn)
     return ap
@@ -457,6 +498,10 @@ def main(argv=None):
         return run_selftest()
     if not getattr(args, "fn", None):
         ap.print_help()
+        return 2
+    unwritable = _unwritable(args)
+    if unwritable:
+        print(f"error: {unwritable}", file=sys.stderr)
         return 2
     try:
         return args.fn(args)

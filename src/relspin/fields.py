@@ -15,7 +15,9 @@ as nested tuples of Python floats, the form the float kernel
 ``phase._kernel`` reads; a point's geometry (the coulomb radius and its
 r_min check) is computed once for all four.  The uniform kinds return
 constant dA, F and dF tuples made once at construction, and tuples
-cannot be modified by a caller.  Arrays are built only on demand: by
+cannot be modified by a caller.  numpy is imported only where a uniform
+background, a parameter check or an array is built, so reading KINDS
+loads neither numpy nor minkowski.  Arrays are built only on demand: by
 ``FieldBackground.A/dA/F/dF``, which take an array point and convert
 it once with ``tolist()``, and by ``phase.FieldsAt``, which also lowers
 F and dF when a reader asks.  Stationarity means dA[mu][0] == 0.0 and
@@ -38,10 +40,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-import numpy as np
-
-from .minkowski import EPS3, field_tensor_from_EB
-
 KINDS = ("zero", "uniform-E", "uniform-B", "crossed", "coulomb")
 
 _Z4 = (0.0, 0.0, 0.0, 0.0)
@@ -58,21 +56,30 @@ class FieldBackground:
     gauge: str
     at: Callable = field(repr=False)   # x -> (A, dA, F, dF), nested float tuples
 
+    def _array(self, x, i):
+        import numpy as np
+
+        return np.array(self.at(x.tolist())[i])
+
     def A(self, x):
-        return np.array(self.at(x.tolist())[0])
+        return self._array(x, 0)
 
     def dA(self, x):
-        return np.array(self.at(x.tolist())[1])
+        return self._array(x, 1)
 
     def F(self, x):
-        return np.array(self.at(x.tolist())[2])
+        return self._array(x, 2)
 
     def dF(self, x):
-        return np.array(self.at(x.tolist())[3])
+        return self._array(x, 3)
 
 
 def _uniform_at(E3, B3):
     """Linear potentials for constant E and B (symmetric gauge for B)."""
+    import numpy as np
+
+    from .minkowski import EPS3, field_tensor_from_EB
+
     E3 = np.asarray(E3, dtype=float)
     B3 = np.asarray(B3, dtype=float)
     # A^0 = -E.x so that E_i = -d_i A^0; A^i = (1/2)(B x r)^i
@@ -125,6 +132,8 @@ def _coulomb_at(q, r_min):
 def _finite(name, value):
     """value itself; ValueError naming the parameter when it, or a
     component of it, is not a finite number."""
+    import numpy as np
+
     if not np.all(np.isfinite(np.asarray(value, dtype=float))):
         raise ValueError(f"background parameter {name} must be finite, got {value!r}")
     return value

@@ -28,10 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-import sympy as sp
-
-from .weyl import (B_SYM, E_SYM, Op, _pdiv_ihbar, cinv, commutator, cross, dot,
-                   e, g_sym, hbar, m, to_ring)
+from .weyl import Op, _cleared_term, _pdiv_ihbar, commutator, cross, dot
 
 EPS = {}
 for _i in range(3):
@@ -42,28 +39,30 @@ for _i in range(3):
 FIELD_KINDS = ("free", "uniform-E", "uniform-B", "crossed")
 
 # background parameters and the constants of the realization, as
-# elements of RQ, the boundary ring: Op.scalar and Op.scale clear each
-# into a Gaussian-integer polynomial dict over an integer den, and no
-# ring arithmetic runs on them after import
-_B_RING = tuple(to_ring(b) for b in B_SYM)
-_E_RING = tuple(to_ring(v) for v in E_SYM)
-_NO_FIELD = (to_ring(0),) * 3
-_HALF = to_ring(sp.Rational(1, 2))
-_HBAR = to_ring(hbar)
-_HALF_HBAR = to_ring(hbar / 2)
-_E = to_ring(e)
-_E_CINV = to_ring(e * cinv)
-_SHIFT = to_ring(hbar * cinv**2 / (4 * m**2))
-_DIPOLE = to_ring(hbar * cinv / (2 * m))
-_XX = to_ring(hbar * cinv**2 / (2 * m**2))
-_XS = to_ring(cinv**2 / m**2)
-_SO = to_ring(e * cinv**2 / (2 * m**2))
+# cleared pairs (polynomial dict, den) that Op.scalar and Op.scale take
+# as they are: minv = 1/m, and no sympy object is built for them
+_B_FIELD = tuple(_cleared_term(**{name: 1}) for name in ("B1", "B2", "B3"))
+_E_FIELD = tuple(_cleared_term(**{name: 1}) for name in ("E1", "E2", "E3"))
+_NO_FIELD = (_cleared_term(0),) * 3
+_HALF = _cleared_term(den=2)
+_HBAR = _cleared_term(hbar=1)
+_HALF_HBAR = _cleared_term(den=2, hbar=1)
+_E = _cleared_term(e=1)
+_E_CINV = _cleared_term(e=1, cinv=1)
+_SHIFT = _cleared_term(den=4, hbar=1, cinv=2, minv=2)
+_DIPOLE = _cleared_term(den=2, hbar=1, cinv=1, minv=1)
+_XX = _cleared_term(den=2, hbar=1, cinv=2, minv=2)
+_XS = _cleared_term(cinv=2, minv=2)
+_SO = _cleared_term(den=2, e=1, cinv=2, minv=2)
+# the coupling g as the ring generator, the default of the g - 1 assembly
+_G = _cleared_term(g=1)
 
 
 @dataclass(frozen=True)
 class PauliSet:
     """Operator family for one uniform background; E and B are the field
-    components as elements of RQ.  The dipole operator Dhat is built on
+    components as cleared pairs (polynomial dict, den), the generators
+    E1..E3 and B1..B3 or zero.  The dipole operator Dhat is built on
     first read: no report reads it."""
 
     kind: str
@@ -102,8 +101,8 @@ def build_operators(kind="uniform-B"):
     """All operators of the realization for a uniform background."""
     if kind not in FIELD_KINDS:
         raise ValueError(f"unknown field kind {kind!r}; use one of {FIELD_KINDS}")
-    Bv = _B_RING if kind in ("uniform-B", "crossed") else _NO_FIELD
-    Ev = _E_RING if kind in ("uniform-E", "crossed") else _NO_FIELD
+    Bv = _B_FIELD if kind in ("uniform-B", "crossed") else _NO_FIELD
+    Ev = _E_FIELD if kind in ("uniform-E", "crossed") else _NO_FIELD
 
     x = tuple(Op.x(i) for i in (1, 2, 3))
     p = tuple(Op.p(i) for i in (1, 2, 3))
@@ -129,7 +128,7 @@ def build_operators(kind="uniform-B"):
     A0 = Op()
     A0_hat = Op()
     for i in range(3):
-        if Ev[i] != 0:
+        if Ev[i][0]:
             A0 = A0 - x[i].scale(Ev[i])
             A0_hat = A0_hat - xhat[i].scale(Ev[i])
 
@@ -257,22 +256,23 @@ def shift_identity_residual(ps):
     return potential_shift(ps) + _s_dot_p_cross_e(ps).scale(_SO)
 
 
-def covariant_spin_orbit(ps, g=g_sym):
+def covariant_spin_orbit(ps, g=_G):
     """(e g / 2 m^2 c^2) S.(P x E), the coupling the expanded
     Hamiltonian inherits from the covariant dipole term."""
     return _s_dot_p_cross_e(ps).scale(_SO).scale(g)
 
 
-def assembled_spin_orbit(ps, g=g_sym):
+def assembled_spin_orbit(ps, g=_G):
     """Covariant coupling plus the potential shift: the full spin-orbit
     operator of the realization."""
     return covariant_spin_orbit(ps, g) + potential_shift(ps)
 
 
-def g_minus_one_residual(ps, g=g_sym):
+def g_minus_one_residual(ps, g=_G):
     """g * assembled - (g-1) * covariant, the polynomial form of
     assembled = (g-1)/g * covariant.  For g != 0 it is identically zero
-    iff the noncommutative shift converts the coupling g -> g - 1."""
+    iff the noncommutative shift converts the coupling g -> g - 1.  g is
+    the ring generator g by default, or any scalar Op.scale takes."""
     covariant = covariant_spin_orbit(ps, g)
     # (g - 1) * covariant as g * covariant - covariant: the Ops carry
     # the arithmetic, not the boundary scalar g

@@ -38,36 +38,62 @@ products: the uncontracted terms of A B and B A differ only in the
 block order, so they cancel where either block is scalar and leave
 [Ma, Mb] otherwise.
 
-sympy stays at the boundary.  to_ring reads a sympy expression
-(m -> 1/minv) into RQ, the generators' polynomial ring over QQ_I;
-Op.scalar and Op.scale clear an RQ scalar's denominator once, into a
-dict and an integer (a Python int skips sympy altogether); the Op.terms
-view turns each dict over den back into RQ and writes minv as 1/m.
+sympy stays at the boundary, and no module but this one imports it.
+It is loaded only where an expression crosses: to_ring reads a sympy
+expression (m -> 1/minv) into RQ, the generators' polynomial ring over
+QQ_I; Op.scalar and Op.scale clear an RQ scalar's denominator once,
+into a dict and an integer; the Op.terms view (and so __repr__) turns
+each dict over den back into RQ and writes minv as 1/m; and a failed
+division by i hbar names its operands in RQ.  A Python int, or a
+cleared pair (dict, den) such as _cleared_term builds, skips sympy
+altogether, so the constants of the realization are pairs and the
+operator algebra runs without importing it.  The sympy symbols (hbar,
+cinv, m, e, minv, g_sym, B_SYM, E_SYM, _GENERATORS) and RQ are module
+attributes built together on first read.
 """
 
 from __future__ import annotations
 
 from math import comb, factorial, lcm
 
-import sympy as sp
-from sympy import QQ, QQ_I
-from sympy.polys.polyerrors import ExactQuotientFailed
-from sympy.polys.rings import PolyElement, ring
-
-hbar, cinv, m, e = sp.symbols("hbar cinv m e", real=True)
-minv = sp.Symbol("minv", real=True)
-g_sym = sp.Symbol("g", real=True)
-B_SYM = sp.symbols("B1 B2 B3", real=True)
-E_SYM = sp.symbols("E1 E2 E3", real=True)
-
-_GENERATORS = (hbar, cinv, minv, e, g_sym) + B_SYM + E_SYM
-RQ = ring(_GENERATORS, QQ_I)[0]
+# the generators in packing order
+_NAMES = ("hbar", "cinv", "minv", "e", "g", "B1", "B2", "B3", "E1", "E2", "E3")
 
 _WIDTH = 12                           # bits per generator: exponent and guard
 _EXP_MASK = (1 << (_WIDTH - 1)) - 1   # one field's exponent bits
-_GUARDS = sum(1 << (_WIDTH * i + _WIDTH - 1) for i in range(len(_GENERATORS)))
-_HBAR_SHIFT = _WIDTH * _GENERATORS.index(hbar)
-_CINV_SHIFT = _WIDTH * _GENERATORS.index(cinv)
+_GUARDS = sum(1 << (_WIDTH * i + _WIDTH - 1) for i in range(len(_NAMES)))
+_HBAR_SHIFT = _WIDTH * _NAMES.index("hbar")
+_CINV_SHIFT = _WIDTH * _NAMES.index("cinv")
+
+# the sympy side of the boundary, module attributes built on first read
+_BOUNDARY = ("hbar", "cinv", "m", "e", "minv", "g_sym", "B_SYM", "E_SYM",
+             "_GENERATORS", "RQ")
+
+
+def _boundary(*names):
+    """The boundary objects of the given names; the first call imports
+    sympy and binds every name of _BOUNDARY as a module global."""
+    if "RQ" not in globals():
+        import sympy as sp
+        from sympy import QQ_I
+        from sympy.polys.rings import ring
+
+        hbar, cinv, m, e = sp.symbols("hbar cinv m e", real=True)
+        minv = sp.Symbol("minv", real=True)
+        g_sym = sp.Symbol("g", real=True)
+        B_SYM = sp.symbols("B1 B2 B3", real=True)
+        E_SYM = sp.symbols("E1 E2 E3", real=True)
+        gens = (hbar, cinv, minv, e, g_sym) + B_SYM + E_SYM
+        globals().update(hbar=hbar, cinv=cinv, m=m, e=e, minv=minv, g_sym=g_sym,
+                         B_SYM=B_SYM, E_SYM=E_SYM, _GENERATORS=gens,
+                         RQ=ring(gens, QQ_I)[0])
+    return tuple(globals()[name] for name in names)
+
+
+def __getattr__(name):
+    if name in _BOUNDARY:
+        return _boundary(name)[0]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _pack(exps):
@@ -76,7 +102,7 @@ def _pack(exps):
     mon = 0
     for i, n in enumerate(exps):
         if not 0 <= n <= _EXP_MASK:
-            raise OverflowError(f"exponent {n} of {_GENERATORS[i]} does not fit "
+            raise OverflowError(f"exponent {n} of {_NAMES[i]} does not fit "
                                 f"its {_WIDTH - 1}-bit field")
         mon |= n << (_WIDTH * i)
     return mon
@@ -84,21 +110,37 @@ def _pack(exps):
 
 def _unpack(mon):
     """The exponent tuple of a packed monomial, in generator order."""
-    return tuple((mon >> (_WIDTH * i)) & _EXP_MASK for i in range(len(_GENERATORS)))
+    return tuple((mon >> (_WIDTH * i)) & _EXP_MASK for i in range(len(_NAMES)))
 
 
 def _overflow(mon):
     raise OverflowError("a monomial product overflows the exponent field of "
-                        + ", ".join(str(_GENERATORS[i]) for i in range(len(_GENERATORS))
+                        + ", ".join(_NAMES[i] for i in range(len(_NAMES))
                                     if (mon >> (_WIDTH * i + _WIDTH - 1)) & 1))
+
+
+def _cleared_term(num=1, den=1, **exponents):
+    """The cleared pair ({mon: (num, 0)}, den) of the one-term scalar
+    (num / den) * prod name^exponent, the exponents by generator name;
+    ({}, den) for num = 0."""
+    mon = _pack(tuple(exponents.get(name, 0) for name in _NAMES))
+    return ({mon: (num, 0)} if num else {}), den
 
 
 def to_ring(expr):
     """expr as an element of RQ; a sympy expression is read with m -> 1/minv
-    and must then be a polynomial in the generators.  A ring element is
-    returned as it is.  ValueError for a value that is or contains a
-    float, which sympy would round to a rational without a word."""
+    and must then be a polynomial in the generators.  An element of RQ is
+    returned as it is; ValueError for an element of any other ring, and
+    for a value that is or contains a float, which sympy would round to
+    a rational without a word."""
+    import sympy as sp
+    from sympy.polys.rings import PolyElement
+
+    RQ, m, minv = _boundary("RQ", "m", "minv")
     if isinstance(expr, PolyElement):
+        if expr.ring is not RQ:
+            raise ValueError(f"to_ring takes elements of {RQ} only, got one of "
+                             f"{expr.ring}")
         return expr
     val = sp.sympify(expr)
     if val.has(sp.Float):
@@ -108,9 +150,12 @@ def to_ring(expr):
 
 def _cleared(c):
     """(u, den) with c = u / den: u a polynomial dict and den a positive
-    int; c is a Python int or anything to_ring reads."""
+    int; c is a Python int, such a pair (returned as it is), or anything
+    to_ring reads."""
     if isinstance(c, int):
         return ({0: (int(c), 0)} if c else {}), 1
+    if isinstance(c, tuple):
+        return c
     c = to_ring(c)
     den = 1
     for q in c.values():
@@ -122,6 +167,9 @@ def _cleared(c):
 
 def _to_rq(u, den=1):
     """The polynomial dict u over den as an element of RQ."""
+    from sympy import QQ, QQ_I
+
+    RQ, = _boundary("RQ")
     return RQ.from_dict({_unpack(mon): QQ_I(QQ(re, den), QQ(im, den))
                          for mon, (re, im) in u.items()})
 
@@ -198,6 +246,10 @@ def _pdiv_ihbar(p):
     its coefficient is multiplied by -i, (re, im) -> (im, -re);
     ExactQuotientFailed where a monomial carries no hbar."""
     if any(not (mon >> _HBAR_SHIFT) & _EXP_MASK for mon in p):
+        import sympy as sp
+        from sympy.polys.polyerrors import ExactQuotientFailed
+
+        hbar, = _boundary("hbar")
         raise ExactQuotientFailed(_to_rq(p), sp.I * hbar)
     one = 1 << _HBAR_SHIFT
     return {mon - one: (im, -re) for mon, (re, im) in p.items()}
@@ -278,6 +330,9 @@ class Op:
     def terms(self):
         """Sympy view: each key's block over den as a 2x2 sp.Matrix, its
         entries elements of RQ turned into expressions, minv as 1/m."""
+        import sympy as sp
+
+        m, minv = _boundary("m", "minv")
         return {k: sp.Matrix(2, 2, [_to_rq(u, self.den).as_expr()
                                     .xreplace({minv: 1 / m}) for u in blk])
                 for k, blk in self.blocks.items()}

@@ -14,7 +14,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relspin import cli, dynamics, expansion, hydrogen
+from relspin import cli, dynamics, expansion, hydrogen, phase
 from relspin.cli import main
 
 from conftest import src_env
@@ -123,6 +123,30 @@ def test_simulate_plot_format(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "series,t,value"
     assert any(line.startswith("x1,") for line in lines[1:])
+
+
+@pytest.mark.parametrize("command, option", [("spectrum", "--out"), ("simulate", "--out"),
+                                             ("simulate", "--stats")])
+@pytest.mark.parametrize("where", ["directory", "missing parent"])
+def test_unwritable_output_path_exits_two_before_computing(tmp_path, monkeypatch, capsys,
+                                                           command, option, where):
+    """An --out or --stats path that is a directory, or a file in a
+    directory that does not exist, exits 2 with one stderr line naming
+    the option and the path, before any computation and creating no
+    file."""
+    for mod, name in FIRST_COMPUTATIONS:
+        monkeypatch.setattr(mod, name, _reached)
+    argv = [command]
+    if command == "simulate":
+        argv += ["--config", _write(tmp_path, "sim.yaml", SIM_CFG)]
+    target = tmp_path / "target"
+    target.mkdir()
+    path = target if where == "directory" else target / "missing" / "a.json"
+    before = sorted(tmp_path.rglob("*"))
+    assert main(argv + [option, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(f"error: {option} {re.escape(str(path))}: [^\n]+\n", err), err
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_brackets_seeded_determinism(tmp_path):
@@ -252,7 +276,7 @@ def _reached(*args, **kwargs):
 
 
 # the first computation of each command, stubbed with _reached
-FIRST_COMPUTATIONS = ((cli, "init_state"), (cli, "random_constrained_state"),
+FIRST_COMPUTATIONS = ((phase, "init_state"), (phase, "random_constrained_state"),
                       (expansion, "bracket_ladder"),
                       (hydrogen, "fine_structure_table"))
 SHIPPED_CONFIGS = (sorted(CONFIGS.glob("*.yaml"))
@@ -368,11 +392,13 @@ def test_readme_config_table_matches_schemas():
                                   ["expand", "--states", "3"],
                                   ["brackets", "--format", "plot"],
                                   ["brackets", "--states", "0"],
-                                  ["brackets", "--states", "-3"]))
+                                  ["brackets", "--states", "-3"],
+                                  ["brackets", "--seed", "-1"]))
 def test_options_belong_to_their_subcommand(argv, capsys):
     # --seed and --states feed only the brackets report; plot output
     # is a time-series layout, offered only by simulate; an empty
-    # report would read as a perfect verification
+    # report would read as a perfect verification; a seed is a
+    # non-negative integer
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -402,15 +428,18 @@ def test_selftest_passes(capsys):
             for text in captured.err.splitlines()] == names
 
 
-# the light commands import numpy and yaml only; sympy, scipy and the
-# operator ring wait for the command that needs them
-HEAVY_MODULES = ("sympy", "scipy", "relspin.weyl", "relspin.quantum")
+# each command imports what it runs and nothing more: spectrum is pure
+# math, --selftest runs the operator ring without sympy, and scipy serves
+# the tests alone
+HEAVY_MODULES = ("numpy", "sympy", "scipy", "relspin.weyl", "relspin.quantum")
 
 
 def _loaded_after(statement):
     """The HEAVY_MODULES in sys.modules of a fresh interpreter after
-    running statement."""
-    probe = (f"import sys; {statement}; "
+    running statement, whose own stdout is discarded."""
+    probe = ("import contextlib, io, sys\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             f"    {statement}\n"
              f"print(' '.join(m for m in {HEAVY_MODULES!r} if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, env=src_env(), timeout=120)
@@ -418,8 +447,18 @@ def _loaded_after(statement):
     return proc.stdout.split()
 
 
-def test_importing_the_cli_leaves_sympy_scipy_and_the_ring_unloaded():
+def _loaded_by(argv):
+    return _loaded_after(f"import relspin.cli; assert relspin.cli.main({argv!r}) == 0")
+
+
+def test_importing_the_cli_leaves_sympy_scipy_and_the_ring_unloaded(tmp_path):
     assert _loaded_after("import relspin.cli") == []
-    # positive control: the probe sees the modules a quantum import loads
-    loaded = _loaded_after("import relspin.cli, relspin.quantum")
-    assert {"sympy", "relspin.weyl", "relspin.quantum"} <= set(loaded)
+    assert _loaded_after("import relspin.quantum") == ["relspin.weyl", "relspin.quantum"]
+    assert _loaded_by(["spectrum"]) == []
+    assert _loaded_by(["--selftest"]) == ["numpy", "relspin.weyl", "relspin.quantum"]
+    sim, brk = _write(tmp_path, "sim.yaml", SIM_CFG), _write(tmp_path, "brk.yaml", BRK_CFG)
+    for argv in (["simulate", "--config", sim], ["brackets", "--config", brk, "--states", "1"],
+                 ["expand"]):
+        assert _loaded_by(argv) == ["numpy"], argv
+    # positive control: the probe sees sympy once an expression enters the ring
+    assert "sympy" in _loaded_after("from relspin import weyl; weyl.to_ring(1)")

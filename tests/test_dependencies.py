@@ -1,7 +1,8 @@
 """The runtime dependencies in pyproject.toml cover every third-party
 module that the package imports, and scipy is not one of them: the
 package steps with its own rk4, and scipy serves the tests alone
-(the DOP853 reference and the Numerov radial check)."""
+(the DOP853 reference and the Numerov radial check).  sympy is imported
+by one module, weyl, the boundary of the operator ring."""
 
 import ast
 import re
@@ -17,17 +18,24 @@ ROOT = Path(__file__).resolve().parents[1]
 DISTRIBUTIONS = {"yaml": "pyyaml"}
 
 
-def _imported_modules():
-    """The top-level modules imported anywhere in src/relspin/*.py, the
-    imports inside functions included; relative imports excluded."""
-    names = set()
+def _imports_by_module():
+    """{module file stem: the top-level modules it imports}, for every
+    src/relspin/*.py, the imports inside functions included; relative
+    imports excluded."""
+    out = {}
     for path in sorted((ROOT / "src" / "relspin").glob("*.py")):
+        names = out[path.stem] = set()
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Import):
                 names.update(alias.name.split(".")[0] for alias in node.names)
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 names.add(node.module.split(".")[0])
-    return names
+    return out
+
+
+def _imported_modules():
+    """The top-level modules imported anywhere in src/relspin/*.py."""
+    return set().union(*_imports_by_module().values())
 
 
 def _requirement_names(requirements):
@@ -44,3 +52,8 @@ def test_runtime_dependencies_cover_the_imports_and_leave_out_scipy():
     assert {DISTRIBUTIONS.get(name, name) for name in third_party} <= runtime
     assert "scipy" not in runtime
     assert "scipy" in _requirement_names(project["optional-dependencies"]["test"])
+
+
+def test_weyl_is_the_only_module_that_imports_sympy():
+    assert {stem for stem, names in _imports_by_module().items()
+            if "sympy" in names} == {"weyl"}

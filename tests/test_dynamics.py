@@ -3,6 +3,7 @@ projection behaviour, integrator cross-checks and gauge invariance."""
 
 import dataclasses
 import functools
+import sys
 
 import numpy as np
 import pytest
@@ -663,12 +664,17 @@ class _NumpySpy:
 def test_no_array_inside_a_step_or_a_projection_pass(kind, monkeypatch):
     """An rk4 step on a list reads nothing of numpy in dynamics, phase,
     brackets or fields, and a projection of several passes reads it once,
-    for the array of the state it returns."""
+    for the array of the state it returns.  fields binds no numpy at
+    module level; an import of numpy inside a function, there or
+    anywhere, reads sys.modules and so meets the spy too."""
     model = build_model(kind)
     z = state_batch(model, 1, seed=7)[0]
     seen = []
-    for mod in (dynamics, phase, brackets, fields):
-        monkeypatch.setattr(mod, "np", _NumpySpy(seen))
+    spy = _NumpySpy(seen)
+    for mod in (dynamics, phase, brackets):
+        monkeypatch.setattr(mod, "np", spy)
+    assert not hasattr(fields, "np")
+    monkeypatch.setitem(sys.modules, "numpy", spy)
     dynamics._rk4_step(lambda u: dirac_rhs(u, model), z.vec.tolist(), 0.1)
     assert seen == []
     vec = z.vec.copy()

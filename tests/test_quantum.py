@@ -9,9 +9,9 @@ from relspin import quantum, weyl
 from relspin.quantum import (CORRESPONDENCE_FLOORS, FIELD_KINDS, _by_ihbar,
                              _scalars, build_operators, correspondence_report,
                              correspondence_residuals, covariant_spin_orbit,
-                             g_minus_one_residual, g_sym, potential_shift,
+                             g_minus_one_residual, potential_shift,
                              shift_identity_residual)
-from relspin.weyl import Op, cinv, cross, dot, e, hbar, m, to_ring
+from relspin.weyl import Op, cinv, cross, dot, e, g_sym, hbar, m, to_ring
 from ring_oracles import PAIRS, anticommutator, full_residuals
 
 

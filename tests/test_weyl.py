@@ -5,8 +5,9 @@ import re
 
 import pytest
 import sympy as sp
-from sympy import ZZ_I
+from sympy import QQ, QQ_I, ZZ_I
 from sympy.polys.polyerrors import ExactQuotientFailed
+from sympy.polys.rings import ring
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -213,6 +214,22 @@ def test_to_ring_refuses_floats(value):
         Op.x(1).scale(value)
     with pytest.raises(ValueError, match="float"):
         Op.scalar(value)
+
+
+def test_to_ring_refuses_an_element_of_another_ring():
+    """A ring element is read by the position of its exponents, so only
+    an element of RQ passes as it is; one of another ring, over other
+    generators or another domain, is refused with the ring named."""
+    x = ring("x", QQ)[1]
+    foreign = (x + 1, ring("x y", QQ_I)[1] + 1, R.gens[0])
+    for value in foreign:
+        with pytest.raises(ValueError, match=re.escape(str(value.ring))):
+            to_ring(value)
+        with pytest.raises(ValueError, match="Polynomial ring"):
+            Op.x(1).scale(value)
+    own = weyl.RQ.gens[0] / 2
+    assert to_ring(own) is own
+    assert Op.x(1).scale(own) == Op.x(1).scale(hbar / 2)
 
 
 def test_to_ring_takes_exact_values():
