@@ -40,7 +40,7 @@ FIELD_KINDS = ("free", "uniform-E", "uniform-B", "crossed")
 
 # background parameters and the constants of the realization, as
 # cleared pairs (polynomial dict, den) that Op.scalar and Op.scale take
-# as they are: minv = 1/m, and no sympy object is built for them
+# as they are: minv = 1/m
 _B_FIELD = tuple(_cleared_term(**{name: 1}) for name in ("B1", "B2", "B3"))
 _E_FIELD = tuple(_cleared_term(**{name: 1}) for name in ("E1", "E2", "E3"))
 _NO_FIELD = (_cleared_term(0),) * 3
@@ -142,7 +142,7 @@ def build_operators(kind="uniform-B"):
 
 
 def _by_ihbar(op):
-    """op / (i hbar), exact, with op's den kept; ExactQuotientFailed where
+    """op / (i hbar), exact, with op's den kept; weyl.NotDivisible where
     a monomial carries no hbar."""
     return Op({k: tuple(map(_pdiv_ihbar, blk)) for k, blk in op.blocks.items()},
               op.den)
@@ -262,19 +262,14 @@ def covariant_spin_orbit(ps, g=_G):
     return _s_dot_p_cross_e(ps).scale(_SO).scale(g)
 
 
-def assembled_spin_orbit(ps, g=_G):
-    """Covariant coupling plus the potential shift: the full spin-orbit
-    operator of the realization."""
-    return covariant_spin_orbit(ps, g) + potential_shift(ps)
-
-
 def g_minus_one_residual(ps, g=_G):
     """g * assembled - (g-1) * covariant, the polynomial form of
-    assembled = (g-1)/g * covariant.  For g != 0 it is identically zero
-    iff the noncommutative shift converts the coupling g -> g - 1.  g is
-    the ring generator g by default, or any scalar Op.scale takes."""
+    assembled = (g-1)/g * covariant, where assembled is the covariant
+    coupling plus the potential shift.  For g != 0 it is identically
+    zero iff the noncommutative shift converts the coupling g -> g - 1.
+    g is the ring generator g by default, or an int or cleared pair."""
     covariant = covariant_spin_orbit(ps, g)
     # (g - 1) * covariant as g * covariant - covariant: the Ops carry
-    # the arithmetic, not the boundary scalar g
+    # the arithmetic, not the scalar g
     return ((covariant + potential_shift(ps)).scale(g)
             - (covariant.scale(g) - covariant))

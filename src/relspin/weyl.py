@@ -21,12 +21,11 @@ zero polynomial is {}.  An Op keeps one positive integer den shared by
 all its blocks, the operator being blocks / den: a product multiplies
 the dens, a sum brings both operands to the lcm of theirs.  Every
 quantity of the realization is such a pair, so no rational arithmetic
-and no sympy object takes part in a sum, a product or a commutator.
-The conjugation of the adjoint maps (re, im) to (re, -im); the
-division by i hbar lowers the hbar field by one and maps (re, im) to
-(im, -re); and the order in 1/c of a monomial, by which the
-correspondence with the classical brackets is graded, is a shift and a
-mask.
+takes part in a sum, a product or a commutator.  The conjugation of
+the adjoint maps (re, im) to (re, -im); the division by i hbar lowers
+the hbar field by one and maps (re, im) to (im, -re); and the order in
+1/c of a monomial, by which the correspondence with the classical
+brackets is graded, is a shift and a mask.
 
 Products are reduced to the normal form with the one-axis identity
 
@@ -38,23 +37,15 @@ products: the uncontracted terms of A B and B A differ only in the
 block order, so they cancel where either block is scalar and leave
 [Ma, Mb] otherwise.
 
-sympy stays at the boundary, and no module but this one imports it.
-It is loaded only where an expression crosses: to_ring reads a sympy
-expression (m -> 1/minv) into RQ, the generators' polynomial ring over
-QQ_I; Op.scalar and Op.scale clear an RQ scalar's denominator once,
-into a dict and an integer; the Op.terms view (and so __repr__) turns
-each dict over den back into RQ and writes minv as 1/m; and a failed
-division by i hbar names its operands in RQ.  A Python int, or a
-cleared pair (dict, den) such as _cleared_term builds, skips sympy
-altogether, so the constants of the realization are pairs and the
-operator algebra runs without importing it.  The sympy symbols (hbar,
-cinv, m, e, minv, g_sym, B_SYM, E_SYM, _GENERATORS) and RQ are module
-attributes built together on first read.
+A scalar is a Python int or a cleared pair (dict, den) such as
+_cleared_term builds; anything else is refused with a TypeError that
+names its type.  repr and the error of a failed division by i hbar
+write each polynomial by the generator names.
 """
 
 from __future__ import annotations
 
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm
 
 # the generators in packing order
 _NAMES = ("hbar", "cinv", "minv", "e", "g", "B1", "B2", "B3", "E1", "E2", "E3")
@@ -64,36 +55,6 @@ _EXP_MASK = (1 << (_WIDTH - 1)) - 1   # one field's exponent bits
 _GUARDS = sum(1 << (_WIDTH * i + _WIDTH - 1) for i in range(len(_NAMES)))
 _HBAR_SHIFT = _WIDTH * _NAMES.index("hbar")
 _CINV_SHIFT = _WIDTH * _NAMES.index("cinv")
-
-# the sympy side of the boundary, module attributes built on first read
-_BOUNDARY = ("hbar", "cinv", "m", "e", "minv", "g_sym", "B_SYM", "E_SYM",
-             "_GENERATORS", "RQ")
-
-
-def _boundary(*names):
-    """The boundary objects of the given names; the first call imports
-    sympy and binds every name of _BOUNDARY as a module global."""
-    if "RQ" not in globals():
-        import sympy as sp
-        from sympy import QQ_I
-        from sympy.polys.rings import ring
-
-        hbar, cinv, m, e = sp.symbols("hbar cinv m e", real=True)
-        minv = sp.Symbol("minv", real=True)
-        g_sym = sp.Symbol("g", real=True)
-        B_SYM = sp.symbols("B1 B2 B3", real=True)
-        E_SYM = sp.symbols("E1 E2 E3", real=True)
-        gens = (hbar, cinv, minv, e, g_sym) + B_SYM + E_SYM
-        globals().update(hbar=hbar, cinv=cinv, m=m, e=e, minv=minv, g_sym=g_sym,
-                         B_SYM=B_SYM, E_SYM=E_SYM, _GENERATORS=gens,
-                         RQ=ring(gens, QQ_I)[0])
-    return tuple(globals()[name] for name in names)
-
-
-def __getattr__(name):
-    if name in _BOUNDARY:
-        return _boundary(name)[0]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _pack(exps):
@@ -127,51 +88,31 @@ def _cleared_term(num=1, den=1, **exponents):
     return ({mon: (num, 0)} if num else {}), den
 
 
-def to_ring(expr):
-    """expr as an element of RQ; a sympy expression is read with m -> 1/minv
-    and must then be a polynomial in the generators.  An element of RQ is
-    returned as it is; ValueError for an element of any other ring, and
-    for a value that is or contains a float, which sympy would round to
-    a rational without a word."""
-    import sympy as sp
-    from sympy.polys.rings import PolyElement
-
-    RQ, m, minv = _boundary("RQ", "m", "minv")
-    if isinstance(expr, PolyElement):
-        if expr.ring is not RQ:
-            raise ValueError(f"to_ring takes elements of {RQ} only, got one of "
-                             f"{expr.ring}")
-        return expr
-    val = sp.sympify(expr)
-    if val.has(sp.Float):
-        raise ValueError(f"to_ring takes exact values only, got the float {expr!r}")
-    return RQ.from_expr(val.xreplace({m: 1 / minv}))
-
-
 def _cleared(c):
     """(u, den) with c = u / den: u a polynomial dict and den a positive
-    int; c is a Python int, such a pair (returned as it is), or anything
-    to_ring reads."""
+    int; c is a Python int, or such a pair, returned as it is.
+    TypeError, naming the type, for anything else."""
     if isinstance(c, int):
         return ({0: (int(c), 0)} if c else {}), 1
-    if isinstance(c, tuple):
+    if isinstance(c, tuple) and len(c) == 2 and isinstance(c[0], dict):
         return c
-    c = to_ring(c)
-    den = 1
-    for q in c.values():
-        den = lcm(den, q.x.denominator, q.y.denominator)
-    return {_pack(mon): (int(q.x.numerator) * (den // q.x.denominator),
-                         int(q.y.numerator) * (den // q.y.denominator))
-            for mon, q in c.items()}, den
+    raise TypeError("an operator scalar is an int or a cleared pair "
+                    f"(dict, den), not {type(c).__name__}")
 
 
-def _to_rq(u, den=1):
-    """The polynomial dict u over den as an element of RQ."""
-    from sympy import QQ, QQ_I
-
-    RQ, = _boundary("RQ")
-    return RQ.from_dict({_unpack(mon): QQ_I(QQ(re, den), QQ(im, den))
-                         for mon, (re, im) in u.items()})
+def _format(u, den=1):
+    """The polynomial dict u over den as text: its terms in monomial
+    order, each a reduced Gaussian rational times the generators by name,
+    as in 1/4*hbar*cinv^2 - 3*e + (1-2i)/3*g; "0" for the zero polynomial."""
+    terms = []
+    for mon, (re, im) in sorted(u.items()):
+        k = gcd(re, im, den)
+        re, im, d = re // k, im // k, den // k
+        coeff = str(re) if not im else f"{im}i" if not re else f"({re}{im:+d}i)"
+        terms.append("*".join([coeff + (f"/{d}" if d > 1 else "")]
+                              + [name if n == 1 else f"{name}^{n}"
+                                 for name, n in zip(_NAMES, _unpack(mon)) if n]))
+    return " + ".join(terms).replace("+ -", "- ") or "0"
 
 
 # -- polynomial dicts; a dict stored in an Op is never modified --------
@@ -241,16 +182,16 @@ def _conj(p):
     return {mon: (re, -im) for mon, (re, im) in p.items()}
 
 
+class NotDivisible(ArithmeticError):
+    """A division by i hbar of a polynomial with a term free of hbar."""
+
+
 def _pdiv_ihbar(p):
     """p / (i hbar), exact: each monomial's hbar field drops by one and
     its coefficient is multiplied by -i, (re, im) -> (im, -re);
-    ExactQuotientFailed where a monomial carries no hbar."""
+    NotDivisible where a monomial carries no hbar."""
     if any(not (mon >> _HBAR_SHIFT) & _EXP_MASK for mon in p):
-        import sympy as sp
-        from sympy.polys.polyerrors import ExactQuotientFailed
-
-        hbar, = _boundary("hbar")
-        raise ExactQuotientFailed(_to_rq(p), sp.I * hbar)
+        raise NotDivisible(f"{_format(p)} is not divisible by i*hbar")
     one = 1 << _HBAR_SHIFT
     return {mon - one: (im, -re) for mon, (re, im) in p.items()}
 
@@ -325,17 +266,6 @@ class Op:
     def __init__(self, blocks=None, den=1):
         self.blocks = {k: blk for k, blk in (blocks or {}).items() if any(blk)}
         self.den = den
-
-    @property
-    def terms(self):
-        """Sympy view: each key's block over den as a 2x2 sp.Matrix, its
-        entries elements of RQ turned into expressions, minv as 1/m."""
-        import sympy as sp
-
-        m, minv = _boundary("m", "minv")
-        return {k: sp.Matrix(2, 2, [_to_rq(u, self.den).as_expr()
-                                    .xreplace({minv: 1 / m}) for u in blk])
-                for k, blk in self.blocks.items()}
 
     # -- constructors ------------------------------------------------
 
@@ -443,10 +373,11 @@ class Op:
             return "Op(0)"
         bits = []
         names = ("x1", "x2", "x3", "p1", "p2", "p3")
-        for k, Mat in sorted(self.terms.items()):
+        for k, blk in sorted(self.blocks.items()):
             mono = " ".join(f"{n}^{ex}" if ex > 1 else n
                             for n, ex in zip(names, k) if ex)
-            bits.append(f"[{mono or '1'}] {Mat.tolist()}")
+            a, b, c, d = (_format(u, self.den) for u in blk)
+            bits.append(f"[{mono or '1'}] [[{a}, {b}], [{c}, {d}]]")
         return "Op(" + " + ".join(bits) + ")"
 
 

@@ -6,10 +6,15 @@
 * ``anticommutator`` and ``coefficient_of_cinv``, which only the tests
   use.
 * ``R``, sympy's ring ZZ_I[hbar, cinv, minv, e, g, B, E] over the
-  generators of ``weyl``, the reference for the coefficient arithmetic:
-  ``to_ring_element`` and ``from_ring_element`` carry a polynomial dict
-  of packed monomials and (re, im) pairs to an element of R and back,
-  and ``random_poly`` draws a seeded polynomial dict to compare on.
+  generators of ``weyl`` (``GENERATORS``, named by ``weyl._NAMES``), the
+  reference for the coefficient arithmetic: ``to_ring_element`` and
+  ``from_ring_element`` carry a polynomial dict of packed monomials and
+  (re, im) pairs to an element of R and back, and ``random_poly`` draws
+  a seeded polynomial dict to compare on.
+* ``to_ring``, which reads a sympy expression in the generators (and m,
+  read as 1/minv) into the cleared pair (dict, den) that ``Op.scalar``
+  and ``Op.scale`` take, and ``cinv_orders``, the cinv exponents of an
+  Op's terms.
 * ``full_residuals``, the correspondence residuals over the full 3x3
   loop of every family, with the oracle commutator and S.P formed per
   diagonal pair; ``quantum.correspondence_residuals`` evaluates the
@@ -19,15 +24,22 @@
 
 from __future__ import annotations
 
-from sympy import ZZ_I
+from math import lcm
+
+import sympy as sp
+from sympy import QQ_I, ZZ_I
 from sympy.polys.rings import ring
 
 from relspin.quantum import (_XS, _by_ihbar, _eps_sum, _target_PP,
                              _target_xx)
-from relspin.weyl import _GENERATORS, Op, _pack, _unpack, cinv, dot
+from relspin.weyl import _NAMES, Op, _pack, _unpack, dot
 
-R = ring(_GENERATORS, ZZ_I)[0]
-_CINV = _GENERATORS.index(cinv)
+GENERATORS = sp.symbols(_NAMES, real=True)
+hbar, cinv, minv, e, g_sym = GENERATORS[:5]
+m = sp.Symbol("m", real=True)
+R = ring(GENERATORS, ZZ_I)[0]
+RQ = ring(GENERATORS, QQ_I)[0]
+_CINV = _NAMES.index("cinv")
 
 PAIRS = tuple((i, j) for i in (1, 2, 3) for j in (1, 2, 3))
 FAMILIES = ("xx", "xP", "PP", "xS", "PS", "SS")
@@ -54,6 +66,28 @@ def coefficient_of_cinv(op, order):
               op.den)
 
 
+def to_ring(expr):
+    """The cleared pair (u, den) with expr = u / den, expr a sympy
+    expression (or a number) that is a polynomial in the generators once
+    m is read as 1/minv; ValueError for a float, which sympy would round
+    to a rational without a word."""
+    val = sp.sympify(expr)
+    if val.has(sp.Float):
+        raise ValueError(f"to_ring takes exact values only, got the float {expr!r}")
+    c = RQ.from_expr(val.xreplace({m: 1 / minv}))
+    den = 1
+    for q in c.values():
+        den = lcm(den, q.x.denominator, q.y.denominator)
+    return {_pack(mon): (int(q.x.numerator) * (den // q.x.denominator),
+                         int(q.y.numerator) * (den // q.y.denominator))
+            for mon, q in c.items()}, den
+
+
+def cinv_orders(op):
+    """The set of cinv exponents over every term of op's blocks."""
+    return {_unpack(mon)[_CINV] for blk in op.blocks.values() for u in blk for mon in u}
+
+
 def to_ring_element(u):
     """The polynomial dict u as an element of R."""
     return R.from_dict({_unpack(mon): ZZ_I(re, im) for mon, (re, im) in u.items()})
@@ -73,7 +107,7 @@ def random_poly(rng, max_terms=4, max_coeff=3):
     out = {}
     for _ in range(rng.randint(0, max_terms)):
         mon = _pack([rng.randint(0, 2) if i < 3 else int(rng.random() < 0.1)
-                    for i in range(len(_GENERATORS))])
+                    for i in range(len(_NAMES))])
         re, im = rng.randint(-max_coeff, max_coeff), rng.randint(-max_coeff, max_coeff)
         if re or im:
             out[mon] = (re, im)

@@ -7,7 +7,6 @@ and the uniform-B / crossed operator algebra (criterion 7).
 """
 
 import numpy as np
-import sympy as sp
 
 from conftest import BACKGROUND_PARAMS, build_model, state_batch
 from relspin.brackets import (aux_table_report, closed_vs_direct_report,
@@ -25,7 +24,7 @@ from relspin.phase import (Model, PhaseState, field_data, init_state,
 from relspin.quantum import (CORRESPONDENCE_FLOORS, build_operators,
                              correspondence_report, correspondence_residuals,
                              g_minus_one_residual)
-from relspin.weyl import cinv
+from ring_oracles import cinv_orders
 
 
 def _verdict(num, ok, detail):
@@ -183,14 +182,7 @@ def test_criterion_7_commutator_bracket_correspondence():
             if not row["ok"]:
                 issues.append((kind, fam, row))
     res = correspondence_residuals(build_operators("free"))
-    xx = res["xx"]
-    pure4 = not xx.is_zero()
-    for Mat in xx.terms.values():
-        for entry in Mat:
-            entry = sp.expand(entry)
-            if entry != 0:
-                degrees = {mon[0] for mon in sp.Poly(entry, cinv).monoms()}
-                pure4 = pure4 and degrees == {4}
+    pure4 = cinv_orders(res["xx"]) == {4}
     exact = all(res[f] is None or res[f].is_zero()
                 for f in ("xP", "PP", "PS", "SS"))
     ok = not issues and pure4 and exact

@@ -7,6 +7,7 @@ import math
 import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -429,17 +430,18 @@ def test_selftest_passes(capsys):
 
 
 # each command imports what it runs and nothing more: spectrum is pure
-# math, --selftest runs the operator ring without sympy, and scipy serves
-# the tests alone
+# math, --selftest runs the operator ring, and sympy and scipy serve the
+# tests alone
 HEAVY_MODULES = ("numpy", "sympy", "scipy", "relspin.weyl", "relspin.quantum")
 
 
 def _loaded_after(statement):
     """The HEAVY_MODULES in sys.modules of a fresh interpreter after
-    running statement, whose own stdout is discarded."""
+    running statement (one or more lines), whose own stdout is
+    discarded."""
     probe = ("import contextlib, io, sys\n"
              "with contextlib.redirect_stdout(io.StringIO()):\n"
-             f"    {statement}\n"
+             f"{textwrap.indent(statement, '    ')}\n"
              f"print(' '.join(m for m in {HEAVY_MODULES!r} if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, env=src_env(), timeout=120)
@@ -460,5 +462,15 @@ def test_importing_the_cli_leaves_sympy_scipy_and_the_ring_unloaded(tmp_path):
     for argv in (["simulate", "--config", sim], ["brackets", "--config", brk, "--states", "1"],
                  ["expand"]):
         assert _loaded_by(argv) == ["numpy"], argv
-    # positive control: the probe sees sympy once an expression enters the ring
-    assert "sympy" in _loaded_after("from relspin import weyl; weyl.to_ring(1)")
+    # the ring writes an Op, and a failed division by i hbar, without sympy
+    assert _loaded_after("from relspin import weyl; repr(weyl.Op.x(1))") == ["relspin.weyl"]
+    failed_division = ("from relspin import quantum, weyl\n"
+                       "try:\n"
+                       "    quantum._by_ihbar(weyl.Op.x(1))\n"
+                       "except weyl.NotDivisible as exc:\n"
+                       "    print(exc)\n"
+                       "else:\n"
+                       "    sys.exit('the division did not fail')")
+    assert _loaded_after(failed_division) == ["relspin.weyl", "relspin.quantum"]
+    # positive control: the probe sees sympy once it is imported
+    assert "sympy" in _loaded_after("import sympy")

@@ -1,8 +1,9 @@
 """The runtime dependencies in pyproject.toml cover every third-party
-module that the package imports, and scipy is not one of them: the
-package steps with its own rk4, and scipy serves the tests alone
-(the DOP853 reference and the Numerov radial check).  sympy is imported
-by one module, weyl, the boundary of the operator ring."""
+module that the package imports, and neither scipy nor sympy is one of
+them: the package steps with its own rk4, and the operator ring takes
+ints and cleared pairs only.  scipy serves the tests alone (the DOP853
+reference and the Numerov radial check), and so does sympy (the
+reference ring and the reader of sympy expressions)."""
 
 import ast
 import re
@@ -47,13 +48,16 @@ def test_runtime_dependencies_cover_the_imports_and_leave_out_scipy():
     runtime = _requirement_names(project["dependencies"])
     third_party = {name for name in _imported_modules()
                    if name not in sys.stdlib_module_names and name != "relspin"}
-    assert {"numpy", "sympy", "yaml"} <= third_party
+    assert {"numpy", "yaml"} <= third_party
     assert "scipy" not in third_party
     assert {DISTRIBUTIONS.get(name, name) for name in third_party} <= runtime
     assert "scipy" not in runtime
     assert "scipy" in _requirement_names(project["optional-dependencies"]["test"])
 
 
-def test_weyl_is_the_only_module_that_imports_sympy():
-    assert {stem for stem, names in _imports_by_module().items()
-            if "sympy" in names} == {"weyl"}
+def test_no_module_imports_sympy():
+    assert not {stem for stem, names in _imports_by_module().items()
+                if "sympy" in names}
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert "sympy" not in _requirement_names(project["dependencies"])
+    assert "sympy" in _requirement_names(project["optional-dependencies"]["test"])

@@ -6,7 +6,6 @@ import re
 import pytest
 import sympy as sp
 from sympy import QQ, QQ_I, ZZ_I
-from sympy.polys.polyerrors import ExactQuotientFailed
 from sympy.polys.rings import ring
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -14,12 +13,13 @@ from hypothesis import strategies as st
 import ring_oracles
 from relspin import quantum, weyl
 from relspin.quantum import _by_ihbar
-from relspin.weyl import (_CINV_SHIFT, _EXP_MASK, _HBAR_SHIFT, I2, SIGMA, Op,
-                          _block_commutator, _block_mul, _conj, _pack, _padd,
-                          _pmul, _pneg, _psub, _term_mul, _unpack, cinv,
-                          commutator, cross, dot, hbar, m, minv, to_ring)
-from ring_oracles import (R, anticommutator, coefficient_of_cinv,
-                          from_ring_element, random_poly, to_ring_element)
+from relspin.weyl import (_CINV_SHIFT, _EXP_MASK, _HBAR_SHIFT, I2, SIGMA,
+                          NotDivisible, Op, _block_commutator, _block_mul,
+                          _conj, _pack, _padd, _pdiv_ihbar, _pmul, _pneg,
+                          _psub, _term_mul, _unpack, commutator, cross, dot)
+from ring_oracles import (RQ, R, anticommutator, cinv, coefficient_of_cinv, e,
+                          from_ring_element, g_sym, hbar, m, minv, random_poly,
+                          to_ring, to_ring_element)
 
 I = sp.I
 
@@ -67,7 +67,7 @@ def test_canonical_commutators():
         for j in (1, 2, 3):
             val = commutator(Op.x(i), Op.p(j))
             if i == j:
-                assert val == Op.scalar(I * hbar)
+                assert val == Op.scalar(to_ring(I * hbar))
             else:
                 assert val.is_zero()
             assert commutator(Op.x(i), Op.x(j)).is_zero()
@@ -76,11 +76,11 @@ def test_canonical_commutators():
 
 def test_reorder_identities():
     x1, p1 = Op.x(1), Op.p(1)
-    assert p1 * x1 == x1 * p1 - Op.scalar(I * hbar)
+    assert p1 * x1 == x1 * p1 - Op.scalar(to_ring(I * hbar))
     # [p, x^2] = -2 i hbar x
-    assert commutator(p1, x1 * x1) == x1.scale(-2 * I * hbar)
+    assert commutator(p1, x1 * x1) == x1.scale(to_ring(-2 * I * hbar))
     # [p^2, x] = -2 i hbar p
-    assert commutator(p1 * p1, x1) == p1.scale(-2 * I * hbar)
+    assert commutator(p1 * p1, x1) == p1.scale(to_ring(-2 * I * hbar))
     # mixed axes stay untouched
     assert Op.p(2) * Op.x(3) == Op.x(3) * Op.p(2)
 
@@ -89,12 +89,12 @@ def test_adjoint():
     x1, p1 = Op.x(1), Op.p(1)
     a = x1 * p1
     assert a.adjoint() == p1 * x1
-    assert a.adjoint() == a - Op.scalar(I * hbar)
+    assert a.adjoint() == a - Op.scalar(to_ring(I * hbar))
     assert not a.is_hermitian()
-    sym = (a + a.adjoint()).scale(sp.Rational(1, 2))
+    sym = (a + a.adjoint()).scale(to_ring(sp.Rational(1, 2)))
     assert sym.is_hermitian()
     # involution
-    b = Op.sigma(2) * p1 + x1.scale(3 * cinv)
+    b = Op.sigma(2) * p1 + x1.scale(to_ring(3 * cinv))
     assert b.adjoint().adjoint() == b
     # anti-automorphism: (AB)^+ = B^+ A^+
     c = Op.sigma(1) * Op.p(2)
@@ -102,14 +102,14 @@ def test_adjoint():
 
 
 def test_non_hermitian_counterexample():
-    assert not Op.x(1).scale(I).is_hermitian()
+    assert not Op.x(1).scale(to_ring(I)).is_hermitian()
     assert Op.x(1).is_hermitian()
     assert Op.sigma(2).is_hermitian()
 
 
 def test_pauli_algebra():
     s1, s2, s3 = Op.sigma(1), Op.sigma(2), Op.sigma(3)
-    assert commutator(s1, s2) == s3.scale(2 * I)
+    assert commutator(s1, s2) == s3.scale(to_ring(2 * I))
     assert anticommutator(s1, s2).is_zero()
     assert s1 * s1 == Op.scalar(1)
     # sigma commutes with x and p
@@ -117,7 +117,7 @@ def test_pauli_algebra():
 
 
 def test_min_cinv_order_and_coefficient():
-    a = Op.scalar(3 * cinv**2 + cinv**4)
+    a = Op.scalar(to_ring(3 * cinv**2 + cinv**4))
     assert a.min_cinv_order() == 2
     assert coefficient_of_cinv(a, 2) == Op.scalar(3)
     assert coefficient_of_cinv(a, 3).is_zero()
@@ -137,7 +137,7 @@ def test_dot_and_cross_helpers():
     r2 = dot(xs, xs)
     assert r2 == Op.x(1) * Op.x(1) + Op.x(2) * Op.x(2) + Op.x(3) * Op.x(3)
     # x . p - p . x = 3 i hbar
-    assert dot(xs, ps) - dot(ps, xs) == Op.scalar(3 * I * hbar)
+    assert dot(xs, ps) - dot(ps, xs) == Op.scalar(to_ring(3 * I * hbar))
 
 
 def test_linear_structure():
@@ -151,44 +151,47 @@ def test_linear_structure():
 
 
 def test_sympy_boundary_round_trip():
-    # sympy in through Op.scalar (m read as 1/minv), sympy out through the
-    # terms view (minv written back as 1/m)
-    expr = hbar * cinv**2 / (4 * m**2)
-    (key, Mat), = Op.scalar(expr).terms.items()
-    assert key == (0, 0, 0, 0, 0, 0)
-    assert sp.simplify(Mat - expr * sp.eye(2)) == sp.zeros(2, 2)
+    # sympy in through the test-side reader (m read as 1/minv), text out
+    # through repr, which writes each term by the generator names and
+    # each coefficient over den in lowest terms
+    op = Op.scalar(to_ring(hbar * cinv**2 / (4 * m**2)))
+    assert op.blocks == {(0,) * 6: ({_pack((1, 2, 2) + (0,) * 8): (1, 0)}, {}, {},
+                                    {_pack((1, 2, 2) + (0,) * 8): (1, 0)})}
+    assert op.den == 4
+    assert repr(op) == ("Op([1] [[1/4*hbar*cinv^2*minv^2, 0], "
+                        "[0, 1/4*hbar*cinv^2*minv^2]])")
+    mixed = Op.x(1) * Op.p(2) * Op.sigma(2).scale(to_ring((1 - 2 * I) / 3 * e - 3 * g_sym))
+    assert repr(mixed) == ("Op([x1 p2] [[0, (-2-1i)/3*e + 3i*g], "
+                           "[(2+1i)/3*e - 3i*g, 0]])")
+    assert repr(Op()) == "Op(0)"
 
 
 # exact scalars whose denominators are not powers of two, some of them
 # Gaussian, so that an Op's den holds factors 3 and 5 as well as 2
 _QS = (sp.Rational(1, 3), I / 6, sp.Rational(2, 5), sp.Rational(-7, 12),
        sp.Rational(3, 4) - I / 9)
-
-
-def _sympy_sum(*views):
-    out = {}
-    for view in views:
-        for k, Mat in view.items():
-            out[k] = out.get(k, sp.zeros(2, 2)) + Mat
-    return out
+_NO_BLOCK = ({}, {}, {}, {})
 
 
 @settings(max_examples=60, deadline=None)
 @given(_ops, _ops, st.sampled_from(_QS), st.sampled_from(_QS))
 def test_non_dyadic_and_gaussian_scalars_stay_exact(A, B, q, r):
-    Aq, Br = A.scale(q), B.scale(r)
-    assert Aq.scale(1 / q) == A
+    Aq, Br = A.scale(to_ring(q)), B.scale(to_ring(r))
+    assert Aq.scale(to_ring(1 / q)) == A
     assert A.is_zero() or Aq != A
-    # the terms view divides by den: the sum's view is the sum of views
-    lhs, rhs = (Aq + Br).terms, _sympy_sum(Aq.terms, Br.terms)
-    for k in set(lhs) | set(rhs):
-        diff = lhs.get(k, sp.zeros(2, 2)) - rhs.get(k, sp.zeros(2, 2))
-        assert diff.applyfunc(sp.expand) == sp.zeros(2, 2), k
+    # a sum brings both dens to one: S / S.den = Aq / Aq.den + Br / Br.den
+    # entry by entry, cross-multiplied in the reference ring
+    S = Aq + Br
+    for k in set(S.blocks) | set(Aq.blocks) | set(Br.blocks):
+        for s, a, b in zip(*(op.blocks.get(k, _NO_BLOCK) for op in (S, Aq, Br))):
+            assert (to_ring_element(s) * (Aq.den * Br.den)
+                    == (to_ring_element(a) * Br.den + to_ring_element(b) * Aq.den)
+                    * S.den), k
     assert Aq.adjoint().adjoint() == Aq
-    assert Aq.adjoint() == A.adjoint().scale(sp.conjugate(q))
-    assert commutator(Aq, Br) == commutator(A, B).scale(q * r)
-    for op in (Aq, Br, Aq + Br, Aq * Br, commutator(Aq, Br), Aq.adjoint(),
-               _by_ihbar(Aq.scale(hbar)), -Aq, Aq - Br):
+    assert Aq.adjoint() == A.adjoint().scale(to_ring(sp.conjugate(q)))
+    assert commutator(Aq, Br) == commutator(A, B).scale(to_ring(q * r))
+    for op in (Aq, Br, S, Aq * Br, commutator(Aq, Br), Aq.adjoint(),
+               _by_ihbar(Aq.scale(to_ring(hbar))), -Aq, Aq - Br):
         _assert_canonical(op)
 
 
@@ -196,9 +199,9 @@ def test_a_denominator_past_double_precision_is_kept():
     # negative control for the one-den representation: 1/3 and
     # 1/3 + 2^-60 agree to 18 digits and are still different scalars
     A = Op.x(1) * Op.p(2) + Op.sigma(3)
-    near = sp.Rational(1, 3) + sp.Rational(1, 2**60)
-    assert A.scale(sp.Rational(1, 3)) != A.scale(near)
-    assert A.scale(sp.Rational(1, 3)).den * 2**60 <= A.scale(near).den
+    third, near = to_ring(sp.Rational(1, 3)), to_ring(sp.Rational(1, 3) + sp.Rational(1, 2**60))
+    assert A.scale(third) != A.scale(near)
+    assert A.scale(third).den * 2**60 <= A.scale(near).den
 
 
 @pytest.mark.parametrize("value", [0.1 * 3, 1 / 3, 0.5 * hbar, sp.Float(2),
@@ -206,37 +209,57 @@ def test_a_denominator_past_double_precision_is_kept():
                          ids=["0.1*3", "1/3", "0.5*hbar", "Float(2)", "complex",
                               "cinv+Float"])
 def test_to_ring_refuses_floats(value):
-    """sympy would round a float to a rational; the ring takes exact
-    values only, and the error names the value."""
+    """sympy would round a float to a rational: the test-side reader
+    refuses it and names the value.  The ring takes an int or a cleared
+    pair only: Op.scalar, Op.scale and Op + x refuse a float, a complex
+    and a sympy expression with a TypeError naming the type."""
     with pytest.raises(ValueError, match=re.escape(repr(value))):
         to_ring(value)
-    with pytest.raises(ValueError, match="float"):
-        Op.x(1).scale(value)
-    with pytest.raises(ValueError, match="float"):
-        Op.scalar(value)
+    for refuse in (Op.scalar, Op.x(1).scale, Op.x(1).__add__):
+        with pytest.raises(TypeError, match=f"not {type(value).__name__}$"):
+            refuse(value)
 
 
 def test_to_ring_refuses_an_element_of_another_ring():
-    """A ring element is read by the position of its exponents, so only
-    an element of RQ passes as it is; one of another ring, over other
-    generators or another domain, is refused with the ring named."""
+    """A sympy ring element, of any ring, the reader's own included, is
+    not a scalar of the operator ring: Op.scalar and Op.scale refuse it,
+    and a tuple that is no (dict, den) pair, with a TypeError naming the
+    type.  The reader's cleared pair of the same value passes."""
     x = ring("x", QQ)[1]
-    foreign = (x + 1, ring("x y", QQ_I)[1] + 1, R.gens[0])
-    for value in foreign:
-        with pytest.raises(ValueError, match=re.escape(str(value.ring))):
-            to_ring(value)
-        with pytest.raises(ValueError, match="Polynomial ring"):
-            Op.x(1).scale(value)
-    own = weyl.RQ.gens[0] / 2
-    assert to_ring(own) is own
-    assert Op.x(1).scale(own) == Op.x(1).scale(hbar / 2)
+    for value in (x + 1, ring("x y", QQ_I)[1] + 1, R.gens[0], RQ.gens[0] / 2):
+        for refuse in (Op.scalar, Op.x(1).scale):
+            with pytest.raises(TypeError, match="not PolyElement$"):
+                refuse(value)
+    with pytest.raises(TypeError, match="not tuple$"):
+        Op.x(1).scale((1, 2))
+    assert Op.x(1).scale(to_ring(hbar / 2)) == Op.x(1).scale(to_ring(hbar)).scale(
+        to_ring(sp.Rational(1, 2)))
 
 
 def test_to_ring_takes_exact_values():
-    assert to_ring(3) == to_ring(sp.Integer(3))
-    assert Op.x(1).scale(sp.Rational(3, 10)) == Op.x(1).scale(3).scale(sp.Rational(1, 10))
-    assert Op.scalar(I * hbar / 2) == Op.scalar(hbar).scale(I).scale(sp.Rational(1, 2))
-    assert Op.scalar(cinv / m) * Op.scalar(2 / m) == Op.scalar(2 * cinv / m**2)
+    assert to_ring(3) == to_ring(sp.Integer(3)) == ({0: (3, 0)}, 1)
+    assert Op.x(1).scale(to_ring(sp.Rational(3, 10))) == Op.x(1).scale(3).scale(
+        to_ring(sp.Rational(1, 10)))
+    assert Op.scalar(to_ring(I * hbar / 2)) == Op.scalar(to_ring(hbar)).scale(
+        to_ring(I)).scale(to_ring(sp.Rational(1, 2)))
+    assert (Op.scalar(to_ring(cinv / m)) * Op.scalar(to_ring(2 / m))
+            == Op.scalar(to_ring(2 * cinv / m**2)))
+    # the ring itself reads no sympy value, exact ones included
+    for value in (sp.Integer(3), hbar, I):
+        with pytest.raises(TypeError, match=f"not {type(value).__name__}$"):
+            Op.scalar(value)
+
+
+def test_division_by_ihbar_names_a_term_without_hbar():
+    """NotDivisible, an ArithmeticError, names the polynomial by the
+    generators; the terms with hbar do not rescue one without."""
+    no_hbar = {_pack((0, 2) + (0,) * 9): (3, -1)}
+    with pytest.raises(NotDivisible, match=re.escape("(3-1i)*cinv^2 is not divisible by i*hbar")):
+        _pdiv_ihbar(no_hbar)
+    with_hbar = {_pack((1,) + (0,) * 10): (0, 2)}
+    assert _pdiv_ihbar(with_hbar) == {0: (2, 0)}
+    with pytest.raises(ArithmeticError):
+        _pdiv_ihbar(_padd(no_hbar, with_hbar))
 
 
 def test_g_minus_one_residual_sees_a_wrong_assembly(monkeypatch):
@@ -246,7 +269,7 @@ def test_g_minus_one_residual_sees_a_wrong_assembly(monkeypatch):
     # the polynomial form g * assembled - (g-1) * covariant is nonzero
     monkeypatch.setattr(quantum, "potential_shift", lambda ps: Op())
     assert not quantum.g_minus_one_residual(ps).is_zero()
-    assert not quantum.g_minus_one_residual(ps, g=sp.Integer(2)).is_zero()
+    assert not quantum.g_minus_one_residual(ps, g=2).is_zero()
 
 
 @settings(max_examples=150, deadline=None)
@@ -364,15 +387,15 @@ def test_cinv_order_and_division_by_ihbar_match_the_reference_ring():
                 assert gblk == tuple(from_ring_element(to_ring_element(u).exquo(ihbar))
                                      for u in blk)
         else:
-            with pytest.raises(ExactQuotientFailed):
+            with pytest.raises(NotDivisible):
                 _by_ihbar(op)
 
 
 def test_coefficient_of_cinv_reads_the_cinv_field_alone():
     # cinv^2 minv + 3 cinv^2 hbar - i cinv: order 2 keeps minv and hbar
-    a = Op.scalar(cinv**2 / m + 3 * cinv**2 * hbar - I * cinv)
-    assert coefficient_of_cinv(a, 2) == Op.scalar(1 / m + 3 * hbar)
-    assert coefficient_of_cinv(a, 1) == Op.scalar(-I)
+    a = Op.scalar(to_ring(cinv**2 / m + 3 * cinv**2 * hbar - I * cinv))
+    assert coefficient_of_cinv(a, 2) == Op.scalar(to_ring(1 / m + 3 * hbar))
+    assert coefficient_of_cinv(a, 1) == Op.scalar(to_ring(-I))
     assert coefficient_of_cinv(a, 0).is_zero()
 
 
@@ -380,20 +403,20 @@ def test_an_exponent_past_its_field_raises_instead_of_carrying():
     """2^11 - 1 is the largest exponent; one more sets the field's guard
     bit, which the product refuses, instead of adding one to the next
     generator (cinv^2048 would otherwise read as minv)."""
-    top = Op.scalar(cinv**_EXP_MASK)
+    top = Op.scalar(to_ring(cinv**_EXP_MASK))
     assert top.min_cinv_order() == _EXP_MASK
     with pytest.raises(OverflowError, match="cinv"):
-        top * Op.scalar(cinv)
+        top * Op.scalar(to_ring(cinv))
     with pytest.raises(OverflowError, match="cinv"):
-        top.scale(cinv)
+        top.scale(to_ring(cinv))
     with pytest.raises(OverflowError, match="hbar"):
         # the contraction of p1 with x1 carries one more hbar
-        commutator(Op.p(1).scale(hbar**_EXP_MASK), Op.x(1))
+        commutator(Op.p(1).scale(to_ring(hbar**_EXP_MASK)), Op.x(1))
     with pytest.raises(OverflowError, match="minv"):
-        Op.scalar(minv**(_EXP_MASK + 1))
+        Op.scalar(to_ring(minv**(_EXP_MASK + 1)))
     with pytest.raises(OverflowError):
         _pack((0, _EXP_MASK + 1) + (0,) * 9)
     # the largest exponents of two generators side by side stay apart
-    both = Op.scalar(cinv**_EXP_MASK) * Op.scalar(minv**_EXP_MASK)
+    both = Op.scalar(to_ring(cinv**_EXP_MASK)) * Op.scalar(to_ring(minv**_EXP_MASK))
     (mon,) = both.blocks[(0,) * 6][0]
     assert _unpack(mon)[1:3] == (_EXP_MASK, _EXP_MASK)
