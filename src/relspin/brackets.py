@@ -87,10 +87,10 @@ class DiracCore:
 
 
 def _t3t4(t34, model):
-    """{T3,T4} as given, refused where it is too small to invert, NaN
-    included; the one floor check of dirac_core and dynamics.dirac_rhs."""
-    floor = 1e-10 * (1.0 + (model.m * model.c) ** 2)
-    if not abs(t34) >= floor:   # NaN fails this test too
+    """{T3,T4} as given, refused where it is too small to invert (below
+    model.t34_floor in magnitude), NaN included; the one floor check of
+    dirac_core and dynamics.dirac_rhs."""
+    if not abs(t34) >= model.t34_floor:   # NaN fails this test too
         raise ValueError(f"{{T3,T4}} = {t34} too close to zero or undefined; "
                          "second-class inversion breaks down at this state")
     return t34

@@ -26,20 +26,24 @@ consequence of T2 = T5 = 0).  Where it refuses a state or stalls, its
 ValueError or RuntimeError ends the run of ``integrate``.
 
 Inside the rk4 loop of ``integrate`` the state is a list of 16 Python
-floats, from ``z0.vec.tolist()`` on: ``_rk4_step`` forms its stages and
-the final combination elementwise, in the operation order of the numpy
-form, so a step is the same to the bit, and no array is built inside a
-step or a projection pass.  Arrays appear where a state crosses the
-``PhaseState`` boundary of ``project_state`` and in the recorded
+floats, from ``z0.vec.tolist()`` on, and the right-hand side is
+``functools.partial(dirac_rhs, model=model)``: ``_rk4_step`` forms its
+stages and the final combination elementwise, in the operation order of
+the numpy form, so a step is the same to the bit, and no array is built
+inside a step or a projection pass.  Arrays appear where a state crosses
+the ``PhaseState`` boundary of ``project_state`` and in the recorded
 ``Trajectory.Z``.
 
 ``Trajectory.stats`` reports what a run did, apart from its results:
-the right-hand-side evaluations, the projections and their fixed-point
-passes, the largest constraint residual met before a projection, the
-energy drift of the H channel, ``energy_drift`` (written by the first
-``channels()`` call), and the wall time (time.perf_counter spans) of the
-stepping, ``stepping_s``, and of the first ``channels()`` call,
-``channels_s``.
+the right-hand-side evaluations (four per completed step), the
+projections and their fixed-point passes, the largest constraint
+residual met before a projection, the energy drift of the H channel,
+``energy_drift`` (written by the first ``channels()`` call), and the
+wall time (time.perf_counter spans) of the stepping, ``stepping_s``, and
+of the first ``channels()`` call, ``channels_s``.  ``channels`` makes
+one float pass per recorded state (one field evaluation and one kernel
+call give calP, the constraint values and H) and takes the spin
+read-outs from the spin tensors of all states at once.
 
 A spinless state is omega = pi = 0 of the same flow: there
 {T3,T4} = calP.calP = -(m c)^2 and {T3,H} = {T4,H} = 0, so the flow
@@ -48,6 +52,7 @@ is J grad H, the plain Lorentz force; it carries no constraints.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import time
@@ -56,8 +61,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .brackets import _t3t4
-from .phase import (CONSTRAINT_NAMES, PhaseState, field_data, spin_readouts,
-                    spin_tensor, _kernel)
+from .minkowski import lower2
+from .phase import CONSTRAINT_NAMES, PhaseState, field_data, _kernel
 
 # ---------------------------------------------------------------------------
 # right-hand sides
@@ -163,7 +168,7 @@ def project_state(z, model, *, stats=None):
     if not all(map(math.isfinite, vec)):
         raise ValueError("cannot project a state with non-finite components in slots "
                          f"{[i for i, v in enumerate(vec) if not math.isfinite(v)]}")
-    tol = PROJECTION_TOL * (1.0 + (model.m * model.c) ** 2)
+    tol = PROJECTION_TOL * (1.0 + model.mc2)
     fd = field_data(model, vec[:4])
     head = vec[:8]
     errs = []
@@ -237,36 +242,34 @@ class Trajectory:
     def channels(self):
         """Named scalar time series for output and diagnostics (cached).
 
-        Each recorded state gets one field evaluation, which calP, the
-        constraint values and H (A^0 read from its float tuples) share,
-        and a spin state one spin tensor for the spin read-outs; a
-        spinless state reads zero in every spin and constraint channel.
+        One float pass over the recorded states gives calP, the
+        constraint values and H from one field evaluation and one kernel
+        call each (A^0 read from the field's float tuples); the spin
+        tensors of all states are then built at once, and the spin
+        read-outs of spin_readouts taken from them as array operations.
+        A spinless state reads zero in every spin and constraint channel.
         The first call also writes the energy drift of the H channel to
         stats["energy_drift"].
         """
         if getattr(self, "_channels", None) is not None:
             return self._channels
         start = time.perf_counter()
-        n = len(self.t)
+        model, Z = self.model, self.Z
         out = {"t": self.t}
-        Z = self.Z
         for i, nm in enumerate(("x1", "x2", "x3")):
             out[nm] = Z[:, 1 + i]
-        P = np.empty((n, 4))
-        H = np.empty(n)
-        S3 = np.zeros((n, 3))
-        D3 = np.zeros((n, 3))
-        T = np.zeros((n, 4))
-        spin2 = np.zeros(n)
-        for k in range(n):
-            z = PhaseState(vec=Z[k])
-            vec = Z[k].tolist()
-            fd = field_data(self.model, vec[:4])
-            P[k], T[k], _ = _kernel(vec, self.model, fd)
-            H[k] = self.model.c * P[k, 0] + self.model.e * fd.floats[0][0]
-            if not z.spinless:
-                S3[k], D3[k], ss = spin_readouts(spin_tensor(z))
-                spin2[k] = ss - 8.0 * self.model.alpha
+        rows = []
+        for vec in Z.tolist():
+            fd = field_data(model, vec[:4])
+            P, T, _ = _kernel(vec, model, fd)
+            rows.append((*P, *T, model.c * P[0] + model.e * fd.floats[0][0]))
+        rows = np.array(rows)
+        P, T, H = rows[:, :4], rows[:, 4:8], rows[:, 8]
+        spin = Z[:, 8:].any(axis=1)
+        wp = Z[:, 8:12, None] * Z[:, None, 12:]
+        S = np.where(spin[:, None, None], 2.0 * (wp - wp.transpose(0, 2, 1)), 0.0)
+        S3, D3 = 0.5 * S[:, [2, 3, 1], [3, 1, 2]], S[:, 1:, 0]
+        spin2 = np.where(spin, np.sum(lower2(S) * S, axis=(1, 2)) - 8.0 * model.alpha, 0.0)
         for mu in range(4):
             out[f"P{mu}"] = P[:, mu]
         for i, nm in enumerate(("S1", "S2", "S3")):
@@ -319,14 +322,16 @@ def integrate(model, z0, t_final, dt, t0=0.0, record_every=1, project=True):
     record_every steps and applying ``project_state`` at recording times
     and every PROJECT_EVERY steps.
 
-    A projection that refuses the state (ValueError) or stalls
-    (RuntimeError) ends the run; the error keeps its type and message and
-    carries the run's stats as ``exc.stats``, with "failed_step" (counted
-    from 1) and "t" (its end time) added, and "projection_failure" after
-    a stall.  The run ends at t_final: when (t_final - t0)/dt is not an
-    integer to rounding, it takes floor((t_final - t0)/dt) steps of dt
-    and one shorter last step, which is always recorded.  dt < 0 runs
-    backward to t_final < t0, and t_final == t0 records z0 alone.
+    A right-hand side or a projection that refuses the state
+    (ValueError) or a projection that stalls (RuntimeError) ends the run;
+    the error keeps its type and message and carries the run's stats, its
+    "rhs_evals" those of the completed steps, as ``exc.stats``, with
+    "failed_step" (counted from 1) and "t" (its end time) added, and
+    "projection_failure" after a stall.  The run ends at t_final: when
+    (t_final - t0)/dt is not an integer to rounding, it takes
+    floor((t_final - t0)/dt) steps of dt and one shorter last step, which
+    is always recorded.  dt < 0 runs backward to t_final < t0, and
+    t_final == t0 records z0 alone.
 
     ValueError, naming the argument: a non-finite t0, t_final or dt, a
     zero dt, a dt that points away from t_final or is too small for a
@@ -340,26 +345,22 @@ def integrate(model, z0, t_final, dt, t0=0.0, record_every=1, project=True):
     stats = {"n_steps": n_steps, "projections": 0, "rhs_evals": 0,
              "projection_steps": 0, "max_residual_before_projection": 0.0}
 
-    def f(y):
-        stats["rhs_evals"] += 1
-        return dirac_rhs(y, model)
-
-    def projected(y, step, t):
-        try:
-            return project_state(PhaseState(vec=y), model, stats=stats)
-        except (RuntimeError, ValueError) as exc:
-            stats["failed_step"], stats["t"] = step, t
-            exc.stats = stats
-            raise
-
+    rhs = functools.partial(dirac_rhs, model=model)
     y = z0.vec.tolist()
     for k in range(1, n_steps + 1):
         h = dt if k <= n_full else t_final - (t0 + n_full * dt)
-        y = _rk4_step(f, y, h)
         t = t0 + k * dt if k <= n_full else t_final
-        if project and (k % PROJECT_EVERY == 0 or k % record_every == 0):
-            y = projected(np.array(y), k, t).vec.tolist()
-            stats["projections"] += 1
+        try:
+            y = _rk4_step(rhs, y, h)
+            stats["rhs_evals"] += 4
+            if project and (k % PROJECT_EVERY == 0 or k % record_every == 0):
+                y = project_state(PhaseState(vec=np.array(y)), model,
+                                  stats=stats).vec.tolist()
+                stats["projections"] += 1
+        except (RuntimeError, ValueError) as exc:
+            stats["failed_step"], stats["t"] = k, t
+            exc.stats = stats
+            raise
         if k % record_every == 0 or k == n_steps:
             ts.append(t)
             zs.append(np.array(y))

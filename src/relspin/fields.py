@@ -13,9 +13,10 @@ time independent):
 
 as nested tuples of Python floats, the form the float kernel
 ``phase._kernel`` reads; a point's geometry (the coulomb radius and its
-r_min check) is computed once for all four.  The uniform kinds return
-constant dA, F and dF tuples made once at construction, and tuples
-cannot be modified by a caller.  numpy is imported only where a uniform
+r_min check) is computed once for all four, and the coulomb tuples are
+written out inline.  The uniform kinds return constant dA, F and dF
+tuples made once at construction, and tuples cannot be modified by a
+caller.  numpy is imported only where a uniform
 background, a parameter check or an array is built, so reading KINDS
 loads neither numpy nor minkowski.  Arrays are built only on demand: by
 ``FieldBackground.A/dA/F/dF``, which take an array point and convert
@@ -100,12 +101,6 @@ def _uniform_at(E3, B3):
     return at
 
 
-def _electric(v1, v2, v3):
-    """F^{mu nu} of a pure electric field v: v in row 0, -v in column 0."""
-    return ((0.0, v1, v2, v3), (-v1, 0.0, 0.0, 0.0), (-v2, 0.0, 0.0, 0.0),
-            (-v3, 0.0, 0.0, 0.0))
-
-
 def _coulomb_at(q, r_min):
     def at(x):
         _, x1, x2, x3 = x
@@ -122,9 +117,16 @@ def _coulomb_at(q, r_min):
                          q * (rr - 3.0 * (x3 * x3)) / r5)
         d12, d13, d23 = (q * (-3.0 * (x1 * x2)) / r5, q * (-3.0 * (x1 * x3)) / r5,
                          q * (-3.0 * (x2 * x3)) / r5)
+        # F^{mu nu} of an electric field v, and d_l of it: v in row 0, -v in column 0
         return ((q / r, 0.0, 0.0, 0.0), ((0.0, -E1, -E2, -E3), _Z4, _Z4, _Z4),
-                _electric(E1, E2, E3), (_Z44, _electric(d11, d12, d13),
-                                        _electric(d12, d22, d23), _electric(d13, d23, d33)))
+                ((0.0, E1, E2, E3), (-E1, 0.0, 0.0, 0.0), (-E2, 0.0, 0.0, 0.0),
+                 (-E3, 0.0, 0.0, 0.0)),
+                (_Z44, ((0.0, d11, d12, d13), (-d11, 0.0, 0.0, 0.0), (-d12, 0.0, 0.0, 0.0),
+                        (-d13, 0.0, 0.0, 0.0)),
+                 ((0.0, d12, d22, d23), (-d12, 0.0, 0.0, 0.0), (-d22, 0.0, 0.0, 0.0),
+                  (-d23, 0.0, 0.0, 0.0)),
+                 ((0.0, d13, d23, d33), (-d13, 0.0, 0.0, 0.0), (-d23, 0.0, 0.0, 0.0),
+                  (-d33, 0.0, 0.0, 0.0))))
 
     return at
 

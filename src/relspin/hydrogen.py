@@ -4,8 +4,12 @@ The level shifts carry two pieces at order alpha^4: the kinetic
 p^4 correction and the spin-orbit coupling whose strength is
 e (g - 1) / 2 m^2 c^2 after the noncommutative position shift has been
 folded into the potential (module quantum).  For the Coulomb field the
-symmetrized operator S.(P x E) reduces exactly to -(q/r^3) S.L; the
-ordering corrections cancel in the epsilon contraction.
+symmetrized operator S.(P x E) reduces exactly to -(q/r^3) S.L, since
+the epsilon contraction kills [P_j, E_k].  That the shift of A^0(xhat)
+leaves this operator alone at cinv^2 is checked in quantum for linear
+A^0 only; for the Coulomb potential it holds with A^0(xhat) Weyl-ordered,
+which this module assumes (ROADMAP.md, "The operator identity on
+non-uniform potentials").
 
 At g = 2 the sum of both pieces collapses, for every j branch with
 l >= 1, to the Sommerfeld form

@@ -35,7 +35,8 @@ view.  The kernel, t_rows and the backgrounds' at(x) take plain float
 sequences; the readers that hold a PhaseState convert its array once
 with tolist() at their call.  Every reader of calP or a constraint
 reads the kernel; the energy radicand and its check live in _energy
-alone.  A state is its 16 numbers, spinless when omega = pi = 0.  FieldsAt holds the
+alone; the Model constants they read are derived once per Model.  A
+state is its 16 numbers, spinless when omega = pi = 0.  FieldsAt holds the
 float tuples that the background's at(x) returns, which the kernel
 reads; the arrays A, dA, F and dF, and the lowered F and dF, are built
 only when a reader outside the kernel asks.  The canonical structure,
@@ -108,7 +109,9 @@ class PhaseState:
 
 @dataclass(frozen=True)
 class Model:
-    """Particle constants plus the background they move in."""
+    """Particle constants plus the background they move in, and what the
+    kernel reads of them: e and c, e_c = e/c, eg_c = e g/c, eg_4c =
+    e g/(4c), mc2 = (m c)^2 and t34_floor, the least |{T3,T4}| inverted."""
 
     background: FieldBackground
     m: float = 1.0
@@ -125,14 +128,18 @@ class Model:
             raise ValueError(f"g must be finite, got {self.g}")
         if not self.alpha >= 0.0:   # NaN fails this test too
             raise ValueError(f"spin invariant alpha must be >= 0, got {self.alpha}")
+        # once per model (dataclasses.replace runs this again)
+        e, c, g = self.background.e, self.background.c, self.g
+        vars(self).update(e=e, c=c, e_c=e / c, eg_c=e * g / c, eg_4c=e * g / (4 * c))
 
-    @property
-    def e(self):
-        return self.background.e
+    @cached_property
+    def mc2(self):
+        # on first read: an (m c)^2 past the float range raises there
+        return (self.m * self.c) ** 2
 
-    @property
-    def c(self):
-        return self.background.c
+    @cached_property
+    def t34_floor(self):
+        return 1e-10 * (1.0 + self.mc2)
 
 
 def free_model(m=1.0, g=2.0, c=10.0, e=1.0, hbar=1.0, alpha=None):
@@ -196,7 +203,7 @@ def spin_square(z):
 def _energy(PP, fs, model):
     """calP^0 from calP_i calP^i and F_{mu nu} S^{mu nu}: the energy
     radicand and its one check, shared by calP and the constraint rows."""
-    rad = PP - (model.e * model.g / (4 * model.c)) * fs + (model.m * model.c) ** 2
+    rad = PP - model.eg_4c * fs + model.mc2
     if not rad > 0.0:   # NaN fails this test too
         raise ValueError(f"energy radicand {rad} is not positive; state outside model range")
     return math.sqrt(rad)
@@ -267,7 +274,8 @@ def _kernel(vec, model, fd):
     fields read as the float tuples of fd.floats, and the eta signs are
     written into the expressions; _rows gives the outputs as arrays.
     F and dF are antisymmetric in their last two indices, so only the
-    components above the diagonal are read.
+    components above the diagonal are read; the four contractions with S
+    are written out on the field tuples, unpacked once.
     grad calP^0 = grad W / (2 calP^0),
     W = calP^0 ** 2 the energy radicand.
 
@@ -276,24 +284,26 @@ def _kernel(vec, model, fd):
     ex3 and ex4 as 0.0 without reading dA[mu][0] or dF[0]; the x-parts
     are formed for lam = 1..3 only.
     """
-    e, c = model.e, model.c
-    k = e / c
-    h = e * model.g / c          # W holds -(h / 4) F_{mu nu} S^{mu nu}
+    k, h = model.e_c, model.eg_c   # W holds -(h / 4) F_{mu nu} S^{mu nu}
     _, _, _, _, _, p1, p2, p3, w0, w1, w2, w3, q0, q1, q2, q3 = vec
-    A, dA, F, dF = fd.floats
-    P1, P2, P3 = p1 - k * A[1], p2 - k * A[2], p3 - k * A[3]
+    (_, A1, A2, A3), dA, F, dF = fd.floats
+    P1, P2, P3 = p1 - k * A1, p2 - k * A2, p3 - k * A3
     # S^{mu nu} = 2 (omega^mu pi^nu - omega^nu pi^mu) above the diagonal
     s01, s02, s03 = (2.0 * (w0 * q1 - w1 * q0), 2.0 * (w0 * q2 - w2 * q0),
                      2.0 * (w0 * q3 - w3 * q0))
     s12, s13, s23 = (2.0 * (w1 * q2 - w2 * q1), 2.0 * (w1 * q3 - w3 * q1),
                      2.0 * (w2 * q3 - w3 * q2))
-
-    def fs(T):
-        """T_{mu nu} S^{mu nu}, with T_{0i} = -T^{0i} and T_{ij} = T^{ij}."""
-        return 2.0 * (T[1][2] * s12 + T[1][3] * s13 + T[2][3] * s23
-                      - T[0][1] * s01 - T[0][2] * s02 - T[0][3] * s03)
-
-    P0 = _energy(P1 * P1 + P2 * P2 + P3 * P3, fs(F), model)
+    # F (f) and d_lam F (u, v, y for lam = 1, 2, 3) above the diagonal, and
+    # their contractions T_{mu nu} S^{mu nu} = 2 (T^{ij} S^{ij} - T^{0i} S^{0i})
+    (_, f01, f02, f03), (_, _, f12, f13), (_, _, _, f23), _ = F
+    (_, ((_, u01, u02, u03), (_, _, u12, u13), (_, _, _, u23), _),
+     ((_, v01, v02, v03), (_, _, v12, v13), (_, _, _, v23), _),
+     ((_, y01, y02, y03), (_, _, y12, y13), (_, _, _, y23), _)) = dF
+    fs = 2.0 * (f12 * s12 + f13 * s13 + f23 * s23 - f01 * s01 - f02 * s02 - f03 * s03)
+    fs1 = 2.0 * (u12 * s12 + u13 * s13 + u23 * s23 - u01 * s01 - u02 * s02 - u03 * s03)
+    fs2 = 2.0 * (v12 * s12 + v13 * s13 + v23 * s23 - v01 * s01 - v02 * s02 - v03 * s03)
+    fs3 = 2.0 * (y12 * s12 + y13 * s13 + y23 * s23 - y01 * s01 - y02 * s02 - y03 * s03)
+    P0 = _energy(P1 * P1 + P2 * P2 + P3 * P3, fs, model)
     ww = w1 * w1 + w2 * w2 + w3 * w3 - w0 * w0
     if ww != 0.0:   # NaN included: its values stay NaN
         T = (w1 * q1 + w2 * q2 + w3 * q3 - w0 * q0,
@@ -304,16 +314,14 @@ def _kernel(vec, model, fd):
         raise ValueError("T5 undefined at omega^2 = 0")
     else:
         T = (0.0, 0.0, 0.0, 0.0)
-    f01, f02, f03 = F[0][1], F[0][2], F[0][3]
-    f12, f13, f23 = F[1][2], F[1][3], F[2][3]
     # a_il = d_l A^i for i, l = 1..3; the x^0 column is zero (stationarity)
-    (_, a11, a12, a13), (_, a21, a22, a23), (_, a31, a32, a33) = dA[1], dA[2], dA[3]
+    _, (_, a11, a12, a13), (_, a21, a22, a23), (_, a31, a32, a33) = dA
     d = 2.0 * P0
     # x block: chain rule through A^i and F; omega and pi blocks:
     # -+ h (F_{mu nu} v^nu) with v = pi and omega
-    g0 = [0.0, (-2.0 * k * (P1 * a11 + P2 * a21 + P3 * a31) - 0.25 * h * fs(dF[1])) / d,
-          (-2.0 * k * (P1 * a12 + P2 * a22 + P3 * a32) - 0.25 * h * fs(dF[2])) / d,
-          (-2.0 * k * (P1 * a13 + P2 * a23 + P3 * a33) - 0.25 * h * fs(dF[3])) / d,
+    g0 = [0.0, (-2.0 * k * (P1 * a11 + P2 * a21 + P3 * a31) - 0.25 * h * fs1) / d,
+          (-2.0 * k * (P1 * a12 + P2 * a22 + P3 * a32) - 0.25 * h * fs2) / d,
+          (-2.0 * k * (P1 * a13 + P2 * a23 + P3 * a33) - 0.25 * h * fs3) / d,
           0.0, 2.0 * P1 / d, 2.0 * P2 / d, 2.0 * P3 / d,
           h * (f01 * q1 + f02 * q2 + f03 * q3) / d,
           -h * (f01 * q0 + f12 * q2 + f13 * q3) / d,

@@ -18,9 +18,13 @@ canonical position produces, for a linear potential exactly,
 which interferes with the covariant g-proportional coupling of the
 expanded Hamiltonian and leaves spin-orbit strength e (g-1) / 2 m^2 c^2.
 The classical counterpart of the same mechanism is the primed chart of
-the expansion module; the quantum ordering corrections vanish for the
-Coulomb field as well (the epsilon contraction kills them), which is
-used by the hydrogen module.
+the expansion module.  The identity is checked only where it is built:
+the uniform fields of FIELD_KINDS, whose A^0 is linear.  For a nonlinear
+A^0, the Coulomb one included, the xhat_i fail to commute at
+O(hbar^2 cinv^2), and a cubic A^0 leaves a cinv^2 residual unless the
+products in A^0(xhat) are Weyl-ordered; the epsilon contraction alone
+does not remove it (ROADMAP.md, "The operator identity on non-uniform
+potentials").  The hydrogen module assumes the Weyl-ordered form.
 """
 
 from __future__ import annotations

@@ -338,7 +338,11 @@ class Op:
         return Op(out, self.den * other.den)
 
     def __eq__(self, other):
-        return (self - other).is_zero()
+        try:
+            diff = self - other
+        except TypeError:   # not an Op, an int or a cleared pair
+            return NotImplemented
+        return diff.is_zero()
 
     def __hash__(self):  # pragma: no cover - Ops are not dict keys
         raise TypeError("Op is unhashable")

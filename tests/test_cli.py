@@ -116,6 +116,31 @@ def test_simulate_stats_sidecar_is_written_when_a_projection_fails(
     assert set(stats["projection_failure"]) == {"residual", "best", "passes"}
 
 
+def test_simulate_stats_sidecar_is_written_when_a_right_hand_side_fails(tmp_path, capsys):
+    """At c = 2 this Coulomb orbit falls in until the energy radicand of
+    the right-hand side turns negative in step 68, a step with no
+    projection: the command exits 1 as for any refused state, writes no
+    --out, and the sidecar holds the stats of the 67 completed steps."""
+    cfg = _write(tmp_path, "sim.yaml", SIM_CFG.replace("c: 10.0", "c: 2.0")
+                 .replace("e: 1.0", "e: -1.0")
+                 .replace("kind: uniform-B\n  B: [0.0, 0.0, 2.0]", "kind: coulomb\n  q: 1.0")
+                 .replace("x0: [-15.0, 0.0, 0.0]", "x0: [2.0, 0.0, 0.0]")
+                 .replace("P0: [0.0, 3.0, 0.0]", "P0: [0.0, 0.05, 0.0]")
+                 .replace("spin_dir: [0.0, 0.0, 1.0]", "spin_dir: [1.0, 0.0, 0.0]")
+                 .replace("t_final: 2.0\n  dt: 0.01", "t_final: 20.0\n  dt: 0.05"))
+    out, side = tmp_path / "a.csv", tmp_path / "stats.json"
+    assert main(["simulate", "--config", cfg, "--out", str(out),
+                 "--stats", str(side)]) == 1
+    assert "energy radicand" in capsys.readouterr().err
+    assert not out.exists()
+    stats = json.loads(side.read_text())
+    assert stats["failed_step"] == 68 and math.isclose(stats["t"], 3.4)
+    assert stats["rhs_evals"] == 4 * 67
+    assert stats["projections"] == sum(
+        k % 10 == 0 or k % dynamics.PROJECT_EVERY == 0 for k in range(1, 68))
+    assert "projection_failure" not in stats
+
+
 def test_simulate_plot_format(tmp_path):
     cfg = _write(tmp_path, "sim.yaml", SIM_CFG)
     out = tmp_path / "a.txt"

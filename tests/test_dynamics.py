@@ -354,6 +354,23 @@ def test_a_failed_projection_tells_where_the_run_stopped(method, monkeypatch):
     assert "projection_failure" not in err.value.stats
 
 
+def test_a_failed_right_hand_side_tells_where_the_run_stopped():
+    """An orbit that dips below the coulomb r_min fails inside an rk4
+    stage of step 9, between projections.  The ValueError keeps its type
+    and message and carries the run's stats as for a failed projection:
+    the failing step and its end time, and the right-hand sides of the
+    eight completed steps."""
+    bg = make_background("coulomb", e=-1.0, c=10.0, q=1.0, r_min=3.9)
+    model = Model(background=bg)
+    z0 = init_state(model, x3=(4.0, 0.0, 0.0), P3=(0.0, 0.3, 0.0))
+    with pytest.raises(ValueError, match=r"r=3.898e\+00 < r_min=3.900e\+00") as err:
+        integrate(model, z0, 50.0, 0.25, record_every=5)
+    run = err.value.stats
+    assert (run["failed_step"], run["t"]) == (9, 2.25)
+    assert run["rhs_evals"] == 4 * 8 and run["projections"] == 1
+    assert "projection_failure" not in run
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_projection_refuses_a_non_finite_state(value, capfd):
     """A NaN slot used to reach the least-squares solve, which raised
@@ -712,17 +729,21 @@ def test_spinless_trajectory_is_the_canonical_flow(kind):
 
 
 def test_channels_match_the_per_state_readouts(monkeypatch):
-    """channels builds one spin tensor per recorded state and gives the
-    same bytes as the public per-state read-outs."""
+    """channels builds the spin tensors of all recorded states as one
+    array, with no per-state spin_tensor or spin_readouts call, and gives
+    the same bytes as the public per-state read-outs."""
     model = build_model("coulomb")
     z = init_state(model, x3=(2.0, 0.0, 0.3), P3=(0.0, 0.6, 0.1),
                    spin_dir=(0.3, 0.2, 0.9))
     traj = integrate(model, z, 1.0, 0.05, record_every=4)
     built = []
-    monkeypatch.setattr(dynamics, "spin_tensor",
-                        lambda z: built.append(1) or spin_tensor(z))
+    for mod in (phase, dynamics):
+        for name in ("spin_tensor", "spin_readouts"):
+            fn = getattr(phase, name)
+            monkeypatch.setattr(mod, name, lambda S, fn=fn: built.append(1) or fn(S),
+                                raising=False)
     ch = traj.channels()
-    assert len(built) == len(traj.t)
+    assert built == [] and len(traj.t) > 1
     for k in range(len(traj.t)):
         zk = traj.state(k)
         P, T = constraint_values(zk, model)

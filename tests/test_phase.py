@@ -3,6 +3,7 @@ their exact gradients.  Gradients are pinned two independent ways, by
 central finite differences and by the forward-mode dual-number route,
 because every bracket downstream is assembled from them."""
 
+import dataclasses
 import re
 import warnings
 
@@ -12,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relspin import phase
-from relspin.dynamics import project_state
-from relspin.phase import (J, PhaseState, _rows, constraint_residuals,
+from relspin.dynamics import dirac_rhs, project_state
+from relspin.fields import make_background
+from relspin.phase import (J, Model, PhaseState, _kernel, _rows, constraint_residuals,
                            constraint_values, dipole_vector, field_data,
                            init_state, kinetic_momentum, obs_coord, obs_energy,
                            obs_hamiltonian, obs_kinetic, obs_spin,
@@ -106,6 +108,28 @@ def test_model_refuses_unphysical_parameters(name, value):
     with pytest.raises(ValueError, match=rf"\b{name} must be"):
         build_model("crossed", **{name: value})
     assert build_model("crossed", e=0.0).e == 0.0
+
+
+def test_a_replaced_model_derives_its_constants_afresh():
+    """dataclasses.replace runs Model.__post_init__ again, so a model with
+    a new g, and one with a new background (other e and c), read the
+    constants of a model built fresh from the same arguments: the kernel
+    and the right-hand side on each give the same bits as on the fresh
+    one, and not those of the model it was replaced from."""
+    base = build_model("coulomb", g=2.3)
+    crossed = make_background("crossed", e=-0.7, c=6.0, **BACKGROUND_PARAMS["crossed"])
+    for change in ({"g": 1.4}, {"background": crossed}):
+        replaced = dataclasses.replace(base, **change)
+        fresh = Model(**{"background": base.background, "m": base.m, "g": base.g,
+                         "hbar": base.hbar, "alpha": base.alpha, **change})
+        assert vars(replaced) == vars(fresh) != vars(base)
+        for z in state_batch(fresh, 4, seed=3):
+            vec = z.vec.tolist()
+            fd = field_data(fresh, vec[:4])
+            assert repr(_kernel(vec, replaced, fd)) == repr(_kernel(vec, fresh, fd))
+            assert repr(_kernel(vec, base, fd)) != repr(_kernel(vec, fresh, fd))
+            assert (np.array(dirac_rhs(vec, replaced)).tobytes()
+                    == np.array(dirac_rhs(vec, fresh)).tobytes())
 
 
 def test_kinetic_momentum_reads_the_kernel_once(monkeypatch):

@@ -204,6 +204,21 @@ def test_a_denominator_past_double_precision_is_kept():
     assert A.scale(third).den * 2**60 <= A.scale(near).den
 
 
+@pytest.mark.parametrize("other", [None, 0.5, "x1", (1, 2), object()],
+                         ids=["None", "float", "str", "tuple", "object"])
+def test_equality_with_a_foreign_operand_is_false(other):
+    """== with what is not an Op, an int or a cleared pair returns
+    NotImplemented, so it reads False and != True, and an Op can be
+    looked up in a list; equality with ints, cleared pairs and Ops is
+    unchanged."""
+    x1 = Op.x(1)
+    assert x1.__eq__(other) is NotImplemented
+    assert not x1 == other and x1 != other and not other == x1
+    assert x1 not in [other] and x1 in [other, Op.x(1)]
+    assert Op.scalar(3) == 3 and Op.scalar(to_ring(hbar / 2)) == to_ring(hbar / 2)
+    assert x1 == Op.x(1) and x1 != Op.x(2) and x1 != 0
+
+
 @pytest.mark.parametrize("value", [0.1 * 3, 1 / 3, 0.5 * hbar, sp.Float(2),
                                    1 + 0.5j, cinv + sp.Float("0.25")],
                          ids=["0.1*3", "1/3", "0.5*hbar", "Float(2)", "complex",
