@@ -50,7 +50,7 @@ from operator import mul
 import numpy as np
 
 from .minkowski import ETA_DIAG, contract_2
-from .phase import (J, field_data, kinetic_momentum, obs_coord, obs_energy,
+from .phase import (J, FieldsAt, field_data, kinetic_momentum, obs_coord, obs_energy,
                     obs_hamiltonian, obs_kinetic, obs_spin, spin_tensor,
                     symplectic, t_rows, _kernel, _rows)
 
@@ -64,7 +64,7 @@ H_OBS = obs_hamiltonian()
 class DiracCore:
     """Per-state bundle shared by every Dirac evaluation at a fixed z."""
 
-    fd: object
+    fd: object       # FieldsAt, the array view of the fields at z
     P: np.ndarray
     R: np.ndarray    # rows grad calP^0, grad T3, grad T4
     JR: np.ndarray   # J grad T3, J grad T4
@@ -99,11 +99,11 @@ def _t3t4(t34, model):
 def dirac_core(z, model):
     """The second-class data at z; raises where {T3,T4} is too small to invert."""
     vec = z.vec.tolist()
-    fd = field_data(model, vec[:4])
-    P, _, pieces = _kernel(vec, model, fd)
+    fields = field_data(model, vec[:4])
+    P, _, pieces = _kernel(vec, model, fields)
     rows = t_rows(vec, P, pieces)
     JR = [symplectic(r) for r in rows[1:]]
-    return DiracCore(fd=fd, P=np.array(P), R=np.array(rows), JR=np.array(JR),
+    return DiracCore(fd=FieldsAt(fields), P=np.array(P), R=np.array(rows), JR=np.array(JR),
                      t34=_t3t4(sum(map(mul, rows[1], JR[1])), model))
 
 
@@ -149,9 +149,9 @@ def dirac_coefficients(z, model, fd=None):
     if e == 0.0:
         raise ValueError(f"the closed-form brackets divide by e u0: charge e must be "
                          f"nonzero, got {e}")
-    fd = fd or field_data(model, z.x.tolist())
+    fd = fd or FieldsAt(field_data(model, z.x.tolist()))
     S = spin_tensor(z)
-    P = kinetic_momentum(z, model, fd)
+    P = kinetic_momentum(z, model, fd.floats)
     sf = contract_2(fd.F, S)
 
     a = -2.0 * e / (4.0 * m**2 * c**3 - e * (g + 1.0) * sf)
@@ -213,7 +213,7 @@ def closed_brackets(z, model, coef=None, fd=None):
     """{A_a, A_b}_D through the coefficient blocks, as the (12, 12)
     matrix over PHYSICAL_OBSERVABLES; the blocks below the diagonal
     follow by antisymmetry."""
-    fd = fd or field_data(model, z.x.tolist())
+    fd = fd or FieldsAt(field_data(model, z.x.tolist()))
     coef = coef or dirac_coefficients(z, model, fd)
     e, c = model.e, model.c
     P, S, Delta, ge = coef.P, coef.S, coef.Delta, coef.g_eff
@@ -267,8 +267,8 @@ def aux_table_entries(z, model, energy_row_variant="resolved"):
     else:
         raise ValueError(f"unknown energy_row_variant {energy_row_variant!r}")
 
-    fd = field_data(model, z.x.tolist())
-    P = kinetic_momentum(z, model, fd)
+    fd = FieldsAt(field_data(model, z.x.tolist()))
+    P = kinetic_momentum(z, model, fd.floats)
     S = spin_tensor(z)
     P0 = P[0]
     dsf = np.einsum("lmn,mn->l", fd.dF_low, S)

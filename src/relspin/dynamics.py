@@ -26,8 +26,8 @@ consequence of T2 = T5 = 0).  Where it refuses a state or stalls, its
 ValueError or RuntimeError ends the run of ``integrate``.
 
 Inside the rk4 loop of ``integrate`` the state is a list of 16 Python
-floats, from ``z0.vec.tolist()`` on, and the right-hand side is
-``functools.partial(dirac_rhs, model=model)``: ``_rk4_step`` forms its
+floats, from ``z0.vec.tolist()`` on, and the right-hand side is a
+closure that calls ``dirac_rhs(v, model)``: ``_rk4_step`` forms its
 stages and the final combination elementwise, in the operation order of
 the numpy form, so a step is the same to the bit, and no array is built
 inside a step or a projection pass.  Arrays appear where a state crosses
@@ -52,7 +52,6 @@ is J grad H, the plain Lorentz force; it carries no constraints.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 import time
@@ -84,13 +83,13 @@ def dirac_rhs(vec, model):
     and zdot = J (b g0 + e dA^0 + a4 e3 - a3 e4), a_v = {T_v, H}/{T3,T4}
     and b = c - a4 omega^0 + a3 pi^0, written out block by block.  The p^0
     slots of g0, e3 and e4 are zero, so no x^0 slot is read."""
-    fd = field_data(model, vec[0:4])
-    (P0, P1, P2, P3), _, (g0, ex3, ex4) = _kernel(vec, model, fd)
+    fields = field_data(model, vec[0:4])
+    (P0, P1, P2, P3), _, (g0, ex3, ex4) = _kernel(vec, model, fields)
     _, g1, g2, g3, _, g5, g6, g7, g8, g9, g10, g11, g12, g13, g14, g15 = g0
     _, x1, x2, x3 = ex3
     _, y1, y2, y3 = ex4
     w0, w1, w2, w3, q0, q1, q2, q3 = vec[8:]
-    _, d1, d2, d3 = fd.floats[1][0]   # d_i A^0
+    d1, d2, d3 = fields[1][0]   # d_i A^0
     c, e = model.c, model.e
     A3 = (x1 * g5 + x2 * g6 + x3 * g7 - (w1 * g1 + w2 * g2 + w3 * g3)
           + (P0 * g12 + P1 * g13 + P2 * g14 + P3 * g15))
@@ -169,11 +168,11 @@ def project_state(z, model, *, stats=None):
         raise ValueError("cannot project a state with non-finite components in slots "
                          f"{[i for i, v in enumerate(vec) if not math.isfinite(v)]}")
     tol = PROJECTION_TOL * (1.0 + model.mc2)
-    fd = field_data(model, vec[:4])
+    fields = field_data(model, vec[:4])
     head = vec[:8]
     errs = []
     while True:
-        P, T, _ = _kernel(vec, model, fd)
+        P, T, _ = _kernel(vec, model, fields)
         errs.append(max(map(abs, T)))
         if errs[-1] < tol:
             if stats is not None:
@@ -260,9 +259,9 @@ class Trajectory:
             out[nm] = Z[:, 1 + i]
         rows = []
         for vec in Z.tolist():
-            fd = field_data(model, vec[:4])
-            P, T, _ = _kernel(vec, model, fd)
-            rows.append((*P, *T, model.c * P[0] + model.e * fd.floats[0][0]))
+            fields = field_data(model, vec[:4])
+            P, T, _ = _kernel(vec, model, fields)
+            rows.append((*P, *T, model.c * P[0] + model.e * fields[0][0]))
         rows = np.array(rows)
         P, T, H = rows[:, :4], rows[:, 4:8], rows[:, 8]
         spin = Z[:, 8:].any(axis=1)
@@ -345,7 +344,7 @@ def integrate(model, z0, t_final, dt, t0=0.0, record_every=1, project=True):
     stats = {"n_steps": n_steps, "projections": 0, "rhs_evals": 0,
              "projection_steps": 0, "max_residual_before_projection": 0.0}
 
-    rhs = functools.partial(dirac_rhs, model=model)
+    rhs = lambda v: dirac_rhs(v, model)   # cheaper to call than functools.partial
     y = z0.vec.tolist()
     for k in range(1, n_steps + 1):
         h = dt if k <= n_full else t_final - (t0 + n_full * dt)

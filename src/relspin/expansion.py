@@ -23,7 +23,7 @@ import numpy as np
 
 from .fields import make_background
 from .minkowski import EPS3, extract_EB
-from .phase import (Model, Observable, field_data, init_state,
+from .phase import (FieldsAt, Model, Observable, field_data, init_state,
                     kinetic_momentum, obs_coord, obs_kinetic, obs_spin,
                     spin_vector)
 from .brackets import dirac_core
@@ -56,9 +56,9 @@ def hamiltonian_expanded(z, model):
     H = m c^2 + P^2/2m - P^4/8 m^3 c^2 + e A^0
         + (e g / 2 m c) [ S.(P x E)/(m c) - B.S ]
     """
-    fd = field_data(model, z.x.tolist())
+    fd = FieldsAt(field_data(model, z.x.tolist()))
     m, c, e, g = model.m, model.c, model.e, model.g
-    P = kinetic_momentum(z, model, fd)[1:]
+    P = kinetic_momentum(z, model, fd.floats)[1:]
     p2 = float(P @ P)
     E, B = extract_EB(fd.F)
     S = spin_vector(z)
@@ -76,10 +76,10 @@ def expanded_brackets(z, model):
     """Leading-order bracket table: {family: 3x3} over LADDER_ORDERS, the
     entry [i-1, j-1] of family "ab" being {a_i, b_j} of the 3-vectors x,
     P and S (xS is {x_i, S_j}, PS is {P_i, S_j})."""
-    fd = field_data(model, z.x.tolist())
+    fd = FieldsAt(field_data(model, z.x.tolist()))
     m, c, e = model.m, model.c, model.e
     S = spin_vector(z)
-    P = kinetic_momentum(z, model, fd)[1:]
+    P = kinetic_momentum(z, model, fd.floats)[1:]
     _, B = extract_EB(fd.F)
     eps_S = EPS3 @ S
     return {"xx": eps_S / (m * c) ** 2,

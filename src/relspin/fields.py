@@ -6,28 +6,29 @@ time independent):
 
     at(x) -> (A, dA, F, dF)
 
-    A   (4,)       potential A^mu
-    dA  (4, 4)     dA[mu][nu] = d A^mu / d x^nu
-    F   (4, 4)     upper-index field tensor F^{mu nu}
-    dF  (4, 4, 4)  dF[lam][mu][nu] = d F^{mu nu} / d x^lam
+    A   4 floats      potential A^mu
+    dA  4 rows of 3   dA[mu][i - 1] = d A^mu / d x^i, i = 1..3
+    F   6 floats      F^{mu nu} above the diagonal, in the order
+                      01, 02, 03, 12, 13, 23 (upper indices)
+    dF  3 rows of 6   dF[lam - 1] = d F^{mu nu} / d x^lam, lam = 1..3,
+                      in the order of F
 
-as nested tuples of Python floats, the form the float kernel
-``phase._kernel`` reads; a point's geometry (the coulomb radius and its
-r_min check) is computed once for all four, and the coulomb tuples are
-written out inline.  The uniform kinds return constant dA, F and dF
-tuples made once at construction, and tuples cannot be modified by a
-caller.  numpy is imported only where a uniform
-background, a parameter check or an array is built, so reading KINDS
-loads neither numpy nor minkowski.  Arrays are built only on demand: by
-``FieldBackground.A/dA/F/dF``, which take an array point and convert
-it once with ``tolist()``, and by ``phase.FieldsAt``, which also lowers
-F and dF when a reader asks.  Stationarity means dA[mu][0] == 0.0 and
-dF[0] == 0.0 identically, in every background, a gauge-shifted one
-included: the kernel relies on it and writes no x^0 derivative.  F is
-antisymmetric, and so is dF in its last two indices; the kernel reads
-only the components above the diagonal.  The electric field of a static potential is
-E_i = d_i A_0 = -d_i A^0.  Exact derivatives are part of the contract:
-bracket and force evaluations chain-rule through these, finite
+as tuples of Python floats: what the float kernel ``phase._kernel``
+reads, and nothing else.  Stationarity (no x^0 derivative) and the
+antisymmetry of F and dF hold by construction: the layout has no slot
+for an x^0 derivative or an entry on or below the diagonal.  A point's
+geometry (the coulomb radius and its r_min check) is computed once for
+all four, and the coulomb tuples are written out inline; the uniform
+kinds return constant dA, F and dF tuples made once at construction.
+numpy is imported only where a uniform background, a parameter check
+or an array is built, so reading KINDS loads neither numpy nor
+minkowski.  Arrays are built on demand only, by one expansion,
+``expand``, into A (4,), dA (4, 4) with dA[mu, nu] = d A^mu / d x^nu,
+F (4, 4) and dF (4, 4, 4) with dF[lam, mu, nu] = d F^{mu nu} / d x^lam;
+``FieldBackground.A/dA/F/dF`` (on an array point) and
+``phase.FieldsAt`` read it.  The electric field of a static potential
+is E_i = d_i A_0 = -d_i A^0.  Exact derivatives are part of the
+contract: bracket and force evaluations chain-rule through these, finite
 differences are used only as test oracles.
 
 Catalog kinds: "zero", "uniform-E", "uniform-B", "crossed", "coulomb".
@@ -43,9 +44,32 @@ from typing import Callable
 
 KINDS = ("zero", "uniform-E", "uniform-B", "crossed", "coulomb")
 
-_Z4 = (0.0, 0.0, 0.0, 0.0)
-_Z44 = (_Z4,) * 4
-_Z444 = (_Z44,) * 4
+_Z3 = (0.0, 0.0, 0.0)
+_Z6 = (0.0,) * 6
+_ZERO = ((0.0,) * 4, (_Z3,) * 4, _Z6, (_Z6,) * 3)
+
+
+def _square(u):
+    """The 16 entries, row by row, of the antisymmetric 4x4 with u above its diagonal."""
+    # 0.0 - u, not -u: a zero stays +0.0 below the diagonal, and so do the
+    # signs of the zeros in the bracket matrices built on these arrays
+    u01, u02, u03, u12, u13, u23 = u
+    return (0.0, u01, u02, u03, 0.0 - u01, 0.0, u12, u13,
+            0.0 - u02, 0.0 - u12, 0.0, u23, 0.0 - u03, 0.0 - u13, 0.0 - u23, 0.0)
+
+
+def expand(fields):
+    """The arrays (A, dA, F, dF), of shapes (4,), (4, 4), (4, 4) and
+    (4, 4, 4), of the tuples at(x) returns; the x^0 slots are 0.0."""
+    import numpy as np
+
+    A, dA, F, (u, v, y) = fields
+    (a01, a02, a03), (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) = dA
+    # dA, F and dF as one (6, 4, 4) stack, dF[0] = 0
+    t = np.fromiter((0.0, a01, a02, a03, 0.0, a11, a12, a13, 0.0, a21, a22, a23,
+                     0.0, a31, a32, a33, *_square(F), *(0.0,) * 16,
+                     *_square(u), *_square(v), *_square(y)), float, 96).reshape(6, 4, 4)
+    return np.array(A), t[0], t[1], t[2:]
 
 
 @dataclass(frozen=True)
@@ -55,24 +79,10 @@ class FieldBackground:
     c: float
     params: dict
     gauge: str
-    at: Callable = field(repr=False)   # x -> (A, dA, F, dF), nested float tuples
+    at: Callable = field(repr=False)   # x -> (A, dA, F, dF), float tuples
 
-    def _array(self, x, i):
-        import numpy as np
-
-        return np.array(self.at(x.tolist())[i])
-
-    def A(self, x):
-        return self._array(x, 0)
-
-    def dA(self, x):
-        return self._array(x, 1)
-
-    def F(self, x):
-        return self._array(x, 2)
-
-    def dF(self, x):
-        return self._array(x, 3)
+    # the arrays at an array point x
+    A, dA, F, dF = (lambda self, x, i=i: expand(self.at(x.tolist()))[i] for i in range(4))
 
 
 def _uniform_at(E3, B3):
@@ -84,19 +94,21 @@ def _uniform_at(E3, B3):
     E3 = np.asarray(E3, dtype=float)
     B3 = np.asarray(B3, dtype=float)
     # A^0 = -E.x so that E_i = -d_i A^0; A^i = (1/2)(B x r)^i
-    dA = np.zeros((4, 4))
-    dA[0, 1:] = -E3
-    dA[1:, 1:] = 0.5 * np.einsum("ikj,k->ij", EPS3, B3)
-    dA, F = (tuple(map(tuple, t.tolist())) for t in (dA, field_tensor_from_EB(E3, B3)))
+    dA = np.zeros((4, 3))
+    dA[0] = -E3
+    dA[1:] = 0.5 * np.einsum("ikj,k->ij", EPS3, B3)
+    dA = tuple(map(tuple, dA.tolist()))
+    F = tuple(field_tensor_from_EB(E3, B3)[np.triu_indices(4, 1)].tolist())
     e1, e2, e3 = E3.tolist()
     b1, b2, b3 = B3.tolist()
+    dF = (_Z6,) * 3
 
     def at(x):
         _, x1, x2, x3 = x
         # E.x as a float sum, not numpy's dot: whether its BLAS kernel
         # fuses the multiply-adds, and so the last bit, depends on the host
         return ((-(e1 * x1 + e2 * x2 + e3 * x3), 0.5 * (b2 * x3 - b3 * x2),
-                 0.5 * (b3 * x1 - b1 * x3), 0.5 * (b1 * x2 - b2 * x1)), dA, F, _Z444)
+                 0.5 * (b3 * x1 - b1 * x3), 0.5 * (b1 * x2 - b2 * x1)), dA, F, dF)
 
     return at
 
@@ -117,16 +129,11 @@ def _coulomb_at(q, r_min):
                          q * (rr - 3.0 * (x3 * x3)) / r5)
         d12, d13, d23 = (q * (-3.0 * (x1 * x2)) / r5, q * (-3.0 * (x1 * x3)) / r5,
                          q * (-3.0 * (x2 * x3)) / r5)
-        # F^{mu nu} of an electric field v, and d_l of it: v in row 0, -v in column 0
-        return ((q / r, 0.0, 0.0, 0.0), ((0.0, -E1, -E2, -E3), _Z4, _Z4, _Z4),
-                ((0.0, E1, E2, E3), (-E1, 0.0, 0.0, 0.0), (-E2, 0.0, 0.0, 0.0),
-                 (-E3, 0.0, 0.0, 0.0)),
-                (_Z44, ((0.0, d11, d12, d13), (-d11, 0.0, 0.0, 0.0), (-d12, 0.0, 0.0, 0.0),
-                        (-d13, 0.0, 0.0, 0.0)),
-                 ((0.0, d12, d22, d23), (-d12, 0.0, 0.0, 0.0), (-d22, 0.0, 0.0, 0.0),
-                  (-d23, 0.0, 0.0, 0.0)),
-                 ((0.0, d13, d23, d33), (-d13, 0.0, 0.0, 0.0), (-d23, 0.0, 0.0, 0.0),
-                  (-d33, 0.0, 0.0, 0.0))))
+        # F^{0i} = E_i and d_l F^{0i} = d_l E_i; no magnetic part
+        return ((q / r, 0.0, 0.0, 0.0), ((-E1, -E2, -E3), _Z3, _Z3, _Z3),
+                (E1, E2, E3, 0.0, 0.0, 0.0),
+                ((d11, d12, d13, 0.0, 0.0, 0.0), (d12, d22, d23, 0.0, 0.0, 0.0),
+                 (d13, d23, d33, 0.0, 0.0, 0.0)))
 
     return at
 
@@ -156,7 +163,7 @@ def make_background(kind, e=1.0, c=10.0, **params):
     if not math.isfinite(e):
         raise ValueError(f"charge e must be finite, got {e}")
     if kind == "zero":
-        at = lambda x: (_Z4, _Z44, _Z44, _Z444)
+        at = lambda x: _ZERO
         gauge = "zero potential"
     elif kind == "uniform-E":
         at = _uniform_at(_finite("E", params.get("E", (0, 0, 0))), (0, 0, 0))

@@ -36,10 +36,11 @@ sequences; the readers that hold a PhaseState convert its array once
 with tolist() at their call.  Every reader of calP or a constraint
 reads the kernel; the energy radicand and its check live in _energy
 alone; the Model constants they read are derived once per Model.  A
-state is its 16 numbers, spinless when omega = pi = 0.  FieldsAt holds the
-float tuples that the background's at(x) returns, which the kernel
-reads; the arrays A, dA, F and dF, and the lowered F and dF, are built
-only when a reader outside the kernel asks.  The canonical structure,
+state is its 16 numbers, spinless when omega = pi = 0.  field_data
+returns the compact float tuples of the background's at(x)
+(fields.py), which the kernel and the float paths of dynamics read as
+they are; FieldsAt, their array view, expands them into A, dA, F and
+dF, and lowers F and dF, on first read.  The canonical structure,
 {z, B} = J grad B and {A, B} = grad A . J grad B, is a signed
 permutation written once, in ``symplectic``; the constant matrix J is
 built from it (grad B @ J.T, also for an (n, 16) stack).
@@ -54,7 +55,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fields import FieldBackground, make_background
+from .fields import FieldBackground, expand, make_background
 from .minkowski import ETA_DIAG, boost_matrix, contract_2, lower2
 
 BLOCKS = ("x", "p", "omega", "pi")
@@ -134,8 +135,15 @@ class Model:
 
     @cached_property
     def mc2(self):
-        # on first read: an (m c)^2 past the float range raises there
-        return (self.m * self.c) ** 2
+        # on first read, so a model past the float range is refused by
+        # its first computation, as a state out of range is
+        try:
+            mc2 = (self.m * self.c) ** 2   # inf, not an OverflowError, at m c = inf
+        except OverflowError:
+            mc2 = math.inf
+        if mc2 == math.inf:
+            raise ValueError(f"(m c)^2 is past the float range: m = {self.m}, c = {self.c}")
+        return mc2
 
     @cached_property
     def t34_floor(self):
@@ -148,17 +156,17 @@ def free_model(m=1.0, g=2.0, c=10.0, e=1.0, hbar=1.0, alpha=None):
 
 
 class FieldsAt:
-    """Background fields evaluated once at a point.  floats is what the
-    background's at(x) returned, the nested float tuples (A, dA, F, dF)
-    that _kernel reads, so a right-hand side or a projection
-    builds no field array.  The arrays A, dA, F and dF and the lowered
-    F_{mu nu} and d_lam F_{mu nu} are computed on first read."""
+    """The array view of the fields at a point, for the readers outside
+    the kernel.  floats is what field_data returned, the tuples
+    (A, dA, F, dF) of the background's at(x); on first read they are
+    expanded, once, into the arrays A, dA, F and dF (fields.expand), and
+    F and dF lowered into F_{mu nu} and d_lam F_{mu nu}."""
 
     def __init__(self, floats):
         self.floats = floats
 
-    A, dA, F, dF = (cached_property(lambda self, k=k: np.array(self.floats[k]))
-                    for k in range(4))
+    _arrays = cached_property(lambda self: expand(self.floats))
+    A, dA, F, dF = (property(lambda self, k=k: self._arrays[k]) for k in range(4))
 
     @cached_property
     def F_low(self):
@@ -170,8 +178,9 @@ class FieldsAt:
 
 
 def field_data(model, x4):
-    """The fields at the point x4, a sequence of four floats."""
-    return FieldsAt(model.background.at(x4))
+    """The fields at the point x4, a sequence of four floats, as the
+    background's at(x) gives them; FieldsAt is their array view."""
+    return model.background.at(x4)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +262,7 @@ class Observable:
         return f"Observable({self.name})"
 
 
-def _kernel(vec, model, fd):
+def _kernel(vec, model, fields):
     """calP, the values T = (T2, T3, T4, T5) and the pieces of the rows
     grad (calP^0, T3, T4) at the state vec, a sequence of 16 floats: the
     one evaluation of a state, as Python floats (two 4-tuples and the
@@ -271,34 +280,31 @@ def _kernel(vec, model, fd):
     ValueError is raised.  Written on the components in float
     arithmetic: at one state numpy's per-call cost outweighs the
     arithmetic of four-vectors, so the state is unpacked as floats, the
-    fields read as the float tuples of fd.floats, and the eta signs are
-    written into the expressions; _rows gives the outputs as arrays.
-    F and dF are antisymmetric in their last two indices, so only the
-    components above the diagonal are read; the four contractions with S
-    are written out on the field tuples, unpacked once.
-    grad calP^0 = grad W / (2 calP^0),
-    W = calP^0 ** 2 the energy radicand.
-
-    The backgrounds are stationary (fields.py): d_0 A^mu = 0 and
-    d_0 F = 0.  The kernel relies on it and writes the x^0 slots of g0,
-    ex3 and ex4 as 0.0 without reading dA[mu][0] or dF[0]; the x-parts
-    are formed for lam = 1..3 only.
+    fields as the tuples of field_data, and the eta signs are written
+    into the expressions; _rows gives the outputs as arrays.  The fields
+    come in the layout of fields.py, which holds what the kernel reads:
+    the spatial derivatives of A and the components of F and d_lam F
+    above the diagonal, unpacked once; the four contractions with S are
+    written out on them.  The backgrounds are stationary and the layout
+    has no x^0 derivative: the x^0 slots of g0, ex3 and ex4 are 0.0 and
+    the x-parts are formed for lam = 1..3 only.
+    grad calP^0 = grad W / (2 calP^0), W = calP^0 ** 2 the energy radicand.
     """
     k, h = model.e_c, model.eg_c   # W holds -(h / 4) F_{mu nu} S^{mu nu}
     _, _, _, _, _, p1, p2, p3, w0, w1, w2, w3, q0, q1, q2, q3 = vec
-    (_, A1, A2, A3), dA, F, dF = fd.floats
+    # a_il = d_l A^i for i, l = 1..3; F (f) and d_lam F (u, v, y for
+    # lam = 1, 2, 3) above the diagonal
+    ((_, A1, A2, A3), (_, (a11, a12, a13), (a21, a22, a23), (a31, a32, a33)),
+     (f01, f02, f03, f12, f13, f23), ((u01, u02, u03, u12, u13, u23),
+                                      (v01, v02, v03, v12, v13, v23),
+                                      (y01, y02, y03, y12, y13, y23))) = fields
     P1, P2, P3 = p1 - k * A1, p2 - k * A2, p3 - k * A3
     # S^{mu nu} = 2 (omega^mu pi^nu - omega^nu pi^mu) above the diagonal
     s01, s02, s03 = (2.0 * (w0 * q1 - w1 * q0), 2.0 * (w0 * q2 - w2 * q0),
                      2.0 * (w0 * q3 - w3 * q0))
     s12, s13, s23 = (2.0 * (w1 * q2 - w2 * q1), 2.0 * (w1 * q3 - w3 * q1),
                      2.0 * (w2 * q3 - w3 * q2))
-    # F (f) and d_lam F (u, v, y for lam = 1, 2, 3) above the diagonal, and
-    # their contractions T_{mu nu} S^{mu nu} = 2 (T^{ij} S^{ij} - T^{0i} S^{0i})
-    (_, f01, f02, f03), (_, _, f12, f13), (_, _, _, f23), _ = F
-    (_, ((_, u01, u02, u03), (_, _, u12, u13), (_, _, _, u23), _),
-     ((_, v01, v02, v03), (_, _, v12, v13), (_, _, _, v23), _),
-     ((_, y01, y02, y03), (_, _, y12, y13), (_, _, _, y23), _)) = dF
+    # contractions T_{mu nu} S^{mu nu} = 2 (T^{ij} S^{ij} - T^{0i} S^{0i})
     fs = 2.0 * (f12 * s12 + f13 * s13 + f23 * s23 - f01 * s01 - f02 * s02 - f03 * s03)
     fs1 = 2.0 * (u12 * s12 + u13 * s13 + u23 * s23 - u01 * s01 - u02 * s02 - u03 * s03)
     fs2 = 2.0 * (v12 * s12 + v13 * s13 + v23 * s23 - v01 * s01 - v02 * s02 - v03 * s03)
@@ -314,8 +320,6 @@ def _kernel(vec, model, fd):
         raise ValueError("T5 undefined at omega^2 = 0")
     else:
         T = (0.0, 0.0, 0.0, 0.0)
-    # a_il = d_l A^i for i, l = 1..3; the x^0 column is zero (stationarity)
-    _, (_, a11, a12, a13), (_, a21, a22, a23), (_, a31, a32, a33) = dA
     d = 2.0 * P0
     # x block: chain rule through A^i and F; omega and pi blocks:
     # -+ h (F_{mu nu} v^nu) with v = pi and omega
@@ -357,24 +361,24 @@ def t_rows(vec, P, pieces):
     return g0, t_row(w0, w1, w2, w3, ex3, 8), t_row(q0, q1, q2, q3, ex4, 12)
 
 
-def _rows(z, model, fd=None):
+def _rows(z, model, fields=None):
     """The kernel's calP and T and the assembled rows R at z as arrays of
     shapes (4,), (4,) and (3, 16), for the readers that work on arrays."""
     vec = z.vec.tolist()
-    P, T, pieces = _kernel(vec, model, fd or field_data(model, vec[:4]))
+    P, T, pieces = _kernel(vec, model, fields or field_data(model, vec[:4]))
     return np.array(P), np.array(T), np.array(t_rows(vec, P, pieces))
 
 
-def kinetic_momentum(z, model, fd=None):
+def kinetic_momentum(z, model, fields=None):
     """Four-vector (calP^0, calP^i) with calP^0 the energy function."""
-    return constraint_values(z, model, fd)[0]
+    return constraint_values(z, model, fields)[0]
 
 
-def constraint_values(z, model, fd=None):
+def constraint_values(z, model, fields=None):
     """calP and the values (T2, T3, T4, T5) at z, from one field evaluation
     and one kernel call; no row is assembled."""
     vec = z.vec.tolist()
-    P, T, _ = _kernel(vec, model, fd or field_data(model, vec[:4]))
+    P, T, _ = _kernel(vec, model, fields or field_data(model, vec[:4]))
     return np.array(P), np.array(T)
 
 
@@ -392,14 +396,14 @@ def obs_kinetic(i):
         raise ValueError("kinetic momentum observable is spatial, i in 1..3")
 
     def f(z, model):
-        fd = field_data(model, z.x.tolist())
-        return z.p[i] - (model.e / model.c) * fd.A[i]
+        return z.p[i] - (model.e / model.c) * field_data(model, z.x.tolist())[0][i]
 
     def grd(z, model):
-        fd = field_data(model, z.x.tolist())
+        dA = field_data(model, z.x.tolist())[1]
         out = np.zeros(16)
         out[4 + i] = 1.0
-        out[0:4] = -(model.e / model.c) * fd.dA[i, :]
+        # the x^0 slot -(e/c) 0.0, as the product with a full row of dA
+        out[0:4] = np.multiply(-(model.e / model.c), (0.0, *dA[i]))
         return out
 
     return Observable(f"calP^{i}", f, grd)
@@ -436,13 +440,13 @@ def obs_hamiltonian():
     """Covariant Hamiltonian H = c calP^0 + e A^0 (lab-time generator)."""
 
     def f(z, model):
-        fd = field_data(model, z.x.tolist())
-        return model.c * kinetic_momentum(z, model, fd)[0] + model.e * fd.A[0]
+        fields = field_data(model, z.x.tolist())
+        return model.c * kinetic_momentum(z, model, fields)[0] + model.e * fields[0][0]
 
     def grd(z, model):
-        fd = field_data(model, z.x.tolist())
-        out = model.c * _rows(z, model, fd)[2][0]
-        out[0:4] += model.e * fd.dA[0, :]
+        fields = field_data(model, z.x.tolist())
+        out = model.c * _rows(z, model, fields)[2][0]
+        out[1:4] += np.multiply(model.e, fields[1][0])
         return out
 
     return Observable("H", f, grd)
@@ -484,13 +488,13 @@ def init_state(model, x3, P3, spin_dir=(0, 0, 1.0), t=0.0):
     by a short fixed-point iteration.  alpha = 0 returns a spinless
     state instead, omega = pi = 0.
     """
-    m, c, e, g = model.m, model.c, model.e, model.g
+    mc2, c, e, g = model.mc2, model.c, model.e, model.g
     x4 = np.concatenate([[c * t], np.asarray(x3, dtype=float)])
     P3 = np.asarray(P3, dtype=float)
-    fd = field_data(model, x4.tolist())
+    fd = FieldsAt(field_data(model, x4.tolist()))
 
     if model.alpha == 0.0:
-        P0 = np.sqrt(P3 @ P3 + (m * c) ** 2)
+        P0 = np.sqrt(P3 @ P3 + mc2)
         p = np.concatenate([[P0], P3]) + (e / c) * fd.A
         return PhaseState.from_parts(x4, p, np.zeros(4), np.zeros(4))
 
@@ -501,7 +505,7 @@ def init_state(model, x3, P3, spin_dir=(0, 0, 1.0), t=0.0):
     fs = 0.0
     w = pi = None
     for _ in range(200):
-        mstar2 = (m * c) ** 2 - (e * g / (4 * c)) * fs
+        mstar2 = mc2 - (e * g / (4 * c)) * fs
         if mstar2 <= 0.0:
             raise ValueError("field-spin coupling exceeds the mass shell at this point")
         P0 = np.sqrt(P3 @ P3 + mstar2)
@@ -516,14 +520,14 @@ def init_state(model, x3, P3, spin_dir=(0, 0, 1.0), t=0.0):
     else:
         raise RuntimeError("field-spin fixed point did not converge")
 
-    mstar2 = (m * c) ** 2 - (e * g / (4 * c)) * fs
+    mstar2 = mc2 - (e * g / (4 * c)) * fs
     P0 = np.sqrt(P3 @ P3 + mstar2)
     p = np.concatenate([[P0], P3]) + (e / c) * fd.A
     z = PhaseState.from_parts(x4, p, w, pi)
 
     res = constraint_residuals(z, model)
     worst = max(abs(v) for v in res.values())
-    if worst > 1e-10 * (1.0 + (m * c) ** 2):
+    if worst > 1e-10 * (1.0 + mc2):
         raise RuntimeError(f"init_state left residuals {res}")
     return z
 

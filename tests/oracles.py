@@ -49,8 +49,9 @@ from relspin.phase import (CONSTRAINT_NAMES, J, Observable, PhaseState, _energy,
 
 
 def kinetic(z, model, fd):
-    """calP at z: calP^i = p^i - (e/c) A^i, and calP^0 from the lowered
-    field tensor contracted with the spin tensor."""
+    """calP at z, fd the fields' array view phase.FieldsAt: calP^i =
+    p^i - (e/c) A^i, and calP^0 from the lowered field tensor contracted
+    with the spin tensor."""
     P = np.empty(4)
     P[1:] = z.p[1:] - (model.e / model.c) * fd.A[1:]
     P[0] = _energy(P[1:] @ P[1:], float(np.sum(fd.F_low * spin_tensor(z))), model)
@@ -255,8 +256,8 @@ def with_gauge_shift(bg, dchi, d2chi):
         A, dA, F, dF = bg.at(x)
         A = np.array(A)
         A[1:] += dchi(x)
-        dA = np.array(dA)
-        dA[1:, 1:] += d2chi(x)
+        dA = np.array(dA)   # rows mu, columns d_1..d_3
+        dA[1:] += d2chi(x)
         return tuple(A.tolist()), tuple(map(tuple, dA.tolist())), F, dF
 
     return dataclasses.replace(bg, params=dict(bg.params),
@@ -293,17 +294,17 @@ def poisson_bracket(A, B, z, model):
     return float(A.grad(z, model) @ J @ B.grad(z, model))
 
 
-def ssc_vector(z, model, fd=None):
+def ssc_vector(z, model, fields=None):
     """S^{mu nu} calP_nu; vanishes when T3 = T4 = 0."""
-    P = kinetic_momentum(z, model, fd)
+    P = kinetic_momentum(z, model, fields)
     return spin_tensor(z) @ (ETA_DIAG * P)
 
 
-def constraint_gradients(z, model, fd=None):
+def constraint_gradients(z, model, fields=None):
     """The values (T2, T3, T4, T5) and their (4, 16) gradient rows at z,
     from one field evaluation and one kernel call, which gives the T3 and
     T4 rows; at a spinless state the T5 row reads zero, like its value."""
-    _, T, R = _rows(z, model, fd or field_data(model, z.x))
+    _, T, R = _rows(z, model, fields or field_data(model, z.x))
     G = np.zeros((4, 16))
     G[0, 8:12] = ETA_DIAG * z.pi
     G[0, 12:16] = ETA_DIAG * z.w

@@ -20,7 +20,7 @@ from relspin.brackets import (CLOSED_FAMILIES, PHYSICAL_OBSERVABLES,
                               closed_vs_direct_report,
                               defining_property_report, dirac_bracket,
                               dirac_core, dirac_coefficients, t3t4_closed)
-from relspin.phase import (PhaseState, field_data, init_state, obs_coord,
+from relspin.phase import (FieldsAt, PhaseState, field_data, init_state, obs_coord,
                            obs_hamiltonian, obs_spin, spin_tensor, symplectic)
 
 import oracles
@@ -84,7 +84,7 @@ def test_flipped_l_sign_fails_the_oracle(kind):
     model = build_model(kind, g=2.3)
     worst = dict.fromkeys(("Sx", "SS"), 0.0)
     for z in state_batch(model, 8, seed=22):
-        fd = field_data(model, z.x)
+        fd = FieldsAt(field_data(model, z.x))
         coef = dirac_coefficients(z, model, fd)
         flipped = dataclasses.replace(coef, L=-coef.L)
         D = _direct_physical(z, model)
@@ -230,7 +230,7 @@ def test_spinless_states_reduce_to_canonical():
     vec = z0.vec.copy()
     vec[8:16] = 0.0
     z = PhaseState(vec=vec)
-    fd = field_data(model, z.x)
+    fd = FieldsAt(field_data(model, z.x))
     C = closed_brackets(z, model)
     xx, xP, PP = (C[CLOSED_FAMILIES[fam]] for fam in ("xx", "xP", "PP"))
     assert np.all(np.abs(xx) < 1e-15)

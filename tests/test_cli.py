@@ -293,6 +293,27 @@ def test_exit_code_two_on_config_errors(tmp_path, capsys):
     assert "'model.alpha'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, text, m, c", [("simulate", SIM_CFG, 1.0, 1e300),
+                                                 ("brackets", BRK_CFG, 1.0, 1e300),
+                                                 ("simulate", SIM_CFG, 1e200, 1e200)],
+                         ids=["simulate", "brackets", "simulate-inf-mc"])
+def test_light_speed_past_the_float_range_is_one_error_line(tmp_path, command, text, m, c):
+    """units.c = 1e300 passes the schema, and so do m = c = 1e200, and
+    (m c)^2 is past the float range: the command exits 1 with one error
+    line naming m and c, not an OverflowError traceback from init_state
+    or a fixed-point failure after a RuntimeWarning."""
+    # PyYAML reads a float with an exponent only when it has a dot
+    cfg = _write(tmp_path, "c.yaml", text.replace("c: 10.0", f"c: {c:.1e}")
+                 .replace("m: 1.0,", f"m: {m:.1e},"))
+    proc = subprocess.run([sys.executable, "-m", "relspin.cli", command, "--config", cfg,
+                           "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=src_env(), timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error: ") and f"m = {m}, c = {c}" in line, line
+
+
 class _Reached(Exception):
     """Raised in place of the first computation of a command."""
 

@@ -15,7 +15,7 @@ from relspin.dynamics import (cyclotron_reference, dirac_rhs, integrate,
                               spin_plane_rate, unwrapped_angle)
 from relspin.fields import make_background
 from relspin.minkowski import contract_2
-from relspin.phase import (Model, PhaseState, constraint_residuals,
+from relspin.phase import (FieldsAt, Model, PhaseState, constraint_residuals,
                            constraint_values, dipole_vector, field_data,
                            init_state, obs_hamiltonian,
                            random_constrained_state, spin_square, spin_tensor,
@@ -60,7 +60,7 @@ def test_rhs_raises_where_t3t4_vanishes():
     model = _uniform_b_model(B=1.0)
     z = init_state(model, x3=(0.0, 0.0, 0.0), P3=(0.0, 0.0, 0.0),
                    spin_dir=(0.0, 0.0, 1.0))
-    sf = contract_2(field_data(model, z.x).F, spin_tensor(z))
+    sf = contract_2(FieldsAt(field_data(model, z.x)).F, spin_tensor(z))
     pole = 4.0 * model.m**2 * model.c**3 / (model.e * (model.g + 1.0))
     vec = z.vec.copy()
     vec[12:16] *= pole / sf
@@ -493,7 +493,7 @@ def test_rhs_matches_the_reference_rows_and_flow(name):
         model = kernel_model(name, spinless)
         for z in state_batch(model, 20, seed=41):
             assert z.spinless == spinless
-            fd = field_data(model, z.x)
+            fd = FieldsAt(field_data(model, z.x))
             P, g_p0 = oracles.p0_and_grad(z, model, fd)
             g_t3, g_t4 = oracles.t34_grads(z, model, fd, P, g_p0)
             gh = model.c * g_p0
@@ -554,6 +554,32 @@ def test_run_evaluates_the_fields_once_per_rhs_projection_and_record(kind):
     calls.clear()
     traj.channels()
     assert len(calls) == len(traj.t)
+
+
+@pytest.mark.parametrize("kind", ["coulomb", "crossed"])
+def test_the_float_path_builds_no_field_array(kind, monkeypatch):
+    """integrate, channels() and project_state read the fields as the
+    float tuples of at(x): with FieldsAt and the array expansion made to
+    raise, they run and give the same bytes as without."""
+    model = build_model(kind)
+    z0 = state_batch(model, 1, seed=5)[0]
+    off = z0.vec.copy()
+    off[8:16] *= 1.0 + 1e-3 * np.arange(1, 9)
+
+    def run():
+        traj = integrate(model, z0, 1.05, 0.1, record_every=2)
+        return [traj.Z.tobytes(), *(np.asarray(v).tobytes() for v in traj.channels().values()),
+                project_state(PhaseState(vec=off), model).vec.tobytes()]
+
+    want = run()
+
+    def refuse(*args):
+        raise AssertionError("a field array was built on the float path")
+
+    for mod in (fields, phase, brackets):
+        monkeypatch.setattr(mod, "expand", refuse, raising=False)
+        monkeypatch.setattr(mod, "FieldsAt", refuse, raising=False)
+    assert run() == want
 
 
 def test_run_times_stepping_and_channels():

@@ -7,11 +7,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from relspin.fields import KINDS, make_background
+from relspin.fields import KINDS, expand, make_background
 from relspin.minkowski import extract_EB
 
 import oracles
-from oracles import is_antisymmetric, with_gauge_shift
+from oracles import with_gauge_shift
 
 PARAMS = {
     "zero": {},
@@ -78,19 +78,21 @@ def _shifted(bg):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_stationarity_and_antisymmetry(kind):
-    """No field depends on x^0: dA[mu][0] and every entry of dF[0] are
-    0.0 in the float tuples of at(x), which the kernel relies on when it
-    writes no x^0 derivative, in every catalog kind and under a static
-    gauge shift; F is antisymmetric."""
+    """No field depends on x^0, and F is antisymmetric: in the arrays of
+    every catalog kind, and of each under a static gauge shift, the x^0
+    column of dA and all of dF[0] are 0.0, and F and each dF[lam] are
+    antisymmetric in their last two indices, exactly.  The layout of
+    at(x) holds neither the x^0 derivatives nor the entries on and below
+    the diagonal, and the kernel, which reads that layout, writes no x^0
+    derivative."""
     bg = make_background(kind, e=1.0, c=10.0, **PARAMS[kind])
-    for x in POINTS:
-        assert np.all(bg.dA(x)[:, 0] == 0.0)
-        assert np.all(bg.dF(x)[0] == 0.0)
-        assert is_antisymmetric(bg.F(x))
-        for b in (bg, _shifted(bg)):
-            _, dA, _, dF = b.at(x.tolist())
-            assert all(row[0] == 0.0 for row in dA)
-            assert all(v == 0.0 for row in dF[0] for v in row)
+    for b in (bg, _shifted(bg)):
+        for x in POINTS:
+            dA, F, dF = b.dA(x), b.F(x), b.dF(x)
+            assert np.all(dA[:, 0] == 0.0)
+            assert np.all(dF[0] == 0.0)
+            assert np.array_equal(F, -F.T)
+            assert np.array_equal(dF, -dF.transpose(0, 2, 1))
 
 
 def test_uniform_layout():
@@ -206,22 +208,24 @@ COULOMB_RTOL = 2e-15
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_evaluator_matches_the_numpy_reference(kind):
-    """at(x) on four floats gives nested float tuples equal to the numpy
-    evaluator: the uniform kinds exactly, coulomb to COULOMB_RTOL of each
-    tensor's largest entry; FieldBackground.A/dA/F/dF, on the array x,
-    give the same as ndarrays."""
+    """at(x) on four floats gives tuples of Python floats in the compact
+    layout, A (4,), dA (4, 3), F (6,) and dF (3, 6), whose expansion into
+    arrays equals the numpy evaluator: the uniform kinds exactly, coulomb
+    to COULOMB_RTOL of each tensor's largest entry;
+    FieldBackground.A/dA/F/dF, on the array x, give the same ndarrays."""
     bg = make_background(kind, e=1.0, c=10.0, **PARAMS[kind])
     ref = _reference_at(kind)
     rng = np.random.default_rng(17)
     for x in POINTS + list(rng.normal(scale=2.0, size=(200, 4))):
         got = bg.at(x.tolist())
-        for t, shape in zip(got, ((4,), (4, 4), (4, 4), (4, 4, 4))):
+        for t, shape in zip(got, ((4,), (4, 3), (6,), (3, 6))):
             assert np.shape(t) == shape
             assert all(type(v) is float for v in _leaves(t))
-        for t, want, arr in zip(got, ref(x), (bg.A(x), bg.dA(x), bg.F(x), bg.dF(x))):
+        for t, want, arr in zip(expand(got), ref(x), (bg.A(x), bg.dA(x), bg.F(x), bg.dF(x))):
             assert type(arr) is np.ndarray and np.array_equal(arr, t)
+            assert t.shape == want.shape
             if kind == "coulomb":
-                assert np.max(np.abs(np.subtract(t, want))) <= COULOMB_RTOL * np.max(np.abs(want))
+                assert np.max(np.abs(t - want)) <= COULOMB_RTOL * np.max(np.abs(want))
             else:
                 assert np.array_equal(t, want)
 

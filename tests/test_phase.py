@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 from relspin import phase
 from relspin.dynamics import dirac_rhs, project_state
 from relspin.fields import make_background
-from relspin.phase import (J, Model, PhaseState, _kernel, _rows, constraint_residuals,
-                           constraint_values, dipole_vector, field_data,
+from relspin.phase import (FieldsAt, J, Model, PhaseState, _kernel, _rows,
+                           constraint_residuals, constraint_values, dipole_vector, field_data,
                            init_state, kinetic_momentum, obs_coord, obs_energy,
                            obs_hamiltonian, obs_kinetic, obs_spin,
                            random_constrained_state, spin_square, spin_tensor,
@@ -182,9 +182,9 @@ def test_mass_shell_identity():
     # (P^0)^2 - P.P = (mc)^2 - (e g / 4c) (F S) by construction
     model = build_model("crossed", g=2.7)
     for z in state_batch(model, 6, seed=2):
-        fd = field_data(model, z.x)
-        P = kinetic_momentum(z, model, fd)
-        fs = contract_2(fd.F, spin_tensor(z))
+        fields = field_data(model, z.x)
+        P = kinetic_momentum(z, model, fields)
+        fs = contract_2(FieldsAt(fields).F, spin_tensor(z))
         lhs = P[0] ** 2 - P[1:] @ P[1:]
         rhs = (model.m * model.c) ** 2 - model.e * model.g / (4 * model.c) * fs
         assert np.isclose(lhs, rhs, rtol=1e-13)
@@ -260,8 +260,9 @@ def test_rows_match_the_numpy_reference(name, spinless):
         if not spinless:
             off[8:16] += 0.1 * rng.normal(size=8)
         for zz in (z, PhaseState(vec=off)):
-            fd = field_data(model, zz.x)
-            P, T, R = _rows(zz, model, fd)
+            fields = field_data(model, zz.x)
+            fd = FieldsAt(fields)
+            P, T, R = _rows(zz, model, fields)
             P_ref, g_ref = p0_and_grad(zz, model, fd)
             ref = np.vstack([g_ref, t34_grads(zz, model, fd, P_ref, g_ref)])
             assert np.max(np.abs(P - P_ref)) <= 1e-15 * np.max(np.abs(P_ref))
