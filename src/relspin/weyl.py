@@ -16,35 +16,37 @@ of ints (re, im).  A packed monomial is one int with generator i's
 exponent in bits [12 i, 12 i + 11) and a guard bit above each field, so
 the product of two monomials is one int addition, and an exponent that
 reaches 2^11 sets its guard bit and raises OverflowError instead of
-carrying into the next generator.  No zero coefficient is stored; the
-zero polynomial is {}.  An Op keeps one positive integer den shared by
-all its blocks, the operator being blocks / den: a product multiplies
-the dens, a sum brings both operands to the lcm of theirs.  Every
-quantity of the realization is such a pair, so no rational arithmetic
-takes part in a sum, a product or a commutator.  The conjugation of
-the adjoint maps (re, im) to (re, -im); the division by i hbar lowers
-the hbar field by one and maps (re, im) to (im, -re); and the order in
-1/c of a monomial, by which the correspondence with the classical
-brackets is graded, is a shift and a mask.
+carrying into the next generator.  No zero coefficient is stored: a
+sum, difference or product deletes a coefficient in the one pass where
+it cancels, with no negated copy or filter pass; the zero polynomial is
+{}.  An Op keeps one positive integer den shared by all its blocks, the
+operator being blocks / den: a product multiplies the dens, a sum or
+difference brings both operands to the lcm of theirs, and no rational
+arithmetic takes part.  The adjoint's conjugation maps (re, im) to
+(re, -im); the division by i hbar lowers the hbar field by one and maps
+(re, im) to (im, -re); the order in 1/c of a monomial, which grades the
+correspondence with the classical brackets, is a shift and a mask.
 
 Products are reduced to the normal form with the one-axis identity
 
     p^n x^m = sum_k  C(n,k) C(m,k) k! (-i hbar)^k  x^{m-k} p^{n-k}
 
-applied axis by axis (different axes commute; blocks commute with
-x and p).  The commutator is one pass over the monomial pairs, not two
-products: the uncontracted terms of A B and B A differ only in the
-block order, so they cancel where either block is scalar and leave
-[Ma, Mb] otherwise.
+applied axis by axis, its terms read from a table keyed by (n, m)
+(different axes commute; blocks commute with x and p).  The commutator
+is one pass over the monomial pairs, not two products: the uncontracted
+terms of A B and B A differ only in the block order, so they cancel
+where either block is scalar and leave [Ma, Mb] otherwise.
 
 A scalar is a Python int or a cleared pair (dict, den) such as
-_cleared_term builds; anything else is refused with a TypeError that
-names its type.  repr and the error of a failed division by i hbar
-write each polynomial by the generator names.
+_cleared_term builds; anything else is refused with a TypeError naming
+its type, and a pair whose den, key or coefficient is malformed with
+an error naming it.  repr and a failed division by i hbar write each
+polynomial by the generator names.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from math import comb, factorial, gcd, lcm
 
 # the generators in packing order
@@ -89,15 +91,27 @@ def _cleared_term(num=1, den=1, **exponents):
 
 
 def _cleared(c):
-    """(u, den) with c = u / den: u a polynomial dict and den a positive
-    int; c is a Python int, or such a pair, returned as it is.
+    """(u, den) with c = u / den, u a polynomial dict and den a positive
+    int; c is an int or such a pair, checked and returned as it is.
     TypeError, naming the type, for anything else."""
     if isinstance(c, int):
         return ({0: (int(c), 0)} if c else {}), 1
-    if isinstance(c, tuple) and len(c) == 2 and isinstance(c[0], dict):
-        return c
-    raise TypeError("an operator scalar is an int or a cleared pair "
-                    f"(dict, den), not {type(c).__name__}")
+    if not (isinstance(c, tuple) and len(c) == 2 and isinstance(c[0], dict)):
+        raise TypeError("an operator scalar is an int or a cleared pair "
+                        f"(dict, den), not {type(c).__name__}")
+    u, den = c
+    if type(den) is not int or den < 1:
+        raise (ValueError if type(den) is int else TypeError)(
+            f"the den of a cleared pair is a positive int, not {den!r}")
+    for mon, coeff in u.items():
+        if type(mon) is not int or mon < 0 or mon & _GUARDS:
+            raise ValueError(f"the key {mon!r} is not a packed monomial")
+        if not (type(coeff) is tuple and len(coeff) == 2
+                and type(coeff[0]) is type(coeff[1]) is int):
+            raise TypeError(f"a coefficient is a pair of ints (re, im), not {coeff!r}")
+        if coeff == (0, 0):
+            raise ValueError(f"the key {mon} stores the zero coefficient (0, 0)")
+    return c
 
 
 def _format(u, den=1):
@@ -137,10 +151,6 @@ def _padd(p, q):
     return out
 
 
-def _pneg(p):
-    return {mon: (-re, -im) for mon, (re, im) in p.items()}
-
-
 def _pmul(p, q):
     if len(p) > len(q):
         p, q = q, p
@@ -157,12 +167,31 @@ def _pmul(p, q):
                 _overflow(mon)
             re, im = ar * br - ai * bi, ar * bi + ai * br
             old = out.get(mon)
-            out[mon] = (re, im) if old is None else (old[0] + re, old[1] + im)
-    return {mon: c for mon, c in out.items() if c[0] or c[1]}
+            if old is None:
+                out[mon] = (re, im)
+            else:
+                re, im = old[0] + re, old[1] + im
+                if re or im:
+                    out[mon] = (re, im)
+                else:
+                    del out[mon]
+    return out
 
 
 def _psub(p, q):
-    return _padd(p, _pneg(q))
+    """p - q in one pass, with no negated copy of q."""
+    if not q:
+        return p
+    out = dict(p)
+    for mon, (re, im) in q.items():
+        old = out.get(mon)
+        if old is None:
+            out[mon] = (-re, -im)
+        elif old[0] != re or old[1] != im:
+            out[mon] = (old[0] - re, old[1] - im)
+        else:
+            del out[mon]
+    return out
 
 
 def _term_mul(p, mon, re, im):
@@ -189,11 +218,14 @@ class NotDivisible(ArithmeticError):
 def _pdiv_ihbar(p):
     """p / (i hbar), exact: each monomial's hbar field drops by one and
     its coefficient is multiplied by -i, (re, im) -> (im, -re);
-    NotDivisible where a monomial carries no hbar."""
-    if any(not (mon >> _HBAR_SHIFT) & _EXP_MASK for mon in p):
-        raise NotDivisible(f"{_format(p)} is not divisible by i*hbar")
+    NotDivisible, naming the whole of p, where a monomial carries no hbar."""
     one = 1 << _HBAR_SHIFT
-    return {mon - one: (im, -re) for mon, (re, im) in p.items()}
+    out = {}
+    for mon, (re, im) in p.items():
+        if not (mon >> _HBAR_SHIFT) & _EXP_MASK:
+            raise NotDivisible(f"{_format(p)} is not divisible by i*hbar")
+        out[mon - one] = (im, -re)
+    return out
 
 
 def _one(re=1, im=0):
@@ -201,6 +233,7 @@ def _one(re=1, im=0):
 
 
 I2 = (_one(), {}, {}, _one())
+_ZERO_BLOCK = ({}, {}, {}, {})
 SIGMA = (({}, _one(), _one(), {}),
          ({}, _one(0, -1), _one(0, 1), {}),
          (_one(), {}, {}, _one(-1)))
@@ -216,11 +249,9 @@ def _is_scalar(blk):
 
 def _block_mul(A, B):
     if _is_scalar(A):
-        u = A[0]
-        return tuple(_pmul(u, v) for v in B)
+        return tuple(_pmul(A[0], v) for v in B)
     if _is_scalar(B):
-        u = B[0]
-        return tuple(_pmul(v, u) for v in A)
+        return tuple(_pmul(v, B[0]) for v in A)
     a0, a1, a2, a3 = A
     b0, b1, b2, b3 = B
     return (_padd(_pmul(a0, b0), _pmul(a1, b2)), _padd(_pmul(a0, b1), _pmul(a1, b3)),
@@ -234,7 +265,7 @@ def _block_commutator(A, B):
     da, db = _psub(a0, a3), _psub(b0, b3)
     c0 = _psub(_pmul(a1, b2), _pmul(b1, a2))
     return (c0, _psub(_pmul(b1, da), _pmul(a1, db)),
-            _psub(_pmul(a2, db), _pmul(b2, da)), _pneg(c0))
+            _psub(_pmul(a2, db), _pmul(b2, da)), _psub({}, c0))
 
 
 def _scaled(coeff, blk):
@@ -251,8 +282,7 @@ def _rescaled(blocks, s):
 
 
 def _accumulate(out, key, blk):
-    old = out.get(key)
-    out[key] = blk if old is None else tuple(map(_padd, old, blk))
+    out[key] = tuple(map(_padd, out.get(key, _ZERO_BLOCK), blk))
 
 
 class Op:
@@ -292,28 +322,26 @@ class Op:
 
     # -- ring operations ---------------------------------------------
 
-    def __add__(self, other):
+    def __add__(self, other, pcombine=_padd):
+        """self + other; self - other for pcombine _psub."""
         if not isinstance(other, Op):
             other = Op.scalar(other)
         den = lcm(self.den, other.den)
         out = dict(_rescaled(self.blocks, den // self.den))
         for k, blk in _rescaled(other.blocks, den // other.den).items():
-            _accumulate(out, k, blk)
+            out[k] = tuple(map(pcombine, out.get(k, _ZERO_BLOCK), blk))
         return Op(out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Op({k: tuple(map(_pneg, blk)) for k, blk in self.blocks.items()},
-                  self.den)
+        return Op() - self
 
     def __sub__(self, other):
-        if not isinstance(other, Op):
-            other = Op.scalar(other)
-        return self + (-other)
+        return self.__add__(other, _psub)
 
     def __rsub__(self, other):
-        return Op.scalar(other) + (-self)
+        return Op.scalar(other) - self
 
     def scale(self, expr):
         c, den = _cleared(expr)
@@ -330,10 +358,9 @@ class Op:
             return self.scale(other)
         out = {}
         for ka, Ma in self.blocks.items():
-            a, b = ka[:3], ka[3:]
             for kb, Mb in other.blocks.items():
                 Mab = _block_mul(Ma, Mb)
-                for key, coeff in _reorder(a, b, kb[:3], kb[3:]):
+                for key, coeff in _reorder(ka, kb):
                     _accumulate(out, key, _scaled(coeff, Mab))
         return Op(out, self.den * other.den)
 
@@ -356,7 +383,7 @@ class Op:
             MH = (_conj(a0), _conj(a2), _conj(a1), _conj(a3))
             # (x^a p^b)^dagger = M^dagger p^b x^a; the reorder factors
             # are plain rewriting, they are not conjugated
-            for key, coeff in _reorder((0, 0, 0), k[3:], k[:3], (0, 0, 0)):
+            for key, coeff in _reorder((0, 0, 0) + k[3:], k[:3] + (0, 0, 0)):
                 _accumulate(out, key, _scaled(coeff, MH))
         return Op(out, self.den)
 
@@ -385,19 +412,25 @@ class Op:
         return "Op(" + " + ".join(bits) + ")"
 
 
-def _reorder(a, b, c, d):
-    """Normal-order x^a p^b x^c p^d; yields ((key, coefficient), ...), the
-    coefficient n (-i hbar)^k as a single term (hbar^k, re, im), or None
-    for the uncontracted term (1)."""
-    # per-axis sums over contraction count k_t
-    axes = [[(k, comb(b[t], k) * comb(c[t], k) * factorial(k))
-             for k in range(min(b[t], c[t]) + 1)] for t in range(3)]
-    for k1, n1 in axes[0]:
-        for k2, n2 in axes[1]:
-            for k3, n3 in axes[2]:
-                ks = (k1, k2, k3)
-                key = tuple(a[t] + c[t] - ks[t] for t in range(3)) + \
-                      tuple(b[t] + d[t] - ks[t] for t in range(3))
+@cache
+def _contractions(b, c):
+    """The one-axis terms (k, C(b,k) C(c,k) k!), k <= min(b, c), of
+    p^b x^c: a table of constants keyed by the two exponents."""
+    return tuple((k, comb(b, k) * comb(c, k) * factorial(k))
+                 for k in range(min(b, c) + 1))
+
+
+def _reorder(ka, kb):
+    """Normal-order x^a p^b x^c p^d, ka = a + b and kb = c + d; yields
+    ((key, coefficient), ...), the coefficient n (-i hbar)^k as a single
+    term (hbar^k, re, im), or None for the uncontracted term (1)."""
+    a1, a2, a3, b1, b2, b3 = ka
+    c1, c2, c3, d1, d2, d3 = kb
+    x1, x2, x3, p1, p2, p3 = a1 + c1, a2 + c2, a3 + c3, b1 + d1, b2 + d2, b3 + d3
+    for k1, n1 in _contractions(b1, c1):
+        for k2, n2 in _contractions(b2, c2):
+            for k3, n3 in _contractions(b3, c3):
+                key = (x1 - k1, x2 - k2, x3 - k3, p1 - k1, p2 - k2, p3 - k3)
                 kk = k1 + k2 + k3
                 if not kk:
                     yield key, None
@@ -416,27 +449,27 @@ def commutator(A, B):
     x^c p^d x^a p^b times Mb Ma.  A block product is formed only for
     an order that has contractions."""
     def split(op):
-        return [(k[:3], k[3:], blk, _is_scalar(blk))
+        return [(k, k[:3], k[3:], blk, _is_scalar(blk))
                 for k, blk in op.blocks.items()]
 
     out = {}
     rhs = split(B)
-    for a, b, Ma, sa in split(A):
-        for c, d, Mb, sb in rhs:
+    for ka, a, b, Ma, sa in split(A):
+        for kb, c, d, Mb, sb in rhs:
             if not (sa or sb):
                 comm = _block_commutator(Ma, Mb)
                 if any(comm):
-                    key = tuple(s + t for s, t in zip(a + b, c + d))
+                    key = tuple(s + t for s, t in zip(ka, kb))
                     _accumulate(out, key, comm)
             # p^b meets x^c on some axis in A B, p^d meets x^a in B A
             if any(map(min, b, c)):
                 Mab = _block_mul(Ma, Mb)
-                for key, coeff in _reorder(a, b, c, d):
+                for key, coeff in _reorder(ka, kb):
                     if coeff is not None:
                         _accumulate(out, key, _scaled(coeff, Mab))
             if any(map(min, d, a)):
                 Mba = _block_mul(Mb, Ma)
-                for key, coeff in _reorder(c, d, a, b):
+                for key, coeff in _reorder(kb, ka):
                     if coeff is not None:
                         mon, re, im = coeff
                         _accumulate(out, key, _scaled((mon, -re, -im), Mba))
@@ -445,10 +478,7 @@ def commutator(A, B):
 
 def dot(ops_a, ops_b):
     """Sum of componentwise products of two 3-tuples of operators."""
-    out = Op()
-    for Aa, Bb in zip(ops_a, ops_b):
-        out = out + Aa * Bb
-    return out
+    return sum((a * b for a, b in zip(ops_a, ops_b)), Op())
 
 
 def cross(ops_a, ops_b):

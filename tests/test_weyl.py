@@ -1,5 +1,6 @@
 """Exactness of the normal-ordered operator ring."""
 
+import itertools
 import random
 import re
 
@@ -15,8 +16,8 @@ from relspin import quantum, weyl
 from relspin.quantum import _by_ihbar
 from relspin.weyl import (_CINV_SHIFT, _EXP_MASK, _HBAR_SHIFT, I2, SIGMA,
                           NotDivisible, Op, _block_commutator, _block_mul,
-                          _conj, _pack, _padd, _pdiv_ihbar, _pmul, _pneg,
-                          _psub, _term_mul, _unpack, commutator, cross, dot)
+                          _conj, _pack, _padd, _pdiv_ihbar, _pmul, _psub,
+                          _term_mul, _unpack, commutator, cross, dot)
 from ring_oracles import (RQ, R, anticommutator, cinv, coefficient_of_cinv, e,
                           from_ring_element, g_sym, hbar, m, minv, random_poly,
                           to_ring, to_ring_element)
@@ -83,6 +84,74 @@ def test_reorder_identities():
     assert commutator(p1 * p1, x1) == p1.scale(to_ring(-2 * I * hbar))
     # mixed axes stay untouched
     assert Op.p(2) * Op.x(3) == Op.x(3) * Op.p(2)
+
+
+def _times_letter(poly, letter, axis):
+    """poly, normal-ordered terms {(A, B, k): n} each n (-i hbar)^k
+    x^A p^B, times the letter x or p of the 0-based axis on the right.
+    x moves left past the p letters of p^B one at a time by the rewrite
+    p_i x_j -> x_j p_i - i hbar delta_ij alone: each p_j it passes also
+    leaves the word with that p_j and the x removed."""
+    out = {}
+
+    def add(A, B, k, n):
+        out[A, B, k] = out.get((A, B, k), 0) + n
+
+    for (A, B, k), n in poly.items():
+        if letter == "p":
+            add(A, B[:axis] + (B[axis] + 1,) + B[axis + 1:], k, n)
+            continue
+        letters = [i for i in range(3) for _ in range(B[i])]
+        for s in reversed(range(len(letters))):
+            if letters[s] == axis:
+                rest = letters[:s] + letters[s + 1:]
+                add(A, tuple(rest.count(i) for i in range(3)), k + 1, n)
+        add(A[:axis] + (A[axis] + 1,) + A[axis + 1:], B, k, n)
+    return out
+
+
+def _rewritten(*factors):
+    """The word x^a p^b x^c p^d ... of factors ("x", a), ("p", b), ...
+    (exponent triples) in normal order, as an Op with blocks n I2."""
+    poly = {((0, 0, 0), (0, 0, 0), 0): 1}
+    for letter, exps in factors:
+        for axis in range(3):
+            for _ in range(exps[axis]):
+                poly = _times_letter(poly, letter, axis)
+    blocks = {}
+    for (A, B, k), n in poly.items():
+        z = n * (-1j) ** k
+        u = {_pack((k,) + (0,) * 10): (int(z.real), int(z.imag))}
+        blocks[A + B] = (u, {}, {}, u)
+    return Op(blocks)
+
+
+def _on_axis(t, n):
+    return tuple(n if s == t else 0 for s in range(3))
+
+
+def test_normal_ordering_matches_a_word_rewriter():
+    """Op products against the letter-by-letter rewrite p_i x_j ->
+    x_j p_i - i hbar delta_ij, which shares no text with weyl's
+    contraction table: x^a p^b . x^c p^d with every exponent 0-3 on each
+    single axis, with its commutator and the adjoint of x^a p^b; then
+    p^b . x^c with b and c over every per-axis exponent 0-3 on all three
+    axes at once."""
+    for t in range(3):
+        for a, b, c, d in itertools.product(range(4), repeat=4):
+            a, b, c, d = (_on_axis(t, n) for n in (a, b, c, d))
+            X, Y = Op({a + b: I2}), Op({c + d: I2})
+            XY = _rewritten(("x", a), ("p", b), ("x", c), ("p", d))
+            got = X * Y
+            assert (got.blocks, got.den) == (XY.blocks, 1), (a, b, c, d)
+            YX = _rewritten(("x", c), ("p", d), ("x", a), ("p", b))
+            assert commutator(X, Y) == XY - YX, (a, b, c, d)
+            assert X.adjoint().blocks == _rewritten(("p", b), ("x", a)).blocks, (a, b)
+    zero = (0, 0, 0)
+    for b in itertools.product(range(4), repeat=3):
+        for c in itertools.product(range(4), repeat=3):
+            got = Op({zero + b: I2}) * Op({c + zero: I2})
+            assert got.blocks == _rewritten(("p", b), ("x", c)).blocks, (b, c)
 
 
 def test_adjoint():
@@ -251,6 +320,31 @@ def test_to_ring_refuses_an_element_of_another_ring():
         to_ring(sp.Rational(1, 2)))
 
 
+_ONE = ({0: (1, 0)}, 1)
+
+
+@pytest.mark.parametrize("pair, error, named", [
+    (({0: (1, 0)}, 0), ValueError, "not 0"),
+    (({0: (1, 0)}, -2), ValueError, "not -2"),
+    (({0: (1, 0)}, 2.0), TypeError, "not 2.0"),
+    (({0: (1.5, 0)}, 1), TypeError, "not (1.5, 0)"),
+    (({0: (1, 0, 0)}, 1), TypeError, "not (1, 0, 0)"),
+    (({-1: (1, 0)}, 1), ValueError, "key -1 "),
+    (({1 << 11: (1, 0)}, 1), ValueError, "key 2048 "),
+    (({0: (0, 0)}, 1), ValueError, "key 0 stores the zero coefficient"),
+], ids=["den-0", "den-negative", "den-float", "float-coefficient",
+        "three-part-coefficient", "negative-key", "guard-bit-key", "zero-coefficient"])
+def test_malformed_cleared_pairs_are_refused(pair, error, named):
+    """Op.scalar, Op.scale and Op + x refuse a pair whose den is not a
+    positive int, whose key is not a packed monomial or whose
+    coefficient is not a nonzero pair of ints, naming the part; a
+    well-formed pair passes."""
+    for refuse in (Op.scalar, Op.x(1).scale, Op.x(1).__add__, Op.x(1).__sub__):
+        with pytest.raises(error, match=re.escape(named)):
+            refuse(pair)
+    assert Op.scalar(_ONE) == Op.scalar(1) and Op.x(1).scale(_ONE) == Op.x(1)
+
+
 def test_to_ring_takes_exact_values():
     assert to_ring(3) == to_ring(sp.Integer(3)) == ({0: (3, 0)}, 1)
     assert Op.x(1).scale(to_ring(sp.Rational(3, 10))) == Op.x(1).scale(3).scale(
@@ -338,7 +432,7 @@ def test_polynomial_arithmetic_matches_the_reference_ring(seed):
         assert _pmul(p, q) == from_ring_element(rp * rq)
         assert _padd(p, q) == from_ring_element(rp + rq)
         assert _psub(p, q) == from_ring_element(rp - rq)
-        assert _pneg(p) == from_ring_element(-rp)
+        assert _psub({}, p) == from_ring_element(-rp)
         assert _conj(p) == from_ring_element(_conj_reference(rp))
         for mon, (re, im) in q.items():
             assert _term_mul(p, mon, re, im) == from_ring_element(
@@ -351,7 +445,43 @@ def test_products_that_cancel_store_no_zero():
     prod = _pmul(_padd(a, b), _psub(a, b))
     assert prod == _psub(_pmul(a, a), _pmul(b, b))
     assert len(prod) == 2
-    assert _padd(a, _pneg(a)) == {}
+    assert _padd(a, _psub({}, a)) == {}
+    p = _padd(a, b)
+    assert _psub(p, p) == {}
+    i = {0: (0, 1)}
+    assert _psub(_padd(p, i), p) == i
+    # (hbar + cinv + hbar cinv)(hbar - cinv + 1): hbar (-cinv) and cinv hbar
+    # cancel on hbar cinv, then (hbar cinv) 1 lands there again
+    hc = (1 << _HBAR_SHIFT) + (1 << _CINV_SHIFT)
+    p = {1 << _HBAR_SHIFT: (1, 0), 1 << _CINV_SHIFT: (1, 0), hc: (1, 0)}
+    q = {1 << _HBAR_SHIFT: (1, 0), 1 << _CINV_SHIFT: (-1, 0), 0: (1, 0)}
+    prod = _pmul(p, q)
+    assert prod == from_ring_element(to_ring_element(p) * to_ring_element(q))
+    assert prod[hc] == (1, 0) and (0, 0) not in prod.values()
+
+
+@pytest.mark.parametrize("kind", ["uniform-B", "crossed"])
+def test_differences_of_the_realization_store_no_zero(kind):
+    """A - A has no block, and A - B, formed with no negated copy of B,
+    equals A + (-B) block for block, for every pair of the xhat, Phat
+    and S operators."""
+    ps = quantum.build_operators(kind)
+    ops = ps.xhat + ps.Phat + ps.S
+    for A in ops:
+        assert (A - A).blocks == {}
+        for B in ops:
+            diff, via_neg = A - B, A + (-B)
+            assert (diff.blocks, diff.den) == (via_neg.blocks, via_neg.den)
+            _assert_canonical(diff)
+
+
+def test_division_by_ihbar_names_the_whole_polynomial_when_the_bad_term_is_last():
+    """The hbar-free term comes after a divisible one: the one-pass
+    division still raises, naming every term."""
+    p = {_pack((1,) + (0,) * 10): (0, 2), _pack((0, 2) + (0,) * 9): (3, -1)}
+    with pytest.raises(NotDivisible, match=re.escape(
+            "2i*hbar + (3-1i)*cinv^2 is not divisible by i*hbar")):
+        _pdiv_ihbar(p)
 
 
 def _reference_block_mul(A, B):
