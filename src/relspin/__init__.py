@@ -16,7 +16,6 @@ _EXPORTS = {
     "make_background": "fields",
     "Model": "phase",
     "PhaseState": "phase",
-    "free_model": "phase",
     "init_state": "phase",
     "random_constrained_state": "phase",
     "dirac_bracket": "brackets",

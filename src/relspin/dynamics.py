@@ -60,8 +60,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .brackets import _t3t4
-from .minkowski import lower2
-from .phase import CONSTRAINT_NAMES, PhaseState, field_data, _kernel
+from .phase import CONSTRAINT_NAMES, PhaseState, field_data, spin_readouts, _kernel
 
 # ---------------------------------------------------------------------------
 # right-hand sides
@@ -244,8 +243,8 @@ class Trajectory:
         One float pass over the recorded states gives calP, the
         constraint values and H from one field evaluation and one kernel
         call each (A^0 read from the field's float tuples); the spin
-        tensors of all states are then built at once, and the spin
-        read-outs of spin_readouts taken from them as array operations.
+        tensors of all states are then built at once, and one
+        spin_readouts call on the stack gives their spin read-outs.
         A spinless state reads zero in every spin and constraint channel.
         The first call also writes the energy drift of the H channel to
         stats["energy_drift"].
@@ -254,9 +253,7 @@ class Trajectory:
             return self._channels
         start = time.perf_counter()
         model, Z = self.model, self.Z
-        out = {"t": self.t}
-        for i, nm in enumerate(("x1", "x2", "x3")):
-            out[nm] = Z[:, 1 + i]
+        out = {"t": self.t, **dict(zip(("x1", "x2", "x3"), Z[:, 1:4].T))}
         rows = []
         for vec in Z.tolist():
             fields = field_data(model, vec[:4])
@@ -267,14 +264,11 @@ class Trajectory:
         spin = Z[:, 8:].any(axis=1)
         wp = Z[:, 8:12, None] * Z[:, None, 12:]
         S = np.where(spin[:, None, None], 2.0 * (wp - wp.transpose(0, 2, 1)), 0.0)
-        S3, D3 = 0.5 * S[:, [2, 3, 1], [3, 1, 2]], S[:, 1:, 0]
-        spin2 = np.where(spin, np.sum(lower2(S) * S, axis=(1, 2)) - 8.0 * model.alpha, 0.0)
-        for mu in range(4):
-            out[f"P{mu}"] = P[:, mu]
-        for i, nm in enumerate(("S1", "S2", "S3")):
-            out[nm] = S3[:, i]
-        for i, nm in enumerate(("D1", "D2", "D3")):
-            out[nm] = D3[:, i]
+        S3, D3, SS = spin_readouts(S)
+        spin2 = np.where(spin, SS - 8.0 * model.alpha, 0.0)
+        out.update(zip(("P0", "P1", "P2", "P3"), P.T))
+        out.update(zip(("S1", "S2", "S3"), S3.T))
+        out.update(zip(("D1", "D2", "D3"), D3.T))
         out["H"] = H
         out.update(zip(CONSTRAINT_NAMES, T.T))
         out["spin2"] = spin2

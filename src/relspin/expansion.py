@@ -6,11 +6,14 @@ term of each quantity.  The expanded bracket table is checked against
 the exact Dirac brackets on a ladder of growing c with the physical
 data (momentum, spin, fields) held fixed: each residual, multiplied by
 the quoted power c^k, must still fall as c doubles, which pins the
-order of the first neglected term.
+order of the first neglected term.  The exact table is the direct one
+of brackets, on its physical rows x, calP and S^{ij}, with the spin
+three-vector S_k = S^{ij}/2 of phase.spin_readouts taken as exact
+multiples of the S^{ij} rows.
 
-The primed chart
+The primed chart, with the shift built on the kinetic momentum,
 
-    x = x' - (P' x S')/(2 m^2 c^2),   P = P' - (e/c) A(x'),   S = S'
+    P = P' - (e/c) A(x'),   x = x' - (P x S')/(2 m^2 c^2),   S = S'
 
 has canonically commuting positions at this order; its practical payoff
 appears on the quantum side, where the same shift moves the spin-orbit
@@ -23,27 +26,18 @@ import numpy as np
 
 from .fields import make_background
 from .minkowski import EPS3, extract_EB
-from .phase import (FieldsAt, Model, Observable, field_data, init_state,
-                    kinetic_momentum, obs_coord, obs_kinetic, obs_spin,
-                    spin_vector)
-from .brackets import dirac_core
+from .phase import (FieldsAt, Model, field_data, init_state, kinetic_momentum,
+                    spin_readouts, spin_tensor)
+from .brackets import PHYSICAL_OBSERVABLES, SPIN_INDEX_PAIRS, dirac_core
 
 LADDER_ORDERS = {"xx": 2, "xP": 2, "xS": 1, "PP": 3, "PS": 2, "SS": 1}
 
-
-def obs_spin3(k):
-    """Spin 3-vector component S_k = eps_{kij} S^{ij} / 4 as an observable."""
-    i, j = ((2, 3), (3, 1), (1, 2))[k - 1]
-    base = obs_spin(i, j)
-    return Observable(f"Svec{k}",
-                      lambda z, m: 0.5 * base(z, m),
-                      lambda z, m: 0.5 * base.grad(z, m))
-
-
-# the three 3-vectors of the bracket table, in the row order of its matrix
-VECTOR_OBSERVABLES = {"x": [obs_coord("x", i) for i in (1, 2, 3)],
-                      "P": [obs_kinetic(i) for i in (1, 2, 3)],
-                      "S": [obs_spin3(k) for k in (1, 2, 3)]}
+# the table's rows among the physical rows of brackets, with exact
+# factors: x, calP, and S_k = (S^{23}, -S^{13}, S^{12}) / 2
+_LADDER_ROWS = (*range(6), *(6 + SPIN_INDEX_PAIRS.index(ij)
+                             for ij in ((2, 3), (1, 3), (1, 2))))
+_LADDER_FACTORS = np.array([1.0] * 6 + [0.5, -0.5, 0.5])[:, None]
+_LADDER_BLOCKS = {"x": slice(0, 3), "P": slice(3, 6), "S": slice(6, 9)}
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +55,7 @@ def hamiltonian_expanded(z, model):
     P = kinetic_momentum(z, model, fd.floats)[1:]
     p2 = float(P @ P)
     E, B = extract_EB(fd.F)
-    S = spin_vector(z)
+    S = spin_readouts(spin_tensor(z))[0]
     out = m * c**2 + p2 / (2 * m) - p2**2 / (8 * m**3 * c**2) + e * fd.A[0]
     out += (e * g / (2 * m * c)) * (float(S @ np.cross(P, E)) / (m * c)
                                     - float(B @ S))
@@ -78,7 +72,7 @@ def expanded_brackets(z, model):
     P and S (xS is {x_i, S_j}, PS is {P_i, S_j})."""
     fd = FieldsAt(field_data(model, z.x.tolist()))
     m, c, e = model.m, model.c, model.e
-    S = spin_vector(z)
+    S = spin_readouts(spin_tensor(z))[0]
     P = kinetic_momentum(z, model, fd.floats)[1:]
     _, B = extract_EB(fd.F)
     eps_S = EPS3 @ S
@@ -116,18 +110,16 @@ def bracket_ladder(background="crossed", cs=(10.0, 20.0, 40.0, 80.0)):
     out = {fam: {"residuals": [], "order": k, "cs": list(cs)}
            for fam, k in LADDER_ORDERS.items()}
     h_res = []
-    rows = [ob for vec in VECTOR_OBSERVABLES.values() for ob in vec]
-    block = {name: slice(3 * n, 3 * n + 3)
-             for n, name in enumerate(VECTOR_OBSERVABLES)}
     for c in cs:
         model, z = _ladder_state(c, background)
         core = dirac_core(z, model)
-        G = np.array([ob.grad(z, model) for ob in rows])
+        G = _LADDER_FACTORS * np.array([PHYSICAL_OBSERVABLES[n].grad(z, model)
+                                        for n in _LADDER_ROWS])
         D = G @ core.flow(G).T
         h_exact = model.c * core.P[0] + model.e * core.fd.A[0]
         h_res.append(abs(h_exact - hamiltonian_expanded(z, model)))
         for fam, approx in expanded_brackets(z, model).items():
-            exact = D[block[fam[0]], block[fam[1]]]
+            exact = D[_LADDER_BLOCKS[fam[0]], _LADDER_BLOCKS[fam[1]]]
             out[fam]["residuals"].append(float(np.max(np.abs(exact - approx))))
     for fam, k in LADDER_ORDERS.items():
         out[fam]["scaled"] = [r * c**k for r, c in zip(out[fam]["residuals"], cs)]
@@ -150,17 +142,16 @@ def ladder_decreasing(entry, floor=1e-12):
 def from_primed(xp, Pp, Sp, model):
     """Map primed (canonical) data to physical (x, P, S).
 
-    x = x' - (P' x S')/(2 m^2 c^2); P is the kinetic momentum,
-    P = P' - (e/c) A(x'); spin is untouched.
+    P is the kinetic momentum, P = P' - (e/c) A(x'), and the position
+    shift is built on it, x = x' - (P x S')/(2 m^2 c^2), as the spin
+    shift of quantum's xhat is built on p - e cinv A(x); spin is
+    untouched.
     """
     xp = np.asarray(xp, float)
-    Pp = np.asarray(Pp, float)
     Sp = np.asarray(Sp, float)
     m, c, e = model.m, model.c, model.e
-    x = xp - np.cross(Pp, Sp) / (2.0 * m**2 * c**2)
-    x4 = np.array([0.0, *xp])
-    A3 = model.background.A(x4)[1:]
-    P = Pp - (e / c) * A3
+    P = np.asarray(Pp, float) - (e / c) * model.background.A(np.array([0.0, *xp]))[1:]
+    x = xp - np.cross(P, Sp) / (2.0 * m**2 * c**2)
     return x, P, Sp.copy()
 
 

@@ -33,10 +33,12 @@ arithmetic on the 16 components (at one state cheaper than numpy's
 per-call overhead); t_rows assembles the rows and _rows is the array
 view.  The kernel, t_rows and the backgrounds' at(x) take plain float
 sequences; the readers that hold a PhaseState convert its array once
-with tolist() at their call.  Every reader of calP or a constraint
-reads the kernel; the energy radicand and its check live in _energy
-alone; the Model constants they read are derived once per Model.  A
-state is its 16 numbers, spinless when omega = pi = 0.  field_data
+with tolist() at their call.  Every reader of calP or a constraint at
+a state reads the kernel, whose energy radicand check is _energy;
+init_state computes calP^0 and checks m*^2 in its own fixed point.  The
+Model constants are derived once per Model.  A state is its 16 numbers,
+spinless when omega = pi = 0; spin_readouts is its one spin read-out,
+of a spin tensor or a stack of them.  field_data
 returns the compact float tuples of the background's at(x)
 (fields.py), which the kernel and the float paths of dynamics read as
 they are; FieldsAt, their array view, expands them into A, dA, F and
@@ -55,7 +57,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fields import FieldBackground, expand, make_background
+from .fields import FieldBackground, expand
 from .minkowski import ETA_DIAG, boost_matrix, contract_2, lower2
 
 BLOCKS = ("x", "p", "omega", "pi")
@@ -150,11 +152,6 @@ class Model:
         return 1e-10 * (1.0 + self.mc2)
 
 
-def free_model(m=1.0, g=2.0, c=10.0, e=1.0, hbar=1.0, alpha=None):
-    return Model(background=make_background("zero", e=e, c=c), m=m, g=g,
-                 hbar=hbar, alpha=alpha)
-
-
 class FieldsAt:
     """The array view of the fields at a point, for the readers outside
     the kernel.  floats is what field_data returned, the tuples
@@ -193,20 +190,11 @@ def spin_tensor(z):
 
 
 def spin_readouts(S):
-    """Spin three-vector, dipole vector D^i = S^{i0} and S.S of a spin tensor."""
-    return 0.5 * np.array([S[2, 3], S[3, 1], S[1, 2]]), S[1:, 0], contract_2(S, S)
-
-
-def spin_vector(z):
-    return spin_readouts(spin_tensor(z))[0]
-
-
-def dipole_vector(z):
-    return spin_readouts(spin_tensor(z))[1]
-
-
-def spin_square(z):
-    return spin_readouts(spin_tensor(z))[2]
+    """Spin three-vector S_k = S^{ij}/2 for (ij) = (23), (31), (12), dipole
+    vector D^i = S^{i0} and S.S of a spin tensor (4, 4) or of a stack of
+    them (n, 4, 4): the one read-out of the convention."""
+    return (0.5 * S[..., [2, 3, 1], [3, 1, 2]], S[..., 1:, 0],
+            np.sum(lower2(S) * S, axis=(-2, -1)))
 
 
 def _energy(PP, fs, model):
@@ -230,7 +218,7 @@ def constraint_residuals(z, model):
     P, T = constraint_values(z, model)
     return {**dict(zip(CONSTRAINT_NAMES, T.tolist())),
             "ssc": float(np.max(np.abs(S @ (ETA_DIAG * P)))),
-            "spin2": contract_2(S, S) - 8.0 * model.alpha}
+            "spin2": float(spin_readouts(S)[2]) - 8.0 * model.alpha}
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ position acquires a spin shift,
 which reproduces the classical position noncommutativity at its leading
 order; kinetic momentum is p - e cinv A(xhat), spin is hbar sigma / 2,
 and the electric dipole follows the constraint-resolved classical form
-D = 2 (P x S) / (m c).
+D = 2 (P x S) / (m c).  A^0 and A are one function of the operator
+position, _potential, read at x and at xhat.
 
 The payoff assembled here: re-expanding e A^0(xhat) around the
 canonical position produces, for a linear potential exactly,
@@ -49,7 +50,6 @@ _B_FIELD = tuple(_cleared_term(**{name: 1}) for name in ("B1", "B2", "B3"))
 _E_FIELD = tuple(_cleared_term(**{name: 1}) for name in ("E1", "E2", "E3"))
 _NO_FIELD = (_cleared_term(0),) * 3
 _HALF = _cleared_term(den=2)
-_HBAR = _cleared_term(hbar=1)
 _HALF_HBAR = _cleared_term(den=2, hbar=1)
 _E = _cleared_term(e=1)
 _E_CINV = _cleared_term(e=1, cinv=1)
@@ -77,7 +77,6 @@ class PauliSet:
     P0hat: tuple
     xhat: tuple
     Phat: tuple
-    Shat: dict
     E: tuple
     B: tuple
     A0: Op
@@ -96,9 +95,15 @@ def _scalars(vec):
     return tuple(Op.scalar(v) for v in vec)
 
 
-def _vector_potential(B, pos):
-    """A = B x r / 2 componentwise on operator positions."""
-    return tuple(a.scale(_HALF) for a in cross(_scalars(B), pos))
+def _potential(E, B, pos):
+    """The potentials of the uniform fields E and B at the operator
+    position pos (x or xhat): A^0 = -E.pos, summed over the nonzero E_i
+    only, and A = B x pos / 2."""
+    A0 = Op()
+    for Ei, r in zip(E, pos):
+        if Ei[0]:
+            A0 = A0 - r.scale(Ei)
+    return A0, tuple(a.scale(_HALF) for a in cross(_scalars(B), pos))
 
 
 def build_operators(kind="uniform-B"):
@@ -113,32 +118,17 @@ def build_operators(kind="uniform-B"):
     sig = tuple(Op.sigma(i) for i in (1, 2, 3))
     S = tuple(s.scale(_HALF_HBAR) for s in sig)
 
-    A_at_x = _vector_potential(Bv, x)
-    P0hat = tuple(p[i] - A_at_x[i].scale(_E_CINV) for i in range(3))
+    def at(pos):   # A^0 and the kinetic momentum p - e cinv A at pos
+        A0, A = _potential(Ev, Bv, pos)
+        return A0, tuple(pi - a.scale(_E_CINV) for pi, a in zip(p, A))
 
+    A0, P0hat = at(x)
     shift = cross(P0hat, sig)
     xhat = tuple(x[i] - shift[i].scale(_SHIFT) for i in range(3))
-
-    A_at_xhat = _vector_potential(Bv, xhat)
-    Phat = tuple(p[i] - A_at_xhat[i].scale(_E_CINV) for i in range(3))
-
-    Shat = {}
-    for i in range(3):
-        for j in range(3):
-            if i != j:
-                k = 3 - i - j
-                Shat[(i + 1, j + 1)] = sig[k].scale(_HBAR).scale(EPS[(i, j, k)])
-
-    A0 = Op()
-    A0_hat = Op()
-    for i in range(3):
-        if Ev[i][0]:
-            A0 = A0 - x[i].scale(Ev[i])
-            A0_hat = A0_hat - xhat[i].scale(Ev[i])
+    A0_hat, Phat = at(xhat)
 
     return PauliSet(kind=kind, x=x, p=p, sigma=sig, S=S, P0hat=P0hat,
-                    xhat=xhat, Phat=Phat, Shat=Shat,
-                    E=Ev, B=Bv, A0=A0, A0_hat=A0_hat)
+                    xhat=xhat, Phat=Phat, E=Ev, B=Bv, A0=A0, A0_hat=A0_hat)
 
 
 # ---------------------------------------------------------------------------

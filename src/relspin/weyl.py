@@ -285,6 +285,13 @@ def _accumulate(out, key, blk):
     out[key] = tuple(map(_padd, out.get(key, _ZERO_BLOCK), blk))
 
 
+def _axis(i):
+    """i, refused unless it is a spatial axis 1, 2 or 3."""
+    if i not in (1, 2, 3):
+        raise ValueError(f"axis {i!r} is not a spatial axis 1, 2 or 3")
+    return i
+
+
 class Op:
     """Finite normal-ordered operator blocks / den.  blocks maps exponent
     keys (a1,a2,a3,b1,b2,b3) to 2x2 coefficient blocks, four polynomial
@@ -307,18 +314,18 @@ class Op:
     @classmethod
     def x(cls, i):
         k = [0] * 6
-        k[i - 1] = 1
+        k[_axis(i) - 1] = 1
         return cls({tuple(k): I2})
 
     @classmethod
     def p(cls, i):
         k = [0] * 6
-        k[3 + i - 1] = 1
+        k[3 + _axis(i) - 1] = 1
         return cls({tuple(k): I2})
 
     @classmethod
     def sigma(cls, k):
-        return cls({_ZKEY: SIGMA[k - 1]})
+        return cls({_ZKEY: SIGMA[_axis(k) - 1]})
 
     # -- ring operations ---------------------------------------------
 

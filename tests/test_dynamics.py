@@ -16,10 +16,9 @@ from relspin.dynamics import (cyclotron_reference, dirac_rhs, integrate,
 from relspin.fields import make_background
 from relspin.minkowski import contract_2
 from relspin.phase import (FieldsAt, Model, PhaseState, constraint_residuals,
-                           constraint_values, dipole_vector, field_data,
-                           init_state, obs_hamiltonian,
-                           random_constrained_state, spin_square, spin_tensor,
-                           spin_vector)
+                           constraint_values, field_data, init_state,
+                           obs_hamiltonian, random_constrained_state,
+                           spin_readouts, spin_tensor)
 
 import oracles
 from conftest import (BACKGROUND_PARAMS, KERNEL_BACKGROUNDS, build_model, kernel_model,
@@ -756,28 +755,36 @@ def test_spinless_trajectory_is_the_canonical_flow(kind):
 
 def test_channels_match_the_per_state_readouts(monkeypatch):
     """channels builds the spin tensors of all recorded states as one
-    array, with no per-state spin_tensor or spin_readouts call, and gives
-    the same bytes as the public per-state read-outs."""
+    array and reads them with one stacked spin_readouts call, with no
+    per-state spin_tensor or spin_readouts call, and gives the same
+    bytes as the public per-state read-outs."""
     model = build_model("coulomb")
     z = init_state(model, x3=(2.0, 0.0, 0.3), P3=(0.0, 0.6, 0.1),
                    spin_dir=(0.3, 0.2, 0.9))
     traj = integrate(model, z, 1.0, 0.05, record_every=4)
     built = []
-    for mod in (phase, dynamics):
-        for name in ("spin_tensor", "spin_readouts"):
-            fn = getattr(phase, name)
-            monkeypatch.setattr(mod, name, lambda S, fn=fn: built.append(1) or fn(S),
-                                raising=False)
+
+    def recorded(name):
+        fn = getattr(phase, name)
+        return lambda a: built.append((name, getattr(a, "shape", None))) or fn(a)
+
+    for name in ("spin_tensor", "spin_readouts"):
+        wrapper = recorded(name)
+        for mod in (phase, dynamics):
+            monkeypatch.setattr(mod, name, wrapper, raising=False)
     ch = traj.channels()
-    assert built == [] and len(traj.t) > 1
+    assert built == [("spin_readouts", (len(traj.t), 4, 4))] and len(traj.t) > 1
+    monkeypatch.undo()
     for k in range(len(traj.t)):
         zk = traj.state(k)
         P, T = constraint_values(zk, model)
+        S = spin_tensor(zk)
+        S3, D3, SS = spin_readouts(S)
         assert np.array_equal([ch[f"P{mu}"][k] for mu in range(4)], P)
         assert np.array_equal([ch[n][k] for n in ("T2", "T3", "T4", "T5")], T)
-        assert np.array_equal([ch[n][k] for n in ("S1", "S2", "S3")], spin_vector(zk))
-        assert np.array_equal([ch[n][k] for n in ("D1", "D2", "D3")], dipole_vector(zk))
-        assert ch["spin2"][k] == spin_square(zk) - 8.0 * model.alpha
+        assert np.array_equal([ch[n][k] for n in ("S1", "S2", "S3")], S3)
+        assert np.array_equal([ch[n][k] for n in ("D1", "D2", "D3")], D3)
+        assert ch["spin2"][k] == SS - 8.0 * model.alpha == contract_2(S, S) - 8.0 * model.alpha
         assert ch["H"][k] == obs_hamiltonian()(zk, model)
 
 

@@ -3,14 +3,15 @@
 import numpy as np
 import pytest
 
-from relspin.brackets import dirac_core
-from relspin.expansion import (LADDER_ORDERS, VECTOR_OBSERVABLES,
-                               bracket_ladder, expanded_brackets,
-                               from_primed, hamiltonian_expanded,
-                               ladder_decreasing, obs_spin3,
+from relspin.brackets import PHYSICAL_OBSERVABLES, dirac_core
+from relspin.expansion import (LADDER_ORDERS, bracket_ladder,
+                               expanded_brackets, from_primed,
+                               hamiltonian_expanded, ladder_decreasing,
                                primed_shift_example, _ladder_state)
 from relspin.fields import make_background
-from relspin.phase import Model, init_state, spin_vector
+from relspin.phase import Model, init_state, spin_readouts, spin_tensor
+
+from conftest import BACKGROUND_PARAMS
 
 
 @pytest.mark.parametrize("background", ["crossed", "coulomb"])
@@ -44,7 +45,7 @@ def test_expanded_bracket_values_free():
     model = Model(background=bg, m=1.0, g=2.0, alpha=0.75)
     z = init_state(model, x3=(0.1, 0.2, -0.3), P3=(0.4, -0.1, 0.2),
                    spin_dir=(0.2, 0.5, -1.0))
-    S = spin_vector(z)
+    S = spin_readouts(spin_tensor(z))[0]
     table = expanded_brackets(z, model)
     assert list(table) == list(LADDER_ORDERS)
     assert np.isclose(table["xx"][0, 1],
@@ -56,13 +57,6 @@ def test_expanded_bracket_values_free():
     assert np.isclose(table["SS"][0, 1], S[2], rtol=0, atol=1e-15)
 
 
-def test_obs_spin3_matches_spin_vector():
-    model, z = _ladder_state(10.0, "crossed")
-    S = spin_vector(z)
-    for k in (1, 2, 3):
-        assert np.isclose(obs_spin3(k)(z, model), S[k - 1], atol=1e-14)
-
-
 def test_primed_positions_commute_to_higher_order():
     # {x'_1, x'_2} assembled by Leibniz from the pair table must be
     # O(c^-4), two powers beyond the O(c^-2) physical-position bracket
@@ -70,18 +64,19 @@ def test_primed_positions_commute_to_higher_order():
     for c in (10.0, 20.0, 40.0):
         model, z = _ladder_state(c, "crossed")
         core = dirac_core(z, model)
-        S = spin_vector(z)
+        S = spin_readouts(spin_tensor(z))[0]
         from relspin.phase import field_data, kinetic_momentum
         P = kinetic_momentum(z, model, field_data(model, z.x))[1:]
         eps = np.zeros((3, 3, 3))
         for a, b, cc, s in ((0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1),
                             (0, 2, 1, -1), (2, 1, 0, -1), (1, 0, 2, -1)):
             eps[a, b, cc] = s
-        # exact {x_i, .} of the 3-vectors: columns x, then P, then S
-        rows = [ob for vec in VECTOR_OBSERVABLES.values() for ob in vec]
-        G = np.array([ob.grad(z, model) for ob in rows])
+        # exact {x_i, .} on the physical rows x, calP, S^{mu nu}; the
+        # spin three-vector is (S^{23}, -S^{13}, S^{12}) / 2
+        G = np.array([ob.grad(z, model) for ob in PHYSICAL_OBSERVABLES])
         D = G @ core.flow(G).T
-        xx, xP, xS = D[:3, :3], D[:3, 3:6], D[:3, 6:]
+        xx, xP = D[:3, :3], D[:3, 3:6]
+        xS = 0.5 * D[:3, [11, 10, 9]] * [1.0, -1.0, 1.0]
         i, j = 1, 2
         val = xx[i - 1, j - 1]
         pref = 1.0 / (2.0 * model.m**2 * c**2)
@@ -99,43 +94,46 @@ def test_primed_positions_commute_to_higher_order():
     assert res[2] < res[1] / 8.0
 
 
-def to_primed(x, P, S, model, tol=1e-14, max_iter=100):
-    """Inverse chart by fixed-point iteration; composition with
-    from_primed returns the input to 1e-12 or better."""
-    x = np.asarray(x, float)
-    P = np.asarray(P, float)
-    S = np.asarray(S, float)
+def to_primed(x, P, S, model):
+    """Inverse chart: x' = x + (P x S)/(2 m^2 c^2), then P' = P + (e/c) A(x')."""
+    x, P, S = (np.asarray(v, float) for v in (x, P, S))
     m, c, e = model.m, model.c, model.e
-    xp = x.copy()
-    for _ in range(max_iter):
-        A3 = model.background.A(np.array([0.0, *xp]))[1:]
-        Pp = P + (e / c) * A3
-        xp_new = x + np.cross(Pp, S) / (2.0 * m**2 * c**2)
-        if np.max(np.abs(xp_new - xp)) < tol:
-            xp = xp_new
-            break
-        xp = xp_new
-    A3 = model.background.A(np.array([0.0, *xp]))[1:]
-    return xp, P + (e / c) * A3, S.copy()
+    xp = x + np.cross(P, S) / (2.0 * m**2 * c**2)
+    return xp, P + (e / c) * model.background.A(np.array([0.0, *xp]))[1:], S.copy()
 
 
 def test_chart_roundtrip_both_ways():
-    bg = make_background("coulomb", e=1.0, c=10.0, q=1.0)
+    for kind in ("coulomb", "uniform-B", "crossed"):
+        bg = make_background(kind, e=1.0, c=10.0, **BACKGROUND_PARAMS[kind])
+        model = Model(background=bg, m=1.0, g=2.0, alpha=0.75)
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            x = rng.uniform(0.5, 2.0, 3) * rng.choice([-1.0, 1.0], 3)
+            P = rng.normal(0.0, 0.6, 3)
+            S = rng.normal(0.0, 0.5, 3)
+            xp, Pp, Sp = to_primed(x, P, S, model)
+            x2, P2, S2 = from_primed(xp, Pp, Sp, model)
+            assert np.max(np.abs(x2 - x)) < 1e-12, kind
+            assert np.max(np.abs(P2 - P)) < 1e-12, kind
+            assert np.array_equal(S2, S)
+            x3, P3, S3 = from_primed(x, P, S, model)
+            xb, Pb, Sb = to_primed(x3, P3, S3, model)
+            assert np.max(np.abs(xb - x)) < 1e-12, kind
+            assert np.max(np.abs(Pb - P)) < 1e-12, kind
+
+
+@pytest.mark.parametrize("kind", ["uniform-B", "crossed"])
+def test_chart_shift_is_built_on_the_kinetic_momentum(kind):
+    # at a point where A(x') != 0 the canonical and kinetic momenta
+    # differ at O(1), so the shift differs from one built on P' at c^-2
+    bg = make_background(kind, e=1.0, c=10.0, **BACKGROUND_PARAMS[kind])
     model = Model(background=bg, m=1.0, g=2.0, alpha=0.75)
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        x = rng.uniform(0.5, 2.0, 3) * rng.choice([-1.0, 1.0], 3)
-        P = rng.normal(0.0, 0.6, 3)
-        S = rng.normal(0.0, 0.5, 3)
-        xp, Pp, Sp = to_primed(x, P, S, model)
-        x2, P2, S2 = from_primed(xp, Pp, Sp, model)
-        assert np.max(np.abs(x2 - x)) < 1e-12
-        assert np.max(np.abs(P2 - P)) < 1e-12
-        assert np.array_equal(S2, S)
-        x3, P3, S3 = from_primed(x, P, S, model)
-        xb, Pb, Sb = to_primed(x3, P3, S3, model)
-        assert np.max(np.abs(xb - x)) < 1e-12
-        assert np.max(np.abs(Pb - P)) < 1e-12
+    xp, Pp, Sp = np.array([0.7, -0.4, 0.3]), np.array([0.2, 0.5, -0.1]), np.array([0.1, -0.3, 0.4])
+    assert np.max(np.abs(bg.A(np.array([0.0, *xp]))[1:])) > 0.1
+    x, P, S = from_primed(xp, Pp, Sp, model)
+    assert np.allclose(P, Pp - bg.A(np.array([0.0, *xp]))[1:] / model.c, rtol=0, atol=1e-15)
+    assert np.allclose(x - xp, -np.cross(P, Sp) / (2.0 * model.c**2), rtol=0, atol=1e-16)
+    assert not np.allclose(x - xp, -np.cross(Pp, Sp) / (2.0 * model.c**2), rtol=0, atol=1e-6)
 
 
 def test_primed_shift_reference_value():
@@ -155,7 +153,7 @@ def test_expanded_hamiltonian_nonrelativistic_pieces():
     model = Model(background=bg, m=2.0, g=2.0, alpha=0.75)
     z = init_state(model, x3=(0.1, -0.2, 0.3), P3=(0.3, 0.1, -0.2),
                    spin_dir=(0.0, 0.0, 1.0))
-    S = spin_vector(z)
+    S = spin_readouts(spin_tensor(z))[0]
     h = hamiltonian_expanded(z, model)
     p2 = 0.3**2 + 0.1**2 + 0.2**2
     expect = (model.m * model.c**2 + p2 / (2 * model.m)

@@ -16,11 +16,11 @@ from relspin import phase
 from relspin.dynamics import dirac_rhs, project_state
 from relspin.fields import make_background
 from relspin.phase import (FieldsAt, J, Model, PhaseState, _kernel, _rows,
-                           constraint_residuals, constraint_values, dipole_vector, field_data,
+                           constraint_residuals, constraint_values, field_data,
                            init_state, kinetic_momentum, obs_coord, obs_energy,
                            obs_hamiltonian, obs_kinetic, obs_spin,
-                           random_constrained_state, spin_square, spin_tensor,
-                           spin_vector, symplectic)
+                           random_constrained_state, spin_readouts, spin_tensor,
+                           symplectic)
 from relspin.minkowski import ETA_DIAG, contract_2, mdot
 
 import duals
@@ -69,11 +69,11 @@ def test_rest_spin_length():
     # at rest the spin three-vector has length sqrt(alpha)
     model = build_model("zero", g=2.0)
     z = init_state(model, x3=(0, 0, 0), P3=(0, 0, 0), spin_dir=(0, 0, 1.0))
-    S = spin_vector(z)
+    S, D, SS = spin_readouts(spin_tensor(z))
     assert np.allclose(S, [0, 0, np.sqrt(model.alpha)])
-    assert np.isclose(spin_square(z), 8.0 * model.alpha)
+    assert np.isclose(SS, 8.0 * model.alpha)
     # dipole part vanishes at rest
-    assert np.allclose(dipole_vector(z), 0.0)
+    assert np.allclose(D, 0.0)
 
 
 @pytest.mark.parametrize("alpha", [-0.75, np.nan], ids=["negative", "nan"])
@@ -149,8 +149,7 @@ def test_dipole_ssc_identity():
     model = build_model("crossed")
     for z in state_batch(model, 8, seed=11):
         P = kinetic_momentum(z, model)
-        S = spin_vector(z)
-        D = dipole_vector(z)
+        S, D, _ = spin_readouts(spin_tensor(z))
         assert np.allclose(D, 2.0 * np.cross(P[1:], S) / P[0], atol=1e-11)
         assert np.max(np.abs(ssc_vector(z, model))) < 1e-11
 
@@ -161,7 +160,7 @@ def test_spin_tensor_layout():
                    spin_dir=(0.3, 0.7, -0.2))
     S = spin_tensor(z)
     assert np.allclose(S, -S.T)
-    Svec = spin_vector(z)
+    Svec = spin_readouts(S)[0]
     # S^{ij} = 2 eps^{ijk} S_k
     assert np.isclose(S[1, 2], 2 * Svec[2])
     assert np.isclose(S[2, 3], 2 * Svec[0])

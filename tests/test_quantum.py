@@ -74,9 +74,9 @@ def test_division_by_ihbar_is_exact():
 
 def test_free_xs_mismatch_sits_at_its_floor():
     # the xhat-S commutator and the transcribed classical bracket first
-    # disagree at cinv^2, the same order as the bracket itself; the
-    # floor records that the disagreement is an ordering artifact, not
-    # a missed lower-order term
+    # disagree at cinv^2, the same order as the bracket itself: S = hbar
+    # sigma / 2 is the rest-frame spin, while the bracket is that of the
+    # lab spin, a different variable at O(c^-2) (ROADMAP item 13)
     ps = build_operators("free")
     res = correspondence_residuals(ps)["xS"]
     assert not res.is_zero()
@@ -89,13 +89,6 @@ def test_exact_families_have_zero_residual():
     res = correspondence_residuals(ps)
     for fam in ("xP", "PP", "PS", "SS"):
         assert res[fam] is None or res[fam].is_zero(), fam
-
-
-def test_spin_tensor_dictionary():
-    ps = build_operators("free")
-    assert ps.Shat[(1, 2)] == Op.sigma(3).scale(to_ring(hbar))
-    assert ps.Shat[(2, 1)] == Op.sigma(3).scale(to_ring(-hbar))
-    assert ps.Shat[(3, 1)] == Op.sigma(2).scale(to_ring(hbar))
 
 
 def test_potential_shift_vanishes_without_electric_field():

@@ -75,6 +75,13 @@ def test_canonical_commutators():
             assert commutator(Op.p(i), Op.p(j)).is_zero()
 
 
+@pytest.mark.parametrize("axis", [0, -1, 4, 7])
+@pytest.mark.parametrize("make", ["x", "p", "sigma"])
+def test_constructors_refuse_an_axis_outside_one_to_three(make, axis):
+    with pytest.raises(ValueError, match=f"axis {axis}"):
+        getattr(Op, make)(axis)
+
+
 def test_reorder_identities():
     x1, p1 = Op.x(1), Op.p(1)
     assert p1 * x1 == x1 * p1 - Op.scalar(to_ring(I * hbar))
