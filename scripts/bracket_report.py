@@ -6,6 +6,7 @@ import numpy as np
 
 from relspin.brackets import (aux_table_report, closed_vs_direct_report,
                               defining_property_report)
+from relspin.cli import _int_at_least
 from relspin.fields import make_background
 from relspin.phase import Model, random_constrained_state
 
@@ -20,7 +21,7 @@ CATALOG = {
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--states", type=int, default=50)
+    ap.add_argument("--states", type=_int_at_least(1), default=50)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--g", type=float, default=2.3)
     args = ap.parse_args()

@@ -371,7 +371,10 @@ def unwrapped_angle(y, x):
 
 
 def linear_rate(t, angle):
-    """Least-squares slope; robust readout of a secular precession."""
+    """Least-squares slope; robust readout of a secular precession.
+    Fewer than two distinct times fix no slope and are refused."""
+    if np.unique(t).size < 2:
+        raise ValueError(f"a rate needs two distinct times, got t = {np.unique(t).tolist()}")
     A = np.vstack([t, np.ones_like(t)]).T
     slope, _ = np.linalg.lstsq(A, angle, rcond=None)[0]
     return float(slope)

@@ -9,7 +9,8 @@ the quoted power c^k, must still fall as c doubles, which pins the
 order of the first neglected term.  The exact table is the direct one
 of brackets, on its physical rows x, calP and S^{ij}, with the spin
 three-vector S_k = S^{ij}/2 of phase.spin_readouts taken as exact
-multiples of the S^{ij} rows.
+multiples of the S^{ij} rows.  The expanded Hamiltonian and table read
+the rung's brackets.dirac_core, so a rung evaluates its state once.
 
 The primed chart, with the shift built on the kinetic momentum,
 
@@ -26,8 +27,7 @@ import numpy as np
 
 from .fields import make_background
 from .minkowski import EPS3, extract_EB
-from .phase import (FieldsAt, Model, field_data, init_state, kinetic_momentum,
-                    spin_readouts, spin_tensor)
+from .phase import Model, init_state, spin_readouts
 from .brackets import PHYSICAL_OBSERVABLES, SPIN_INDEX_PAIRS, dirac_core
 
 LADDER_ORDERS = {"xx": 2, "xP": 2, "xS": 1, "PP": 3, "PS": 2, "SS": 1}
@@ -44,19 +44,19 @@ _LADDER_BLOCKS = {"x": slice(0, 3), "P": slice(3, 6), "S": slice(6, 9)}
 # expanded Hamiltonian
 
 
-def hamiltonian_expanded(z, model):
-    """Rest energy, kinetic terms, potential, and the spin couplings.
+def hamiltonian_expanded(core, model):
+    """Rest energy, kinetic terms, potential, and the spin couplings at
+    the core's state.
 
     H = m c^2 + P^2/2m - P^4/8 m^3 c^2 + e A^0
         + (e g / 2 m c) [ S.(P x E)/(m c) - B.S ]
     """
-    fd = FieldsAt(field_data(model, z.x.tolist()))
     m, c, e, g = model.m, model.c, model.e, model.g
-    P = kinetic_momentum(z, model, fd.floats)[1:]
+    P = core.P[1:]
     p2 = float(P @ P)
-    E, B = extract_EB(fd.F)
-    S = spin_readouts(spin_tensor(z))[0]
-    out = m * c**2 + p2 / (2 * m) - p2**2 / (8 * m**3 * c**2) + e * fd.A[0]
+    E, B = extract_EB(core.fd.F)
+    S = spin_readouts(core.S)[0]
+    out = m * c**2 + p2 / (2 * m) - p2**2 / (8 * m**3 * c**2) + e * core.fd.A[0]
     out += (e * g / (2 * m * c)) * (float(S @ np.cross(P, E)) / (m * c)
                                     - float(B @ S))
     return float(out)
@@ -66,15 +66,14 @@ def hamiltonian_expanded(z, model):
 # expanded bracket table (leading order of each pair family)
 
 
-def expanded_brackets(z, model):
-    """Leading-order bracket table: {family: 3x3} over LADDER_ORDERS, the
-    entry [i-1, j-1] of family "ab" being {a_i, b_j} of the 3-vectors x,
-    P and S (xS is {x_i, S_j}, PS is {P_i, S_j})."""
-    fd = FieldsAt(field_data(model, z.x.tolist()))
+def expanded_brackets(core, model):
+    """Leading-order bracket table at the core's state: {family: 3x3} over
+    LADDER_ORDERS, the entry [i-1, j-1] of family "ab" being {a_i, b_j}
+    of the 3-vectors x, P and S (xS is {x_i, S_j}, PS is {P_i, S_j})."""
     m, c, e = model.m, model.c, model.e
-    S = spin_readouts(spin_tensor(z))[0]
-    P = kinetic_momentum(z, model, fd.floats)[1:]
-    _, B = extract_EB(fd.F)
+    S = spin_readouts(core.S)[0]
+    P = core.P[1:]
+    _, B = extract_EB(core.fd.F)
     eps_S = EPS3 @ S
     return {"xx": eps_S / (m * c) ** 2,
             "xP": np.eye(3),
@@ -117,8 +116,8 @@ def bracket_ladder(background="crossed", cs=(10.0, 20.0, 40.0, 80.0)):
                                         for n in _LADDER_ROWS])
         D = G @ core.flow(G).T
         h_exact = model.c * core.P[0] + model.e * core.fd.A[0]
-        h_res.append(abs(h_exact - hamiltonian_expanded(z, model)))
-        for fam, approx in expanded_brackets(z, model).items():
+        h_res.append(abs(h_exact - hamiltonian_expanded(core, model)))
+        for fam, approx in expanded_brackets(core, model).items():
             exact = D[_LADDER_BLOCKS[fam[0]], _LADDER_BLOCKS[fam[1]]]
             out[fam]["residuals"].append(float(np.max(np.abs(exact - approx))))
     for fam, k in LADDER_ORDERS.items():

@@ -31,11 +31,6 @@ EPS3[0, 1, 2] = EPS3[1, 2, 0] = EPS3[2, 0, 1] = 1.0
 EPS3[0, 2, 1] = EPS3[2, 1, 0] = EPS3[1, 0, 2] = -1.0
 
 
-def lower(v):
-    """Lower the index of a four-vector: v_mu = eta_{mu nu} v^nu."""
-    return ETA_DIAG * v
-
-
 def mdot(u, v):
     """Minkowski scalar product u_mu v^mu = -u0 v0 + u.v."""
     return float(np.dot(ETA_DIAG * u, v))

@@ -13,15 +13,15 @@ import dataclasses
 import numpy as np
 import pytest
 
-from relspin import brackets
+from relspin import brackets, dynamics, expansion, fields, phase
 from relspin.brackets import (CLOSED_FAMILIES, PHYSICAL_OBSERVABLES,
                               aux_table_entries, aux_table_oracle,
                               aux_table_report, closed_brackets,
                               closed_vs_direct_report,
                               defining_property_report, dirac_bracket,
                               dirac_core, dirac_coefficients, t3t4_closed)
-from relspin.phase import (FieldsAt, PhaseState, field_data, init_state, obs_coord,
-                           obs_hamiltonian, obs_spin, spin_tensor, symplectic)
+from relspin.phase import (PhaseState, init_state, obs_coord, obs_hamiltonian, obs_spin,
+                           spin_tensor, symplectic)
 
 import oracles
 from conftest import BACKGROUND_PARAMS, build_model, state_batch
@@ -71,7 +71,8 @@ def test_closed_matrix_matches_oracle_in_every_block():
     model = build_model("coulomb", g=2.3)
     for z in state_batch(model, 2, seed=22):
         D = _direct_physical(z, model)
-        C = closed_brackets(z, model)
+        core = dirac_core(z, model)
+        C = closed_brackets(core, dirac_coefficients(core, model), model)
         assert C.shape == (12, 12)
         assert np.max(np.abs(C - D) / (1.0 + np.abs(D))) < 1e-8
 
@@ -84,11 +85,11 @@ def test_flipped_l_sign_fails_the_oracle(kind):
     model = build_model(kind, g=2.3)
     worst = dict.fromkeys(("Sx", "SS"), 0.0)
     for z in state_batch(model, 8, seed=22):
-        fd = FieldsAt(field_data(model, z.x))
-        coef = dirac_coefficients(z, model, fd)
+        core = dirac_core(z, model)
+        coef = dirac_coefficients(core, model)
         flipped = dataclasses.replace(coef, L=-coef.L)
         D = _direct_physical(z, model)
-        rel = np.abs(closed_brackets(z, model, flipped, fd) - D) / (1.0 + np.abs(D))
+        rel = np.abs(closed_brackets(core, flipped, model) - D) / (1.0 + np.abs(D))
         for fam in worst:
             worst[fam] = max(worst[fam], rel[CLOSED_FAMILIES[fam]].max())
     assert min(worst.values()) > 1e-6, worst
@@ -109,7 +110,8 @@ def test_ss_closed_form_antisymmetry():
     # down the mirrored L-term in the spin-spin closed form
     model = build_model("crossed", g=2.6)
     z = state_batch(model, 1, seed=8)[0]
-    SS = closed_brackets(z, model)[CLOSED_FAMILIES["SS"]]
+    core = dirac_core(z, model)
+    SS = closed_brackets(core, dirac_coefficients(core, model), model)[CLOSED_FAMILIES["SS"]]
     assert np.allclose(SS, -SS.T, atol=1e-13)
 
 
@@ -118,9 +120,77 @@ def test_t3t4_closed_form():
         model = build_model(kind, g=2.3)
         for z in state_batch(model, 4, seed=17):
             core = dirac_core(z, model)
-            coef = dirac_coefficients(z, model)
-            assert np.isclose(t3t4_closed(z, model, coef), core.t34,
+            coef = dirac_coefficients(core, model)
+            assert np.isclose(t3t4_closed(coef, model), core.t34,
                               rtol=1e-10)
+
+
+REPORTS = (defining_property_report, closed_vs_direct_report, aux_table_report)
+
+
+@pytest.mark.parametrize("report", REPORTS, ids=lambda r: r.__name__)
+def test_reports_refuse_an_empty_batch(report):
+    """No state gives all-zero maxima, which would read as a perfect
+    verification; every report refuses it."""
+    model = build_model("coulomb", g=2.3)
+    with pytest.raises(ValueError, match="no state given"):
+        report([], model)
+    with pytest.raises(ValueError, match="no state given"):
+        report(iter(()), model)
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """Calls of field_data, fields.expand and phase._kernel, wrapped in
+    every module that binds them by name, with the count paused inside
+    Observable.grad and expansion's init_state: the gradients of the
+    row observables evaluate their own fields, and a ladder rung's
+    state is built before it is read."""
+    calls = dict.fromkeys(("field_data", "expand", "_kernel"), 0)
+    paused = [0]
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += not paused[0]
+            return fn(*args, **kwargs)
+        return counted
+
+    def pausing(fn):
+        def quiet(*args, **kwargs):
+            paused[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                paused[0] -= 1
+        return quiet
+
+    for mod in (fields, phase, brackets, expansion, dynamics):
+        for name in calls:
+            if name in vars(mod):
+                monkeypatch.setattr(mod, name, counting(name, vars(mod)[name]))
+    monkeypatch.setattr(phase.Observable, "grad", pausing(phase.Observable.grad))
+    monkeypatch.setattr(expansion, "init_state", pausing(expansion.init_state))
+    return calls
+
+
+@pytest.mark.parametrize("report", REPORTS, ids=lambda r: r.__name__)
+@pytest.mark.parametrize("kind", ["coulomb", "crossed"])
+def test_reports_evaluate_each_state_once(kind, report, evaluations):
+    """One field evaluation, at most one expansion of it and one kernel
+    call per state: the closed forms, the auxiliary table and the oracle
+    read the state's dirac_core."""
+    model = build_model(kind, g=2.3)
+    states = state_batch(model, 3, seed=40)
+    evaluations.update(dict.fromkeys(evaluations, 0))   # the batch is built aside
+    report(states, model)
+    assert evaluations["field_data"] == evaluations["_kernel"] == 3, evaluations
+    assert evaluations["expand"] <= 3, evaluations
+
+
+def test_ladder_evaluates_each_rung_once(evaluations):
+    """The same per rung of bracket_ladder, its state built aside."""
+    expansion.bracket_ladder("coulomb", cs=(10.0, 20.0, 40.0))
+    assert evaluations == {"field_data": 3, "expand": 3, "_kernel": 3}
 
 
 # ---------------------------------------------------------------------------
@@ -149,23 +219,27 @@ def test_aux_table_energy_row_defect_is_visible():
                                               "dipole_term": "g"}
 
 
+def test_aux_report_sees_the_tables_swapped(monkeypatch):
+    """Negative control: with the transcribed table in the resolved
+    slot, the report's resolved deviation is the defect's."""
+    model = build_model("coulomb", g=2.3)
+    original = brackets.aux_table_entries
+    monkeypatch.setattr(brackets, "aux_table_entries", lambda *args: original(*args)[::-1])
+    rep = aux_table_report(state_batch(model, 2, seed=30), model)
+    assert max(rep["resolved_max_dev"].values()) > 1e-3
+    assert rep["transcribed_energy_row_max_dev"] < 1e-12
+
+
 def test_aux_table_variants_agree_without_fields():
     # with F = 0 both variants collapse to the same numbers
     model = build_model("zero", g=2.3)
     z = state_batch(model, 1, seed=31)[0]
-    res = aux_table_entries(z, model, "resolved")
-    tra = aux_table_entries(z, model, "transcribed")
-    orc = aux_table_oracle(z, model)
+    core = dirac_core(z, model)
+    res, tra = aux_table_entries(z, core, model)
+    orc = aux_table_oracle(z, core, model)
     assert res.shape == orc.shape == (3, 21)
     assert np.allclose(res, tra, atol=1e-14)
     assert np.allclose(res, orc, atol=1e-12)
-
-
-def test_aux_table_rejects_unknown_variant():
-    model = build_model("zero", g=2.3)
-    z = state_batch(model, 1, seed=31)[0]
-    with pytest.raises(ValueError):
-        aux_table_entries(z, model, "printed")
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +281,7 @@ def test_free_position_bracket_boost_correction():
         P0 = np.sqrt(p**2 + (model.m * model.c) ** 2)
         worst_quoted = 0.0
         worst_exact = 0.0
-        closed = closed_brackets(z, model)
+        closed = closed_brackets(core, dirac_coefficients(core, model), model)
         for i in (1, 2, 3):
             for j in (1, 2, 3):
                 direct = dirac_bracket(xs[i], xs[j], z, model, core)
@@ -230,12 +304,12 @@ def test_spinless_states_reduce_to_canonical():
     vec = z0.vec.copy()
     vec[8:16] = 0.0
     z = PhaseState(vec=vec)
-    fd = FieldsAt(field_data(model, z.x))
-    C = closed_brackets(z, model)
+    core = dirac_core(z, model)
+    C = closed_brackets(core, dirac_coefficients(core, model), model)
     xx, xP, PP = (C[CLOSED_FAMILIES[fam]] for fam in ("xx", "xP", "PP"))
     assert np.all(np.abs(xx) < 1e-15)
     assert np.allclose(xP, np.eye(3), atol=1e-14)
-    assert np.allclose(PP, model.e / model.c * fd.F_low[1:, 1:], atol=1e-14)
+    assert np.allclose(PP, model.e / model.c * core.fd.F_low[1:, 1:], atol=1e-14)
 
 
 # ---------------------------------------------------------------------------

@@ -211,6 +211,25 @@ def test_spin_precession_rate_uniform_b():
                       rtol=1e-12)
 
 
+@pytest.mark.parametrize("t", [[], [1.0], [2.0, 2.0]], ids=["none", "one", "repeated"])
+def test_linear_rate_refuses_times_that_fix_no_slope(t):
+    """Fewer than two distinct times fix no slope; lstsq's minimum-norm
+    answer (0.0 for one sample, 0.2 for t = (2, 2)) would read as a rate."""
+    with pytest.raises(ValueError, match="two distinct times"):
+        linear_rate(np.array(t), np.linspace(0.4, 0.6, len(t)))
+
+
+def test_spin_plane_rate_refuses_a_run_of_one_record():
+    model = _uniform_b_model()
+    z0 = init_state(model, x3=(0, 0, 0), P3=(0.0, 0.0, 1.5), spin_dir=(1.0, 0.0, 0.0))
+    traj = integrate(model, z0, 0.0, 0.02)
+    assert len(traj.t) == 1
+    with pytest.raises(ValueError, match="two distinct times"):
+        spin_plane_rate(traj)
+    # two distinct times fix the slope exactly
+    assert linear_rate(np.array([1.0, 3.0]), np.array([0.5, 1.5])) == pytest.approx(0.5)
+
+
 def test_orbit_and_spin_lock_at_g2():
     # at g = 2 in a uniform field the spin and the momentum precess at
     # the same rate, so the projection of S on P is a constant of motion

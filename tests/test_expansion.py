@@ -46,7 +46,7 @@ def test_expanded_bracket_values_free():
     z = init_state(model, x3=(0.1, 0.2, -0.3), P3=(0.4, -0.1, 0.2),
                    spin_dir=(0.2, 0.5, -1.0))
     S = spin_readouts(spin_tensor(z))[0]
-    table = expanded_brackets(z, model)
+    table = expanded_brackets(dirac_core(z, model), model)
     assert list(table) == list(LADDER_ORDERS)
     assert np.isclose(table["xx"][0, 1],
                       S[2] / (model.m * model.c) ** 2, rtol=0, atol=1e-15)
@@ -154,7 +154,7 @@ def test_expanded_hamiltonian_nonrelativistic_pieces():
     z = init_state(model, x3=(0.1, -0.2, 0.3), P3=(0.3, 0.1, -0.2),
                    spin_dir=(0.0, 0.0, 1.0))
     S = spin_readouts(spin_tensor(z))[0]
-    h = hamiltonian_expanded(z, model)
+    h = hamiltonian_expanded(dirac_core(z, model), model)
     p2 = 0.3**2 + 0.1**2 + 0.2**2
     expect = (model.m * model.c**2 + p2 / (2 * model.m)
               - model.g / (2 * model.m * model.c) * 0.7 * S[2])

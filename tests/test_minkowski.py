@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relspin.minkowski import (ETA, ETA_DIAG, boost_matrix, contract_2,
-                               extract_EB, field_tensor_from_EB, lower, mdot)
+                               extract_EB, field_tensor_from_EB, mdot)
 
 from oracles import antisymmetrize, boost_tensor, boost_vector, is_antisymmetric
 
@@ -15,11 +15,6 @@ vec3 = st.tuples(finite, finite, finite).map(np.array)
 def test_signature():
     assert np.array_equal(np.diag(ETA), ETA_DIAG)
     assert ETA[0, 0] == -1.0 and ETA[1, 1] == 1.0
-
-
-@given(vec4)
-def test_lower_is_involutive_up_to_metric(v):
-    assert np.allclose(lower(lower(v)), v)
 
 
 @given(vec4, vec4)

@@ -34,3 +34,14 @@ def test_script_runs_to_its_closing_line(name, args, closing):
     proc = _run_script(name, *args)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1].startswith(closing), proc.stdout
+
+
+@pytest.mark.parametrize("name, args, error", [
+    ("bracket_report.py", ("--states", "0"), "must be an integer >= 1"),
+    ("thomas_precession.py", ("--orbits", "0", "--g", "2"), "two distinct times"),
+])
+def test_script_refuses_an_input_that_verifies_nothing(name, args, error):
+    """No state, or no time span to fit a rate over, is an error rather
+    than a zero that reads as a result."""
+    proc = _run_script(name, *args)
+    assert proc.returncode != 0 and error in proc.stderr, (proc.stdout, proc.stderr)
