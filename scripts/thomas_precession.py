@@ -9,6 +9,7 @@ secular rate collapses to ~0.
 """
 
 import argparse
+import sys
 
 import numpy as np
 
@@ -48,12 +49,17 @@ def main():
     print(f"{'g':>5} {'rate':>13} {'(g-1)*base':>13} {'g*base':>13} "
           f"{'rate/base':>10} {'E drift':>9} {'constr':>9}")
     for g in args.g:
-        om, base, edrift, cdrift = run(g, args.orbits, args.dt)
+        try:
+            om, base, edrift, cdrift = run(g, args.orbits, args.dt)
+        except ValueError as exc:   # e.g. a run too short to fit a rate over
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         print(f"{g:5.2f} {om:13.6e} {(g - 1.0) * base:13.6e} "
               f"{g * base:13.6e} {om / base:10.4f} {edrift:9.1e} "
               f"{cdrift:9.1e}")
     print("rate/base tracking g - 1 (not g) is the Thomas half")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -23,12 +23,10 @@ Two independent routes are implemented and pinned against each other:
   coefficient blocks (a, u0, Delta, K, L, g_eff): ``closed_brackets``
   is the (12, 12) matrix of reduced brackets of the physical rows
   (x, calP, S), ``aux_table_entries`` the (3, 21) table of canonical
-  brackets of (calP^0, T3, T4) against every row observable, resolved
-  and transcribed from one pass: the two differ only in the energy-row
-  coefficient pair.
+  brackets of (calP^0, T3, T4) against every row observable.
 
-The core is the one per-state bundle (fields, calP, S, rows) that both
-routes and ``expansion`` read.  Every report builds one core and one
+The core is the one per-state bundle (state, fields, calP, S, rows) that
+both routes and ``expansion`` read.  Every report builds one core and one
 matrix per route and state, compares them block by block, and refuses
 an empty batch, whose all-zero maxima would read as a pass.
 
@@ -67,6 +65,7 @@ H_OBS = obs_hamiltonian()
 class DiracCore:
     """Per-state bundle shared by every Dirac evaluation at a fixed z."""
 
+    z: object        # the PhaseState
     fd: object       # FieldsAt, the array view of the fields at z
     P: np.ndarray
     S: np.ndarray    # spin_tensor(z)
@@ -107,7 +106,7 @@ def dirac_core(z, model):
     P, _, pieces = _kernel(vec, model, fields)
     rows = t_rows(vec, P, pieces)
     JR = [symplectic(r) for r in rows[1:]]
-    return DiracCore(fd=FieldsAt(fields), P=np.array(P), S=spin_tensor(z), R=np.array(rows),
+    return DiracCore(z=z, fd=FieldsAt(fields), P=np.array(P), S=spin_tensor(z), R=np.array(rows),
                      JR=np.array(JR), t34=_t3t4(sum(map(mul, rows[1], JR[1])), model))
 
 
@@ -136,8 +135,6 @@ class DiracCoefficients:
 
     a: float
     u0: float
-    P: np.ndarray
-    S: np.ndarray
     Delta: np.ndarray
     K: np.ndarray
     L: np.ndarray
@@ -174,13 +171,12 @@ def dirac_coefficients(core, model):
     L = -(g * a / u0) * np.einsum("mn,a->mna", fs_asym, S[0, :])
 
     g_eff = np.diag(ETA_DIAG) - (2.0 * c * a * P[0] / (e * u0)) * np.outer(P, P)
-    return DiracCoefficients(a=a, u0=u0, P=P, S=S, Delta=Delta, K=K, L=L,
-                             g_eff=g_eff, dsf=dsf)
+    return DiracCoefficients(a=a, u0=u0, Delta=Delta, K=K, L=L, g_eff=g_eff, dsf=dsf)
 
 
-def t3t4_closed(coef, model):
+def t3t4_closed(core, coef, model):
     """{T3, T4} through the closed coefficients, e u0 / (2 c a calP^0)."""
-    return model.e * coef.u0 / (2.0 * model.c * coef.a * coef.P[0])
+    return model.e * coef.u0 / (2.0 * model.c * coef.a * core.P[0])
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +209,7 @@ def closed_brackets(core, coef, model):
     matrix over PHYSICAL_OBSERVABLES; the blocks below the diagonal
     follow by antisymmetry."""
     e, c = model.e, model.c
-    P, S, Delta, ge = coef.P, coef.S, coef.Delta, coef.g_eff
+    P, S, Delta, ge = core.P, core.S, coef.Delta, coef.g_eff
     F3 = core.fd.F_low[1:, 1:]
     # G[mu, j] = Delta^{mu k} F_{k j} - K^{mu j} for spatial j
     G = Delta[:, 1:] @ F3 - coef.K[:, 1:]
@@ -247,18 +243,24 @@ def closed_brackets(core, coef, model):
 # the row observables, resolved closed expressions vs. the oracle
 
 
-def aux_table_entries(z, core, model):
-    """The auxiliary table as closed expressions, two (3, 21) arrays
-    (resolved, transcribed): rows calP^0, T3, T4, columns in
-    ROW_OBSERVABLES order.
+def aux_table_entries(core, model, energy_row_variant="resolved"):
+    """The auxiliary table at the core's state as closed expressions, a
+    (3, 21) array: rows calP^0, T3, T4, columns in ROW_OBSERVABLES order.
 
-    The two differ only in the coefficients of the { (T3|T4), calP^0 }
-    entries: resolved uses (g/4, g) as fixed by the oracle; transcribed
-    uses (g/8, g/2), the defective printed pair, kept so the
-    adjudication stays reproducible.
+    energy_row_variant selects the coefficients of the
+    { (T3|T4), calP^0 } entries: "resolved" uses (g/4, g) as fixed by
+    the oracle; "transcribed" uses (g/8, g/2), the defective printed
+    pair, and is kept so the adjudication stays reproducible.
     """
     e, c, g = model.e, model.c, model.g
-    fd, P, S = core.fd, core.P, core.S
+    if energy_row_variant == "resolved":
+        c_grad, c_dip = g / 4.0, g
+    elif energy_row_variant == "transcribed":
+        c_grad, c_dip = g / 8.0, g / 2.0
+    else:
+        raise ValueError(f"unknown energy_row_variant {energy_row_variant!r}")
+
+    z, fd, P, S = core.z, core.fd, core.P, core.S
     P0 = P[0]
     dsf = np.einsum("lmn,mn->l", fd.dF_low, S)
     E = fd.F[0, 1:]  # F^{0i}
@@ -274,26 +276,24 @@ def aux_table_entries(z, core, model):
         -k * (fd.F @ (ETA_DIAG * z.pi)),
         -k * (Fmix - Fmix.T)[_MU, _NU]])
 
-    def t_row_pair(v, omega_part, pi_part):
-        """T_v = -v^0 (calP^0 row) + its explicit part, for the resolved
-        and the transcribed (gradient, dipole) coefficient pair."""
+    def t_row(v, omega_part, pi_part):
+        """T_v = -v^0 (calP^0 row) + its explicit part."""
         pfv = float(P[1:] @ (F3 @ v[1:]))
-        grad = float(v[1:] @ dsf[1:])
-        dip = float(E @ (P0 * v[1:] - v[0] * P[1:]))
-        head = np.concatenate([-v[1:], -(e / c) * (F3 @ v[1:])])
-        tail = np.concatenate([omega_part, pi_part, -2.0 * (P[_MU] * v[_NU] - P[_NU] * v[_MU])])
-        energies = [(e / (2.0 * P0 * c)) * ((g - 2.0) * pfv + c_grad * grad - c_dip * dip)
-                    for c_grad, c_dip in ((g / 4.0, g), (g / 8.0, g / 2.0))]
-        return [np.concatenate([head, [en], tail]) - v[0] * p0_row for en in energies]
+        grad_term = c_grad * float(v[1:] @ dsf[1:])
+        dip_term = c_dip * float(E @ (P0 * v[1:] - v[0] * P[1:]))
+        energy = (e / (2.0 * P0 * c)) * ((g - 2.0) * pfv + grad_term - dip_term)
+        explicit = np.concatenate([
+            -v[1:], -(e / c) * (F3 @ v[1:]), [energy], omega_part, pi_part,
+            -2.0 * (P[_MU] * v[_NU] - P[_NU] * v[_MU])])
+        return explicit - v[0] * p0_row
 
     zero = np.zeros(4)
-    rows = zip(t_row_pair(z.w, zero, P), t_row_pair(z.pi, -P, zero))
-    return tuple(np.array([p0_row, t3, t4]) for t3, t4 in rows)
+    return np.array([p0_row, t_row(z.w, zero, P), t_row(z.pi, -P, zero)])
 
 
-def aux_table_oracle(z, core, model):
+def aux_table_oracle(core, model):
     """The same table computed directly from the canonical bracket."""
-    G = np.array([ob.grad(z, model) for ob in ROW_OBSERVABLES.values()])
+    G = np.array([ob.grad(core.z, model) for ob in ROW_OBSERVABLES.values()])
     return core.R @ (G @ J.T).T
 
 
@@ -341,9 +341,10 @@ def aux_table_report(states, model):
     dev_transcribed = 0.0
     for z in _nonempty(states):
         core = dirac_core(z, model)
-        oracle = aux_table_oracle(z, core, model)
+        oracle = aux_table_oracle(core, model)
         scale = 1.0 + np.abs(oracle)
-        resolved, transcribed = aux_table_entries(z, core, model)
+        resolved = aux_table_entries(core, model, "resolved")
+        transcribed = aux_table_entries(core, model, "transcribed")
         dev_resolved = np.maximum(dev_resolved,
                                   np.abs(resolved - oracle) / scale)
         off = np.abs(transcribed - oracle) / scale
@@ -374,7 +375,7 @@ def closed_vs_direct_report(states, model):
         # np.maximum keeps a NaN, which must not read as agreement
         for fam, block in CLOSED_FAMILIES.items():
             dev[fam] = float(np.maximum(dev[fam], rel[block].max()))
-        t34 = t3t4_closed(coef, model)
+        t34 = t3t4_closed(core, coef, model)
         dev["T3T4"] = float(np.maximum(
             dev["T3T4"], abs(t34 - core.t34) / (1.0 + abs(core.t34))))
     return dev

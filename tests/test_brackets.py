@@ -121,7 +121,7 @@ def test_t3t4_closed_form():
         for z in state_batch(model, 4, seed=17):
             core = dirac_core(z, model)
             coef = dirac_coefficients(core, model)
-            assert np.isclose(t3t4_closed(coef, model), core.t34,
+            assert np.isclose(t3t4_closed(core, coef, model), core.t34,
                               rtol=1e-10)
 
 
@@ -219,15 +219,16 @@ def test_aux_table_energy_row_defect_is_visible():
                                               "dipole_term": "g"}
 
 
-def test_aux_report_sees_the_tables_swapped(monkeypatch):
-    """Negative control: with the transcribed table in the resolved
-    slot, the report's resolved deviation is the defect's."""
+def test_aux_report_sees_the_transcribed_row_in_the_resolved_slot(monkeypatch):
+    """Negative control: with the transcribed energy row served for
+    either variant, the report's resolved deviation is the defect's."""
     model = build_model("coulomb", g=2.3)
     original = brackets.aux_table_entries
-    monkeypatch.setattr(brackets, "aux_table_entries", lambda *args: original(*args)[::-1])
+    monkeypatch.setattr(brackets, "aux_table_entries",
+                        lambda core, model, variant="resolved":
+                        original(core, model, "transcribed"))
     rep = aux_table_report(state_batch(model, 2, seed=30), model)
     assert max(rep["resolved_max_dev"].values()) > 1e-3
-    assert rep["transcribed_energy_row_max_dev"] < 1e-12
 
 
 def test_aux_table_variants_agree_without_fields():
@@ -235,11 +236,19 @@ def test_aux_table_variants_agree_without_fields():
     model = build_model("zero", g=2.3)
     z = state_batch(model, 1, seed=31)[0]
     core = dirac_core(z, model)
-    res, tra = aux_table_entries(z, core, model)
-    orc = aux_table_oracle(z, core, model)
+    res = aux_table_entries(core, model, "resolved")
+    tra = aux_table_entries(core, model, "transcribed")
+    orc = aux_table_oracle(core, model)
     assert res.shape == orc.shape == (3, 21)
     assert np.allclose(res, tra, atol=1e-14)
     assert np.allclose(res, orc, atol=1e-12)
+
+
+def test_aux_table_rejects_unknown_variant():
+    model = build_model("zero", g=2.3)
+    z = state_batch(model, 1, seed=31)[0]
+    with pytest.raises(ValueError):
+        aux_table_entries(dirac_core(z, model), model, "printed")
 
 
 # ---------------------------------------------------------------------------

@@ -45,3 +45,4 @@ def test_script_refuses_an_input_that_verifies_nothing(name, args, error):
     than a zero that reads as a result."""
     proc = _run_script(name, *args)
     assert proc.returncode != 0 and error in proc.stderr, (proc.stdout, proc.stderr)
+    assert "Traceback" not in proc.stderr, proc.stderr
