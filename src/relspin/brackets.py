@@ -15,9 +15,14 @@ Two independent routes are implemented and pinned against each other:
   {T3,T4} through ``_t3t4``, the floor check that ``dynamics.dirac_rhs``
   shares.  ``DiracCore.flow`` maps grad B, one gradient or an (n, 16)
   stack, to {z, B}_D, so that {A,B}_D = grad A . flow(grad B) and the
-  direct table of n rows is one matrix G flow(G)^T per state; the
-  right-hand side needs the flow of grad H alone and takes it from three
-  symplectic pairings of the kernel's pieces, without rows or a core;
+  direct table of n rows is one matrix G flow(G)^T per state.  G is
+  read from the core by ``row_gradients``: the (22, 16) gradients of the
+  ROW_OBSERVABLES rows (x, calP, calP^0, omega, pi, S) and of H, of
+  which every report, the ladder of ``expansion`` and the self test take
+  their rows as slices; ``dirac_bracket`` pairs two ``phase.Observable``
+  instead.  The right-hand side needs the flow of grad H alone and takes
+  it from three symplectic pairings of the kernel's pieces, without rows
+  or a core;
 
 * the *closed-form* route evaluates the same tables from the
   coefficient blocks (a, u0, Delta, K, L, g_eff): ``closed_brackets``
@@ -26,9 +31,11 @@ Two independent routes are implemented and pinned against each other:
   brackets of (calP^0, T3, T4) against every row observable.
 
 The core is the one per-state bundle (state, fields, calP, S, rows) that
-both routes and ``expansion`` read.  Every report builds one core and one
-matrix per route and state, compares them block by block, and refuses
-an empty batch, whose all-zero maxima would read as a pass.
+both routes, the gradient matrix and ``expansion`` read, so a report
+evaluates the fields and the kernel once per state.  Every report builds
+one core and one matrix per route and state, compares them block by
+block, and refuses an empty batch, whose all-zero maxima would read as a
+pass.
 
 The transcription of the closed forms carried defects that this
 module adjudicates numerically against the direct route (see
@@ -52,13 +59,10 @@ from operator import mul
 import numpy as np
 
 from .minkowski import ETA_DIAG, contract_2
-from .phase import (J, FieldsAt, field_data, obs_coord, obs_energy, obs_hamiltonian,
-                    obs_kinetic, obs_spin, spin_tensor, symplectic, t_rows, _kernel)
+from .phase import J, FieldsAt, field_data, spin_tensor, symplectic, t_rows, _kernel
 
 SPIN_INDEX_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _MU, _NU = (np.array(ix) for ix in zip(*SPIN_INDEX_PAIRS))
-
-H_OBS = obs_hamiltonian()
 
 
 @dataclass(frozen=True)
@@ -110,9 +114,9 @@ def dirac_core(z, model):
                      JR=np.array(JR), t34=_t3t4(sum(map(mul, rows[1], JR[1])), model))
 
 
-def dirac_bracket(A, B, z, model, core):
-    """Direct {A, B}_D from exact gradients and the core at z; the package oracle."""
-    return float(A.grad(z, model) @ core.flow(B.grad(z, model)))
+def dirac_bracket(A, B, core, model):
+    """Direct {A, B}_D of two phase.Observable at the core's state."""
+    return float(A.grad(core.z, model) @ core.flow(B.grad(core.z, model)))
 
 
 # ---------------------------------------------------------------------------
@@ -184,15 +188,49 @@ def t3t4_closed(core, coef, model):
 # S^{mu nu}; the physical rows are x, calP and S
 
 
-ROW_OBSERVABLES = {("x", i): obs_coord("x", i) for i in (1, 2, 3)}
-ROW_OBSERVABLES.update({("P", i): obs_kinetic(i) for i in (1, 2, 3)})
-ROW_OBSERVABLES[("P0", None)] = obs_energy()
-ROW_OBSERVABLES.update({("omega", mu): obs_coord("omega", mu) for mu in range(4)})
-ROW_OBSERVABLES.update({("pi", mu): obs_coord("pi", mu) for mu in range(4)})
-ROW_OBSERVABLES.update({("S", pair): obs_spin(*pair) for pair in SPIN_INDEX_PAIRS})
+ROW_OBSERVABLES = (*(("x", i) for i in (1, 2, 3)), *(("P", i) for i in (1, 2, 3)),
+                   ("P0", None), *(("omega", mu) for mu in range(4)),
+                   *(("pi", mu) for mu in range(4)),
+                   *(("S", pair) for pair in SPIN_INDEX_PAIRS))
 
-PHYSICAL_OBSERVABLES = [ob for (kind, _), ob in ROW_OBSERVABLES.items()
-                        if kind in ("x", "P", "S")]
+# the rows of each kind, in ROW_OBSERVABLES order; H is the row after them
+_ROWS = {kind: [n for n, (k, _) in enumerate(ROW_OBSERVABLES) if k == kind]
+         for kind, _ in ROW_OBSERVABLES}
+_PHYSICAL = _ROWS["x"] + _ROWS["P"] + _ROWS["S"]
+
+# the constant entries: the one of x^i, of calP^i in p^i, of omega^mu and
+# of pi^mu, at the first slot of each block plus the index
+_BLOCK = {"x": 0, "P": 4, "omega": 8, "pi": 12}
+_CONSTANT = np.array([np.eye(16)[_BLOCK[kind] + i] if kind in _BLOCK else np.zeros(16)
+                      for kind, i in (*ROW_OBSERVABLES, ("H", None))])
+
+
+def row_gradients(core, model):
+    """The gradients of the ROW_OBSERVABLES rows and of H at the core's
+    state, a (22, 16) matrix read from the core: no field evaluation and
+    no kernel call.
+
+    The x, omega and pi rows are constant; calP^i = p^i - (e/c) A^i adds
+    -(e/c) d A^i to the one in p^i; the calP^0 row is the core's
+    grad calP^0; S^{mu nu} = 2 (omega^mu pi^nu - omega^nu pi^mu) reads
+    omega and pi; H = c calP^0 + e A^0.  The backgrounds are stationary:
+    the x^0 slot of d A^i is 0.0.
+    """
+    dA = core.fd.floats[1]      # dA[mu] = (d_1, d_2, d_3) A^mu
+    w, q = core.z.w, core.z.pi
+    G = _CONSTANT.copy()
+    G[_ROWS["P"], 0:4] = np.multiply(-model.e_c, [(0.0, *dA[i]) for i in (1, 2, 3)])
+    G[_ROWS["P0"]] = core.R[0]
+    spin = _ROWS["S"]
+    # added onto the zeros, so that a product -0.0 is stored as 0.0
+    G[spin, 8 + _MU] += 2.0 * q[_NU]
+    G[spin, 8 + _NU] += -2.0 * q[_MU]
+    G[spin, 12 + _NU] += 2.0 * w[_MU]
+    G[spin, 12 + _MU] += -2.0 * w[_NU]
+    G[-1] = model.c * core.R[0]
+    G[-1, 1:4] += np.multiply(model.e, dA[0])
+    return G
+
 
 # the reduced-bracket families as blocks of the physical-row matrix
 _X, _P, _S = slice(0, 3), slice(3, 6), slice(6, 12)
@@ -206,8 +244,8 @@ CLOSED_FAMILIES = {"xx": (_X, _X), "xP": (_X, _P), "PP": (_P, _P),
 
 def closed_brackets(core, coef, model):
     """{A_a, A_b}_D through the coefficient blocks, as the (12, 12)
-    matrix over PHYSICAL_OBSERVABLES; the blocks below the diagonal
-    follow by antisymmetry."""
+    matrix over the physical rows x, calP and S of ROW_OBSERVABLES; the
+    blocks below the diagonal follow by antisymmetry."""
     e, c = model.e, model.c
     P, S, Delta, ge = core.P, core.S, coef.Delta, coef.g_eff
     F3 = core.fd.F_low[1:, 1:]
@@ -293,17 +331,15 @@ def aux_table_entries(core, model, energy_row_variant="resolved"):
 
 def aux_table_oracle(core, model):
     """The same table computed directly from the canonical bracket."""
-    G = np.array([ob.grad(core.z, model) for ob in ROW_OBSERVABLES.values()])
+    G = row_gradients(core, model)[:-1]
     return core.R @ (G @ J.T).T
 
 
 # report groups "{T3,x}", ...: (label, table row, columns), sorted by label
-_AUX_COLUMNS = {kind: [n for n, (k, _) in enumerate(ROW_OBSERVABLES) if k == kind]
-                for kind, _ in ROW_OBSERVABLES}
-_AUX_GROUPS = tuple((f"{{{con},{kind}}}", r, _AUX_COLUMNS[kind])
+_AUX_GROUPS = tuple((f"{{{con},{kind}}}", r, _ROWS[kind])
                    for r, con in enumerate(("P0", "T3", "T4"))
-                   for kind in sorted(_AUX_COLUMNS))
-_ENERGY_COLUMN = _AUX_COLUMNS["P0"][0]
+                   for kind in sorted(_ROWS))
+_ENERGY_COLUMN = _ROWS["P0"][0]
 
 
 # the adjudicated forms, the same in every report (shared, not rebuilt)
@@ -368,7 +404,7 @@ def closed_vs_direct_report(states, model):
     for z in _nonempty(states):
         core = dirac_core(z, model)
         coef = dirac_coefficients(core, model)
-        G = np.array([ob.grad(z, model) for ob in PHYSICAL_OBSERVABLES])
+        G = row_gradients(core, model)[_PHYSICAL]
         D = G @ core.flow(G).T
         C = closed_brackets(core, coef, model)
         rel = np.abs(C - D) / (1.0 + np.abs(D))
@@ -381,15 +417,11 @@ def closed_vs_direct_report(states, model):
     return dev
 
 
-DEFINING_OBSERVABLES = [*ROW_OBSERVABLES.values(), H_OBS]
-
-
 def defining_property_report(states, model):
-    """Max |{T_a, X}_D| over the second-class pair and all observables."""
+    """Max |{T_a, X}_D| over the second-class pair and the rows of row_gradients."""
     worst = 0.0
     for z in _nonempty(states):
         core = dirac_core(z, model)
-        G = np.array([ob.grad(z, model) for ob in DEFINING_OBSERVABLES])
-        D = core.R[1:] @ core.flow(G).T
+        D = core.R[1:] @ core.flow(row_gradients(core, model)).T
         worst = float(np.maximum(worst, np.max(np.abs(D))))
     return worst

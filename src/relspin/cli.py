@@ -357,8 +357,8 @@ def run_selftest():
     import numpy as np
 
     from . import expansion
-    from .brackets import (H_OBS, closed_vs_direct_report,
-                           defining_property_report, dirac_core)
+    from .brackets import (closed_vs_direct_report, defining_property_report,
+                           dirac_core, row_gradients)
     from .dynamics import dirac_rhs
     from .fields import make_background
     from .phase import Model, random_constrained_state
@@ -379,11 +379,13 @@ def run_selftest():
                    for j in (l - 0.5, l + 0.5))
 
     def rhs_vs_stacked_flow():
-        """dirac_rhs against DiracCore.flow of grad H, x^0 and p^0 set as
-        in the right-hand side; relative to the largest component."""
+        """dirac_rhs against DiracCore.flow of grad H, the last row of
+        row_gradients, x^0 and p^0 set as in the right-hand side;
+        relative to the largest component."""
         worst = 0.0
         for z in states:
-            want = dirac_core(z, model).flow(H_OBS.grad(z, model))
+            core = dirac_core(z, model)
+            want = core.flow(row_gradients(core, model)[-1])
             want[0], want[4] = model.c, 0.0
             dev = np.max(np.abs(dirac_rhs(z.vec.tolist(), model) - want)) / np.max(np.abs(want))
             worst = max(worst, float(dev))

@@ -381,7 +381,10 @@ def linear_rate(t, angle):
 
 
 def spin_plane_rate(traj, i=0, j=1):
-    """Secular rotation rate of the spin projection in the (i,j) plane."""
+    """Secular rotation rate of the spin projection in the (i,j) plane,
+    i and j two distinct axes 0..2 (S1..S3); any other pair is refused."""
+    if not (i in (0, 1, 2) and j in (0, 1, 2) and i != j):
+        raise ValueError(f"a spin plane needs two distinct axes in 0..2, got ({i}, {j})")
     ch = traj.channels()
     names = ("S1", "S2", "S3")
     ang = unwrapped_angle(ch[names[j]], ch[names[i]])

@@ -7,10 +7,11 @@ the exact Dirac brackets on a ladder of growing c with the physical
 data (momentum, spin, fields) held fixed: each residual, multiplied by
 the quoted power c^k, must still fall as c doubles, which pins the
 order of the first neglected term.  The exact table is the direct one
-of brackets, on its physical rows x, calP and S^{ij}, with the spin
-three-vector S_k = S^{ij}/2 of phase.spin_readouts taken as exact
-multiples of the S^{ij} rows.  The expanded Hamiltonian and table read
-the rung's brackets.dirac_core, so a rung evaluates its state once.
+of brackets, on the x, calP and S^{ij} rows of brackets.row_gradients,
+with the spin three-vector S_k = S^{ij}/2 of phase.spin_readouts taken
+as exact multiples of the S^{ij} rows.  The gradients, the expanded
+Hamiltonian and the expanded table read the rung's brackets.dirac_core,
+so a rung evaluates its state once.
 
 The primed chart, with the shift built on the kinetic momentum,
 
@@ -31,14 +32,15 @@ from .minkowski import EPS3, extract_EB
 # benchmark tracer (perfbench/tracer.py) wraps it in every module that
 # names it, and its test expects this module among them
 from .phase import Model, field_data, init_state, spin_readouts  # noqa: F401
-from .brackets import PHYSICAL_OBSERVABLES, SPIN_INDEX_PAIRS, dirac_core
+from .brackets import ROW_OBSERVABLES, dirac_core, row_gradients
 
 LADDER_ORDERS = {"xx": 2, "xP": 2, "xS": 1, "PP": 3, "PS": 2, "SS": 1}
 
-# the table's rows among the physical rows of brackets, with exact
-# factors: x, calP, and S_k = (S^{23}, -S^{13}, S^{12}) / 2
-_LADDER_ROWS = (*range(6), *(6 + SPIN_INDEX_PAIRS.index(ij)
-                             for ij in ((2, 3), (1, 3), (1, 2))))
+# the table's rows among brackets.ROW_OBSERVABLES, with exact factors:
+# x, calP, and S_k = (S^{23}, -S^{13}, S^{12}) / 2
+_LADDER_ROWS = [ROW_OBSERVABLES.index(row) for row in (
+    *(("x", i) for i in (1, 2, 3)), *(("P", i) for i in (1, 2, 3)),
+    *(("S", ij) for ij in ((2, 3), (1, 3), (1, 2))))]
 _LADDER_FACTORS = np.array([1.0] * 6 + [0.5, -0.5, 0.5])[:, None]
 _LADDER_BLOCKS = {"x": slice(0, 3), "P": slice(3, 6), "S": slice(6, 9)}
 
@@ -107,16 +109,18 @@ def bracket_ladder(background="crossed", cs=(10.0, 20.0, 40.0, 80.0)):
     Returns {family: {"residuals": [...], "scaled": [...], "order": k}}
     where scaled[n] = residual[n] * c_n^k must decrease strictly (down
     to a floating-point floor) if the table captures every term below
-    order c^{-k}.
+    order c^{-k}.  Fewer than two values of c compare nothing, and are
+    refused.
     """
+    if len(cs := tuple(cs)) < 2:
+        raise ValueError(f"a ladder needs at least two values of c, got cs = {cs}")
     out = {fam: {"residuals": [], "order": k, "cs": list(cs)}
            for fam, k in LADDER_ORDERS.items()}
     h_res = []
     for c in cs:
         model, z = _ladder_state(c, background)
         core = dirac_core(z, model)
-        G = _LADDER_FACTORS * np.array([PHYSICAL_OBSERVABLES[n].grad(z, model)
-                                        for n in _LADDER_ROWS])
+        G = _LADDER_FACTORS * row_gradients(core, model)[_LADDER_ROWS]
         D = G @ core.flow(G).T
         h_exact = model.c * core.P[0] + model.e * core.fd.A[0]
         h_res.append(abs(h_exact - hamiltonian_expanded(core, model)))

@@ -30,10 +30,10 @@ The four are written once, with calP, in the kernel _kernel: from one
 field evaluation it gives calP, the values (T2, T3, T4, T5) and the
 pieces of the rows grad (calP^0, T3, T4) as Python floats, in float
 arithmetic on the 16 components (at one state cheaper than numpy's
-per-call overhead); t_rows assembles the rows and _rows is the array
-view.  The kernel, t_rows and the backgrounds' at(x) take plain float
-sequences; the readers that hold a PhaseState convert its array once
-with tolist() at their call.  Every reader of calP or a constraint at
+per-call overhead); t_rows assembles the rows, which
+brackets.dirac_core holds as an array.  The kernel, t_rows and the
+backgrounds' at(x) take plain float sequences; the readers that hold
+a PhaseState convert its array once with tolist() at their call.  Every reader of calP or a constraint at
 a state reads the kernel, whose energy radicand check is _energy;
 init_state computes calP^0 and checks m*^2 in its own fixed point.  The
 Model constants are derived once per Model.  A state is its 16 numbers,
@@ -45,7 +45,9 @@ they are; FieldsAt, their array view, expands them into A, dA, F and
 dF, and lowers F and dF, on first read.  The canonical structure,
 {z, B} = J grad B and {A, B} = grad A . J grad B, is a signed
 permutation written once, in ``symplectic``; the constant matrix J is
-built from it (grad B @ J.T, also for an (n, 16) stack).
+built from it (grad B @ J.T, also for an (n, 16) stack).  An
+Observable is a named scalar with its exact gradient, the form
+brackets.dirac_bracket pairs; the package builds none.
 """
 
 from __future__ import annotations
@@ -59,9 +61,6 @@ import numpy as np
 
 from .fields import FieldBackground, expand
 from .minkowski import ETA_DIAG, boost_matrix, contract_2, lower2
-
-BLOCKS = ("x", "p", "omega", "pi")
-
 
 def symplectic(v):
     """J v = {z^k, B} for v = grad B, as a list of 16 numbers, where
@@ -229,8 +228,10 @@ class Observable:
     """Named scalar on phase space with an exact 16-gradient.
 
     grad returns d(obs)/dz as a flat (16,) array in block order
-    (x, p, omega, pi); exactness (vs. finite differences) is a tested
-    contract because Dirac brackets are built from these gradients.
+    (x, p, omega, pi); brackets.dirac_bracket pairs two of them.  The
+    package builds none: the bracket reports read the gradient matrix
+    brackets.row_gradients, and the observables that pin it, by finite
+    differences and by dual numbers, are test oracles.
     """
 
     __slots__ = ("name", "_f", "_g")
@@ -269,7 +270,7 @@ def _kernel(vec, model, fields):
     arithmetic: at one state numpy's per-call cost outweighs the
     arithmetic of four-vectors, so the state is unpacked as floats, the
     fields as the tuples of field_data, and the eta signs are written
-    into the expressions; _rows gives the outputs as arrays.  The fields
+    into the expressions.  The fields
     come in the layout of fields.py, which holds what the kernel reads:
     the spatial derivatives of A and the components of F and d_lam F
     above the diagonal, unpacked once; the four contractions with S are
@@ -349,95 +350,12 @@ def t_rows(vec, P, pieces):
     return g0, t_row(w0, w1, w2, w3, ex3, 8), t_row(q0, q1, q2, q3, ex4, 12)
 
 
-def _rows(z, model, fields=None):
-    """The kernel's calP and T and the assembled rows R at z as arrays of
-    shapes (4,), (4,) and (3, 16), for the readers that work on arrays."""
-    vec = z.vec.tolist()
-    P, T, pieces = _kernel(vec, model, fields or field_data(model, vec[:4]))
-    return np.array(P), np.array(T), np.array(t_rows(vec, P, pieces))
-
-
-def kinetic_momentum(z, model, fields=None):
-    """Four-vector (calP^0, calP^i) with calP^0 the energy function."""
-    return constraint_values(z, model, fields)[0]
-
-
 def constraint_values(z, model, fields=None):
     """calP and the values (T2, T3, T4, T5) at z, from one field evaluation
     and one kernel call; no row is assembled."""
     vec = z.vec.tolist()
     P, T, _ = _kernel(vec, model, fields or field_data(model, vec[:4]))
     return np.array(P), np.array(T)
-
-
-def obs_coord(block, mu):
-    idx = 4 * BLOCKS.index(block) + mu
-    one = np.zeros(16)
-    one[idx] = 1.0
-    name = {"x": "x", "p": "p", "omega": "omega", "pi": "pi"}[block] + f"^{mu}"
-    return Observable(name, lambda z, model: z.vec[idx], lambda z, model: one.copy())
-
-
-def obs_kinetic(i):
-    """calP^i for spatial i in 1..3."""
-    if i not in (1, 2, 3):
-        raise ValueError("kinetic momentum observable is spatial, i in 1..3")
-
-    def f(z, model):
-        return z.p[i] - (model.e / model.c) * field_data(model, z.x.tolist())[0][i]
-
-    def grd(z, model):
-        dA = field_data(model, z.x.tolist())[1]
-        out = np.zeros(16)
-        out[4 + i] = 1.0
-        # the x^0 slot -(e/c) 0.0, as the product with a full row of dA
-        out[0:4] = np.multiply(-(model.e / model.c), (0.0, *dA[i]))
-        return out
-
-    return Observable(f"calP^{i}", f, grd)
-
-
-def obs_energy():
-    """calP^0 as a phase-space function."""
-
-    def f(z, model):
-        return kinetic_momentum(z, model)[0]
-
-    def grd(z, model):
-        return _rows(z, model)[2][0]
-
-    return Observable("calP^0", f, grd)
-
-
-def obs_spin(mu, nu):
-    def f(z, model):
-        return 2.0 * (z.w[mu] * z.pi[nu] - z.w[nu] * z.pi[mu])
-
-    def grd(z, model):
-        out = np.zeros(16)
-        out[8 + mu] += 2.0 * z.pi[nu]
-        out[8 + nu] += -2.0 * z.pi[mu]
-        out[12 + nu] += 2.0 * z.w[mu]
-        out[12 + mu] += -2.0 * z.w[nu]
-        return out
-
-    return Observable(f"S^{mu}{nu}", f, grd)
-
-
-def obs_hamiltonian():
-    """Covariant Hamiltonian H = c calP^0 + e A^0 (lab-time generator)."""
-
-    def f(z, model):
-        fields = field_data(model, z.x.tolist())
-        return model.c * kinetic_momentum(z, model, fields)[0] + model.e * fields[0][0]
-
-    def grd(z, model):
-        fields = field_data(model, z.x.tolist())
-        out = model.c * _rows(z, model, fields)[2][0]
-        out[1:4] += np.multiply(model.e, fields[1][0])
-        return out
-
-    return Observable("H", f, grd)
 
 
 # ---------------------------------------------------------------------------

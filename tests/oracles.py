@@ -4,10 +4,18 @@ layer and the field layer.
 * ``kinetic`` and ``values``, calP and the constraint values
   (T2, T3, T4, T5), and ``p0_and_grad`` and ``t34_grads``, the rows
   grad calP^0, grad T3 and grad T4, written with numpy arrays and
-  matrix products on the lowered field tensors; ``phase._rows`` writes
-  all of them on the components in float arithmetic (the kernel's
-  pieces, assembled by ``phase.t_rows``) and the tests pin it to this
-  form.
+  matrix products on the lowered field tensors; the kernel
+  ``phase._kernel`` writes all of them on the components in float
+  arithmetic, ``kernel_rows`` and ``kinetic_momentum`` give its outputs
+  (the rows assembled by ``phase.t_rows``) as arrays, and the tests pin
+  them to this form.
+* The gradient oracle: the ``phase.Observable`` factories ``obs_coord``,
+  ``obs_kinetic``, ``obs_energy``, ``obs_spin`` and ``obs_hamiltonian``,
+  each evaluating the fields (and the kernel) on its own, and
+  ``ROW_ORACLES``, one per row of ``brackets.row_gradients`` in its
+  order (``PHYSICAL_ORACLES`` the x, calP and S rows).  The tests pin
+  the factories by finite differences and dual numbers, and
+  ``row_gradients``, read from one ``dirac_core``, to them bit for bit.
 * The three-application form of the Dirac flow: the canonical structure
   applied block by block (``symplectic_apply``), the canonical bracket of
   two gradients written out (``pair_gradients``), and ``flow`` applying
@@ -41,11 +49,11 @@ import math
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from relspin.brackets import ROW_OBSERVABLES
 from relspin.dynamics import Trajectory, _grid, dirac_rhs, project_state
 from relspin.minkowski import EPS3, ETA_DIAG, field_tensor_from_EB, mdot
-from relspin.phase import (CONSTRAINT_NAMES, J, Observable, PhaseState, _energy,
-                           _rows, constraint_values, field_data, kinetic_momentum,
-                           spin_tensor)
+from relspin.phase import (CONSTRAINT_NAMES, J, Observable, PhaseState, _energy, _kernel,
+                           constraint_values, field_data, spin_tensor, t_rows)
 
 
 def kinetic(z, model, fd):
@@ -102,6 +110,19 @@ def t34_grads(z, model, fd, P, gP0):
     out[0, 8:12] += P_low
     out[1, 12:16] += P_low
     return out
+
+
+def kernel_rows(z, model, fields=None):
+    """The kernel's calP and T and the assembled rows R at z as arrays of
+    shapes (4,), (4,) and (3, 16)."""
+    vec = z.vec.tolist()
+    P, T, pieces = _kernel(vec, model, fields or field_data(model, vec[:4]))
+    return np.array(P), np.array(T), np.array(t_rows(vec, P, pieces))
+
+
+def kinetic_momentum(z, model, fields=None):
+    """Four-vector (calP^0, calP^i) with calP^0 the energy function."""
+    return constraint_values(z, model, fields)[0]
 
 
 def symplectic_apply(gb):
@@ -304,7 +325,7 @@ def constraint_gradients(z, model, fields=None):
     """The values (T2, T3, T4, T5) and their (4, 16) gradient rows at z,
     from one field evaluation and one kernel call, which gives the T3 and
     T4 rows; at a spinless state the T5 row reads zero, like its value."""
-    _, T, R = _rows(z, model, fields or field_data(model, z.x))
+    _, T, R = kernel_rows(z, model, fields or field_data(model, z.x))
     G = np.zeros((4, 16))
     G[0, 8:12] = ETA_DIAG * z.pi
     G[0, 12:16] = ETA_DIAG * z.w
@@ -337,3 +358,89 @@ def obs_t4():
 
 def obs_t5():
     return _obs_constraint(3)
+
+
+# ---------------------------------------------------------------------------
+# the gradient oracle: one Observable per row, each evaluating on its own
+
+
+BLOCKS = ("x", "p", "omega", "pi")
+
+
+def obs_coord(block, mu):
+    idx = 4 * BLOCKS.index(block) + mu
+    one = np.zeros(16)
+    one[idx] = 1.0
+    return Observable(f"{block}^{mu}", lambda z, model: z.vec[idx], lambda z, model: one.copy())
+
+
+def obs_kinetic(i):
+    """calP^i for spatial i in 1..3."""
+    if i not in (1, 2, 3):
+        raise ValueError("kinetic momentum observable is spatial, i in 1..3")
+
+    def f(z, model):
+        return z.p[i] - (model.e / model.c) * field_data(model, z.x.tolist())[0][i]
+
+    def grd(z, model):
+        dA = field_data(model, z.x.tolist())[1]
+        out = np.zeros(16)
+        out[4 + i] = 1.0
+        # the x^0 slot -(e/c) 0.0, as the product with a full row of dA
+        out[0:4] = np.multiply(-(model.e / model.c), (0.0, *dA[i]))
+        return out
+
+    return Observable(f"calP^{i}", f, grd)
+
+
+def obs_energy():
+    """calP^0 as a phase-space function."""
+
+    def f(z, model):
+        return kinetic_momentum(z, model)[0]
+
+    def grd(z, model):
+        return kernel_rows(z, model)[2][0]
+
+    return Observable("calP^0", f, grd)
+
+
+def obs_spin(mu, nu):
+    def f(z, model):
+        return 2.0 * (z.w[mu] * z.pi[nu] - z.w[nu] * z.pi[mu])
+
+    def grd(z, model):
+        out = np.zeros(16)
+        out[8 + mu] += 2.0 * z.pi[nu]
+        out[8 + nu] += -2.0 * z.pi[mu]
+        out[12 + nu] += 2.0 * z.w[mu]
+        out[12 + mu] += -2.0 * z.w[nu]
+        return out
+
+    return Observable(f"S^{mu}{nu}", f, grd)
+
+
+def obs_hamiltonian():
+    """Covariant Hamiltonian H = c calP^0 + e A^0 (lab-time generator)."""
+
+    def f(z, model):
+        fields = field_data(model, z.x.tolist())
+        return model.c * kinetic_momentum(z, model, fields)[0] + model.e * fields[0][0]
+
+    def grd(z, model):
+        fields = field_data(model, z.x.tolist())
+        out = model.c * kernel_rows(z, model, fields)[2][0]
+        out[1:4] += np.multiply(model.e, fields[1][0])
+        return out
+
+    return Observable("H", f, grd)
+
+
+_ROW_FACTORIES = {"x": lambda i: obs_coord("x", i), "P": obs_kinetic,
+                  "P0": lambda _: obs_energy(), "omega": lambda mu: obs_coord("omega", mu),
+                  "pi": lambda mu: obs_coord("pi", mu), "S": lambda pair: obs_spin(*pair)}
+
+# the rows of brackets.row_gradients: ROW_OBSERVABLES, then H
+ROW_ORACLES = [*(_ROW_FACTORIES[kind](i) for kind, i in ROW_OBSERVABLES), obs_hamiltonian()]
+PHYSICAL_ORACLES = [ob for (kind, _), ob in zip(ROW_OBSERVABLES, ROW_ORACLES)
+                    if kind in ("x", "P", "S")]

@@ -19,11 +19,11 @@ from relspin.expansion import LADDER_ORDERS, bracket_ladder, ladder_decreasing
 from relspin.fields import make_background
 from relspin.hydrogen import (HydrogenModel, fine_structure_table,
                               p_level_splitting, p_level_splitting_naive)
-from relspin.phase import (Model, PhaseState, field_data, init_state,
-                           kinetic_momentum, obs_coord, spin_tensor)
+from relspin.phase import Model, PhaseState, field_data, init_state, spin_tensor
 from relspin.quantum import (CORRESPONDENCE_FLOORS, build_operators,
                              correspondence_report, correspondence_residuals,
                              g_minus_one_residual)
+from oracles import kinetic_momentum, obs_coord
 from ring_oracles import cinv_orders
 
 
@@ -82,11 +82,10 @@ def test_criterion_3_free_theory_exact():
     worst = 0.0
     for i in (1, 2, 3):
         for j in (1, 2, 3):
-            val = dirac_bracket(obs_coord("x", i), obs_coord("x", j),
-                                z, model, core)
+            val = dirac_bracket(obs_coord("x", i), obs_coord("x", j), core, model)
             worst = max(worst,
                         abs(val - S[i, j] / (2 * model.m * model.c * P0)))
-    x12 = dirac_bracket(obs_coord("x", 1), obs_coord("x", 2), z, model, core)
+    x12 = dirac_bracket(obs_coord("x", 1), obs_coord("x", 2), core, model)
     ref = np.sqrt(3.0) / 200.0
     ok = worst < 1e-10 and abs(x12 - ref) < 1e-12
     _verdict(3, ok,

@@ -14,17 +14,19 @@ import numpy as np
 import pytest
 
 from relspin import brackets, dynamics, expansion, fields, phase
-from relspin.brackets import (CLOSED_FAMILIES, PHYSICAL_OBSERVABLES,
+from relspin.brackets import (CLOSED_FAMILIES, ROW_OBSERVABLES,
                               aux_table_entries, aux_table_oracle,
                               aux_table_report, closed_brackets,
                               closed_vs_direct_report,
                               defining_property_report, dirac_bracket,
-                              dirac_core, dirac_coefficients, t3t4_closed)
-from relspin.phase import (PhaseState, init_state, obs_coord, obs_hamiltonian, obs_spin,
-                           spin_tensor, symplectic)
+                              dirac_core, dirac_coefficients, row_gradients,
+                              t3t4_closed)
+from relspin.phase import PhaseState, init_state, spin_tensor, symplectic
 
 import oracles
-from conftest import BACKGROUND_PARAMS, build_model, state_batch
+from conftest import (BACKGROUND_PARAMS, KERNEL_BACKGROUNDS, build_model, kernel_model,
+                      state_batch)
+from oracles import PHYSICAL_ORACLES, ROW_ORACLES, obs_coord, obs_hamiltonian, obs_spin
 
 ALL_KINDS = sorted(BACKGROUND_PARAMS)
 
@@ -54,15 +56,45 @@ def test_bracket_antisymmetry_and_leibniz_spots():
     x2 = obs_coord("x", 2)
     H = obs_hamiltonian()
     s13 = obs_spin(1, 3)
-    assert np.isclose(dirac_bracket(x2, H, z, model, core),
-                      -dirac_bracket(H, x2, z, model, core), rtol=1e-12)
-    assert abs(dirac_bracket(s13, s13, z, model, core)) < 1e-14
+    assert np.isclose(dirac_bracket(x2, H, core, model),
+                      -dirac_bracket(H, x2, core, model), rtol=1e-12)
+    assert abs(dirac_bracket(s13, s13, core, model)) < 1e-14
+
+
+def test_dirac_bracket_reads_the_state_of_its_core():
+    """dirac_bracket pairs two observables at core.z: at each of two
+    states it reads the entry of that state's G flow(G)^T, and the two
+    differ, so a core is never paired with another state's gradients."""
+    model = build_model("coulomb", g=2.3)
+    x1, x2 = obs_coord("x", 1), obs_coord("x", 2)
+    a, b = ROW_OBSERVABLES.index(("x", 1)), ROW_OBSERVABLES.index(("x", 2))
+    values = []
+    for z in state_batch(model, 2, seed=0):
+        core = dirac_core(z, model)
+        G = row_gradients(core, model)
+        values.append(dirac_bracket(x1, x2, core, model))
+        assert np.isclose(values[-1], (G @ core.flow(G).T)[a, b], rtol=1e-12, atol=0.0)
+    assert not np.isclose(*values)
+
+
+@pytest.mark.parametrize("spinless", [False, True], ids=["spin", "spinless"])
+@pytest.mark.parametrize("name", sorted(KERNEL_BACKGROUNDS))
+def test_row_gradients_match_the_oracle_factories(name, spinless):
+    """row_gradients, read from one dirac_core, is the stack of the oracle
+    observables' gradients, each evaluating the fields on its own, row by
+    row and bit for bit, signed zeros included."""
+    model = kernel_model(name, spinless)
+    for z in state_batch(model, 6, seed=19):
+        G = row_gradients(dirac_core(z, model), model)
+        assert G.shape == (len(ROW_OBSERVABLES) + 1, 16) == (22, 16)
+        for row, ob in zip(G, ROW_ORACLES, strict=True):
+            assert row.tobytes() == ob.grad(z, model).tobytes(), ob.name
 
 
 def _direct_physical(z, model):
-    """G flow(G)^T over PHYSICAL_OBSERVABLES, the oracle's matrix."""
+    """G flow(G)^T over the oracle's physical rows."""
     core = dirac_core(z, model)
-    G = np.array([ob.grad(z, model) for ob in PHYSICAL_OBSERVABLES])
+    G = np.array([ob.grad(z, model) for ob in PHYSICAL_ORACLES])
     return G @ core.flow(G).T
 
 
@@ -143,9 +175,8 @@ def test_reports_refuse_an_empty_batch(report):
 def evaluations(monkeypatch):
     """Calls of field_data, fields.expand and phase._kernel, wrapped in
     every module that binds them by name, with the count paused inside
-    Observable.grad and expansion's init_state: the gradients of the
-    row observables evaluate their own fields, and a ladder rung's
-    state is built before it is read."""
+    expansion's init_state: a ladder rung's state is built before it is
+    read."""
     calls = dict.fromkeys(("field_data", "expand", "_kernel"), 0)
     paused = [0]
 
@@ -168,7 +199,6 @@ def evaluations(monkeypatch):
         for name in calls:
             if name in vars(mod):
                 monkeypatch.setattr(mod, name, counting(name, vars(mod)[name]))
-    monkeypatch.setattr(phase.Observable, "grad", pausing(phase.Observable.grad))
     monkeypatch.setattr(expansion, "init_state", pausing(expansion.init_state))
     return calls
 
@@ -177,8 +207,9 @@ def evaluations(monkeypatch):
 @pytest.mark.parametrize("kind", ["coulomb", "crossed"])
 def test_reports_evaluate_each_state_once(kind, report, evaluations):
     """One field evaluation, at most one expansion of it and one kernel
-    call per state: the closed forms, the auxiliary table and the oracle
-    read the state's dirac_core."""
+    call per state, the gradients included: the closed forms, the
+    auxiliary table, the oracle and row_gradients read the state's
+    dirac_core."""
     model = build_model(kind, g=2.3)
     states = state_batch(model, 3, seed=40)
     evaluations.update(dict.fromkeys(evaluations, 0))   # the batch is built aside
@@ -188,7 +219,8 @@ def test_reports_evaluate_each_state_once(kind, report, evaluations):
 
 
 def test_ladder_evaluates_each_rung_once(evaluations):
-    """The same per rung of bracket_ladder, its state built aside."""
+    """The same per rung of bracket_ladder, its state built aside, the
+    gradients included."""
     expansion.bracket_ladder("coulomb", cs=(10.0, 20.0, 40.0))
     assert evaluations == {"field_data": 3, "expand": 3, "_kernel": 3}
 
@@ -268,9 +300,9 @@ def test_free_position_bracket_at_rest():
     P0 = model.m * model.c
     for i in (1, 2, 3):
         for j in (1, 2, 3):
-            direct = dirac_bracket(xs[i], xs[j], z, model, core)
+            direct = dirac_bracket(xs[i], xs[j], core, model)
             assert abs(direct - S[i, j] / (2 * model.m * model.c * P0)) < 1e-10
-    d12 = dirac_bracket(xs[1], xs[2], z, model, core)
+    d12 = dirac_bracket(xs[1], xs[2], core, model)
     assert abs(d12 - np.sqrt(3) / 200.0) < 1e-12
 
 
@@ -293,7 +325,7 @@ def test_free_position_bracket_boost_correction():
         closed = closed_brackets(core, dirac_coefficients(core, model), model)
         for i in (1, 2, 3):
             for j in (1, 2, 3):
-                direct = dirac_bracket(xs[i], xs[j], z, model, core)
+                direct = dirac_bracket(xs[i], xs[j], core, model)
                 worst_quoted = max(worst_quoted,
                                    abs(direct - S[i, j] / (2 * model.m * model.c * P0)))
                 worst_exact = max(worst_exact,
@@ -336,7 +368,7 @@ def _flow_deviation(kind, spinless=False):
     for z in states:
         core = dirac_core(z, model)
         gh = obs_hamiltonian().grad(z, model)
-        stack = np.array([ob.grad(z, model) for ob in PHYSICAL_OBSERVABLES])
+        stack = np.array([ob.grad(z, model) for ob in PHYSICAL_ORACLES])
         for G in (gh, stack):
             got = core.flow(G)
             want = oracles.flow(*core.R[1:], G)

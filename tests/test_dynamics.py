@@ -3,6 +3,7 @@ projection behaviour, integrator cross-checks and gauge invariance."""
 
 import dataclasses
 import functools
+import re
 import sys
 
 import numpy as np
@@ -17,13 +18,12 @@ from relspin.fields import make_background
 from relspin.minkowski import contract_2
 from relspin.phase import (FieldsAt, Model, PhaseState, constraint_residuals,
                            constraint_values, field_data, init_state,
-                           obs_hamiltonian, random_constrained_state,
-                           spin_readouts, spin_tensor)
+                           random_constrained_state, spin_readouts, spin_tensor)
 
 import oracles
 from conftest import (BACKGROUND_PARAMS, KERNEL_BACKGROUNDS, build_model, kernel_model,
                       state_batch)
-from oracles import symplectic_apply, with_gauge_shift
+from oracles import kinetic_momentum, obs_hamiltonian, symplectic_apply, with_gauge_shift
 
 # the integrator and the reference that the method parametrizations run
 INTEGRATORS = {"rk4": integrate, "dop853": oracles.integrate_dop853}
@@ -230,6 +230,19 @@ def test_spin_plane_rate_refuses_a_run_of_one_record():
     assert linear_rate(np.array([1.0, 3.0]), np.array([0.5, 1.5])) == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("plane", [(0, 0), (-1, 0), (2, -3), (1, 3)],
+                         ids=["one axis", "negative", "two negative", "past 2"])
+def test_spin_plane_rate_refuses_a_plane_that_is_not_a_plane(plane):
+    """Two equal axes read a rate of about 1e-16, and a negative index
+    silently wraps to another plane; only two distinct axes in 0..2
+    name a plane."""
+    model = _uniform_b_model()
+    z0 = init_state(model, x3=(0, 0, 0), P3=(0.0, 0.0, 1.5), spin_dir=(1.0, 0.0, 0.0))
+    traj = integrate(model, z0, 0.1, 0.02)
+    with pytest.raises(ValueError, match=re.escape(f"two distinct axes in 0..2, got {plane}")):
+        spin_plane_rate(traj, *plane)
+
+
 def test_orbit_and_spin_lock_at_g2():
     # at g = 2 in a uniform field the spin and the momentum precess at
     # the same rate, so the projection of S on P is a constant of motion
@@ -309,7 +322,7 @@ def test_projection_raises_when_it_cannot_converge(monkeypatch):
 
     free = build_model("zero")   # calP does not depend on the spin
     vec = state_batch(free, 1)[0].vec.copy()
-    vec[8:12] = phase.kinetic_momentum(PhaseState(vec=vec), free)
+    vec[8:12] = kinetic_momentum(PhaseState(vec=vec), free)
     with pytest.raises(ValueError, match="omega is parallel to calP"):
         project_state(PhaseState(vec=vec), free)
     vec = z.vec.copy()
@@ -365,7 +378,7 @@ def test_a_failed_projection_tells_where_the_run_stopped(method, monkeypatch):
     monkeypatch.undo()
     free = build_model("zero")
     vec = state_batch(free, 1)[0].vec.copy()
-    vec[8:12] = phase.kinetic_momentum(PhaseState(vec=vec), free)
+    vec[8:12] = kinetic_momentum(PhaseState(vec=vec), free)
     with pytest.raises(ValueError, match="omega is parallel to calP") as err:
         INTEGRATORS[method](free, PhaseState(vec=vec), t_final=0.05, dt=0.01)
     assert (err.value.stats["failed_step"], err.value.stats["t"]) == (1, 0.01)
@@ -768,7 +781,7 @@ def test_spinless_trajectory_is_the_canonical_flow(kind):
     for k in range(len(traj.t)):
         zk = traj.state(k)
         assert np.array_equal([ch[f"P{mu}"][k] for mu in range(4)],
-                              phase.kinetic_momentum(zk, model))
+                              kinetic_momentum(zk, model))
         assert ch["H"][k] == obs_hamiltonian()(zk, model)
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from relspin.brackets import PHYSICAL_OBSERVABLES, dirac_core
+from relspin.brackets import dirac_core
 from relspin.expansion import (LADDER_ORDERS, bracket_ladder,
                                expanded_brackets, from_primed,
                                hamiltonian_expanded, ladder_decreasing,
@@ -12,6 +12,7 @@ from relspin.fields import make_background
 from relspin.phase import Model, init_state, spin_readouts, spin_tensor
 
 from conftest import BACKGROUND_PARAMS
+from oracles import PHYSICAL_ORACLES, kinetic_momentum
 
 
 @pytest.mark.parametrize("background", ["crossed", "coulomb"])
@@ -19,6 +20,14 @@ def test_ladder_every_family_decreases(background):
     lad = bracket_ladder(background, cs=(10.0, 20.0, 40.0, 80.0))
     for fam in list(LADDER_ORDERS) + ["H"]:
         assert ladder_decreasing(lad[fam]), (fam, lad[fam]["scaled"])
+
+
+@pytest.mark.parametrize("cs", [(), (10.0,)], ids=["none", "one"])
+def test_ladder_refuses_fewer_than_two_rungs(cs):
+    """One rung or none compares nothing, and every ladder_decreasing
+    of such a ladder would read True."""
+    with pytest.raises(ValueError, match="cs"):
+        bracket_ladder("crossed", cs=cs)
 
 
 def test_ladder_residuals_fall_fast_enough():
@@ -65,7 +74,7 @@ def test_primed_positions_commute_to_higher_order():
         model, z = _ladder_state(c, "crossed")
         core = dirac_core(z, model)
         S = spin_readouts(spin_tensor(z))[0]
-        from relspin.phase import field_data, kinetic_momentum
+        from relspin.phase import field_data
         P = kinetic_momentum(z, model, field_data(model, z.x))[1:]
         eps = np.zeros((3, 3, 3))
         for a, b, cc, s in ((0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1),
@@ -73,7 +82,7 @@ def test_primed_positions_commute_to_higher_order():
             eps[a, b, cc] = s
         # exact {x_i, .} on the physical rows x, calP, S^{mu nu}; the
         # spin three-vector is (S^{23}, -S^{13}, S^{12}) / 2
-        G = np.array([ob.grad(z, model) for ob in PHYSICAL_OBSERVABLES])
+        G = np.array([ob.grad(z, model) for ob in PHYSICAL_ORACLES])
         D = G @ core.flow(G).T
         xx, xP = D[:3, :3], D[:3, 3:6]
         xS = 0.5 * D[:3, [11, 10, 9]] * [1.0, -1.0, 1.0]

@@ -15,19 +15,18 @@ from hypothesis import strategies as st
 from relspin import phase
 from relspin.dynamics import dirac_rhs, project_state
 from relspin.fields import make_background
-from relspin.phase import (FieldsAt, J, Model, PhaseState, _kernel, _rows,
+from relspin.phase import (FieldsAt, J, Model, PhaseState, _kernel,
                            constraint_residuals, constraint_values, field_data,
-                           init_state, kinetic_momentum, obs_coord, obs_energy,
-                           obs_hamiltonian, obs_kinetic, obs_spin,
-                           random_constrained_state, spin_readouts, spin_tensor,
-                           symplectic)
+                           init_state, random_constrained_state, spin_readouts,
+                           spin_tensor, symplectic)
 from relspin.minkowski import ETA_DIAG, contract_2, mdot
 
 import duals
 from conftest import (BACKGROUND_PARAMS, KERNEL_BACKGROUNDS, build_model, kernel_model,
                       state_batch)
 import oracles
-from oracles import (obs_t2, obs_t3, obs_t4, obs_t5, p0_and_grad,
+from oracles import (kernel_rows, kinetic_momentum, obs_coord, obs_energy, obs_hamiltonian,
+                     obs_kinetic, obs_spin, obs_t2, obs_t3, obs_t4, obs_t5, p0_and_grad,
                      poisson_bracket, ssc_vector, symplectic_apply, t34_grads)
 
 
@@ -246,8 +245,8 @@ def test_observable_gradients_match_duals(kind, name, make, expr):
 @pytest.mark.parametrize("spinless", [False, True], ids=["spin", "spinless"])
 @pytest.mark.parametrize("name", sorted(KERNEL_BACKGROUNDS))
 def test_rows_match_the_numpy_reference(name, spinless):
-    """_rows gives calP, (T2, T3, T4, T5) and grad (calP^0, T3, T4) of the
-    numpy reference to 1e-15 relative, row by row, on 20 random states,
+    """The kernel gives calP, (T2, T3, T4, T5) and grad (calP^0, T3, T4)
+    of the numpy reference to 1e-15 relative, row by row, on 20 random states,
     on the surface and off it (omega and pi moved by noise); each value
     is compared relative to the largest of its terms.  A spinless
     state's values are zero."""
@@ -261,7 +260,7 @@ def test_rows_match_the_numpy_reference(name, spinless):
         for zz in (z, PhaseState(vec=off)):
             fields = field_data(model, zz.x)
             fd = FieldsAt(fields)
-            P, T, R = _rows(zz, model, fields)
+            P, T, R = kernel_rows(zz, model, fields)
             P_ref, g_ref = p0_and_grad(zz, model, fd)
             ref = np.vstack([g_ref, t34_grads(zz, model, fd, P_ref, g_ref)])
             assert np.max(np.abs(P - P_ref)) <= 1e-15 * np.max(np.abs(P_ref))
@@ -289,7 +288,7 @@ def test_spinless_constraint_gradients_carry_no_t5_row(name):
             warnings.simplefilter("error")
             T, G = oracles.constraint_gradients(z, model)
         assert not T.any() and not G[[0, 3]].any()
-        assert np.array_equal(G[1:3], _rows(z, model, field_data(model, z.x))[2][1:])
+        assert np.array_equal(G[1:3], kernel_rows(z, model, field_data(model, z.x))[2][1:])
 
 
 def _out_of_range_states():
