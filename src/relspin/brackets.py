@@ -12,10 +12,11 @@ Two independent routes are implemented and pinned against each other:
   once per state, assembles the rows R = grad (calP^0, T3, T4) from the
   kernel's pieces with ``phase.t_rows``, applies J to grad T3 and
   grad T4 as the signed permutation ``phase.symplectic``, and takes
-  {T3,T4} through ``_t3t4``, the floor check that ``dynamics.dirac_rhs``
-  shares.  ``DiracCore.flow`` maps grad B, one gradient or an (n, 16)
-  stack, to {z, B}_D, so that {A,B}_D = grad A . flow(grad B) and the
-  direct table of n rows is one matrix G flow(G)^T per state.  G is
+  {T3,T4} through ``phase._t3t4``, the floor check that
+  ``dynamics.dirac_rhs`` shares.  ``DiracCore.flow`` maps grad B, one
+  gradient or an (n, 16) stack, to {z, B}_D, so that {A,B}_D =
+  grad A . flow(grad B) and the direct table of n rows is one matrix
+  G flow(G)^T per state.  G is
   read from the core by ``row_gradients``: the (22, 16) gradients of the
   ROW_OBSERVABLES rows (x, calP, calP^0, omega, pi, S) and of H, of
   which every report, the ladder of ``expansion`` and the self test take
@@ -59,7 +60,7 @@ from operator import mul
 import numpy as np
 
 from .minkowski import ETA_DIAG, contract_2
-from .phase import J, FieldsAt, field_data, spin_tensor, symplectic, t_rows, _kernel
+from .phase import J, FieldsAt, field_data, spin_tensor, symplectic, t_rows, _kernel, _t3t4
 
 SPIN_INDEX_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _MU, _NU = (np.array(ix) for ix in zip(*SPIN_INDEX_PAIRS))
@@ -72,7 +73,7 @@ class DiracCore:
     z: object        # the PhaseState
     fd: object       # FieldsAt, the array view of the fields at z
     P: np.ndarray
-    S: np.ndarray    # spin_tensor(z)
+    S: np.ndarray    # spin_tensor(z.w, z.pi)
     R: np.ndarray    # rows grad calP^0, grad T3, grad T4
     JR: np.ndarray   # J grad T3, J grad T4
     t34: float
@@ -93,16 +94,6 @@ class DiracCore:
                 - np.multiply.outer(h3 / self.t34, self.JR[1]))
 
 
-def _t3t4(t34, model):
-    """{T3,T4} as given, refused where it is too small to invert (below
-    model.t34_floor in magnitude), NaN included; the one floor check of
-    dirac_core and dynamics.dirac_rhs."""
-    if not abs(t34) >= model.t34_floor:   # NaN fails this test too
-        raise ValueError(f"{{T3,T4}} = {t34} too close to zero or undefined; "
-                         "second-class inversion breaks down at this state")
-    return t34
-
-
 def dirac_core(z, model):
     """The second-class data at z; raises where {T3,T4} is too small to invert."""
     vec = z.vec.tolist()
@@ -110,8 +101,9 @@ def dirac_core(z, model):
     P, _, pieces = _kernel(vec, model, fields)
     rows = t_rows(vec, P, pieces)
     JR = [symplectic(r) for r in rows[1:]]
-    return DiracCore(z=z, fd=FieldsAt(fields), P=np.array(P), S=spin_tensor(z), R=np.array(rows),
-                     JR=np.array(JR), t34=_t3t4(sum(map(mul, rows[1], JR[1])), model))
+    return DiracCore(z=z, fd=FieldsAt(fields), P=np.array(P), S=spin_tensor(z.w, z.pi),
+                     R=np.array(rows), JR=np.array(JR),
+                     t34=_t3t4(sum(map(mul, rows[1], JR[1])), model))
 
 
 def dirac_bracket(A, B, core, model):
@@ -143,7 +135,6 @@ class DiracCoefficients:
     K: np.ndarray
     L: np.ndarray
     g_eff: np.ndarray
-    dsf: np.ndarray
 
 
 def dirac_coefficients(core, model):
@@ -175,7 +166,7 @@ def dirac_coefficients(core, model):
     L = -(g * a / u0) * np.einsum("mn,a->mna", fs_asym, S[0, :])
 
     g_eff = np.diag(ETA_DIAG) - (2.0 * c * a * P[0] / (e * u0)) * np.outer(P, P)
-    return DiracCoefficients(a=a, u0=u0, Delta=Delta, K=K, L=L, g_eff=g_eff, dsf=dsf)
+    return DiracCoefficients(a=a, u0=u0, Delta=Delta, K=K, L=L, g_eff=g_eff)
 
 
 def t3t4_closed(core, coef, model):

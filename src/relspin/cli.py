@@ -31,7 +31,7 @@ import time
 import yaml
 
 from . import hydrogen
-from .fields import KINDS
+from .fields import KINDS, PARAMETERS, make_background
 
 CHANNEL_ORDER = ("t", "x1", "x2", "x3", "P0", "P1", "P2", "P3",
                  "S1", "S2", "S3", "D1", "D2", "D3", "H",
@@ -74,15 +74,12 @@ MODEL_KEYS = {
                     (">=", 0)),
 }
 
-# the parameters each background kind requires
-_VEC3 = ("vec3", REQUIRED, None)
+# the parameters each background kind requires, from the one table of
+# fields; an optional one (coulomb's r_min) is no config key
 BACKGROUND_KEYS = {
-    "zero": {},
-    "uniform-E": {"background.E": _VEC3},
-    "uniform-B": {"background.B": _VEC3},
-    "crossed": {"background.E": _VEC3, "background.B": _VEC3},
-    "coulomb": {"background.q": (float, REQUIRED, None)},
-}
+    kind: {f"background.{name}": ("vec3" if shape else float, REQUIRED, None)
+           for name, (shape, default) in params.items() if default is None}
+    for kind, params in PARAMETERS.items()}
 
 SCHEMAS = {
     "simulate": {
@@ -203,7 +200,6 @@ def read_config(path, command):
 
 
 def model_from_config(cfg):
-    from .fields import make_background
     from .phase import Model
 
     kind = cfg["background.kind"]
@@ -360,7 +356,6 @@ def run_selftest():
     from .brackets import (closed_vs_direct_report, defining_property_report,
                            dirac_core, row_gradients)
     from .dynamics import dirac_rhs
-    from .fields import make_background
     from .phase import Model, random_constrained_state
     from .quantum import (build_operators, correspondence_report,
                           g_minus_one_residual, shift_identity_residual)

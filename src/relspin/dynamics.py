@@ -9,10 +9,11 @@ computed in one float pass per call (``dirac_rhs``, 16 floats in, a list
 of 16 floats out): one field evaluation, one call of the kernel
 ``phase._kernel``, and three symplectic pairings of its pieces, which
 give {T3,T4}, {T3,H} and {T4,H}; no row, ``DiracCore`` or array is
-built.  The stacked form of the correction, ``DiracCore.flow``, serves
-the bracket reports, and both are pinned to one reference.  The energy
-radicand check and the {T3,T4} floor that ``dirac_core`` shares
-(``brackets._t3t4``) make it raise ValueError where the state is out of
+built, and this module does not import ``brackets``.  The stacked form
+of the correction, ``brackets.DiracCore.flow``, serves the bracket
+reports, and both are pinned to one reference.  The energy radicand
+check and the {T3,T4} floor that ``dirac_core`` shares (``phase._energy``
+and ``phase._t3t4``) make it raise ValueError where the state is out of
 range or the pair is not invertible, NaN included.  x^0 is slaved to
 the evolution parameter (dx^0/dt = c) and p^0 a spectator equal to H/c,
 exactly conserved in stationary backgrounds.
@@ -43,7 +44,8 @@ wall time (time.perf_counter spans) of the stepping, ``stepping_s``, and
 of the first ``channels()`` call, ``channels_s``.  ``channels`` makes
 one float pass per recorded state (one field evaluation and one kernel
 call give calP, the constraint values and H) and takes the spin
-read-outs from the spin tensors of all states at once.
+read-outs from the spin tensors of all states, which one
+``phase.spin_tensor`` call writes at once.
 
 A spinless state is omega = pi = 0 of the same flow: there
 {T3,T4} = calP.calP = -(m c)^2 and {T3,H} = {T4,H} = 0, so the flow
@@ -59,8 +61,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .brackets import _t3t4
-from .phase import CONSTRAINT_NAMES, PhaseState, field_data, spin_readouts, _kernel
+from .phase import (CONSTRAINT_NAMES, PhaseState, field_data, spin_readouts, spin_tensor,
+                    _kernel, _t3t4)
 
 # ---------------------------------------------------------------------------
 # right-hand sides
@@ -242,9 +244,9 @@ class Trajectory:
 
         One float pass over the recorded states gives calP, the
         constraint values and H from one field evaluation and one kernel
-        call each (A^0 read from the field's float tuples); the spin
-        tensors of all states are then built at once, and one
-        spin_readouts call on the stack gives their spin read-outs.
+        call each (A^0 read from the field's float tuples); one
+        spin_tensor call then writes the spin tensors of all states, and
+        one spin_readouts call on the stack gives their spin read-outs.
         A spinless state reads zero in every spin and constraint channel.
         The first call also writes the energy drift of the H channel to
         stats["energy_drift"].
@@ -262,8 +264,7 @@ class Trajectory:
         rows = np.array(rows)
         P, T, H = rows[:, :4], rows[:, 4:8], rows[:, 8]
         spin = Z[:, 8:].any(axis=1)
-        wp = Z[:, 8:12, None] * Z[:, None, 12:]
-        S = np.where(spin[:, None, None], 2.0 * (wp - wp.transpose(0, 2, 1)), 0.0)
+        S = np.where(spin[:, None, None], spin_tensor(Z[:, 8:12], Z[:, 12:]), 0.0)
         S3, D3, SS = spin_readouts(S)
         spin2 = np.where(spin, SS - 8.0 * model.alpha, 0.0)
         out.update(zip(("P0", "P1", "P2", "P3"), P.T))

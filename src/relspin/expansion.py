@@ -28,10 +28,7 @@ import numpy as np
 
 from .fields import make_background
 from .minkowski import EPS3, extract_EB
-# field_data is read by no function here; it stays bound because the
-# benchmark tracer (perfbench/tracer.py) wraps it in every module that
-# names it, and its test expects this module among them
-from .phase import Model, field_data, init_state, spin_readouts  # noqa: F401
+from .phase import FieldsAt, Model, field_data, init_state, spin_readouts
 from .brackets import ROW_OBSERVABLES, dirac_core, row_gradients
 
 LADDER_ORDERS = {"xx": 2, "xP": 2, "xS": 1, "PP": 3, "PS": 2, "SS": 1}
@@ -109,11 +106,13 @@ def bracket_ladder(background="crossed", cs=(10.0, 20.0, 40.0, 80.0)):
     Returns {family: {"residuals": [...], "scaled": [...], "order": k}}
     where scaled[n] = residual[n] * c_n^k must decrease strictly (down
     to a floating-point floor) if the table captures every term below
-    order c^{-k}.  Fewer than two values of c compare nothing, and are
+    order c^{-k}.  Fewer than two values of c compare nothing, and values
+    that do not increase strictly would read as a failure; both are
     refused.
     """
-    if len(cs := tuple(cs)) < 2:
-        raise ValueError(f"a ladder needs at least two values of c, got cs = {cs}")
+    if len(cs := tuple(cs)) < 2 or not all(a < b for a, b in zip(cs, cs[1:])):
+        raise ValueError(f"a ladder needs at least two strictly increasing values of c, "
+                         f"got cs = {cs}")
     out = {fam: {"residuals": [], "order": k, "cs": list(cs)}
            for fam, k in LADDER_ORDERS.items()}
     h_res = []
@@ -155,9 +154,9 @@ def from_primed(xp, Pp, Sp, model):
     """
     xp = np.asarray(xp, float)
     Sp = np.asarray(Sp, float)
-    m, c, e = model.m, model.c, model.e
-    P = np.asarray(Pp, float) - (e / c) * model.background.A(np.array([0.0, *xp]))[1:]
-    x = xp - np.cross(P, Sp) / (2.0 * m**2 * c**2)
+    A = FieldsAt(field_data(model, [0.0, *xp.tolist()])).A
+    P = np.asarray(Pp, float) - model.e_c * A[1:]
+    x = xp - np.cross(P, Sp) / (2.0 * model.m**2 * model.c**2)
     return x, P, Sp.copy()
 
 

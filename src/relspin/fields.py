@@ -21,19 +21,21 @@ geometry (the coulomb radius and its r_min check) is computed once for
 all four, and the coulomb tuples are written out inline; the uniform
 kinds return constant dA, F and dF tuples made once at construction.
 numpy is imported only where a uniform background, a parameter check
-or an array is built, so reading KINDS loads neither numpy nor
-minkowski.  Arrays are built on demand only, by one expansion,
-``expand``, into A (4,), dA (4, 4) with dA[mu, nu] = d A^mu / d x^nu,
-F (4, 4) and dF (4, 4, 4) with dF[lam, mu, nu] = d F^{mu nu} / d x^lam;
-``FieldBackground.A/dA/F/dF`` (on an array point) and
-``phase.FieldsAt`` read it.  The electric field of a static potential
+or an array is built, so reading KINDS or PARAMETERS loads neither
+numpy nor minkowski.  Arrays are built on demand only, by one
+expansion, ``expand``, into A (4,), dA (4, 4) with dA[mu, nu] =
+d A^mu / d x^nu, F (4, 4) and dF (4, 4, 4) with dF[lam, mu, nu] =
+d F^{mu nu} / d x^lam; ``phase.FieldsAt``, the one array view of an
+evaluation, reads it.  The electric field of a static potential
 is E_i = d_i A_0 = -d_i A^0.  Exact derivatives are part of the
 contract: bracket and force evaluations chain-rule through these, finite
 differences are used only as test oracles.
 
 Catalog kinds: "zero", "uniform-E", "uniform-B", "crossed", "coulomb".
-The probe charge e and light speed c ride along on the background so a
-single object fixes the minimal coupling (e/c) A.
+PARAMETERS is the one table of the parameters each kind takes, which
+``make_background`` and the CLI schema read.  The probe charge e and
+light speed c ride along on the background so a single object fixes
+the minimal coupling (e/c) A.
 """
 
 from __future__ import annotations
@@ -42,7 +44,20 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-KINDS = ("zero", "uniform-E", "uniform-B", "crossed", "coulomb")
+# the parameters each kind takes, name -> (shape, default): shape () is a
+# number and (3,) a three-vector; a default of None marks a required one
+PARAMETERS = {
+    "zero": {},
+    "uniform-E": {"E": ((3,), None)},
+    "uniform-B": {"B": ((3,), None)},
+    "crossed": {"E": ((3,), None), "B": ((3,), None)},
+    # evaluations closer to the center than r_min are rejected
+    "coulomb": {"q": ((), None), "r_min": ((), 1e-6)},
+}
+KINDS = tuple(PARAMETERS)
+_GAUGES = {"zero": "zero potential", "uniform-E": "A0 = -E.x",
+           "uniform-B": "symmetric, A = (1/2) B x r",
+           "crossed": "A0 = -E.x with symmetric magnetic part", "coulomb": "A0 = q/r"}
 
 _Z3 = (0.0, 0.0, 0.0)
 _Z6 = (0.0,) * 6
@@ -80,9 +95,6 @@ class FieldBackground:
     params: dict
     gauge: str
     at: Callable = field(repr=False)   # x -> (A, dA, F, dF), float tuples
-
-    # the arrays at an array point x
-    A, dA, F, dF = (lambda self, x, i=i: expand(self.at(x.tolist()))[i] for i in range(4))
 
 
 def _uniform_at(E3, B3):
@@ -138,53 +150,46 @@ def _coulomb_at(q, r_min):
     return at
 
 
-def _finite(name, value):
-    """value itself; ValueError naming the parameter when it, or a
-    component of it, is not a finite number."""
-    import numpy as np
-
-    if not np.all(np.isfinite(np.asarray(value, dtype=float))):
-        raise ValueError(f"background parameter {name} must be finite, got {value!r}")
-    return value
-
-
 def make_background(kind, e=1.0, c=10.0, **params):
     """Build a catalog background.
 
-    Parameters by kind: uniform-E takes E=(3,), uniform-B takes B=(3,),
-    crossed takes both, coulomb takes q and optional r_min (default
-    1e-6, evaluations closer to the center are rejected).  ValueError,
-    naming the parameter, for an E, B, q or r_min that is not finite and
-    for an r_min that is not positive.
+    The parameters of each kind are those of PARAMETERS: uniform-E
+    takes E=(3,), uniform-B takes B=(3,), crossed takes both, coulomb
+    takes q and optional r_min.  ValueError, naming the parameter, for
+    one the kind does not take, a required one left out, one that is not
+    finite or not of its shape, and an r_min that is not positive.
     """
+    import numpy as np
+
     e, c = float(e), float(c)
     if not (math.isfinite(c) and c > 0):
         raise ValueError(f"light speed c must be finite and positive, got {c}")
     if not math.isfinite(e):
         raise ValueError(f"charge e must be finite, got {e}")
+    if kind not in PARAMETERS:
+        raise ValueError(f"unknown background kind {kind!r}, expected one of {KINDS}")
+    table, values = PARAMETERS[kind], {}
+    for name in params:
+        if name not in table:
+            raise ValueError(f"{kind} background takes no parameter {name}; "
+                             f"it takes {tuple(table)}")
+    for name, (shape, default) in table.items():
+        if name not in params and default is None:
+            raise ValueError(f"{kind} background requires the parameter {name}")
+        values[name] = value = params.get(name, default)
+        array = np.asarray(value, dtype=float)
+        if not (array.shape == shape and np.all(np.isfinite(array))):
+            raise ValueError(f"background parameter {name} must be finite, of shape "
+                             f"{shape}, got {value!r}")
     if kind == "zero":
         at = lambda x: _ZERO
-        gauge = "zero potential"
-    elif kind == "uniform-E":
-        at = _uniform_at(_finite("E", params.get("E", (0, 0, 0))), (0, 0, 0))
-        gauge = "A0 = -E.x"
-    elif kind == "uniform-B":
-        at = _uniform_at((0, 0, 0), _finite("B", params.get("B", (0, 0, 0))))
-        gauge = "symmetric, A = (1/2) B x r"
-    elif kind == "crossed":
-        at = _uniform_at(_finite("E", params.get("E", (0, 0, 0))),
-                         _finite("B", params.get("B", (0, 0, 0))))
-        gauge = "A0 = -E.x with symmetric magnetic part"
     elif kind == "coulomb":
-        if "q" not in params:
-            raise ValueError("coulomb background requires the source charge q")
-        r_min = float(_finite("r_min", params.get("r_min", 1e-6)))
+        r_min = float(values["r_min"])
         if not r_min > 0:
             # at r_min <= 0 the center itself would pass the r_min check
             raise ValueError(f"background parameter r_min must be positive, got {r_min}")
-        at = _coulomb_at(float(_finite("q", params["q"])), r_min)
-        gauge = "A0 = q/r"
+        at = _coulomb_at(float(values["q"]), r_min)
     else:
-        raise ValueError(f"unknown background kind {kind!r}, expected one of {KINDS}")
+        at = _uniform_at(values.get("E", _Z3), values.get("B", _Z3))
     return FieldBackground(kind=kind, e=e, c=c, params=dict(params),
-                           gauge=gauge, at=at)
+                           gauge=_GAUGES[kind], at=at)

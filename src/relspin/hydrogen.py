@@ -50,8 +50,16 @@ class HydrogenModel:
 # fine-structure shifts (all in the energy unit of HydrogenModel.mc2)
 
 
+def _level(n, l):
+    """ValueError unless (n, l) is a level, whole numbers n >= 1 and
+    0 <= l <= n - 1; every shift refuses any other."""
+    if not (n % 1 == 0 and l % 1 == 0 and n >= 1 and 0 <= l < n):
+        raise ValueError(f"no level n={n}, l={l}: need whole numbers n >= 1 and 0 <= l <= n - 1")
+
+
 def kinetic_shift(hm, n, l):
     """-<p^4>/8m^3c^2 for level (n, l)."""
+    _level(n, l)
     pref = -0.5 * hm.mc2 * hm.alpha**4 / n**4
     return pref * (n / (l + 0.5) - 0.75)
 
@@ -59,6 +67,7 @@ def kinetic_shift(hm, n, l):
 def _spin_orbit(hm, n, l, j, coupling):
     """Spin-orbit shift of level (n, l, j) for the coupling e (coupling) /
     2 m^2 c^2; zero for l = 0."""
+    _level(n, l)
     if l == 0:
         return 0.0
     if not (abs(j - l) == 0.5 and j > 0):
@@ -95,7 +104,7 @@ def _p_splitting(hm, n, coupling):
 
 
 def p_level_splitting(hm, n=2):
-    """E(n p_{3/2}) - E(n p_{1/2}); mc^2 alpha^4 / 32 at g = 2, n = 2."""
+    """E(n p_{3/2}) - E(n p_{1/2}), n >= 2; mc^2 alpha^4 / 32 at g = 2, n = 2."""
     return _p_splitting(hm, n, hm.g - 1.0)
 
 

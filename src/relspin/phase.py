@@ -33,17 +33,19 @@ arithmetic on the 16 components (at one state cheaper than numpy's
 per-call overhead); t_rows assembles the rows, which
 brackets.dirac_core holds as an array.  The kernel, t_rows and the
 backgrounds' at(x) take plain float sequences; the readers that hold
-a PhaseState convert its array once with tolist() at their call.  Every reader of calP or a constraint at
-a state reads the kernel, whose energy radicand check is _energy;
-init_state computes calP^0 and checks m*^2 in its own fixed point.  The
-Model constants are derived once per Model.  A state is its 16 numbers,
-spinless when omega = pi = 0; spin_readouts is its one spin read-out,
-of a spin tensor or a stack of them.  field_data
-returns the compact float tuples of the background's at(x)
+a PhaseState convert its array once with tolist() at their call.  Every
+reader of calP or a constraint at a state reads the kernel, whose
+energy radicand check is _energy; beside it, _t3t4 is the one {T3,T4}
+floor check of brackets.dirac_core and dynamics.dirac_rhs.  init_state
+computes calP^0 and checks m*^2 in its own fixed point, from the Model
+constants, derived once per Model.  A state is its 16 numbers, spinless
+when omega = pi = 0; spin_tensor is the one writer of S, of one omega
+and pi or of stacks of them, and spin_readouts its one read-out.
+field_data returns the compact float tuples of the background's at(x)
 (fields.py), which the kernel and the float paths of dynamics read as
-they are; FieldsAt, their array view, expands them into A, dA, F and
-dF, and lowers F and dF, on first read.  The canonical structure,
-{z, B} = J grad B and {A, B} = grad A . J grad B, is a signed
+they are; FieldsAt, the one array view of them, expands them into A,
+dA, F and dF, and lowers F and dF, on first read.  The canonical
+structure, {z, B} = J grad B and {A, B} = grad A . J grad B, is a signed
 permutation written once, in ``symplectic``; the constant matrix J is
 built from it (grad B @ J.T, also for an (n, 16) stack).  An
 Observable is a named scalar with its exact gradient, the form
@@ -92,21 +94,8 @@ class PhaseState:
     def spinless(self):
         return not self.vec[8:16].any()
 
-    @property
-    def x(self):
-        return self.vec[0:4]
-
-    @property
-    def p(self):
-        return self.vec[4:8]
-
-    @property
-    def w(self):
-        return self.vec[8:12]
-
-    @property
-    def pi(self):
-        return self.vec[12:16]
+    # the four blocks of vec, 4 slots each
+    x, p, w, pi = (property(lambda self, k=k: self.vec[k:k + 4]) for k in (0, 4, 8, 12))
 
 
 @dataclass(frozen=True)
@@ -152,8 +141,8 @@ class Model:
 
 
 class FieldsAt:
-    """The array view of the fields at a point, for the readers outside
-    the kernel.  floats is what field_data returned, the tuples
+    """The one array view of the fields at a point, for the readers
+    outside the kernel.  floats is what field_data returned, the tuples
     (A, dA, F, dF) of the background's at(x); on first read they are
     expanded, once, into the arrays A, dA, F and dF (fields.expand), and
     F and dF lowered into F_{mu nu} and d_lam F_{mu nu}."""
@@ -183,9 +172,12 @@ def field_data(model, x4):
 # spin tensor and constraint values
 
 
-def spin_tensor(z):
-    wp = np.multiply.outer(z.w, z.pi)
-    return 2.0 * (wp - wp.T)
+def spin_tensor(w, pi):
+    """S^{mu nu} = 2 (omega^mu pi^nu - omega^nu pi^mu) of omega and pi, two
+    arrays (4,) or two (n, 4) stacks, as (4, 4) or (n, 4, 4): the one
+    writer of the convention."""
+    wp = w[..., :, None] * pi[..., None, :]
+    return 2.0 * (wp - np.swapaxes(wp, -1, -2))
 
 
 def spin_readouts(S):
@@ -205,6 +197,16 @@ def _energy(PP, fs, model):
     return math.sqrt(rad)
 
 
+def _t3t4(t34, model):
+    """{T3,T4} as given, refused where it is too small to invert (below
+    model.t34_floor in magnitude), NaN included; the one floor check of
+    brackets.dirac_core and dynamics.dirac_rhs."""
+    if not abs(t34) >= model.t34_floor:   # NaN fails this test too
+        raise ValueError(f"{{T3,T4}} = {t34} too close to zero or undefined; "
+                         "second-class inversion breaks down at this state")
+    return t34
+
+
 CONSTRAINT_NAMES = ("T2", "T3", "T4", "T5")
 
 
@@ -213,7 +215,7 @@ def constraint_residuals(z, model):
     spinless state carries no constraints."""
     if z.spinless:
         return {"T2": 0.0, "T3": 0.0, "T4": 0.0, "T5": 0.0, "ssc": 0.0, "spin2": 0.0}
-    S = spin_tensor(z)
+    S = spin_tensor(z.w, z.pi)
     P, T = constraint_values(z, model)
     return {**dict(zip(CONSTRAINT_NAMES, T.tolist())),
             "ssc": float(np.max(np.abs(S @ (ETA_DIAG * P)))),
@@ -392,43 +394,40 @@ def init_state(model, x3, P3, spin_dir=(0, 0, 1.0), t=0.0):
     boost that maps the rest momentum to (calP^0, P3).  Because the
     energy function feeds (F S) back into calP^0, the boost is solved
     by a short fixed-point iteration.  alpha = 0 returns a spinless
-    state instead, omega = pi = 0.
+    state instead, omega = pi = 0.  ValueError, naming the argument,
+    for an x3, P3, spin_dir or t that is not finite.
     """
-    mc2, c, e, g = model.mc2, model.c, model.e, model.g
+    for name, value in (("x3", x3), ("P3", P3), ("spin_dir", spin_dir), ("t", t)):
+        if not np.all(np.isfinite(np.asarray(value, dtype=float))):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+    mc2, c = model.mc2, model.c
     x4 = np.concatenate([[c * t], np.asarray(x3, dtype=float)])
     P3 = np.asarray(P3, dtype=float)
     fd = FieldsAt(field_data(model, x4.tolist()))
 
-    if model.alpha == 0.0:
-        P0 = np.sqrt(P3 @ P3 + mc2)
-        p = np.concatenate([[P0], P3]) + (e / c) * fd.A
-        return PhaseState.from_parts(x4, p, np.zeros(4), np.zeros(4))
+    fs = 0.0   # F S, zero for a spinless state, which keeps omega = pi = 0
+    w = pi = np.zeros(4)
+    if model.alpha != 0.0:
+        a3, b3 = _rest_spin_pair(spin_dir, model.alpha)
+        w_rest = np.concatenate([[0.0], a3])
+        pi_rest = np.concatenate([[0.0], b3])
+        for _ in range(200):
+            mstar2 = mc2 - model.eg_4c * fs
+            if not mstar2 > 0.0:   # NaN fails this test too
+                raise ValueError("field-spin coupling exceeds the mass shell at this point")
+            P0 = np.sqrt(P3 @ P3 + mstar2)
+            u = np.concatenate([[P0], P3]) / np.sqrt(mstar2)
+            L = boost_matrix(u)
+            w, pi = L @ w_rest, L @ pi_rest
+            fs, fs_old = contract_2(fd.F, spin_tensor(w, pi)), fs
+            if abs(fs - fs_old) <= 1e-15 * (1.0 + abs(fs)):
+                break
+        else:
+            raise RuntimeError("field-spin fixed point did not converge")
 
-    a3, b3 = _rest_spin_pair(spin_dir, model.alpha)
-    w_rest = np.concatenate([[0.0], a3])
-    pi_rest = np.concatenate([[0.0], b3])
-
-    fs = 0.0
-    w = pi = None
-    for _ in range(200):
-        mstar2 = mc2 - (e * g / (4 * c)) * fs
-        if mstar2 <= 0.0:
-            raise ValueError("field-spin coupling exceeds the mass shell at this point")
-        P0 = np.sqrt(P3 @ P3 + mstar2)
-        u = np.concatenate([[P0], P3]) / np.sqrt(mstar2)
-        L = boost_matrix(u)
-        w, pi = L @ w_rest, L @ pi_rest
-        fs_new = contract_2(fd.F, 2.0 * (np.outer(w, pi) - np.outer(pi, w)))
-        if abs(fs_new - fs) <= 1e-15 * (1.0 + abs(fs_new)):
-            fs = fs_new
-            break
-        fs = fs_new
-    else:
-        raise RuntimeError("field-spin fixed point did not converge")
-
-    mstar2 = mc2 - (e * g / (4 * c)) * fs
+    mstar2 = mc2 - model.eg_4c * fs
     P0 = np.sqrt(P3 @ P3 + mstar2)
-    p = np.concatenate([[P0], P3]) + (e / c) * fd.A
+    p = np.concatenate([[P0], P3]) + model.e_c * fd.A
     z = PhaseState.from_parts(x4, p, w, pi)
 
     res = constraint_residuals(z, model)

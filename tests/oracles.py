@@ -62,7 +62,7 @@ def kinetic(z, model, fd):
     with the spin tensor."""
     P = np.empty(4)
     P[1:] = z.p[1:] - (model.e / model.c) * fd.A[1:]
-    P[0] = _energy(P[1:] @ P[1:], float(np.sum(fd.F_low * spin_tensor(z))), model)
+    P[0] = _energy(P[1:] @ P[1:], float(np.sum(fd.F_low * spin_tensor(z.w, z.pi))), model)
     return P
 
 
@@ -86,7 +86,7 @@ def p0_and_grad(z, model, fd):
     grad calP^0 = grad W / (2 calP^0), W = calP^0 ** 2 the energy radicand.
     """
     e, c, g = model.e, model.c, model.g
-    S = spin_tensor(z)
+    S = spin_tensor(z.w, z.pi)
     P = kinetic(z, model, fd)
     gw = np.empty(16)
     # x block: chain rule through A^i and F
@@ -318,7 +318,7 @@ def poisson_bracket(A, B, z, model):
 def ssc_vector(z, model, fields=None):
     """S^{mu nu} calP_nu; vanishes when T3 = T4 = 0."""
     P = kinetic_momentum(z, model, fields)
-    return spin_tensor(z) @ (ETA_DIAG * P)
+    return spin_tensor(z.w, z.pi) @ (ETA_DIAG * P)
 
 
 def constraint_gradients(z, model, fields=None):

@@ -77,7 +77,7 @@ def test_criterion_3_free_theory_exact():
     z = init_state(model, x3=(0.0, 0.0, 0.0), P3=(0.0, 0.0, 0.0),
                    spin_dir=(0.0, 0.0, 1.0))
     core = dirac_core(z, model)
-    S = spin_tensor(z)
+    S = spin_tensor(z.w, z.pi)
     P0 = kinetic_momentum(z, model, field_data(model, z.x))[0]
     worst = 0.0
     for i in (1, 2, 3):

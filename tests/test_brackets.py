@@ -295,7 +295,7 @@ def test_free_position_bracket_at_rest():
     z = init_state(model, x3=(0.3, -0.2, 0.5), P3=(0, 0, 0),
                    spin_dir=(0, 0, 1.0))
     core = dirac_core(z, model)
-    S = spin_tensor(z)
+    S = spin_tensor(z.w, z.pi)
     xs = {i: obs_coord("x", i) for i in (1, 2, 3)}
     P0 = model.m * model.c
     for i in (1, 2, 3):
@@ -318,7 +318,7 @@ def test_free_position_bracket_boost_correction():
         p = beta * model.m * model.c
         z = init_state(model, x3=(0, 0, 0), P3=(p, 0, 0), spin_dir=(0, 1, 0))
         core = dirac_core(z, model)
-        S = spin_tensor(z)
+        S = spin_tensor(z.w, z.pi)
         P0 = np.sqrt(p**2 + (model.m * model.c) ** 2)
         worst_quoted = 0.0
         worst_exact = 0.0

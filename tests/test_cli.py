@@ -293,6 +293,33 @@ def test_exit_code_two_on_config_errors(tmp_path, capsys):
     assert "'model.alpha'" in capsys.readouterr().err
 
 
+def test_background_keys_are_the_required_parameters_of_fields(tmp_path, capsys):
+    """The background keys, built from fields.PARAMETERS, are the table
+    the CLI has always read: coulomb's optional r_min is no config key,
+    and it and any other key a kind does not take exit 2, naming it."""
+    vec3, number = ("vec3", cli.REQUIRED, None), (float, cli.REQUIRED, None)
+    assert cli.BACKGROUND_KEYS == {
+        "zero": {},
+        "uniform-E": {"background.E": vec3},
+        "uniform-B": {"background.B": vec3},
+        "crossed": {"background.E": vec3, "background.B": vec3},
+        "coulomb": {"background.q": number},
+    }
+    assert list(cli.BACKGROUND_KEYS["crossed"]) == ["background.E", "background.B"]
+    coulomb = BRK_CFG.replace("kind: crossed", "kind: coulomb").replace(
+        "  E: [0.2, 0.0, 0.1]\n  B: [0.0, 0.0, 1.0]\n", "  q: 1.0\n")
+    for text, field in ((coulomb + "  r_min: 0.5\n", "background.r_min"),
+                        (coulomb + "  E: [0.2, 0.0, 0.1]\n", "background.E"),
+                        (BRK_CFG + "  q: 1.0\n", "background.q"),
+                        (BRK_CFG.replace("kind: crossed", "kind: uniform-B"), "background.E")):
+        cfg = _write(tmp_path, "bg.yaml", text)
+        assert main(["brackets", "--config", cfg, "--states", "1"]) == 2, text
+        assert f"'{field}'" in capsys.readouterr().err
+    cfg = _write(tmp_path, "bg.yaml", coulomb)
+    assert main(["brackets", "--config", cfg, "--states", "1"]) == 0
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("command, text, m, c", [("simulate", SIM_CFG, 1.0, 1e300),
                                                  ("brackets", BRK_CFG, 1.0, 1e300),
                                                  ("simulate", SIM_CFG, 1e200, 1e200)],
@@ -478,7 +505,8 @@ def test_selftest_passes(capsys):
 # each command imports what it runs and nothing more: spectrum is pure
 # math, --selftest runs the operator ring, and sympy and scipy serve the
 # tests alone
-HEAVY_MODULES = ("numpy", "sympy", "scipy", "relspin.weyl", "relspin.quantum")
+HEAVY_MODULES = ("numpy", "sympy", "scipy", "relspin.brackets", "relspin.weyl",
+                 "relspin.quantum")
 
 
 def _loaded_after(statement):
@@ -503,11 +531,13 @@ def test_importing_the_cli_leaves_sympy_scipy_and_the_ring_unloaded(tmp_path):
     assert _loaded_after("import relspin.cli") == []
     assert _loaded_after("import relspin.quantum") == ["relspin.weyl", "relspin.quantum"]
     assert _loaded_by(["spectrum"]) == []
-    assert _loaded_by(["--selftest"]) == ["numpy", "relspin.weyl", "relspin.quantum"]
+    assert _loaded_by(["--selftest"]) == ["numpy", "relspin.brackets", "relspin.weyl",
+                                          "relspin.quantum"]
     sim, brk = _write(tmp_path, "sim.yaml", SIM_CFG), _write(tmp_path, "brk.yaml", BRK_CFG)
-    for argv in (["simulate", "--config", sim], ["brackets", "--config", brk, "--states", "1"],
-                 ["expand"]):
-        assert _loaded_by(argv) == ["numpy"], argv
+    # the orbit path reads the {T3,T4} floor from phase, not from brackets
+    assert _loaded_by(["simulate", "--config", sim]) == ["numpy"]
+    for argv in (["brackets", "--config", brk, "--states", "1"], ["expand"]):
+        assert _loaded_by(argv) == ["numpy", "relspin.brackets"], argv
     # the ring writes an Op, and a failed division by i hbar, without sympy
     assert _loaded_after("from relspin import weyl; repr(weyl.Op.x(1))") == ["relspin.weyl"]
     failed_division = ("from relspin import quantum, weyl\n"

@@ -59,7 +59,7 @@ def test_rhs_raises_where_t3t4_vanishes():
     model = _uniform_b_model(B=1.0)
     z = init_state(model, x3=(0.0, 0.0, 0.0), P3=(0.0, 0.0, 0.0),
                    spin_dir=(0.0, 0.0, 1.0))
-    sf = contract_2(FieldsAt(field_data(model, z.x)).F, spin_tensor(z))
+    sf = contract_2(FieldsAt(field_data(model, z.x)).F, spin_tensor(z.w, z.pi))
     pole = 4.0 * model.m**2 * model.c**3 / (model.e * (model.g + 1.0))
     vec = z.vec.copy()
     vec[12:16] *= pole / sf
@@ -298,7 +298,7 @@ def test_projection_restores_surface():
                 res = constraint_residuals(zp, model)
                 assert max(abs(res[k]) for k in ("T2", "T3", "T4", "T5")) < tol
                 assert np.linalg.norm(zp.vec[8:] - z.vec[8:]) <= 2.0 * d, (kind, i, d)
-                moved = np.max(np.abs(spin_tensor(zp) - spin_tensor(z)))
+                moved = np.max(np.abs(spin_tensor(zp.w, zp.pi) - spin_tensor(z.w, z.pi)))
                 assert moved <= 2.0 * d, (kind, i, d)
                 assert np.array_equal(zp.vec[:8], z.vec[:8])
 
@@ -786,10 +786,10 @@ def test_spinless_trajectory_is_the_canonical_flow(kind):
 
 
 def test_channels_match_the_per_state_readouts(monkeypatch):
-    """channels builds the spin tensors of all recorded states as one
-    array and reads them with one stacked spin_readouts call, with no
-    per-state spin_tensor or spin_readouts call, and gives the same
-    bytes as the public per-state read-outs."""
+    """channels writes the spin tensors of all recorded states with one
+    stacked spin_tensor call and reads them with one stacked
+    spin_readouts call, with no per-state spin_tensor or spin_readouts
+    call, and gives the same bytes as the public per-state read-outs."""
     model = build_model("coulomb")
     z = init_state(model, x3=(2.0, 0.0, 0.3), P3=(0.0, 0.6, 0.1),
                    spin_dir=(0.3, 0.2, 0.9))
@@ -798,19 +798,20 @@ def test_channels_match_the_per_state_readouts(monkeypatch):
 
     def recorded(name):
         fn = getattr(phase, name)
-        return lambda a: built.append((name, getattr(a, "shape", None))) or fn(a)
+        return lambda *a: built.append((name, getattr(a[0], "shape", None))) or fn(*a)
 
     for name in ("spin_tensor", "spin_readouts"):
         wrapper = recorded(name)
         for mod in (phase, dynamics):
             monkeypatch.setattr(mod, name, wrapper, raising=False)
     ch = traj.channels()
-    assert built == [("spin_readouts", (len(traj.t), 4, 4))] and len(traj.t) > 1
+    n = len(traj.t)
+    assert built == [("spin_tensor", (n, 4)), ("spin_readouts", (n, 4, 4))] and n > 1
     monkeypatch.undo()
     for k in range(len(traj.t)):
         zk = traj.state(k)
         P, T = constraint_values(zk, model)
-        S = spin_tensor(zk)
+        S = spin_tensor(zk.w, zk.pi)
         S3, D3, SS = spin_readouts(S)
         assert np.array_equal([ch[f"P{mu}"][k] for mu in range(4)], P)
         assert np.array_equal([ch[n][k] for n in ("T2", "T3", "T4", "T5")], T)

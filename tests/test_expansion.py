@@ -9,7 +9,7 @@ from relspin.expansion import (LADDER_ORDERS, bracket_ladder,
                                hamiltonian_expanded, ladder_decreasing,
                                primed_shift_example, _ladder_state)
 from relspin.fields import make_background
-from relspin.phase import Model, init_state, spin_readouts, spin_tensor
+from relspin.phase import FieldsAt, Model, field_data, init_state, spin_readouts, spin_tensor
 
 from conftest import BACKGROUND_PARAMS
 from oracles import PHYSICAL_ORACLES, kinetic_momentum
@@ -22,10 +22,13 @@ def test_ladder_every_family_decreases(background):
         assert ladder_decreasing(lad[fam]), (fam, lad[fam]["scaled"])
 
 
-@pytest.mark.parametrize("cs", [(), (10.0,)], ids=["none", "one"])
+@pytest.mark.parametrize("cs", [(), (10.0,), (10.0, 10.0), (40.0, 20.0, 10.0)],
+                         ids=["none", "one", "repeated", "decreasing"])
 def test_ladder_refuses_fewer_than_two_rungs(cs):
     """One rung or none compares nothing, and every ladder_decreasing
-    of such a ladder would read True."""
+    of such a ladder would read True; a repeated or decreasing c read
+    "not decreasing" on every family, a failure of the ladder, not of
+    the table."""
     with pytest.raises(ValueError, match="cs"):
         bracket_ladder("crossed", cs=cs)
 
@@ -54,7 +57,7 @@ def test_expanded_bracket_values_free():
     model = Model(background=bg, m=1.0, g=2.0, alpha=0.75)
     z = init_state(model, x3=(0.1, 0.2, -0.3), P3=(0.4, -0.1, 0.2),
                    spin_dir=(0.2, 0.5, -1.0))
-    S = spin_readouts(spin_tensor(z))[0]
+    S = spin_readouts(spin_tensor(z.w, z.pi))[0]
     table = expanded_brackets(dirac_core(z, model), model)
     assert list(table) == list(LADDER_ORDERS)
     assert np.isclose(table["xx"][0, 1],
@@ -73,7 +76,7 @@ def test_primed_positions_commute_to_higher_order():
     for c in (10.0, 20.0, 40.0):
         model, z = _ladder_state(c, "crossed")
         core = dirac_core(z, model)
-        S = spin_readouts(spin_tensor(z))[0]
+        S = spin_readouts(spin_tensor(z.w, z.pi))[0]
         from relspin.phase import field_data
         P = kinetic_momentum(z, model, field_data(model, z.x))[1:]
         eps = np.zeros((3, 3, 3))
@@ -103,12 +106,17 @@ def test_primed_positions_commute_to_higher_order():
     assert res[2] < res[1] / 8.0
 
 
+def _potential(model, xp):
+    """A^mu at the spatial point xp, through the array view of the fields."""
+    return FieldsAt(field_data(model, [0.0, *xp.tolist()])).A
+
+
 def to_primed(x, P, S, model):
     """Inverse chart: x' = x + (P x S)/(2 m^2 c^2), then P' = P + (e/c) A(x')."""
     x, P, S = (np.asarray(v, float) for v in (x, P, S))
     m, c, e = model.m, model.c, model.e
     xp = x + np.cross(P, S) / (2.0 * m**2 * c**2)
-    return xp, P + (e / c) * model.background.A(np.array([0.0, *xp]))[1:], S.copy()
+    return xp, P + (e / c) * _potential(model, xp)[1:], S.copy()
 
 
 def test_chart_roundtrip_both_ways():
@@ -138,9 +146,9 @@ def test_chart_shift_is_built_on_the_kinetic_momentum(kind):
     bg = make_background(kind, e=1.0, c=10.0, **BACKGROUND_PARAMS[kind])
     model = Model(background=bg, m=1.0, g=2.0, alpha=0.75)
     xp, Pp, Sp = np.array([0.7, -0.4, 0.3]), np.array([0.2, 0.5, -0.1]), np.array([0.1, -0.3, 0.4])
-    assert np.max(np.abs(bg.A(np.array([0.0, *xp]))[1:])) > 0.1
+    assert np.max(np.abs(_potential(model, xp)[1:])) > 0.1
     x, P, S = from_primed(xp, Pp, Sp, model)
-    assert np.allclose(P, Pp - bg.A(np.array([0.0, *xp]))[1:] / model.c, rtol=0, atol=1e-15)
+    assert np.allclose(P, Pp - _potential(model, xp)[1:] / model.c, rtol=0, atol=1e-15)
     assert np.allclose(x - xp, -np.cross(P, Sp) / (2.0 * model.c**2), rtol=0, atol=1e-16)
     assert not np.allclose(x - xp, -np.cross(Pp, Sp) / (2.0 * model.c**2), rtol=0, atol=1e-6)
 
@@ -162,7 +170,7 @@ def test_expanded_hamiltonian_nonrelativistic_pieces():
     model = Model(background=bg, m=2.0, g=2.0, alpha=0.75)
     z = init_state(model, x3=(0.1, -0.2, 0.3), P3=(0.3, 0.1, -0.2),
                    spin_dir=(0.0, 0.0, 1.0))
-    S = spin_readouts(spin_tensor(z))[0]
+    S = spin_readouts(spin_tensor(z.w, z.pi))[0]
     h = hamiltonian_expanded(dirac_core(z, model), model)
     p2 = 0.3**2 + 0.1**2 + 0.2**2
     expect = (model.m * model.c**2 + p2 / (2 * model.m)

@@ -7,8 +7,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from relspin.fields import KINDS, expand, make_background
+from relspin.fields import KINDS, PARAMETERS, expand, make_background
 from relspin.minkowski import extract_EB
+from relspin.phase import FieldsAt
 
 import oracles
 from oracles import with_gauge_shift
@@ -28,6 +29,12 @@ POINTS = [
 ]
 
 
+def _field(bg, name):
+    """x -> the array name (A, dA, F or dF) of bg at the array point x,
+    read through the array view of an evaluation, phase.FieldsAt."""
+    return lambda x: getattr(FieldsAt(bg.at(x.tolist())), name)
+
+
 def _fd_grad(fn, x, h=1e-6):
     """d fn / d x^nu by central differences, nu = 0..3."""
     cols = []
@@ -43,15 +50,15 @@ def _fd_grad(fn, x, h=1e-6):
 def test_dA_matches_finite_differences(kind):
     bg = make_background(kind, e=1.0, c=10.0, **PARAMS[kind])
     for x in POINTS:
-        assert np.allclose(bg.dA(x), _fd_grad(bg.A, x), atol=1e-8)
+        assert np.allclose(_field(bg, "dA")(x), _fd_grad(_field(bg, "A"), x), atol=1e-8)
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_dF_matches_finite_differences(kind):
     bg = make_background(kind, e=1.0, c=10.0, **PARAMS[kind])
     for x in POINTS:
-        fd = np.moveaxis(_fd_grad(bg.F, x), -1, 0)  # -> dF[lam, mu, nu]
-        assert np.allclose(bg.dF(x), fd, atol=1e-7)
+        fd = np.moveaxis(_fd_grad(_field(bg, "F"), x), -1, 0)  # -> dF[lam, mu, nu]
+        assert np.allclose(_field(bg, "dF")(x), fd, atol=1e-7)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -60,11 +67,11 @@ def test_F_from_potential(kind):
     from relspin.minkowski import ETA_DIAG
     bg = make_background(kind, e=1.0, c=10.0, **PARAMS[kind])
     for x in POINTS:
-        dA = bg.dA(x)  # dA[mu, nu] = d_nu A^mu
+        dA = _field(bg, "dA")(x)  # dA[mu, nu] = d_nu A^mu
         dA_low = ETA_DIAG[:, None] * dA  # d_nu A_mu
         F_low = dA_low.T - dA_low
         F_up = ETA_DIAG[:, None] * F_low * ETA_DIAG[None, :]
-        assert np.allclose(bg.F(x), F_up, atol=1e-12)
+        assert np.allclose(_field(bg, "F")(x), F_up, atol=1e-12)
 
 
 def _shifted(bg):
@@ -88,7 +95,8 @@ def test_stationarity_and_antisymmetry(kind):
     bg = make_background(kind, e=1.0, c=10.0, **PARAMS[kind])
     for b in (bg, _shifted(bg)):
         for x in POINTS:
-            dA, F, dF = b.dA(x), b.F(x), b.dF(x)
+            view = FieldsAt(b.at(x.tolist()))
+            dA, F, dF = view.dA, view.F, view.dF
             assert np.all(dA[:, 0] == 0.0)
             assert np.all(dF[0] == 0.0)
             assert np.array_equal(F, -F.T)
@@ -99,11 +107,11 @@ def test_uniform_layout():
     E = (0.3, -0.1, 0.2)
     B = (0.0, 0.5, -1.0)
     bg = make_background("crossed", E=E, B=B)
-    E2, B2 = extract_EB(bg.F(POINTS[0]))
+    E2, B2 = extract_EB(_field(bg, "F")(POINTS[0]))
     assert np.allclose(E2, E) and np.allclose(B2, B)
     # A^0 = -E.x reproduces E_i = -d_i A^0
     x = POINTS[1]
-    assert np.isclose(bg.A(x)[0], -np.dot(E, x[1:]))
+    assert np.isclose(_field(bg, "A")(x)[0], -np.dot(E, x[1:]))
 
 
 @pytest.mark.parametrize("kind", ["uniform-E", "crossed"])
@@ -134,12 +142,12 @@ def test_coulomb_field_shape():
     x = POINTS[0]
     r3 = x[1:]
     r = np.linalg.norm(r3)
-    E, B = extract_EB(bg.F(x))
+    E, B = extract_EB(_field(bg, "F")(x))
     assert np.allclose(E, q * r3 / r**3)
     assert np.allclose(B, 0.0)
-    assert np.isclose(bg.A(x)[0], q / r)
+    assert np.isclose(_field(bg, "A")(x)[0], q / r)
     # divergence of E vanishes away from the source
-    dF = bg.dF(x)
+    dF = _field(bg, "dF")(x)
     divE = sum(dF[i, 0, i] for i in (1, 2, 3))
     assert abs(divE) < 1e-12
 
@@ -147,7 +155,7 @@ def test_coulomb_field_shape():
 def test_coulomb_center_guard():
     bg = make_background("coulomb", q=1.0, r_min=1e-3)
     with pytest.raises(ValueError):
-        bg.A(np.array([0.0, 1e-4, 0.0, 0.0]))
+        _field(bg, "A")(np.array([0.0, 1e-4, 0.0, 0.0]))
 
 
 def test_missing_q_rejected():
@@ -155,6 +163,36 @@ def test_missing_q_rejected():
         make_background("coulomb")
     with pytest.raises(ValueError):
         make_background("nonsense")
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_missing_and_foreign_parameters_are_refused_by_name(kind):
+    """Every kind refuses each required parameter left out and each
+    parameter it does not take, naming it.  uniform-B with an E built a
+    zero field, uniform-E without E built one too, and a misspelt Bz was
+    dropped without a word."""
+    full = PARAMS[kind]
+    for name, (_, default) in PARAMETERS[kind].items():
+        if default is None:
+            missing = f"{kind} background requires the parameter {name}$"
+            with pytest.raises(ValueError, match=missing):
+                make_background(kind, **{k: v for k, v in full.items() if k != name})
+    foreign = ["Bz", *(n for n in ("E", "B", "q", "r_min") if n not in PARAMETERS[kind])]
+    for name in foreign:
+        with pytest.raises(ValueError, match=f"{kind} background takes no parameter {name};"):
+            make_background(kind, **full, **{name: 1.0})
+    make_background(kind, **full)
+
+
+@pytest.mark.parametrize("kind, params, name", [
+    ("uniform-E", {"E": (0.1, 0.2)}, "E"),
+    ("crossed", {"E": (0.1, 0.0, 0.0), "B": 1.0}, "B"),
+    ("coulomb", {"q": (1.0, 2.0)}, "q"),
+    ("coulomb", {"q": 1.0, "r_min": (1e-3,)}, "r_min"),
+])
+def test_parameters_of_the_wrong_shape_are_refused_by_name(kind, params, name):
+    with pytest.raises(ValueError, match=f"background parameter {name} must be finite, of shape"):
+        make_background(kind, **params)
 
 
 def test_gauge_shift_leaves_F():
@@ -166,9 +204,9 @@ def test_gauge_shift_leaves_F():
         lambda x: np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
     )
     for x in POINTS:
-        assert np.allclose(shifted.F(x), bg.F(x))
-        assert not np.allclose(shifted.A(x), bg.A(x))
-        assert np.allclose(shifted.dA(x), _fd_grad(shifted.A, x), atol=1e-8)
+        assert np.allclose(_field(shifted, "F")(x), _field(bg, "F")(x))
+        assert not np.allclose(_field(shifted, "A")(x), _field(bg, "A")(x))
+        assert np.allclose(_field(shifted, "dA")(x), _fd_grad(_field(shifted, "A"), x), atol=1e-8)
 
 
 def test_backgrounds_alive_at_once_keep_their_own_fields():
@@ -212,7 +250,8 @@ def test_evaluator_matches_the_numpy_reference(kind):
     layout, A (4,), dA (4, 3), F (6,) and dF (3, 6), whose expansion into
     arrays equals the numpy evaluator: the uniform kinds exactly, coulomb
     to COULOMB_RTOL of each tensor's largest entry;
-    FieldBackground.A/dA/F/dF, on the array x, give the same ndarrays."""
+    phase.FieldsAt, the array view of the same tuples, gives the same
+    ndarrays."""
     bg = make_background(kind, e=1.0, c=10.0, **PARAMS[kind])
     ref = _reference_at(kind)
     rng = np.random.default_rng(17)
@@ -221,7 +260,8 @@ def test_evaluator_matches_the_numpy_reference(kind):
         for t, shape in zip(got, ((4,), (4, 3), (6,), (3, 6))):
             assert np.shape(t) == shape
             assert all(type(v) is float for v in _leaves(t))
-        for t, want, arr in zip(expand(got), ref(x), (bg.A(x), bg.dA(x), bg.F(x), bg.dF(x))):
+        view = FieldsAt(got)
+        for t, want, arr in zip(expand(got), ref(x), (view.A, view.dA, view.F, view.dF)):
             assert type(arr) is np.ndarray and np.array_equal(arr, t)
             assert t.shape == want.shape
             if kind == "coulomb":

@@ -100,6 +100,28 @@ def test_table_shape_and_content():
             assert abs(row["defect"]) < 1e-10 * abs(row["sommerfeld"])
 
 
+@pytest.mark.parametrize("n, l", [(0, 0), (-1, 0), (1, 1), (2, 2), (2, -1), (2.5, 1), (3, 1.5)])
+def test_shifts_refuse_a_level_that_does_not_exist(n, l):
+    """A level has whole numbers n >= 1 and 0 <= l <= n - 1.
+    (n, l, j) = (1, 1, 1.5) read 1.81e-4 and (2, 2, 2.5) read 3.77e-6,
+    n = 0 raised ZeroDivisionError, and kinetic_shift(hm, 2.5, 1) read
+    -1.70e-5."""
+    hm = HydrogenModel()
+    with pytest.raises(ValueError, match=f"no level n={n}, l={l}"):
+        kinetic_shift(hm, n, l)
+    for shift in (spin_orbit_shift, spin_orbit_shift_naive, level_shift):
+        with pytest.raises(ValueError, match=f"no level n={n}, l={l}"):
+            shift(hm, n, l, l + 0.5)
+
+
+@pytest.mark.parametrize("n", [1, 0, -2])
+def test_p_splitting_refuses_a_shell_without_p_levels(n):
+    """n = 1 has no p level; p_level_splitting(hm, 1) read 3.62e-4."""
+    for splitting in (p_level_splitting, p_level_splitting_naive):
+        with pytest.raises(ValueError, match=f"no level n={n}, l=1"):
+            splitting(HydrogenModel(), n)
+
+
 def test_kinetic_shift_scale():
     # 1s kinetic shift is -(5/8) mc^2 alpha^4 in closed form
     hm = HydrogenModel(g=2.0)

@@ -68,7 +68,7 @@ def test_rest_spin_length():
     # at rest the spin three-vector has length sqrt(alpha)
     model = build_model("zero", g=2.0)
     z = init_state(model, x3=(0, 0, 0), P3=(0, 0, 0), spin_dir=(0, 0, 1.0))
-    S, D, SS = spin_readouts(spin_tensor(z))
+    S, D, SS = spin_readouts(spin_tensor(z.w, z.pi))
     assert np.allclose(S, [0, 0, np.sqrt(model.alpha)])
     assert np.isclose(SS, 8.0 * model.alpha)
     # dipole part vanishes at rest
@@ -148,7 +148,7 @@ def test_dipole_ssc_identity():
     model = build_model("crossed")
     for z in state_batch(model, 8, seed=11):
         P = kinetic_momentum(z, model)
-        S, D, _ = spin_readouts(spin_tensor(z))
+        S, D, _ = spin_readouts(spin_tensor(z.w, z.pi))
         assert np.allclose(D, 2.0 * np.cross(P[1:], S) / P[0], atol=1e-11)
         assert np.max(np.abs(ssc_vector(z, model))) < 1e-11
 
@@ -157,13 +157,45 @@ def test_spin_tensor_layout():
     model = build_model("zero")
     z = init_state(model, x3=(0, 0, 0), P3=(0.5, -0.2, 0.1),
                    spin_dir=(0.3, 0.7, -0.2))
-    S = spin_tensor(z)
+    S = spin_tensor(z.w, z.pi)
     assert np.allclose(S, -S.T)
     Svec = spin_readouts(S)[0]
     # S^{ij} = 2 eps^{ijk} S_k
     assert np.isclose(S[1, 2], 2 * Svec[2])
     assert np.isclose(S[2, 3], 2 * Svec[0])
     assert np.isclose(S[3, 1], 2 * Svec[1])
+
+
+def test_spin_tensor_of_stacks_is_the_per_state_tensor():
+    """spin_tensor of (n, 4) stacks of omega and pi is, slice by slice
+    and bit for bit, its value at each state."""
+    zs = state_batch(build_model("crossed"), 5, seed=4)
+    S = spin_tensor(np.array([z.w for z in zs]), np.array([z.pi for z in zs]))
+    assert S.shape == (5, 4, 4)
+    for k, z in enumerate(zs):
+        assert np.array_equal(S[k], spin_tensor(z.w, z.pi))
+        assert np.array_equal(S[k], -S[k].T)
+
+
+@pytest.mark.parametrize("kind", list(BACKGROUND_PARAMS))
+@pytest.mark.parametrize("alpha", [0.75, 0.0], ids=["spin", "spinless"])
+@pytest.mark.parametrize("name, value", [
+    ("x3", (np.nan, 0.0, 0.0)), ("x3", (0.0, np.inf, 0.0)),
+    ("P3", (0.1, np.nan, 0.0)), ("P3", (-np.inf, 0.0, 0.0)),
+    ("spin_dir", (np.nan, 0.0, 1.0)), ("spin_dir", (0.0, 0.0, np.inf)),
+    ("t", np.nan), ("t", np.inf)])
+def test_init_state_refuses_non_finite_arguments_by_name(kind, alpha, name, value):
+    """A NaN or inf in P3 or spin_dir ran 200 fixed-point passes with
+    RuntimeWarnings and then raised "field-spin fixed point did not
+    converge"; a NaN x3 on zero, a NaN t and a NaN P3 at alpha = 0
+    returned a NaN state.  Each is refused, naming the argument, before
+    any arithmetic on it."""
+    args = {"x3": (1.6, -0.8, 1.1), "P3": (0.4, 0.3, -0.2), "spin_dir": (0.3, -1.0, 0.5),
+            "t": 0.0, name: value}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            init_state(build_model(kind, alpha=alpha), **args)
 
 
 def test_energy_radicand_guard():
@@ -182,7 +214,7 @@ def test_mass_shell_identity():
     for z in state_batch(model, 6, seed=2):
         fields = field_data(model, z.x)
         P = kinetic_momentum(z, model, fields)
-        fs = contract_2(FieldsAt(fields).F, spin_tensor(z))
+        fs = contract_2(FieldsAt(fields).F, spin_tensor(z.w, z.pi))
         lhs = P[0] ** 2 - P[1:] @ P[1:]
         rhs = (model.m * model.c) ** 2 - model.e * model.g / (4 * model.c) * fs
         assert np.isclose(lhs, rhs, rtol=1e-13)
@@ -346,7 +378,7 @@ def test_spin_algebra_so31(a, b, c_, d):
     the factor 2 coming from S = 2 (omega pi - pi omega)."""
     model = build_model("zero")
     z = state_batch(model, 1, seed=9)[0]
-    S = spin_tensor(z)
+    S = spin_tensor(z.w, z.pi)
     eta = ETA_DIAG
     lhs = poisson_bracket(obs_spin(a, b), obs_spin(c_, d), z, model)
     rhs = 2.0 * ((eta[a] if a == c_ else 0.0) * S[b, d]
