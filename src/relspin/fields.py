@@ -177,7 +177,10 @@ def make_background(kind, e=1.0, c=10.0, **params):
         if name not in params and default is None:
             raise ValueError(f"{kind} background requires the parameter {name}")
         values[name] = value = params.get(name, default)
-        array = np.asarray(value, dtype=float)
+        try:
+            array = np.asarray(value, dtype=float)
+        except (TypeError, ValueError):   # not a number, or a ragged sequence
+            array = np.array(math.nan)
         if not (array.shape == shape and np.all(np.isfinite(array))):
             raise ValueError(f"background parameter {name} must be finite, of shape "
                              f"{shape}, got {value!r}")

@@ -5,8 +5,12 @@ Operators are finite sums of monomials
     x1^a1 x2^a2 x3^a3  p1^b1 p2^b2 p3^b3  M
 
 with every position factor to the left of every momentum factor and a
-2x2 coefficient block M.  Each block entry is a polynomial in the
-eleven real generators
+2x2 spin block M in the Pauli basis, four polynomials (u0, u1, u2, u3)
+with M = u0 I + u.sigma.  Block products read sigma_i sigma_j =
+delta_ij I + i eps_ijk sigma_k, so [M, N] = 2i (u x v).sigma, and most
+blocks of the realization, one sigma or I plus one sigma, leave most
+factors zero; matrix_block writes the 2x2 entries for repr and the
+tests.  Each polynomial is in the eleven real generators
 
     hbar, cinv, minv, e, g, B1, B2, B3, E1, E2, E3
 
@@ -22,10 +26,11 @@ it cancels, with no negated copy or filter pass; the zero polynomial is
 {}.  An Op keeps one positive integer den shared by all its blocks, the
 operator being blocks / den: a product multiplies the dens, a sum or
 difference brings both operands to the lcm of theirs, and no rational
-arithmetic takes part.  The adjoint's conjugation maps (re, im) to
-(re, -im); the division by i hbar lowers the hbar field by one and maps
-(re, im) to (im, -re); the order in 1/c of a monomial, which grades the
-correspondence with the classical brackets, is a shift and a mask.
+arithmetic takes part.  The adjoint maps each (re, im) to (re, -im),
+with no transpose, as sigma is Hermitian; the division by i hbar lowers
+the hbar field by one and maps (re, im) to (im, -re); the order in 1/c
+of a monomial, which grades the correspondence with the classical
+brackets, is a shift and a mask.
 
 Products are reduced to the normal form with the one-axis identity
 
@@ -35,7 +40,7 @@ applied axis by axis, its terms read from a table keyed by (n, m)
 (different axes commute; blocks commute with x and p).  The commutator
 is one pass over the monomial pairs, not two products: the uncontracted
 terms of A B and B A differ only in the block order, so they cancel
-where either block is scalar and leave [Ma, Mb] otherwise.
+where either block has no sigma part and leave [Ma, Mb] otherwise.
 
 A scalar is a Python int or a cleared pair (dict, den) such as
 _cleared_term builds; anything else is refused with a TypeError naming
@@ -158,7 +163,13 @@ def _pmul(p, q):
         return {}
     if len(p) == 1:
         (mon, (re, im)), = p.items()
-        return _term_mul(q, mon, re, im)
+        if len(q) > 1:
+            return _term_mul(q, mon, re, im)
+        (mb, (br, bi)), = q.items()
+        mon += mb
+        if mon & _GUARDS:
+            _overflow(mon)
+        return {mon: (re * br - im * bi, re * bi + im * br)}
     out = {}
     for ma, (ar, ai) in p.items():
         for mb, (br, bi) in q.items():
@@ -228,44 +239,57 @@ def _pdiv_ihbar(p):
     return out
 
 
-def _one(re=1, im=0):
-    return {0: (re, im)}
-
-
-I2 = (_one(), {}, {}, _one())
+_ONE = {0: (1, 0)}
+I2 = (_ONE, {}, {}, {})
 _ZERO_BLOCK = ({}, {}, {}, {})
-SIGMA = (({}, _one(), _one(), {}),
-         ({}, _one(0, -1), _one(0, 1), {}),
-         (_one(), {}, {}, _one(-1)))
+SIGMA = (({}, _ONE, {}, {}), ({}, {}, _ONE, {}), ({}, {}, {}, _ONE))
 _ZKEY = (0, 0, 0, 0, 0, 0)
 # (-i)^k for k mod 4
 _MINUS_I_POW = ((1, 0), (0, -1), (-1, 0), (0, 1))
 
 
 def _is_scalar(blk):
-    """True for a block u * I2."""
-    return not blk[1] and not blk[2] and blk[0] == blk[3]
+    """True for a block with no sigma part, u0 I."""
+    return not (blk[1] or blk[2] or blk[3])
+
+
+def _cross(p, q, r, s, im):
+    """im i (p q - r s), a product formed only where both factors are nonzero."""
+    pq = _pmul(p, q) if p and q else {}
+    if r and s:
+        pq = _psub(pq, _pmul(r, s))
+    return _term_mul(pq, 0, 0, im)
+
+
+def matrix_block(blk):
+    """The 2x2 entries of the block u0 I + u.sigma in row order:
+    (u0 + u3, u1 - i u2, u1 + i u2, u0 - u3)."""
+    u0, u1, u2, u3 = blk
+    iu2 = _term_mul(u2, 0, 0, 1)
+    return _padd(u0, u3), _psub(u1, iu2), _padd(u1, iu2), _psub(u0, u3)
 
 
 def _block_mul(A, B):
+    """(a0 + a.sigma)(b0 + b.sigma) = a0 b0 + a.b + (a0 b + b0 a + i a x b).sigma."""
     if _is_scalar(A):
         return tuple(_pmul(A[0], v) for v in B)
     if _is_scalar(B):
         return tuple(_pmul(v, B[0]) for v in A)
     a0, a1, a2, a3 = A
     b0, b1, b2, b3 = B
-    return (_padd(_pmul(a0, b0), _pmul(a1, b2)), _padd(_pmul(a0, b1), _pmul(a1, b3)),
-            _padd(_pmul(a2, b0), _pmul(a3, b2)), _padd(_pmul(a2, b1), _pmul(a3, b3)))
+    return (_padd(_padd(_pmul(a0, b0), _pmul(a1, b1)),
+                  _padd(_pmul(a2, b2), _pmul(a3, b3))),
+            _padd(_padd(_pmul(a0, b1), _pmul(b0, a1)), _cross(a2, b3, a3, b2, 1)),
+            _padd(_padd(_pmul(a0, b2), _pmul(b0, a2)), _cross(a3, b1, a1, b3, 1)),
+            _padd(_padd(_pmul(a0, b3), _pmul(b0, a3)), _cross(a1, b2, a2, b1, 1)))
 
 
 def _block_commutator(A, B):
-    """A B - B A with six polynomial products."""
-    a0, a1, a2, a3 = A
-    b0, b1, b2, b3 = B
-    da, db = _psub(a0, a3), _psub(b0, b3)
-    c0 = _psub(_pmul(a1, b2), _pmul(b1, a2))
-    return (c0, _psub(_pmul(b1, da), _pmul(a1, db)),
-            _psub(_pmul(a2, db), _pmul(b2, da)), _psub({}, c0))
+    """A B - B A = 2i (a x b).sigma."""
+    _, a1, a2, a3 = A
+    _, b1, b2, b3 = B
+    return ({}, _cross(a2, b3, a3, b2, 2), _cross(a3, b1, a1, b3, 2),
+            _cross(a1, b2, a2, b1, 2))
 
 
 def _scaled(coeff, blk):
@@ -282,7 +306,8 @@ def _rescaled(blocks, s):
 
 
 def _accumulate(out, key, blk):
-    out[key] = tuple(map(_padd, out.get(key, _ZERO_BLOCK), blk))
+    old = out.get(key)
+    out[key] = blk if old is None else tuple(map(_padd, old, blk))
 
 
 def _axis(i):
@@ -294,13 +319,16 @@ def _axis(i):
 
 class Op:
     """Finite normal-ordered operator blocks / den.  blocks maps exponent
-    keys (a1,a2,a3,b1,b2,b3) to 2x2 coefficient blocks, four polynomial
-    dicts in row order; den is a positive int, 1 by default, and need not
-    be the least one.  Zero blocks are dropped."""
+    keys (a1,a2,a3,b1,b2,b3) to spin blocks (u0, u1, u2, u3); den is a
+    positive int, 1 by default and refused by name otherwise, and need
+    not be the least one.  Zero blocks are dropped."""
 
     __slots__ = ("blocks", "den")
 
     def __init__(self, blocks=None, den=1):
+        if type(den) is not int or den < 1:
+            raise (ValueError if type(den) is int else TypeError)(
+                f"the den of an Op is a positive int, not {den!r}")
         self.blocks = {k: blk for k, blk in (blocks or {}).items() if any(blk)}
         self.den = den
 
@@ -309,7 +337,7 @@ class Op:
     @classmethod
     def scalar(cls, expr):
         c, den = _cleared(expr)
-        return cls({_ZKEY: (c, {}, {}, c)}, den)
+        return cls({_ZKEY: (c, {}, {}, {})}, den)
 
     @classmethod
     def x(cls, i):
@@ -386,8 +414,8 @@ class Op:
     def adjoint(self):
         """Hermitian conjugate, back in normal order."""
         out = {}
-        for k, (a0, a1, a2, a3) in self.blocks.items():
-            MH = (_conj(a0), _conj(a2), _conj(a1), _conj(a3))
+        for k, blk in self.blocks.items():
+            MH = tuple(map(_conj, blk))
             # (x^a p^b)^dagger = M^dagger p^b x^a; the reorder factors
             # are plain rewriting, they are not conjugated
             for key, coeff in _reorder((0, 0, 0) + k[3:], k[:3] + (0, 0, 0)):
@@ -414,7 +442,7 @@ class Op:
         for k, blk in sorted(self.blocks.items()):
             mono = " ".join(f"{n}^{ex}" if ex > 1 else n
                             for n, ex in zip(names, k) if ex)
-            a, b, c, d = (_format(u, self.den) for u in blk)
+            a, b, c, d = (_format(u, self.den) for u in matrix_block(blk))
             bits.append(f"[{mono or '1'}] [[{a}, {b}], [{c}, {d}]]")
         return "Op(" + " + ".join(bits) + ")"
 
@@ -451,8 +479,8 @@ def commutator(A, B):
     """[A, B] in one pass over the monomial pairs, with no product of
     whole operators.  Per pair: [Ma, Mb] at the uncontracted key
     x^{a+c} p^{b+d}, where the uncontracted terms of A B and B A meet
-    (skipped when either block is scalar, where they cancel); plus the
-    contractions of x^a p^b x^c p^d times Ma Mb; minus those of
+    (skipped when either block has no sigma part, where they cancel);
+    plus the contractions of x^a p^b x^c p^d times Ma Mb; minus those of
     x^c p^d x^a p^b times Mb Ma.  A block product is formed only for
     an order that has contractions."""
     def split(op):

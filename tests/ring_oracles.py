@@ -11,6 +11,10 @@
   ``from_ring_element`` carry a polynomial dict of packed monomials and
   (re, im) pairs to an element of R and back, and ``random_poly`` draws
   a seeded polynomial dict to compare on.
+* ``PAULI_MATRICES`` (I, sigma_1, sigma_2, sigma_3 written out as 2x2
+  entries of R) and ``matrix_product``, the reference for the spin
+  blocks, which ``weyl`` keeps in the Pauli basis and writes as 2x2
+  entries through ``weyl.matrix_block``.
 * ``to_ring``, which reads a sympy expression in the generators (and m,
   read as 1/minv) into the cleared pair (dict, den) that ``Op.scalar``
   and ``Op.scale`` take, and ``cinv_orders``, the cinv exponents of an
@@ -96,6 +100,23 @@ def to_ring_element(u):
 def from_ring_element(r):
     """An element of R as a polynomial dict."""
     return {_pack(mon): (int(c.x), int(c.y)) for mon, c in r.items()}
+
+
+def _entries(*pairs):
+    return tuple(R(ZZ_I(re, im)) for re, im in pairs)
+
+
+# (m00, m01, m10, m11) in row order
+PAULI_MATRICES = (_entries((1, 0), (0, 0), (0, 0), (1, 0)),
+                  _entries((0, 0), (1, 0), (1, 0), (0, 0)),
+                  _entries((0, 0), (0, -1), (0, 1), (0, 0)),
+                  _entries((1, 0), (0, 0), (0, 0), (-1, 0)))
+
+
+def matrix_product(a, b):
+    """The product of two 2x2 matrices of elements of R, in row order."""
+    return (a[0] * b[0] + a[1] * b[2], a[0] * b[1] + a[1] * b[3],
+            a[2] * b[0] + a[3] * b[2], a[2] * b[1] + a[3] * b[3])
 
 
 def random_poly(rng, max_terms=4, max_coeff=3):

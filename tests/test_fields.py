@@ -293,6 +293,21 @@ def test_non_finite_parameters_are_refused_by_name(kind, params, name):
         make_background(kind, **params)
 
 
+@pytest.mark.parametrize("kind, params, name", [
+    ("coulomb", {"q": "a"}, "q"),
+    ("coulomb", {"q": 1.0, "r_min": None}, "r_min"),
+    ("uniform-B", {"B": ("x", 0, 0)}, "B"),
+    ("uniform-E", {"E": {"x": 1}}, "E"),
+    ("crossed", {"E": (0.1, 0.0, 0.0), "B": ((1.0,), 0.0, 0.0)}, "B"),
+])
+def test_parameters_that_are_not_numbers_are_refused_by_name(kind, params, name):
+    """A string, a dict or a ragged sequence is refused with the same
+    ValueError as a non-finite value, naming the parameter, where numpy's
+    conversion error named none."""
+    with pytest.raises(ValueError, match=f"background parameter {name} must be finite"):
+        make_background(kind, **params)
+
+
 @pytest.mark.parametrize("r_min", [0.0, -1.0])
 def test_coulomb_refuses_a_radius_guard_that_admits_the_center(r_min):
     """At r_min <= 0 an evaluation at the center passed the guard and

@@ -22,7 +22,7 @@ from pathlib import Path
 
 from relspin import quantum
 from relspin.cli import main
-from relspin.weyl import _unpack
+from relspin.weyl import _unpack, matrix_block
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
@@ -56,14 +56,15 @@ def _selftest_stdout():
 
 
 def _canonical_op(op):
-    """An Op as plain data: den and, per sorted key, each block entry as
-    the sorted (exponents, re, im) of its terms; None for None."""
+    """An Op as plain data: den and, per sorted key, each entry of the
+    block's 2x2 matrix as the sorted (exponents, re, im) of its terms;
+    None for None."""
     if op is None:
         return None
     return {"den": op.den,
             "blocks": [[list(key), [sorted([list(_unpack(mon)), re, im]
                                            for mon, (re, im) in u.items())
-                                    for u in blk]]
+                                    for u in matrix_block(blk)]]
                        for key, blk in sorted(op.blocks.items())]}
 
 

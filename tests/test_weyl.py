@@ -17,10 +17,12 @@ from relspin.quantum import _by_ihbar
 from relspin.weyl import (_CINV_SHIFT, _EXP_MASK, _HBAR_SHIFT, I2, SIGMA,
                           NotDivisible, Op, _block_commutator, _block_mul,
                           _conj, _pack, _padd, _pdiv_ihbar, _pmul, _psub,
-                          _term_mul, _unpack, commutator, cross, dot)
-from ring_oracles import (RQ, R, anticommutator, cinv, coefficient_of_cinv, e,
-                          from_ring_element, g_sym, hbar, m, minv, random_poly,
-                          to_ring, to_ring_element)
+                          _term_mul, _unpack, commutator, cross, dot,
+                          matrix_block)
+from ring_oracles import (PAULI_MATRICES, RQ, R, anticommutator, cinv,
+                          coefficient_of_cinv, e, from_ring_element, g_sym,
+                          hbar, m, matrix_product, minv, random_poly, to_ring,
+                          to_ring_element)
 
 I = sp.I
 
@@ -36,6 +38,11 @@ def _monomial_op(key, base, factor):
     f = to_ring_element(_FACTORS[factor])
     return Op({key: tuple(from_ring_element(f * to_ring_element(u))
                           for u in _BASES[base])})
+
+
+def _matrices(op):
+    """op's blocks as 2x2 entries, key by key."""
+    return {k: matrix_block(blk) for k, blk in op.blocks.items()}
 
 
 def _assert_canonical(op):
@@ -129,7 +136,7 @@ def _rewritten(*factors):
     for (A, B, k), n in poly.items():
         z = n * (-1j) ** k
         u = {_pack((k,) + (0,) * 10): (int(z.real), int(z.imag))}
-        blocks[A + B] = (u, {}, {}, u)
+        blocks[A + B] = tuple(_pmul(u, v) for v in I2)
     return Op(blocks)
 
 
@@ -150,15 +157,16 @@ def test_normal_ordering_matches_a_word_rewriter():
             X, Y = Op({a + b: I2}), Op({c + d: I2})
             XY = _rewritten(("x", a), ("p", b), ("x", c), ("p", d))
             got = X * Y
-            assert (got.blocks, got.den) == (XY.blocks, 1), (a, b, c, d)
+            assert (_matrices(got), got.den) == (_matrices(XY), 1), (a, b, c, d)
             YX = _rewritten(("x", c), ("p", d), ("x", a), ("p", b))
             assert commutator(X, Y) == XY - YX, (a, b, c, d)
-            assert X.adjoint().blocks == _rewritten(("p", b), ("x", a)).blocks, (a, b)
+            assert _matrices(X.adjoint()) == _matrices(
+                _rewritten(("p", b), ("x", a))), (a, b)
     zero = (0, 0, 0)
     for b in itertools.product(range(4), repeat=3):
         for c in itertools.product(range(4), repeat=3):
             got = Op({zero + b: I2}) * Op({c + zero: I2})
-            assert got.blocks == _rewritten(("p", b), ("x", c)).blocks, (b, c)
+            assert _matrices(got) == _matrices(_rewritten(("p", b), ("x", c))), (b, c)
 
 
 def test_adjoint():
@@ -231,8 +239,8 @@ def test_sympy_boundary_round_trip():
     # through repr, which writes each term by the generator names and
     # each coefficient over den in lowest terms
     op = Op.scalar(to_ring(hbar * cinv**2 / (4 * m**2)))
-    assert op.blocks == {(0,) * 6: ({_pack((1, 2, 2) + (0,) * 8): (1, 0)}, {}, {},
-                                    {_pack((1, 2, 2) + (0,) * 8): (1, 0)})}
+    assert _matrices(op) == {(0,) * 6: ({_pack((1, 2, 2) + (0,) * 8): (1, 0)}, {}, {},
+                                        {_pack((1, 2, 2) + (0,) * 8): (1, 0)})}
     assert op.den == 4
     assert repr(op) == ("Op([1] [[1/4*hbar*cinv^2*minv^2, 0], "
                         "[0, 1/4*hbar*cinv^2*minv^2]])")
@@ -350,6 +358,19 @@ def test_malformed_cleared_pairs_are_refused(pair, error, named):
         with pytest.raises(error, match=re.escape(named)):
             refuse(pair)
     assert Op.scalar(_ONE) == Op.scalar(1) and Op.x(1).scale(_ONE) == Op.x(1)
+
+
+@pytest.mark.parametrize("den, error", [(0, ValueError), (-2, ValueError),
+                                        (1.5, TypeError), (2.0, TypeError),
+                                        (True, TypeError)],
+                         ids=["zero", "negative", "float", "integral-float", "bool"])
+def test_an_op_refuses_a_den_that_is_not_a_positive_int(den, error):
+    """Op(blocks, den) names a den that is not a positive int at once,
+    instead of a ZeroDivisionError or TypeError at the first sum or a
+    negative den taken without a word."""
+    with pytest.raises(error, match=f"not {re.escape(repr(den))}$"):
+        Op({(0,) * 6: I2}, den)
+    assert Op({(0,) * 6: I2}, 3).den == 3
 
 
 def test_to_ring_takes_exact_values():
@@ -492,10 +513,26 @@ def test_division_by_ihbar_names_the_whole_polynomial_when_the_bad_term_is_last(
 
 
 def _reference_block_mul(A, B):
-    a = [to_ring_element(u) for u in A]
-    b = [to_ring_element(u) for u in B]
-    return (a[0] * b[0] + a[1] * b[2], a[0] * b[1] + a[1] * b[3],
-            a[2] * b[0] + a[3] * b[2], a[2] * b[1] + a[3] * b[3])
+    return matrix_product(*([to_ring_element(u) for u in matrix_block(blk)]
+                            for blk in (A, B)))
+
+
+def test_pauli_blocks_match_the_reference_matrices():
+    """matrix_block writes I2 and sigma_1..3 as the Pauli matrices, and
+    every product of two of them, and every commutator, is the product
+    or commutator of the matrices: sigma_i sigma_j = delta_ij I + i
+    eps_ijk sigma_k in the stored basis."""
+    for blk, want in zip(_BASES, PAULI_MATRICES):
+        assert matrix_block(blk) == tuple(map(from_ring_element, want))
+    for A, a in zip(_BASES, PAULI_MATRICES):
+        for B, b in zip(_BASES, PAULI_MATRICES):
+            AB, BA = matrix_product(a, b), matrix_product(b, a)
+            assert matrix_block(_block_mul(A, B)) == tuple(map(from_ring_element, AB))
+            assert matrix_block(_block_commutator(A, B)) == tuple(
+                from_ring_element(x - y) for x, y in zip(AB, BA))
+    s1, s2, s3 = SIGMA
+    assert _block_mul(s1, s2) == ({}, {}, {}, {0: (0, 1)})
+    assert _block_commutator(s3, s1) == ({}, {}, {0: (0, 2)}, {})
 
 
 @pytest.mark.parametrize("seed", [3, 4])
@@ -504,12 +541,12 @@ def test_block_products_match_the_reference_ring(seed):
     for _ in range(100):
         A = tuple(random_poly(rng, 2) for _ in range(4))
         B = tuple(random_poly(rng, 2) for _ in range(4))
-        # scalar blocks take the shortcut in _block_mul
+        # blocks with no sigma part take the shortcut in _block_mul
         if rng.random() < 0.3:
-            A = (A[0], {}, {}, A[0])
+            A = (A[0], {}, {}, {})
         AB, BA = _reference_block_mul(A, B), _reference_block_mul(B, A)
-        assert _block_mul(A, B) == tuple(map(from_ring_element, AB))
-        assert _block_commutator(A, B) == tuple(
+        assert matrix_block(_block_mul(A, B)) == tuple(map(from_ring_element, AB))
+        assert matrix_block(_block_commutator(A, B)) == tuple(
             from_ring_element(x - y) for x, y in zip(AB, BA))
 
 
