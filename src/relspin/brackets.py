@@ -59,7 +59,7 @@ from operator import mul
 
 import numpy as np
 
-from .minkowski import ETA_DIAG, contract_2
+from .minkowski import ETA_DIAG, EB_from_field, contract_2
 from .phase import J, FieldsAt, field_data, spin_tensor, symplectic, t_rows, _kernel, _t3t4
 
 SPIN_INDEX_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -292,7 +292,7 @@ def aux_table_entries(core, model, energy_row_variant="resolved"):
     z, fd, P, S = core.z, core.fd, core.P, core.S
     P0 = P[0]
     dsf = np.einsum("lmn,mn->l", fd.dF_low, S)
-    E = fd.F[0, 1:]  # F^{0i}
+    E = np.array(EB_from_field(fd.floats[2])[0])
     F3 = fd.F_low[1:, 1:]
     Fmix = fd.F @ (ETA_DIAG[:, None] * S)  # (FS)^{mu nu}
     k = e * g / (2.0 * P0 * c)

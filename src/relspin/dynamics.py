@@ -30,10 +30,10 @@ Inside the rk4 loop of ``integrate`` the state is a list of 16 Python
 floats, from ``z0.vec.tolist()`` on, and the right-hand side is a
 closure that calls ``dirac_rhs(v, model)``: ``_rk4_step`` forms its
 stages and the final combination elementwise, in the operation order of
-the numpy form, so a step is the same to the bit, and no array is built
-inside a step or a projection pass.  Arrays appear where a state crosses
-the ``PhaseState`` boundary of ``project_state`` and in the recorded
-``Trajectory.Z``.
+the numpy form, so a step is the same to the bit; a projection pass
+takes its Minkowski products from ``minkowski.mdot``.  Arrays appear
+only where a state crosses the ``PhaseState`` boundary of
+``project_state`` and in the recorded ``Trajectory.Z``.
 
 ``Trajectory.stats`` reports what a run did, apart from its results:
 the right-hand-side evaluations (four per completed step), the
@@ -49,7 +49,8 @@ read-outs from the spin tensors of all states, which one
 
 A spinless state is omega = pi = 0 of the same flow: there
 {T3,T4} = calP.calP = -(m c)^2 and {T3,H} = {T4,H} = 0, so the flow
-is J grad H, the plain Lorentz force; it carries no constraints.
+is J grad H, the plain Lorentz force; it carries no constraints.  The
+closed-form cyclotron and Larmor rates are test oracles.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .minkowski import mdot
 from .phase import (CONSTRAINT_NAMES, PhaseState, field_data, spin_readouts, spin_tensor,
                     _kernel, _t3t4)
 
@@ -123,12 +125,6 @@ PROJECTION_TOL = 1e-14   # largest residual returned, in units of 1 + (m c)^2
 SPIN_FLOOR = 2.0 ** -52
 
 
-def _mdot(u, v):
-    """-u0 v0 + u1 v1 + u2 v2 + u3 v3 on four floats each, in the kernel's
-    order (minkowski.mdot is a numpy dot, whose last bit depends on BLAS)."""
-    return u[1] * v[1] + u[2] * v[2] + u[3] * v[3] - u[0] * v[0]
-
-
 def project_state(z, model, *, stats=None):
     """Put z back on T2 = T3 = T4 = T5 = 0, moving (omega, pi) alone.
 
@@ -184,16 +180,16 @@ def project_state(z, model, *, stats=None):
         if len(errs) > 1 and not errs[-1] < errs[-2]:
             break
         w, q = vec[8:12], vec[12:]
-        pp = _mdot(P, P)   # T3 = calP.omega, T4 = calP.pi
+        pp = mdot(P, P)   # T3 = calP.omega, T4 = calP.pi
         w1 = [wi - T[1] / pp * Pi for wi, Pi in zip(w, P)]
         q1 = [qi - T[2] / pp * Pi for qi, Pi in zip(q, P)]
-        ww = _mdot(w1, w1)
+        ww = mdot(w1, w1)
         if not ww > SPIN_FLOOR * sum(v * v for v in w):
             raise ValueError(f"omega is parallel to calP to rounding (omega^2 = {ww:.3e} "
                              "after removing its calP component); cannot project")
-        u = _mdot(w1, q1) / ww
+        u = mdot(w1, q1) / ww
         q1 = [qi - u * wi for qi, wi in zip(q1, w1)]
-        qq = _mdot(q1, q1)
+        qq = mdot(q1, q1)
         if not qq > SPIN_FLOOR * sum(v * v for v in q):
             raise ValueError(f"pi lies in the plane of omega and calP to rounding "
                              f"(pi^2 = {qq:.3e} after removing both); cannot project")
@@ -400,15 +396,3 @@ def orbit_averages(traj):
     return {"inv_r3": float(np.mean(r ** -3)), "Lz": float(np.mean(Lz)),
             "r_min": float(np.min(r)), "r_max": float(np.max(r))}
 
-
-def cyclotron_reference(model, p_perp, B):
-    """Relativistic orbit radius and period for a spinless charge."""
-    P0 = np.sqrt(p_perp**2 + (model.m * model.c) ** 2)
-    omega = model.e * B / P0
-    return {"radius": model.c * p_perp / (model.e * B),
-            "period": 2.0 * np.pi / abs(omega), "P0": P0}
-
-
-def larmor_reference(model, B):
-    """Low-speed spin precession rate, g e B / (2 m c)."""
-    return model.g * model.e * B / (2.0 * model.m * model.c)

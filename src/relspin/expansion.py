@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import make_background
-from .minkowski import EPS3, extract_EB
+from .minkowski import EPS3, EB_from_field
 from .phase import FieldsAt, Model, field_data, init_state, spin_readouts
 from .brackets import ROW_OBSERVABLES, dirac_core, row_gradients
 
@@ -56,7 +56,7 @@ def hamiltonian_expanded(core, model):
     m, c, e, g = model.m, model.c, model.e, model.g
     P = core.P[1:]
     p2 = float(P @ P)
-    E, B = extract_EB(core.fd.F)
+    E, B = map(np.array, EB_from_field(core.fd.floats[2]))
     S = spin_readouts(core.S)[0]
     out = m * c**2 + p2 / (2 * m) - p2**2 / (8 * m**3 * c**2) + e * core.fd.A[0]
     out += (e * g / (2 * m * c)) * (float(S @ np.cross(P, E)) / (m * c)
@@ -75,7 +75,7 @@ def expanded_brackets(core, model):
     m, c, e = model.m, model.c, model.e
     S = spin_readouts(core.S)[0]
     P = core.P[1:]
-    _, B = extract_EB(core.fd.F)
+    B = np.array(EB_from_field(core.fd.floats[2])[1])
     eps_S = EPS3 @ S
     return {"xx": eps_S / (m * c) ** 2,
             "xP": np.eye(3),
@@ -85,7 +85,7 @@ def expanded_brackets(core, model):
             "SS": eps_S}
 
 
-def _ladder_state(c, background, m=1.0, g=2.0):
+def _ladder_state(c, background):
     if background == "crossed":
         bg = make_background("crossed", e=1.0, c=c, E=(0.2, 0.0, 0.1),
                              B=(0.0, 0.0, 1.0))
@@ -95,7 +95,7 @@ def _ladder_state(c, background, m=1.0, g=2.0):
         x3 = (1.6, -0.8, 1.1)
     else:
         raise ValueError(f"no ladder preset for background {background!r}")
-    model = Model(background=bg, m=m, g=g)
+    model = Model(background=bg, m=1.0, g=2.0)
     z = init_state(model, x3=x3, P3=(0.4, 0.3, -0.2), spin_dir=(0.3, -1.0, 0.5))
     return model, z
 
@@ -133,11 +133,11 @@ def bracket_ladder(background="crossed", cs=(10.0, 20.0, 40.0, 80.0)):
     return out
 
 
-def ladder_decreasing(entry, floor=1e-12):
-    """Strict decrease of the scaled residuals, with an absolute floor
-    below which rounding noise is not adjudicated."""
+def ladder_decreasing(entry):
+    """Strict decrease of the scaled residuals, with an absolute floor,
+    1e-12, below which rounding noise is not adjudicated."""
     s = entry["scaled"]
-    return all(b < a or (a < floor and b < floor) for a, b in zip(s, s[1:]))
+    return all(b < a or (a < 1e-12 and b < 1e-12) for a, b in zip(s, s[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -160,14 +160,14 @@ def from_primed(xp, Pp, Sp, model):
     return x, P, Sp.copy()
 
 
-def primed_shift_example(model, P3=(1.0, 0.0, 0.0), S3=(0.0, 0.0, np.sqrt(3) / 2)):
-    """Reference displacement of the chart at momentum P and spin S.
+def primed_shift_example(model):
+    """Reference displacement of the chart at a fixed momentum and spin.
 
-    With P along x1 and S along x3 of length sqrt(3)/2 (so the 12 spin
-    tensor component is sqrt(3)), at m = 1, c = 10 the second coordinate
-    obeys x'_2 - x_2 = -sqrt(3)/400.
+    With P = (1, 0, 0) and S along x3 of length sqrt(3)/2 (so the 12
+    spin tensor component is sqrt(3)), at m = 1, c = 10 the second
+    coordinate obeys x'_2 - x_2 = -sqrt(3)/400.
     """
-    shift = -np.cross(np.asarray(P3, float), np.asarray(S3, float))
+    shift = -np.cross(np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, np.sqrt(3) / 2]))
     shift /= 2.0 * model.m**2 * model.c**2
     # x = x' + shift  <=>  x' - x = -shift
     return {"x_minus_xprime": shift.tolist(),

@@ -19,17 +19,17 @@ antisymmetry of F and dF hold by construction: the layout has no slot
 for an x^0 derivative or an entry on or below the diagonal.  A point's
 geometry (the coulomb radius and its r_min check) is computed once for
 all four, and the coulomb tuples are written out inline; the uniform
-kinds return constant dA, F and dF tuples made once at construction.
-numpy is imported only where a uniform background, a parameter check
-or an array is built, so reading KINDS or PARAMETERS loads neither
-numpy nor minkowski.  Arrays are built on demand only, by one
-expansion, ``expand``, into A (4,), dA (4, 4) with dA[mu, nu] =
-d A^mu / d x^nu, F (4, 4) and dF (4, 4, 4) with dF[lam, mu, nu] =
-d F^{mu nu} / d x^lam; ``phase.FieldsAt``, the one array view of an
-evaluation, reads it.  The electric field of a static potential
-is E_i = d_i A_0 = -d_i A^0.  Exact derivatives are part of the
-contract: bracket and force evaluations chain-rule through these, finite
-differences are used only as test oracles.
+kinds return constant float tuples made once at construction, F by
+minkowski.field_from_EB.  numpy is used only in the parameter check and
+in expand, so reading KINDS or PARAMETERS loads neither numpy nor
+minkowski.  Arrays are built on demand only, by one expansion,
+``expand``, into A (4,), dA (4, 4) with dA[mu, nu] = d A^mu / d x^nu,
+F (4, 4) and dF (4, 4, 4) with dF[lam, mu, nu] = d F^{mu nu} / d x^lam;
+``phase.FieldsAt``, the one array view of an evaluation, reads it.  The
+electric field of a static potential is E_i = d_i A_0 = -d_i A^0.
+Exact derivatives are part of the contract: bracket and force
+evaluations chain-rule through these, finite differences are used only
+as test oracles.
 
 Catalog kinds: "zero", "uniform-E", "uniform-B", "crossed", "coulomb".
 PARAMETERS is the one table of the parameters each kind takes, which
@@ -99,26 +99,19 @@ class FieldBackground:
 
 def _uniform_at(E3, B3):
     """Linear potentials for constant E and B (symmetric gauge for B)."""
-    import numpy as np
+    from .minkowski import field_from_EB
 
-    from .minkowski import EPS3, field_tensor_from_EB
-
-    E3 = np.asarray(E3, dtype=float)
-    B3 = np.asarray(B3, dtype=float)
-    # A^0 = -E.x so that E_i = -d_i A^0; A^i = (1/2)(B x r)^i
-    dA = np.zeros((4, 3))
-    dA[0] = -E3
-    dA[1:] = 0.5 * np.einsum("ikj,k->ij", EPS3, B3)
-    dA = tuple(map(tuple, dA.tolist()))
-    F = tuple(field_tensor_from_EB(E3, B3)[np.triu_indices(4, 1)].tolist())
-    e1, e2, e3 = E3.tolist()
-    b1, b2, b3 = B3.tolist()
-    dF = (_Z6,) * 3
+    e1, e2, e3 = E = tuple(map(float, E3))
+    b1, b2, b3 = B = tuple(map(float, B3))
+    # A^0 = -E.x so that E_i = -d_i A^0; A^i = (1/2)(B x r)^i, whose
+    # gradient has 0.0 - h, as F has 0.0 - B2, so a zero stays +0.0
+    h1, h2, h3 = 0.5 * b1, 0.5 * b2, 0.5 * b3
+    dA = ((-e1, -e2, -e3), (0.0, 0.0 - h3, h2), (h3, 0.0, 0.0 - h1), (0.0 - h2, h1, 0.0))
+    F, dF = field_from_EB(E, B), (_Z6,) * 3
 
     def at(x):
         _, x1, x2, x3 = x
-        # E.x as a float sum, not numpy's dot: whether its BLAS kernel
-        # fuses the multiply-adds, and so the last bit, depends on the host
+        # E.x as a float sum: a BLAS dot's last bit depends on the host
         return ((-(e1 * x1 + e2 * x2 + e3 * x3), 0.5 * (b2 * x3 - b3 * x2),
                  0.5 * (b3 * x1 - b1 * x3), 0.5 * (b1 * x2 - b2 * x1)), dA, F, dF)
 
@@ -157,10 +150,17 @@ def make_background(kind, e=1.0, c=10.0, **params):
     takes E=(3,), uniform-B takes B=(3,), crossed takes both, coulomb
     takes q and optional r_min.  ValueError, naming the parameter, for
     one the kind does not take, a required one left out, one that is not
-    finite or not of its shape, and an r_min that is not positive.
+    finite or not of its shape, and an r_min that is not positive; and,
+    naming e or c, for one that is not a number or not finite, or a c
+    that is not positive.
     """
     import numpy as np
 
+    for name, value in (("charge e", e), ("light speed c", c)):
+        try:
+            float(value)
+        except (TypeError, ValueError):   # a string, None, a sequence
+            raise ValueError(f"{name} must be a number, got {value!r}") from None
     e, c = float(e), float(c)
     if not (math.isfinite(c) and c > 0):
         raise ValueError(f"light speed c must be finite and positive, got {c}")

@@ -6,23 +6,22 @@ them elsewhere, import from here):
 * metric        eta = diag(-1, +1, +1, +1), index order (0, 1, 2, 3)
 * storage       every four-vector and tensor component is stored with
                 upper indices; lowering is always explicit via eta
-* field tensor  F[mu, nu] holds F^{mu nu}; with E and B the physical
-                three-fields, the lower-index components are
-                F_{0i} = -E_i and F_{ij} = eps_{ijk} B_k, hence in
-                upper-index storage F^{0i} = +E_i and F^{ij} = F_{ij}
+* field tensor  F^{mu nu}, F^{0i} = E_i and F^{ij} = eps_{ijk} B_k (so
+                F_{0i} = -E_i), stored above the diagonal as the six
+                floats (01, 02, 03, 12, 13, 23) the kernel reads;
+                field_from_EB writes them, EB_from_field reads them
 * spin tensor   S^{mu nu}; dipole part D^i = S^{i0}, spatial part
                 S_{ij} = 2 eps_{ijk} S_k with S the spin three-vector
 
-All arrays are plain float64 ndarrays; shapes are (4,), (4, 4) or
-(4, 4, 4) and are validated only at construction helpers, not in the
-hot arithmetic paths.
+mdot is float arithmetic in the kernel's order, u1 v1 + u2 v2 + u3 v3 -
+u0 v0, so the projection's last bit does not depend on whether a BLAS
+dot fuses multiply-adds.  The other helpers take float64 ndarrays.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
 ETA_DIAG = np.array([-1.0, 1.0, 1.0, 1.0])
 
 # Levi-Civita on three spatial indices, eps3[i,j,k] with i,j,k in 0..2.
@@ -32,8 +31,8 @@ EPS3[0, 2, 1] = EPS3[2, 1, 0] = EPS3[1, 0, 2] = -1.0
 
 
 def mdot(u, v):
-    """Minkowski scalar product u_mu v^mu = -u0 v0 + u.v."""
-    return float(np.dot(ETA_DIAG * u, v))
+    """Minkowski scalar product u_mu v^mu = -u0 v0 + u.v of four numbers each."""
+    return u[1] * v[1] + u[2] * v[2] + u[3] * v[3] - u[0] * v[0]
 
 
 def lower2(T):
@@ -50,23 +49,17 @@ def contract_2(F, S):
     return float(np.sum(lower2(F) * S))
 
 
-def field_tensor_from_EB(E, B):
-    """Assemble upper-index F^{mu nu} from three-vectors E and B."""
-    E = np.asarray(E, dtype=float)
-    B = np.asarray(B, dtype=float)
-    F = np.zeros((4, 4))
-    F[0, 1:] = E
-    F[1:, 0] = -E
-    # F^{ij} = F_{ij} = eps_{ijk} B_k
-    F[1:, 1:] = np.einsum("ijk,k->ij", EPS3, B)
-    return F
+def field_from_EB(E, B):
+    """F^{mu nu} above the diagonal, (E1, E2, E3, B3, -B2, B1), of E and B,
+    three floats each; 0.0 - B2, not -B2, so a zero stays +0.0."""
+    (e1, e2, e3), (b1, b2, b3) = E, B
+    return (e1, e2, e3, b3, 0.0 - b2, b1)
 
 
-def extract_EB(F):
-    """Read (E, B) back from an upper-index field tensor."""
-    E = F[0, 1:].copy()
-    B = 0.5 * np.einsum("ijk,jk->i", EPS3, F[1:, 1:])
-    return E, B
+def EB_from_field(F):
+    """(E, B), three floats each, of the six floats field_from_EB writes."""
+    e1, e2, e3, f12, f13, f23 = F
+    return (e1, e2, e3), (f23, 0.0 - f13, f12)
 
 
 def boost_matrix(u):

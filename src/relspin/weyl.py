@@ -425,9 +425,6 @@ class Op:
     def is_zero(self):
         return not self.blocks
 
-    def is_hermitian(self):
-        return (self - self.adjoint()).is_zero()
-
     def min_cinv_order(self):
         """Minimal degree in cinv over all nonzero coefficients;
         None for the zero operator."""

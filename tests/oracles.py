@@ -30,9 +30,16 @@ layer and the field layer.
 * ``integrate_dop853``, the reference integrator: scipy's adaptive
   DOP853 on the same right-hand side, grid and projection as
   ``dynamics.integrate``, which the rk4 runs are compared against.
+* ``field_tensor_from_EB`` and ``extract_EB``, the (4, 4) array F^{mu nu}
+  of E and B and its read-back, written with the Levi-Civita array;
+  ``minkowski.field_from_EB`` and ``EB_from_field`` write the six floats
+  above the diagonal, and the tests pin them to this form.
 * ``uniform_at`` and ``coulomb_at``, the field evaluators written with
   numpy arrays; the backgrounds' ``at`` writes them in float arithmetic
   and returns nested tuples, and the tests pin it to this form.
+* ``cyclotron_reference`` and ``larmor_reference``, the closed-form
+  orbit of a spinless charge and the low-speed spin precession rate in a
+  uniform B, which the dynamics tests compare runs with.
 * ``with_gauge_shift``, a background with A^i -> A^i + d_i chi, for the
   gauge-invariance tests.
 * Four-vector and tensor helpers, canonical brackets of observables,
@@ -51,7 +58,7 @@ from scipy.integrate import solve_ivp
 
 from relspin.brackets import ROW_OBSERVABLES
 from relspin.dynamics import Trajectory, _grid, dirac_rhs, project_state
-from relspin.minkowski import EPS3, ETA_DIAG, field_tensor_from_EB, mdot
+from relspin.minkowski import EPS3, ETA_DIAG, mdot
 from relspin.phase import (CONSTRAINT_NAMES, J, Observable, PhaseState, _energy, _kernel,
                            constraint_values, field_data, spin_tensor, t_rows)
 
@@ -213,6 +220,25 @@ _EYE3 = np.eye(3)
 _NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
 
 
+def field_tensor_from_EB(E, B):
+    """Assemble upper-index F^{mu nu} from three-vectors E and B."""
+    E = np.asarray(E, dtype=float)
+    B = np.asarray(B, dtype=float)
+    F = np.zeros((4, 4))
+    F[0, 1:] = E
+    F[1:, 0] = -E
+    # F^{ij} = F_{ij} = eps_{ijk} B_k
+    F[1:, 1:] = np.einsum("ijk,k->ij", EPS3, B)
+    return F
+
+
+def extract_EB(F):
+    """Read (E, B) back from an upper-index field tensor."""
+    E = F[0, 1:].copy()
+    B = 0.5 * np.einsum("ijk,jk->i", EPS3, F[1:, 1:])
+    return E, B
+
+
 def uniform_at(E3, B3):
     """(A, dA, F, dF) arrays for constant E and B: A^0 = -E.x and the
     symmetric gauge A^i = (1/2)(B x r)^i."""
@@ -262,6 +288,19 @@ def coulomb_at(q, r_min):
         return A, dA, F, dF
 
     return at
+
+
+def cyclotron_reference(model, p_perp, B):
+    """Relativistic orbit radius and period for a spinless charge."""
+    P0 = np.sqrt(p_perp**2 + (model.m * model.c) ** 2)
+    omega = model.e * B / P0
+    return {"radius": model.c * p_perp / (model.e * B),
+            "period": 2.0 * np.pi / abs(omega), "P0": P0}
+
+
+def larmor_reference(model, B):
+    """Low-speed spin precession rate, g e B / (2 m c)."""
+    return model.g * model.e * B / (2.0 * model.m * model.c)
 
 
 def with_gauge_shift(bg, dchi, d2chi):

@@ -3,8 +3,8 @@
 * ``commutator``, the two-product form A B - B A built from whole
   normal-ordered products; ``weyl.commutator`` makes one pass over the
   monomial pairs and the tests pin it to this form.
-* ``anticommutator`` and ``coefficient_of_cinv``, which only the tests
-  use.
+* ``anticommutator``, ``coefficient_of_cinv`` and ``is_hermitian``
+  (A equal to its adjoint), which only the tests use.
 * ``R``, sympy's ring ZZ_I[hbar, cinv, minv, e, g, B, E] over the
   generators of ``weyl`` (``GENERATORS``, named by ``weyl._NAMES``), the
   reference for the coefficient arithmetic: ``to_ring_element`` and
@@ -55,6 +55,10 @@ def commutator(A, B):
 
 def anticommutator(A, B):
     return A * B + B * A
+
+
+def is_hermitian(A):
+    return (A - A.adjoint()).is_zero()
 
 
 def coefficient_of_cinv(op, order):

@@ -13,8 +13,7 @@ from relspin.brackets import (aux_table_report, closed_vs_direct_report,
                               defining_property_report, dirac_bracket,
                               dirac_core)
 from relspin.cli import main
-from relspin.dynamics import (cyclotron_reference, integrate, orbit_averages,
-                              spin_plane_rate)
+from relspin.dynamics import integrate, orbit_averages, spin_plane_rate
 from relspin.expansion import LADDER_ORDERS, bracket_ladder, ladder_decreasing
 from relspin.fields import make_background
 from relspin.hydrogen import (HydrogenModel, fine_structure_table,
@@ -23,7 +22,7 @@ from relspin.phase import Model, PhaseState, field_data, init_state, spin_tensor
 from relspin.quantum import (CORRESPONDENCE_FLOORS, build_operators,
                              correspondence_report, correspondence_residuals,
                              g_minus_one_residual)
-from oracles import kinetic_momentum, obs_coord
+from oracles import cyclotron_reference, kinetic_momentum, obs_coord
 from ring_oracles import cinv_orders
 
 

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from relspin.fields import KINDS, PARAMETERS, expand, make_background
-from relspin.minkowski import extract_EB
+from relspin.minkowski import ETA_DIAG
 from relspin.phase import FieldsAt
 
 import oracles
-from oracles import with_gauge_shift
+from oracles import extract_EB, with_gauge_shift
 
 PARAMS = {
     "zero": {},
@@ -64,7 +64,6 @@ def test_dF_matches_finite_differences(kind):
 @pytest.mark.parametrize("kind", KINDS)
 def test_F_from_potential(kind):
     # F^{mu nu} must be the curl of A: F_{mu nu} = d_mu A_nu - d_nu A_mu
-    from relspin.minkowski import ETA_DIAG
     bg = make_background(kind, e=1.0, c=10.0, **PARAMS[kind])
     for x in POINTS:
         dA = _field(bg, "dA")(x)  # dA[mu, nu] = d_nu A^mu
@@ -270,6 +269,62 @@ def test_evaluator_matches_the_numpy_reference(kind):
                 assert np.array_equal(t, want)
 
 
+# every uniform E and B the repository builds: the catalog presets of
+# conftest and scripts/bracket_report.py, the expansion ladder and the
+# bracket-sweep workload (crossed), configs/cyclotron.yaml and
+# perfbench/configs/simulate_dense.yaml (B3 = 2), and the tests
+REPO_UNIFORM_FIELDS = [
+    ("uniform-E", {"E": (0.3, -0.1, 0.2)}),
+    ("uniform-B", {"B": (0.1, 0.4, -0.3)}),
+    ("crossed", {"E": (0.2, 0.0, 0.1), "B": (0.0, 0.0, 1.0)}),
+    ("uniform-B", {"B": (0.35, -0.5, 0.3)}),
+    ("crossed", {"E": (0.25, -0.3, 0.15), "B": (-0.4, 0.2, 0.55)}),
+    ("crossed", {"E": (0.3, -0.1, 0.2), "B": (0.0, 0.5, -1.0)}),
+    ("crossed", {"E": (-0.5, 0.0, -0.25), "B": (0.0, 0.0, -2.5)}),
+    ("uniform-B", {"B": [0.0, 0.0, 2.0]}),
+    *(("uniform-B", {"B": (0.0, 0.0, b)}) for b in (0.7, 1.0, 2.0)),
+]
+
+
+def _uniform_bits(kind, params, x):
+    """(float.hex of every entry of at(x), the same of the tuples the array
+    reference oracles.uniform_at gives at x): A, dA read off its x^i
+    columns, F above the diagonal, and a zero dF."""
+    got = make_background(kind, **params).at(x.tolist())
+    A, dA, F, _ = oracles.uniform_at(params.get("E", (0.0,) * 3),
+                                     params.get("B", (0.0,) * 3))(x)
+    want = (tuple(A.tolist()), tuple(map(tuple, dA[:, 1:].tolist())),
+            tuple(F[np.triu_indices(4, 1)].tolist()), ((0.0,) * 6,) * 3)
+    return [v.hex() for v in _leaves(got)], [v.hex() for v in _leaves(want)]
+
+
+@pytest.mark.parametrize("kind, params", REPO_UNIFORM_FIELDS)
+def test_uniform_tuples_equal_the_array_reference_bit_for_bit(kind, params):
+    """The float writer of the uniform kinds (minkowski.field_from_EB for
+    F, dA written out) gives the tuples of the array reference, the
+    Levi-Civita einsum cut above the diagonal, to the bit, signs of zero
+    included, on every E and B the repository uses."""
+    for x in POINTS:
+        got, want = _uniform_bits(kind, params, x)
+        assert got == want
+
+
+def test_uniform_tuples_equal_the_array_reference_on_random_fields():
+    """The same on random E and B, with some components +0.0; where a
+    component is -0.0, the reference's einsum sums it into +0.0, so an
+    entry may differ there, and only in the sign of a zero."""
+    rng = np.random.default_rng(23)
+    for zero, to_the_bit in ((0.0, True), (-0.0, False)):
+        for E, B in rng.normal(size=(300, 2, 3)):
+            E[rng.random(3) < 0.3] = zero
+            B[rng.random(3) < 0.3] = zero
+            got, want = _uniform_bits("crossed", {"E": E, "B": B}, POINTS[1])
+            if to_the_bit:
+                assert got == want
+            else:
+                assert [float.fromhex(v) for v in got] == [float.fromhex(v) for v in want]
+
+
 def test_coulomb_refuses_a_nan_position():
     bg = make_background("coulomb", q=1.0)
     with pytest.raises(ValueError, match="r=nan"):
@@ -306,6 +361,18 @@ def test_parameters_that_are_not_numbers_are_refused_by_name(kind, params, name)
     conversion error named none."""
     with pytest.raises(ValueError, match=f"background parameter {name} must be finite"):
         make_background(kind, **params)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("e", "a"), ("e", [1, 2]), ("e", None), ("c", "x"), ("c", None), ("c", (10.0,) * 2),
+])
+def test_charge_and_light_speed_that_are_not_numbers_are_refused_by_name(name, value):
+    """A charge e or light speed c that is not a number is refused with a
+    ValueError naming it, as a non-finite one is; float() raised its own
+    ValueError or TypeError, which named neither."""
+    what = {"e": "charge e", "c": "light speed c"}[name]
+    with pytest.raises(ValueError, match=f"^{what} must be a number, got "):
+        make_background("zero", **{name: value})
 
 
 @pytest.mark.parametrize("r_min", [0.0, -1.0])

@@ -2,18 +2,21 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relspin.minkowski import (ETA, ETA_DIAG, boost_matrix, contract_2,
-                               extract_EB, field_tensor_from_EB, mdot)
+from relspin.fields import expand
+from relspin.minkowski import (ETA_DIAG, EB_from_field, boost_matrix, contract_2,
+                               field_from_EB, mdot)
 
-from oracles import antisymmetrize, boost_tensor, boost_vector, is_antisymmetric
+from oracles import (antisymmetrize, boost_tensor, boost_vector, extract_EB,
+                     field_tensor_from_EB, is_antisymmetric)
 
 finite = st.floats(-10.0, 10.0, allow_nan=False)
 vec4 = st.tuples(finite, finite, finite, finite).map(np.array)
 vec3 = st.tuples(finite, finite, finite).map(np.array)
+ETA = np.diag(ETA_DIAG)
 
 
 def test_signature():
-    assert np.array_equal(np.diag(ETA), ETA_DIAG)
+    assert ETA_DIAG.tolist() == [-1.0, 1.0, 1.0, 1.0]
     assert ETA[0, 0] == -1.0 and ETA[1, 1] == 1.0
 
 
@@ -33,6 +36,22 @@ def test_field_tensor_layout():
     assert F[1, 2] == B[2] and F[2, 3] == B[0] and F[3, 1] == B[1]
     E2, B2 = extract_EB(F)
     assert np.allclose(E2, E) and np.allclose(B2, B)
+
+
+@given(vec3, vec3)
+def test_field_floats_round_trip_and_expand_to_the_array_reference(E, B):
+    """field_from_EB writes F^{mu nu} above the diagonal as six floats,
+    (E1, E2, E3, B3, -B2, B1); EB_from_field reads E and B back, equal to
+    what went in; and fields.expand turns the six into the (4, 4) array
+    of the Levi-Civita reference, whose own read-back agrees."""
+    E, B = tuple(E.tolist()), tuple(B.tolist())
+    F6 = field_from_EB(E, B)
+    assert all(type(v) is float for v in F6)
+    assert F6 == (*E, B[2], -B[1], B[0])
+    assert EB_from_field(F6) == (E, B)
+    F = expand(((0.0,) * 4, ((0.0,) * 3,) * 4, F6, ((0.0,) * 6,) * 3))[2]
+    assert np.array_equal(F, field_tensor_from_EB(E, B))
+    assert all(map(np.array_equal, extract_EB(F), (E, B)))
 
 
 @given(vec3, vec3)
