@@ -1,6 +1,7 @@
 """Command-line behavior: formats, exit codes, determinism."""
 
 import contextlib
+import copy
 import io
 import json
 import math
@@ -374,9 +375,12 @@ def test_shipped_configs_pass_validation(path, monkeypatch):
         main([command, "--config", str(path)])
 
 
-# values a mutated config may hold in place of a shipped one
+# values a mutated config may hold in place of a shipped one, drawn as
+# copies: an "element" mutation writes into a list it finds in the config,
+# and on the shared [1.0, 2.0] it changed the values later examples draw
 ODD_VALUES = (math.nan, math.inf, -math.inf, -1.0, -3, 0, 1e300, -1e300,
               10**400, True, False, None, "text", [1.0, 2.0], {"a": 1.0})
+odd_values = st.sampled_from(ODD_VALUES).map(copy.deepcopy)
 NEW_NAMES = ("x_", "kind", "g", "alpha_fs", "record_evry", "model", "gee")
 
 
@@ -399,12 +403,12 @@ def mutated_configs(draw):
         if action == "rename":
             node[draw(st.sampled_from(NEW_NAMES))] = value
         elif action == "value":
-            node[name] = draw(st.sampled_from(ODD_VALUES))
+            node[name] = draw(odd_values)
         elif action == "element":
             node[name] = value
             if isinstance(value, list) and value:
                 k = draw(st.integers(0, len(value) - 1))
-                value[k] = draw(st.sampled_from(ODD_VALUES))
+                value[k] = draw(odd_values)
     return command, data
 
 
