@@ -1,6 +1,7 @@
 """Bracket verification sweep over the background catalog."""
 
 import argparse
+import math
 
 import numpy as np
 
@@ -22,9 +23,11 @@ CATALOG = {
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--states", type=_int_at_least(1), default=50)
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=_int_at_least(0), default=0)
     ap.add_argument("--g", type=float, default=2.3)
     args = ap.parse_args()
+    if not math.isfinite(args.g):
+        ap.error(f"argument --g: must be finite, got {args.g}")
 
     print(f"{args.states} random constrained states per background, "
           f"g = {args.g}")

@@ -7,17 +7,23 @@ have produced instead (a factor ~2 overshoot at g = 2).
 
 import argparse
 
+from relspin.cli import _int_at_least
 from relspin.hydrogen import (HydrogenModel, fine_structure_table,
                               p_level_splitting, p_level_splitting_naive)
 
-L_NAMES = "spdfgh"
+# the spectroscopic letters of l = 0, 1, ...: alphabetical after f, skipping
+# j and the letters already used, p and s
+L_NAMES = "spdfghiklmnoqrtuvwxyz"
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--n-max", type=int, default=4)
+    ap.add_argument("--n-max", type=_int_at_least(1), default=4)
     ap.add_argument("--g", type=float, default=2.0)
     args = ap.parse_args()
+    if args.n_max > len(L_NAMES):
+        ap.error(f"argument --n-max: must be at most {len(L_NAMES)} (l = {len(L_NAMES)} "
+                 f"has no spectroscopic letter), got {args.n_max}")
 
     hm = HydrogenModel(g=args.g)
     print(f"g = {hm.g}, energies in eV; s rows carry no spin-orbit piece "

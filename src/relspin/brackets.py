@@ -33,10 +33,11 @@ Two independent routes are implemented and pinned against each other:
 
 The core is the one per-state bundle (state, fields, calP, S, rows) that
 both routes, the gradient matrix and ``expansion`` read, so a report
-evaluates the fields and the kernel once per state.  Every report builds
-one core and one matrix per route and state, compares them block by
-block, and refuses an empty batch, whose all-zero maxima would read as a
-pass.
+evaluates the fields and the kernel once per state, and the arrays the
+closed forms read (F, F_low, FS, dsf) once, on first read.  Every report
+builds one core and one matrix per route and state, compares them block
+by block, and refuses an empty batch, whose all-zero maxima would read
+as a pass.
 
 The transcription of the closed forms carried defects that this
 module adjudicates numerically against the direct route (see
@@ -55,12 +56,13 @@ do not.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import mul
 
 import numpy as np
 
-from .minkowski import ETA_DIAG, EB_from_field, contract_2
-from .phase import J, FieldsAt, field_data, spin_tensor, symplectic, t_rows, _kernel, _t3t4
+from .minkowski import ETA_DIAG, EB_from_field, contract_2, field_tensor, lower2
+from .phase import J, field_data, spin_tensor, symplectic, t_rows, _kernel, _t3t4
 
 SPIN_INDEX_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _MU, _NU = (np.array(ix) for ix in zip(*SPIN_INDEX_PAIRS))
@@ -71,7 +73,7 @@ class DiracCore:
     """Per-state bundle shared by every Dirac evaluation at a fixed z."""
 
     z: object        # the PhaseState
-    fd: object       # FieldsAt, the array view of the fields at z
+    fields: tuple    # field_data at z, the float tuples (A, dA, F, dF)
     P: np.ndarray
     S: np.ndarray    # spin_tensor(z.w, z.pi)
     R: np.ndarray    # rows grad calP^0, grad T3, grad T4
@@ -93,6 +95,26 @@ class DiracCore:
         return (JG + np.multiply.outer(h4 / self.t34, self.JR[0])
                 - np.multiply.outer(h3 / self.t34, self.JR[1]))
 
+    @cached_property
+    def F(self):
+        return field_tensor(self.fields[2])
+
+    @cached_property
+    def F_low(self):
+        return lower2(self.F)
+
+    @cached_property
+    def FS(self):
+        """(F eta S)^{mu nu} = F^mu_lam S^{lam nu}."""
+        return self.F @ (ETA_DIAG[:, None] * self.S)
+
+    @cached_property
+    def dsf(self):
+        """d_lam (F_{mu nu} S^{mu nu}) at fixed S, (4,); the backgrounds
+        are stationary, so the time slot is zero."""
+        dF = field_tensor(((0.0,) * 6, *self.fields[3]))
+        return np.einsum("lmn,mn->l", lower2(dF), self.S)
+
 
 def dirac_core(z, model):
     """The second-class data at z; raises where {T3,T4} is too small to invert."""
@@ -101,7 +123,7 @@ def dirac_core(z, model):
     P, _, pieces = _kernel(vec, model, fields)
     rows = t_rows(vec, P, pieces)
     JR = [symplectic(r) for r in rows[1:]]
-    return DiracCore(z=z, fd=FieldsAt(fields), P=np.array(P), S=spin_tensor(z.w, z.pi),
+    return DiracCore(z=z, fields=fields, P=np.array(P), S=spin_tensor(z.w, z.pi),
                      R=np.array(rows), JR=np.array(JR),
                      t34=_t3t4(sum(map(mul, rows[1], JR[1])), model))
 
@@ -143,14 +165,12 @@ def dirac_coefficients(core, model):
     if e == 0.0:
         raise ValueError(f"the closed-form brackets divide by e u0: charge e must be "
                          f"nonzero, got {e}")
-    fd, P, S = core.fd, core.P, core.S
-    sf = contract_2(fd.F, S)
+    P, S, dsf = core.P, core.S, core.dsf
+    sf = contract_2(core.F, S)
 
     a = -2.0 * e / (4.0 * m**2 * c**3 - e * (g + 1.0) * sf)
 
-    # d_mu (SF) at fixed S; stationary backgrounds have a vanishing time slot
-    dsf = np.einsum("lmn,mn->l", fd.dF_low, S)
-    sfp0 = float(S[0, :] @ (fd.F_low @ P))
+    sfp0 = float(S[0, :] @ (core.F_low @ P))
     u0 = P[0] - 0.5 * (g - 2.0) * a * sfp0 + (g * a / 8.0) * float(S[0, :] @ dsf)
 
     pref = -2.0 * c * a / (e * u0)
@@ -161,8 +181,7 @@ def dirac_coefficients(core, model):
     dsf_up = ETA_DIAG * dsf
     K = -(g * c * a / (4.0 * e * u0)) * np.outer(S[0, :], dsf_up)
 
-    mixed = fd.F @ (ETA_DIAG[:, None] * S)       # (FS)^{mu nu} = F^mu_lam S^{lam nu}
-    fs_asym = mixed - mixed.T
+    fs_asym = core.FS - core.FS.T
     L = -(g * a / u0) * np.einsum("mn,a->mna", fs_asym, S[0, :])
 
     g_eff = np.diag(ETA_DIAG) - (2.0 * c * a * P[0] / (e * u0)) * np.outer(P, P)
@@ -207,7 +226,7 @@ def row_gradients(core, model):
     omega and pi; H = c calP^0 + e A^0.  The backgrounds are stationary:
     the x^0 slot of d A^i is 0.0.
     """
-    dA = core.fd.floats[1]      # dA[mu] = (d_1, d_2, d_3) A^mu
+    dA = core.fields[1]      # dA[mu] = (d_1, d_2, d_3) A^mu
     w, q = core.z.w, core.z.pi
     G = _CONSTANT.copy()
     G[_ROWS["P"], 0:4] = np.multiply(-model.e_c, [(0.0, *dA[i]) for i in (1, 2, 3)])
@@ -239,7 +258,7 @@ def closed_brackets(core, coef, model):
     blocks below the diagonal follow by antisymmetry."""
     e, c = model.e, model.c
     P, S, Delta, ge = core.P, core.S, coef.Delta, coef.g_eff
-    F3 = core.fd.F_low[1:, 1:]
+    F3 = core.F_low[1:, 1:]
     # G[mu, j] = Delta^{mu k} F_{k j} - K^{mu j} for spatial j
     G = Delta[:, 1:] @ F3 - coef.K[:, 1:]
     FK = F3 @ coef.K[1:, 1:]
@@ -289,21 +308,19 @@ def aux_table_entries(core, model, energy_row_variant="resolved"):
     else:
         raise ValueError(f"unknown energy_row_variant {energy_row_variant!r}")
 
-    z, fd, P, S = core.z, core.fd, core.P, core.S
+    z, P, dsf = core.z, core.P, core.dsf
     P0 = P[0]
-    dsf = np.einsum("lmn,mn->l", fd.dF_low, S)
-    E = np.array(EB_from_field(fd.floats[2])[0])
-    F3 = fd.F_low[1:, 1:]
-    Fmix = fd.F @ (ETA_DIAG[:, None] * S)  # (FS)^{mu nu}
+    E = np.array(EB_from_field(core.fields[2])[0])
+    F3 = core.F_low[1:, 1:]
     k = e * g / (2.0 * P0 * c)
 
     p0_row = np.concatenate([
         -P[1:] / P0,
         -(e / (P0 * c)) * (F3 @ P[1:] + (g / 8.0) * dsf[1:]),
         [0.0],
-        -k * (fd.F @ (ETA_DIAG * z.w)),     # (F omega)^mu
-        -k * (fd.F @ (ETA_DIAG * z.pi)),
-        -k * (Fmix - Fmix.T)[_MU, _NU]])
+        -k * (core.F @ (ETA_DIAG * z.w)),     # (F omega)^mu
+        -k * (core.F @ (ETA_DIAG * z.pi)),
+        -k * (core.FS - core.FS.T)[_MU, _NU]])
 
     def t_row(v, omega_part, pi_part):
         """T_v = -v^0 (calP^0 row) + its explicit part."""

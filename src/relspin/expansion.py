@@ -11,7 +11,7 @@ of brackets, on the x, calP and S^{ij} rows of brackets.row_gradients,
 with the spin three-vector S_k = S^{ij}/2 of phase.spin_readouts taken
 as exact multiples of the S^{ij} rows.  The gradients, the expanded
 Hamiltonian and the expanded table read the rung's brackets.dirac_core,
-so a rung evaluates its state once.
+so a rung evaluates its state once and builds no field array.
 
 The primed chart, with the shift built on the kinetic momentum,
 
@@ -28,7 +28,7 @@ import numpy as np
 
 from .fields import make_background
 from .minkowski import EPS3, EB_from_field
-from .phase import FieldsAt, Model, field_data, init_state, spin_readouts
+from .phase import Model, field_data, init_state, spin_readouts
 from .brackets import ROW_OBSERVABLES, dirac_core, row_gradients
 
 LADDER_ORDERS = {"xx": 2, "xP": 2, "xS": 1, "PP": 3, "PS": 2, "SS": 1}
@@ -56,9 +56,9 @@ def hamiltonian_expanded(core, model):
     m, c, e, g = model.m, model.c, model.e, model.g
     P = core.P[1:]
     p2 = float(P @ P)
-    E, B = map(np.array, EB_from_field(core.fd.floats[2]))
+    E, B = map(np.array, EB_from_field(core.fields[2]))
     S = spin_readouts(core.S)[0]
-    out = m * c**2 + p2 / (2 * m) - p2**2 / (8 * m**3 * c**2) + e * core.fd.A[0]
+    out = m * c**2 + p2 / (2 * m) - p2**2 / (8 * m**3 * c**2) + e * core.fields[0][0]
     out += (e * g / (2 * m * c)) * (float(S @ np.cross(P, E)) / (m * c)
                                     - float(B @ S))
     return float(out)
@@ -75,7 +75,7 @@ def expanded_brackets(core, model):
     m, c, e = model.m, model.c, model.e
     S = spin_readouts(core.S)[0]
     P = core.P[1:]
-    B = np.array(EB_from_field(core.fd.floats[2])[1])
+    B = np.array(EB_from_field(core.fields[2])[1])
     eps_S = EPS3 @ S
     return {"xx": eps_S / (m * c) ** 2,
             "xP": np.eye(3),
@@ -121,7 +121,7 @@ def bracket_ladder(background="crossed", cs=(10.0, 20.0, 40.0, 80.0)):
         core = dirac_core(z, model)
         G = _LADDER_FACTORS * row_gradients(core, model)[_LADDER_ROWS]
         D = G @ core.flow(G).T
-        h_exact = model.c * core.P[0] + model.e * core.fd.A[0]
+        h_exact = model.c * core.P[0] + model.e * core.fields[0][0]
         h_res.append(abs(h_exact - hamiltonian_expanded(core, model)))
         for fam, approx in expanded_brackets(core, model).items():
             exact = D[_LADDER_BLOCKS[fam[0]], _LADDER_BLOCKS[fam[1]]]
@@ -154,8 +154,8 @@ def from_primed(xp, Pp, Sp, model):
     """
     xp = np.asarray(xp, float)
     Sp = np.asarray(Sp, float)
-    A = FieldsAt(field_data(model, [0.0, *xp.tolist()])).A
-    P = np.asarray(Pp, float) - model.e_c * A[1:]
+    A = field_data(model, [0.0, *xp.tolist()])[0]
+    P = np.asarray(Pp, float) - model.e_c * np.array(A[1:])
     x = xp - np.cross(P, Sp) / (2.0 * model.m**2 * model.c**2)
     return x, P, Sp.copy()
 

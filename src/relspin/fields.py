@@ -20,16 +20,14 @@ for an x^0 derivative or an entry on or below the diagonal.  A point's
 geometry (the coulomb radius and its r_min check) is computed once for
 all four, and the coulomb tuples are written out inline; the uniform
 kinds return constant float tuples made once at construction, F by
-minkowski.field_from_EB.  numpy is used only in the parameter check and
-in expand, so reading KINDS or PARAMETERS loads neither numpy nor
-minkowski.  Arrays are built on demand only, by one expansion,
-``expand``, into A (4,), dA (4, 4) with dA[mu, nu] = d A^mu / d x^nu,
-F (4, 4) and dF (4, 4, 4) with dF[lam, mu, nu] = d F^{mu nu} / d x^lam;
-``phase.FieldsAt``, the one array view of an evaluation, reads it.  The
-electric field of a static potential is E_i = d_i A_0 = -d_i A^0.
-Exact derivatives are part of the contract: bracket and force
-evaluations chain-rule through these, finite differences are used only
-as test oracles.
+minkowski.field_from_EB.  These tuples are the one field layout of the
+package; the readers that need the (4, 4) array of F or of a row of dF
+build it with minkowski.field_tensor.  numpy is used only in
+make_background, so reading KINDS or PARAMETERS loads neither numpy nor
+minkowski.  The electric field of a static potential is E_i = d_i A_0 =
+-d_i A^0.  Exact derivatives are part of the contract: bracket and
+force evaluations chain-rule through these, finite differences are used
+only as test oracles.
 
 Catalog kinds: "zero", "uniform-E", "uniform-B", "crossed", "coulomb".
 PARAMETERS is the one table of the parameters each kind takes, which
@@ -62,29 +60,6 @@ _GAUGES = {"zero": "zero potential", "uniform-E": "A0 = -E.x",
 _Z3 = (0.0, 0.0, 0.0)
 _Z6 = (0.0,) * 6
 _ZERO = ((0.0,) * 4, (_Z3,) * 4, _Z6, (_Z6,) * 3)
-
-
-def _square(u):
-    """The 16 entries, row by row, of the antisymmetric 4x4 with u above its diagonal."""
-    # 0.0 - u, not -u: a zero stays +0.0 below the diagonal, and so do the
-    # signs of the zeros in the bracket matrices built on these arrays
-    u01, u02, u03, u12, u13, u23 = u
-    return (0.0, u01, u02, u03, 0.0 - u01, 0.0, u12, u13,
-            0.0 - u02, 0.0 - u12, 0.0, u23, 0.0 - u03, 0.0 - u13, 0.0 - u23, 0.0)
-
-
-def expand(fields):
-    """The arrays (A, dA, F, dF), of shapes (4,), (4, 4), (4, 4) and
-    (4, 4, 4), of the tuples at(x) returns; the x^0 slots are 0.0."""
-    import numpy as np
-
-    A, dA, F, (u, v, y) = fields
-    (a01, a02, a03), (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) = dA
-    # dA, F and dF as one (6, 4, 4) stack, dF[0] = 0
-    t = np.fromiter((0.0, a01, a02, a03, 0.0, a11, a12, a13, 0.0, a21, a22, a23,
-                     0.0, a31, a32, a33, *_square(F), *(0.0,) * 16,
-                     *_square(u), *_square(v), *_square(y)), float, 96).reshape(6, 4, 4)
-    return np.array(A), t[0], t[1], t[2:]
 
 
 @dataclass(frozen=True)

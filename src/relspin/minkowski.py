@@ -9,7 +9,8 @@ them elsewhere, import from here):
 * field tensor  F^{mu nu}, F^{0i} = E_i and F^{ij} = eps_{ijk} B_k (so
                 F_{0i} = -E_i), stored above the diagonal as the six
                 floats (01, 02, 03, 12, 13, 23) the kernel reads;
-                field_from_EB writes them, EB_from_field reads them
+                field_from_EB writes them, EB_from_field reads them,
+                and field_tensor is the one writer of the (4, 4) array
 * spin tensor   S^{mu nu}; dipole part D^i = S^{i0}, spatial part
                 S_{ij} = 2 eps_{ijk} S_k with S the spin three-vector
 
@@ -28,6 +29,8 @@ ETA_DIAG = np.array([-1.0, 1.0, 1.0, 1.0])
 EPS3 = np.zeros((3, 3, 3))
 EPS3[0, 1, 2] = EPS3[1, 2, 0] = EPS3[2, 0, 1] = 1.0
 EPS3[0, 2, 1] = EPS3[2, 1, 0] = EPS3[1, 0, 2] = -1.0
+
+_UPPER = np.triu_indices(4, 1)   # the slots 01, 02, 03, 12, 13, 23
 
 
 def mdot(u, v):
@@ -60,6 +63,16 @@ def EB_from_field(F):
     """(E, B), three floats each, of the six floats field_from_EB writes."""
     e1, e2, e3, f12, f13, f23 = F
     return (e1, e2, e3), (f23, 0.0 - f13, f12)
+
+
+def field_tensor(u):
+    """The antisymmetric (4, 4) array with the six floats u above its
+    diagonal, or the (n, 4, 4) stack of n of them; 0.0 - u below it, not
+    -u, so a zero stays +0.0, as it does in the brackets built on it."""
+    u, (i, j) = np.asarray(u, dtype=float), _UPPER
+    T = np.zeros((*u.shape[:-1], 4, 4))
+    T[..., i, j], T[..., j, i] = u, 0.0 - u
+    return T
 
 
 def boost_matrix(u):

@@ -42,9 +42,8 @@ constants, derived once per Model.  A state is its 16 numbers, spinless
 when omega = pi = 0; spin_tensor is the one writer of S, of one omega
 and pi or of stacks of them, and spin_readouts its one read-out.
 field_data returns the compact float tuples of the background's at(x)
-(fields.py), which the kernel and the float paths of dynamics read as
-they are; FieldsAt, the one array view of them, expands them into A,
-dA, F and dF, and lowers F and dF, on first read.  The canonical
+(fields.py), the one field layout, which the kernel, the float paths of
+dynamics, init_state and brackets.dirac_core read as they are.  The canonical
 structure, {z, B} = J grad B and {A, B} = grad A . J grad B, is a signed
 permutation written once, in ``symplectic``; the constant matrix J is
 built from it (grad B @ J.T, also for an (n, 16) stack).  An
@@ -61,8 +60,8 @@ from typing import Callable
 
 import numpy as np
 
-from .fields import FieldBackground, expand
-from .minkowski import ETA_DIAG, boost_matrix, contract_2, lower2
+from .fields import FieldBackground
+from .minkowski import ETA_DIAG, boost_matrix, contract_2, field_tensor, lower2
 
 def symplectic(v):
     """J v = {z^k, B} for v = grad B, as a list of 16 numbers, where
@@ -140,31 +139,9 @@ class Model:
         return 1e-10 * (1.0 + self.mc2)
 
 
-class FieldsAt:
-    """The one array view of the fields at a point, for the readers
-    outside the kernel.  floats is what field_data returned, the tuples
-    (A, dA, F, dF) of the background's at(x); on first read they are
-    expanded, once, into the arrays A, dA, F and dF (fields.expand), and
-    F and dF lowered into F_{mu nu} and d_lam F_{mu nu}."""
-
-    def __init__(self, floats):
-        self.floats = floats
-
-    _arrays = cached_property(lambda self: expand(self.floats))
-    A, dA, F, dF = (property(lambda self, k=k: self._arrays[k]) for k in range(4))
-
-    @cached_property
-    def F_low(self):
-        return lower2(self.F)
-
-    @cached_property
-    def dF_low(self):
-        return ETA_DIAG[None, :, None] * self.dF * ETA_DIAG[None, None, :]
-
-
 def field_data(model, x4):
     """The fields at the point x4, a sequence of four floats, as the
-    background's at(x) gives them; FieldsAt is their array view."""
+    background's at(x) gives them: the tuples (A, dA, F, dF)."""
     return model.background.at(x4)
 
 
@@ -211,14 +188,16 @@ CONSTRAINT_NAMES = ("T2", "T3", "T4", "T5")
 
 
 def constraint_residuals(z, model):
-    """All constraint values at z (exact zeros define the surface); a
-    spinless state carries no constraints."""
+    """All constraint values at z (exact zeros define the surface), from
+    one field evaluation and one kernel call; a spinless state carries no
+    constraints."""
     if z.spinless:
         return {"T2": 0.0, "T3": 0.0, "T4": 0.0, "T5": 0.0, "ssc": 0.0, "spin2": 0.0}
+    vec = z.vec.tolist()
+    P, T, _ = _kernel(vec, model, field_data(model, vec[:4]))
     S = spin_tensor(z.w, z.pi)
-    P, T = constraint_values(z, model)
-    return {**dict(zip(CONSTRAINT_NAMES, T.tolist())),
-            "ssc": float(np.max(np.abs(S @ (ETA_DIAG * P)))),
+    return {**dict(zip(CONSTRAINT_NAMES, T)),
+            "ssc": float(np.max(np.abs(S @ (ETA_DIAG * np.array(P))))),
             "spin2": float(spin_readouts(S)[2]) - 8.0 * model.alpha}
 
 
@@ -271,14 +250,12 @@ def _kernel(vec, model, fields):
     ValueError is raised.  Written on the components in float
     arithmetic: at one state numpy's per-call cost outweighs the
     arithmetic of four-vectors, so the state is unpacked as floats, the
-    fields as the tuples of field_data, and the eta signs are written
-    into the expressions.  The fields
-    come in the layout of fields.py, which holds what the kernel reads:
-    the spatial derivatives of A and the components of F and d_lam F
-    above the diagonal, unpacked once; the four contractions with S are
-    written out on them.  The backgrounds are stationary and the layout
-    has no x^0 derivative: the x^0 slots of g0, ex3 and ex4 are 0.0 and
-    the x-parts are formed for lam = 1..3 only.
+    fields as the tuples of field_data (the spatial derivatives of A and
+    the components of F and d_lam F above the diagonal), and the eta
+    signs and the four contractions with S are written out on them.  The
+    backgrounds are stationary and the layout has no x^0 derivative: the
+    x^0 slots of g0, ex3 and ex4 are 0.0 and the x-parts are formed for
+    lam = 1..3 only.
     grad calP^0 = grad W / (2 calP^0), W = calP^0 ** 2 the energy radicand.
     """
     k, h = model.e_c, model.eg_c   # W holds -(h / 4) F_{mu nu} S^{mu nu}
@@ -352,14 +329,6 @@ def t_rows(vec, P, pieces):
     return g0, t_row(w0, w1, w2, w3, ex3, 8), t_row(q0, q1, q2, q3, ex4, 12)
 
 
-def constraint_values(z, model, fields=None):
-    """calP and the values (T2, T3, T4, T5) at z, from one field evaluation
-    and one kernel call; no row is assembled."""
-    vec = z.vec.tolist()
-    P, T, _ = _kernel(vec, model, fields or field_data(model, vec[:4]))
-    return np.array(P), np.array(T)
-
-
 # ---------------------------------------------------------------------------
 # constrained initial data
 
@@ -395,7 +364,8 @@ def init_state(model, x3, P3, spin_dir=(0, 0, 1.0), t=0.0):
     energy function feeds (F S) back into calP^0, the boost is solved
     by a short fixed-point iteration.  alpha = 0 returns a spinless
     state instead, omega = pi = 0.  ValueError, naming the argument,
-    for an x3, P3, spin_dir or t that is not finite.
+    for an x3, P3, spin_dir or t that is not finite, and for a P3 whose
+    |P3|^2 + (m c)^2 is past the float range.
     """
     for name, value in (("x3", x3), ("P3", P3), ("spin_dir", spin_dir), ("t", t)):
         if not np.all(np.isfinite(np.asarray(value, dtype=float))):
@@ -403,11 +373,16 @@ def init_state(model, x3, P3, spin_dir=(0, 0, 1.0), t=0.0):
     mc2, c = model.mc2, model.c
     x4 = np.concatenate([[c * t], np.asarray(x3, dtype=float)])
     P3 = np.asarray(P3, dtype=float)
-    fd = FieldsAt(field_data(model, x4.tolist()))
+    with np.errstate(over="ignore"):   # refused below, with no warning
+        PP = P3 @ P3
+    if not float(PP) + mc2 < math.inf:
+        raise ValueError(f"P3 = {P3.tolist()} is past the float range: |P3|^2 overflows")
+    A, _, F6, _ = field_data(model, x4.tolist())
 
     fs = 0.0   # F S, zero for a spinless state, which keeps omega = pi = 0
     w = pi = np.zeros(4)
     if model.alpha != 0.0:
+        F = field_tensor(F6)
         a3, b3 = _rest_spin_pair(spin_dir, model.alpha)
         w_rest = np.concatenate([[0.0], a3])
         pi_rest = np.concatenate([[0.0], b3])
@@ -415,19 +390,19 @@ def init_state(model, x3, P3, spin_dir=(0, 0, 1.0), t=0.0):
             mstar2 = mc2 - model.eg_4c * fs
             if not mstar2 > 0.0:   # NaN fails this test too
                 raise ValueError("field-spin coupling exceeds the mass shell at this point")
-            P0 = np.sqrt(P3 @ P3 + mstar2)
+            P0 = np.sqrt(PP + mstar2)
             u = np.concatenate([[P0], P3]) / np.sqrt(mstar2)
             L = boost_matrix(u)
             w, pi = L @ w_rest, L @ pi_rest
-            fs, fs_old = contract_2(fd.F, spin_tensor(w, pi)), fs
+            fs, fs_old = contract_2(F, spin_tensor(w, pi)), fs
             if abs(fs - fs_old) <= 1e-15 * (1.0 + abs(fs)):
                 break
         else:
             raise RuntimeError("field-spin fixed point did not converge")
 
     mstar2 = mc2 - model.eg_4c * fs
-    P0 = np.sqrt(P3 @ P3 + mstar2)
-    p = np.concatenate([[P0], P3]) + model.e_c * fd.A
+    P0 = np.sqrt(PP + mstar2)
+    p = np.concatenate([[P0], P3]) + model.e_c * np.array(A)
     z = PhaseState.from_parts(x4, p, w, pi)
 
     res = constraint_residuals(z, model)

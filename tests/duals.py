@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from relspin.phase import FieldsAt, Observable, field_data
+from relspin.phase import Observable, field_data
+
+from oracles import FieldArrays
 
 N = 16
 
@@ -96,7 +98,7 @@ def lift_fields(model, z):
     list of duals holding F_{mu nu}; first derivatives come from the
     background's analytic dA and dF.
     """
-    fd = FieldsAt(field_data(model, z.x))
+    fd = FieldArrays(field_data(model, z.x))
     A = []
     for mu in range(4):
         b = np.zeros(N)

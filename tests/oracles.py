@@ -30,6 +30,11 @@ layer and the field layer.
 * ``integrate_dop853``, the reference integrator: scipy's adaptive
   DOP853 on the same right-hand side, grid and projection as
   ``dynamics.integrate``, which the rk4 runs are compared against.
+* ``FieldArrays``, the float tuples of ``phase.field_data`` as the
+  arrays A, dA, F and dF and the lowered F and dF, which the forms
+  above read; the package itself reads the tuples, and its closed forms
+  build F and dF with ``minkowski.field_tensor``.  ``constraint_values``,
+  calP and (T2, T3, T4, T5) of one kernel call as arrays.
 * ``field_tensor_from_EB`` and ``extract_EB``, the (4, 4) array F^{mu nu}
   of E and B and its read-back, written with the Levi-Civita array;
   ``minkowski.field_from_EB`` and ``EB_from_field`` write the six floats
@@ -58,13 +63,34 @@ from scipy.integrate import solve_ivp
 
 from relspin.brackets import ROW_OBSERVABLES
 from relspin.dynamics import Trajectory, _grid, dirac_rhs, project_state
-from relspin.minkowski import EPS3, ETA_DIAG, mdot
+from relspin.minkowski import EPS3, ETA_DIAG, field_tensor, lower2, mdot
 from relspin.phase import (CONSTRAINT_NAMES, J, Observable, PhaseState, _energy, _kernel,
-                           constraint_values, field_data, spin_tensor, t_rows)
+                           field_data, spin_tensor, t_rows)
+
+
+class FieldArrays:
+    """The float tuples (A, dA, F, dF) of field_data as arrays: A (4,), dA
+    (4, 4) with dA[mu, nu] = d A^mu / d x^nu, F (4, 4) and dF (4, 4, 4)
+    with dF[lam, mu, nu] = d F^{mu nu} / d x^lam, the x^0 slots 0.0, and
+    F and dF lowered, F_low and dF_low."""
+
+    def __init__(self, fields):
+        A, dA, F, dF = fields
+        self.A, self.dA = np.array(A), np.array([(0.0, *row) for row in dA])
+        self.F, self.dF = field_tensor(F), field_tensor(((0.0,) * 6, *dF))
+        self.F_low, self.dF_low = lower2(self.F), lower2(self.dF)
+
+
+def constraint_values(z, model, fields=None):
+    """calP and the values (T2, T3, T4, T5) at z, from one field evaluation
+    and one kernel call; no row is assembled."""
+    vec = z.vec.tolist()
+    P, T, _ = _kernel(vec, model, fields or field_data(model, vec[:4]))
+    return np.array(P), np.array(T)
 
 
 def kinetic(z, model, fd):
-    """calP at z, fd the fields' array view phase.FieldsAt: calP^i =
+    """calP at z, fd the FieldArrays of the fields there: calP^i =
     p^i - (e/c) A^i, and calP^0 from the lowered field tensor contracted
     with the spin tensor."""
     P = np.empty(4)

@@ -13,7 +13,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from relspin import brackets, dynamics, expansion, fields, phase
+from relspin import brackets, dynamics, expansion, fields, minkowski, phase
 from relspin.brackets import (CLOSED_FAMILIES, ROW_OBSERVABLES,
                               aux_table_entries, aux_table_oracle,
                               aux_table_report, closed_brackets,
@@ -173,16 +173,19 @@ def test_reports_refuse_an_empty_batch(report):
 
 @pytest.fixture
 def evaluations(monkeypatch):
-    """Calls of field_data, fields.expand and phase._kernel, wrapped in
-    every module that binds them by name, with the count paused inside
-    expansion's init_state: a ladder rung's state is built before it is
-    read."""
-    calls = dict.fromkeys(("field_data", "expand", "_kernel"), 0)
+    """Calls of field_data and phase._kernel, and the field arrays that
+    minkowski.field_tensor builds, F of six floats and dF stacks of four
+    rows, wrapped in every module that binds them by name, with the
+    count paused inside expansion's init_state: a ladder rung's state is
+    built before it is read."""
+    calls = dict.fromkeys(("field_data", "_kernel", "F", "dF"), 0)
     paused = [0]
+    arrays = {(6,): "F", (4, 6): "dF"}
 
     def counting(name, fn):
         def counted(*args, **kwargs):
-            calls[name] += not paused[0]
+            key = arrays[np.shape(args[0])] if name == "field_tensor" else name
+            calls[key] += not paused[0]
             return fn(*args, **kwargs)
         return counted
 
@@ -195,8 +198,8 @@ def evaluations(monkeypatch):
                 paused[0] -= 1
         return quiet
 
-    for mod in (fields, phase, brackets, expansion, dynamics):
-        for name in calls:
+    for mod in (fields, minkowski, phase, brackets, expansion, dynamics):
+        for name in ("field_data", "field_tensor", "_kernel"):
             if name in vars(mod):
                 monkeypatch.setattr(mod, name, counting(name, vars(mod)[name]))
     monkeypatch.setattr(expansion, "init_state", pausing(expansion.init_state))
@@ -206,23 +209,35 @@ def evaluations(monkeypatch):
 @pytest.mark.parametrize("report", REPORTS, ids=lambda r: r.__name__)
 @pytest.mark.parametrize("kind", ["coulomb", "crossed"])
 def test_reports_evaluate_each_state_once(kind, report, evaluations):
-    """One field evaluation, at most one expansion of it and one kernel
-    call per state, the gradients included: the closed forms, the
-    auxiliary table, the oracle and row_gradients read the state's
-    dirac_core."""
+    """One field evaluation, one kernel call and at most one F and one
+    dF stack per state, the gradients included: the closed forms, both
+    auxiliary tables, the oracle and row_gradients read the state's
+    dirac_core, which builds its arrays once."""
     model = build_model(kind, g=2.3)
     states = state_batch(model, 3, seed=40)
     evaluations.update(dict.fromkeys(evaluations, 0))   # the batch is built aside
     report(states, model)
     assert evaluations["field_data"] == evaluations["_kernel"] == 3, evaluations
-    assert evaluations["expand"] <= 3, evaluations
+    assert evaluations["F"] <= 3 and evaluations["dF"] <= 3, evaluations
+
+
+@pytest.mark.parametrize("kind", ["coulomb", "crossed"])
+def test_defining_property_report_builds_no_field_tensor(kind, evaluations):
+    """The direct route reads the rows and the gradient matrix only: a
+    core builds its field arrays on first read, and this report reads none."""
+    model = build_model(kind, g=2.3)
+    states = state_batch(model, 3, seed=40)
+    evaluations.update(dict.fromkeys(evaluations, 0))
+    defining_property_report(states, model)
+    assert evaluations == {"field_data": 3, "_kernel": 3, "F": 0, "dF": 0}
 
 
 def test_ladder_evaluates_each_rung_once(evaluations):
     """The same per rung of bracket_ladder, its state built aside, the
-    gradients included."""
+    gradients included; the ladder reads the field tuples and builds no
+    field array."""
     expansion.bracket_ladder("coulomb", cs=(10.0, 20.0, 40.0))
-    assert evaluations == {"field_data": 3, "expand": 3, "_kernel": 3}
+    assert evaluations == {"field_data": 3, "_kernel": 3, "F": 0, "dF": 0}
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +365,7 @@ def test_spinless_states_reduce_to_canonical():
     xx, xP, PP = (C[CLOSED_FAMILIES[fam]] for fam in ("xx", "xP", "PP"))
     assert np.all(np.abs(xx) < 1e-15)
     assert np.allclose(xP, np.eye(3), atol=1e-14)
-    assert np.allclose(PP, model.e / model.c * core.fd.F_low[1:, 1:], atol=1e-14)
+    assert np.allclose(PP, model.e / model.c * core.F_low[1:, 1:], atol=1e-14)
 
 
 # ---------------------------------------------------------------------------

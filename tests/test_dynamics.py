@@ -3,26 +3,27 @@ projection behaviour, integrator cross-checks and gauge invariance."""
 
 import dataclasses
 import functools
+import json
 import re
 import sys
 
 import numpy as np
 import pytest
 
-from relspin import brackets, dynamics, fields, minkowski, phase
+from relspin import brackets, cli, dynamics, fields, minkowski, phase
 from relspin.brackets import defining_property_report, dirac_core
 from relspin.dynamics import (dirac_rhs, integrate, linear_rate, project_state,
                               spin_plane_rate, unwrapped_angle)
 from relspin.fields import make_background
-from relspin.minkowski import contract_2
-from relspin.phase import (FieldsAt, Model, PhaseState, constraint_residuals,
-                           constraint_values, field_data, init_state,
+from relspin.minkowski import contract_2, field_tensor
+from relspin.phase import (Model, PhaseState, constraint_residuals, field_data, init_state,
                            random_constrained_state, spin_readouts, spin_tensor)
 
 import oracles
 from conftest import (BACKGROUND_PARAMS, KERNEL_BACKGROUNDS, build_model, kernel_model,
                       state_batch)
-from oracles import kinetic_momentum, obs_hamiltonian, symplectic_apply, with_gauge_shift
+from oracles import (FieldArrays, constraint_values, kinetic_momentum, obs_hamiltonian,
+                     symplectic_apply, with_gauge_shift)
 
 # the integrator and the reference that the method parametrizations run
 INTEGRATORS = {"rk4": integrate, "dop853": oracles.integrate_dop853}
@@ -58,7 +59,7 @@ def test_rhs_raises_where_t3t4_vanishes():
     model = _uniform_b_model(B=1.0)
     z = init_state(model, x3=(0.0, 0.0, 0.0), P3=(0.0, 0.0, 0.0),
                    spin_dir=(0.0, 0.0, 1.0))
-    sf = contract_2(FieldsAt(field_data(model, z.x)).F, spin_tensor(z.w, z.pi))
+    sf = contract_2(field_tensor(field_data(model, z.x)[2]), spin_tensor(z.w, z.pi))
     pole = 4.0 * model.m**2 * model.c**3 / (model.e * (model.g + 1.0))
     vec = z.vec.copy()
     vec[12:16] *= pole / sf
@@ -482,6 +483,36 @@ def test_circular_coulomb_orbit_stays_circular():
     assert np.isclose(abs(om), 0.5 / 4.0, rtol=1e-2)
 
 
+@pytest.mark.parametrize("kind", ["crossed", "coulomb"])
+def test_an_unprojected_run_is_the_plain_rk4_loop(kind, tmp_path):
+    """project=False, and simulate.project: false in a config, run the
+    integrator with no projection: the stats read 0 projections and 0
+    passes, and the records are, bit for bit, those of the numpy rk4 step
+    of tests/oracles.py on dirac_rhs, the short last step included.  The
+    command exits 0 and its --stats sidecar reads 0 projections."""
+    model = build_model(kind)
+    z0 = init_state(model, x3=(1.6, -0.8, 1.1), P3=(0.4, 0.3, -0.2))
+    traj = integrate(model, z0, 1.05, 0.1, record_every=2, project=False)
+    assert traj.stats["projections"] == traj.stats["projection_steps"] == 0
+    y, want = z0.vec, [z0.vec]
+    for k, h in enumerate([0.1] * 10 + [1.05 - (0.0 + 10 * 0.1)], 1):
+        y = oracles.rk4_step(lambda v: np.array(dirac_rhs(v.tolist(), model)), y, h)
+        if k % 2 == 0 or k == 11:
+            want.append(y)
+    assert traj.Z.tobytes() == np.array(want).tobytes()
+    config = {"background": {"kind": kind, **{k: list(v) if isinstance(v, tuple) else v
+                                              for k, v in BACKGROUND_PARAMS[kind].items()}},
+              "model": {"g": 2.3},
+              "simulate": {"x0": [1.6, -0.8, 1.1], "P0": [0.4, 0.3, -0.2], "t_final": 1.05,
+                           "dt": 0.1, "record_every": 2, "project": False}}
+    (tmp_path / "sim.yaml").write_text(json.dumps(config))   # JSON is YAML
+    side = tmp_path / "stats.json"
+    assert cli.main(["simulate", "--config", str(tmp_path / "sim.yaml"),
+                     "--out", str(tmp_path / "out.csv"), "--stats", str(side)]) == 0
+    stats = json.loads(side.read_text())
+    assert stats["projections"] == stats["projection_steps"] == 0 and stats["n_steps"] == 11
+
+
 @pytest.mark.parametrize("spinless", [False, True], ids=["spin", "spinless"])
 @pytest.mark.parametrize("kind", ["coulomb", "crossed", "zero"])
 def test_rhs_evaluates_the_fields_once(kind, spinless, monkeypatch):
@@ -523,7 +554,7 @@ def test_rhs_matches_the_reference_rows_and_flow(name):
         model = kernel_model(name, spinless)
         for z in state_batch(model, 20, seed=41):
             assert z.spinless == spinless
-            fd = FieldsAt(field_data(model, z.x))
+            fd = FieldArrays(field_data(model, z.x))
             P, g_p0 = oracles.p0_and_grad(z, model, fd)
             g_t3, g_t4 = oracles.t34_grads(z, model, fd, P, g_p0)
             gh = model.c * g_p0
@@ -589,8 +620,9 @@ def test_run_evaluates_the_fields_once_per_rhs_projection_and_record(kind):
 @pytest.mark.parametrize("kind", ["coulomb", "crossed"])
 def test_the_float_path_builds_no_field_array(kind, monkeypatch):
     """integrate, channels() and project_state read the fields as the
-    float tuples of at(x): with FieldsAt and the array expansion made to
-    raise, they run and give the same bytes as without."""
+    float tuples of at(x): with minkowski.field_tensor, the one writer of
+    a field array, made to raise, they run and give the same bytes as
+    without."""
     model = build_model(kind)
     z0 = state_batch(model, 1, seed=5)[0]
     off = z0.vec.copy()
@@ -606,9 +638,8 @@ def test_the_float_path_builds_no_field_array(kind, monkeypatch):
     def refuse(*args):
         raise AssertionError("a field array was built on the float path")
 
-    for mod in (fields, phase, brackets):
-        monkeypatch.setattr(mod, "expand", refuse, raising=False)
-        monkeypatch.setattr(mod, "FieldsAt", refuse, raising=False)
+    for mod in (minkowski, phase, brackets):
+        monkeypatch.setattr(mod, "field_tensor", refuse)
     assert run() == want
 
 

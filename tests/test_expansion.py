@@ -9,7 +9,7 @@ from relspin.expansion import (LADDER_ORDERS, bracket_ladder,
                                hamiltonian_expanded, ladder_decreasing,
                                primed_shift_example, _ladder_state)
 from relspin.fields import make_background
-from relspin.phase import FieldsAt, Model, field_data, init_state, spin_readouts, spin_tensor
+from relspin.phase import Model, field_data, init_state, spin_readouts, spin_tensor
 
 from conftest import BACKGROUND_PARAMS
 from oracles import PHYSICAL_ORACLES, kinetic_momentum
@@ -107,8 +107,8 @@ def test_primed_positions_commute_to_higher_order():
 
 
 def _potential(model, xp):
-    """A^mu at the spatial point xp, through the array view of the fields."""
-    return FieldsAt(field_data(model, [0.0, *xp.tolist()])).A
+    """A^mu at the spatial point xp, as an array."""
+    return np.array(field_data(model, [0.0, *xp.tolist()])[0])
 
 
 def to_primed(x, P, S, model):

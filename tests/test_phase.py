@@ -15,19 +15,19 @@ from hypothesis import strategies as st
 from relspin import phase
 from relspin.dynamics import dirac_rhs, project_state
 from relspin.fields import make_background
-from relspin.phase import (FieldsAt, J, Model, PhaseState, _kernel,
-                           constraint_residuals, constraint_values, field_data,
+from relspin.phase import (J, Model, PhaseState, _kernel, constraint_residuals, field_data,
                            init_state, random_constrained_state, spin_readouts,
                            spin_tensor, symplectic)
-from relspin.minkowski import ETA_DIAG, contract_2, mdot
+from relspin.minkowski import ETA_DIAG, contract_2, field_tensor, mdot
 
 import duals
 from conftest import (BACKGROUND_PARAMS, KERNEL_BACKGROUNDS, build_model, kernel_model,
                       state_batch)
 import oracles
-from oracles import (kernel_rows, kinetic_momentum, obs_coord, obs_energy, obs_hamiltonian,
-                     obs_kinetic, obs_spin, obs_t2, obs_t3, obs_t4, obs_t5, p0_and_grad,
-                     poisson_bracket, ssc_vector, symplectic_apply, t34_grads)
+from oracles import (FieldArrays, constraint_values, kernel_rows, kinetic_momentum, obs_coord,
+                     obs_energy, obs_hamiltonian, obs_kinetic, obs_spin, obs_t2, obs_t3, obs_t4,
+                     obs_t5, p0_and_grad, poisson_bracket, ssc_vector, symplectic_apply,
+                     t34_grads)
 
 
 def _fd_grad16(obs, z, model, h=1e-6):
@@ -136,8 +136,9 @@ def test_kinetic_momentum_reads_the_kernel_once(monkeypatch):
     model = build_model("crossed")
     z = state_batch(model, 1, seed=4)[0]
     seen, kernel, rows = [], phase._kernel, phase.t_rows
-    monkeypatch.setattr(phase, "_kernel", lambda *a: seen.append("_kernel") or kernel(*a))
-    monkeypatch.setattr(phase, "t_rows", lambda *a: seen.append("t_rows") or rows(*a))
+    for mod in (phase, oracles):
+        monkeypatch.setattr(mod, "_kernel", lambda *a: seen.append("_kernel") or kernel(*a))
+        monkeypatch.setattr(mod, "t_rows", lambda *a: seen.append("t_rows") or rows(*a))
     P = kinetic_momentum(z, model)
     assert seen == ["_kernel"]
     assert np.array_equal(P, constraint_values(z, model)[0])
@@ -198,6 +199,20 @@ def test_init_state_refuses_non_finite_arguments_by_name(kind, alpha, name, valu
             init_state(build_model(kind, alpha=alpha), **args)
 
 
+@pytest.mark.parametrize("kind", ["zero", "coulomb"])
+@pytest.mark.parametrize("alpha", [0.75, 0.0], ids=["spin", "spinless"])
+@pytest.mark.parametrize("P3", [(1e200, 0.0, 0.0), (-1e154, 1e154, 1e154)])
+def test_init_state_refuses_a_momentum_whose_square_overflows(kind, alpha, P3):
+    """From |P3| ~ 1.34e154 on, |P3|^2 is inf: a spinless model returned
+    p^0 = inf, and a spinning one raised "field-spin coupling exceeds the
+    mass shell", in the zero field too, after RuntimeWarnings.  P3 is
+    refused by name before the fixed point, with no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^P3 = .* is past the float range"):
+            init_state(build_model(kind, alpha=alpha), x3=(1.6, -0.8, 1.1), P3=P3)
+
+
 def test_energy_radicand_guard():
     model = build_model("coulomb")
     # close to the center, with a large dipole component along E, the
@@ -214,7 +229,7 @@ def test_mass_shell_identity():
     for z in state_batch(model, 6, seed=2):
         fields = field_data(model, z.x)
         P = kinetic_momentum(z, model, fields)
-        fs = contract_2(FieldsAt(fields).F, spin_tensor(z.w, z.pi))
+        fs = contract_2(field_tensor(fields[2]), spin_tensor(z.w, z.pi))
         lhs = P[0] ** 2 - P[1:] @ P[1:]
         rhs = (model.m * model.c) ** 2 - model.e * model.g / (4 * model.c) * fs
         assert np.isclose(lhs, rhs, rtol=1e-13)
@@ -291,7 +306,7 @@ def test_rows_match_the_numpy_reference(name, spinless):
             off[8:16] += 0.1 * rng.normal(size=8)
         for zz in (z, PhaseState(vec=off)):
             fields = field_data(model, zz.x)
-            fd = FieldsAt(fields)
+            fd = FieldArrays(fields)
             P, T, R = kernel_rows(zz, model, fields)
             P_ref, g_ref = p0_and_grad(zz, model, fd)
             ref = np.vstack([g_ref, t34_grads(zz, model, fd, P_ref, g_ref)])
