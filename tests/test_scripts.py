@@ -27,11 +27,11 @@ def _run_script(name, *args):
      "resolved energy-row coefficients: gradient g/4, dipole g"),
     ("fine_structure_table.py", ("--n-max", "2"),
      "bare-g coupling would give"),
+    ("thomas_precession.py", ("--orbits", "0.5", "--dt", "0.2", "--g", "2"),
+     "rate/base tracking g - 1 (not g) is the Thomas half"),
     # l = 6, the first level past h, is named i
     ("fine_structure_table.py", ("--n-max", "7"),
      "bare-g coupling would give"),
-    ("thomas_precession.py", ("--orbits", "0.5", "--dt", "0.2", "--g", "2"),
-     "rate/base tracking g - 1 (not g) is the Thomas half"),
 ])
 def test_script_runs_to_its_closing_line(name, args, closing):
     proc = _run_script(name, *args)
@@ -41,11 +41,11 @@ def test_script_runs_to_its_closing_line(name, args, closing):
 
 @pytest.mark.parametrize("name, args, error", [
     ("bracket_report.py", ("--states", "0"), "must be an integer >= 1"),
+    ("thomas_precession.py", ("--orbits", "0", "--g", "2"), "two distinct times"),
     ("bracket_report.py", ("--seed", "-1"), "must be an integer >= 0"),
     ("bracket_report.py", ("--g", "nan"), "argument --g: must be finite"),
     ("fine_structure_table.py", ("--n-max", "0"), "must be an integer >= 1"),
     ("fine_structure_table.py", ("--n-max", "22"), "no spectroscopic letter"),
-    ("thomas_precession.py", ("--orbits", "0", "--g", "2"), "two distinct times"),
 ])
 def test_script_refuses_an_input_that_verifies_nothing(name, args, error):
     """No state, no level, or no time span to fit a rate over, is an
