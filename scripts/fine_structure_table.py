@@ -6,6 +6,7 @@ have produced instead (a factor ~2 overshoot at g = 2).
 """
 
 import argparse
+import math
 
 from relspin.cli import _int_at_least
 from relspin.hydrogen import (HydrogenModel, fine_structure_table,
@@ -21,6 +22,8 @@ def main():
     ap.add_argument("--n-max", type=_int_at_least(1), default=4)
     ap.add_argument("--g", type=float, default=2.0)
     args = ap.parse_args()
+    if not math.isfinite(args.g):
+        ap.error(f"argument --g: must be finite, got {args.g}")
     if args.n_max > len(L_NAMES):
         ap.error(f"argument --n-max: must be at most {len(L_NAMES)} (l = {len(L_NAMES)} "
                  f"has no spectroscopic letter), got {args.n_max}")

@@ -61,11 +61,10 @@ from operator import mul
 
 import numpy as np
 
-from .minkowski import ETA_DIAG, EB_from_field, contract_2, field_tensor, lower2
+from .minkowski import ETA_DIAG, UPPER, EB_from_field, contract_2, field_tensor, lower2
 from .phase import J, field_data, spin_tensor, symplectic, t_rows, _kernel, _t3t4
 
-SPIN_INDEX_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-_MU, _NU = (np.array(ix) for ix in zip(*SPIN_INDEX_PAIRS))
+_MU, _NU = UPPER   # the spin rows' slots (mu, nu), in the order of F's six floats
 
 
 @dataclass(frozen=True)
@@ -201,7 +200,7 @@ def t3t4_closed(core, coef, model):
 ROW_OBSERVABLES = (*(("x", i) for i in (1, 2, 3)), *(("P", i) for i in (1, 2, 3)),
                    ("P0", None), *(("omega", mu) for mu in range(4)),
                    *(("pi", mu) for mu in range(4)),
-                   *(("S", pair) for pair in SPIN_INDEX_PAIRS))
+                   *(("S", pair) for pair in zip(_MU.tolist(), _NU.tolist())))
 
 # the rows of each kind, in ROW_OBSERVABLES order; H is the row after them
 _ROWS = {kind: [n for n, (k, _) in enumerate(ROW_OBSERVABLES) if k == kind]

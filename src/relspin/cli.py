@@ -33,11 +33,6 @@ import yaml
 from . import hydrogen
 from .fields import KINDS, PARAMETERS, make_background
 
-CHANNEL_ORDER = ("t", "x1", "x2", "x3", "P0", "P1", "P2", "P3",
-                 "S1", "S2", "S3", "D1", "D2", "D3", "H",
-                 "T2", "T3", "T4", "T5", "spin2")
-
-
 class ConfigError(Exception):
     pass
 
@@ -257,7 +252,7 @@ def cmd_simulate(args):
             write_stats(args.stats, exc.stats)
         raise
     channels = traj.channels()
-    names = [nm for nm in CHANNEL_ORDER if nm in channels]
+    names = list(channels)
     columns = [[float(v) for v in channels[nm]] for nm in names]
     if args.format == "plot":
         # long format for plotting front ends; names[0] is t

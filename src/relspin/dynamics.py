@@ -245,7 +245,8 @@ class Trajectory:
         one spin_readouts call on the stack gives their spin read-outs.
         A spinless state reads zero in every spin and constraint channel.
         The first call also writes the energy drift of the H channel to
-        stats["energy_drift"].
+        stats["energy_drift"].  The keys, in their order, are the columns
+        of the simulate command.
         """
         if getattr(self, "_channels", None) is not None:
             return self._channels
@@ -281,8 +282,7 @@ class Trajectory:
 
     def constraint_drift(self):
         ch = self.channels()
-        return {k: float(np.max(np.abs(ch[k])))
-                for k in ("T2", "T3", "T4", "T5", "spin2")}
+        return {k: float(np.max(np.abs(ch[k]))) for k in (*CONSTRAINT_NAMES, "spin2")}
 
 
 def _grid(t0, t_final, dt, record_every):
@@ -363,10 +363,6 @@ def integrate(model, z0, t_final, dt, t0=0.0, record_every=1, project=True):
 # diagnostics
 
 
-def unwrapped_angle(y, x):
-    return np.unwrap(np.arctan2(y, x))
-
-
 def linear_rate(t, angle):
     """Least-squares slope; robust readout of a secular precession.
     Fewer than two distinct times fix no slope and are refused."""
@@ -383,9 +379,7 @@ def spin_plane_rate(traj, i=0, j=1):
     if not (i in (0, 1, 2) and j in (0, 1, 2) and i != j):
         raise ValueError(f"a spin plane needs two distinct axes in 0..2, got ({i}, {j})")
     ch = traj.channels()
-    names = ("S1", "S2", "S3")
-    ang = unwrapped_angle(ch[names[j]], ch[names[i]])
-    return linear_rate(traj.t, ang)
+    return linear_rate(traj.t, np.unwrap(np.arctan2(ch[f"S{j + 1}"], ch[f"S{i + 1}"])))
 
 
 def orbit_averages(traj):

@@ -53,9 +53,6 @@ PARAMETERS = {
     "coulomb": {"q": ((), None), "r_min": ((), 1e-6)},
 }
 KINDS = tuple(PARAMETERS)
-_GAUGES = {"zero": "zero potential", "uniform-E": "A0 = -E.x",
-           "uniform-B": "symmetric, A = (1/2) B x r",
-           "crossed": "A0 = -E.x with symmetric magnetic part", "coulomb": "A0 = q/r"}
 
 _Z3 = (0.0, 0.0, 0.0)
 _Z6 = (0.0,) * 6
@@ -67,8 +64,6 @@ class FieldBackground:
     kind: str
     e: float
     c: float
-    params: dict
-    gauge: str
     at: Callable = field(repr=False)   # x -> (A, dA, F, dF), float tuples
 
 
@@ -169,5 +164,4 @@ def make_background(kind, e=1.0, c=10.0, **params):
         at = _coulomb_at(float(values["q"]), r_min)
     else:
         at = _uniform_at(values.get("E", _Z3), values.get("B", _Z3))
-    return FieldBackground(kind=kind, e=e, c=c, params=dict(params),
-                           gauge=_GAUGES[kind], at=at)
+    return FieldBackground(kind=kind, e=e, c=c, at=at)

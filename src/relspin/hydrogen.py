@@ -33,6 +33,7 @@ reduction <p^4> = 4 m^2 <(E-V)^2>.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 ALPHA_FS = 7.2973525693e-3
@@ -44,6 +45,13 @@ class HydrogenModel:
     alpha: float = ALPHA_FS
     mc2: float = MC2_EV   # rest energy in the output energy unit
     g: float = 2.0
+
+    def __post_init__(self):
+        if not math.isfinite(self.g):
+            raise ValueError(f"g must be finite, got {self.g}")
+        for name in ("alpha", "mc2"):
+            if not (math.isfinite(value := getattr(self, name)) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -57,11 +65,16 @@ def _level(n, l):
         raise ValueError(f"no level n={n}, l={l}: need whole numbers n >= 1 and 0 <= l <= n - 1")
 
 
+def _alpha4(hm, n, k):
+    """-(m c^2 alpha^4 / 2 n^4) (n / (k + 1/2) - 3/4): the kinetic shift at
+    k = l and the Sommerfeld shift at k = j."""
+    return -0.5 * hm.mc2 * hm.alpha**4 / n**4 * (n / (k + 0.5) - 0.75)
+
+
 def kinetic_shift(hm, n, l):
     """-<p^4>/8m^3c^2 for level (n, l)."""
     _level(n, l)
-    pref = -0.5 * hm.mc2 * hm.alpha**4 / n**4
-    return pref * (n / (l + 0.5) - 0.75)
+    return _alpha4(hm, n, l)
 
 
 def _spin_orbit(hm, n, l, j, coupling):
@@ -94,7 +107,7 @@ def level_shift(hm, n, l, j):
 
 def sommerfeld_shift(hm, n, j):
     """Frozen oracle for the total alpha^4 shift at g = 2, l >= 1."""
-    return -0.5 * hm.mc2 * hm.alpha**4 / n**4 * (n / (j + 0.5) - 0.75)
+    return _alpha4(hm, n, j)
 
 
 def _p_splitting(hm, n, coupling):
@@ -113,9 +126,8 @@ def p_level_splitting_naive(hm, n=2):
     return _p_splitting(hm, n, hm.g)
 
 
-def fine_structure_table(hm=None, n_max=3):
+def fine_structure_table(hm, n_max=3):
     """Rows (n, l, j): kinetic, spin-orbit, total, Sommerfeld, defect."""
-    hm = hm or HydrogenModel()
     rows = []
     for n in range(1, n_max + 1):
         for l in range(0, n):

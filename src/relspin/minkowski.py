@@ -30,7 +30,7 @@ EPS3 = np.zeros((3, 3, 3))
 EPS3[0, 1, 2] = EPS3[1, 2, 0] = EPS3[2, 0, 1] = 1.0
 EPS3[0, 2, 1] = EPS3[2, 1, 0] = EPS3[1, 0, 2] = -1.0
 
-_UPPER = np.triu_indices(4, 1)   # the slots 01, 02, 03, 12, 13, 23
+UPPER = np.triu_indices(4, 1)   # the slots 01, 02, 03, 12, 13, 23 of F and of S
 
 
 def mdot(u, v):
@@ -69,7 +69,7 @@ def field_tensor(u):
     """The antisymmetric (4, 4) array with the six floats u above its
     diagonal, or the (n, 4, 4) stack of n of them; 0.0 - u below it, not
     -u, so a zero stays +0.0, as it does in the brackets built on it."""
-    u, (i, j) = np.asarray(u, dtype=float), _UPPER
+    u, (i, j) = np.asarray(u, dtype=float), UPPER
     T = np.zeros((*u.shape[:-1], 4, 4))
     T[..., i, j], T[..., j, i] = u, 0.0 - u
     return T

@@ -116,8 +116,8 @@ class Model:
             raise ValueError(f"mass m must be positive, got {self.m}")
         if not math.isfinite(self.g):
             raise ValueError(f"g must be finite, got {self.g}")
-        if not self.alpha >= 0.0:   # NaN fails this test too
-            raise ValueError(f"spin invariant alpha must be >= 0, got {self.alpha}")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0.0):
+            raise ValueError(f"spin invariant alpha must be finite and >= 0, got {self.alpha}")
         # once per model (dataclasses.replace runs this again)
         e, c, g = self.background.e, self.background.c, self.g
         vars(self).update(e=e, c=c, e_c=e / c, eg_c=e * g / c, eg_4c=e * g / (4 * c))
@@ -192,7 +192,7 @@ def constraint_residuals(z, model):
     one field evaluation and one kernel call; a spinless state carries no
     constraints."""
     if z.spinless:
-        return {"T2": 0.0, "T3": 0.0, "T4": 0.0, "T5": 0.0, "ssc": 0.0, "spin2": 0.0}
+        return dict.fromkeys((*CONSTRAINT_NAMES, "ssc", "spin2"), 0.0)
     vec = z.vec.tolist()
     P, T, _ = _kernel(vec, model, field_data(model, vec[:4]))
     S = spin_tensor(z.w, z.pi)
@@ -364,12 +364,17 @@ def init_state(model, x3, P3, spin_dir=(0, 0, 1.0), t=0.0):
     energy function feeds (F S) back into calP^0, the boost is solved
     by a short fixed-point iteration.  alpha = 0 returns a spinless
     state instead, omega = pi = 0.  ValueError, naming the argument,
-    for an x3, P3, spin_dir or t that is not finite, and for a P3 whose
-    |P3|^2 + (m c)^2 is past the float range.
+    for an x3, P3 or spin_dir that is not three finite numbers, a t that
+    is not one, and a P3 whose |P3|^2 + (m c)^2 is past the float range.
     """
-    for name, value in (("x3", x3), ("P3", P3), ("spin_dir", spin_dir), ("t", t)):
-        if not np.all(np.isfinite(np.asarray(value, dtype=float))):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+    for name, value, shape in (("x3", x3, (3,)), ("P3", P3, (3,)),
+                               ("spin_dir", spin_dir, (3,)), ("t", t, ())):
+        try:
+            array = np.asarray(value, dtype=float)
+        except (TypeError, ValueError):   # not a number, or a ragged sequence
+            array = np.array(math.nan)
+        if not (array.shape == shape and np.all(np.isfinite(array))):
+            raise ValueError(f"{name} must be finite, of shape {shape}, got {value!r}")
     mc2, c = model.mc2, model.c
     x4 = np.concatenate([[c * t], np.asarray(x3, dtype=float)])
     P3 = np.asarray(P3, dtype=float)

@@ -25,6 +25,13 @@ KERNEL_BACKGROUNDS = {**{kind: (kind, params) for kind, params in BACKGROUND_PAR
                       "crossed, all components": ("crossed", {"E": (0.25, -0.3, 0.15),
                                                               "B": (-0.4, 0.2, 0.55)})}
 
+# oracles.linear_background with every entry of E0, K, B0 and G nonzero;
+# G's diagonal is of binary fractions, so its trace is exactly zero
+LINEAR_FIELD = {"E0": (0.2, -0.1, 0.15),
+                "K": ((0.1, 0.05, -0.03), (0.05, -0.08, 0.04), (-0.03, 0.04, 0.06)),
+                "B0": (0.3, -0.2, 0.5),
+                "G": ((0.25, 0.07, -0.05), (0.07, -0.125, 0.06), (-0.05, 0.06, -0.125))}
+
 
 def kernel_model(name, spinless):
     """The model of KERNEL_BACKGROUNDS[name] at g = 2.3, spinless when alpha = 0."""

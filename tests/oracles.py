@@ -46,7 +46,8 @@ layer and the field layer.
   orbit of a spinless charge and the low-speed spin precession rate in a
   uniform B, which the dynamics tests compare runs with.
 * ``with_gauge_shift``, a background with A^i -> A^i + d_i chi, for the
-  gauge-invariance tests.
+  gauge-invariance tests, and ``linear_background``, fields linear in x
+  with a gradient in every slot, which no catalog kind has.
 * Four-vector and tensor helpers, canonical brackets of observables,
   ``constraint_gradients`` (the values of T2..T5 with their (4, 16)
   gradient rows) and the T-observables built on it, which only the
@@ -63,7 +64,8 @@ from scipy.integrate import solve_ivp
 
 from relspin.brackets import ROW_OBSERVABLES
 from relspin.dynamics import Trajectory, _grid, dirac_rhs, project_state
-from relspin.minkowski import EPS3, ETA_DIAG, field_tensor, lower2, mdot
+from relspin.fields import FieldBackground
+from relspin.minkowski import EPS3, ETA_DIAG, field_from_EB, field_tensor, lower2, mdot
 from relspin.phase import (CONSTRAINT_NAMES, J, Observable, PhaseState, _energy, _kernel,
                            field_data, spin_tensor, t_rows)
 
@@ -346,8 +348,33 @@ def with_gauge_shift(bg, dchi, d2chi):
         dA[1:] += d2chi(x)
         return tuple(A.tolist()), tuple(map(tuple, dA.tolist())), F, dF
 
-    return dataclasses.replace(bg, params=dict(bg.params),
-                               gauge=bg.gauge + " + static gauge shift", at=at)
+    return dataclasses.replace(bg, at=at)
+
+
+def linear_background(E0, K, B0, G, e=1.0, c=10.0):
+    """A background with a gradient in every slot of the layout: E = E0 +
+    K x with K symmetric, and B = B0 + G x with G symmetric and traceless
+    (curl- and divergence-free), from A^0 = -E0.x - x.K x / 2 and A =
+    B0 x x / 2 + (G x) x x / 3.  No catalog kind has a magnetic gradient
+    or a nonzero d_i A^i, so the kernel's terms in them show only here."""
+    E0, K, B0, G = (np.asarray(v, dtype=float) for v in (E0, K, B0, G))
+    assert np.array_equal(K, K.T) and np.array_equal(G, G.T) and np.trace(G) == 0.0
+
+    def at(x):
+        r = np.asarray(x[1:], dtype=float)
+        E, Gr = E0 + K @ r, G @ r
+        A = np.concatenate([[-(E0 @ r) - 0.5 * (r @ K @ r)],
+                            0.5 * np.cross(B0, r) + np.cross(Gr, r) / 3.0])
+        # d_i A for i = 1..3, as the columns of the spatial rows of dA
+        dvec = [0.5 * np.cross(B0, n) + (np.cross(G @ n, r) + np.cross(Gr, n)) / 3.0
+                for n in _EYE3]
+        dA = np.vstack([-E, np.transpose(dvec)])
+        return (tuple(A.tolist()), tuple(map(tuple, dA.tolist())),
+                field_from_EB(E.tolist(), (B0 + Gr).tolist()),
+                tuple(field_from_EB(K[:, lam].tolist(), G[:, lam].tolist())
+                      for lam in range(3)))
+
+    return FieldBackground("linear", e, c, at)
 
 
 # ---------------------------------------------------------------------------

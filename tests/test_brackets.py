@@ -9,6 +9,8 @@ against it afterwards.
 """
 
 import dataclasses
+import inspect
+import textwrap
 
 import numpy as np
 import pytest
@@ -21,11 +23,11 @@ from relspin.brackets import (CLOSED_FAMILIES, ROW_OBSERVABLES,
                               defining_property_report, dirac_bracket,
                               dirac_core, dirac_coefficients, row_gradients,
                               t3t4_closed)
-from relspin.phase import PhaseState, init_state, spin_tensor, symplectic
+from relspin.phase import Model, PhaseState, init_state, spin_tensor, symplectic
 
 import oracles
-from conftest import (BACKGROUND_PARAMS, KERNEL_BACKGROUNDS, build_model, kernel_model,
-                      state_batch)
+from conftest import (BACKGROUND_PARAMS, KERNEL_BACKGROUNDS, LINEAR_FIELD, build_model,
+                      kernel_model, state_batch)
 from oracles import PHYSICAL_ORACLES, ROW_ORACLES, obs_coord, obs_hamiltonian, obs_spin
 
 ALL_KINDS = sorted(BACKGROUND_PARAMS)
@@ -135,6 +137,57 @@ def test_nan_closed_forms_do_not_read_as_agreement(monkeypatch):
                         lambda *args: original(*args) * np.nan)
     rep = closed_vs_direct_report(states, model)
     assert all(np.isnan(rep[fam]) for fam in CLOSED_FAMILIES)
+
+
+@pytest.fixture(scope="module")
+def linear():
+    """A model on oracles.linear_background at g = 2.3 and four states."""
+    model = Model(background=oracles.linear_background(**LINEAR_FIELD), g=2.3)
+    return model, state_batch(model, 4, seed=23)
+
+
+def _kernel_copy(term=None):
+    """phase._kernel compiled afresh from its source, with the + before
+    term, which occurs once there, flipped to -."""
+    source = textwrap.dedent(inspect.getsource(phase._kernel))
+    if term is not None:
+        assert source.count(term) == 1, term
+        source = source.replace(term, "- " + term[2:])
+    namespace = dict(vars(phase))
+    exec(compile(source, phase.__file__, "exec"), namespace)
+    return namespace["_kernel"]
+
+
+def test_bracket_reports_hold_on_a_linear_background(linear, monkeypatch):
+    """The three reports at their tolerances on a field with a gradient in
+    every slot; the kernel compiled afresh from its source gives the same
+    bits, so the sign flips below differ from it by their flip alone."""
+    model, states = linear
+    assert defining_property_report(states, model) < 1e-10
+    assert max(aux_table_report(states, model)["resolved_max_dev"].values()) < 1e-12
+    rep = closed_vs_direct_report(states, model)
+    assert max(rep.values()) < 1e-8, rep
+    monkeypatch.setattr(brackets, "_kernel", _kernel_copy())
+    assert closed_vs_direct_report(states, model) == rep
+
+
+# the sign flips in phase._kernel that no catalog background sees: the
+# magnetic-gradient terms dF^{13} and dF^{23} of fs1..fs3, and the
+# diagonal d_i A^i (a22, a33) in the x-block of g0, ex3 and ex4
+KERNEL_SIGN_FLIPS = ("+ u13 * s13", "+ u23 * s23", "+ v13 * s13", "+ v23 * s23",
+                     "+ y13 * s13", "+ y23 * s23", "+ P2 * a22", "+ P3 * a33",
+                     "+ w2 * a22", "+ w3 * a33", "+ q2 * a22", "+ q3 * a33")
+
+
+@pytest.mark.parametrize("term", KERNEL_SIGN_FLIPS)
+def test_kernel_sign_flip_misses_the_oracle_on_a_linear_background(term, linear, monkeypatch):
+    """Negative control: with one of these signs flipped in the kernel
+    that dirac_core reads, the direct route leaves the closed forms,
+    which read the fields themselves, on the linear background."""
+    model, states = linear
+    monkeypatch.setattr(brackets, "_kernel", _kernel_copy(term))
+    rep = closed_vs_direct_report(states, model)
+    assert max(rep.values()) > 1e-8, rep
 
 
 def test_ss_closed_form_antisymmetry():

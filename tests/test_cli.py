@@ -78,7 +78,9 @@ def test_simulate_json_format(tmp_path):
     assert data["t"][0] == 0.0
     # the channels and nothing else: the run's stats (energy drift, wall
     # times) never reach --out
-    assert tuple(data) == cli.CHANNEL_ORDER
+    assert tuple(data) == ("t", "x1", "x2", "x3", "P0", "P1", "P2", "P3",
+                           "S1", "S2", "S3", "D1", "D2", "D3", "H",
+                           "T2", "T3", "T4", "T5", "spin2")
 
 
 def test_simulate_stats_sidecar_leaves_out_unchanged(tmp_path):

@@ -13,7 +13,7 @@ import pytest
 from relspin import brackets, cli, dynamics, fields, minkowski, phase
 from relspin.brackets import defining_property_report, dirac_core
 from relspin.dynamics import (dirac_rhs, integrate, linear_rate, project_state,
-                              spin_plane_rate, unwrapped_angle)
+                              spin_plane_rate)
 from relspin.fields import make_background
 from relspin.minkowski import contract_2, field_tensor
 from relspin.phase import (Model, PhaseState, constraint_residuals, field_data, init_state,
@@ -459,7 +459,7 @@ def test_gauge_shift_invisible_in_gauge_invariants():
 def orbit_plane_rate(traj, center=(0.0, 0.0), i=0, j=1):
     ch = traj.channels()
     names = ("x1", "x2", "x3")
-    ang = unwrapped_angle(ch[names[j]] - center[1], ch[names[i]] - center[0])
+    ang = np.unwrap(np.arctan2(ch[names[j]] - center[1], ch[names[i]] - center[0]))
     return linear_rate(traj.t, ang)
 
 

@@ -11,7 +11,8 @@ from relspin.fields import KINDS, PARAMETERS, make_background
 from relspin.minkowski import ETA_DIAG
 
 import oracles
-from oracles import FieldArrays, extract_EB, with_gauge_shift
+from conftest import LINEAR_FIELD
+from oracles import FieldArrays, extract_EB, linear_background, with_gauge_shift
 
 PARAMS = {
     "zero": {},
@@ -70,6 +71,26 @@ def test_F_from_potential(kind):
         F_low = dA_low.T - dA_low
         F_up = ETA_DIAG[:, None] * F_low * ETA_DIAG[None, :]
         assert np.allclose(_field(bg, "F")(x), F_up, atol=1e-12)
+
+
+def test_linear_background_matches_finite_differences():
+    """The test-side linear background, the one with magnetic gradients
+    and a nonzero d_i A^i: dA and dF match central differences of A and
+    F, F is the curl of A, and E and B are E0 + K x and B0 + G x."""
+    bg = linear_background(**LINEAR_FIELD)
+    K, G = np.array(LINEAR_FIELD["K"]), np.array(LINEAR_FIELD["G"])
+    for x in POINTS:
+        view = FieldArrays(bg.at(x.tolist()))
+        assert np.allclose(view.dA, _fd_grad(_field(bg, "A"), x), atol=1e-8)
+        assert np.allclose(view.dF, np.moveaxis(_fd_grad(_field(bg, "F"), x), -1, 0),
+                           atol=1e-8)
+        dA_low = ETA_DIAG[:, None] * view.dA   # d_nu A_mu
+        assert np.allclose(view.F_low, dA_low.T - dA_low, atol=1e-12)
+        E, B = extract_EB(view.F)
+        assert np.allclose(E, LINEAR_FIELD["E0"] + K @ x[1:], atol=1e-15)
+        assert np.allclose(B, LINEAR_FIELD["B0"] + G @ x[1:], atol=1e-15)
+        _, dA, _, dF = bg.at(x.tolist())   # every d_i A^i and every slot of dF nonzero
+        assert all(dA[i][i - 1] for i in (1, 2, 3)) and all(map(all, dF))
 
 
 def _shifted(bg):

@@ -127,3 +127,20 @@ def test_kinetic_shift_scale():
     hm = HydrogenModel(g=2.0)
     assert np.isclose(kinetic_shift(hm, 1, 0),
                       -hm.mc2 * hm.alpha**4 * 5.0 / 8.0, rtol=1e-12)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("g", np.nan),       # a table of nan
+    ("g", np.inf),       # a p splitting of inf
+    ("alpha", -1.0),     # a p splitting of 15968.7
+    ("alpha", 0.0),
+    ("alpha", np.inf),
+    ("mc2", np.nan),     # nan shifts
+    ("mc2", 0.0),
+    ("mc2", -np.inf),
+])
+def test_hydrogen_model_refuses_a_field_that_is_not_finite_or_not_positive(name, value):
+    """g must be finite, alpha and mc2 finite and positive: each is
+    refused at construction, by name, not carried into the shifts."""
+    with pytest.raises(ValueError, match=rf"^{name} must be finite"):
+        HydrogenModel(**{name: value})

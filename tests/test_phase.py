@@ -75,16 +75,20 @@ def test_rest_spin_length():
     assert np.allclose(D, 0.0)
 
 
-@pytest.mark.parametrize("alpha", [-0.75, np.nan], ids=["negative", "nan"])
-def test_model_refuses_a_negative_or_nan_alpha(alpha):
+@pytest.mark.parametrize("alpha, hbar", [(-0.75, 1.0), (np.nan, 1.0), (np.inf, 1.0),
+                                         (None, np.inf)],
+                         ids=["negative", "nan", "inf", "hbar-inf"])
+def test_model_refuses_a_negative_or_nan_alpha(alpha, hbar):
     """The spin invariant alpha is refused at construction, by name, with
     no numpy warning: past construction it reaches np.sqrt in init_state,
-    whose NaN spin pair ends in a misleading non-convergence error.
-    alpha = 0 (spinless) is kept."""
+    whose NaN spin pair ends in a misleading non-convergence error, and
+    an infinite one (also the default 3 hbar^2 / 4 at hbar = inf) in
+    "field-spin coupling exceeds the mass shell".  alpha = 0 (spinless)
+    is kept."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="alpha"):
-            build_model("zero", alpha=alpha)
+            build_model("zero", alpha=alpha, hbar=hbar)
     assert init_state(build_model("zero", alpha=0.0), (0, 0, 0), (0.1, 0, 0)).spinless
 
 
@@ -184,13 +188,17 @@ def test_spin_tensor_of_stacks_is_the_per_state_tensor():
     ("x3", (np.nan, 0.0, 0.0)), ("x3", (0.0, np.inf, 0.0)),
     ("P3", (0.1, np.nan, 0.0)), ("P3", (-np.inf, 0.0, 0.0)),
     ("spin_dir", (np.nan, 0.0, 1.0)), ("spin_dir", (0.0, 0.0, np.inf)),
-    ("t", np.nan), ("t", np.inf)])
+    ("t", np.nan), ("t", np.inf),
+    ("x3", (1.0, 2.0)), ("x3", (1.0, 2.0, 3.0, 4.0)), ("P3", (0.1, 0.2)),
+    ("spin_dir", (0.0, 1.0)), ("x3", ((1.0, 2.0), 3.0, 4.0))])
 def test_init_state_refuses_non_finite_arguments_by_name(kind, alpha, name, value):
     """A NaN or inf in P3 or spin_dir ran 200 fixed-point passes with
     RuntimeWarnings and then raised "field-spin fixed point did not
     converge"; a NaN x3 on zero, a NaN t and a NaN P3 at alpha = 0
-    returned a NaN state.  Each is refused, naming the argument, before
-    any arithmetic on it."""
+    returned a NaN state.  An x3, P3 or spin_dir of two or four numbers
+    raised an unpacking, index or matmul error that named none of them,
+    and a ragged x3 numpy's "setting an array element with a sequence".
+    Each is refused, naming the argument, before any arithmetic on it."""
     args = {"x3": (1.6, -0.8, 1.1), "P3": (0.4, 0.3, -0.2), "spin_dir": (0.3, -1.0, 0.5),
             "t": 0.0, name: value}
     with warnings.catch_warnings():

@@ -46,6 +46,8 @@ def test_script_runs_to_its_closing_line(name, args, closing):
     ("bracket_report.py", ("--g", "nan"), "argument --g: must be finite"),
     ("fine_structure_table.py", ("--n-max", "0"), "must be an integer >= 1"),
     ("fine_structure_table.py", ("--n-max", "22"), "no spectroscopic letter"),
+    ("fine_structure_table.py", ("--g", "nan"), "argument --g: must be finite"),
+    ("fine_structure_table.py", ("--g", "inf"), "argument --g: must be finite"),
 ])
 def test_script_refuses_an_input_that_verifies_nothing(name, args, error):
     """No state, no level, or no time span to fit a rate over, is an
