@@ -42,11 +42,11 @@ def main():
         aux = aux_table_report(states, model)
         print(f"\n[{kind}]")
         print(f"  defining property  max |{{T_a, X}}_D| = {defining:.3e}")
-        worst_fam = max(closed, key=closed.get)
+        worst_fam = list(closed)[np.argmax(list(closed.values()))]
         print(f"  closed vs direct   worst family {worst_fam} = "
               f"{closed[worst_fam]:.3e}")
         print(f"  aux table          resolved dev "
-              f"{max(aux['resolved_max_dev'].values()):.3e}; defective "
+              f"{np.max(list(aux['resolved_max_dev'].values())):.3e}; defective "
               f"energy-row variant off by "
               f"{aux['transcribed_energy_row_max_dev']:.3e}")
     print("\nresolved energy-row coefficients: gradient g/4, dipole g")

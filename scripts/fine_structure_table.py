@@ -44,8 +44,9 @@ def main():
     naive = p_level_splitting_naive(hm, n=2)
     print(f"\n2p3/2 - 2p1/2 = {split:.6e} eV "
           f"(measured fine structure ~4.53e-5 eV)")
-    print(f"bare-g coupling would give {naive:.6e} eV, "
-          f"ratio {naive / split:.3f}")
+    # at g = 1 the realized splitting is 0 and there is no ratio
+    ratio = f", ratio {naive / split:.3f}" if split else ""
+    print(f"bare-g coupling would give {naive:.6e} eV{ratio}")
 
 
 if __name__ == "__main__":

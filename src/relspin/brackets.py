@@ -36,8 +36,7 @@ both routes, the gradient matrix and ``expansion`` read, so a report
 evaluates the fields and the kernel once per state, and the arrays the
 closed forms read (F, F_low, FS, dsf) once, on first read.  Every report
 builds one core and one matrix per route and state, compares them block
-by block, and refuses an empty batch, whose all-zero maxima would read
-as a pass.
+by block, and reduces over the states through ``max_over_states``.
 
 The transcription of the closed forms carried defects that this
 module adjudicates numerically against the direct route (see
@@ -365,11 +364,28 @@ _AUX_FINDINGS = {
 }
 
 
-def _nonempty(states):
-    """states as a list, refused if empty: all-zero maxima would read as a pass."""
-    if not (states := list(states)):
+def relative_dev(closed, direct):
+    """|closed - direct| / (1 + |direct|), elementwise."""
+    return np.abs(closed - direct) / (1.0 + np.abs(direct))
+
+
+def max_over_states(states, model, deviation):
+    """The running elementwise maximum of deviation(dirac_core(z, model), model)
+    over the states: np.maximum keeps a NaN, which must not read as agreement,
+    and an empty batch, whose maximum would read as a pass, is refused."""
+    worst = None
+    for z in states:
+        dev = deviation(dirac_core(z, model), model)
+        worst = dev if worst is None else np.maximum(worst, dev)
+    if worst is None:
         raise ValueError("no state given: a bracket report needs at least one state")
-    return states
+    return worst
+
+
+def _aux_deviation(core, model):
+    """The resolved and the transcribed table against the oracle, (2, 3, 21)."""
+    tables = [aux_table_entries(core, model, v) for v in ("resolved", "transcribed")]
+    return relative_dev(np.array(tables), aux_table_oracle(core, model))
 
 
 def aux_table_report(states, model):
@@ -380,23 +396,11 @@ def aux_table_report(states, model):
     energy-row variant, which must be visibly nonzero in any background
     with field gradients or an electric component.
     """
-    dev_resolved = np.zeros((3, len(ROW_OBSERVABLES)))
-    dev_transcribed = 0.0
-    for z in _nonempty(states):
-        core = dirac_core(z, model)
-        oracle = aux_table_oracle(core, model)
-        scale = 1.0 + np.abs(oracle)
-        resolved = aux_table_entries(core, model, "resolved")
-        transcribed = aux_table_entries(core, model, "transcribed")
-        dev_resolved = np.maximum(dev_resolved,
-                                  np.abs(resolved - oracle) / scale)
-        off = np.abs(transcribed - oracle) / scale
-        dev_transcribed = float(np.maximum(dev_transcribed,
-                                           off[1:, _ENERGY_COLUMN].max()))
+    resolved, transcribed = max_over_states(states, model, _aux_deviation)
     return {
-        "resolved_max_dev": {label: float(dev_resolved[r, cols].max())
+        "resolved_max_dev": {label: float(resolved[r, cols].max())
                              for label, r, cols in _AUX_GROUPS},
-        "transcribed_energy_row_max_dev": dev_transcribed,
+        "transcribed_energy_row_max_dev": float(transcribed[1:, _ENERGY_COLUMN].max()),
         **_AUX_FINDINGS,
     }
 
@@ -405,30 +409,23 @@ def aux_table_report(states, model):
 # whole-package verification report (drives the CLI `brackets` command)
 
 
+def _closed_deviation(core, model):
+    """The closed physical matrix against the direct one, then {T3,T4}, (145,)."""
+    coef = dirac_coefficients(core, model)
+    G = row_gradients(core, model)[_PHYSICAL]
+    rel = relative_dev(closed_brackets(core, coef, model), G @ core.flow(G).T)
+    return np.append(rel, relative_dev(t3t4_closed(core, coef, model), core.t34))
+
+
 def closed_vs_direct_report(states, model):
     """Max relative deviation closed-form vs. direct oracle per family."""
-    dev = dict.fromkeys((*CLOSED_FAMILIES, "T3T4"), 0.0)
-    for z in _nonempty(states):
-        core = dirac_core(z, model)
-        coef = dirac_coefficients(core, model)
-        G = row_gradients(core, model)[_PHYSICAL]
-        D = G @ core.flow(G).T
-        C = closed_brackets(core, coef, model)
-        rel = np.abs(C - D) / (1.0 + np.abs(D))
-        # np.maximum keeps a NaN, which must not read as agreement
-        for fam, block in CLOSED_FAMILIES.items():
-            dev[fam] = float(np.maximum(dev[fam], rel[block].max()))
-        t34 = t3t4_closed(core, coef, model)
-        dev["T3T4"] = float(np.maximum(
-            dev["T3T4"], abs(t34 - core.t34) / (1.0 + abs(core.t34))))
-    return dev
+    dev = max_over_states(states, model, _closed_deviation)
+    rel = dev[:-1].reshape(len(_PHYSICAL), len(_PHYSICAL))
+    return {**{fam: float(rel[block].max()) for fam, block in CLOSED_FAMILIES.items()},
+            "T3T4": float(dev[-1])}
 
 
 def defining_property_report(states, model):
     """Max |{T_a, X}_D| over the second-class pair and the rows of row_gradients."""
-    worst = 0.0
-    for z in _nonempty(states):
-        core = dirac_core(z, model)
-        D = core.R[1:] @ core.flow(row_gradients(core, model)).T
-        worst = float(np.maximum(worst, np.max(np.abs(D))))
-    return worst
+    return float(max_over_states(states, model, lambda core, model: np.max(
+        np.abs(core.R[1:] @ core.flow(row_gradients(core, model)).T))))

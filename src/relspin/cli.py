@@ -349,7 +349,7 @@ def run_selftest():
 
     from . import expansion
     from .brackets import (closed_vs_direct_report, defining_property_report,
-                           dirac_core, row_gradients)
+                           max_over_states, row_gradients)
     from .dynamics import dirac_rhs
     from .phase import Model, random_constrained_state
     from .quantum import (build_operators, correspondence_report,
@@ -363,23 +363,19 @@ def run_selftest():
     ps = build_operators("uniform-E")
 
     def fine_structure_dev():
-        return max(abs(hydrogen.level_shift(hm, n, l, j)
-                       - hydrogen.sommerfeld_shift(hm, n, j))
-                   for n in (2, 3) for l in range(1, n)
-                   for j in (l - 0.5, l + 0.5))
+        return np.max([abs(hydrogen.level_shift(hm, n, l, j)
+                           - hydrogen.sommerfeld_shift(hm, n, j))
+                       for n in (2, 3) for l in range(1, n)
+                       for j in (l - 0.5, l + 0.5)])
 
-    def rhs_vs_stacked_flow():
+    def rhs_dev(core, model):
         """dirac_rhs against DiracCore.flow of grad H, the last row of
         row_gradients, x^0 and p^0 set as in the right-hand side;
         relative to the largest component."""
-        worst = 0.0
-        for z in states:
-            core = dirac_core(z, model)
-            want = core.flow(row_gradients(core, model)[-1])
-            want[0], want[4] = model.c, 0.0
-            dev = np.max(np.abs(dirac_rhs(z.vec.tolist(), model) - want)) / np.max(np.abs(want))
-            worst = max(worst, float(dev))
-        return worst
+        want = core.flow(row_gradients(core, model)[-1])
+        want[0], want[4] = model.c, 0.0
+        return (np.max(np.abs(dirac_rhs(core.z.vec.tolist(), model) - want))
+                / np.max(np.abs(want)))
 
     def ladder_not_decreasing():
         lad = expansion.bracket_ladder("crossed", cs=(10.0, 20.0, 40.0))
@@ -390,9 +386,9 @@ def run_selftest():
         ("dirac bracket kills the second-class pair", "max_dev",
          lambda: defining_property_report(states, model), 1e-10),
         ("closed forms match the direct oracle", "max_rel",
-         lambda: max(closed_vs_direct_report(states, model).values()), 1e-8),
+         lambda: np.max(list(closed_vs_direct_report(states, model).values())), 1e-8),
         ("dirac rhs equals the stacked flow of H", "max_rel",
-         rhs_vs_stacked_flow, 1e-14),
+         lambda: max_over_states(states, model, rhs_dev), 1e-14),
         ("low-energy ladder decreases", "families_not_decreasing",
          ladder_not_decreasing, None),
         ("fine structure matches the frozen oracle", "max_dev",

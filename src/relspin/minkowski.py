@@ -83,7 +83,8 @@ def boost_matrix(u):
     """
     u = np.asarray(u, dtype=float)
     n2 = mdot(u, u)
-    if abs(n2 + 1.0) > 1e-9 or u[0] <= 0:
+    # the rounding of u.u grows as u0^2, so the bound does
+    if abs(n2 + 1.0) > 1e-9 * u[0] ** 2 or u[0] <= 0:
         raise ValueError(f"boost_matrix needs unit timelike future u, got u.u={n2}")
     L = np.zeros((4, 4))
     L[0, 0] = u[0]

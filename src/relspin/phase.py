@@ -342,10 +342,12 @@ def _rest_spin_pair(spin_dir, alpha):
     deterministic.
     """
     n = np.asarray(spin_dir, dtype=float)
-    nn = np.linalg.norm(n)
-    if nn == 0.0:
+    big = np.abs(n).max()
+    if big == 0.0:
         raise ValueError("spin_dir must be a nonzero three-vector")
-    n = n / nn
+    if not 1e-150 < big < 1e150:   # where |n|^2 would underflow or overflow
+        n = n / big
+    n = n / np.linalg.norm(n)
     axis = np.argmin(np.abs(n))
     a = np.zeros(3)
     a[axis] = 1.0
@@ -412,7 +414,8 @@ def init_state(model, x3, P3, spin_dir=(0, 0, 1.0), t=0.0):
 
     res = constraint_residuals(z, model)
     worst = max(abs(v) for v in res.values())
-    if worst > 1e-10 * (1.0 + mc2):
+    # the rounding of the boosted pair grows as gamma^2 = P0^2 / m*^2
+    if worst > 1e-10 * (1.0 + mc2) * (PP + mstar2) / mstar2:
         raise RuntimeError(f"init_state left residuals {res}")
     return z
 

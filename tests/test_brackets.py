@@ -129,16 +129,6 @@ def test_flipped_l_sign_fails_the_oracle(kind):
     assert min(worst.values()) > 1e-6, worst
 
 
-def test_nan_closed_forms_do_not_read_as_agreement(monkeypatch):
-    model = build_model("coulomb", g=2.3)
-    states = state_batch(model, 2, seed=22)
-    original = brackets.closed_brackets
-    monkeypatch.setattr(brackets, "closed_brackets",
-                        lambda *args: original(*args) * np.nan)
-    rep = closed_vs_direct_report(states, model)
-    assert all(np.isnan(rep[fam]) for fam in CLOSED_FAMILIES)
-
-
 @pytest.fixture(scope="module")
 def linear():
     """A model on oracles.linear_background at g = 2.3 and four states."""
@@ -222,6 +212,29 @@ def test_reports_refuse_an_empty_batch(report):
         report([], model)
     with pytest.raises(ValueError, match="no state given"):
         report(iter(()), model)
+
+
+# the values of each report that must read NaN when one state's deviation is NaN
+NAN_READS = {
+    defining_property_report: lambda rep: [rep],
+    closed_vs_direct_report: lambda rep: [rep[fam] for fam in CLOSED_FAMILIES],
+    aux_table_report: lambda rep: list(rep["resolved_max_dev"].values()),
+}
+
+
+@pytest.mark.parametrize("report", REPORTS, ids=lambda r: r.__name__)
+def test_nan_deviation_does_not_read_as_agreement(report, monkeypatch):
+    """With the gradients of the last of three states NaN, each report
+    reads NaN in every family, every resolved group or its defining
+    maximum: the reduction over states keeps a NaN after two numbers,
+    where Python's max would drop it."""
+    model = build_model("coulomb", g=2.3)
+    states = state_batch(model, 3, seed=22)
+    original = brackets.row_gradients
+    monkeypatch.setattr(brackets, "row_gradients", lambda core, model: (
+        original(core, model) * (np.nan if core.z is states[-1] else 1.0)))
+    values = NAN_READS[report](report(states, model))
+    assert values and all(np.isnan(values)), values
 
 
 @pytest.fixture

@@ -16,7 +16,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relspin import cli, dynamics, expansion, hydrogen, phase
+from relspin import brackets, cli, dynamics, expansion, hydrogen, phase
 from relspin.cli import main
 
 from conftest import src_env
@@ -506,6 +506,42 @@ def test_selftest_passes(capsys):
     timing = re.compile(r"(\S.*\S)  \d+\.\d{3} s")
     assert [timing.fullmatch(text).group(1)
             for text in captured.err.splitlines()] == names
+
+
+def _nan_rhs(monkeypatch):
+    monkeypatch.setattr(dynamics, "dirac_rhs", lambda vec, model: [math.nan] * 16)
+
+
+def _nan_ss_block(monkeypatch):
+    """NaN in the spin-spin block, the last family of the report."""
+    original = brackets.closed_brackets
+
+    def closed(*args):
+        C = original(*args)
+        C[brackets.CLOSED_FAMILIES["SS"]] = math.nan
+        return C
+    monkeypatch.setattr(brackets, "closed_brackets", closed)
+
+
+def _nan_sommerfeld_at_n3(monkeypatch):
+    original = hydrogen.sommerfeld_shift
+    monkeypatch.setattr(hydrogen, "sommerfeld_shift",
+                        lambda hm, n, j: math.nan if n == 3 else original(hm, n, j))
+
+
+@pytest.mark.parametrize("patch, check", [
+    (_nan_rhs, "dirac rhs equals the stacked flow of H"),
+    (_nan_ss_block, "closed forms match the direct oracle"),
+    (_nan_sommerfeld_at_n3, "fine structure matches the frozen oracle"),
+], ids=["dirac_rhs", "closed_brackets", "sommerfeld_shift"])
+def test_selftest_fails_on_a_nan_measurement(patch, check, monkeypatch, capsys):
+    """A NaN measurement reads FAIL and the self test exits 1.  Each
+    check reduced with Python's max, which drops a NaN that comes after
+    a number, and printed PASS."""
+    patch(monkeypatch)
+    assert main(["--selftest"]) == 1
+    out = capsys.readouterr().out
+    assert re.search(rf"^FAIL  {re.escape(check)}  \w+=nan ", out, re.M), out
 
 
 # each command imports what it runs and nothing more: spectrum is pure

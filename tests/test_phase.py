@@ -221,6 +221,35 @@ def test_init_state_refuses_a_momentum_whose_square_overflows(kind, alpha, P3):
             init_state(build_model(kind, alpha=alpha), x3=(1.6, -0.8, 1.1), P3=P3)
 
 
+@pytest.mark.parametrize("P1", [2e4, 5e4, 1e6])
+@pytest.mark.parametrize("kind", ["zero", "coulomb"])
+def test_init_state_builds_a_fast_state(kind, P1):
+    """From gamma ~ 2000 at m c = 10 a spinning state raised "init_state
+    left residuals" or "boost_matrix needs unit timelike future u": both
+    bounds were absolute, while the rounding they meet grows as gamma^2.
+    The state keeps P3, and its residuals stay below the rest frame's
+    bound times gamma^2."""
+    model = build_model(kind)
+    z = init_state(model, x3=(1.6, -0.8, 1.1), P3=(P1, 0.0, 0.0), spin_dir=(0.3, -1.0, 0.5))
+    assert np.allclose(oracles.kinetic_momentum(z, model)[1:], (P1, 0.0, 0.0), rtol=1e-12)
+    gamma2 = 1.0 + P1**2 / model.mc2
+    res = constraint_residuals(z, model)
+    assert max(map(abs, res.values())) < 1e-10 * (1.0 + model.mc2) * gamma2, res
+
+
+@pytest.mark.parametrize("spin_dir", [(1e-200, 1e-200, 0.0), (1e200, 1e200, 0.0)])
+@pytest.mark.parametrize("kind", ["zero", "coulomb"])
+def test_init_state_reads_the_direction_of_a_tiny_or_huge_spin_dir(kind, spin_dir):
+    """|spin_dir|^2 underflowed to 0, refused as "spin_dir must be a
+    nonzero three-vector", or overflowed to inf and ended in "init_state
+    left residuals"; only the direction counts, and it gives the state
+    of (1, 1, 0) byte for byte."""
+    model = build_model(kind)
+    args = {"x3": (1.2, -0.4, 0.8), "P3": (0.3, 0.2, -0.5)}
+    want = init_state(model, spin_dir=(1.0, 1.0, 0.0), **args).vec.tobytes()
+    assert init_state(model, spin_dir=spin_dir, **args).vec.tobytes() == want
+
+
 def test_energy_radicand_guard():
     model = build_model("coulomb")
     # close to the center, with a large dipole component along E, the

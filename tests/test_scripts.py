@@ -32,6 +32,9 @@ def _run_script(name, *args):
     # l = 6, the first level past h, is named i
     ("fine_structure_table.py", ("--n-max", "7"),
      "bare-g coupling would give"),
+    # at g = 1 the realized splitting is 0: no ratio, no division by it
+    ("fine_structure_table.py", ("--g", "1", "--n-max", "2"),
+     "bare-g coupling would give"),
 ])
 def test_script_runs_to_its_closing_line(name, args, closing):
     proc = _run_script(name, *args)
