@@ -118,7 +118,7 @@ def dirac_core(z, model):
     """The second-class data at z; raises where {T3,T4} is too small to invert."""
     vec = z.vec.tolist()
     fields = field_data(model, vec[:4])
-    P, _, pieces = _kernel(vec, model, fields)
+    P, pieces = _kernel(vec, model, fields)
     rows = t_rows(vec, P, pieces)
     JR = [symplectic(r) for r in rows[1:]]
     return DiracCore(z=z, fields=fields, P=np.array(P), S=spin_tensor(z.w, z.pi),

@@ -8,12 +8,13 @@ is its Dirac bracket with H, so the raw equations of motion are
 computed in one float pass per call (``dirac_rhs``, 16 floats in, a list
 of 16 floats out): one field evaluation, one call of the kernel
 ``phase._kernel``, and three symplectic pairings of its pieces, which
-give {T3,T4}, {T3,H} and {T4,H}; no row, ``DiracCore`` or array is
-built, and this module does not import ``brackets``.  The stacked form
-of the correction, ``brackets.DiracCore.flow``, serves the bracket
-reports, and both are pinned to one reference.  The energy radicand
-check and the {T3,T4} floor that ``dirac_core`` shares (``phase._energy``
-and ``phase._t3t4``) make it raise ValueError where the state is out of
+give {T3,T4}, {T3,H} and {T4,H}; no constraint value, row,
+``DiracCore`` or array is built, and this module does not import
+``brackets``.  The stacked form of the correction,
+``brackets.DiracCore.flow``, serves the bracket reports, and both are
+pinned to one reference.  The energy radicand check and the {T3,T4}
+floor that ``dirac_core`` shares (``phase._energy`` and
+``phase._t3t4``) make it raise ValueError where the state is out of
 range or the pair is not invertible, NaN included.  x^0 is slaved to
 the evolution parameter (dx^0/dt = c) and p^0 a spectator equal to H/c,
 exactly conserved in stationary backgrounds.
@@ -30,10 +31,13 @@ Inside the rk4 loop of ``integrate`` the state is a list of 16 Python
 floats, from ``z0.vec.tolist()`` on, and the right-hand side is a
 closure that calls ``dirac_rhs(v, model)``: ``_rk4_step`` forms its
 stages and the final combination elementwise, in the operation order of
-the numpy form, so a step is the same to the bit; a projection pass
-takes its Minkowski products from ``minkowski.mdot``.  Arrays appear
-only where a state crosses the ``PhaseState`` boundary of
-``project_state`` and in the recorded ``Trajectory.Z``.
+the numpy form, so a step is the same to the bit; it projects with
+``_project``, the list form of ``project_state``, whose passes take
+their Minkowski products from ``minkowski.mdot``.  Each state is
+evaluated once: a projection's last pass evaluates the state it
+returns, which is the next step's first stage and, when recorded, the
+state's channel row.  Arrays appear only where a state crosses the
+``PhaseState`` boundary of ``project_state`` and in ``Trajectory.Z``.
 
 ``Trajectory.stats`` reports what a run did, apart from its results:
 the right-hand-side evaluations (four per completed step), the
@@ -42,10 +46,10 @@ residual met before a projection, the energy drift of the H channel,
 ``energy_drift`` (written by the first ``channels()`` call), and the
 wall time (time.perf_counter spans) of the stepping, ``stepping_s``, and
 of the first ``channels()`` call, ``channels_s``.  ``channels`` makes
-one float pass per recorded state (one field evaluation and one kernel
-call give calP, the constraint values and H) and takes the spin
-read-outs from the spin tensors of all states, which one
-``phase.spin_tensor`` call writes at once.
+one float pass per recorded state that no projection evaluated (one
+field evaluation, one kernel call and ``phase.t_values`` give calP, the
+constraint values and H) and takes the spin read-outs from the spin
+tensors of all states, which one ``phase.spin_tensor`` call writes.
 
 A spinless state is omega = pi = 0 of the same flow: there
 {T3,T4} = calP.calP = -(m c)^2 and {T3,H} = {T4,H} = 0, so the flow
@@ -64,17 +68,18 @@ import numpy as np
 
 from .minkowski import mdot
 from .phase import (CONSTRAINT_NAMES, PhaseState, field_data, spin_readouts, spin_tensor,
-                    _kernel, _t3t4)
+                    t_values, _kernel, _t3t4)
 
 # ---------------------------------------------------------------------------
 # right-hand sides
 
 
-def dirac_rhs(vec, model):
+def dirac_rhs(vec, model, evaluation=None):
     """d(vec)/dt for the 16-component state, a sequence of 16 floats, as
     a list of 16 floats; t is laboratory time.
 
-    One field evaluation and one kernel call, whose pieces g0 = grad calP^0
+    One field evaluation and one kernel call, or the evaluation (fields,
+    calP, pieces) of vec when given, whose pieces g0 = grad calP^0
     and the explicit gradients e3, e4 (grad T_v = -v^0 g0 + e_v) enter
     through the symplectic pairing Omega(a, b) = {a, b} =
     <a_x, b_p> - <a_p, b_x> + <a_omega, b_pi> - <a_pi, b_omega>
@@ -86,8 +91,11 @@ def dirac_rhs(vec, model):
     and zdot = J (b g0 + e dA^0 + a4 e3 - a3 e4), a_v = {T_v, H}/{T3,T4}
     and b = c - a4 omega^0 + a3 pi^0, written out block by block.  The p^0
     slots of g0, e3 and e4 are zero, so no x^0 slot is read."""
-    fields = field_data(model, vec[0:4])
-    (P0, P1, P2, P3), _, (g0, ex3, ex4) = _kernel(vec, model, fields)
+    if evaluation is None:
+        fields = field_data(model, vec[0:4])
+        (P0, P1, P2, P3), (g0, ex3, ex4) = _kernel(vec, model, fields)
+    else:
+        fields, (P0, P1, P2, P3), (g0, ex3, ex4) = evaluation
     _, g1, g2, g3, _, g5, g6, g7, g8, g9, g10, g11, g12, g13, g14, g15 = g0
     _, x1, x2, x3 = ex3
     _, y1, y2, y3 = ex4
@@ -137,10 +145,10 @@ def project_state(z, model, *, stats=None):
     so the passes repeat with the new calP, a fixed point contracting by
     about (e g / 4 c) |F| |S| / (m c)^2.  A call evaluates the fields
     once and each pass reads calP and the residuals from one kernel
-    call, on the state as a list of 16 floats (one tolist() on entry,
-    one array on return); the first iterate whose largest residual is
-    below PROJECTION_TOL (1 + (m c)^2) is returned, a spinless state as
-    it is.
+    call and t_values, on the state as a list of 16 floats (``_project``;
+    one tolist() here, and one array on return); the first iterate
+    whose largest residual is below PROJECTION_TOL (1 + (m c)^2) is
+    returned, a spinless state as it is.
     The projection is not orthogonal, and need not be: a correction the
     size of the drift keeps the integrator's order (Hairer, Lubich and
     Wanner, GNI IV.4).
@@ -153,14 +161,21 @@ def project_state(z, model, *, stats=None):
 
     stats, when given, is a dict whose "projection_steps" grows by the
     passes made and whose "max_residual_before_projection" is raised to
-    the largest residual before the first pass; before the RuntimeError,
-    "projection_failure" is set to {"residual": the largest residual
-    before the first pass, "best": the least reached, "passes": the
-    passes made}.
+    the largest residual before the first pass, each started at 0 when
+    absent; before the RuntimeError, "projection_failure" is set to
+    {"residual": the largest residual before the first pass, "best": the
+    least reached, "passes": the passes made}.
     """
-    vec = z.vec.tolist()
+    vec, evaluation, _ = _project(z.vec.tolist(), model, stats)
+    return z if evaluation is None else PhaseState(vec=np.array(vec))
+
+
+def _project(vec, model, stats):
+    """project_state on a list: the projected list, the evaluation
+    (fields, calP, pieces) of its last pass and its values T, or the
+    spinless list as it is, None and None."""
     if not any(vec[8:]):
-        return z
+        return vec, None, None
     if not all(map(math.isfinite, vec)):
         raise ValueError("cannot project a state with non-finite components in slots "
                          f"{[i for i, v in enumerate(vec) if not math.isfinite(v)]}")
@@ -169,14 +184,15 @@ def project_state(z, model, *, stats=None):
     head = vec[:8]
     errs = []
     while True:
-        P, T, _ = _kernel(vec, model, fields)
+        P, pieces = _kernel(vec, model, fields)
+        T = t_values(vec, P, model)
         errs.append(max(map(abs, T)))
         if errs[-1] < tol:
             if stats is not None:
-                stats["projection_steps"] += len(errs) - 1
+                stats["projection_steps"] = stats.get("projection_steps", 0) + len(errs) - 1
                 stats["max_residual_before_projection"] = max(
-                    stats["max_residual_before_projection"], errs[0])
-            return PhaseState(vec=np.array(vec))
+                    stats.get("max_residual_before_projection", 0.0), errs[0])
+            return vec, (fields, P, pieces), T
         if len(errs) > 1 and not errs[-1] < errs[-2]:
             break
         w, q = vec[8:12], vec[12:]
@@ -209,13 +225,15 @@ def project_state(z, model, *, stats=None):
 PROJECT_EVERY = 25   # rk4 steps between projections, besides recording times
 
 
-def _rk4_step(f, y, h):
+def _rk4_step(f, y, h, k1=None):
     """One classical rk4 step of y' = f(y) on a list of floats, returning
-    a new list.  The stages are y + (h/2) k and y + h k, and the step
+    a new list; k1 is f(y), made here when not given.  The stages are
+    y + (h/2) k and y + h k, and the step
     y + (h/6) (((k1 + 2 k2) + 2 k3) + k4), elementwise in the operation
     order of the numpy form (tests/oracles.rk4_step), so both give the
     same bits."""
-    k1 = f(y)
+    if k1 is None:
+        k1 = f(y)
     a = 0.5 * h
     k2 = f([u + a * k for u, k in zip(y, k1)])
     k3 = f([u + a * k for u, k in zip(y, k2)])
@@ -231,6 +249,7 @@ class Trajectory:
     Z: np.ndarray
     model: object
     stats: dict = field(default_factory=dict)
+    rows: dict = field(default_factory=dict)   # record index -> row its projection made
 
     def state(self, k):
         return PhaseState(vec=self.Z[k].copy())
@@ -238,10 +257,11 @@ class Trajectory:
     def channels(self):
         """Named scalar time series for output and diagnostics (cached).
 
-        One float pass over the recorded states gives calP, the
-        constraint values and H from one field evaluation and one kernel
-        call each (A^0 read from the field's float tuples); one
-        spin_tensor call then writes the spin tensors of all states, and
+        A float pass over the recorded states not in self.rows gives
+        calP, the constraint values and H from one field evaluation, one
+        kernel call and t_values each (A^0 read from the field's float
+        tuples); one spin_tensor call then writes the spin tensors of
+        all states, and
         one spin_readouts call on the stack gives their spin read-outs.
         A spinless state reads zero in every spin and constraint channel.
         The first call also writes the energy drift of the H channel to
@@ -254,10 +274,13 @@ class Trajectory:
         model, Z = self.model, self.Z
         out = {"t": self.t, **dict(zip(("x1", "x2", "x3"), Z[:, 1:4].T))}
         rows = []
-        for vec in Z.tolist():
-            fields = field_data(model, vec[:4])
-            P, T, _ = _kernel(vec, model, fields)
-            rows.append((*P, *T, model.c * P[0] + model.e * fields[0][0]))
+        for k, vec in enumerate(Z.tolist()):
+            row = self.rows.get(k)
+            if row is None:
+                fields = field_data(model, vec[:4])
+                P, _ = _kernel(vec, model, fields)
+                row = _channel_row(model, fields, P, t_values(vec, P, model))
+            rows.append(row)
         rows = np.array(rows)
         P, T, H = rows[:, :4], rows[:, 4:8], rows[:, 8]
         spin = Z[:, 8:].any(axis=1)
@@ -285,6 +308,11 @@ class Trajectory:
         return {k: float(np.max(np.abs(ch[k]))) for k in (*CONSTRAINT_NAMES, "spin2")}
 
 
+def _channel_row(model, fields, P, T):
+    """(calP, T, H = c calP^0 + e A^0) of one state in Trajectory.channels."""
+    return (*P, *T, model.c * P[0] + model.e * fields[0][0])
+
+
 def _grid(t0, t_final, dt, record_every):
     """(whole steps of dt, steps) from t0 to t_final; ValueError as in integrate."""
     for name, value in (("t0", t0), ("t_final", t_final), ("dt", dt)):
@@ -292,7 +320,8 @@ def _grid(t0, t_final, dt, record_every):
             raise ValueError(f"{name} must be finite, got {value}")
     if dt == 0.0:
         raise ValueError("dt must be nonzero")
-    if not (isinstance(record_every, numbers.Integral) and record_every >= 1):
+    if not (isinstance(record_every, numbers.Integral) and not isinstance(record_every, bool)
+            and record_every >= 1):
         raise ValueError(f"record_every must be a positive integer, got {record_every!r}")
     ratio = (t_final - t0) / dt
     if ratio < 0.0:
@@ -310,7 +339,8 @@ def _grid(t0, t_final, dt, record_every):
 def integrate(model, z0, t_final, dt, t0=0.0, record_every=1, project=True):
     """Advance z0 from t0 to t_final by rk4 steps of dt, recording every
     record_every steps and applying ``project_state`` at recording times
-    and every PROJECT_EVERY steps.
+    and every PROJECT_EVERY steps.  stats["rhs_evals"] counts four per
+    step, the first stages a projection evaluated included.
 
     A right-hand side or a projection that refuses the state
     (ValueError) or a projection that stalls (RuntimeError) ends the run;
@@ -326,7 +356,7 @@ def integrate(model, z0, t_final, dt, t0=0.0, record_every=1, project=True):
     ValueError, naming the argument: a non-finite t0, t_final or dt, a
     zero dt, a dt that points away from t_final or is too small for a
     finite step count, and a record_every that is not a positive
-    integer.
+    integer (a bool included).
     """
     start = time.perf_counter()
     n_full, n_steps = _grid(t0, t_final, dt, record_every)
@@ -335,28 +365,33 @@ def integrate(model, z0, t_final, dt, t0=0.0, record_every=1, project=True):
     stats = {"n_steps": n_steps, "projections": 0, "rhs_evals": 0,
              "projection_steps": 0, "max_residual_before_projection": 0.0}
 
+    rows = {}
     rhs = lambda v: dirac_rhs(v, model)   # cheaper to call than functools.partial
     y = z0.vec.tolist()
+    evaluation = None   # of y, when a projection pass has just made it
     for k in range(1, n_steps + 1):
         h = dt if k <= n_full else t_final - (t0 + n_full * dt)
         t = t0 + k * dt if k <= n_full else t_final
         try:
-            y = _rk4_step(rhs, y, h)
+            k1 = None if evaluation is None else dirac_rhs(y, model, evaluation)
+            y = _rk4_step(rhs, y, h, k1)
             stats["rhs_evals"] += 4
+            evaluation = None
             if project and (k % PROJECT_EVERY == 0 or k % record_every == 0):
-                y = project_state(PhaseState(vec=np.array(y)), model,
-                                  stats=stats).vec.tolist()
+                y, evaluation, T = _project(y, model, stats)
                 stats["projections"] += 1
         except (RuntimeError, ValueError) as exc:
             stats["failed_step"], stats["t"] = k, t
             exc.stats = stats
             raise
         if k % record_every == 0 or k == n_steps:
+            if evaluation is not None:
+                rows[len(zs)] = _channel_row(model, evaluation[0], evaluation[1], T)
             ts.append(t)
             zs.append(np.array(y))
 
     stats["stepping_s"] = time.perf_counter() - start
-    return Trajectory(t=np.array(ts), Z=np.array(zs), model=model, stats=stats)
+    return Trajectory(t=np.array(ts), Z=np.array(zs), model=model, stats=stats, rows=rows)
 
 
 # ---------------------------------------------------------------------------

@@ -26,16 +26,19 @@ pair
 and in the covariant Hamiltonian H = c calP^0 + e A^0.  The remaining
 first-class pair is T2 = omega.pi and T5 = pi^2 - alpha/omega^2; on
 T2 = T5 = 0 the spin magnitude is fixed, S_{mu nu} S^{mu nu} = 8 alpha.
-The four are written once, with calP, in the kernel _kernel: from one
-field evaluation it gives calP, the values (T2, T3, T4, T5) and the
+From one field evaluation the kernel _kernel gives calP and the
 pieces of the rows grad (calP^0, T3, T4) as Python floats, in float
 arithmetic on the 16 components (at one state cheaper than numpy's
 per-call overhead); t_rows assembles the rows, which
-brackets.dirac_core holds as an array.  The kernel, t_rows and the
+brackets.dirac_core holds as an array.  The right-hand side reads no
+constraint value, so the kernel writes none: t_values writes the four,
+once, from the state and the kernel's calP, for the projection, the
+channels and constraint_residuals.  The kernel, t_values, t_rows and the
 backgrounds' at(x) take plain float sequences; the readers that hold
 a PhaseState convert its array once with tolist() at their call.  Every
 reader of calP or a constraint at a state reads the kernel, whose
-energy radicand check is _energy; beside it, _t3t4 is the one {T3,T4}
+energy radicand check is _energy and which refuses omega^2 = 0 at a
+state with spin; beside it, _t3t4 is the one {T3,T4}
 floor check of brackets.dirac_core and dynamics.dirac_rhs.  init_state
 computes calP^0 and checks m*^2 in its own fixed point, from the Model
 constants, derived once per Model.  A state is its 16 numbers, spinless
@@ -189,14 +192,14 @@ CONSTRAINT_NAMES = ("T2", "T3", "T4", "T5")
 
 def constraint_residuals(z, model):
     """All constraint values at z (exact zeros define the surface), from
-    one field evaluation and one kernel call; a spinless state carries no
-    constraints."""
+    one field evaluation, one kernel call and t_values; a spinless state
+    carries no constraints."""
     if z.spinless:
         return dict.fromkeys((*CONSTRAINT_NAMES, "ssc", "spin2"), 0.0)
     vec = z.vec.tolist()
-    P, T, _ = _kernel(vec, model, field_data(model, vec[:4]))
+    P, _ = _kernel(vec, model, field_data(model, vec[:4]))
     S = spin_tensor(z.w, z.pi)
-    return {**dict(zip(CONSTRAINT_NAMES, T)),
+    return {**dict(zip(CONSTRAINT_NAMES, t_values(vec, P, model))),
             "ssc": float(np.max(np.abs(S @ (ETA_DIAG * np.array(P))))),
             "spin2": float(spin_readouts(S)[2]) - 8.0 * model.alpha}
 
@@ -233,10 +236,10 @@ class Observable:
 
 
 def _kernel(vec, model, fields):
-    """calP, the values T = (T2, T3, T4, T5) and the pieces of the rows
-    grad (calP^0, T3, T4) at the state vec, a sequence of 16 floats: the
-    one evaluation of a state, as Python floats (two 4-tuples and the
-    pieces (g0, ex3, ex4)).
+    """calP and the pieces of the rows grad (calP^0, T3, T4) at the state
+    vec, a sequence of 16 floats: the one evaluation of a state, as
+    Python floats (a 4-tuple and the pieces (g0, ex3, ex4)); t_values
+    writes the constraint values from vec and this calP.
 
     g0 = grad calP^0 is 16 floats; ex3 and ex4 are the x-parts of the
     explicit gradients e3 and e4, -(e/c) v^i d_lam A^i for v = omega and
@@ -245,11 +248,11 @@ def _kernel(vec, model, fields):
     calP_low) for v = pi; t_rows assembles the rows, and
     dynamics.dirac_rhs pairs the pieces without assembling them.
 
-    A spinless state (omega = pi = 0) carries no constraints and its
-    values are zero; at any other omega^2 = 0, T5 is undefined and
-    ValueError is raised.  Written on the components in float
-    arithmetic: at one state numpy's per-call cost outweighs the
-    arithmetic of four-vectors, so the state is unpacked as floats, the
+    A spinless state (omega = pi = 0) carries no constraints; at any
+    other omega^2 = 0, T5 is undefined and ValueError is raised.  Written
+    on the components in float arithmetic: at one state numpy's per-call
+    cost outweighs the arithmetic of four-vectors, so the state is
+    unpacked as floats, the
     fields as the tuples of field_data (the spatial derivatives of A and
     the components of F and d_lam F above the diagonal), and the eta
     signs and the four contractions with S are written out on them.  The
@@ -278,16 +281,8 @@ def _kernel(vec, model, fields):
     fs2 = 2.0 * (v12 * s12 + v13 * s13 + v23 * s23 - v01 * s01 - v02 * s02 - v03 * s03)
     fs3 = 2.0 * (y12 * s12 + y13 * s13 + y23 * s23 - y01 * s01 - y02 * s02 - y03 * s03)
     P0 = _energy(P1 * P1 + P2 * P2 + P3 * P3, fs, model)
-    ww = w1 * w1 + w2 * w2 + w3 * w3 - w0 * w0
-    if ww != 0.0:   # NaN included: its values stay NaN
-        T = (w1 * q1 + w2 * q2 + w3 * q3 - w0 * q0,
-             P1 * w1 + P2 * w2 + P3 * w3 - P0 * w0,
-             P1 * q1 + P2 * q2 + P3 * q3 - P0 * q0,
-             q1 * q1 + q2 * q2 + q3 * q3 - q0 * q0 - model.alpha / ww)
-    elif w0 or w1 or w2 or w3 or q0 or q1 or q2 or q3:
+    if w1 * w1 + w2 * w2 + w3 * w3 - w0 * w0 == 0.0 and any(vec[8:]):
         raise ValueError("T5 undefined at omega^2 = 0")
-    else:
-        T = (0.0, 0.0, 0.0, 0.0)
     d = 2.0 * P0
     # x block: chain rule through A^i and F; omega and pi blocks:
     # -+ h (F_{mu nu} v^nu) with v = pi and omega
@@ -307,7 +302,22 @@ def _kernel(vec, model, fields):
            -k * (w1 * a13 + w2 * a23 + w3 * a33)]
     ex4 = [0.0, -k * (q1 * a11 + q2 * a21 + q3 * a31), -k * (q1 * a12 + q2 * a22 + q3 * a32),
            -k * (q1 * a13 + q2 * a23 + q3 * a33)]
-    return (P0, P1, P2, P3), T, (g0, ex3, ex4)
+    return (P0, P1, P2, P3), (g0, ex3, ex4)
+
+
+def t_values(vec, P, model):
+    """The values (T2, T3, T4, T5) at the state vec (16 floats) from the
+    calP the kernel gave there, which has refused omega^2 = 0 at every
+    state but a spinless one; a spinless state's values are zero."""
+    P0, P1, P2, P3 = P
+    w0, w1, w2, w3, q0, q1, q2, q3 = vec[8:]
+    ww = w1 * w1 + w2 * w2 + w3 * w3 - w0 * w0
+    if ww == 0.0:
+        return (0.0, 0.0, 0.0, 0.0)
+    return (w1 * q1 + w2 * q2 + w3 * q3 - w0 * q0,
+            P1 * w1 + P2 * w2 + P3 * w3 - P0 * w0,
+            P1 * q1 + P2 * q2 + P3 * q3 - P0 * q0,
+            q1 * q1 + q2 * q2 + q3 * q3 - q0 * q0 - model.alpha / ww)
 
 
 def t_rows(vec, P, pieces):
@@ -364,7 +374,9 @@ def init_state(model, x3, P3, spin_dir=(0, 0, 1.0), t=0.0):
     sqrt(alpha) spin_dir, |omega| = 1 gauge) and boosted with the pure
     boost that maps the rest momentum to (calP^0, P3).  Because the
     energy function feeds (F S) back into calP^0, the boost is solved
-    by a short fixed-point iteration.  alpha = 0 returns a spinless
+    by a short fixed-point iteration, which stops on a step within
+    rounding of F S, or on one that no longer shrinks and lies within
+    gamma^2 times that.  alpha = 0 returns a spinless
     state instead, omega = pi = 0.  ValueError, naming the argument,
     for an x3, P3 or spin_dir that is not three finite numbers, a t that
     is not one, and a P3 whose |P3|^2 + (m c)^2 is past the float range.
@@ -393,6 +405,7 @@ def init_state(model, x3, P3, spin_dir=(0, 0, 1.0), t=0.0):
         a3, b3 = _rest_spin_pair(spin_dir, model.alpha)
         w_rest = np.concatenate([[0.0], a3])
         pi_rest = np.concatenate([[0.0], b3])
+        step = math.inf
         for _ in range(200):
             mstar2 = mc2 - model.eg_4c * fs
             if not mstar2 > 0.0:   # NaN fails this test too
@@ -401,8 +414,14 @@ def init_state(model, x3, P3, spin_dir=(0, 0, 1.0), t=0.0):
             u = np.concatenate([[P0], P3]) / np.sqrt(mstar2)
             L = boost_matrix(u)
             w, pi = L @ w_rest, L @ pi_rest
-            fs, fs_old = contract_2(F, spin_tensor(w, pi)), fs
-            if abs(fs - fs_old) <= 1e-15 * (1.0 + abs(fs)):
+            fs, fs_old, step_old = contract_2(F, spin_tensor(w, pi)), fs, step
+            step = abs(fs - fs_old)
+            if step <= 1e-15 * (1.0 + abs(fs)):
+                break
+            # a fast state's boost rounds F S to about gamma^2 = P0^2 / m*^2
+            # times the bound above: a step that no longer shrinks within
+            # that is the rounding, not the contraction
+            if step_old <= step <= 1e-15 * (1.0 + abs(fs)) * (PP + mstar2) / mstar2:
                 break
         else:
             raise RuntimeError("field-spin fixed point did not converge")

@@ -5,10 +5,11 @@ layer and the field layer.
   (T2, T3, T4, T5), and ``p0_and_grad`` and ``t34_grads``, the rows
   grad calP^0, grad T3 and grad T4, written with numpy arrays and
   matrix products on the lowered field tensors; the kernel
-  ``phase._kernel`` writes all of them on the components in float
-  arithmetic, ``kernel_rows`` and ``kinetic_momentum`` give its outputs
-  (the rows assembled by ``phase.t_rows``) as arrays, and the tests pin
-  them to this form.
+  ``phase._kernel`` (calP and the rows' pieces) and ``phase.t_values``
+  (the values) write all of them on the components in float
+  arithmetic, ``kernel_rows`` and ``kinetic_momentum`` give their
+  outputs (the rows assembled by ``phase.t_rows``) as arrays, and the
+  tests pin them to this form.
 * The gradient oracle: the ``phase.Observable`` factories ``obs_coord``,
   ``obs_kinetic``, ``obs_energy``, ``obs_spin`` and ``obs_hamiltonian``,
   each evaluating the fields (and the kernel) on its own, and
@@ -34,7 +35,8 @@ layer and the field layer.
   arrays A, dA, F and dF and the lowered F and dF, which the forms
   above read; the package itself reads the tuples, and its closed forms
   build F and dF with ``minkowski.field_tensor``.  ``constraint_values``,
-  calP and (T2, T3, T4, T5) of one kernel call as arrays.
+  calP and (T2, T3, T4, T5) of one kernel call and ``t_values`` as
+  arrays.
 * ``field_tensor_from_EB`` and ``extract_EB``, the (4, 4) array F^{mu nu}
   of E and B and its read-back, written with the Levi-Civita array;
   ``minkowski.field_from_EB`` and ``EB_from_field`` write the six floats
@@ -67,7 +69,7 @@ from relspin.dynamics import Trajectory, _grid, dirac_rhs, project_state
 from relspin.fields import FieldBackground
 from relspin.minkowski import EPS3, ETA_DIAG, field_from_EB, field_tensor, lower2, mdot
 from relspin.phase import (CONSTRAINT_NAMES, J, Observable, PhaseState, _energy, _kernel,
-                           field_data, spin_tensor, t_rows)
+                           field_data, spin_tensor, t_rows, t_values)
 
 
 class FieldArrays:
@@ -84,11 +86,11 @@ class FieldArrays:
 
 
 def constraint_values(z, model, fields=None):
-    """calP and the values (T2, T3, T4, T5) at z, from one field evaluation
-    and one kernel call; no row is assembled."""
+    """calP and the values (T2, T3, T4, T5) at z, from one field evaluation,
+    one kernel call and t_values; no row is assembled."""
     vec = z.vec.tolist()
-    P, T, _ = _kernel(vec, model, fields or field_data(model, vec[:4]))
-    return np.array(P), np.array(T)
+    P, _ = _kernel(vec, model, fields or field_data(model, vec[:4]))
+    return np.array(P), np.array(t_values(vec, P, model))
 
 
 def kinetic(z, model, fd):
@@ -151,8 +153,8 @@ def kernel_rows(z, model, fields=None):
     """The kernel's calP and T and the assembled rows R at z as arrays of
     shapes (4,), (4,) and (3, 16)."""
     vec = z.vec.tolist()
-    P, T, pieces = _kernel(vec, model, fields or field_data(model, vec[:4]))
-    return np.array(P), np.array(T), np.array(t_rows(vec, P, pieces))
+    P, pieces = _kernel(vec, model, fields or field_data(model, vec[:4]))
+    return np.array(P), np.array(t_values(vec, P, model)), np.array(t_rows(vec, P, pieces))
 
 
 def kinetic_momentum(z, model, fields=None):

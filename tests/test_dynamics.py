@@ -87,8 +87,8 @@ def test_nan_t3t4_does_not_pass_the_floor(monkeypatch):
     kernel = phase._kernel
 
     def nan_t3(*args):
-        P, T, (g0, _, ex4) = kernel(*args)
-        return P, T, (g0, [np.nan] * 4, ex4)
+        P, (g0, _, ex4) = kernel(*args)
+        return P, (g0, [np.nan] * 4, ex4)
 
     for mod in (phase, brackets, dynamics):
         monkeypatch.setattr(mod, "_kernel", nan_t3)
@@ -126,9 +126,10 @@ def test_integrate_ends_at_t_final():
     ((1.0, 0.1), {"record_every": 0}, "record_every"),   # ZeroDivisionError
     ((1.0, 0.1), {"record_every": -2}, "record_every"),
     ((1.0, 0.1), {"record_every": 2.5}, "record_every"),
+    ((1.0, 0.1), {"record_every": True}, "record_every"),   # a bool is an Integral: 1
 ], ids=["away", "away-negative-dt", "dt-zero", "dt-nan", "dt-inf", "dt-subnormal",
         "t_final-inf", "t_final-nan", "t0-inf", "record_every-zero",
-        "record_every-negative", "record_every-float"])
+        "record_every-negative", "record_every-float", "record_every-bool"])
 @pytest.mark.parametrize("method", ["rk4", "dop853"])
 def test_integrate_refuses_bad_arguments(args, kwargs, name, method):
     """A time grid that cannot reach t_final, or a bad record_every, is
@@ -309,7 +310,7 @@ def test_projection_raises_when_it_cannot_converge(monkeypatch):
     where the spin returned would be rounding, omega parallel to calP or
     pi parallel to omega (S = 0), and refuses those with ValueError
     naming the vector; and where a pass does not shrink the residual
-    (here a kernel whose residual stays at 1), it raises RuntimeError
+    (here constraint values that stay at 1), it raises RuntimeError
     naming the residuals rather than hand back an unimproved state."""
     model = build_model("uniform-B", g=2.0)
     z = init_state(model, x3=(1.0, 0.0, 0.0), P3=(0.3, 0.1, -0.2),
@@ -330,13 +331,7 @@ def test_projection_raises_when_it_cannot_converge(monkeypatch):
     with pytest.raises(ValueError, match="pi lies in the plane of omega"):
         project_state(PhaseState(vec=vec), model)
 
-    kernel = dynamics._kernel
-
-    def stalled(*args):
-        P, _, R = kernel(*args)
-        return P, (1.0,) * 4, R
-
-    monkeypatch.setattr(dynamics, "_kernel", stalled)
+    monkeypatch.setattr(dynamics, "t_values", lambda *args: (1.0,) * 4)
     with pytest.raises(RuntimeError, match="did not converge.*before.*at best"):
         project_state(z, model)
 
@@ -383,6 +378,32 @@ def test_a_failed_projection_tells_where_the_run_stopped(method, monkeypatch):
         INTEGRATORS[method](free, PhaseState(vec=vec), t_final=0.05, dt=0.01)
     assert (err.value.stats["failed_step"], err.value.stats["t"]) == (1, 0.01)
     assert "projection_failure" not in err.value.stats
+
+
+def test_a_right_hand_side_failing_just_after_a_projection_tells_where(monkeypatch):
+    """The first stage after a projection pairs the evaluation of the
+    projection's last pass.  Where that stage refuses the state (here the
+    {T3,T4} floor made to refuse its ninth call, the first stage of step
+    3, after the projection of step 2), the run reports it as when the
+    stage evaluated the state itself: step 3 at t = 3 dt, after the 8
+    right-hand sides of the two completed steps and 1 projection."""
+    model = build_model("crossed")
+    z0 = state_batch(model, 1, seed=5)[0]
+    floor, calls = dynamics._t3t4, []
+
+    def refusing(t34, model):
+        calls.append(t34)
+        if len(calls) == 9:
+            raise ValueError("{T3,T4} refused here")
+        return floor(t34, model)
+
+    monkeypatch.setattr(dynamics, "_t3t4", refusing)
+    with pytest.raises(ValueError, match="refused here") as err:
+        integrate(model, z0, 1.05, 0.1, record_every=2)
+    run = err.value.stats
+    assert (run["failed_step"], run["t"]) == (3, 3 * 0.1)
+    assert run["rhs_evals"] == 8 and run["projections"] == 1
+    assert "projection_failure" not in run
 
 
 def test_a_failed_right_hand_side_tells_where_the_run_stopped():
@@ -569,38 +590,48 @@ def test_run_reports_its_work(monkeypatch):
     """Trajectory.stats counts the right-hand sides, the fixed-point
     passes of every projection and the largest residual met before one.
     Each right-hand side and each iterate of a projection, the returned
-    one included, reads one kernel call."""
+    one included, reads one kernel call, except the first stage after a
+    projection, which reads the kernel call of the projection's last
+    pass; channels() reads one for each record that was not projected."""
     model = build_model("crossed")
     z0 = init_state(model, x3=(0.5, -0.2, 0.1), P3=(0.4, 0.1, -0.3),
                     spin_dir=(0.2, 0.9, -0.1))
     seen = {"kernel": 0, "before": 0.0}
-    project, kernel = dynamics.project_state, dynamics._kernel
+    project, kernel = dynamics._project, dynamics._kernel
 
-    def projected(z, model, **kw):
-        seen["before"] = max(seen["before"],
-                             np.max(np.abs(constraint_values(z, model)[1])))
-        return project(z, model, **kw)
+    def projected(vec, model, stats):
+        z = PhaseState(vec=np.array(vec))
+        seen["before"] = max(seen["before"], np.max(np.abs(constraint_values(z, model)[1])))
+        return project(vec, model, stats)
 
     def counted(*args):
         seen["kernel"] += 1
         return kernel(*args)
 
-    monkeypatch.setattr(dynamics, "project_state", projected)
+    monkeypatch.setattr(dynamics, "_project", projected)
     monkeypatch.setattr(dynamics, "_kernel", counted)
     traj = integrate(model, z0, 1.05, 0.1, record_every=2)
     stats = traj.stats
     assert stats["n_steps"] == 11 and stats["rhs_evals"] == 4 * 11
     assert stats["projections"] == 5
-    assert (stats["rhs_evals"] + stats["projections"] + stats["projection_steps"]
+    # the projections at steps 2, 4, ..., 10 give the first stages of
+    # steps 3, 5, ..., 11
+    assert (stats["rhs_evals"] - 5 + stats["projections"] + stats["projection_steps"]
             == seen["kernel"])
     assert stats["projection_steps"] > 0
     assert stats["max_residual_before_projection"] == seen["before"] > 0.0
+    seen["kernel"] = 0
+    traj.channels()
+    # z0 and the record of the short last step 11, which is not projected
+    assert seen["kernel"] == len(traj.t) - stats["projections"] == 2
 
 
 @pytest.mark.parametrize("kind", ["coulomb", "crossed"])
 def test_run_evaluates_the_fields_once_per_rhs_projection_and_record(kind):
     """An rk4 run calls the background's evaluator once per right-hand
-    side and once per projection, and channels() once per recorded state."""
+    side and once per projection, less the first stages that a projection
+    has evaluated, and channels() once per record that was not
+    projected."""
     model = build_model(kind)
     z0 = state_batch(model, 1, seed=5)[0]
     calls, bg_at = [], model.background.at
@@ -611,10 +642,14 @@ def test_run_evaluates_the_fields_once_per_rhs_projection_and_record(kind):
 
     model = dataclasses.replace(model, background=dataclasses.replace(model.background, at=at))
     traj = integrate(model, z0, 1.05, 0.1, record_every=2)
-    assert len(calls) == traj.stats["rhs_evals"] + traj.stats["projections"] > 0
+    assert traj.stats["rhs_evals"] == 44 and traj.stats["projections"] == 5
+    # the projections at steps 2, 4, ..., 10 give the first stages of
+    # steps 3, 5, ..., 11
+    assert len(calls) == traj.stats["rhs_evals"] - 5 + traj.stats["projections"]
     calls.clear()
     traj.channels()
-    assert len(calls) == len(traj.t)
+    # z0 and the record of the short last step 11, which is not projected
+    assert len(calls) == len(traj.t) - traj.stats["projections"] == 2
 
 
 @pytest.mark.parametrize("kind", ["coulomb", "crossed"])
@@ -677,6 +712,56 @@ def test_projection_reads_one_kernel_call_per_iterate(kind, monkeypatch):
     project_state(PhaseState(vec=vec), model, stats=stats)
     assert stats["projection_steps"] > 0
     assert calls == {"field_data": 1, "_kernel": stats["projection_steps"] + 1}
+
+
+def test_projection_starts_absent_counters_at_zero():
+    """stats={} raised KeyError: 'projection_steps'.  Each counter the
+    projection updates starts at 0, so an empty dict ends as one that
+    held the zeros, and the state is the same."""
+    model = build_model("coulomb")
+    vec = state_batch(model, 1, seed=7)[0].vec.copy()
+    vec[8:16] *= 1.0 + 1e-3 * np.arange(1, 9)
+    stats, zeros = {}, {"projection_steps": 0, "max_residual_before_projection": 0.0}
+    got = project_state(PhaseState(vec=vec), model, stats=stats)
+    want = project_state(PhaseState(vec=vec), model, stats=zeros)
+    assert stats == zeros and stats["projection_steps"] > 0
+    assert got.vec.tobytes() == want.vec.tobytes()
+
+
+# (model kind, alpha, t_final, project): a projected run, an unprojected
+# one, a spinless one and a projected one with a short last step
+RUNS = {"projected": ("coulomb", 0.75, 2.0, True), "unprojected": ("coulomb", 0.75, 2.0, False),
+        "spinless": ("crossed", 0.0, 2.0, True), "short-last-step": ("crossed", 0.75, 1.05, True)}
+
+
+@pytest.mark.parametrize("run", sorted(RUNS))
+def test_channels_of_a_run_are_those_of_its_records(run):
+    """A run's records are rk4 steps of dirac_rhs and project_state bit
+    for bit, as the numpy loop of tests/oracles.py with no evaluation
+    reused gives them, and its channels equal, byte for byte and key for
+    key, those of a Trajectory built from (t, Z, model) alone, as
+    oracles.integrate_dop853 builds one: the rows the projections left
+    are the rows channels() computes.  Every projected record left one."""
+    kind, alpha, t_final, project = RUNS[run]
+    model = build_model(kind, alpha=alpha)
+    z0 = init_state(model, x3=(1.6, -0.8, 1.1), P3=(0.4, 0.3, -0.2), spin_dir=(0.3, -1.0, 0.5))
+    traj = integrate(model, z0, t_final, 0.1, record_every=2, project=project)
+    n_full, n_steps = dynamics._grid(0.0, t_final, 0.1, 2)
+    y, want = z0.vec, [z0.vec]
+    for k in range(1, n_steps + 1):
+        h = 0.1 if k <= n_full else t_final - (0.0 + n_full * 0.1)
+        y = oracles.rk4_step(lambda v: np.array(dirac_rhs(v.tolist(), model)), y, h)
+        if project and (k % dynamics.PROJECT_EVERY == 0 or k % 2 == 0):
+            y = project_state(PhaseState(vec=y), model).vec
+        if k % 2 == 0 or k == n_steps:
+            want.append(y)
+    assert traj.Z.tobytes() == np.array(want).tobytes()
+    # the records of steps 2, 4, ...: not that of z0, nor of a short last step
+    assert len(traj.rows) == {"projected": 10, "short-last-step": 5}.get(run, 0)
+    fresh = dynamics.Trajectory(t=traj.t, Z=traj.Z, model=model).channels()
+    got = traj.channels()
+    assert list(got) == list(fresh)
+    assert all(got[key].tobytes() == fresh[key].tobytes() for key in got)
 
 
 def _canonical_rhs(vec, model):

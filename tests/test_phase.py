@@ -237,6 +237,23 @@ def test_init_state_builds_a_fast_state(kind, P1):
     assert max(map(abs, res.values())) < 1e-10 * (1.0 + model.mc2) * gamma2, res
 
 
+@pytest.mark.parametrize("P1", [1e5, 1e6])
+def test_init_state_stops_the_fixed_point_in_a_fast_state_rounding(P1):
+    """In coulomb at m c = 10, this state's F S settles to about -3804
+    and then jitters by about 1e-9 (3e-13 relative) from pass to pass,
+    above the unscaled stop test 1e-15 (1 + |F S|): the 200 passes ended
+    in "field-spin fixed point did not converge".  A step that no longer
+    shrinks and lies within gamma^2 times that bound ends the fixed
+    point; the state keeps P3, and its residuals stay below the rest
+    frame's bound times gamma^2."""
+    model = Model(background=make_background("coulomb", e=1.0, c=10.0, q=1.0), g=2.0)
+    z = init_state(model, x3=(1.2, -0.4, 0.8), P3=(P1, 0.0, 0.0), spin_dir=(0.4, -1.0, 0.2))
+    assert np.allclose(oracles.kinetic_momentum(z, model)[1:], (P1, 0.0, 0.0), rtol=1e-12)
+    gamma2 = 1.0 + P1**2 / model.mc2
+    res = constraint_residuals(z, model)
+    assert max(map(abs, res.values())) < 1e-10 * (1.0 + model.mc2) * gamma2, res
+
+
 @pytest.mark.parametrize("spin_dir", [(1e-200, 1e-200, 0.0), (1e200, 1e200, 0.0)])
 @pytest.mark.parametrize("kind", ["zero", "coulomb"])
 def test_init_state_reads_the_direction_of_a_tiny_or_huge_spin_dir(kind, spin_dir):
