@@ -121,6 +121,8 @@ class Model:
             raise ValueError(f"g must be finite, got {self.g}")
         if not (math.isfinite(self.alpha) and self.alpha >= 0.0):
             raise ValueError(f"spin invariant alpha must be finite and >= 0, got {self.alpha}")
+        if not 0.0 < self.hbar < math.inf:   # NaN fails this test too
+            raise ValueError(f"hbar must be positive and finite, got {self.hbar}")
         # once per model (dataclasses.replace runs this again)
         e, c, g = self.background.e, self.background.c, self.g
         vars(self).update(e=e, c=c, e_c=e / c, eg_c=e * g / c, eg_4c=e * g / (4 * c))

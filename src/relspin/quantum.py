@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .weyl import Op, _cleared_term, _pdiv_ihbar, commutator, cross, dot
+from .weyl import Op, _cleared_term, commutator, cross, div_ihbar, dot
 
 EPS = {}
 for _i in range(3):
@@ -135,13 +135,6 @@ def build_operators(kind="uniform-B"):
 # correspondence with the expanded classical brackets
 
 
-def _by_ihbar(op):
-    """op / (i hbar), exact, with op's den kept; weyl.NotDivisible where
-    a monomial carries no hbar."""
-    return Op({k: tuple(map(_pdiv_ihbar, blk)) for k, blk in op.blocks.items()},
-              op.den)
-
-
 def _eps_sum(vec, i, j):
     """eps_{ijk} vec_k for 1-based i, j; the zero Op when i == j."""
     acc = Op()
@@ -193,17 +186,17 @@ def correspondence_residuals(ps):
     s_dot_p = dot(ps.S, ps.Phat)
     for i in (1, 2, 3):
         for j in (1, 2, 3):
-            keep("xP", _by_ihbar(commutator(ps.xhat[i - 1], ps.Phat[j - 1]))
+            keep("xP", div_ihbar(commutator(ps.xhat[i - 1], ps.Phat[j - 1]))
                  - Op.scalar(1 if i == j else 0))
-            keep("xS", _by_ihbar(commutator(ps.xhat[i - 1], ps.S[j - 1]))
+            keep("xS", div_ihbar(commutator(ps.xhat[i - 1], ps.S[j - 1]))
                  - _target_xS(ps, i, j, s_dot_p))
-            keep("PS", _by_ihbar(commutator(ps.Phat[i - 1], ps.S[j - 1])))
+            keep("PS", div_ihbar(commutator(ps.Phat[i - 1], ps.S[j - 1])))
     for i, j in ((1, 2), (1, 3), (2, 3)):
-        keep("xx", _by_ihbar(commutator(ps.xhat[i - 1], ps.xhat[j - 1]))
+        keep("xx", div_ihbar(commutator(ps.xhat[i - 1], ps.xhat[j - 1]))
              - _target_xx(ps, i, j))
-        keep("PP", _by_ihbar(commutator(ps.Phat[i - 1], ps.Phat[j - 1]))
+        keep("PP", div_ihbar(commutator(ps.Phat[i - 1], ps.Phat[j - 1]))
              - _target_PP(ps, i, j))
-        keep("SS", _by_ihbar(commutator(ps.S[i - 1], ps.S[j - 1]))
+        keep("SS", div_ihbar(commutator(ps.S[i - 1], ps.S[j - 1]))
              - _eps_sum(ps.S, i, j))
     return {fam: res.get(fam) for fam in worst}
 

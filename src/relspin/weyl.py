@@ -1,26 +1,28 @@
 """Normal-ordered operator algebra for the Pauli-level realization.
 
-Operators are finite sums of monomials
+Operators are finite sums of terms
 
-    x1^a1 x2^a2 x3^a3  p1^b1 p2^b2 p3^b3  M
+    u  x1^a1 x2^a2 x3^a3  p1^b1 p2^b2 p3^b3  sigma_s
 
-with every position factor to the left of every momentum factor and a
-2x2 spin block M in the Pauli basis, four polynomials (u0, u1, u2, u3)
-with M = u0 I + u.sigma.  Block products read sigma_i sigma_j =
-delta_ij I + i eps_ijk sigma_k, so [M, N] = 2i (u x v).sigma, and most
-blocks of the realization, one sigma or I plus one sigma, leave most
-factors zero; matrix_block writes the 2x2 entries for repr and the
-tests.  Each polynomial is in the eleven real generators
+with every position factor to the left of every momentum factor,
+sigma_0 = I or a Pauli matrix sigma_1..3, and u a polynomial in the
+eleven real generators
 
     hbar, cinv, minv, e, g, B1, B2, B3, E1, E2, E3
 
-(cinv = 1/c, minv = 1/m) with Gaussian-integer coefficients, held in
-plain Python: a dict from a packed monomial to its coefficient, a pair
-of ints (re, im).  A packed monomial is one int with generator i's
-exponent in bits [12 i, 12 i + 11) and a guard bit above each field, so
-the product of two monomials is one int addition, and an exponent that
+(cinv = 1/c, minv = 1/m) with Gaussian-integer coefficients.  An Op
+maps each key (a1, a2, a3, b1, b2, b3) to its spin block u0 I + u.sigma,
+one dict in plain Python from a packed monomial to its coefficient, a
+pair of ints (re, im).  A packed monomial is one int with generator i's
+exponent in bits [12 i, 12 i + 11), a guard bit above each field, and
+the Pauli index s of the term in the two bits above the last guard.
+The product of two monomials is one int addition; an exponent that
 reaches 2^11 sets its guard bit and raises OverflowError instead of
-carrying into the next generator.  No zero coefficient is stored: a
+carrying into the next field; and sigma_a sigma_b = phase sigma_{a xor
+b}, the phase 1, i or -i and the offset that turns the sum a + b of
+the two Pauli fields into a xor b read from a 16-entry table, so a block
+product is one pass over the term pairs.  matrix_block writes a block's
+2x2 entries for repr and the tests.  No zero coefficient is stored: a
 sum, difference or product deletes a coefficient in the one pass where
 it cancels, with no negated copy or filter pass; the zero polynomial is
 {}.  An Op keeps one positive integer den shared by all its blocks, the
@@ -39,20 +41,22 @@ Products are reduced to the normal form with the one-axis identity
 applied axis by axis, its terms read from a table keyed by (n, m)
 (different axes commute; blocks commute with x and p).  The commutator
 is one pass over the monomial pairs, not two products: the uncontracted
-terms of A B and B A differ only in the block order, so they cancel
-where either block has no sigma part and leave [Ma, Mb] otherwise.
+terms of A B and B A differ only in the order of the Pauli factors, so
+there a pair of terms leaves 2i eps_abk sigma_k where its indices a and
+b differ and are both nonzero, and nothing otherwise.
 
 A scalar is a Python int or a cleared pair (dict, den) such as
-_cleared_term builds; anything else is refused with a TypeError naming
-its type, and a pair whose den, key or coefficient is malformed with
-an error naming it.  repr and a failed division by i hbar write each
-polynomial by the generator names.
+_cleared_term builds, with no Pauli bits; anything else is refused with
+a TypeError naming its type, and a pair whose den, key or coefficient
+is malformed with an error naming it.  repr and a failed division by
+i hbar write each polynomial by the generator names.
 """
 
 from __future__ import annotations
 
 from functools import cache
 from math import comb, factorial, gcd, lcm
+from operator import add
 
 # the generators in packing order
 _NAMES = ("hbar", "cinv", "minv", "e", "g", "B1", "B2", "B3", "E1", "E2", "E3")
@@ -62,6 +66,8 @@ _EXP_MASK = (1 << (_WIDTH - 1)) - 1   # one field's exponent bits
 _GUARDS = sum(1 << (_WIDTH * i + _WIDTH - 1) for i in range(len(_NAMES)))
 _HBAR_SHIFT = _WIDTH * _NAMES.index("hbar")
 _CINV_SHIFT = _WIDTH * _NAMES.index("cinv")
+# a block term's Pauli index, 0 = I and 1..3 = sigma_1..3, above the generators
+_PAULI_SHIFT = _WIDTH * len(_NAMES)
 
 
 def _pack(exps):
@@ -109,7 +115,7 @@ def _cleared(c):
         raise (ValueError if type(den) is int else TypeError)(
             f"the den of a cleared pair is a positive int, not {den!r}")
     for mon, coeff in u.items():
-        if type(mon) is not int or mon < 0 or mon & _GUARDS:
+        if type(mon) is not int or mon < 0 or mon & _GUARDS or mon >> _PAULI_SHIFT:
             raise ValueError(f"the key {mon!r} is not a packed monomial")
         if not (type(coeff) is tuple and len(coeff) == 2
                 and type(coeff[0]) is type(coeff[1]) is int):
@@ -156,39 +162,6 @@ def _padd(p, q):
     return out
 
 
-def _pmul(p, q):
-    if len(p) > len(q):
-        p, q = q, p
-    if not p:
-        return {}
-    if len(p) == 1:
-        (mon, (re, im)), = p.items()
-        if len(q) > 1:
-            return _term_mul(q, mon, re, im)
-        (mb, (br, bi)), = q.items()
-        mon += mb
-        if mon & _GUARDS:
-            _overflow(mon)
-        return {mon: (re * br - im * bi, re * bi + im * br)}
-    out = {}
-    for ma, (ar, ai) in p.items():
-        for mb, (br, bi) in q.items():
-            mon = ma + mb
-            if mon & _GUARDS:
-                _overflow(mon)
-            re, im = ar * br - ai * bi, ar * bi + ai * br
-            old = out.get(mon)
-            if old is None:
-                out[mon] = (re, im)
-            else:
-                re, im = old[0] + re, old[1] + im
-                if re or im:
-                    out[mon] = (re, im)
-                else:
-                    del out[mon]
-    return out
-
-
 def _psub(p, q):
     """p - q in one pass, with no negated copy of q."""
     if not q:
@@ -206,9 +179,10 @@ def _psub(p, q):
 
 
 def _term_mul(p, mon, re, im):
-    """p times the single term (re + i im) * mon, with re + i im nonzero:
-    distinct monomials stay distinct, and Gaussian integers have no zero
-    divisors, so no coefficient meets another or vanishes."""
+    """p times the single term (re + i im) * mon, with re + i im nonzero
+    and mon free of Pauli bits: distinct monomials stay distinct, and
+    Gaussian integers have no zero divisors, so no coefficient meets
+    another or vanishes."""
     out = {}
     for mp, (pr, pi) in p.items():
         mb = mp + mon
@@ -222,6 +196,75 @@ def _conj(p):
     return {mon: (re, -im) for mon, (re, im) in p.items()}
 
 
+# sigma_a sigma_b = phase sigma_{a xor b}: _TIMES[a][b] is (offset, rot),
+# the offset turning the sum a + b of two Pauli fields into a xor b and
+# the phase 1 for rot = 0, i rot otherwise
+_TIMES = tuple(tuple((((a ^ b) - a - b) << _PAULI_SHIFT,
+                      0 if not a or not b or a == b else 1 if (b - a) % 3 == 1 else -1)
+                     for b in range(4)) for a in range(4))
+# sigma_a sigma_b - sigma_b sigma_a: twice the phase where the two do not
+# commute, None where they do; the row of I is None
+_BRACKET = (None,) + tuple(tuple((offset, 2 * rot) if rot else None for offset, rot in row)
+                           for row in _TIMES[1:])
+
+
+def _pairs_into(out, A, B, table):
+    """Add the product of the blocks A and B, or their commutator for
+    table _BRACKET, to the dict out in one pass over the term pairs:
+    each pair's monomials add, its Pauli indices combine through the
+    table, and its coefficient lands in out, deleted where it cancels."""
+    for ma, (ar, ai) in A.items():
+        row = table[ma >> _PAULI_SHIFT]
+        if row is None:
+            continue
+        for mb, (br, bi) in B.items():
+            pauli = row[mb >> _PAULI_SHIFT]
+            if pauli is None:
+                continue
+            mon = ma + mb
+            if mon & _GUARDS:
+                _overflow(mon)
+            offset, rot = pauli
+            mon += offset
+            re, im = ar * br - ai * bi, ar * bi + ai * br
+            if rot:
+                re, im = -rot * im, rot * re
+            old = out.get(mon)
+            if old is None:
+                out[mon] = (re, im)
+            else:
+                re, im = old[0] + re, old[1] + im
+                if re or im:
+                    out[mon] = (re, im)
+                else:
+                    del out[mon]
+
+
+def _pmul(p, q):
+    """The block product p q."""
+    out = {}
+    _pairs_into(out, p, q, _TIMES)
+    return out
+
+
+def _components(blk):
+    """The four polynomials (u0, u1, u2, u3) of the block u0 I + u.sigma,
+    over generator monomials."""
+    us = ({}, {}, {}, {})
+    for mon, c in blk.items():
+        s = mon >> _PAULI_SHIFT
+        us[s][mon - (s << _PAULI_SHIFT)] = c
+    return us
+
+
+def matrix_block(blk):
+    """The 2x2 entries of the block u0 I + u.sigma in row order:
+    (u0 + u3, u1 - i u2, u1 + i u2, u0 - u3), over generator monomials."""
+    u0, u1, u2, u3 = _components(blk)
+    iu2 = _term_mul(u2, 0, 0, 1)
+    return _padd(u0, u3), _psub(u1, iu2), _padd(u1, iu2), _psub(u0, u3)
+
+
 class NotDivisible(ArithmeticError):
     """A division by i hbar of a polynomial with a term free of hbar."""
 
@@ -229,85 +272,35 @@ class NotDivisible(ArithmeticError):
 def _pdiv_ihbar(p):
     """p / (i hbar), exact: each monomial's hbar field drops by one and
     its coefficient is multiplied by -i, (re, im) -> (im, -re);
-    NotDivisible, naming the whole of p, where a monomial carries no hbar."""
+    NotDivisible where a monomial carries no hbar, naming the whole of
+    the first polynomial u_s of p, in Pauli order, that holds one."""
     one = 1 << _HBAR_SHIFT
     out = {}
     for mon, (re, im) in p.items():
         if not (mon >> _HBAR_SHIFT) & _EXP_MASK:
-            raise NotDivisible(f"{_format(p)} is not divisible by i*hbar")
+            bad = min(m >> _PAULI_SHIFT for m in p if not (m >> _HBAR_SHIFT) & _EXP_MASK)
+            raise NotDivisible(f"{_format(_components(p)[bad])} is not divisible by i*hbar")
         out[mon - one] = (im, -re)
     return out
 
 
+def div_ihbar(op):
+    """op / (i hbar), exact, with op's den kept; NotDivisible where a
+    term carries no hbar."""
+    return Op({k: _pdiv_ihbar(blk) for k, blk in op.blocks.items()}, op.den)
+
+
 _ONE = {0: (1, 0)}
-I2 = (_ONE, {}, {}, {})
-_ZERO_BLOCK = ({}, {}, {}, {})
-SIGMA = (({}, _ONE, {}, {}), ({}, {}, _ONE, {}), ({}, {}, {}, _ONE))
 _ZKEY = (0, 0, 0, 0, 0, 0)
 # (-i)^k for k mod 4
 _MINUS_I_POW = ((1, 0), (0, -1), (-1, 0), (0, 1))
-
-
-def _is_scalar(blk):
-    """True for a block with no sigma part, u0 I."""
-    return not (blk[1] or blk[2] or blk[3])
-
-
-def _cross(p, q, r, s, im):
-    """im i (p q - r s), a product formed only where both factors are nonzero."""
-    pq = _pmul(p, q) if p and q else {}
-    if r and s:
-        pq = _psub(pq, _pmul(r, s))
-    return _term_mul(pq, 0, 0, im)
-
-
-def matrix_block(blk):
-    """The 2x2 entries of the block u0 I + u.sigma in row order:
-    (u0 + u3, u1 - i u2, u1 + i u2, u0 - u3)."""
-    u0, u1, u2, u3 = blk
-    iu2 = _term_mul(u2, 0, 0, 1)
-    return _padd(u0, u3), _psub(u1, iu2), _padd(u1, iu2), _psub(u0, u3)
-
-
-def _block_mul(A, B):
-    """(a0 + a.sigma)(b0 + b.sigma) = a0 b0 + a.b + (a0 b + b0 a + i a x b).sigma."""
-    if _is_scalar(A):
-        return tuple(_pmul(A[0], v) for v in B)
-    if _is_scalar(B):
-        return tuple(_pmul(v, B[0]) for v in A)
-    a0, a1, a2, a3 = A
-    b0, b1, b2, b3 = B
-    return (_padd(_padd(_pmul(a0, b0), _pmul(a1, b1)),
-                  _padd(_pmul(a2, b2), _pmul(a3, b3))),
-            _padd(_padd(_pmul(a0, b1), _pmul(b0, a1)), _cross(a2, b3, a3, b2, 1)),
-            _padd(_padd(_pmul(a0, b2), _pmul(b0, a2)), _cross(a3, b1, a1, b3, 1)),
-            _padd(_padd(_pmul(a0, b3), _pmul(b0, a3)), _cross(a1, b2, a2, b1, 1)))
-
-
-def _block_commutator(A, B):
-    """A B - B A = 2i (a x b).sigma."""
-    _, a1, a2, a3 = A
-    _, b1, b2, b3 = B
-    return ({}, _cross(a2, b3, a3, b2, 2), _cross(a3, b1, a1, b3, 2),
-            _cross(a1, b2, a2, b1, 2))
-
-
-def _scaled(coeff, blk):
-    """blk times a contraction coefficient (mon, re, im), blk itself for
-    None."""
-    return blk if coeff is None else tuple(_term_mul(u, *coeff) for u in blk)
 
 
 def _rescaled(blocks, s):
     """blocks times the positive int s; blocks itself for s = 1."""
     if s == 1:
         return blocks
-    return {k: tuple(_term_mul(u, 0, s, 0) for u in blk) for k, blk in blocks.items()}
-
-
-def _accumulate(out, key, blk):
-    old = out.get(key)
-    out[key] = blk if old is None else tuple(map(_padd, old, blk))
+    return {k: _term_mul(blk, 0, s, 0) for k, blk in blocks.items()}
 
 
 def _axis(i):
@@ -319,9 +312,10 @@ def _axis(i):
 
 class Op:
     """Finite normal-ordered operator blocks / den.  blocks maps exponent
-    keys (a1,a2,a3,b1,b2,b3) to spin blocks (u0, u1, u2, u3); den is a
-    positive int, 1 by default and refused by name otherwise, and need
-    not be the least one.  Zero blocks are dropped."""
+    keys (a1,a2,a3,b1,b2,b3) to spin blocks, each one polynomial dict
+    whose monomials carry their Pauli index; den is a positive int, 1 by
+    default and refused by name otherwise, and need not be the least
+    one.  Zero blocks are dropped."""
 
     __slots__ = ("blocks", "den")
 
@@ -329,7 +323,7 @@ class Op:
         if type(den) is not int or den < 1:
             raise (ValueError if type(den) is int else TypeError)(
                 f"the den of an Op is a positive int, not {den!r}")
-        self.blocks = {k: blk for k, blk in (blocks or {}).items() if any(blk)}
+        self.blocks = {k: blk for k, blk in (blocks or {}).items() if blk}
         self.den = den
 
     # -- constructors ------------------------------------------------
@@ -337,23 +331,23 @@ class Op:
     @classmethod
     def scalar(cls, expr):
         c, den = _cleared(expr)
-        return cls({_ZKEY: (c, {}, {}, {})}, den)
+        return cls({_ZKEY: c}, den)
 
     @classmethod
     def x(cls, i):
         k = [0] * 6
         k[_axis(i) - 1] = 1
-        return cls({tuple(k): I2})
+        return cls({tuple(k): _ONE})
 
     @classmethod
     def p(cls, i):
         k = [0] * 6
         k[3 + _axis(i) - 1] = 1
-        return cls({tuple(k): I2})
+        return cls({tuple(k): _ONE})
 
     @classmethod
     def sigma(cls, k):
-        return cls({_ZKEY: SIGMA[_axis(k) - 1]})
+        return cls({_ZKEY: {_axis(k) << _PAULI_SHIFT: (1, 0)}})
 
     # -- ring operations ---------------------------------------------
 
@@ -364,7 +358,7 @@ class Op:
         den = lcm(self.den, other.den)
         out = dict(_rescaled(self.blocks, den // self.den))
         for k, blk in _rescaled(other.blocks, den // other.den).items():
-            out[k] = tuple(map(pcombine, out.get(k, _ZERO_BLOCK), blk))
+            out[k] = pcombine(out.get(k, {}), blk)
         return Op(out, den)
 
     __radd__ = __add__
@@ -380,8 +374,8 @@ class Op:
 
     def scale(self, expr):
         c, den = _cleared(expr)
-        return Op({k: tuple(_pmul(c, u) for u in blk)
-                   for k, blk in self.blocks.items()}, self.den * den)
+        return Op({k: _pmul(c, blk) for k, blk in self.blocks.items()},
+                  self.den * den)
 
     def __rmul__(self, other):
         if isinstance(other, Op):  # pragma: no cover - __mul__ handles it
@@ -394,9 +388,9 @@ class Op:
         out = {}
         for ka, Ma in self.blocks.items():
             for kb, Mb in other.blocks.items():
-                Mab = _block_mul(Ma, Mb)
                 for key, coeff in _reorder(ka, kb):
-                    _accumulate(out, key, _scaled(coeff, Mab))
+                    _pairs_into(out.setdefault(key, {}),
+                                Ma if coeff is None else _term_mul(Ma, *coeff), Mb, _TIMES)
         return Op(out, self.den * other.den)
 
     def __eq__(self, other):
@@ -415,11 +409,12 @@ class Op:
         """Hermitian conjugate, back in normal order."""
         out = {}
         for k, blk in self.blocks.items():
-            MH = tuple(map(_conj, blk))
+            MH = _conj(blk)
             # (x^a p^b)^dagger = M^dagger p^b x^a; the reorder factors
             # are plain rewriting, they are not conjugated
             for key, coeff in _reorder((0, 0, 0) + k[3:], k[:3] + (0, 0, 0)):
-                _accumulate(out, key, _scaled(coeff, MH))
+                out[key] = _padd(out.get(key, {}),
+                                 MH if coeff is None else _term_mul(MH, *coeff))
         return Op(out, self.den)
 
     def is_zero(self):
@@ -429,7 +424,7 @@ class Op:
         """Minimal degree in cinv over all nonzero coefficients;
         None for the zero operator."""
         return min(((mon >> _CINV_SHIFT) & _EXP_MASK for blk in self.blocks.values()
-                    for u in blk for mon in u), default=None)
+                    for mon in blk), default=None)
 
     def __repr__(self):
         if not self.blocks:
@@ -474,37 +469,35 @@ def _reorder(ka, kb):
 
 def commutator(A, B):
     """[A, B] in one pass over the monomial pairs, with no product of
-    whole operators.  Per pair: [Ma, Mb] at the uncontracted key
-    x^{a+c} p^{b+d}, where the uncontracted terms of A B and B A meet
-    (skipped when either block has no sigma part, where they cancel);
-    plus the contractions of x^a p^b x^c p^d times Ma Mb; minus those of
-    x^c p^d x^a p^b times Mb Ma.  A block product is formed only for
-    an order that has contractions."""
+    whole operators.  Per pair of blocks: [Ma, Mb] at the uncontracted
+    key x^{a+c} p^{b+d}, where the uncontracted terms of A B and B A
+    meet (skipped when either block has no sigma part, where they
+    cancel); plus the contractions of x^a p^b x^c p^d times Ma Mb; minus
+    those of x^c p^d x^a p^b times Mb Ma."""
     def split(op):
-        return [(k, k[:3], k[3:], blk, _is_scalar(blk))
+        # the largest monomial of a block has its largest Pauli index
+        return [(k, k[:3], k[3:], blk, max(blk) >> _PAULI_SHIFT)
                 for k, blk in op.blocks.items()]
 
     out = {}
     rhs = split(B)
     for ka, a, b, Ma, sa in split(A):
         for kb, c, d, Mb, sb in rhs:
-            if not (sa or sb):
-                comm = _block_commutator(Ma, Mb)
-                if any(comm):
-                    key = tuple(s + t for s, t in zip(ka, kb))
-                    _accumulate(out, key, comm)
+            if sa and sb:
+                key = tuple(map(add, ka, kb))
+                _pairs_into(out.setdefault(key, {}), Ma, Mb, _BRACKET)
             # p^b meets x^c on some axis in A B, p^d meets x^a in B A
             if any(map(min, b, c)):
-                Mab = _block_mul(Ma, Mb)
                 for key, coeff in _reorder(ka, kb):
                     if coeff is not None:
-                        _accumulate(out, key, _scaled(coeff, Mab))
+                        _pairs_into(out.setdefault(key, {}), _term_mul(Ma, *coeff),
+                                    Mb, _TIMES)
             if any(map(min, d, a)):
-                Mba = _block_mul(Mb, Ma)
                 for key, coeff in _reorder(kb, ka):
                     if coeff is not None:
                         mon, re, im = coeff
-                        _accumulate(out, key, _scaled((mon, -re, -im), Mba))
+                        _pairs_into(out.setdefault(key, {}), _term_mul(Mb, mon, -re, -im),
+                                    Ma, _TIMES)
     return Op(out, A.den * B.den)
 
 

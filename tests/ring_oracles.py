@@ -13,8 +13,10 @@
   a seeded polynomial dict to compare on.
 * ``PAULI_MATRICES`` (I, sigma_1, sigma_2, sigma_3 written out as 2x2
   entries of R) and ``matrix_product``, the reference for the spin
-  blocks, which ``weyl`` keeps in the Pauli basis and writes as 2x2
-  entries through ``weyl.matrix_block``.
+  blocks, which ``weyl`` keeps in the Pauli basis, one polynomial dict
+  whose monomials carry the Pauli index, and writes as 2x2 entries
+  through ``weyl.matrix_block``; ``block`` builds such a dict from its
+  four polynomials u0, u1, u2, u3.
 * ``to_ring``, which reads a sympy expression in the generators (and m,
   read as 1/minv) into the cleared pair (dict, den) that ``Op.scalar``
   and ``Op.scale`` take, and ``cinv_orders``, the cinv exponents of an
@@ -34,9 +36,9 @@ import sympy as sp
 from sympy import QQ_I, ZZ_I
 from sympy.polys.rings import ring
 
-from relspin.quantum import (_XS, _by_ihbar, _eps_sum, _target_PP,
-                             _target_xx)
-from relspin.weyl import _NAMES, Op, _pack, _unpack, dot
+from relspin.quantum import _XS, _eps_sum, _target_PP, _target_xx
+from relspin.weyl import (_CINV_SHIFT, _NAMES, _PAULI_SHIFT, Op, _pack, _unpack,
+                          div_ihbar, dot)
 
 GENERATORS = sp.symbols(_NAMES, real=True)
 hbar, cinv, minv, e, g_sym = GENERATORS[:5]
@@ -62,16 +64,11 @@ def is_hermitian(A):
 
 
 def coefficient_of_cinv(op, order):
-    """The operator multiplying cinv**order in op (cinv set to 1 there)."""
-    def pick(u):
-        out = {}
-        for mon, c in u.items():
-            exps = _unpack(mon)
-            if exps[_CINV] == order:
-                out[_pack(exps[:_CINV] + (0,) + exps[_CINV + 1:])] = c
-        return out
-    return Op({k: tuple(pick(u) for u in blk) for k, blk in op.blocks.items()},
-              op.den)
+    """The operator multiplying cinv**order in op (cinv set to 1 there,
+    every other generator and the Pauli index kept)."""
+    return Op({k: {mon - (order << _CINV_SHIFT): c for mon, c in blk.items()
+                   if _unpack(mon)[_CINV] == order}
+               for k, blk in op.blocks.items()}, op.den)
 
 
 def to_ring(expr):
@@ -93,7 +90,7 @@ def to_ring(expr):
 
 def cinv_orders(op):
     """The set of cinv exponents over every term of op's blocks."""
-    return {_unpack(mon)[_CINV] for blk in op.blocks.values() for u in blk for mon in u}
+    return {_unpack(mon)[_CINV] for blk in op.blocks.values() for mon in blk}
 
 
 def to_ring_element(u):
@@ -115,6 +112,12 @@ PAULI_MATRICES = (_entries((1, 0), (0, 0), (0, 0), (1, 0)),
                   _entries((0, 0), (1, 0), (1, 0), (0, 0)),
                   _entries((0, 0), (0, -1), (0, 1), (0, 0)),
                   _entries((1, 0), (0, 0), (0, 0), (-1, 0)))
+
+
+def block(*us):
+    """The spin block u0 I + u.sigma of the polynomial dicts (u0, u1, u2,
+    u3), as weyl stores it: u_s's terms with the Pauli index s."""
+    return {mon | (s << _PAULI_SHIFT): c for s, u in enumerate(us) for mon, c in u.items()}
 
 
 def matrix_product(a, b):
@@ -147,12 +150,12 @@ def _pair_residuals(ps, i, j):
     if i == j:
         target_xS = target_xS - dot(ps.S, ps.Phat)
     return {
-        "xx": _by_ihbar(commutator(xi, xj)) - _target_xx(ps, i, j),
-        "xP": _by_ihbar(commutator(xi, Pj)) - Op.scalar(1 if i == j else 0),
-        "PP": _by_ihbar(commutator(Pi, Pj)) - _target_PP(ps, i, j),
-        "xS": _by_ihbar(commutator(xi, Sj)) - target_xS.scale(_XS),
-        "PS": _by_ihbar(commutator(Pi, Sj)),
-        "SS": _by_ihbar(commutator(Si, Sj)) - _eps_sum(ps.S, i, j),
+        "xx": div_ihbar(commutator(xi, xj)) - _target_xx(ps, i, j),
+        "xP": div_ihbar(commutator(xi, Pj)) - Op.scalar(1 if i == j else 0),
+        "PP": div_ihbar(commutator(Pi, Pj)) - _target_PP(ps, i, j),
+        "xS": div_ihbar(commutator(xi, Sj)) - target_xS.scale(_XS),
+        "PS": div_ihbar(commutator(Pi, Sj)),
+        "SS": div_ihbar(commutator(Si, Sj)) - _eps_sum(ps.S, i, j),
     }
 
 

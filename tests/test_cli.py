@@ -582,13 +582,13 @@ def test_importing_the_cli_leaves_sympy_scipy_and_the_ring_unloaded(tmp_path):
         assert _loaded_by(argv) == ["numpy", "relspin.brackets"], argv
     # the ring writes an Op, and a failed division by i hbar, without sympy
     assert _loaded_after("from relspin import weyl; repr(weyl.Op.x(1))") == ["relspin.weyl"]
-    failed_division = ("from relspin import quantum, weyl\n"
+    failed_division = ("from relspin import weyl\n"
                        "try:\n"
-                       "    quantum._by_ihbar(weyl.Op.x(1))\n"
+                       "    weyl.div_ihbar(weyl.Op.x(1))\n"
                        "except weyl.NotDivisible as exc:\n"
                        "    print(exc)\n"
                        "else:\n"
                        "    sys.exit('the division did not fail')")
-    assert _loaded_after(failed_division) == ["relspin.weyl", "relspin.quantum"]
+    assert _loaded_after(failed_division) == ["relspin.weyl"]
     # positive control: the probe sees sympy once it is imported
     assert "sympy" in _loaded_after("import sympy")

@@ -92,6 +92,20 @@ def test_model_refuses_a_negative_or_nan_alpha(alpha, hbar):
     assert init_state(build_model("zero", alpha=0.0), (0, 0, 0), (0.1, 0, 0)).spinless
 
 
+@pytest.mark.parametrize("hbar, alpha", [(-1.0, None), (0.0, None), (-1.0, 0.75),
+                                         (np.inf, 0.75)],
+                         ids=["negative", "zero", "negative-given-alpha", "inf-given-alpha"])
+def test_model_refuses_an_hbar_that_is_not_positive(hbar, alpha):
+    """hbar = -1 would build with the default alpha 3 hbar^2 / 4 = 0.75,
+    and hbar = 0 with alpha = 0, a spinless model; an hbar that is not
+    positive and finite is refused by name, as the CLI schema refuses
+    units.hbar <= 0.  A positive hbar builds, with alpha given or not."""
+    with pytest.raises(ValueError, match="hbar must be positive and finite"):
+        build_model("zero", hbar=hbar, alpha=alpha)
+    assert build_model("zero", hbar=0.5, alpha=None).alpha == 0.75 * 0.25
+    assert build_model("zero", hbar=2.0, alpha=0.0).alpha == 0.0
+
+
 @pytest.mark.parametrize("name, value", [
     ("c", 0.0),          # ZeroDivisionError in the kernel
     ("c", -1.0),

@@ -6,12 +6,12 @@ import pytest
 import sympy as sp
 
 from relspin import quantum, weyl
-from relspin.quantum import (CORRESPONDENCE_FLOORS, FIELD_KINDS, _by_ihbar,
-                             _scalars, build_operators, correspondence_report,
+from relspin.quantum import (CORRESPONDENCE_FLOORS, FIELD_KINDS, _scalars,
+                             build_operators, correspondence_report,
                              correspondence_residuals, covariant_spin_orbit,
                              g_minus_one_residual, potential_shift,
                              shift_identity_residual)
-from relspin.weyl import NotDivisible, Op, cross, dot
+from relspin.weyl import NotDivisible, Op, cross, div_ihbar, dot
 from ring_oracles import (PAIRS, anticommutator, cinv, cinv_orders, e,
                           full_residuals, g_sym, hbar, is_hermitian, m, to_ring)
 
@@ -65,11 +65,11 @@ def test_free_xx_residual_is_pure_fourth_order():
 
 
 def test_division_by_ihbar_is_exact():
-    assert _by_ihbar(Op.x(1).scale(to_ring(sp.I * hbar**2))) == Op.x(1).scale(to_ring(hbar))
+    assert div_ihbar(Op.x(1).scale(to_ring(sp.I * hbar**2))) == Op.x(1).scale(to_ring(hbar))
     # without a factor hbar it raises instead of producing 1/hbar terms,
     # and names the polynomial
     with pytest.raises(NotDivisible, match=re.escape("1 is not divisible by i*hbar")):
-        _by_ihbar(Op.x(1))
+        div_ihbar(Op.x(1))
 
 
 def test_free_xs_mismatch_sits_at_its_floor():

@@ -13,14 +13,12 @@ from hypothesis import strategies as st
 
 import ring_oracles
 from relspin import quantum, weyl
-from relspin.quantum import _by_ihbar
-from relspin.weyl import (_CINV_SHIFT, _EXP_MASK, _HBAR_SHIFT, I2, SIGMA,
-                          NotDivisible, Op, _block_commutator, _block_mul,
-                          _conj, _pack, _padd, _pdiv_ihbar, _pmul, _psub,
-                          _term_mul, _unpack, commutator, cross, dot,
-                          matrix_block)
-from ring_oracles import (PAULI_MATRICES, RQ, R, anticommutator, cinv,
-                          coefficient_of_cinv, e, from_ring_element, g_sym,
+from relspin.weyl import (_CINV_SHIFT, _EXP_MASK, _HBAR_SHIFT, _NAMES, _PAULI_SHIFT,
+                          NotDivisible, Op, _conj, _pack, _padd, _pdiv_ihbar,
+                          _pmul, _psub, _term_mul, _unpack, commutator, cross,
+                          div_ihbar, dot, matrix_block)
+from ring_oracles import (GENERATORS, PAULI_MATRICES, RQ, R, anticommutator,
+                          block, cinv, coefficient_of_cinv, e, from_ring_element, g_sym,
                           hbar, is_hermitian, m, matrix_product, minv,
                           random_poly, to_ring, to_ring_element)
 
@@ -28,16 +26,17 @@ I = sp.I
 
 # blocks I2 and sigma_1..3, each times 1, hbar, cinv or i (polynomial
 # dicts of one term): some pairs commute and some do not
-_BASES = (I2,) + SIGMA
+I2 = block({0: (1, 0)})
+_BASES = (I2,) + tuple(block(*({0: (1, 0)} if s == k else {} for s in range(4)))
+                       for k in (1, 2, 3))
 _FACTORS = ({0: (1, 0)}, {1 << _HBAR_SHIFT: (1, 0)}, {1 << _CINV_SHIFT: (1, 0)},
             {0: (0, 1)})
 
 
 def _monomial_op(key, base, factor):
     # the entries are formed in the reference ring, not by weyl
-    f = to_ring_element(_FACTORS[factor])
-    return Op({key: tuple(from_ring_element(f * to_ring_element(u))
-                          for u in _BASES[base])})
+    f = from_ring_element(to_ring_element(_FACTORS[factor]))
+    return Op({key: block(*(f if s == base else {} for s in range(4)))})
 
 
 def _matrices(op):
@@ -46,20 +45,20 @@ def _matrices(op):
 
 
 def _assert_canonical(op):
-    """The representation invariant: den a positive int; each block four
-    dicts from packed monomials (non-negative ints with no guard bit set)
-    to pairs of Python ints, no zero coefficient stored."""
+    """The representation invariant: den a positive int; each block a
+    nonempty dict from packed monomials (non-negative ints with no guard
+    bit set and a Pauli index 0-3 above the generators) to pairs of
+    Python ints, no zero coefficient stored."""
     assert type(op.den) is int and op.den > 0
     for blk in op.blocks.values():
-        assert type(blk) is tuple and len(blk) == 4 and any(blk)
-        for u in blk:
-            assert type(u) is dict
-            for mon, c in u.items():
-                assert type(mon) is int and mon >= 0
-                assert not mon & weyl._GUARDS
-                assert type(c) is tuple and len(c) == 2
-                assert all(type(v) is int for v in c)
-                assert c != (0, 0)
+        assert type(blk) is dict and blk
+        for mon, c in blk.items():
+            assert type(mon) is int and mon >= 0
+            assert not mon & weyl._GUARDS
+            assert mon >> _PAULI_SHIFT < 4
+            assert type(c) is tuple and len(c) == 2
+            assert all(type(v) is int for v in c)
+            assert c != (0, 0)
 
 
 # 1-3 monomials, exponents 0-2 per axis, so contractions occur in A B,
@@ -135,8 +134,7 @@ def _rewritten(*factors):
     blocks = {}
     for (A, B, k), n in poly.items():
         z = n * (-1j) ** k
-        u = {_pack((k,) + (0,) * 10): (int(z.real), int(z.imag))}
-        blocks[A + B] = tuple(_pmul(u, v) for v in I2)
+        blocks[A + B] = block({_pack((k,) + (0,) * 10): (int(z.real), int(z.imag))})
     return Op(blocks)
 
 
@@ -254,7 +252,6 @@ def test_sympy_boundary_round_trip():
 # Gaussian, so that an Op's den holds factors 3 and 5 as well as 2
 _QS = (sp.Rational(1, 3), I / 6, sp.Rational(2, 5), sp.Rational(-7, 12),
        sp.Rational(3, 4) - I / 9)
-_NO_BLOCK = ({}, {}, {}, {})
 
 
 @settings(max_examples=60, deadline=None)
@@ -267,7 +264,7 @@ def test_non_dyadic_and_gaussian_scalars_stay_exact(A, B, q, r):
     # entry by entry, cross-multiplied in the reference ring
     S = Aq + Br
     for k in set(S.blocks) | set(Aq.blocks) | set(Br.blocks):
-        for s, a, b in zip(*(op.blocks.get(k, _NO_BLOCK) for op in (S, Aq, Br))):
+        for s, a, b in zip(*(matrix_block(op.blocks.get(k, {})) for op in (S, Aq, Br))):
             assert (to_ring_element(s) * (Aq.den * Br.den)
                     == (to_ring_element(a) * Br.den + to_ring_element(b) * Aq.den)
                     * S.den), k
@@ -275,7 +272,7 @@ def test_non_dyadic_and_gaussian_scalars_stay_exact(A, B, q, r):
     assert Aq.adjoint() == A.adjoint().scale(to_ring(sp.conjugate(q)))
     assert commutator(Aq, Br) == commutator(A, B).scale(to_ring(q * r))
     for op in (Aq, Br, S, Aq * Br, commutator(Aq, Br), Aq.adjoint(),
-               _by_ihbar(Aq.scale(to_ring(hbar))), -Aq, Aq - Br):
+               div_ihbar(Aq.scale(to_ring(hbar))), -Aq, Aq - Br):
         _assert_canonical(op)
 
 
@@ -346,9 +343,11 @@ _ONE = ({0: (1, 0)}, 1)
     (({0: (1, 0, 0)}, 1), TypeError, "not (1, 0, 0)"),
     (({-1: (1, 0)}, 1), ValueError, "key -1 "),
     (({1 << 11: (1, 0)}, 1), ValueError, "key 2048 "),
+    (({1 << _PAULI_SHIFT: (1, 0)}, 1), ValueError, f"key {1 << _PAULI_SHIFT} "),
     (({0: (0, 0)}, 1), ValueError, "key 0 stores the zero coefficient"),
 ], ids=["den-0", "den-negative", "den-float", "float-coefficient",
-        "three-part-coefficient", "negative-key", "guard-bit-key", "zero-coefficient"])
+        "three-part-coefficient", "negative-key", "guard-bit-key", "pauli-bit-key",
+        "zero-coefficient"])
 def test_malformed_cleared_pairs_are_refused(pair, error, named):
     """Op.scalar, Op.scale and Op + x refuse a pair whose den is not a
     positive int, whose key is not a packed monomial or whose
@@ -517,11 +516,24 @@ def _reference_block_mul(A, B):
                             for blk in (A, B)))
 
 
+_Z = (0,) * 6
+
+
+def _block_mul(A, B):
+    """The block product A B, through the Op product at the key 1."""
+    return (Op({_Z: A}) * Op({_Z: B})).blocks.get(_Z, {})
+
+
+def _block_commutator(A, B):
+    """[A, B] of two blocks, through the one-pass commutator at the key 1."""
+    return commutator(Op({_Z: A}), Op({_Z: B})).blocks.get(_Z, {})
+
+
 def test_pauli_blocks_match_the_reference_matrices():
     """matrix_block writes I2 and sigma_1..3 as the Pauli matrices, and
     every product of two of them, and every commutator, is the product
     or commutator of the matrices: sigma_i sigma_j = delta_ij I + i
-    eps_ijk sigma_k in the stored basis."""
+    eps_ijk sigma_k in the stored basis, the Pauli index of a term."""
     for blk, want in zip(_BASES, PAULI_MATRICES):
         assert matrix_block(blk) == tuple(map(from_ring_element, want))
     for A, a in zip(_BASES, PAULI_MATRICES):
@@ -530,9 +542,9 @@ def test_pauli_blocks_match_the_reference_matrices():
             assert matrix_block(_block_mul(A, B)) == tuple(map(from_ring_element, AB))
             assert matrix_block(_block_commutator(A, B)) == tuple(
                 from_ring_element(x - y) for x, y in zip(AB, BA))
-    s1, s2, s3 = SIGMA
-    assert _block_mul(s1, s2) == ({}, {}, {}, {0: (0, 1)})
-    assert _block_commutator(s3, s1) == ({}, {}, {0: (0, 2)}, {})
+    s1, s2, s3 = _BASES[1:]
+    assert _block_mul(s1, s2) == block({}, {}, {}, {0: (0, 1)})
+    assert _block_commutator(s3, s1) == block({}, {}, {0: (0, 2)}, {})
 
 
 @pytest.mark.parametrize("seed", [3, 4])
@@ -541,9 +553,10 @@ def test_block_products_match_the_reference_ring(seed):
     for _ in range(100):
         A = tuple(random_poly(rng, 2) for _ in range(4))
         B = tuple(random_poly(rng, 2) for _ in range(4))
-        # blocks with no sigma part take the shortcut in _block_mul
+        # blocks with no sigma part, whose commutator pass skips every term
         if rng.random() < 0.3:
             A = (A[0], {}, {}, {})
+        A, B = block(*A), block(*B)
         AB, BA = _reference_block_mul(A, B), _reference_block_mul(B, A)
         assert matrix_block(_block_mul(A, B)) == tuple(map(from_ring_element, AB))
         assert matrix_block(_block_commutator(A, B)) == tuple(
@@ -554,30 +567,34 @@ def _random_op(rng, hbar_in_every_term=False):
     blocks = {}
     for _ in range(rng.randint(1, 3)):
         key = tuple(rng.randint(0, 1) for _ in range(6))
-        blk = tuple(random_poly(rng, 2) for _ in range(4))
+        blk = block(*(random_poly(rng, 2) for _ in range(4)))
         if hbar_in_every_term:
-            blk = tuple(_term_mul(u, 1 << _HBAR_SHIFT, 1, 0) for u in blk)
+            blk = _term_mul(blk, 1 << _HBAR_SHIFT, 1, 0)
         blocks[key] = blk
     return Op(blocks, rng.randint(1, 6))
 
 
 def test_cinv_order_and_division_by_ihbar_match_the_reference_ring():
+    """The 2x2 entries hold every monomial of the four polynomials of a
+    block, as u0 +- u3 and u1 -+ i u2 cannot both cancel one."""
     rng = random.Random(5)
     ihbar = R.from_expr(I * hbar)
     for _ in range(150):
         op = _random_op(rng, hbar_in_every_term=rng.random() < 0.7)
-        entries = [to_ring_element(u) for blk in op.blocks.values() for u in blk]
+        entries = [to_ring_element(u) for blk in op.blocks.values()
+                   for u in matrix_block(blk)]
         want = min((mon[1] for r in entries for mon in r), default=None)
         assert op.min_cinv_order() == want
         if all(mon[0] for r in entries for mon in r):
-            got = _by_ihbar(op)
+            got = div_ihbar(op)
             assert got.den == op.den
             for blk, gblk in zip(op.blocks.values(), got.blocks.values()):
-                assert gblk == tuple(from_ring_element(to_ring_element(u).exquo(ihbar))
-                                     for u in blk)
+                assert matrix_block(gblk) == tuple(
+                    from_ring_element(to_ring_element(u).exquo(ihbar))
+                    for u in matrix_block(blk))
         else:
             with pytest.raises(NotDivisible):
-                _by_ihbar(op)
+                div_ihbar(op)
 
 
 def test_coefficient_of_cinv_reads_the_cinv_field_alone():
@@ -591,7 +608,8 @@ def test_coefficient_of_cinv_reads_the_cinv_field_alone():
 def test_an_exponent_past_its_field_raises_instead_of_carrying():
     """2^11 - 1 is the largest exponent; one more sets the field's guard
     bit, which the product refuses, instead of adding one to the next
-    generator (cinv^2048 would otherwise read as minv)."""
+    generator (cinv^2048 would otherwise read as minv) or, for E3, to
+    the Pauli index of a block's term."""
     top = Op.scalar(to_ring(cinv**_EXP_MASK))
     assert top.min_cinv_order() == _EXP_MASK
     with pytest.raises(OverflowError, match="cinv"):
@@ -607,5 +625,62 @@ def test_an_exponent_past_its_field_raises_instead_of_carrying():
         _pack((0, _EXP_MASK + 1) + (0,) * 9)
     # the largest exponents of two generators side by side stay apart
     both = Op.scalar(to_ring(cinv**_EXP_MASK)) * Op.scalar(to_ring(minv**_EXP_MASK))
-    (mon,) = both.blocks[(0,) * 6][0]
+    (mon,) = both.blocks[(0,) * 6]
     assert _unpack(mon)[1:3] == (_EXP_MASK, _EXP_MASK)
+
+    # the Pauli index sits in two bits above E3's guard bit: sigma_k
+    # sigma_k at the top exponent of cinv, or of E3 right below the Pauli
+    # bits, still raises naming the generator alone, in a product and in
+    # a commutator; sigma_k sigma_l = +-i sigma_n with every generator at
+    # its top exponent keeps every exponent, and _unpack of a sigma term
+    # reads the generators only
+    every_top = to_ring(sp.Mul(*(gen**_EXP_MASK for gen in GENERATORS)))
+    for k in (1, 2, 3):
+        for name in ("cinv", "E3"):
+            gen = GENERATORS[_NAMES.index(name)]
+            top = Op.sigma(k).scale(to_ring(gen**_EXP_MASK))
+            with pytest.raises(OverflowError, match=f"exponent field of {name}$"):
+                top * Op.sigma(k).scale(to_ring(gen))
+            with pytest.raises(OverflowError, match=f"exponent field of {name}$"):
+                commutator(top, Op.sigma(k % 3 + 1).scale(to_ring(gen)))
+        l, n = k % 3 + 1, (k + 1) % 3 + 1
+        for a, b, phase in ((k, l, (0, 1)), (l, k, (0, -1))):
+            got = Op.sigma(a).scale(every_top) * Op.sigma(b)
+            (mon, c), = got.blocks[(0,) * 6].items()
+            assert (_unpack(mon), mon >> _PAULI_SHIFT, c) == ((_EXP_MASK,) * 11, n, phase)
+            assert _unpack(mon) == _unpack(mon - (n << _PAULI_SHIFT))
+
+
+# the text of a realization operator with sigma parts and den 8, and of
+# a failed division by i hbar, pinned so that neither drifts with the
+# ring's internal layout
+_CROSSED_XHAT1 = (
+    "Op([p3] [[0, -1i/4*hbar*cinv^2*minv^2], [1i/4*hbar*cinv^2*minv^2, 0]]"
+    " + [p2] [[-1/4*hbar*cinv^2*minv^2, 0], [0, 1/4*hbar*cinv^2*minv^2]]"
+    " + [x3] [[-1/8*hbar*cinv^3*minv^2*e*B1, 0], [0, 1/8*hbar*cinv^3*minv^2*e*B1]]"
+    " + [x2] [[0, 1i/8*hbar*cinv^3*minv^2*e*B1], [-1i/8*hbar*cinv^3*minv^2*e*B1, 0]]"
+    " + [x1] [[1 + 1/8*hbar*cinv^3*minv^2*e*B3, -1i/8*hbar*cinv^3*minv^2*e*B2],"
+    " [1i/8*hbar*cinv^3*minv^2*e*B2, 1 - 1/8*hbar*cinv^3*minv^2*e*B3]])")
+
+
+def test_repr_of_a_realization_operator_is_pinned():
+    xhat1 = quantum.build_operators("crossed").xhat[0]
+    assert xhat1.den == 8
+    assert repr(xhat1) == _CROSSED_XHAT1
+
+
+@pytest.mark.parametrize("extra, pauli, named", [
+    (0, 0, "3i*hbar + 1*cinv"),
+    (e, 3, "3i*hbar + 1*cinv"),
+    (minv + hbar, 0, "1*hbar + 1*minv"),
+], ids=["one-part", "sigma3-part-too", "identity-part-too"])
+def test_a_failed_division_by_ihbar_names_the_sigma_part_that_fails(extra, pauli, named):
+    """hbar sigma_1 divides; the sigma_2 part 3i hbar + cinv does not, and
+    the message names that part whole, its divisible term included.  Of
+    two parts that fail, it names the first in the order I, sigma_1..3."""
+    op = (Op.sigma(2).scale(to_ring(cinv)) + Op.sigma(1).scale(to_ring(hbar))
+          + Op.sigma(2).scale(to_ring(3 * I * hbar)))
+    op = op + (Op.sigma(pauli) if pauli else Op.scalar(1)).scale(to_ring(extra))
+    with pytest.raises(NotDivisible) as exc:
+        div_ihbar(op)
+    assert str(exc.value) == f"{named} is not divisible by i*hbar"
