@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .weyl import Op, _cleared_term, commutator, cross, div_ihbar, dot
+from .weyl import Op, _cleared, _cleared_term, commutator, cross, div_ihbar, dot
 
 EPS = {}
 for _i in range(3):
@@ -186,8 +186,8 @@ def correspondence_residuals(ps):
     s_dot_p = dot(ps.S, ps.Phat)
     for i in (1, 2, 3):
         for j in (1, 2, 3):
-            keep("xP", div_ihbar(commutator(ps.xhat[i - 1], ps.Phat[j - 1]))
-                 - Op.scalar(1 if i == j else 0))
+            xP = div_ihbar(commutator(ps.xhat[i - 1], ps.Phat[j - 1]))
+            keep("xP", xP - 1 if i == j else xP)
             keep("xS", div_ihbar(commutator(ps.xhat[i - 1], ps.S[j - 1]))
                  - _target_xS(ps, i, j, s_dot_p))
             keep("PS", div_ihbar(commutator(ps.Phat[i - 1], ps.S[j - 1])))
@@ -254,7 +254,11 @@ def g_minus_one_residual(ps, g=_G):
     assembled = (g-1)/g * covariant, where assembled is the covariant
     coupling plus the potential shift.  For g != 0 it is identically
     zero iff the noncommutative shift converts the coupling g -> g - 1.
-    g is the ring generator g by default, or an int or cleared pair."""
+    g is the ring generator g by default, or an int or cleared pair;
+    ValueError for g = 0, where the residual is zero for any assembly."""
+    if not _cleared(g)[0]:
+        raise ValueError(f"g_minus_one_residual needs g != 0, not g = {g!r}: "
+                         "at g = 0 the residual vanishes for any assembly")
     covariant = covariant_spin_orbit(ps, g)
     # (g - 1) * covariant as g * covariant - covariant: the Ops carry
     # the arithmetic, not the scalar g

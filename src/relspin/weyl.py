@@ -39,17 +39,22 @@ Products are reduced to the normal form with the one-axis identity
     p^n x^m = sum_k  C(n,k) C(m,k) k! (-i hbar)^k  x^{m-k} p^{n-k}
 
 applied axis by axis, its terms read from a table keyed by (n, m)
-(different axes commute; blocks commute with x and p).  The commutator
-is one pass over the monomial pairs, not two products: the uncontracted
+(different axes commute; blocks commute with x and p), and the terms of
+x^a p^b x^c p^d cached as one tuple per pair of keys.  The commutator is
+one pass over the monomial pairs, not two products: the uncontracted
 terms of A B and B A differ only in the order of the Pauli factors, so
 there a pair of terms leaves 2i eps_abk sigma_k where its indices a and
-b differ and are both nonzero, and nothing otherwise.
+b differ and are both nonzero, and nothing otherwise.  It reads each
+Op's block plan, derived once as an Op is never modified, with the x and
+p exponents of each key as 3-bit axis masks: p^b meets x^c on some axis
+iff b & c.
 
 A scalar is a Python int or a cleared pair (dict, den) such as
 _cleared_term builds, with no Pauli bits; anything else is refused with
 a TypeError naming its type, and a pair whose den, key or coefficient
-is malformed with an error naming it.  repr and a failed division by
-i hbar write each polynomial by the generator names.
+is malformed with an error naming it.  commutator and div_ihbar take a
+scalar operand as its scalar Op.  repr and a failed division by i hbar
+write each polynomial by the generator names.
 """
 
 from __future__ import annotations
@@ -286,7 +291,9 @@ def _pdiv_ihbar(p):
 
 def div_ihbar(op):
     """op / (i hbar), exact, with op's den kept; NotDivisible where a
-    term carries no hbar."""
+    term carries no hbar.  An int or a cleared pair is taken as its
+    scalar Op."""
+    op = _operand(op)
     return Op({k: _pdiv_ihbar(blk) for k, blk in op.blocks.items()}, op.den)
 
 
@@ -303,6 +310,11 @@ def _rescaled(blocks, s):
     return {k: _term_mul(blk, 0, s, 0) for k, blk in blocks.items()}
 
 
+def _mask(exps):
+    """Bit i - 1 set where the exponent of axis i is nonzero."""
+    return sum(1 << i for i, n in enumerate(exps) if n)
+
+
 def _axis(i):
     """i, refused unless it is a spatial axis 1, 2 or 3."""
     if i not in (1, 2, 3):
@@ -315,9 +327,10 @@ class Op:
     keys (a1,a2,a3,b1,b2,b3) to spin blocks, each one polynomial dict
     whose monomials carry their Pauli index; den is a positive int, 1 by
     default and refused by name otherwise, and need not be the least
-    one.  Zero blocks are dropped."""
+    one.  Zero blocks are dropped.  An Op is never modified: its block
+    plan, which commutator reads, is derived once, on first use."""
 
-    __slots__ = ("blocks", "den")
+    __slots__ = ("blocks", "den", "_plan")
 
     def __init__(self, blocks=None, den=1):
         if type(den) is not int or den < 1:
@@ -325,6 +338,17 @@ class Op:
                 f"the den of an Op is a positive int, not {den!r}")
         self.blocks = {k: blk for k, blk in (blocks or {}).items() if blk}
         self.den = den
+        self._plan = None
+
+    def _block_plan(self):
+        """One (key, x mask, p mask, block, largest Pauli index) per
+        block, the index nonzero iff the block has a sigma part."""
+        if self._plan is None:
+            # the largest monomial of a block has its largest Pauli index
+            self._plan = tuple((k, _mask(k[:3]), _mask(k[3:]), blk,
+                                max(blk) >> _PAULI_SHIFT)
+                               for k, blk in self.blocks.items())
+        return self._plan
 
     # -- constructors ------------------------------------------------
 
@@ -353,8 +377,7 @@ class Op:
 
     def __add__(self, other, pcombine=_padd):
         """self + other; self - other for pcombine _psub."""
-        if not isinstance(other, Op):
-            other = Op.scalar(other)
+        other = _operand(other)
         den = lcm(self.den, other.den)
         out = dict(_rescaled(self.blocks, den // self.den))
         for k, blk in _rescaled(other.blocks, den // other.den).items():
@@ -447,52 +470,57 @@ def _contractions(b, c):
                  for k in range(min(b, c) + 1))
 
 
+@cache
 def _reorder(ka, kb):
-    """Normal-order x^a p^b x^c p^d, ka = a + b and kb = c + d; yields
+    """Normal-order x^a p^b x^c p^d, ka = a + b and kb = c + d: the tuple
     ((key, coefficient), ...), the coefficient n (-i hbar)^k as a single
-    term (hbar^k, re, im), or None for the uncontracted term (1)."""
+    term (hbar^k, re, im), or None for the uncontracted term (1); a
+    table of constants keyed by the two exponent keys."""
     a1, a2, a3, b1, b2, b3 = ka
     c1, c2, c3, d1, d2, d3 = kb
     x1, x2, x3, p1, p2, p3 = a1 + c1, a2 + c2, a3 + c3, b1 + d1, b2 + d2, b3 + d3
+    out = []
     for k1, n1 in _contractions(b1, c1):
         for k2, n2 in _contractions(b2, c2):
             for k3, n3 in _contractions(b3, c3):
                 key = (x1 - k1, x2 - k2, x3 - k3, p1 - k1, p2 - k2, p3 - k3)
                 kk = k1 + k2 + k3
                 if not kk:
-                    yield key, None
+                    out.append((key, None))
                     continue
                 n = n1 * n2 * n3
                 re, im = _MINUS_I_POW[kk % 4]
-                yield key, (kk << _HBAR_SHIFT, n * re, n * im)
+                out.append((key, (kk << _HBAR_SHIFT, n * re, n * im)))
+    return tuple(out)
+
+
+def _operand(op):
+    """op, or the scalar Op of an int or a cleared pair."""
+    return op if isinstance(op, Op) else Op.scalar(op)
 
 
 def commutator(A, B):
     """[A, B] in one pass over the monomial pairs, with no product of
-    whole operators.  Per pair of blocks: [Ma, Mb] at the uncontracted
-    key x^{a+c} p^{b+d}, where the uncontracted terms of A B and B A
-    meet (skipped when either block has no sigma part, where they
-    cancel); plus the contractions of x^a p^b x^c p^d times Ma Mb; minus
-    those of x^c p^d x^a p^b times Mb Ma."""
-    def split(op):
-        # the largest monomial of a block has its largest Pauli index
-        return [(k, k[:3], k[3:], blk, max(blk) >> _PAULI_SHIFT)
-                for k, blk in op.blocks.items()]
-
+    whole operators; an int or a cleared pair is taken as its scalar Op.
+    Per pair of blocks: [Ma, Mb] at the uncontracted key x^{a+c} p^{b+d},
+    where the uncontracted terms of A B and B A meet (skipped when either
+    block has no sigma part, where they cancel); plus the contractions of
+    x^a p^b x^c p^d times Ma Mb, where p^b meets x^c on some axis; minus
+    those of x^c p^d x^a p^b times Mb Ma, where p^d meets x^a."""
+    A, B = _operand(A), _operand(B)
     out = {}
-    rhs = split(B)
-    for ka, a, b, Ma, sa in split(A):
-        for kb, c, d, Mb, sb in rhs:
+    rhs = B._block_plan()
+    for ka, xa, pa, Ma, sa in A._block_plan():
+        for kb, xb, pb, Mb, sb in rhs:
             if sa and sb:
                 key = tuple(map(add, ka, kb))
                 _pairs_into(out.setdefault(key, {}), Ma, Mb, _BRACKET)
-            # p^b meets x^c on some axis in A B, p^d meets x^a in B A
-            if any(map(min, b, c)):
+            if pa & xb:
                 for key, coeff in _reorder(ka, kb):
                     if coeff is not None:
                         _pairs_into(out.setdefault(key, {}), _term_mul(Ma, *coeff),
                                     Mb, _TIMES)
-            if any(map(min, d, a)):
+            if pb & xa:
                 for key, coeff in _reorder(kb, ka):
                     if coeff is not None:
                         mon, re, im = coeff
@@ -501,13 +529,25 @@ def commutator(A, B):
     return Op(out, A.den * B.den)
 
 
+def _triple(ops, fn, which):
+    """ops, refused by name unless it is a 3-tuple."""
+    if not isinstance(ops, tuple) or len(ops) != 3:
+        what = f"a tuple of {len(ops)}" if isinstance(ops, tuple) else type(ops).__name__
+        raise (ValueError if isinstance(ops, tuple) else TypeError)(
+            f"the {which} operand of {fn} is a 3-tuple of operators, not {what}")
+    return ops
+
+
 def dot(ops_a, ops_b):
     """Sum of componentwise products of two 3-tuples of operators."""
-    return sum((a * b for a, b in zip(ops_a, ops_b)), Op())
+    return sum((a * b for a, b in zip(_triple(ops_a, "dot", "first"),
+                                      _triple(ops_b, "dot", "second"))), Op())
 
 
 def cross(ops_a, ops_b):
-    """Componentwise operator cross product (no symmetrization)."""
+    """Componentwise operator cross product (no symmetrization) of two
+    3-tuples of operators."""
+    ops_a, ops_b = _triple(ops_a, "cross", "first"), _triple(ops_b, "cross", "second")
     out = []
     for i in range(3):
         j, k = (i + 1) % 3, (i + 2) % 3

@@ -21,6 +21,9 @@
   read as 1/minv) into the cleared pair (dict, den) that ``Op.scalar``
   and ``Op.scale`` take, and ``cinv_orders``, the cinv exponents of an
   Op's terms.
+* ``canonical_op``, an Op as plain data (den, and per key the sorted
+  terms of each 2x2 entry), which the golden digests hash and the tests
+  compare Ops by, den and every coefficient alike.
 * ``full_residuals``, the correspondence residuals over the full 3x3
   loop of every family, with the oracle commutator and S.P formed per
   diagonal pair; ``quantum.correspondence_residuals`` evaluates the
@@ -38,7 +41,7 @@ from sympy.polys.rings import ring
 
 from relspin.quantum import _XS, _eps_sum, _target_PP, _target_xx
 from relspin.weyl import (_CINV_SHIFT, _NAMES, _PAULI_SHIFT, Op, _pack, _unpack,
-                          div_ihbar, dot)
+                          div_ihbar, dot, matrix_block)
 
 GENERATORS = sp.symbols(_NAMES, real=True)
 hbar, cinv, minv, e, g_sym = GENERATORS[:5]
@@ -69,6 +72,19 @@ def coefficient_of_cinv(op, order):
     return Op({k: {mon - (order << _CINV_SHIFT): c for mon, c in blk.items()
                    if _unpack(mon)[_CINV] == order}
                for k, blk in op.blocks.items()}, op.den)
+
+
+def canonical_op(op):
+    """An Op as plain data: den and, per sorted key, each entry of the
+    block's 2x2 matrix as the sorted (exponents, re, im) of its terms;
+    None for None."""
+    if op is None:
+        return None
+    return {"den": op.den,
+            "blocks": [[list(key), [sorted([list(_unpack(mon)), re, im]
+                                           for mon, (re, im) in u.items())
+                                    for u in matrix_block(blk)]]
+                       for key, blk in sorted(op.blocks.items())]}
 
 
 def to_ring(expr):

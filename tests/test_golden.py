@@ -22,7 +22,8 @@ from pathlib import Path
 
 from relspin import quantum
 from relspin.cli import main
-from relspin.weyl import _unpack, matrix_block
+
+from ring_oracles import canonical_op
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
@@ -55,19 +56,6 @@ def _selftest_stdout():
     return stdout.getvalue().encode()
 
 
-def _canonical_op(op):
-    """An Op as plain data: den and, per sorted key, each entry of the
-    block's 2x2 matrix as the sorted (exponents, re, im) of its terms;
-    None for None."""
-    if op is None:
-        return None
-    return {"den": op.den,
-            "blocks": [[list(key), [sorted([list(_unpack(mon)), re, im]
-                                           for mon, (re, im) in u.items())
-                                    for u in matrix_block(blk)]]
-                       for key, blk in sorted(op.blocks.items())]}
-
-
 def _operator_dump():
     """Every correspondence report, kept residual and identity of the
     realization, kind by kind, as sorted JSON."""
@@ -76,11 +64,11 @@ def _operator_dump():
         ps = quantum.build_operators(kind)
         dump[kind] = {
             "report": quantum.correspondence_report(kind),
-            "residuals": {fam: _canonical_op(op) for fam, op
+            "residuals": {fam: canonical_op(op) for fam, op
                           in quantum.correspondence_residuals(ps).items()},
-            "shift_identity": _canonical_op(quantum.shift_identity_residual(ps)),
-            "g_minus_one": _canonical_op(quantum.g_minus_one_residual(ps)),
-            "g_minus_one_at_2": _canonical_op(quantum.g_minus_one_residual(ps, 2)),
+            "shift_identity": canonical_op(quantum.shift_identity_residual(ps)),
+            "g_minus_one": canonical_op(quantum.g_minus_one_residual(ps)),
+            "g_minus_one_at_2": canonical_op(quantum.g_minus_one_residual(ps, 2)),
         }
     return json.dumps(dump, sort_keys=True).encode()
 

@@ -114,6 +114,23 @@ def test_g_minus_one_identity():
         assert not diff.is_zero(), kind
 
 
+@pytest.mark.parametrize("g", [0, ({}, 1), ({}, 3)], ids=["int", "pair", "pair-den-3"])
+def test_g_minus_one_residual_refuses_g_zero(g, monkeypatch):
+    """At g = 0, g * assembled - (g-1) * covariant is zero for any
+    assembly, the wrong one without the potential shift included, so
+    g = 0 is refused by name before anything is built; a float g is
+    refused as a scalar."""
+    ps = build_operators("uniform-E")
+    named = re.escape(f"not g = {g!r}")
+    with pytest.raises(ValueError, match=named):
+        g_minus_one_residual(ps, g)
+    monkeypatch.setattr(quantum, "potential_shift", lambda ps: Op())
+    with pytest.raises(ValueError, match=named):
+        g_minus_one_residual(ps, g)
+    with pytest.raises(TypeError, match="not float$"):
+        g_minus_one_residual(ps, 0.0)
+
+
 def test_pauli_hamiltonian_hermitian():
     for kind in ("uniform-E", "uniform-B", "crossed"):
         H = pauli_hamiltonian(kind, g=g_sym)

@@ -15,12 +15,12 @@ import ring_oracles
 from relspin import quantum, weyl
 from relspin.weyl import (_CINV_SHIFT, _EXP_MASK, _HBAR_SHIFT, _NAMES, _PAULI_SHIFT,
                           NotDivisible, Op, _conj, _pack, _padd, _pdiv_ihbar,
-                          _pmul, _psub, _term_mul, _unpack, commutator, cross,
-                          div_ihbar, dot, matrix_block)
+                          _pmul, _psub, _reorder, _term_mul, _unpack, commutator,
+                          cross, div_ihbar, dot, matrix_block)
 from ring_oracles import (GENERATORS, PAULI_MATRICES, RQ, R, anticommutator,
-                          block, cinv, coefficient_of_cinv, e, from_ring_element, g_sym,
-                          hbar, is_hermitian, m, matrix_product, minv,
-                          random_poly, to_ring, to_ring_element)
+                          block, canonical_op, cinv, coefficient_of_cinv, e,
+                          from_ring_element, g_sym, hbar, is_hermitian, m,
+                          matrix_product, minv, random_poly, to_ring, to_ring_element)
 
 I = sp.I
 
@@ -167,6 +167,90 @@ def test_normal_ordering_matches_a_word_rewriter():
             assert _matrices(got) == _matrices(_rewritten(("p", b), ("x", c))), (b, c)
 
 
+def _keys_up_to_degree(n):
+    return [k for k in itertools.product(range(n + 1), repeat=6) if sum(k) <= n]
+
+
+def test_the_cached_normal_ordering_table_reads_the_same_twice():
+    """_reorder is a cached table: every pair of keys x^a p^b, x^c p^d of
+    total degree up to 3 each, read once into an empty cache and once
+    from it, gives the same tuple both times (a cached generator would
+    be empty on its second read), and that tuple is the word rewriter's
+    normal form of x^a p^b x^c p^d."""
+    _reorder.cache_clear()
+    keys = _keys_up_to_degree(3)
+    for ka in keys:
+        for kb in keys:
+            first, second = _reorder(ka, kb), _reorder(ka, kb)
+            assert type(first) is tuple and first == second and first, (ka, kb)
+            got = Op({key: I2 if coeff is None else block({coeff[0]: coeff[1:]})
+                      for key, coeff in first})
+            want = _rewritten(("x", ka[:3]), ("p", ka[3:]), ("x", kb[:3]), ("p", kb[3:]))
+            assert _matrices(got) == _matrices(want), (ka, kb)
+    assert _reorder.cache_info().hits >= len(keys) ** 2
+
+
+@pytest.mark.parametrize("kind", quantum.FIELD_KINDS)
+def test_a_commutator_of_used_operators_equals_that_of_fresh_copies(kind):
+    """Each Op keeps the block plan that commutator derives from it on
+    first use: after the report's 36 commutators, every commutator of
+    xhat_i, Phat_j and S_k, taken twice, is the one of fresh copies of
+    its operands, den and every coefficient alike."""
+    ps = quantum.build_operators(kind)
+    quantum.correspondence_residuals(ps)
+    ops = ps.xhat + ps.Phat + ps.S
+    for A in ops:
+        for B in ops:
+            want = canonical_op(commutator(Op(A.blocks, A.den), Op(B.blocks, B.den)))
+            assert canonical_op(commutator(A, B)) == want
+            assert canonical_op(commutator(A, B)) == want
+
+
+def test_every_operator_the_ring_returns_goes_through_op_init(monkeypatch):
+    """perfbench counts Op constructions (the weyl.op_init layer and
+    work.op_inits) by wrapping Op.__init__.  Every Op that commutator,
+    div_ihbar, scale, +, - and * return, over the reports and identities
+    of every realization, went through it.  An Op made past it would be
+    missed by the count, and the same check fails on one: the control
+    adds an Op built by object.__new__ to the returned ones."""
+    inited, returned = [], []   # every Op stays alive, so no id is reused
+    init = Op.__init__
+
+    def counted_init(self, *args, **kwargs):
+        inited.append(self)
+        init(self, *args, **kwargs)
+
+    def recorded(name, fn):
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            returned.append((name, out))
+            return out
+        return wrapper
+
+    monkeypatch.setattr(Op, "__init__", counted_init)
+    for name in ("scale", "__add__", "__sub__", "__mul__"):
+        monkeypatch.setattr(Op, name, recorded(name, vars(Op)[name]))
+    for name in ("commutator", "div_ihbar"):
+        wrapper = recorded(name, getattr(weyl, name))
+        monkeypatch.setattr(weyl, name, wrapper)
+        monkeypatch.setattr(quantum, name, wrapper)
+    for kind in quantum.FIELD_KINDS:
+        ps = quantum.build_operators(kind)
+        quantum.correspondence_report(kind)
+        quantum.shift_identity_residual(ps)
+        quantum.g_minus_one_residual(ps)
+    assert {name for name, _ in returned} == {"scale", "__add__", "__sub__", "__mul__",
+                                              "commutator", "div_ihbar"}
+
+    def all_counted():
+        ids = {id(op) for op in inited}
+        return all(id(op) in ids for _, op in returned)
+
+    assert all_counted()
+    returned.append(("control", object.__new__(Op)))
+    assert not all_counted()
+
+
 def test_adjoint():
     x1, p1 = Op.x(1), Op.p(1)
     a = x1 * p1
@@ -206,6 +290,42 @@ def test_min_cinv_order_and_coefficient():
     assert Op.x(1).min_cinv_order() == 0
     assert Op().min_cinv_order() is None
     assert (a - a).min_cinv_order() is None
+
+
+@pytest.mark.parametrize("bad, error, named", [
+    ((Op.x(1), Op.x(2)), ValueError, "not a tuple of 2"),
+    ((Op.x(1), Op.x(2), Op.x(3), Op.x(1)), ValueError, "not a tuple of 4"),
+    ([Op.x(1), Op.x(2), Op.x(3)], TypeError, "not list"),
+], ids=["short", "long", "list"])
+def test_dot_and_cross_refuse_an_operand_that_is_not_a_3_tuple(bad, error, named):
+    """dot would zip away the components past the shorter operand, and
+    cross drop a fourth or fail on a short one by index: both name the
+    operand that is not a 3-tuple instead."""
+    good = (Op.p(1), Op.p(2), Op.p(3))
+    for fn in (dot, cross):
+        for args, which in (((bad, good), "first"), ((good, bad), "second")):
+            with pytest.raises(error, match=f"the {which} operand of {fn.__name__} .*{named}$"):
+                fn(*args)
+
+
+def test_commutator_and_division_by_ihbar_take_a_scalar_operand():
+    """An int or a cleared pair is an operand as Op.scalar reads it:
+    [A, c] and [c, A] are the zero Op, c / (i hbar) is exact or
+    NotDivisible; anything else is refused with Op.scalar's TypeError
+    naming its type."""
+    A = Op.x(1) * Op.p(1) + Op.sigma(2)
+    for c in (3, 0, to_ring(hbar / 2)):
+        assert commutator(A, c).is_zero() and commutator(c, A).is_zero()
+        assert commutator(A, c) == commutator(A, Op.scalar(c))
+    with pytest.raises(NotDivisible, match=r"^3 is not divisible by i\*hbar$"):
+        div_ihbar(3)
+    assert div_ihbar(0).is_zero()
+    assert div_ihbar(to_ring(hbar / 2)) == Op.scalar(to_ring(-I / 2))
+    for bad in (0.5, "x1", None):
+        for call in (lambda: commutator(A, bad), lambda: commutator(bad, A),
+                     lambda: div_ihbar(bad)):
+            with pytest.raises(TypeError, match=f"not {type(bad).__name__}$"):
+                call()
 
 
 def test_dot_and_cross_helpers():
