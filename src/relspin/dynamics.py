@@ -225,15 +225,13 @@ def _project(vec, model, stats):
 PROJECT_EVERY = 25   # rk4 steps between projections, besides recording times
 
 
-def _rk4_step(f, y, h, k1=None):
+def _rk4_step(f, y, h, k1):
     """One classical rk4 step of y' = f(y) on a list of floats, returning
-    a new list; k1 is f(y), made here when not given.  The stages are
+    a new list; k1 is f(y), which the caller makes.  The stages are
     y + (h/2) k and y + h k, and the step
     y + (h/6) (((k1 + 2 k2) + 2 k3) + k4), elementwise in the operation
     order of the numpy form (tests/oracles.rk4_step), so both give the
     same bits."""
-    if k1 is None:
-        k1 = f(y)
     a = 0.5 * h
     k2 = f([u + a * k for u, k in zip(y, k1)])
     k3 = f([u + a * k for u, k in zip(y, k2)])
@@ -373,8 +371,7 @@ def integrate(model, z0, t_final, dt, t0=0.0, record_every=1, project=True):
         h = dt if k <= n_full else t_final - (t0 + n_full * dt)
         t = t0 + k * dt if k <= n_full else t_final
         try:
-            k1 = None if evaluation is None else dirac_rhs(y, model, evaluation)
-            y = _rk4_step(rhs, y, h, k1)
+            y = _rk4_step(rhs, y, h, dirac_rhs(y, model, evaluation))
             stats["rhs_evals"] += 4
             evaluation = None
             if project and (k % PROJECT_EVERY == 0 or k % record_every == 0):

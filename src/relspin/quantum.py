@@ -6,10 +6,9 @@ position acquires a spin shift,
     xhat_i = x_i - (hbar cinv^2 / 4 m^2) eps_{ijk} P_j sigma_k,
 
 which reproduces the classical position noncommutativity at its leading
-order; kinetic momentum is p - e cinv A(xhat), spin is hbar sigma / 2,
-and the electric dipole follows the constraint-resolved classical form
-D = 2 (P x S) / (m c).  A^0 and A are one function of the operator
-position, _potential, read at x and at xhat.
+order; kinetic momentum is p - e cinv A(xhat) and spin is hbar sigma / 2.
+A^0 and A are one function of the operator position, _potential, read
+at x and at xhat.  No report reads a dipole operator: the tests build it.
 
 The payoff assembled here: re-expanding e A^0(xhat) around the
 canonical position produces, for a linear potential exactly,
@@ -31,15 +30,8 @@ potentials").  The hydrogen module assumes the Weyl-ordered form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .weyl import Op, _cleared, _cleared_term, commutator, cross, div_ihbar, dot
-
-EPS = {}
-for _i in range(3):
-    for _j in range(3):
-        for _k in range(3):
-            EPS[(_i, _j, _k)] = int((_i - _j) * (_j - _k) * (_k - _i) / 2)
 
 FIELD_KINDS = ("free", "uniform-E", "uniform-B", "crossed")
 
@@ -54,7 +46,6 @@ _HALF_HBAR = _cleared_term(den=2, hbar=1)
 _E = _cleared_term(e=1)
 _E_CINV = _cleared_term(e=1, cinv=1)
 _SHIFT = _cleared_term(den=4, hbar=1, cinv=2, minv=2)
-_DIPOLE = _cleared_term(den=2, hbar=1, cinv=1, minv=1)
 _XX = _cleared_term(den=2, hbar=1, cinv=2, minv=2)
 _XS = _cleared_term(cinv=2, minv=2)
 _SO = _cleared_term(den=2, e=1, cinv=2, minv=2)
@@ -66,8 +57,7 @@ _G = _cleared_term(g=1)
 class PauliSet:
     """Operator family for one uniform background; E and B are the field
     components as cleared pairs (polynomial dict, den), the generators
-    E1..E3 and B1..B3 or zero.  The dipole operator Dhat is built on
-    first read: no report reads it."""
+    E1..E3 and B1..B3 or zero."""
 
     kind: str
     x: tuple
@@ -81,14 +71,6 @@ class PauliSet:
     B: tuple
     A0: Op
     A0_hat: Op
-
-    @cached_property
-    def Dhat(self):
-        """D = (hbar cinv / 2 m) (Phat x sigma - sigma x Phat), symmetrized:
-        A(xhat) inside Phat carries sigma, so the bare product would miss
-        hermiticity at higher order."""
-        return tuple((a - b).scale(_DIPOLE)
-                     for a, b in zip(cross(self.Phat, self.sigma), cross(self.sigma, self.Phat)))
 
 
 def _scalars(vec):
@@ -136,12 +118,11 @@ def build_operators(kind="uniform-B"):
 
 
 def _eps_sum(vec, i, j):
-    """eps_{ijk} vec_k for 1-based i, j; the zero Op when i == j."""
-    acc = Op()
-    for k in range(3):
-        if EPS[(i - 1, j - 1, k)]:
-            acc = acc + vec[k].scale(EPS[(i - 1, j - 1, k)])
-    return acc
+    """eps_{ijk} vec_k for 1-based i, j: +-vec_k at the third axis k,
+    + iff (i, j, k) is cyclic; the zero Op when i == j."""
+    if i == j:
+        return Op()
+    return vec[5 - i - j].scale(1 if (j - i) % 3 == 1 else -1)
 
 
 def _target_xx(ps, i, j):
@@ -217,7 +198,7 @@ def correspondence_report(kind="uniform-B"):
     rep = {}
     floors = CORRESPONDENCE_FLOORS[kind]
     for fam, op in correspondence_residuals(ps).items():
-        order = None if op is None or op.is_zero() else op.min_cinv_order()
+        order = None if op is None else op.min_cinv_order()
         floor = floors[fam]
         ok = order is None if floor is None else (order is not None and order >= floor)
         rep[fam] = {"min_order": order, "floor": floor, "ok": bool(ok)}

@@ -27,12 +27,12 @@ sum, difference or product deletes a coefficient in the one pass where
 it cancels, with no negated copy or filter pass; the zero polynomial is
 {}.  An Op keeps one positive integer den shared by all its blocks, the
 operator being blocks / den: a product multiplies the dens, a sum or
-difference brings both operands to the lcm of theirs, and no rational
-arithmetic takes part.  The adjoint maps each (re, im) to (re, -im),
-with no transpose, as sigma is Hermitian; the division by i hbar lowers
-the hbar field by one and maps (re, im) to (im, -re); the order in 1/c
-of a monomial, which grades the correspondence with the classical
-brackets, is a shift and a mask.
+difference brings both operands to the lcm of theirs, the zero Op has
+den 1, and no rational arithmetic takes part.  The adjoint maps each
+(re, im) to (re, -im), with no transpose, as sigma is Hermitian; the
+division by i hbar lowers the hbar field by one and maps (re, im) to
+(im, -re); the order in 1/c of a monomial, which grades the
+correspondence with the classical brackets, is a shift and a mask.
 
 Products are reduced to the normal form with the one-axis identity
 
@@ -215,9 +215,9 @@ _BRACKET = (None,) + tuple(tuple((offset, 2 * rot) if rot else None for offset, 
 
 def _pairs_into(out, A, B, table):
     """Add the product of the blocks A and B, or their commutator for
-    table _BRACKET, to the dict out in one pass over the term pairs:
-    each pair's monomials add, its Pauli indices combine through the
-    table, and its coefficient lands in out, deleted where it cancels."""
+    table _BRACKET, to the dict out, returned, in one pass over the term
+    pairs: each pair's monomials add, its Pauli indices combine through
+    the table, and its coefficient lands in out, deleted where it cancels."""
     for ma, (ar, ai) in A.items():
         row = table[ma >> _PAULI_SHIFT]
         if row is None:
@@ -243,12 +243,6 @@ def _pairs_into(out, A, B, table):
                     out[mon] = (re, im)
                 else:
                     del out[mon]
-
-
-def _pmul(p, q):
-    """The block product p q."""
-    out = {}
-    _pairs_into(out, p, q, _TIMES)
     return out
 
 
@@ -326,9 +320,9 @@ class Op:
     """Finite normal-ordered operator blocks / den.  blocks maps exponent
     keys (a1,a2,a3,b1,b2,b3) to spin blocks, each one polynomial dict
     whose monomials carry their Pauli index; den is a positive int, 1 by
-    default and refused by name otherwise, and need not be the least
-    one.  Zero blocks are dropped.  An Op is never modified: its block
-    plan, which commutator reads, is derived once, on first use."""
+    default and for the zero Op, refused by name otherwise, and need not
+    be the least one.  Zero blocks are dropped.  An Op is never modified:
+    its block plan, which commutator reads, is derived once, on first use."""
 
     __slots__ = ("blocks", "den", "_plan")
 
@@ -337,7 +331,7 @@ class Op:
             raise (ValueError if type(den) is int else TypeError)(
                 f"the den of an Op is a positive int, not {den!r}")
         self.blocks = {k: blk for k, blk in (blocks or {}).items() if blk}
-        self.den = den
+        self.den = den if self.blocks else 1
         self._plan = None
 
     def _block_plan(self):
@@ -397,13 +391,11 @@ class Op:
 
     def scale(self, expr):
         c, den = _cleared(expr)
-        return Op({k: _pmul(c, blk) for k, blk in self.blocks.items()},
+        return Op({k: _pairs_into({}, c, blk, _TIMES) for k, blk in self.blocks.items()},
                   self.den * den)
 
-    def __rmul__(self, other):
-        if isinstance(other, Op):  # pragma: no cover - __mul__ handles it
-            return NotImplemented
-        return self.scale(other)
+    # an Op on the left is __mul__'s: only a scalar reaches __rmul__
+    __rmul__ = scale
 
     def __mul__(self, other):
         if not isinstance(other, Op):
@@ -422,9 +414,6 @@ class Op:
         except TypeError:   # not an Op, an int or a cleared pair
             return NotImplemented
         return diff.is_zero()
-
-    def __hash__(self):  # pragma: no cover - Ops are not dict keys
-        raise TypeError("Op is unhashable")
 
     # -- involution and predicates -------------------------------------
 

@@ -29,6 +29,8 @@
   diagonal pair; ``quantum.correspondence_residuals`` evaluates the
   antisymmetric families (xx, PP, SS) for i < j only, and the tests pin
   it to this form.
+* ``dipole``, the electric dipole operator of a realization, which no
+  report reads.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from sympy.polys.rings import ring
 
 from relspin.quantum import _XS, _eps_sum, _target_PP, _target_xx
 from relspin.weyl import (_CINV_SHIFT, _NAMES, _PAULI_SHIFT, Op, _pack, _unpack,
-                          div_ihbar, dot, matrix_block)
+                          cross, div_ihbar, dot, matrix_block)
 
 GENERATORS = sp.symbols(_NAMES, real=True)
 hbar, cinv, minv, e, g_sym = GENERATORS[:5]
@@ -188,3 +190,13 @@ def full_residuals(ps):
             if o is not None and (worst[fam] is None or o < worst[fam]):
                 worst[fam], kept[fam] = o, op
     return per_pair, kept
+
+
+def dipole(ps):
+    """D = (hbar cinv / 2 m) (Phat x sigma - sigma x Phat), the
+    constraint-resolved classical D = 2 (P x S) / (m c) symmetrized:
+    A(xhat) inside Phat carries sigma, so the bare product would miss
+    hermiticity at higher order."""
+    half = to_ring(hbar * cinv / (2 * m))
+    return tuple((a - b).scale(half)
+                 for a, b in zip(cross(ps.Phat, ps.sigma), cross(ps.sigma, ps.Phat)))

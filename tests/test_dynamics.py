@@ -812,7 +812,8 @@ def test_rk4_step_on_a_list_is_the_numpy_step_to_the_bit():
         ks = rng.normal(scale=5.0, size=(4, 16))
         for h in (rng.uniform(-1.0, 1.0), 0.25, 1.05 - (0.0 + 10 * 0.1)):
             seen_list, seen_arr = [], []
-            got = dynamics._rk4_step(_stages(ks, seen_list, True), y.tolist(), h)
+            f = _stages(ks, seen_list, True)
+            got = dynamics._rk4_step(f, y.tolist(), h, f(y.tolist()))
             want = oracles.rk4_step(_stages(ks, seen_arr, False), y, h)
             assert np.array_equal(_bits(got), _bits(want))
             assert np.array_equal(seen_list, seen_arr)
@@ -820,7 +821,8 @@ def test_rk4_step_on_a_list_is_the_numpy_step_to_the_bit():
     y_arr = state_batch(model, 1, seed=3)[0].vec
     y_list = y_arr.tolist()
     for h in (0.1, 0.1, 0.05):
-        y_list = dynamics._rk4_step(lambda v: dirac_rhs(v, model), y_list, h)
+        y_list = dynamics._rk4_step(lambda v: dirac_rhs(v, model), y_list, h,
+                                    dirac_rhs(y_list, model))
         y_arr = oracles.rk4_step(lambda v: np.array(dirac_rhs(v.tolist(), model)), y_arr, h)
         assert np.array_equal(_bits(y_list), _bits(y_arr))
 
@@ -833,7 +835,8 @@ def test_rhs_and_step_return_lists_of_floats(kind):
         model = build_model(kind, alpha=alpha)
         v = state_batch(model, 1, seed=9)[0].vec.tolist()
         for out in (dirac_rhs(v, model),
-                    dynamics._rk4_step(lambda u: dirac_rhs(u, model), v, 0.1)):
+                    dynamics._rk4_step(lambda u: dirac_rhs(u, model), v, 0.1,
+                                       dirac_rhs(v, model))):
             assert type(out) is list and len(out) == 16
             assert all(type(x) is float for x in out), (kind, alpha)
 
@@ -864,7 +867,8 @@ def test_no_array_inside_a_step_or_a_projection_pass(kind, monkeypatch):
         monkeypatch.setattr(mod, "np", spy)
     assert not hasattr(fields, "np")
     monkeypatch.setitem(sys.modules, "numpy", spy)
-    dynamics._rk4_step(lambda u: dirac_rhs(u, model), z.vec.tolist(), 0.1)
+    y = z.vec.tolist()
+    dynamics._rk4_step(lambda u: dirac_rhs(u, model), y, 0.1, dirac_rhs(y, model))
     assert seen == []
     vec = z.vec.copy()
     vec[8:16] *= 1.0 + 1e-3 * np.arange(1, 9)

@@ -7,7 +7,8 @@ an output on purpose rewrites the file with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and says which output moved and by how much.  numpy's SIMD
+which prints the name of each digest it changes, with the old and new
+hash prefixes; the change says why that output moved.  numpy's SIMD
 transcendentals can differ between CPUs, so the digests hold for the
 host class they were written on; on another, the test names the output.
 """
@@ -96,6 +97,11 @@ def test_outputs_match_the_committed_digests():
 
 
 if __name__ == "__main__":
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    new = digests()
+    for name in sorted(set(old) | set(new)):
+        if old.get(name) != new.get(name):
+            print(f"{name}: {old.get(name, '-')[:12]} -> {new.get(name, '-')[:12]}")
     GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(digests(), indent=1, sort_keys=True) + "\n")
+    GOLDEN.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n")
     sys.exit(0)

@@ -6,13 +6,14 @@ import pytest
 import sympy as sp
 
 from relspin import quantum, weyl
-from relspin.quantum import (CORRESPONDENCE_FLOORS, FIELD_KINDS, _scalars,
+from relspin.minkowski import EPS3
+from relspin.quantum import (CORRESPONDENCE_FLOORS, FIELD_KINDS, _eps_sum, _scalars,
                              build_operators, correspondence_report,
                              correspondence_residuals, covariant_spin_orbit,
                              g_minus_one_residual, potential_shift,
                              shift_identity_residual)
 from relspin.weyl import NotDivisible, Op, cross, div_ihbar, dot
-from ring_oracles import (PAIRS, anticommutator, cinv, cinv_orders, e,
+from ring_oracles import (PAIRS, anticommutator, cinv, cinv_orders, dipole, e,
                           full_residuals, g_sym, hbar, is_hermitian, m, to_ring)
 
 
@@ -46,6 +47,24 @@ def pauli_hamiltonian(kind="uniform-E", g=g_sym, include_so=True):
 def test_unknown_kind_raises():
     with pytest.raises(ValueError):
         build_operators("dipole")
+
+
+@pytest.mark.parametrize("kind", ["free", "uniform-E"])
+def test_with_no_magnetic_field_phat_is_p_over_den_1(kind):
+    """p minus the zero vector potential is p itself: the zero operand
+    leaves the den of the difference at 1."""
+    ps = build_operators(kind)
+    for P, p in zip(ps.Phat, ps.p):
+        assert (P.blocks, P.den) == (p.blocks, 1)
+
+
+def test_eps_sum_is_the_levi_civita_contraction():
+    """_eps_sum(vec, i, j) is sum_k eps_ijk vec_k at every pair, the
+    diagonal included, with eps read from minkowski.EPS3."""
+    vec = (Op.x(1), Op.p(2).scale(to_ring(hbar / 3)), Op.sigma(3) + Op.x(2))
+    for i, j in PAIRS:
+        want = sum((vec[k].scale(int(EPS3[i - 1, j - 1, k])) for k in range(3)), Op())
+        assert _eps_sum(vec, i, j) == want, (i, j)
 
 
 @pytest.mark.parametrize("kind", FIELD_KINDS)
@@ -149,22 +168,22 @@ def test_uniform_b_hamiltonian_pieces_hermitian():
 
 def test_dipole_operator_hermitian():
     for kind in ("uniform-E", "uniform-B", "crossed"):
-        assert all(is_hermitian(comp) for comp in build_operators(kind).Dhat), kind
+        assert all(is_hermitian(comp) for comp in dipole(build_operators(kind))), kind
 
 
 @pytest.mark.parametrize("kind", FIELD_KINDS)
-def test_dipole_operator_is_built_on_first_read(kind):
-    """build_operators leaves Dhat unbuilt (no report reads it); the
-    first read builds it and later reads return the same tuple.  With no
-    magnetic field Phat = p commutes with sigma, and the symmetrized
-    dipole is (hbar cinv / m) p x sigma, the classical 2 (P x S)/(m c)."""
+def test_dipole_operator_is_the_classical_form(kind):
+    """With no magnetic field Phat = p commutes with sigma, and the
+    symmetrized dipole is (hbar cinv / m) p x sigma, the classical
+    2 (P x S)/(m c); a magnetic field adds terms from cinv^2 on, through
+    e cinv A(xhat) in Phat."""
     ps = build_operators(kind)
-    assert "Dhat" not in vars(ps)
-    D = ps.Dhat
-    assert ps.Dhat is D and len(D) == 3
+    D = dipole(ps)
+    lead = tuple(w.scale(to_ring(hbar * cinv / m)) for w in cross(ps.p, ps.sigma))
     if kind in ("free", "uniform-E"):
-        want = cross(ps.p, ps.sigma)
-        assert D == tuple(w.scale(to_ring(hbar * cinv / m)) for w in want)
+        assert D == lead
+    else:
+        assert min((d - w).min_cinv_order() for d, w in zip(D, lead)) == 2
 
 
 @pytest.mark.parametrize("kind", FIELD_KINDS)

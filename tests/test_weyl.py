@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 import ring_oracles
 from relspin import quantum, weyl
 from relspin.weyl import (_CINV_SHIFT, _EXP_MASK, _HBAR_SHIFT, _NAMES, _PAULI_SHIFT,
-                          NotDivisible, Op, _conj, _pack, _padd, _pdiv_ihbar,
-                          _pmul, _psub, _reorder, _term_mul, _unpack, commutator,
+                          _TIMES, NotDivisible, Op, _conj, _pack, _padd, _pairs_into,
+                          _pdiv_ihbar, _psub, _reorder, _term_mul, _unpack, commutator,
                           cross, div_ihbar, dot, matrix_block)
 from ring_oracles import (GENERATORS, PAULI_MATRICES, RQ, R, anticommutator,
                           block, canonical_op, cinv, coefficient_of_cinv, e,
@@ -23,6 +23,11 @@ from ring_oracles import (GENERATORS, PAULI_MATRICES, RQ, R, anticommutator,
                           matrix_product, minv, random_poly, to_ring, to_ring_element)
 
 I = sp.I
+
+
+def _pmul(p, q):
+    """The block product p q, as Op.scale and Op.__mul__ form it."""
+    return _pairs_into({}, p, q, _TIMES)
 
 # blocks I2 and sigma_1..3, each times 1, hbar, cinv or i (polynomial
 # dicts of one term): some pairs commute and some do not
@@ -350,6 +355,25 @@ def test_linear_structure():
     assert (1 + x1) == x1 + 1
     assert (2 * x1) == x1.scale(2)
     assert (-x1) + x1 == Op()
+
+
+def test_the_zero_op_has_den_1():
+    """An Op with no blocks has den 1 whatever den it is given, so a
+    zero operand leaves the den of a sum as it is, and a commutator
+    that vanishes has den 1 too."""
+    assert Op({}, 7).den == Op({(0,) * 6: {}}, 7).den == 1
+    total = Op.x(1) + Op().scale(({}, 16))
+    assert (total.blocks, total.den) == (Op.x(1).blocks, 1)
+    for kind in quantum.FIELD_KINDS:
+        xhat1 = quantum.build_operators(kind).xhat[0]
+        zero = commutator(xhat1, xhat1)
+        assert (zero.blocks, zero.den) == ({}, 1), kind
+
+
+def test_an_op_is_unhashable():
+    # an Op is compared by value, through __eq__, and is never a dict key
+    with pytest.raises(TypeError):
+        hash(Op.x(1))
 
 
 def test_sympy_boundary_round_trip():
