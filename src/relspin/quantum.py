@@ -7,8 +7,8 @@ position acquires a spin shift,
 
 which reproduces the classical position noncommutativity at its leading
 order; kinetic momentum is p - e cinv A(xhat) and spin is hbar sigma / 2.
-A^0 and A are one function of the operator position, _potential, read
-at x and at xhat.  No report reads a dipole operator: the tests build it.
+A zero field enters no operator arithmetic; A^0 is built on first read.
+No report reads a dipole operator: the tests build it.
 
 The payoff assembled here: re-expanding e A^0(xhat) around the
 canonical position produces, for a linear potential exactly,
@@ -30,6 +30,7 @@ potentials").  The hydrogen module assumes the Weyl-ordered form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .weyl import Op, _cleared, _cleared_term, commutator, cross, div_ihbar, dot
 
@@ -41,10 +42,10 @@ FIELD_KINDS = ("free", "uniform-E", "uniform-B", "crossed")
 _B_FIELD = tuple(_cleared_term(**{name: 1}) for name in ("B1", "B2", "B3"))
 _E_FIELD = tuple(_cleared_term(**{name: 1}) for name in ("E1", "E2", "E3"))
 _NO_FIELD = (_cleared_term(0),) * 3
-_HALF = _cleared_term(den=2)
 _HALF_HBAR = _cleared_term(den=2, hbar=1)
 _E = _cleared_term(e=1)
 _E_CINV = _cleared_term(e=1, cinv=1)
+_HALF_E_CINV = _cleared_term(den=2, e=1, cinv=1)
 _SHIFT = _cleared_term(den=4, hbar=1, cinv=2, minv=2)
 _XX = _cleared_term(den=2, hbar=1, cinv=2, minv=2)
 _XS = _cleared_term(cinv=2, minv=2)
@@ -57,7 +58,7 @@ _G = _cleared_term(g=1)
 class PauliSet:
     """Operator family for one uniform background; E and B are the field
     components as cleared pairs (polynomial dict, den), the generators
-    E1..E3 and B1..B3 or zero."""
+    E1..E3 and B1..B3 or zero; A0 and A0_hat are built on first read."""
 
     kind: str
     x: tuple
@@ -69,23 +70,31 @@ class PauliSet:
     Phat: tuple
     E: tuple
     B: tuple
-    A0: Op
-    A0_hat: Op
+
+    @cached_property
+    def A0(self):
+        return _scalar_potential(self.E, self.x)
+
+    @cached_property
+    def A0_hat(self):
+        return _scalar_potential(self.E, self.xhat)
 
 
 def _scalars(vec):
     return tuple(Op.scalar(v) for v in vec)
 
 
-def _potential(E, B, pos):
-    """The potentials of the uniform fields E and B at the operator
-    position pos (x or xhat): A^0 = -E.pos, summed over the nonzero E_i
-    only, and A = B x pos / 2."""
+def _is_zero(field):
+    return not any(c for c, _ in field)
+
+
+def _scalar_potential(E, pos):
+    """A^0 = -E.pos at the operator position pos, over the nonzero E_i only."""
     A0 = Op()
     for Ei, r in zip(E, pos):
         if Ei[0]:
             A0 = A0 - r.scale(Ei)
-    return A0, tuple(a.scale(_HALF) for a in cross(_scalars(B), pos))
+    return A0
 
 
 def build_operators(kind="uniform-B"):
@@ -100,17 +109,18 @@ def build_operators(kind="uniform-B"):
     sig = tuple(Op.sigma(i) for i in (1, 2, 3))
     S = tuple(s.scale(_HALF_HBAR) for s in sig)
 
-    def at(pos):   # A^0 and the kinetic momentum p - e cinv A at pos
-        A0, A = _potential(Ev, Bv, pos)
-        return A0, tuple(pi - a.scale(_E_CINV) for pi, a in zip(p, A))
+    def kinetic(pos):   # p - e cinv A at pos, A = B x pos / 2; p itself on a zero B
+        if _is_zero(Bv):
+            return p
+        A = cross(_scalars(Bv), pos)
+        return tuple(pi - a.scale(_HALF_E_CINV) for pi, a in zip(p, A))
 
-    A0, P0hat = at(x)
+    P0hat = kinetic(x)
     shift = cross(P0hat, sig)
     xhat = tuple(x[i] - shift[i].scale(_SHIFT) for i in range(3))
-    A0_hat, Phat = at(xhat)
 
     return PauliSet(kind=kind, x=x, p=p, sigma=sig, S=S, P0hat=P0hat,
-                    xhat=xhat, Phat=Phat, E=Ev, B=Bv, A0=A0, A0_hat=A0_hat)
+                    xhat=xhat, Phat=kinetic(xhat), E=Ev, B=Bv)
 
 
 # ---------------------------------------------------------------------------
@@ -129,16 +139,17 @@ def _target_xx(ps, i, j):
     return _eps_sum(ps.sigma, i, j).scale(_XX)
 
 
-def _target_PP(ps, i, j):
-    return _eps_sum(_scalars(ps.B), i, j).scale(_E_CINV)
+def _target_PP(ps, i, j):   # the zero Op on a zero B
+    return Op() if _is_zero(ps.B) else _eps_sum(_scalars(ps.B), i, j).scale(_E_CINV)
 
 
-def _target_xS(ps, i, j, s_dot_p):
-    """(S_j P_i - delta_ij S.P) cinv^2/m^2, with s_dot_p = S.P."""
-    out = ps.S[j - 1] * ps.Phat[i - 1]
-    if i == j:
-        out = out - s_dot_p
-    return out.scale(_XS)
+def _targets_xS(ps):
+    """[i][j] = (S_j P_i - delta_ij S.P) cinv^2/m^2 (0-based), from S_j
+    scaled once; S.P is the diagonal of the products."""
+    S = [s.scale(_XS) for s in ps.S]
+    SP = [[s * P for s in S] for P in ps.Phat]
+    s_dot_p = SP[0][0] + SP[1][1] + SP[2][2]
+    return [[SP[i][j] - s_dot_p if i == j else SP[i][j] for j in range(3)] for i in range(3)]
 
 
 def correspondence_residuals(ps):
@@ -164,13 +175,13 @@ def correspondence_residuals(ps):
             worst[fam] = o
             res[fam] = op
 
-    s_dot_p = dot(ps.S, ps.Phat)
+    target_xS = _targets_xS(ps)
     for i in (1, 2, 3):
         for j in (1, 2, 3):
             xP = div_ihbar(commutator(ps.xhat[i - 1], ps.Phat[j - 1]))
             keep("xP", xP - 1 if i == j else xP)
             keep("xS", div_ihbar(commutator(ps.xhat[i - 1], ps.S[j - 1]))
-                 - _target_xS(ps, i, j, s_dot_p))
+                 - target_xS[i - 1][j - 1])
             keep("PS", div_ihbar(commutator(ps.Phat[i - 1], ps.S[j - 1])))
     for i, j in ((1, 2), (1, 3), (2, 3)):
         keep("xx", div_ihbar(commutator(ps.xhat[i - 1], ps.xhat[j - 1]))

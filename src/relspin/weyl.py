@@ -310,9 +310,10 @@ def _mask(exps):
 
 
 def _axis(i):
-    """i, refused unless it is a spatial axis 1, 2 or 3."""
-    if i not in (1, 2, 3):
-        raise ValueError(f"axis {i!r} is not a spatial axis 1, 2 or 3")
+    """i, refused by name unless it is the int 1, 2 or 3 (a bool is not)."""
+    if type(i) is not int or i not in (1, 2, 3):
+        raise (ValueError if type(i) is int else TypeError)(
+            f"axis {i!r} ({type(i).__name__}) is not a spatial axis, the int 1, 2 or 3")
     return i
 
 

@@ -29,6 +29,11 @@
   diagonal pair; ``quantum.correspondence_residuals`` evaluates the
   antisymmetric families (xx, PP, SS) for i < j only, and the tests pin
   it to this form.
+* ``target_xS``, the xS target (S_j P_i - delta_ij S.P) cinv^2/m^2 of
+  one pair, from one product, a separate S.P and one scaling, and
+  ``scalar_potential``, -sum_i E_i pos_i over every component, the zero
+  ones included, as products with scalar Ops: the eager forms that
+  ``quantum``'s one table of products and first-read A^0 are pinned to.
 * ``dipole``, the electric dipole operator of a realization, which no
   report reads.
 """
@@ -160,18 +165,28 @@ def random_poly(rng, max_terms=4, max_coeff=3):
     return out
 
 
+def target_xS(ps, i, j):
+    """(S_j P_i - delta_ij S.P) cinv^2/m^2 at the 1-based pair (i, j)."""
+    out = ps.S[j - 1] * ps.Phat[i - 1]
+    if i == j:
+        out = out - dot(ps.S, ps.Phat)
+    return out.scale(_XS)
+
+
+def scalar_potential(E, pos):
+    """A^0 = -E.pos of the cleared pairs E at the operator position pos."""
+    return -sum((Op.scalar(Ei) * r for Ei, r in zip(E, pos)), Op())
+
+
 def _pair_residuals(ps, i, j):
     """Residual of every family at the 1-based pair (i, j)."""
     xi, Pi, Si = ps.xhat[i - 1], ps.Phat[i - 1], ps.S[i - 1]
     xj, Pj, Sj = ps.xhat[j - 1], ps.Phat[j - 1], ps.S[j - 1]
-    target_xS = Sj * Pi
-    if i == j:
-        target_xS = target_xS - dot(ps.S, ps.Phat)
     return {
         "xx": div_ihbar(commutator(xi, xj)) - _target_xx(ps, i, j),
         "xP": div_ihbar(commutator(xi, Pj)) - Op.scalar(1 if i == j else 0),
         "PP": div_ihbar(commutator(Pi, Pj)) - _target_PP(ps, i, j),
-        "xS": div_ihbar(commutator(xi, Sj)) - target_xS.scale(_XS),
+        "xS": div_ihbar(commutator(xi, Sj)) - target_xS(ps, i, j),
         "PS": div_ihbar(commutator(Pi, Sj)),
         "SS": div_ihbar(commutator(Si, Sj)) - _eps_sum(ps.S, i, j),
     }

@@ -1,5 +1,6 @@
 """Operator realization: correspondence floors and the g - 1 assembly."""
 
+import inspect
 import re
 
 import pytest
@@ -13,8 +14,9 @@ from relspin.quantum import (CORRESPONDENCE_FLOORS, FIELD_KINDS, _eps_sum, _scal
                              g_minus_one_residual, potential_shift,
                              shift_identity_residual)
 from relspin.weyl import NotDivisible, Op, cross, div_ihbar, dot
-from ring_oracles import (PAIRS, anticommutator, cinv, cinv_orders, dipole, e,
-                          full_residuals, g_sym, hbar, is_hermitian, m, to_ring)
+from ring_oracles import (PAIRS, anticommutator, canonical_op, cinv, cinv_orders, dipole,
+                          e, full_residuals, g_sym, hbar, is_hermitian, m, scalar_potential,
+                          target_xS, to_ring)
 
 
 def pauli_hamiltonian(kind="uniform-E", g=g_sym, include_so=True):
@@ -51,11 +53,36 @@ def test_unknown_kind_raises():
 
 @pytest.mark.parametrize("kind", ["free", "uniform-E"])
 def test_with_no_magnetic_field_phat_is_p_over_den_1(kind):
-    """p minus the zero vector potential is p itself: the zero operand
-    leaves the den of the difference at 1."""
+    """With no B the kinetic momenta at x and at xhat are p itself, den 1
+    included: a zero vector potential enters no arithmetic."""
     ps = build_operators(kind)
-    for P, p in zip(ps.Phat, ps.p):
-        assert (P.blocks, P.den) == (p.blocks, 1)
+    for P0, P, p in zip(ps.P0hat, ps.Phat, ps.p):
+        assert (P0.blocks, P0.den) == (P.blocks, P.den) == (p.blocks, 1)
+
+
+@pytest.mark.parametrize("kind", FIELD_KINDS)
+def test_first_read_a0_is_the_eager_potential(kind):
+    """The correspondence residuals build no A^0; A0 and A0_hat, built on
+    first read over the nonzero E_i only, are -sum_i E_i x_i and
+    -sum_i E_i xhat_i over all three components."""
+    ps = build_operators(kind)
+    correspondence_residuals(ps)
+    assert "A0" not in vars(ps) and "A0_hat" not in vars(ps)
+    assert ps.A0 == scalar_potential(ps.E, ps.x)
+    assert ps.A0_hat == scalar_potential(ps.E, ps.xhat)
+    assert ps.A0 is ps.A0 and ps.A0_hat is ps.A0_hat
+    assert ps.A0.is_zero() == ps.A0_hat.is_zero() == (kind in ("free", "uniform-B"))
+
+
+@pytest.mark.parametrize("kind", FIELD_KINDS)
+def test_xs_target_table_is_the_per_pair_form(kind):
+    """The one table of products S_j P_i from S_j scaled once, its
+    diagonal as S.P, holds the per-pair (S_j P_i - delta_ij S.P)
+    cinv^2/m^2 with the same den and coefficients."""
+    ps = build_operators(kind)
+    table = quantum._targets_xS(ps)
+    for i, j in PAIRS:
+        assert canonical_op(table[i - 1][j - 1]) == canonical_op(target_xS(ps, i, j)), (i, j)
 
 
 def test_eps_sum_is_the_levi_civita_contraction():
@@ -237,3 +264,41 @@ def test_report_takes_36_commutators_and_no_product_inside_them(kind, monkeypatc
     monkeypatch.setattr(Op, "__mul__", counted_mul)
     correspondence_report(kind)
     assert calls == {"commutator": 36, "mul_inside": 0}
+
+
+@pytest.fixture
+def constructions(monkeypatch):
+    """Calls of Op.__init__ and of weyl.commutator, by every name
+    quantum binds."""
+    calls = dict.fromkeys(("init", "commutator"), 0)
+    init, commutator = Op.__init__, weyl.commutator
+
+    def counted_init(self, *args, **kwargs):
+        calls["init"] += 1
+        init(self, *args, **kwargs)
+
+    def counted_commutator(A, B):
+        calls["commutator"] += 1
+        return commutator(A, B)
+
+    monkeypatch.setattr(Op, "__init__", counted_init)
+    for mod in (weyl, quantum):
+        monkeypatch.setattr(mod, "commutator", counted_commutator)
+    return calls
+
+
+def test_reports_build_only_what_they_read(constructions):
+    """The free report builds no A^0, no vector potential and no PP
+    target, and scales each S_j once for its xS targets; the g - 1 item
+    of the benchmark builds A^0 at x and at xhat on first read.  The
+    bounds are the counts at the time of writing, against 219 and 111
+    when every operator was built eagerly.  Every Op is made through
+    __init__: an Op made by __new__ alone would lower the count without
+    saving the work."""
+    for mod in (weyl, quantum):
+        assert "__new__" not in inspect.getsource(mod), mod.__name__
+    correspondence_report("free")
+    assert constructions["commutator"] == 36 and constructions["init"] <= 152, constructions
+    constructions.update(dict.fromkeys(constructions, 0))
+    g_minus_one_residual(build_operators("uniform-E"))
+    assert constructions["commutator"] == 0 and constructions["init"] <= 69, constructions

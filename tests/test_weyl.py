@@ -4,6 +4,7 @@ import itertools
 import random
 import re
 
+import numpy as np
 import pytest
 import sympy as sp
 from sympy import QQ, QQ_I, ZZ_I
@@ -90,6 +91,17 @@ def test_canonical_commutators():
 @pytest.mark.parametrize("make", ["x", "p", "sigma"])
 def test_constructors_refuse_an_axis_outside_one_to_three(make, axis):
     with pytest.raises(ValueError, match=f"axis {axis}"):
+        getattr(Op, make)(axis)
+
+
+@pytest.mark.parametrize("axis", [True, np.int64(2), np.int64(1), 1.0, 2.0],
+                         ids=["bool", "int64-2", "int64-1", "float-1", "float-2"])
+@pytest.mark.parametrize("make", ["x", "p", "sigma"])
+def test_constructors_refuse_an_axis_that_is_not_an_int(make, axis):
+    """An axis is a Python int: True would be x1, and np.int64(2) would
+    shift the Pauli index out of the monomial and give the identity
+    block, which commutes with sigma_1."""
+    with pytest.raises(TypeError, match=re.escape(f"axis {axis!r} ({type(axis).__name__})")):
         getattr(Op, make)(axis)
 
 
