@@ -69,11 +69,10 @@ MODEL_KEYS = {
                     (">=", 0)),
 }
 
-# the parameters each background kind requires, from the one table of
-# fields; an optional one (coulomb's r_min) is no config key
+# the parameters each background kind requires, from the one table of fields
 BACKGROUND_KEYS = {
     kind: {f"background.{name}": ("vec3" if shape else float, REQUIRED, None)
-           for name, (shape, default) in params.items() if default is None}
+           for name, shape in params.items()}
     for kind, params in PARAMETERS.items()}
 
 SCHEMAS = {

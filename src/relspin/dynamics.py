@@ -405,13 +405,21 @@ def linear_rate(t, angle):
     return float(slope)
 
 
-def spin_plane_rate(traj, i=0, j=1):
-    """Secular rotation rate of the spin projection in the (i,j) plane,
-    i and j two distinct axes 0..2 (S1..S3); any other pair is refused."""
-    if not (i in (0, 1, 2) and j in (0, 1, 2) and i != j):
-        raise ValueError(f"a spin plane needs two distinct axes in 0..2, got ({i}, {j})")
+def spin_plane_rate(traj):
+    """Secular rotation rate of the spin projection in the (S1, S2) plane.
+    ValueError at the first record where that projection is at most
+    1e-12 |S|: zero (no spin, or a spin on S3) or the rounding of a
+    direction on S3 (0.1 to 2 eps of |S|), whose angle is noise; a tilt
+    of 1e-9 off S3 reads its rate."""
     ch = traj.channels()
-    return linear_rate(traj.t, np.unwrap(np.arctan2(ch[f"S{j + 1}"], ch[f"S{i + 1}"])))
+    inplane = np.hypot(ch["S1"], ch["S2"])
+    norm = np.hypot(inplane, ch["S3"])
+    flat = inplane <= 1e-12 * norm
+    if flat.any():
+        k = int(flat.argmax())   # the first flat record
+        raise ValueError(f"the spin at record {k} (t = {traj.t[k]}) has no (S1, S2) part to "
+                         f"turn: |(S1, S2)| = {inplane[k]:.3e} at |S| = {norm[k]:.3e}")
+    return linear_rate(traj.t, np.unwrap(np.arctan2(ch["S2"], ch["S1"])))
 
 
 def orbit_averages(traj):

@@ -17,17 +17,17 @@ as tuples of Python floats: what the float kernel ``phase._kernel``
 reads, and nothing else.  Stationarity (no x^0 derivative) and the
 antisymmetry of F and dF hold by construction: the layout has no slot
 for an x^0 derivative or an entry on or below the diagonal.  A point's
-geometry (the coulomb radius and its r_min check) is computed once for
+geometry (the coulomb radius and its R_MIN check) is computed once for
 all four, and the coulomb tuples are written out inline; the uniform
 kinds return constant float tuples made once at construction, F by
 minkowski.field_from_EB.  These tuples are the one field layout of the
 package; the readers that need the (4, 4) array of F or of a row of dF
-build it with minkowski.field_tensor.  numpy is used only in
-make_background, so reading KINDS or PARAMETERS loads neither numpy nor
-minkowski.  The electric field of a static potential is E_i = d_i A_0 =
--d_i A^0.  Exact derivatives are part of the contract: bracket and
-force evaluations chain-rule through these, finite differences are used
-only as test oracles.
+build it with minkowski.field_tensor.  numpy is used only in finite,
+so reading KINDS or PARAMETERS loads neither numpy nor minkowski.  The
+electric field of a static potential is E_i = d_i A_0 = -d_i A^0.
+Exact derivatives are part of the contract: bracket and force
+evaluations chain-rule through these, finite differences are used only
+as test oracles.
 
 Catalog kinds: "zero", "uniform-E", "uniform-B", "crossed", "coulomb".
 PARAMETERS is the one table of the parameters each kind takes, which
@@ -42,17 +42,18 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-# the parameters each kind takes, name -> (shape, default): shape () is a
-# number and (3,) a three-vector; a default of None marks a required one
+# the parameters each kind requires, name -> shape: () is a number and
+# (3,) a three-vector
 PARAMETERS = {
     "zero": {},
-    "uniform-E": {"E": ((3,), None)},
-    "uniform-B": {"B": ((3,), None)},
-    "crossed": {"E": ((3,), None), "B": ((3,), None)},
-    # evaluations closer to the center than r_min are rejected
-    "coulomb": {"q": ((), None), "r_min": ((), 1e-6)},
+    "uniform-E": {"E": (3,)},
+    "uniform-B": {"B": (3,)},
+    "crossed": {"E": (3,), "B": (3,)},
+    "coulomb": {"q": ()},
 }
 KINDS = tuple(PARAMETERS)
+# coulomb evaluations closer to the center than R_MIN are refused
+R_MIN = 1e-6
 
 _Z3 = (0.0, 0.0, 0.0)
 _Z6 = (0.0,) * 6
@@ -113,19 +114,30 @@ def _coulomb_at(q, r_min):
     return at
 
 
+def finite(label, value, shape):
+    """value as a finite float array of the given shape; else ValueError, by label."""
+    import numpy as np
+
+    try:
+        array = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):   # not a number, or a ragged sequence
+        array = np.array(math.nan)
+    if not (array.shape == shape and np.all(np.isfinite(array))):
+        raise ValueError(f"{label} must be finite, of shape {shape}, got {value!r}")
+    return array
+
+
 def make_background(kind, e=1.0, c=10.0, **params):
     """Build a catalog background.
 
-    The parameters of each kind are those of PARAMETERS: uniform-E
-    takes E=(3,), uniform-B takes B=(3,), crossed takes both, coulomb
-    takes q and optional r_min.  ValueError, naming the parameter, for
-    one the kind does not take, a required one left out, one that is not
-    finite or not of its shape, and an r_min that is not positive; and,
-    naming e or c, for one that is not a number or not finite, or a c
-    that is not positive.
+    The parameters of each kind are those of PARAMETERS, all required:
+    uniform-E takes E=(3,), uniform-B takes B=(3,), crossed takes both,
+    coulomb takes q, and refuses an evaluation closer to the center than
+    R_MIN.  ValueError, naming the parameter, for one the kind does not
+    take, one left out, and one that is not finite or not of its shape;
+    and, naming e or c, for one that is not a number or not finite, or a
+    c that is not positive.
     """
-    import numpy as np
-
     for name, value in (("charge e", e), ("light speed c", c)):
         try:
             float(value)
@@ -143,25 +155,14 @@ def make_background(kind, e=1.0, c=10.0, **params):
         if name not in table:
             raise ValueError(f"{kind} background takes no parameter {name}; "
                              f"it takes {tuple(table)}")
-    for name, (shape, default) in table.items():
-        if name not in params and default is None:
+    for name, shape in table.items():
+        if name not in params:
             raise ValueError(f"{kind} background requires the parameter {name}")
-        values[name] = value = params.get(name, default)
-        try:
-            array = np.asarray(value, dtype=float)
-        except (TypeError, ValueError):   # not a number, or a ragged sequence
-            array = np.array(math.nan)
-        if not (array.shape == shape and np.all(np.isfinite(array))):
-            raise ValueError(f"background parameter {name} must be finite, of shape "
-                             f"{shape}, got {value!r}")
+        values[name] = finite(f"background parameter {name}", params[name], shape)
     if kind == "zero":
         at = lambda x: _ZERO
     elif kind == "coulomb":
-        r_min = float(values["r_min"])
-        if not r_min > 0:
-            # at r_min <= 0 the center itself would pass the r_min check
-            raise ValueError(f"background parameter r_min must be positive, got {r_min}")
-        at = _coulomb_at(float(values["q"]), r_min)
+        at = _coulomb_at(float(values["q"]), R_MIN)
     else:
         at = _uniform_at(values.get("E", _Z3), values.get("B", _Z3))
     return FieldBackground(kind=kind, e=e, c=c, at=at)

@@ -63,7 +63,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fields import FieldBackground
+from .fields import FieldBackground, finite
 from .minkowski import ETA_DIAG, boost_matrix, contract_2, field_tensor, lower2
 
 def symplectic(v):
@@ -233,9 +233,6 @@ class Observable:
     def grad(self, z, model):
         return self._g(z, model)
 
-    def __repr__(self):
-        return f"Observable({self.name})"
-
 
 def _kernel(vec, model, fields):
     """calP and the pieces of the rows grad (calP^0, T3, T4) at the state
@@ -369,8 +366,8 @@ def _rest_spin_pair(spin_dir, alpha):
     return a, b
 
 
-def init_state(model, x3, P3, spin_dir=(0, 0, 1.0), t=0.0):
-    """Constrained state with given position, spatial kinetic momentum, spin.
+def init_state(model, x3, P3, spin_dir=(0, 0, 1.0)):
+    """Constrained state at x^0 = 0 with given position, spatial kinetic momentum, spin.
 
     The internal pair is built in the rest frame (rest spin vector
     sqrt(alpha) spin_dir, |omega| = 1 gauge) and boosted with the pure
@@ -380,20 +377,13 @@ def init_state(model, x3, P3, spin_dir=(0, 0, 1.0), t=0.0):
     rounding of F S, or on one that no longer shrinks and lies within
     gamma^2 times that.  alpha = 0 returns a spinless
     state instead, omega = pi = 0.  ValueError, naming the argument,
-    for an x3, P3 or spin_dir that is not three finite numbers, a t that
-    is not one, and a P3 whose |P3|^2 + (m c)^2 is past the float range.
+    for an x3, P3 or spin_dir that is not three finite numbers, and a P3
+    whose |P3|^2 + (m c)^2 is past the float range.
     """
-    for name, value, shape in (("x3", x3, (3,)), ("P3", P3, (3,)),
-                               ("spin_dir", spin_dir, (3,)), ("t", t, ())):
-        try:
-            array = np.asarray(value, dtype=float)
-        except (TypeError, ValueError):   # not a number, or a ragged sequence
-            array = np.array(math.nan)
-        if not (array.shape == shape and np.all(np.isfinite(array))):
-            raise ValueError(f"{name} must be finite, of shape {shape}, got {value!r}")
-    mc2, c = model.mc2, model.c
-    x4 = np.concatenate([[c * t], np.asarray(x3, dtype=float)])
-    P3 = np.asarray(P3, dtype=float)
+    x3, P3, spin_dir = (finite(name, value, (3,)) for name, value
+                        in (("x3", x3), ("P3", P3), ("spin_dir", spin_dir)))
+    mc2 = model.mc2
+    x4 = np.concatenate([[0.0], x3])
     with np.errstate(over="ignore"):   # refused below, with no warning
         PP = P3 @ P3
     if not float(PP) + mc2 < math.inf:

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .weyl import Op, _cleared, _cleared_term, commutator, cross, div_ihbar, dot
+from .weyl import Op, _cleared_term, commutator, cross, div_ihbar, dot
 
 FIELD_KINDS = ("free", "uniform-E", "uniform-B", "crossed")
 
@@ -44,13 +44,13 @@ _E_FIELD = tuple(_cleared_term(**{name: 1}) for name in ("E1", "E2", "E3"))
 _NO_FIELD = (_cleared_term(0),) * 3
 _HALF_HBAR = _cleared_term(den=2, hbar=1)
 _E = _cleared_term(e=1)
-_E_CINV = _cleared_term(e=1, cinv=1)
+_E_CINV = {s: _cleared_term(s, e=1, cinv=1) for s in (1, -1)}   # +-e cinv, by sign
 _HALF_E_CINV = _cleared_term(den=2, e=1, cinv=1)
 _SHIFT = _cleared_term(den=4, hbar=1, cinv=2, minv=2)
 _XX = _cleared_term(den=2, hbar=1, cinv=2, minv=2)
 _XS = _cleared_term(cinv=2, minv=2)
 _SO = _cleared_term(den=2, e=1, cinv=2, minv=2)
-# the coupling g as the ring generator, the default of the g - 1 assembly
+# the coupling g as the ring generator, in which the g - 1 assembly is built
 _G = _cleared_term(g=1)
 
 
@@ -127,20 +127,27 @@ def build_operators(kind="uniform-B"):
 # correspondence with the expanded classical brackets
 
 
+def _eps(i, j):   # (k, eps_{ijk}) for 1-based i != j, k the third axis, 0-based
+    return 5 - i - j, 1 if (j - i) % 3 == 1 else -1
+
+
 def _eps_sum(vec, i, j):
-    """eps_{ijk} vec_k for 1-based i, j: +-vec_k at the third axis k,
-    + iff (i, j, k) is cyclic; the zero Op when i == j."""
+    """eps_{ijk} vec_k for 1-based i, j; the zero Op when i == j."""
     if i == j:
         return Op()
-    return vec[5 - i - j].scale(1 if (j - i) % 3 == 1 else -1)
+    k, sign = _eps(i, j)
+    return vec[k].scale(sign)
 
 
 def _target_xx(ps, i, j):
     return _eps_sum(ps.sigma, i, j).scale(_XX)
 
 
-def _target_PP(ps, i, j):   # the zero Op on a zero B
-    return Op() if _is_zero(ps.B) else _eps_sum(_scalars(ps.B), i, j).scale(_E_CINV)
+def _target_PP(ps, i, j):   # e cinv eps_{ijk} B_k; the zero Op at i == j or B = 0
+    if i == j or _is_zero(ps.B):
+        return Op()
+    k, sign = _eps(i, j)
+    return Op.scalar(ps.B[k]).scale(_E_CINV[sign])
 
 
 def _targets_xS(ps):
@@ -235,24 +242,20 @@ def shift_identity_residual(ps):
     return potential_shift(ps) + _s_dot_p_cross_e(ps).scale(_SO)
 
 
-def covariant_spin_orbit(ps, g=_G):
-    """(e g / 2 m^2 c^2) S.(P x E), the coupling the expanded
-    Hamiltonian inherits from the covariant dipole term."""
-    return _s_dot_p_cross_e(ps).scale(_SO).scale(g)
+def covariant_spin_orbit(ps):
+    """(e g / 2 m^2 c^2) S.(P x E), g the ring generator: the coupling
+    the expanded Hamiltonian inherits from the covariant dipole term."""
+    return _s_dot_p_cross_e(ps).scale(_SO).scale(_G)
 
 
-def g_minus_one_residual(ps, g=_G):
+def g_minus_one_residual(ps):
     """g * assembled - (g-1) * covariant, the polynomial form of
     assembled = (g-1)/g * covariant, where assembled is the covariant
-    coupling plus the potential shift.  For g != 0 it is identically
-    zero iff the noncommutative shift converts the coupling g -> g - 1.
-    g is the ring generator g by default, or an int or cleared pair;
-    ValueError for g = 0, where the residual is zero for any assembly."""
-    if not _cleared(g)[0]:
-        raise ValueError(f"g_minus_one_residual needs g != 0, not g = {g!r}: "
-                         "at g = 0 the residual vanishes for any assembly")
-    covariant = covariant_spin_orbit(ps, g)
+    coupling plus the potential shift.  In the ring generator g it is
+    g * shift + covariant, zero iff the noncommutative shift converts
+    the coupling g -> g - 1, one identity for every numeric g."""
+    covariant = covariant_spin_orbit(ps)
     # (g - 1) * covariant as g * covariant - covariant: the Ops carry
     # the arithmetic, not the scalar g
-    return ((covariant + potential_shift(ps)).scale(g)
-            - (covariant.scale(g) - covariant))
+    return ((covariant + potential_shift(ps)).scale(_G)
+            - (covariant.scale(_G) - covariant))

@@ -387,9 +387,6 @@ class Op:
     def __sub__(self, other):
         return self.__add__(other, _psub)
 
-    def __rsub__(self, other):
-        return Op.scalar(other) - self
-
     def scale(self, expr):
         c, den = _cleared(expr)
         return Op({k: _pairs_into({}, c, blk, _TIMES) for k, blk in self.blocks.items()},

@@ -298,8 +298,9 @@ def test_exit_code_two_on_config_errors(tmp_path, capsys):
 
 def test_background_keys_are_the_required_parameters_of_fields(tmp_path, capsys):
     """The background keys, built from fields.PARAMETERS, are the table
-    the CLI has always read: coulomb's optional r_min is no config key,
-    and it and any other key a kind does not take exit 2, naming it."""
+    the CLI has always read: every parameter of the kind, all required.
+    r_min, now the constant fields.R_MIN, and any other key a kind does
+    not take exit 2, naming it."""
     vec3, number = ("vec3", cli.REQUIRED, None), (float, cli.REQUIRED, None)
     assert cli.BACKGROUND_KEYS == {
         "zero": {},

@@ -3,7 +3,8 @@ module that the package imports, and neither scipy nor sympy is one of
 them: the package steps with its own rk4, and the operator ring takes
 ints and cleared pairs only.  scipy serves the tests alone (the DOP853
 reference and the Numerov radial check), and so does sympy (the
-reference ring and the reader of sympy expressions)."""
+reference ring and the reader of sympy expressions).  Every name a
+module imports is read in it."""
 
 import ast
 import re
@@ -61,3 +62,23 @@ def test_no_module_imports_sympy():
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     assert "sympy" not in _requirement_names(project["dependencies"])
     assert "sympy" in _requirement_names(project["optional-dependencies"]["test"])
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    """Every name that a src/relspin module imports, at the top or inside
+    a function, is read somewhere in that module: an import left behind
+    when its last reader went (a private helper, math, numpy) is named
+    here.  __future__ imports bind no name and are exempt."""
+    unread = {}
+    for path in sorted((ROOT / "src" / "relspin").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        bound = {alias.asname or alias.name.split(".")[0]
+                 for node in ast.walk(tree)
+                 if isinstance(node, (ast.Import, ast.ImportFrom))
+                 and getattr(node, "module", None) != "__future__"
+                 for alias in node.names}
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        if bound - read:
+            unread[path.stem] = sorted(bound - read)
+    assert not unread

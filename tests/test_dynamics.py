@@ -4,7 +4,6 @@ projection behaviour, integrator cross-checks and gauge invariance."""
 import dataclasses
 import functools
 import json
-import re
 import sys
 
 import numpy as np
@@ -205,7 +204,7 @@ def test_spin_precession_rate_uniform_b():
                     spin_dir=(1.0, 0.0, 0.0))
     P0 = np.sqrt(pz**2 + (model.m * model.c) ** 2)
     traj = integrate(model, z0, 70.0, 0.02, record_every=5)
-    rate = spin_plane_rate(traj, 0, 1)
+    rate = spin_plane_rate(traj)
     assert abs(abs(rate) - model.e * B / P0) < 1e-8
     gamma = P0 / (model.m * model.c)
     assert np.isclose(abs(rate), oracles.larmor_reference(model, B) / gamma,
@@ -231,17 +230,29 @@ def test_spin_plane_rate_refuses_a_run_of_one_record():
     assert linear_rate(np.array([1.0, 3.0]), np.array([0.5, 1.5])) == pytest.approx(0.5)
 
 
-@pytest.mark.parametrize("plane", [(0, 0), (-1, 0), (2, -3), (1, 3)],
-                         ids=["one axis", "negative", "two negative", "past 2"])
-def test_spin_plane_rate_refuses_a_plane_that_is_not_a_plane(plane):
-    """Two equal axes read a rate of about 1e-16, and a negative index
-    silently wraps to another plane; only two distinct axes in 0..2
-    name a plane."""
+@pytest.mark.parametrize("alpha, spin_dir", [(0.75, (0.0, 0.0, 1.0)), (0.0, (1.0, 0.0, 0.0))],
+                         ids=["along S3", "spinless"])
+def test_spin_plane_rate_refuses_a_spin_with_no_in_plane_part(alpha, spin_dir):
+    """A spin along B = 2 z keeps (S1, S2) = (0, 0) exactly, whose angle
+    arctan2 reads as 0 or pi: the fit read -0.289 where the spin precesses
+    at -0.198.  A spinless run read 0.0.  Both are refused, naming the
+    first record."""
+    model = _uniform_b_model(spinless_alpha=alpha)
+    z0 = init_state(model, x3=(0, 0, 0), P3=(0.0, 0.0, 1.5), spin_dir=spin_dir)
+    traj = integrate(model, z0, 10.0, 0.02, record_every=5)
+    with pytest.raises(ValueError, match=r"^the spin at record 0 \(t = 0.0\) has no \(S1, S2\)"):
+        spin_plane_rate(traj)
+
+
+def test_spin_plane_rate_reads_a_spin_tilted_off_the_plane_normal():
+    """A tilt of 1e-9 off S3 is far above rounding (0.1 to 2 eps of |S|
+    for a rounded S3 direction) and reads the precession e B / calP^0."""
     model = _uniform_b_model()
-    z0 = init_state(model, x3=(0, 0, 0), P3=(0.0, 0.0, 1.5), spin_dir=(1.0, 0.0, 0.0))
-    traj = integrate(model, z0, 0.1, 0.02)
-    with pytest.raises(ValueError, match=re.escape(f"two distinct axes in 0..2, got {plane}")):
-        spin_plane_rate(traj, *plane)
+    for tilt in (1e-9, 1e-6):
+        z0 = init_state(model, x3=(0, 0, 0), P3=(0.0, 0.0, 1.5), spin_dir=(tilt, 0.0, 1.0))
+        traj = integrate(model, z0, 10.0, 0.02, record_every=5)
+        P0 = traj.channels()["P0"][0]
+        assert abs(spin_plane_rate(traj) + model.e * 2.0 / P0) < 1e-10, tilt
 
 
 def test_orbit_and_spin_lock_at_g2():
@@ -406,13 +417,14 @@ def test_a_right_hand_side_failing_just_after_a_projection_tells_where(monkeypat
     assert "projection_failure" not in run
 
 
-def test_a_failed_right_hand_side_tells_where_the_run_stopped():
-    """An orbit that dips below the coulomb r_min fails inside an rk4
-    stage of step 9, between projections.  The ValueError keeps its type
-    and message and carries the run's stats as for a failed projection:
-    the failing step and its end time, and the right-hand sides of the
-    eight completed steps."""
-    bg = make_background("coulomb", e=-1.0, c=10.0, q=1.0, r_min=3.9)
+def test_a_failed_right_hand_side_tells_where_the_run_stopped(monkeypatch):
+    """An orbit that dips below the coulomb guard, fields.R_MIN raised to
+    3.9, fails inside an rk4 stage of step 9, between projections.  The
+    ValueError keeps its type and message and carries the run's stats as
+    for a failed projection: the failing step and its end time, and the
+    right-hand sides of the eight completed steps."""
+    monkeypatch.setattr(fields, "R_MIN", 3.9)
+    bg = make_background("coulomb", e=-1.0, c=10.0, q=1.0)
     model = Model(background=bg)
     z0 = init_state(model, x3=(4.0, 0.0, 0.0), P3=(0.0, 0.3, 0.0))
     with pytest.raises(ValueError, match=r"r=3.898e\+00 < r_min=3.900e\+00") as err:

@@ -33,6 +33,11 @@ def test_ladder_refuses_fewer_than_two_rungs(cs):
         bracket_ladder("crossed", cs=cs)
 
 
+def test_ladder_refuses_a_background_with_no_preset():
+    with pytest.raises(ValueError, match="^no ladder preset for background 'uniform-B'$"):
+        bracket_ladder("uniform-B")
+
+
 def test_ladder_residuals_fall_fast_enough():
     # consistency with the quoted orders: residuals must fall by at
     # least 2^k per doubling of c once above the rounding floor

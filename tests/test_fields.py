@@ -2,6 +2,7 @@
 in the package chain-rules through them, so A/dA/F/dF are pinned against
 central finite differences here."""
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -172,9 +173,12 @@ def test_coulomb_field_shape():
 
 
 def test_coulomb_center_guard():
-    bg = make_background("coulomb", q=1.0, r_min=1e-3)
-    with pytest.raises(ValueError):
-        _field(bg, "A")(np.array([0.0, 1e-4, 0.0, 0.0]))
+    """An evaluation closer to the center than fields.R_MIN is refused,
+    the center itself included."""
+    bg = make_background("coulomb", q=1.0)
+    for r in (0.0, 1e-7):
+        with pytest.raises(ValueError, match=re.escape(f"r={r:.3e} < r_min=1.000e-06")):
+            _field(bg, "A")(np.array([0.0, r, 0.0, 0.0]))
 
 
 def test_missing_q_rejected():
@@ -186,16 +190,16 @@ def test_missing_q_rejected():
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_missing_and_foreign_parameters_are_refused_by_name(kind):
-    """Every kind refuses each required parameter left out and each
-    parameter it does not take, naming it.  uniform-B with an E built a
-    zero field, uniform-E without E built one too, and a misspelt Bz was
-    dropped without a word."""
+    """Every kind refuses each parameter left out and each parameter it
+    does not take, naming it.  uniform-B with an E built a zero field,
+    uniform-E without E built one too, and a misspelt Bz was dropped
+    without a word.  r_min is a constant, fields.R_MIN, and a foreign
+    parameter on every kind."""
     full = PARAMS[kind]
-    for name, (_, default) in PARAMETERS[kind].items():
-        if default is None:
-            missing = f"{kind} background requires the parameter {name}$"
-            with pytest.raises(ValueError, match=missing):
-                make_background(kind, **{k: v for k, v in full.items() if k != name})
+    for name in PARAMETERS[kind]:
+        missing = f"{kind} background requires the parameter {name}$"
+        with pytest.raises(ValueError, match=missing):
+            make_background(kind, **{k: v for k, v in full.items() if k != name})
     foreign = ["Bz", *(n for n in ("E", "B", "q", "r_min") if n not in PARAMETERS[kind])]
     for name in foreign:
         with pytest.raises(ValueError, match=f"{kind} background takes no parameter {name};"):
@@ -207,7 +211,6 @@ def test_missing_and_foreign_parameters_are_refused_by_name(kind):
     ("uniform-E", {"E": (0.1, 0.2)}, "E"),
     ("crossed", {"E": (0.1, 0.0, 0.0), "B": 1.0}, "B"),
     ("coulomb", {"q": (1.0, 2.0)}, "q"),
-    ("coulomb", {"q": 1.0, "r_min": (1e-3,)}, "r_min"),
 ])
 def test_parameters_of_the_wrong_shape_are_refused_by_name(kind, params, name):
     with pytest.raises(ValueError, match=f"background parameter {name} must be finite, of shape"):
@@ -355,7 +358,7 @@ def test_coulomb_refuses_a_nan_position():
 @pytest.mark.parametrize("kind, params, name", [
     ("coulomb", {"q": np.nan}, "q"),
     ("coulomb", {"q": np.inf}, "q"),
-    ("coulomb", {"q": 1.0, "r_min": np.nan}, "r_min"),
+    ("coulomb", {"q": -np.inf}, "q"),
     ("uniform-E", {"E": (np.nan, 0.0, 0.0)}, "E"),
     ("uniform-B", {"B": (0.0, 0.0, np.inf)}, "B"),
     ("crossed", {"E": (np.nan, 0.0, 0.0), "B": (0.0, 0.0, 1.0)}, "E"),
@@ -371,7 +374,7 @@ def test_non_finite_parameters_are_refused_by_name(kind, params, name):
 
 @pytest.mark.parametrize("kind, params, name", [
     ("coulomb", {"q": "a"}, "q"),
-    ("coulomb", {"q": 1.0, "r_min": None}, "r_min"),
+    ("coulomb", {"q": None}, "q"),
     ("uniform-B", {"B": ("x", 0, 0)}, "B"),
     ("uniform-E", {"E": {"x": 1}}, "E"),
     ("crossed", {"E": (0.1, 0.0, 0.0), "B": ((1.0,), 0.0, 0.0)}, "B"),
@@ -394,11 +397,3 @@ def test_charge_and_light_speed_that_are_not_numbers_are_refused_by_name(name, v
     what = {"e": "charge e", "c": "light speed c"}[name]
     with pytest.raises(ValueError, match=f"^{what} must be a number, got "):
         make_background("zero", **{name: value})
-
-
-@pytest.mark.parametrize("r_min", [0.0, -1.0])
-def test_coulomb_refuses_a_radius_guard_that_admits_the_center(r_min):
-    """At r_min <= 0 an evaluation at the center passed the guard and
-    divided by zero (ZeroDivisionError); the guard must be positive."""
-    with pytest.raises(ValueError, match="r_min must be positive"):
-        make_background("coulomb", q=1.0, r_min=r_min)

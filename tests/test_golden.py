@@ -69,7 +69,6 @@ def _operator_dump():
                           in quantum.correspondence_residuals(ps).items()},
             "shift_identity": canonical_op(quantum.shift_identity_residual(ps)),
             "g_minus_one": canonical_op(quantum.g_minus_one_residual(ps)),
-            "g_minus_one_at_2": canonical_op(quantum.g_minus_one_residual(ps, 2)),
         }
     return json.dumps(dump, sort_keys=True).encode()
 

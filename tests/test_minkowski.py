@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -100,6 +101,16 @@ def test_boost_preserves_interval(v3):
     assert np.isclose(mdot(boost_vector(L, v), boost_vector(L, v)), mdot(v, v))
     # metric invariance as a matrix statement
     assert np.allclose(L.T @ ETA @ L, ETA, atol=1e-12)
+
+
+@pytest.mark.parametrize("u", [(2.0, 0.0, 0.0, 0.0), (1.0, 0.3, 0.0, 0.0), (-1.0, 0.0, 0.0, 0.0),
+                               -_unit_timelike([0.3, -0.2, 0.1])],
+                         ids=["long", "short", "past at rest", "past moving"])
+def test_boost_matrix_refuses_a_u_that_is_not_unit_and_future(u):
+    """A u off the unit hyperboloid boosts to no frame, and a past-pointing
+    one would divide by 1 + u0 = 0 at rest; both are refused."""
+    with pytest.raises(ValueError, match="^boost_matrix needs unit timelike future u, got u.u="):
+        boost_matrix(u)
 
 
 def test_boost_tensor_consistency():

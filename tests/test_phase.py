@@ -202,19 +202,21 @@ def test_spin_tensor_of_stacks_is_the_per_state_tensor():
     ("x3", (np.nan, 0.0, 0.0)), ("x3", (0.0, np.inf, 0.0)),
     ("P3", (0.1, np.nan, 0.0)), ("P3", (-np.inf, 0.0, 0.0)),
     ("spin_dir", (np.nan, 0.0, 1.0)), ("spin_dir", (0.0, 0.0, np.inf)),
-    ("t", np.nan), ("t", np.inf),
+    ("x3", "abc"), ("P3", None),
     ("x3", (1.0, 2.0)), ("x3", (1.0, 2.0, 3.0, 4.0)), ("P3", (0.1, 0.2)),
     ("spin_dir", (0.0, 1.0)), ("x3", ((1.0, 2.0), 3.0, 4.0))])
 def test_init_state_refuses_non_finite_arguments_by_name(kind, alpha, name, value):
     """A NaN or inf in P3 or spin_dir ran 200 fixed-point passes with
     RuntimeWarnings and then raised "field-spin fixed point did not
-    converge"; a NaN x3 on zero, a NaN t and a NaN P3 at alpha = 0
-    returned a NaN state.  An x3, P3 or spin_dir of two or four numbers
-    raised an unpacking, index or matmul error that named none of them,
-    and a ragged x3 numpy's "setting an array element with a sequence".
-    Each is refused, naming the argument, before any arithmetic on it."""
+    converge"; a NaN x3 on zero and a NaN P3 at alpha = 0 returned a NaN
+    state.  An x3, P3 or spin_dir of two or four numbers raised an
+    unpacking, index or matmul error that named none of them, and a
+    ragged x3 numpy's "setting an array element with a sequence"; a
+    string or None is no number either.  Each is refused, naming the
+    argument, before any arithmetic on it, by the check make_background
+    shares (fields.finite)."""
     args = {"x3": (1.6, -0.8, 1.1), "P3": (0.4, 0.3, -0.2), "spin_dir": (0.3, -1.0, 0.5),
-            "t": 0.0, name: value}
+            name: value}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
@@ -279,6 +281,25 @@ def test_init_state_reads_the_direction_of_a_tiny_or_huge_spin_dir(kind, spin_di
     args = {"x3": (1.2, -0.4, 0.8), "P3": (0.3, 0.2, -0.5)}
     want = init_state(model, spin_dir=(1.0, 1.0, 0.0), **args).vec.tobytes()
     assert init_state(model, spin_dir=spin_dir, **args).vec.tobytes() == want
+
+
+@pytest.mark.parametrize("kind", ["zero", "coulomb"])
+def test_init_state_refuses_a_zero_spin_dir(kind):
+    """A zero spin_dir names no direction; it is refused by name before
+    the rest pair divides by its norm."""
+    with pytest.raises(ValueError, match="^spin_dir must be a nonzero three-vector$"):
+        init_state(build_model(kind), x3=(1.2, -0.4, 0.8), P3=(0.3, 0.2, -0.5),
+                   spin_dir=(0, 0, 0))
+
+
+@pytest.mark.parametrize("block", ["x", "p", "w", "pi"])
+def test_from_parts_refuses_a_block_of_three(block):
+    """A block of three components would shift every later block and
+    build a 15-vector; each block must have four."""
+    parts = dict.fromkeys(("x", "p", "w", "pi"), (0.0, 0.1, 0.2, 0.3))
+    parts[block] = (0.1, 0.2, 0.3)
+    with pytest.raises(ValueError, match="^each of x, p, omega, pi must have 4 components$"):
+        PhaseState.from_parts(**parts)
 
 
 def test_energy_radicand_guard():

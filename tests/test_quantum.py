@@ -152,29 +152,9 @@ def test_g_minus_one_identity():
     for kind in ("uniform-E", "crossed"):
         ps = build_operators(kind)
         assert g_minus_one_residual(ps).is_zero(), kind
-        # and at a concrete g: assembled coupling / covariant = (g-1)/g
-        assert g_minus_one_residual(ps, g=2).is_zero(), kind
         # the covariant term alone is NOT the assembled one
-        diff = covariant_spin_orbit(ps, g=2) - (covariant_spin_orbit(ps, g=2)
-                                                + potential_shift(ps))
+        diff = covariant_spin_orbit(ps) - (covariant_spin_orbit(ps) + potential_shift(ps))
         assert not diff.is_zero(), kind
-
-
-@pytest.mark.parametrize("g", [0, ({}, 1), ({}, 3)], ids=["int", "pair", "pair-den-3"])
-def test_g_minus_one_residual_refuses_g_zero(g, monkeypatch):
-    """At g = 0, g * assembled - (g-1) * covariant is zero for any
-    assembly, the wrong one without the potential shift included, so
-    g = 0 is refused by name before anything is built; a float g is
-    refused as a scalar."""
-    ps = build_operators("uniform-E")
-    named = re.escape(f"not g = {g!r}")
-    with pytest.raises(ValueError, match=named):
-        g_minus_one_residual(ps, g)
-    monkeypatch.setattr(quantum, "potential_shift", lambda ps: Op())
-    with pytest.raises(ValueError, match=named):
-        g_minus_one_residual(ps, g)
-    with pytest.raises(TypeError, match="not float$"):
-        g_minus_one_residual(ps, 0.0)
 
 
 def test_pauli_hamiltonian_hermitian():
@@ -302,3 +282,22 @@ def test_reports_build_only_what_they_read(constructions):
     constructions.update(dict.fromkeys(constructions, 0))
     g_minus_one_residual(build_operators("uniform-E"))
     assert constructions["commutator"] == 0 and constructions["init"] <= 69, constructions
+
+
+@pytest.mark.parametrize("kind", FIELD_KINDS)
+def test_pp_targets_are_one_scalar_scaled_once(kind, constructions):
+    """Each PP target e cinv eps_ijk B_k is one scalar Op of B_k scaled
+    once by +-e cinv: at most 6 constructions for the three i < j
+    targets, where all three scalars of B and two scalings took 15.
+    Each target is the same element, with the same den, as that form,
+    and the zero Op at i == j."""
+    ps = build_operators(kind)
+    constructions.update(dict.fromkeys(constructions, 0))
+    upper = ((1, 2), (1, 3), (2, 3))
+    got = [quantum._target_PP(ps, i, j) for i, j in upper]
+    assert constructions["init"] <= 6, constructions
+    e_cinv = weyl._cleared_term(e=1, cinv=1)
+    for (i, j), op in zip(upper, got):
+        want = _eps_sum(_scalars(ps.B), i, j).scale(e_cinv)
+        assert (op.blocks, op.den) == (want.blocks, want.den), (i, j)
+    assert all(quantum._target_PP(ps, i, i).is_zero() for i in (1, 2, 3))

@@ -561,7 +561,6 @@ def test_g_minus_one_residual_sees_a_wrong_assembly(monkeypatch):
     # the polynomial form g * assembled - (g-1) * covariant is nonzero
     monkeypatch.setattr(quantum, "potential_shift", lambda ps: Op())
     assert not quantum.g_minus_one_residual(ps).is_zero()
-    assert not quantum.g_minus_one_residual(ps, g=2).is_zero()
 
 
 @settings(max_examples=150, deadline=None)
