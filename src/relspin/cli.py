@@ -65,7 +65,7 @@ MODEL_KEYS = {
     "model.e": (float, 1.0, None),
     "model.m": (float, 1.0, (">", 0)),
     "model.g": (float, 2.0, None),
-    "model.alpha": (float, lambda cfg: 0.75 * cfg["units.hbar"] ** 2,
+    "model.alpha": (float, lambda cfg: 0.75 * (cfg["units.hbar"] * cfg["units.hbar"]),
                     (">=", 0)),
 }
 
@@ -148,10 +148,7 @@ def _value(data, key, spec, cfg):
     elif default is REQUIRED:
         raise ConfigError(f"config: missing required field '{key}'")
     elif callable(default):
-        try:
-            val = default(cfg)
-        except OverflowError:
-            val = math.inf
+        val = default(cfg)
     else:
         val = default
     if not _is_kind(val, kind):

@@ -67,8 +67,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .minkowski import mdot
-from .phase import (CONSTRAINT_NAMES, PhaseState, field_data, spin_readouts, spin_tensor,
-                    t_values, _kernel, _t3t4)
+from .phase import (CONSTRAINT_NAMES, PhaseState, field_data, hamiltonian, spin_readouts,
+                    spin_tensor, t_values, _kernel, _t3t4)
 
 # ---------------------------------------------------------------------------
 # right-hand sides
@@ -249,9 +249,6 @@ class Trajectory:
     stats: dict = field(default_factory=dict)
     rows: dict = field(default_factory=dict)   # record index -> row its projection made
 
-    def state(self, k):
-        return PhaseState(vec=self.Z[k].copy())
-
     def channels(self):
         """Named scalar time series for output and diagnostics (cached).
 
@@ -307,8 +304,8 @@ class Trajectory:
 
 
 def _channel_row(model, fields, P, T):
-    """(calP, T, H = c calP^0 + e A^0) of one state in Trajectory.channels."""
-    return (*P, *T, model.c * P[0] + model.e * fields[0][0])
+    """(calP, T, H) of one state in Trajectory.channels."""
+    return (*P, *T, hamiltonian(P[0], fields, model))
 
 
 def _grid(t0, t_final, dt, record_every):

@@ -8,10 +8,10 @@ data (momentum, spin, fields) held fixed: each residual, multiplied by
 the quoted power c^k, must still fall as c doubles, which pins the
 order of the first neglected term.  The exact table is the direct one
 of brackets, on the x, calP and S^{ij} rows of brackets.row_gradients,
-with the spin three-vector S_k = S^{ij}/2 of phase.spin_readouts taken
-as exact multiples of the S^{ij} rows.  The gradients, the expanded
-Hamiltonian and the expanded table read the rung's brackets.dirac_core,
-so a rung evaluates its state once and builds no field array.
+the S^{ij} rows turned into those of S_k = S^{ij}/2 by phase.spin_readouts
+and H read from phase.hamiltonian.  The gradients, the expanded Hamiltonian
+and the expanded table read the rung's brackets.dirac_core, so a rung
+evaluates its state once and builds no field array.
 
 The primed chart, with the shift built on the kinetic momentum,
 
@@ -27,18 +27,16 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import make_background
-from .minkowski import EPS3, EB_from_field
-from .phase import Model, field_data, init_state, spin_readouts
+from .minkowski import EPS3, EB_from_field, field_tensor
+from .phase import Model, field_data, hamiltonian, init_state, spin_readouts
 from .brackets import ROW_OBSERVABLES, dirac_core, row_gradients
 
 LADDER_ORDERS = {"xx": 2, "xP": 2, "xS": 1, "PP": 3, "PS": 2, "SS": 1}
 
-# the table's rows among brackets.ROW_OBSERVABLES, with exact factors:
-# x, calP, and S_k = (S^{23}, -S^{13}, S^{12}) / 2
-_LADDER_ROWS = [ROW_OBSERVABLES.index(row) for row in (
-    *(("x", i) for i in (1, 2, 3)), *(("P", i) for i in (1, 2, 3)),
-    *(("S", ij) for ij in ((2, 3), (1, 3), (1, 2))))]
-_LADDER_FACTORS = np.array([1.0] * 6 + [0.5, -0.5, 0.5])[:, None]
+# the x and calP rows among brackets.ROW_OBSERVABLES, and the six S^{ij}
+# rows, which phase.spin_readouts turns into the rows of S_k
+_XP_ROWS, _S_ROWS = ([n for n, (kind, _) in enumerate(ROW_OBSERVABLES) if kind in kinds]
+                     for kinds in (("x", "P"), ("S",)))
 _LADDER_BLOCKS = {"x": slice(0, 3), "P": slice(3, 6), "S": slice(6, 9)}
 
 
@@ -72,14 +70,14 @@ def expanded_brackets(core, model):
     """Leading-order bracket table at the core's state: {family: 3x3} over
     LADDER_ORDERS, the entry [i-1, j-1] of family "ab" being {a_i, b_j}
     of the 3-vectors x, P and S (xS is {x_i, S_j}, PS is {P_i, S_j})."""
-    m, c, e = model.m, model.c, model.e
+    c, e, mc2 = model.c, model.e, model.mc2
     S = spin_readouts(core.S)[0]
     P = core.P[1:]
     B = np.array(EB_from_field(core.fields[2])[1])
     eps_S = EPS3 @ S
-    return {"xx": eps_S / (m * c) ** 2,
+    return {"xx": eps_S / mc2,
             "xP": np.eye(3),
-            "xS": (np.outer(P, S) - float(P @ S) * np.eye(3)) / (m * c) ** 2,
+            "xS": (np.outer(P, S) - float(P @ S) * np.eye(3)) / mc2,
             "PP": (e / c) * (EPS3 @ B),
             "PS": np.zeros((3, 3)),
             "SS": eps_S}
@@ -103,7 +101,8 @@ def _ladder_state(c, background):
 def bracket_ladder(background="crossed", cs=(10.0, 20.0, 40.0, 80.0)):
     """Residuals of the expanded table on a ladder of c values.
 
-    Returns {family: {"residuals": [...], "scaled": [...], "order": k}}
+    Returns {family: {"residuals": [...], "order": k, "cs": [...],
+    "scaled": [...]}}, the families of LADDER_ORDERS and "H" at order 2,
     where scaled[n] = residual[n] * c_n^k must decrease strictly (down
     to a floating-point floor) if the table captures every term below
     order c^{-k}.  Fewer than two values of c compare nothing, and values
@@ -113,23 +112,21 @@ def bracket_ladder(background="crossed", cs=(10.0, 20.0, 40.0, 80.0)):
     if len(cs := tuple(cs)) < 2 or not all(a < b for a, b in zip(cs, cs[1:])):
         raise ValueError(f"a ladder needs at least two strictly increasing values of c, "
                          f"got cs = {cs}")
-    out = {fam: {"residuals": [], "order": k, "cs": list(cs)}
-           for fam, k in LADDER_ORDERS.items()}
-    h_res = []
+    orders = {**LADDER_ORDERS, "H": 2}
+    out = {fam: {"residuals": [], "order": k, "cs": list(cs)} for fam, k in orders.items()}
     for c in cs:
         model, z = _ladder_state(c, background)
         core = dirac_core(z, model)
-        G = _LADDER_FACTORS * row_gradients(core, model)[_LADDER_ROWS]
+        rows = row_gradients(core, model)
+        G = np.vstack([rows[_XP_ROWS], spin_readouts(field_tensor(rows[_S_ROWS].T))[0].T])
         D = G @ core.flow(G).T
-        h_exact = model.c * core.P[0] + model.e * core.fields[0][0]
-        h_res.append(abs(h_exact - hamiltonian_expanded(core, model)))
+        h_exact = hamiltonian(core.P[0], core.fields, model)
+        out["H"]["residuals"].append(abs(h_exact - hamiltonian_expanded(core, model)))
         for fam, approx in expanded_brackets(core, model).items():
             exact = D[_LADDER_BLOCKS[fam[0]], _LADDER_BLOCKS[fam[1]]]
             out[fam]["residuals"].append(float(np.max(np.abs(exact - approx))))
-    for fam, k in LADDER_ORDERS.items():
+    for fam, k in orders.items():
         out[fam]["scaled"] = [r * c**k for r, c in zip(out[fam]["residuals"], cs)]
-    out["H"] = {"residuals": h_res, "order": 2, "cs": list(cs),
-                "scaled": [r * c**2 for r, c in zip(h_res, cs)]}
     return out
 
 
@@ -144,6 +141,11 @@ def ladder_decreasing(entry):
 # the commuting-coordinates chart
 
 
+def _chart_shift(P, S, model):
+    """x' - x = (P x S)/(2 m^2 c^2): the one writer of the chart's shift."""
+    return np.cross(P, S) / (2.0 * model.m**2 * model.c**2)
+
+
 def from_primed(xp, Pp, Sp, model):
     """Map primed (canonical) data to physical (x, P, S).
 
@@ -152,12 +154,10 @@ def from_primed(xp, Pp, Sp, model):
     shift of quantum's xhat is built on p - e cinv A(x); spin is
     untouched.
     """
-    xp = np.asarray(xp, float)
-    Sp = np.asarray(Sp, float)
+    xp, S = np.asarray(xp, float), np.array(Sp, float)
     A = field_data(model, [0.0, *xp.tolist()])[0]
     P = np.asarray(Pp, float) - model.e_c * np.array(A[1:])
-    x = xp - np.cross(P, Sp) / (2.0 * model.m**2 * model.c**2)
-    return x, P, Sp.copy()
+    return xp - _chart_shift(P, S, model), P, S
 
 
 def primed_shift_example(model):
@@ -167,8 +167,5 @@ def primed_shift_example(model):
     spin tensor component is sqrt(3)), at m = 1, c = 10 the second
     coordinate obeys x'_2 - x_2 = -sqrt(3)/400.
     """
-    shift = -np.cross(np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, np.sqrt(3) / 2]))
-    shift /= 2.0 * model.m**2 * model.c**2
-    # x = x' + shift  <=>  x' - x = -shift
-    return {"x_minus_xprime": shift.tolist(),
-            "xprime_minus_x": (-shift).tolist()}
+    shift = _chart_shift(np.eye(3)[0], np.array([0.0, 0.0, np.sqrt(3) / 2]), model)
+    return {"x_minus_xprime": (-shift).tolist(), "xprime_minus_x": shift.tolist()}

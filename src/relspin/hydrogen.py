@@ -52,6 +52,13 @@ class HydrogenModel:
         for name in ("alpha", "mc2"):
             if not (math.isfinite(value := getattr(self, name)) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
+        try:   # every shift is a multiple of mc2 alpha^4, which must be a number
+            scale = self.mc2 * self.alpha**4
+        except OverflowError:   # alpha**4 alone is past the float range
+            scale = math.inf
+        if scale == math.inf:
+            raise ValueError(f"the energy scale mc2 * alpha^4 is past the float range: "
+                             f"alpha = {self.alpha}, mc2 = {self.mc2}")
 
 
 # ---------------------------------------------------------------------------

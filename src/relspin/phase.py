@@ -23,9 +23,9 @@ pair
     T3 = -calP^0 omega^0 + calP^i omega^i,
     T4 = -calP^0 pi^0    + calP^i pi^i,
 
-and in the covariant Hamiltonian H = c calP^0 + e A^0.  The remaining
-first-class pair is T2 = omega.pi and T5 = pi^2 - alpha/omega^2; on
-T2 = T5 = 0 the spin magnitude is fixed, S_{mu nu} S^{mu nu} = 8 alpha.
+and in the covariant Hamiltonian H = c calP^0 + e A^0, written by hamiltonian.
+The remaining first-class pair is T2 = omega.pi and T5 = pi^2 - alpha/omega^2;
+on T2 = T5 = 0 the spin magnitude is fixed, S_{mu nu} S^{mu nu} = 8 alpha.
 From one field evaluation the kernel _kernel gives calP and the
 pieces of the rows grad (calP^0, T3, T4) as Python floats, in float
 arithmetic on the 16 components (at one state cheaper than numpy's
@@ -114,7 +114,8 @@ class Model:
 
     def __post_init__(self):
         if self.alpha is None:
-            object.__setattr__(self, "alpha", 0.75 * self.hbar**2)
+            # hbar * hbar is inf past the float range, where hbar**2 raises
+            object.__setattr__(self, "alpha", 0.75 * (self.hbar * self.hbar))
         if not self.m > 0:   # NaN fails this test too
             raise ValueError(f"mass m must be positive, got {self.m}")
         if not math.isfinite(self.g):
@@ -148,6 +149,12 @@ def field_data(model, x4):
     """The fields at the point x4, a sequence of four floats, as the
     background's at(x) gives them: the tuples (A, dA, F, dF)."""
     return model.background.at(x4)
+
+
+def hamiltonian(P0, fields, model):
+    """H = c calP^0 + e A^0 from calP^0 and the field tuples of
+    field_data: the one writer of the generator."""
+    return model.c * P0 + model.e * fields[0][0]
 
 
 # ---------------------------------------------------------------------------

@@ -53,8 +53,10 @@ A scalar is a Python int or a cleared pair (dict, den) such as
 _cleared_term builds, with no Pauli bits; anything else is refused with
 a TypeError naming its type, and a pair whose den, key or coefficient
 is malformed with an error naming it.  commutator and div_ihbar take a
-scalar operand as its scalar Op.  repr and a failed division by i hbar
-write each polynomial by the generator names.
+scalar operand as its scalar Op, and so do + and - on the right of an
+Op; a.scale(s) is the product with a scalar, Op() - a the negation, and
+1 + a, -a, 2 * a and a * 2 raise TypeError.  repr and a failed division
+by i hbar write each polynomial by the generator names.
 """
 
 from __future__ import annotations
@@ -379,11 +381,6 @@ class Op:
             out[k] = pcombine(out.get(k, {}), blk)
         return Op(out, den)
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Op() - self
-
     def __sub__(self, other):
         return self.__add__(other, _psub)
 
@@ -392,12 +389,9 @@ class Op:
         return Op({k: _pairs_into({}, c, blk, _TIMES) for k, blk in self.blocks.items()},
                   self.den * den)
 
-    # an Op on the left is __mul__'s: only a scalar reaches __rmul__
-    __rmul__ = scale
-
     def __mul__(self, other):
         if not isinstance(other, Op):
-            return self.scale(other)
+            return NotImplemented
         out = {}
         for ka, Ma in self.blocks.items():
             for kb, Mb in other.blocks.items():

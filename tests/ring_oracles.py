@@ -175,7 +175,7 @@ def target_xS(ps, i, j):
 
 def scalar_potential(E, pos):
     """A^0 = -E.pos of the cleared pairs E at the operator position pos."""
-    return -sum((Op.scalar(Ei) * r for Ei, r in zip(E, pos)), Op())
+    return Op() - sum((Op.scalar(Ei) * r for Ei, r in zip(E, pos)), Op())
 
 
 def _pair_residuals(ps, i, j):

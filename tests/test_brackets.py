@@ -239,14 +239,15 @@ def test_nan_deviation_does_not_read_as_agreement(report, monkeypatch):
 
 @pytest.fixture
 def evaluations(monkeypatch):
-    """Calls of field_data and phase._kernel, and the field arrays that
-    minkowski.field_tensor builds, F of six floats and dF stacks of four
-    rows, wrapped in every module that binds them by name, with the
-    count paused inside expansion's init_state: a ladder rung's state is
-    built before it is read."""
-    calls = dict.fromkeys(("field_data", "_kernel", "F", "dF"), 0)
+    """Calls of field_data and phase._kernel, and the arrays that
+    minkowski.field_tensor builds, F of six floats, dF stacks of four
+    rows and the ladder's spin tensors of the 16 columns of its six
+    S^{ij} gradient rows ("S rows"), wrapped in every module that binds
+    them by name, with the count paused inside expansion's init_state: a
+    ladder rung's state is built before it is read."""
+    calls = dict.fromkeys(("field_data", "_kernel", "F", "dF", "S rows"), 0)
     paused = [0]
-    arrays = {(6,): "F", (4, 6): "dF"}
+    arrays = {(6,): "F", (4, 6): "dF", (16, 6): "S rows"}
 
     def counting(name, fn):
         def counted(*args, **kwargs):
@@ -295,7 +296,7 @@ def test_defining_property_report_builds_no_field_tensor(kind, evaluations):
     states = state_batch(model, 3, seed=40)
     evaluations.update(dict.fromkeys(evaluations, 0))
     defining_property_report(states, model)
-    assert evaluations == {"field_data": 3, "_kernel": 3, "F": 0, "dF": 0}
+    assert evaluations == {"field_data": 3, "_kernel": 3, "F": 0, "dF": 0, "S rows": 0}
 
 
 def test_ladder_evaluates_each_rung_once(evaluations):
@@ -303,7 +304,7 @@ def test_ladder_evaluates_each_rung_once(evaluations):
     gradients included; the ladder reads the field tuples and builds no
     field array."""
     expansion.bracket_ladder("coulomb", cs=(10.0, 20.0, 40.0))
-    assert evaluations == {"field_data": 3, "_kernel": 3, "F": 0, "dF": 0}
+    assert evaluations == {"field_data": 3, "_kernel": 3, "F": 0, "dF": 0, "S rows": 3}
 
 
 # ---------------------------------------------------------------------------

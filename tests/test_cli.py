@@ -243,6 +243,22 @@ def test_spectrum_json_and_csv(tmp_path):
     assert first[:2] == ["1", "0"] and first[-1] == ""
 
 
+@pytest.mark.parametrize("text", ["spectrum: {alpha_fs: 1.0e+100}",
+                                  "spectrum: {mc2: 1.0e+300, alpha_fs: 1.0e+10}"],
+                         ids=["alpha4-overflows", "product-overflows"])
+def test_spectrum_refuses_an_energy_scale_past_the_float_range(text, tmp_path, capsys):
+    """An alpha whose alpha**4 overflows, or an mc2 alpha^4 past the
+    float range (whose table would hold NaN, which is not JSON), exits 1
+    with one error line naming alpha and mc2 and writes no report."""
+    cfg = _write(tmp_path, "scale.yaml", text + "\n")
+    out = tmp_path / "spec.json"
+    assert main(["spectrum", "--config", cfg, "--out", str(out), "--format", "json"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "alpha = " in err and "mc2 = " in err, err
+    assert not out.exists()
+
+
 def test_exit_code_two_on_config_errors(tmp_path, capsys):
     # missing required field
     cfg = _write(tmp_path, "bad1.yaml", SIM_CFG.replace("  dt: 0.01\n", ""))
@@ -420,7 +436,10 @@ def mutated_configs(draw):
 def test_mutated_configs_exit_two_or_reach_the_computation(tmp_path_factory,
                                                            case):
     """A mutated config either exits 2 with a config: message naming a
-    field or section, or passes validation; nothing else escapes."""
+    field or section, or passes validation; nothing else escapes.  A
+    spectrum config that passes may still be refused, with exit 1, by the
+    one check HydrogenModel makes beyond the schema: an mc2 alpha^4 past
+    the float range."""
     command, data = case
     path = tmp_path_factory.mktemp("fuzz") / "cfg.yaml"
     path.write_text(yaml.safe_dump(data))
@@ -432,6 +451,10 @@ def test_mutated_configs_exit_two_or_reach_the_computation(tmp_path_factory,
             rc = main([command, "--config", str(path)])
         except _Reached:
             return
+    if rc == 1 and command == "spectrum":
+        assert re.fullmatch(r"error: the energy scale mc2 \* alpha\^4 is past the float "
+                            r"range: alpha = \S+, mc2 = \S+\n", err.getvalue()), err.getvalue()
+        return
     assert rc == 2, err.getvalue()
     named = re.fullmatch(r"config: .*?'([^']+)'.*\n", err.getvalue(), re.S)
     assert named, err.getvalue()

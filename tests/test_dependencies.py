@@ -4,7 +4,8 @@ them: the package steps with its own rk4, and the operator ring takes
 ints and cleared pairs only.  scipy serves the tests alone (the DOP853
 reference and the Numerov radial check), and so does sympy (the
 reference ring and the reader of sympy expressions).  Every name a
-module imports is read in it."""
+module imports is read in it, and every function of the package is
+named by what runs: the package, its scripts or perfbench."""
 
 import ast
 import re
@@ -82,3 +83,74 @@ def test_no_module_imports_a_name_it_never_reads():
         if bound - read:
             unread[path.stem] = sorted(bound - read)
     assert not unread
+
+
+# defined in src/relspin and kept though nothing in src/, scripts/ or
+# perfbench/ names them: module stem and qualified name -> why
+KEPT_UNNAMED = {
+    ("expansion", "from_primed"): "the commuting chart, whose body binds the field_data "
+                                  "that perfbench finds in expansion",
+    ("hydrogen", "spin_orbit_shift_naive"): "the bare-g control of the (g - 1) coupling",
+    ("weyl", "Op.adjoint"): "Hermiticity of the operators of the realization",
+}
+
+
+def _definitions():
+    """(module stem, qualified name, is a method) of every top-level
+    function of src/relspin and every public method of its top-level
+    classes; dunders, which Python calls, are left out."""
+    out = []
+    for path in sorted((ROOT / "src" / "relspin").glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("__"):
+                out.append((path.stem, node.name, False))
+            elif isinstance(node, ast.ClassDef):
+                out += [(path.stem, f"{node.name}.{fn.name}", True) for fn in node.body
+                        if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")]
+    return out
+
+
+def _named():
+    """(attribute names, plain names) that the code of src/, scripts/ and
+    perfbench/ reads: each attribute, each name loaded or imported, and
+    each part of a tracer LAYERS path."""
+    attributes, plain = set(), set()
+    for top in ("src", "scripts", "perfbench"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Attribute):
+                    attributes.add(node.attr)
+                elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    plain.add(node.id)
+                elif isinstance(node, ast.alias):
+                    plain.add(node.name.split(".")[-1])
+                elif (isinstance(node, ast.Assign) and path.name == "tracer.py"
+                      and [getattr(t, "id", None) for t in node.targets] == ["LAYERS"]):
+                    for _, layer_path in ast.literal_eval(node.value).values():
+                        attributes.update(layer_path.split("."))
+    return attributes, plain
+
+
+def _exported():
+    tree = ast.parse((ROOT / "src" / "relspin" / "__init__.py").read_text())
+    (exports,) = (node.value for node in tree.body if isinstance(node, ast.Assign)
+                  and [getattr(t, "id", None) for t in node.targets] == ["_EXPORTS"])
+    return set(ast.literal_eval(exports))
+
+
+def test_every_function_in_src_is_named_outside_the_tests():
+    """Every top-level function and public method of src/relspin is named
+    by the package, its scripts or perfbench (a tracer layer's path
+    counts), exported by relspin, or kept on purpose in KEPT_UNNAMED: a
+    function that only the tests call is not what runs.  A method counts
+    as named where an attribute of its name is read; a function also
+    where its name is loaded or imported."""
+    attributes, plain = _named()
+    exported = _exported()
+    definitions = _definitions()
+    unnamed = sorted((stem, name) for stem, name, method in definitions
+                     if name.split(".")[-1] not in attributes
+                     and (method or name not in plain) and name not in exported
+                     and (stem, name) not in KEPT_UNNAMED)
+    assert not unnamed
+    assert set(KEPT_UNNAMED) <= {(stem, name) for stem, name, _ in definitions}

@@ -207,10 +207,12 @@ def test_missing_and_foreign_parameters_are_refused_by_name(kind):
     make_background(kind, **full)
 
 
+# explicit ids in the tables below, the names these cases have always
+# had, so that removing one case renames no other
 @pytest.mark.parametrize("kind, params, name", [
-    ("uniform-E", {"E": (0.1, 0.2)}, "E"),
-    ("crossed", {"E": (0.1, 0.0, 0.0), "B": 1.0}, "B"),
-    ("coulomb", {"q": (1.0, 2.0)}, "q"),
+    pytest.param("uniform-E", {"E": (0.1, 0.2)}, "E", id="uniform-E-params0-E"),
+    pytest.param("crossed", {"E": (0.1, 0.0, 0.0), "B": 1.0}, "B", id="crossed-params1-B"),
+    pytest.param("coulomb", {"q": (1.0, 2.0)}, "q", id="coulomb-params2-q"),
 ])
 def test_parameters_of_the_wrong_shape_are_refused_by_name(kind, params, name):
     with pytest.raises(ValueError, match=f"background parameter {name} must be finite, of shape"):
@@ -298,15 +300,20 @@ def test_evaluator_matches_the_numpy_reference(kind):
 # bracket-sweep workload (crossed), configs/cyclotron.yaml and
 # perfbench/configs/simulate_dense.yaml (B3 = 2), and the tests
 REPO_UNIFORM_FIELDS = [
-    ("uniform-E", {"E": (0.3, -0.1, 0.2)}),
-    ("uniform-B", {"B": (0.1, 0.4, -0.3)}),
-    ("crossed", {"E": (0.2, 0.0, 0.1), "B": (0.0, 0.0, 1.0)}),
-    ("uniform-B", {"B": (0.35, -0.5, 0.3)}),
-    ("crossed", {"E": (0.25, -0.3, 0.15), "B": (-0.4, 0.2, 0.55)}),
-    ("crossed", {"E": (0.3, -0.1, 0.2), "B": (0.0, 0.5, -1.0)}),
-    ("crossed", {"E": (-0.5, 0.0, -0.25), "B": (0.0, 0.0, -2.5)}),
-    ("uniform-B", {"B": [0.0, 0.0, 2.0]}),
-    *(("uniform-B", {"B": (0.0, 0.0, b)}) for b in (0.7, 1.0, 2.0)),
+    pytest.param("uniform-E", {"E": (0.3, -0.1, 0.2)}, id="uniform-E-params0"),
+    pytest.param("uniform-B", {"B": (0.1, 0.4, -0.3)}, id="uniform-B-params1"),
+    pytest.param("crossed", {"E": (0.2, 0.0, 0.1), "B": (0.0, 0.0, 1.0)}, id="crossed-params2"),
+    pytest.param("uniform-B", {"B": (0.35, -0.5, 0.3)}, id="uniform-B-params3"),
+    pytest.param("crossed", {"E": (0.25, -0.3, 0.15), "B": (-0.4, 0.2, 0.55)},
+                 id="crossed-params4"),
+    pytest.param("crossed", {"E": (0.3, -0.1, 0.2), "B": (0.0, 0.5, -1.0)},
+                 id="crossed-params5"),
+    pytest.param("crossed", {"E": (-0.5, 0.0, -0.25), "B": (0.0, 0.0, -2.5)},
+                 id="crossed-params6"),
+    pytest.param("uniform-B", {"B": [0.0, 0.0, 2.0]}, id="uniform-B-params7"),
+    pytest.param("uniform-B", {"B": (0.0, 0.0, 0.7)}, id="uniform-B-params8"),
+    pytest.param("uniform-B", {"B": (0.0, 0.0, 1.0)}, id="uniform-B-params9"),
+    pytest.param("uniform-B", {"B": (0.0, 0.0, 2.0)}, id="uniform-B-params10"),
 ]
 
 
@@ -356,13 +363,15 @@ def test_coulomb_refuses_a_nan_position():
 
 
 @pytest.mark.parametrize("kind, params, name", [
-    ("coulomb", {"q": np.nan}, "q"),
-    ("coulomb", {"q": np.inf}, "q"),
-    ("coulomb", {"q": -np.inf}, "q"),
-    ("uniform-E", {"E": (np.nan, 0.0, 0.0)}, "E"),
-    ("uniform-B", {"B": (0.0, 0.0, np.inf)}, "B"),
-    ("crossed", {"E": (np.nan, 0.0, 0.0), "B": (0.0, 0.0, 1.0)}, "E"),
-    ("crossed", {"E": (0.1, 0.0, 0.0), "B": (0.0, -np.inf, 1.0)}, "B"),
+    pytest.param("coulomb", {"q": np.nan}, "q", id="coulomb-params0-q"),
+    pytest.param("coulomb", {"q": np.inf}, "q", id="coulomb-params1-q"),
+    pytest.param("coulomb", {"q": -np.inf}, "q", id="coulomb-params2-q"),
+    pytest.param("uniform-E", {"E": (np.nan, 0.0, 0.0)}, "E", id="uniform-E-params3-E"),
+    pytest.param("uniform-B", {"B": (0.0, 0.0, np.inf)}, "B", id="uniform-B-params4-B"),
+    pytest.param("crossed", {"E": (np.nan, 0.0, 0.0), "B": (0.0, 0.0, 1.0)}, "E",
+                 id="crossed-params5-E"),
+    pytest.param("crossed", {"E": (0.1, 0.0, 0.0), "B": (0.0, -np.inf, 1.0)}, "B",
+                 id="crossed-params6-B"),
 ])
 def test_non_finite_parameters_are_refused_by_name(kind, params, name):
     """A non-finite field parameter is refused where the background is
@@ -373,11 +382,12 @@ def test_non_finite_parameters_are_refused_by_name(kind, params, name):
 
 
 @pytest.mark.parametrize("kind, params, name", [
-    ("coulomb", {"q": "a"}, "q"),
-    ("coulomb", {"q": None}, "q"),
-    ("uniform-B", {"B": ("x", 0, 0)}, "B"),
-    ("uniform-E", {"E": {"x": 1}}, "E"),
-    ("crossed", {"E": (0.1, 0.0, 0.0), "B": ((1.0,), 0.0, 0.0)}, "B"),
+    pytest.param("coulomb", {"q": "a"}, "q", id="coulomb-params0-q"),
+    pytest.param("coulomb", {"q": None}, "q", id="coulomb-params1-q"),
+    pytest.param("uniform-B", {"B": ("x", 0, 0)}, "B", id="uniform-B-params2-B"),
+    pytest.param("uniform-E", {"E": {"x": 1}}, "E", id="uniform-E-params3-E"),
+    pytest.param("crossed", {"E": (0.1, 0.0, 0.0), "B": ((1.0,), 0.0, 0.0)}, "B",
+                 id="crossed-params4-B"),
 ])
 def test_parameters_that_are_not_numbers_are_refused_by_name(kind, params, name):
     """A string, a dict or a ragged sequence is refused with the same
@@ -388,7 +398,9 @@ def test_parameters_that_are_not_numbers_are_refused_by_name(kind, params, name)
 
 
 @pytest.mark.parametrize("name, value", [
-    ("e", "a"), ("e", [1, 2]), ("e", None), ("c", "x"), ("c", None), ("c", (10.0,) * 2),
+    pytest.param("e", "a", id="e-a"), pytest.param("e", [1, 2], id="e-value1"),
+    pytest.param("e", None, id="e-None"), pytest.param("c", "x", id="c-x"),
+    pytest.param("c", None, id="c-None"), pytest.param("c", (10.0,) * 2, id="c-value5"),
 ])
 def test_charge_and_light_speed_that_are_not_numbers_are_refused_by_name(name, value):
     """A charge e or light speed c that is not a number is refused with a

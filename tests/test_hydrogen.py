@@ -1,9 +1,11 @@
 """Fine-structure assembly against the frozen Sommerfeld oracle."""
 
+import re
+
 import numpy as np
 import pytest
 
-from relspin.hydrogen import (HydrogenModel, fine_structure_table,
+from relspin.hydrogen import (MC2_EV, HydrogenModel, fine_structure_table,
                               kinetic_shift, level_shift,
                               p_level_splitting, p_level_splitting_naive,
                               sommerfeld_shift, spin_orbit_shift,
@@ -144,3 +146,14 @@ def test_hydrogen_model_refuses_a_field_that_is_not_finite_or_not_positive(name,
     refused at construction, by name, not carried into the shifts."""
     with pytest.raises(ValueError, match=rf"^{name} must be finite"):
         HydrogenModel(**{name: value})
+
+
+@pytest.mark.parametrize("alpha, mc2", [(1e100, MC2_EV), (1e10, 1e300)],
+                         ids=["alpha4-overflows", "product-overflows"])
+def test_hydrogen_model_refuses_an_energy_scale_past_the_float_range(alpha, mc2):
+    """Every shift is a multiple of mc2 alpha^4: where that is not a
+    number (alpha**4 itself overflows, or the product does and the table
+    would read inf - inf = nan), the pair is refused, naming both."""
+    with pytest.raises(ValueError, match=re.escape(f"alpha = {alpha}, mc2 = {mc2}")):
+        HydrogenModel(alpha=alpha, mc2=mc2)
+    assert HydrogenModel(alpha=1e10, mc2=1e250).mc2 == 1e250   # 1e290 is a number

@@ -76,15 +76,16 @@ def test_rest_spin_length():
 
 
 @pytest.mark.parametrize("alpha, hbar", [(-0.75, 1.0), (np.nan, 1.0), (np.inf, 1.0),
-                                         (None, np.inf)],
-                         ids=["negative", "nan", "inf", "hbar-inf"])
+                                         (None, np.inf), (None, 1e200)],
+                         ids=["negative", "nan", "inf", "hbar-inf", "hbar-past-range"])
 def test_model_refuses_a_negative_or_nan_alpha(alpha, hbar):
     """The spin invariant alpha is refused at construction, by name, with
     no numpy warning: past construction it reaches np.sqrt in init_state,
     whose NaN spin pair ends in a misleading non-convergence error, and
-    an infinite one (also the default 3 hbar^2 / 4 at hbar = inf) in
-    "field-spin coupling exceeds the mass shell".  alpha = 0 (spinless)
-    is kept."""
+    an infinite one (also the default 3 hbar^2 / 4 at hbar = inf, and
+    at an hbar whose square is past the float range, where hbar**2
+    would raise OverflowError) in "field-spin coupling exceeds the mass
+    shell".  alpha = 0 (spinless) is kept."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="alpha"):
@@ -103,6 +104,8 @@ def test_model_refuses_an_hbar_that_is_not_positive(hbar, alpha):
     with pytest.raises(ValueError, match="hbar must be positive and finite"):
         build_model("zero", hbar=hbar, alpha=alpha)
     assert build_model("zero", hbar=0.5, alpha=None).alpha == 0.75 * 0.25
+    for h in (0.5, 1.0, 2.0):   # the default, 3 hbar^2 / 4, to the bit
+        assert build_model("zero", hbar=h, alpha=None).alpha == 0.75 * h**2
     assert build_model("zero", hbar=2.0, alpha=0.0).alpha == 0.0
 
 
@@ -198,13 +201,22 @@ def test_spin_tensor_of_stacks_is_the_per_state_tensor():
 
 @pytest.mark.parametrize("kind", list(BACKGROUND_PARAMS))
 @pytest.mark.parametrize("alpha", [0.75, 0.0], ids=["spin", "spinless"])
+# explicit ids, the names these cases have always had, so that removing
+# one case renames no other
 @pytest.mark.parametrize("name, value", [
-    ("x3", (np.nan, 0.0, 0.0)), ("x3", (0.0, np.inf, 0.0)),
-    ("P3", (0.1, np.nan, 0.0)), ("P3", (-np.inf, 0.0, 0.0)),
-    ("spin_dir", (np.nan, 0.0, 1.0)), ("spin_dir", (0.0, 0.0, np.inf)),
-    ("x3", "abc"), ("P3", None),
-    ("x3", (1.0, 2.0)), ("x3", (1.0, 2.0, 3.0, 4.0)), ("P3", (0.1, 0.2)),
-    ("spin_dir", (0.0, 1.0)), ("x3", ((1.0, 2.0), 3.0, 4.0))])
+    pytest.param("x3", (np.nan, 0.0, 0.0), id="x3-value0"),
+    pytest.param("x3", (0.0, np.inf, 0.0), id="x3-value1"),
+    pytest.param("P3", (0.1, np.nan, 0.0), id="P3-value2"),
+    pytest.param("P3", (-np.inf, 0.0, 0.0), id="P3-value3"),
+    pytest.param("spin_dir", (np.nan, 0.0, 1.0), id="spin_dir-value4"),
+    pytest.param("spin_dir", (0.0, 0.0, np.inf), id="spin_dir-value5"),
+    pytest.param("x3", "abc", id="x3-abc"),
+    pytest.param("P3", None, id="P3-None"),
+    pytest.param("x3", (1.0, 2.0), id="x3-value8"),
+    pytest.param("x3", (1.0, 2.0, 3.0, 4.0), id="x3-value9"),
+    pytest.param("P3", (0.1, 0.2), id="P3-value10"),
+    pytest.param("spin_dir", (0.0, 1.0), id="spin_dir-value11"),
+    pytest.param("x3", ((1.0, 2.0), 3.0, 4.0), id="x3-value12")])
 def test_init_state_refuses_non_finite_arguments_by_name(kind, alpha, name, value):
     """A NaN or inf in P3 or spin_dir ran 200 fixed-point passes with
     RuntimeWarnings and then raised "field-spin fixed point did not

@@ -364,9 +364,18 @@ def test_linear_structure():
     assert x1.scale(2) == x1 + x1
     assert (x1 - x1).is_zero()
     assert (x1 + 1) - 1 == x1
-    assert (1 + x1) == x1 + 1
-    assert (2 * x1) == x1.scale(2)
-    assert (-x1) + x1 == Op()
+    assert Op.scalar(1) + x1 == x1 + 1
+    assert Op.scalar(2) * x1 == x1.scale(2)
+    assert (Op() - x1) + x1 == Op()
+
+
+@pytest.mark.parametrize("form", [lambda a: a * 2, lambda a: 2 * a, lambda a: 1 + a,
+                                  lambda a: -a], ids=["a*2", "2*a", "1+a", "-a"])
+def test_each_operation_has_one_spelling(form):
+    """scale is the product with a scalar, Op() - a the negation and an
+    Op on the left the sum: the other spellings raise TypeError."""
+    with pytest.raises(TypeError):
+        form(Op.x(1) + Op.sigma(2))
 
 
 def test_the_zero_op_has_den_1():
@@ -428,7 +437,7 @@ def test_non_dyadic_and_gaussian_scalars_stay_exact(A, B, q, r):
     assert Aq.adjoint() == A.adjoint().scale(to_ring(sp.conjugate(q)))
     assert commutator(Aq, Br) == commutator(A, B).scale(to_ring(q * r))
     for op in (Aq, Br, S, Aq * Br, commutator(Aq, Br), Aq.adjoint(),
-               div_ihbar(Aq.scale(to_ring(hbar))), -Aq, Aq - Br):
+               div_ihbar(Aq.scale(to_ring(hbar))), Op() - Aq, Aq - Br):
         _assert_canonical(op)
 
 
@@ -583,7 +592,7 @@ def test_commutator_matches_the_two_product_form_on_the_realization(kind):
         for B in ops[a:]:
             want = ring_oracles.commutator(A, B)
             assert commutator(A, B) == want
-            assert commutator(B, A) == -want
+            assert commutator(B, A) == Op() - want
 
 
 # -- the coefficient arithmetic against sympy's ZZ_I ring ----------------
@@ -645,14 +654,14 @@ def test_products_that_cancel_store_no_zero():
 @pytest.mark.parametrize("kind", ["uniform-B", "crossed"])
 def test_differences_of_the_realization_store_no_zero(kind):
     """A - A has no block, and A - B, formed with no negated copy of B,
-    equals A + (-B) block for block, for every pair of the xhat, Phat
+    equals A + (Op() - B) block for block, for every pair of the xhat, Phat
     and S operators."""
     ps = quantum.build_operators(kind)
     ops = ps.xhat + ps.Phat + ps.S
     for A in ops:
         assert (A - A).blocks == {}
         for B in ops:
-            diff, via_neg = A - B, A + (-B)
+            diff, via_neg = A - B, A + (Op() - B)
             assert (diff.blocks, diff.den) == (via_neg.blocks, via_neg.den)
             _assert_canonical(diff)
 
