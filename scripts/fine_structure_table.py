@@ -28,7 +28,10 @@ def main():
         ap.error(f"argument --n-max: must be at most {len(L_NAMES)} (l = {len(L_NAMES)} "
                  f"has no spectroscopic letter), got {args.n_max}")
 
-    hm = HydrogenModel(g=args.g)
+    try:
+        hm = HydrogenModel(g=args.g)
+    except ValueError as exc:   # a g whose spin-orbit prefactor overflows
+        ap.error(f"argument --g: {exc}")
     print(f"g = {hm.g}, energies in eV; s rows carry no spin-orbit piece "
           f"and are not matched against the closed form")
     print(f"{'level':>8} {'kinetic':>13} {'spin-orbit':>13} {'total':>13} "

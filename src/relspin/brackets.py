@@ -158,15 +158,19 @@ class DiracCoefficients:
 
 
 def dirac_coefficients(core, model):
-    """The blocks at the core's state; ValueError at e = 0 (they divide by e u0)."""
-    e, c, m, g = model.e, model.c, model.m, model.g
+    """The blocks at the core's state; ValueError at e = 0 (they divide by
+    e u0) and at an a that is zero or not finite (they divide by a)."""
+    e, c, g = model.e, model.c, model.g
     if e == 0.0:
         raise ValueError(f"the closed-form brackets divide by e u0: charge e must be "
                          f"nonzero, got {e}")
     P, S, dsf = core.P, core.S, core.dsf
     sf = contract_2(core.F, S)
 
-    a = -2.0 * e / (4.0 * m**2 * c**3 - e * (g + 1.0) * sf)
+    a = -2.0 * e / (4.0 * model.mc2 * c - e * (g + 1.0) * sf)
+    if not 0.0 < abs(a) < np.inf:   # NaN fails this test too
+        raise ValueError(f"the closed-form coefficient a = -2e / (4 m^2 c^3 - e (g+1) (SF)) "
+                         f"is {a}, not a nonzero finite number: m = {model.m}, c = {c}")
 
     sfp0 = float(S[0, :] @ (core.F_low @ P))
     u0 = P[0] - 0.5 * (g - 2.0) * a * sfp0 + (g * a / 8.0) * float(S[0, :] @ dsf)
@@ -264,7 +268,7 @@ def closed_brackets(core, coef, model):
 
     xx = 0.5 * Delta[1:, 1:]
     xP = np.eye(3) - (e / (2.0 * c)) * G[1:]
-    PP = e / c * F3 - (e**2 / (2.0 * c**2)) * (F3 @ Delta[1:, 1:] @ F3
+    PP = e / c * F3 - (e**2 / (2.0 * c * c)) * (F3 @ Delta[1:, 1:] @ F3
                                                - (FK - FK.T))
     # the L term enters with a minus sign here (it is +1/2 L F in the
     # momentum row); fixed against the direct oracle and re-derived

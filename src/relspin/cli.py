@@ -57,7 +57,8 @@ _KIND_NAMES = {float: "a finite number", int: "an integer", bool: "a boolean",
                "vec3": "a list of three finite numbers"}
 
 # units, model and background, shared by the commands that build a Model;
-# alpha defaults to the spin one-half invariant 3 hbar^2 / 4
+# hbar's one effect is the default of alpha, the spin one-half invariant
+# 3 hbar^2 / 4
 MODEL_KEYS = {
     "units.c": (float, 10.0, (">", 0)),
     "units.hbar": (float, 1.0, (">", 0)),
@@ -197,7 +198,7 @@ def model_from_config(cfg):
     params = {key.split(".")[1]: cfg[key] for key in BACKGROUND_KEYS[kind]}
     bg = make_background(kind, e=cfg["model.e"], c=cfg["units.c"], **params)
     return Model(background=bg, m=cfg["model.m"], g=cfg["model.g"],
-                 hbar=cfg["units.hbar"], alpha=cfg["model.alpha"])
+                 alpha=cfg["model.alpha"])
 
 
 # ---------------------------------------------------------------------------
@@ -205,18 +206,17 @@ def model_from_config(cfg):
 
 
 def write_report(args, payload, header, rows):
-    """Write to args.out (stdout if unset) the payload as JSON for
-    --format json, otherwise a CSV of header and rows, each cell
-    through _fmt and None as an empty cell."""
-    out = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
-    with out as fh:
-        if args.format == "json":
-            json.dump(payload, fh, indent=1)
-            fh.write("\n")
-            return
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join("" if v is None else _fmt(v) for v in row) + "\n")
+    """Write to args.out (stdout if unset) the payload as strict JSON for
+    --format json, otherwise a CSV of header and rows, each cell through
+    _fmt and None as an empty cell; the text is whole before args.out is
+    opened, so a NaN or an infinity in JSON (ValueError) writes nothing."""
+    if args.format == "json":
+        text = json.dumps(payload, indent=1, allow_nan=False) + "\n"
+    else:
+        text = "".join(",".join("" if v is None else _fmt(v) for v in row) + "\n"
+                       for row in (header, *rows))
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+        fh.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -224,10 +224,10 @@ def write_report(args, payload, header, rows):
 
 
 def write_stats(path, stats):
-    """The run's stats as a JSON sidecar at path, apart from --out."""
+    """The run's stats as a strict JSON sidecar at path, apart from --out."""
+    text = json.dumps(stats, indent=1, sort_keys=True, allow_nan=False) + "\n"
     with open(path, "w") as fh:
-        json.dump(stats, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def cmd_simulate(args):
@@ -359,10 +359,8 @@ def run_selftest():
     ps = build_operators("uniform-E")
 
     def fine_structure_dev():
-        return np.max([abs(hydrogen.level_shift(hm, n, l, j)
-                           - hydrogen.sommerfeld_shift(hm, n, j))
-                       for n in (2, 3) for l in range(1, n)
-                       for j in (l - 0.5, l + 0.5)])
+        return np.max([abs(row["defect"]) for row in hydrogen.fine_structure_table(hm, 3)
+                       if row["defect"] is not None])
 
     def rhs_dev(core, model):
         """dirac_rhs against DiracCore.flow of grad H, the last row of

@@ -258,7 +258,8 @@ class Trajectory:
         tuples); one spin_tensor call then writes the spin tensors of
         all states, and
         one spin_readouts call on the stack gives their spin read-outs.
-        A spinless state reads zero in every spin and constraint channel.
+        A spinless state reads zero in every spin and constraint channel
+        (spin_tensor of omega = pi = 0 is +0.0).
         The first call also writes the energy drift of the H channel to
         stats["energy_drift"].  The keys, in their order, are the columns
         of the simulate command.
@@ -278,10 +279,8 @@ class Trajectory:
             rows.append(row)
         rows = np.array(rows)
         P, T, H = rows[:, :4], rows[:, 4:8], rows[:, 8]
-        spin = Z[:, 8:].any(axis=1)
-        S = np.where(spin[:, None, None], spin_tensor(Z[:, 8:12], Z[:, 12:]), 0.0)
-        S3, D3, SS = spin_readouts(S)
-        spin2 = np.where(spin, SS - 8.0 * model.alpha, 0.0)
+        S3, D3, SS = spin_readouts(spin_tensor(Z[:, 8:12], Z[:, 12:]))
+        spin2 = np.where(Z[:, 8:].any(axis=1), SS - 8.0 * model.alpha, 0.0)
         out.update(zip(("P0", "P1", "P2", "P3"), P.T))
         out.update(zip(("S1", "S2", "S3"), S3.T))
         out.update(zip(("D1", "D2", "D3"), D3.T))
@@ -424,6 +423,5 @@ def orbit_averages(traj):
     ch = traj.channels()
     r = np.sqrt(ch["x1"] ** 2 + ch["x2"] ** 2 + ch["x3"] ** 2)
     Lz = ch["x1"] * ch["P2"] - ch["x2"] * ch["P1"]
-    return {"inv_r3": float(np.mean(r ** -3)), "Lz": float(np.mean(Lz)),
-            "r_min": float(np.min(r)), "r_max": float(np.max(r))}
+    return {"inv_r3": float(np.mean(r ** -3)), "Lz": float(np.mean(Lz))}
 

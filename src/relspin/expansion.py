@@ -143,7 +143,7 @@ def ladder_decreasing(entry):
 
 def _chart_shift(P, S, model):
     """x' - x = (P x S)/(2 m^2 c^2): the one writer of the chart's shift."""
-    return np.cross(P, S) / (2.0 * model.m**2 * model.c**2)
+    return np.cross(P, S) / (2.0 * model.mc2)
 
 
 def from_primed(xp, Pp, Sp, model):

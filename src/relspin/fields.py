@@ -89,14 +89,14 @@ def _uniform_at(E3, B3):
     return at
 
 
-def _coulomb_at(q, r_min):
+def _coulomb_at(q):
     def at(x):
         _, x1, x2, x3 = x
         rr = x1 * x1 + x2 * x2 + x3 * x3
         r = math.sqrt(rr)
-        if not r >= r_min:   # NaN fails this test too
+        if not r >= R_MIN:   # NaN fails this test too
             raise ValueError(
-                f"coulomb background evaluated at r={r:.3e} < r_min={r_min:.3e}"
+                f"coulomb background evaluated at r={r:.3e} < r_min={R_MIN:.3e}"
             )
         r3, r5 = r**3, r**5
         E1, E2, E3 = q * x1 / r3, q * x2 / r3, q * x3 / r3
@@ -162,7 +162,7 @@ def make_background(kind, e=1.0, c=10.0, **params):
     if kind == "zero":
         at = lambda x: _ZERO
     elif kind == "coulomb":
-        at = _coulomb_at(float(values["q"]), R_MIN)
+        at = _coulomb_at(float(values["q"]))
     else:
         at = _uniform_at(values.get("E", _Z3), values.get("B", _Z3))
     return FieldBackground(kind=kind, e=e, c=c, at=at)

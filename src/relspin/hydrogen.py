@@ -59,6 +59,10 @@ class HydrogenModel:
         if scale == math.inf:
             raise ValueError(f"the energy scale mc2 * alpha^4 is past the float range: "
                              f"alpha = {self.alpha}, mc2 = {self.mc2}")
+        for coupling in (self.g - 1.0, self.g):   # _spin_orbit's prefactor, in its order
+            if not abs(coupling * 0.5 * self.mc2 * self.alpha**4) < math.inf:
+                raise ValueError(f"g = {self.g} puts the spin-orbit prefactor "
+                                 "past the float range")
 
 
 # ---------------------------------------------------------------------------
@@ -106,10 +110,6 @@ def spin_orbit_shift_naive(hm, n, l, j):
     """The same shift if the covariant coupling kept bare g: what the
     spectrum would be without position noncommutativity."""
     return _spin_orbit(hm, n, l, j, hm.g)
-
-
-def level_shift(hm, n, l, j):
-    return kinetic_shift(hm, n, l) + spin_orbit_shift(hm, n, l, j)
 
 
 def sommerfeld_shift(hm, n, j):

@@ -104,26 +104,21 @@ class PhaseState:
 class Model:
     """Particle constants plus the background they move in, and what the
     kernel reads of them: e and c, e_c = e/c, eg_c = e g/c, eg_4c =
-    e g/(4c), mc2 = (m c)^2 and t34_floor, the least |{T3,T4}| inverted."""
+    e g/(4c), mc2 = (m c)^2 and t34_floor, the least |{T3,T4}| inverted.
+    hbar enters only through alpha, S_{mu nu} S^{mu nu} = 8 alpha."""
 
     background: FieldBackground
     m: float = 1.0
     g: float = 2.0
-    hbar: float = 1.0
-    alpha: float = None  # spin invariant; default 3 hbar^2 / 4 (spin one-half)
+    alpha: float = 0.75   # spin invariant 3 hbar^2 / 4 of spin one-half at hbar = 1
 
     def __post_init__(self):
-        if self.alpha is None:
-            # hbar * hbar is inf past the float range, where hbar**2 raises
-            object.__setattr__(self, "alpha", 0.75 * (self.hbar * self.hbar))
         if not self.m > 0:   # NaN fails this test too
             raise ValueError(f"mass m must be positive, got {self.m}")
         if not math.isfinite(self.g):
             raise ValueError(f"g must be finite, got {self.g}")
         if not (math.isfinite(self.alpha) and self.alpha >= 0.0):
             raise ValueError(f"spin invariant alpha must be finite and >= 0, got {self.alpha}")
-        if not 0.0 < self.hbar < math.inf:   # NaN fails this test too
-            raise ValueError(f"hbar must be positive and finite, got {self.hbar}")
         # once per model (dataclasses.replace runs this again)
         e, c, g = self.background.e, self.background.c, self.g
         vars(self).update(e=e, c=c, e_c=e / c, eg_c=e * g / c, eg_4c=e * g / (4 * c))
@@ -136,8 +131,9 @@ class Model:
             mc2 = (self.m * self.c) ** 2   # inf, not an OverflowError, at m c = inf
         except OverflowError:
             mc2 = math.inf
-        if mc2 == math.inf:
-            raise ValueError(f"(m c)^2 is past the float range: m = {self.m}, c = {self.c}")
+        if not 0.0 < mc2 < math.inf:
+            raise ValueError(f"(m c)^2 = {mc2} is past the float range: m = {self.m}, "
+                             f"c = {self.c}")
         return mc2
 
     @cached_property
@@ -432,8 +428,8 @@ def init_state(model, x3, P3, spin_dir=(0, 0, 1.0)):
 
     res = constraint_residuals(z, model)
     worst = max(abs(v) for v in res.values())
-    # the rounding of the boosted pair grows as gamma^2 = P0^2 / m*^2
-    if worst > 1e-10 * (1.0 + mc2) * (PP + mstar2) / mstar2:
+    # the rounding of the boosted pair grows as gamma^2 = P0^2 / m*^2 (formed first)
+    if worst > 1e-10 * (1.0 + mc2) * ((PP + mstar2) / mstar2):
         raise RuntimeError(f"init_state left residuals {res}")
     return z
 

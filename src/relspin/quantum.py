@@ -60,7 +60,6 @@ class PauliSet:
     components as cleared pairs (polynomial dict, den), the generators
     E1..E3 and B1..B3 or zero; A0 and A0_hat are built on first read."""
 
-    kind: str
     x: tuple
     p: tuple
     sigma: tuple
@@ -119,8 +118,8 @@ def build_operators(kind="uniform-B"):
     shift = cross(P0hat, sig)
     xhat = tuple(x[i] - shift[i].scale(_SHIFT) for i in range(3))
 
-    return PauliSet(kind=kind, x=x, p=p, sigma=sig, S=S, P0hat=P0hat,
-                    xhat=xhat, Phat=kinetic(xhat), E=Ev, B=Bv)
+    return PauliSet(x=x, p=p, sigma=sig, S=S, P0hat=P0hat, xhat=xhat,
+                    Phat=kinetic(xhat), E=Ev, B=Bv)
 
 
 # ---------------------------------------------------------------------------

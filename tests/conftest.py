@@ -40,9 +40,9 @@ def kernel_model(name, spinless):
                  m=1.0, g=2.3, alpha=0.0 if spinless else 0.75)
 
 
-def build_model(kind, g=2.3, e=1.0, c=10.0, m=1.0, alpha=0.75, hbar=1.0):
+def build_model(kind, g=2.3, e=1.0, c=10.0, m=1.0, alpha=0.75):
     bg = make_background(kind, e=e, c=c, **BACKGROUND_PARAMS[kind])
-    return Model(background=bg, m=m, g=g, hbar=hbar, alpha=alpha)
+    return Model(background=bg, m=m, g=g, alpha=alpha)
 
 
 def state_batch(model, n, seed=0):

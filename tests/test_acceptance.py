@@ -72,7 +72,7 @@ def test_criterion_2_closed_form_fidelity():
 
 def test_criterion_3_free_theory_exact():
     bg = make_background("zero", e=1.0, c=10.0)
-    model = Model(background=bg, m=1.0, g=2.0, alpha=0.75, hbar=1.0)
+    model = Model(background=bg, m=1.0, g=2.0, alpha=0.75)
     z = init_state(model, x3=(0.0, 0.0, 0.0), P3=(0.0, 0.0, 0.0),
                    spin_dir=(0.0, 0.0, 1.0))
     core = dirac_core(z, model)

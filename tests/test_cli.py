@@ -259,6 +259,79 @@ def test_spectrum_refuses_an_energy_scale_past_the_float_range(text, tmp_path, c
     assert not out.exists()
 
 
+# configs at the float edges that pass the schema, what each one used to
+# do, and the name its one error line gives
+FLOAT_EDGES = {
+    # an OverflowError traceback in the chart's shift
+    "expand-c-1e300": ("expand", "units: {c: 1.0e+300}", "c = 1e+300"),
+    "expand-m-1e200": ("expand", "model: {m: 1.0e+200}", "m = 1e+200"),
+    # exit 0 with NaN and Infinity in primed_shift_example
+    "expand-m-1e-200": ("expand", "model: {m: 1.0e-200}", "m = 1e-200"),
+    # an OverflowError traceback at c**3 and at c**2 in brackets
+    "brackets-c-1e150": ("brackets", "units: {c: 1.0e+150}", "a = "),
+    "brackets-c-1e155-m-1e-10": ("brackets", "units: {c: 1.0e+155}\nmodel: {m: 1.0e-10}",
+                                 "m = 1e-10, c = 1e+155"),
+    # exit 0 with -Infinity in 20 JSON fields, and inf in the CSV
+    "spectrum-g-1e308": ("spectrum", "spectrum: {g: 1.0e+308}", "g = 1e+308"),
+    "spectrum-g--1e308": ("spectrum", "spectrum: {g: -1.0e+308}", "g = -1e+308"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("case", FLOAT_EDGES)
+def test_float_edges_exit_one_with_one_error_line(case, fmt, tmp_path, capsys):
+    """Each config exits 1 with exactly one stderr line, an error line
+    naming the value at fault, and writes no report: no traceback, and
+    no NaN or infinity in a report that exits 0."""
+    command, text, named = FLOAT_EDGES[case]
+    cfg = _write(tmp_path, "edge.yaml", text + "\n")
+    out = tmp_path / "out"
+    states = ["--states", "2"] if command == "brackets" else []
+    assert main([command, "--config", cfg, *states, "--out", str(out),
+                 "--format", fmt]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and named in line, line
+    assert not out.exists()
+
+
+def test_brackets_reports_where_only_c_squared_is_past_the_float_range(tmp_path):
+    """At c = 1e155 and m = 1e-100, (m c)^2 and the coefficient a are
+    numbers but c**2 and c**3 are not: dirac_coefficients (at c**3) and,
+    past it, closed_brackets (at c**2) ended in an OverflowError
+    traceback.  e^2 / (2 c c) is 0.0 there, and the report is strict JSON."""
+    cfg = _write(tmp_path, "edge.yaml", "units: {c: 1.0e+155}\nmodel: {m: 1.0e-100}\n")
+    out = tmp_path / "out.json"
+    assert main(["brackets", "--config", cfg, "--states", "2", "--out", str(out)]) == 0
+    json.loads(out.read_text(), parse_constant=lambda name: pytest.fail(name))
+
+
+def test_a_report_that_is_not_finite_is_refused_before_it_is_written(
+        tmp_path, monkeypatch, capsys):
+    """JSON has no spelling for NaN or an infinity: a report holding one
+    exits 1 with one error line and leaves no file at --out, and the
+    --stats sidecar is refused the same way."""
+    monkeypatch.setattr(hydrogen, "p_level_splitting", lambda hm: math.nan)
+    out = tmp_path / "spec.json"
+    assert main(["spectrum", "--out", str(out), "--format", "json"]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and "JSON" in line, line
+    assert not out.exists()
+    side = tmp_path / "stats.json"
+    with pytest.raises(ValueError, match="JSON"):
+        cli.write_stats(str(side), {"energy_drift": math.inf})
+    assert not side.exists()
+
+
+def test_units_hbar_sets_only_the_default_alpha(tmp_path):
+    """hbar's one effect is alpha's default, 3 hbar^2 / 4; a given
+    model.alpha is read as it is."""
+    for text, alpha in (("units: {hbar: 2.0}", 3.0),
+                        ("units: {hbar: 2.0}\nmodel: {alpha: 0.5}", 0.5),
+                        ("units: {c: 10.0}", 0.75)):
+        cfg = cli.read_config(_write(tmp_path, "h.yaml", text + "\n"), "brackets")
+        assert cli.model_from_config(cfg).alpha == alpha, text
+
+
 def test_exit_code_two_on_config_errors(tmp_path, capsys):
     # missing required field
     cfg = _write(tmp_path, "bad1.yaml", SIM_CFG.replace("  dt: 0.01\n", ""))

@@ -17,6 +17,7 @@ import contextlib
 import hashlib
 import io
 import json
+import runpy
 import sys
 import tempfile
 from pathlib import Path
@@ -49,6 +50,27 @@ def _command_output(argv, fmt, tmp):
     return out.read_bytes()
 
 
+# name -> (script, argv); each script's stdout, run in process
+SCRIPTS = {
+    "script fine_structure_table stdout": ("fine_structure_table.py", []),
+    "script bracket_report --states 3 stdout": ("bracket_report.py", ["--states", "3"]),
+    "script thomas_precession --orbits 1 --dt 0.2 stdout": (
+        "thomas_precession.py", ["--orbits", "1", "--dt", "0.2"]),
+}
+
+
+def _script_stdout(script, argv):
+    path = str(ROOT / "scripts" / script)
+    stdout, saved = io.StringIO(), sys.argv
+    sys.argv = [path, *argv]
+    try:
+        with contextlib.redirect_stdout(stdout):
+            assert not runpy.run_path(path)["main"](), script
+    finally:
+        sys.argv = saved
+    return stdout.getvalue().encode()
+
+
 def _selftest_stdout():
     stdout = io.StringIO()
     # stderr carries each check's wall time, which varies from run to run
@@ -79,6 +101,7 @@ def outputs():
         out = {name: _command_output(argv, fmt, tmp)
                for name, (argv, fmt) in COMMANDS.items()}
     out["selftest stdout"] = _selftest_stdout()
+    out.update((name, _script_stdout(*spec)) for name, spec in SCRIPTS.items())
     out["operator reports, residuals and identities"] = _operator_dump()
     return out
 

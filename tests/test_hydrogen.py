@@ -1,17 +1,23 @@
 """Fine-structure assembly against the frozen Sommerfeld oracle."""
 
+import math
 import re
 
 import numpy as np
 import pytest
 
 from relspin.hydrogen import (MC2_EV, HydrogenModel, fine_structure_table,
-                              kinetic_shift, level_shift,
+                              kinetic_shift,
                               p_level_splitting, p_level_splitting_naive,
                               sommerfeld_shift, spin_orbit_shift,
                               spin_orbit_shift_naive)
 
 from radial import radial_expectations_closed, radial_expectations_numerov
+
+
+def _total(hm, n, l, j):
+    """The alpha^4 shift of level (n, l, j): kinetic plus spin-orbit."""
+    return kinetic_shift(hm, n, l) + spin_orbit_shift(hm, n, l, j)
 
 
 def test_sommerfeld_match_all_levels_n_le_4():
@@ -20,7 +26,7 @@ def test_sommerfeld_match_all_levels_n_le_4():
     for n in range(1, 5):
         for l in range(1, n):
             for j in (l - 0.5, l + 0.5):
-                tot = level_shift(hm, n, l, j)
+                tot = _total(hm, n, l, j)
                 somm = sommerfeld_shift(hm, n, j)
                 worst = max(worst, abs(tot - somm) / abs(somm))
     assert worst < 1e-10
@@ -31,7 +37,7 @@ def test_j_degeneracy_across_l():
     hm = HydrogenModel(g=2.0)
     for n, j in ((3, 1.5), (4, 1.5), (4, 2.5)):
         ls = [l for l in range(1, n) if abs(j - l) == 0.5]
-        vals = [level_shift(hm, n, l, j) for l in ls]
+        vals = [_total(hm, n, l, j) for l in ls]
         assert len(vals) == 2
         assert np.isclose(vals[0], vals[1], rtol=1e-12)
 
@@ -111,7 +117,7 @@ def test_shifts_refuse_a_level_that_does_not_exist(n, l):
     hm = HydrogenModel()
     with pytest.raises(ValueError, match=f"no level n={n}, l={l}"):
         kinetic_shift(hm, n, l)
-    for shift in (spin_orbit_shift, spin_orbit_shift_naive, level_shift):
+    for shift in (spin_orbit_shift, spin_orbit_shift_naive):
         with pytest.raises(ValueError, match=f"no level n={n}, l={l}"):
             shift(hm, n, l, l + 0.5)
 
@@ -157,3 +163,17 @@ def test_hydrogen_model_refuses_an_energy_scale_past_the_float_range(alpha, mc2)
     with pytest.raises(ValueError, match=re.escape(f"alpha = {alpha}, mc2 = {mc2}")):
         HydrogenModel(alpha=alpha, mc2=mc2)
     assert HydrogenModel(alpha=1e10, mc2=1e250).mc2 == 1e250   # 1e290 is a number
+
+
+@pytest.mark.parametrize("g", [1e308, -1e308, 7.1e302, -7.1e302])
+def test_hydrogen_model_refuses_a_g_whose_spin_orbit_prefactor_overflows(g):
+    """coupling * 0.5 * mc2 overflows before alpha^4 scales it down: at
+    g = 1e308 the table read -inf in 20 fields.  Such a g is refused at
+    construction, naming it, for the realized g - 1 and for the bare-g
+    control alike; g = 7e302 still builds a finite table."""
+    with pytest.raises(ValueError, match=re.escape(f"g = {g} puts the spin-orbit prefactor")):
+        HydrogenModel(g=g)
+    hm = HydrogenModel(g=math.copysign(7e302, g))
+    for row in fine_structure_table(hm, n_max=3):
+        assert all(np.isfinite(row[k]) for k in ("kinetic", "spin_orbit", "total"))
+    assert np.isfinite(p_level_splitting_naive(hm)) and np.isfinite(p_level_splitting(hm))

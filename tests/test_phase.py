@@ -75,38 +75,29 @@ def test_rest_spin_length():
     assert np.allclose(D, 0.0)
 
 
-@pytest.mark.parametrize("alpha, hbar", [(-0.75, 1.0), (np.nan, 1.0), (np.inf, 1.0),
-                                         (None, np.inf), (None, 1e200)],
-                         ids=["negative", "nan", "inf", "hbar-inf", "hbar-past-range"])
-def test_model_refuses_a_negative_or_nan_alpha(alpha, hbar):
+@pytest.mark.parametrize("alpha", [-0.75, np.nan, np.inf], ids=["negative", "nan", "inf"])
+def test_model_refuses_a_negative_or_nan_alpha(alpha):
     """The spin invariant alpha is refused at construction, by name, with
     no numpy warning: past construction it reaches np.sqrt in init_state,
     whose NaN spin pair ends in a misleading non-convergence error, and
-    an infinite one (also the default 3 hbar^2 / 4 at hbar = inf, and
-    at an hbar whose square is past the float range, where hbar**2
-    would raise OverflowError) in "field-spin coupling exceeds the mass
-    shell".  alpha = 0 (spinless) is kept."""
+    an infinite one in "field-spin coupling exceeds the mass shell".
+    alpha = 0 (spinless) is kept."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="alpha"):
-            build_model("zero", alpha=alpha, hbar=hbar)
+            build_model("zero", alpha=alpha)
     assert init_state(build_model("zero", alpha=0.0), (0, 0, 0), (0.1, 0, 0)).spinless
 
 
-@pytest.mark.parametrize("hbar, alpha", [(-1.0, None), (0.0, None), (-1.0, 0.75),
-                                         (np.inf, 0.75)],
-                         ids=["negative", "zero", "negative-given-alpha", "inf-given-alpha"])
-def test_model_refuses_an_hbar_that_is_not_positive(hbar, alpha):
-    """hbar = -1 would build with the default alpha 3 hbar^2 / 4 = 0.75,
-    and hbar = 0 with alpha = 0, a spinless model; an hbar that is not
-    positive and finite is refused by name, as the CLI schema refuses
-    units.hbar <= 0.  A positive hbar builds, with alpha given or not."""
-    with pytest.raises(ValueError, match="hbar must be positive and finite"):
-        build_model("zero", hbar=hbar, alpha=alpha)
-    assert build_model("zero", hbar=0.5, alpha=None).alpha == 0.75 * 0.25
-    for h in (0.5, 1.0, 2.0):   # the default, 3 hbar^2 / 4, to the bit
-        assert build_model("zero", hbar=h, alpha=None).alpha == 0.75 * h**2
-    assert build_model("zero", hbar=2.0, alpha=0.0).alpha == 0.0
+def test_model_takes_no_hbar():
+    """hbar reaches the classical model only through the spin invariant,
+    S_{mu nu} S^{mu nu} = 8 alpha: Model takes alpha, by default 0.75,
+    the spin one-half value 3 hbar^2 / 4 at hbar = 1, and no hbar."""
+    bg = make_background("zero", e=1.0, c=10.0)
+    assert Model(background=bg).alpha == 0.75
+    assert "hbar" not in {f.name for f in dataclasses.fields(Model)}
+    with pytest.raises(TypeError, match="hbar"):
+        Model(background=bg, m=1.0, g=2.0, alpha=0.75, hbar=1.0)
 
 
 @pytest.mark.parametrize("name, value", [
@@ -141,7 +132,7 @@ def test_a_replaced_model_derives_its_constants_afresh():
     for change in ({"g": 1.4}, {"background": crossed}):
         replaced = dataclasses.replace(base, **change)
         fresh = Model(**{"background": base.background, "m": base.m, "g": base.g,
-                         "hbar": base.hbar, "alpha": base.alpha, **change})
+                         "alpha": base.alpha, **change})
         assert vars(replaced) == vars(fresh) != vars(base)
         for z in state_batch(fresh, 4, seed=3):
             vec = z.vec.tolist()

@@ -51,12 +51,15 @@ def test_script_runs_to_its_closing_line(name, args, closing):
     ("fine_structure_table.py", ("--n-max", "22"), "no spectroscopic letter"),
     ("fine_structure_table.py", ("--g", "nan"), "argument --g: must be finite"),
     ("fine_structure_table.py", ("--g", "inf"), "argument --g: must be finite"),
+    # the spin-orbit prefactor overflows: it printed inf eV and ratio nan
+    ("fine_structure_table.py", ("--g", "1e308"), "argument --g: g = 1e+308 puts the"),
 ])
 def test_script_refuses_an_input_that_verifies_nothing(name, args, error):
     """No state, no level, or no time span to fit a rate over, is an
     error rather than a zero or an empty table that reads as a result;
-    so are a seed the generator refuses, a g that is not finite and a
-    level past the spectroscopic letters.  Each is one message, not a
+    so are a seed the generator refuses, a g that is not finite or whose
+    spin-orbit prefactor is not, and a level past the spectroscopic
+    letters.  Each is one message, not a
     traceback."""
     proc = _run_script(name, *args)
     assert proc.returncode != 0 and error in proc.stderr, (proc.stdout, proc.stderr)
