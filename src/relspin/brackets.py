@@ -259,6 +259,8 @@ def closed_brackets(core, coef, model):
     matrix over the physical rows x, calP and S of ROW_OBSERVABLES; the
     blocks below the diagonal follow by antisymmetry."""
     e, c = model.e, model.c
+    if not c * c < np.inf:   # the PP block carries e^2 / (2 c^2)
+        raise ValueError(f"c^2 is past the float range in the closed-form brackets: c = {c}")
     P, S, Delta, ge = core.P, core.S, coef.Delta, coef.g_eff
     F3 = core.F_low[1:, 1:]
     # G[mu, j] = Delta^{mu k} F_{k j} - K^{mu j} for spatial j
@@ -268,8 +270,8 @@ def closed_brackets(core, coef, model):
 
     xx = 0.5 * Delta[1:, 1:]
     xP = np.eye(3) - (e / (2.0 * c)) * G[1:]
-    PP = e / c * F3 - (e**2 / (2.0 * c * c)) * (F3 @ Delta[1:, 1:] @ F3
-                                               - (FK - FK.T))
+    PP = e / c * F3 - (e**2 / (2.0 * c**2)) * (F3 @ Delta[1:, 1:] @ F3
+                                              - (FK - FK.T))
     # the L term enters with a minus sign here (it is +1/2 L F in the
     # momentum row); fixed against the direct oracle and re-derived
     Sx = (P[_MU, None] * Delta[_NU, 1:] - P[_NU, None] * Delta[_MU, 1:]

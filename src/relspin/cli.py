@@ -57,8 +57,7 @@ _KIND_NAMES = {float: "a finite number", int: "an integer", bool: "a boolean",
                "vec3": "a list of three finite numbers"}
 
 # units, model and background, shared by the commands that build a Model;
-# hbar's one effect is the default of alpha, the spin one-half invariant
-# 3 hbar^2 / 4
+# hbar's one effect is alpha's default, the spin one-half value 3 hbar^2 / 4
 MODEL_KEYS = {
     "units.c": (float, 10.0, (">", 0)),
     "units.hbar": (float, 1.0, (">", 0)),
@@ -207,9 +206,8 @@ def model_from_config(cfg):
 
 def write_report(args, payload, header, rows):
     """Write to args.out (stdout if unset) the payload as strict JSON for
-    --format json, otherwise a CSV of header and rows, each cell through
-    _fmt and None as an empty cell; the text is whole before args.out is
-    opened, so a NaN or an infinity in JSON (ValueError) writes nothing."""
+    --format json, else a CSV of header and rows (cells through _fmt, None
+    empty), built whole first: a NaN or infinity in JSON writes nothing."""
     if args.format == "json":
         text = json.dumps(payload, indent=1, allow_nan=False) + "\n"
     else:
@@ -245,7 +243,10 @@ def cmd_simulate(args):
     except (RuntimeError, ValueError) as exc:
         # a failed projection carries the stats of the run up to it
         if args.stats and hasattr(exc, "stats"):
-            write_stats(args.stats, exc.stats)
+            try:
+                write_stats(args.stats, exc.stats)
+            except ValueError as side:   # not strict JSON: the run's error stays
+                exc.args = (f"{exc}; --stats not written: {side}",)
         raise
     channels = traj.channels()
     names = list(channels)

@@ -256,10 +256,9 @@ class Trajectory:
         calP, the constraint values and H from one field evaluation, one
         kernel call and t_values each (A^0 read from the field's float
         tuples); one spin_tensor call then writes the spin tensors of
-        all states, and
-        one spin_readouts call on the stack gives their spin read-outs.
-        A spinless state reads zero in every spin and constraint channel
-        (spin_tensor of omega = pi = 0 is +0.0).
+        all states, and one spin_readouts call on the stack gives their
+        spin read-outs.  A spinless state reads zero in every spin and
+        constraint channel (spin_tensor of omega = pi = 0 is +0.0).
         The first call also writes the energy drift of the H channel to
         stats["energy_drift"].  The keys, in their order, are the columns
         of the simulate command.

@@ -95,9 +95,7 @@ def _coulomb_at(q):
         rr = x1 * x1 + x2 * x2 + x3 * x3
         r = math.sqrt(rr)
         if not r >= R_MIN:   # NaN fails this test too
-            raise ValueError(
-                f"coulomb background evaluated at r={r:.3e} < r_min={R_MIN:.3e}"
-            )
+            raise ValueError(f"coulomb background evaluated at r={r:.3e} < r_min={R_MIN:.3e}")
         r3, r5 = r**3, r**5
         E1, E2, E3 = q * x1 / r3, q * x2 / r3, q * x3 / r3
         # d_l E_i = q (delta_li r^2 - 3 x_l x_i) / r^5

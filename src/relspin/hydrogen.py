@@ -59,10 +59,9 @@ class HydrogenModel:
         if scale == math.inf:
             raise ValueError(f"the energy scale mc2 * alpha^4 is past the float range: "
                              f"alpha = {self.alpha}, mc2 = {self.mc2}")
-        for coupling in (self.g - 1.0, self.g):   # _spin_orbit's prefactor, in its order
-            if not abs(coupling * 0.5 * self.mc2 * self.alpha**4) < math.inf:
-                raise ValueError(f"g = {self.g} puts the spin-orbit prefactor "
-                                 "past the float range")
+        # the prefactor grows with |coupling|: the larger of g - 1 and bare g
+        if _so_prefactor(self, max(abs(self.g - 1.0), abs(self.g))) == math.inf:
+            raise ValueError(f"g = {self.g} puts the spin-orbit prefactor past the float range")
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +87,11 @@ def kinetic_shift(hm, n, l):
     return _alpha4(hm, n, l)
 
 
+def _so_prefactor(hm, coupling):
+    """coupling mc2 alpha^4 / 2, the spin-orbit shift before its 1/n^3."""
+    return coupling * 0.5 * hm.mc2 * hm.alpha**4
+
+
 def _spin_orbit(hm, n, l, j, coupling):
     """Spin-orbit shift of level (n, l, j) for the coupling e (coupling) /
     2 m^2 c^2; zero for l = 0."""
@@ -97,7 +101,7 @@ def _spin_orbit(hm, n, l, j, coupling):
     if not (abs(j - l) == 0.5 and j > 0):
         raise ValueError(f"j must be l +/- 1/2, got l={l}, j={j}")
     ls = 0.5 * (j * (j + 1) - l * (l + 1) - 0.75)
-    pref = coupling * 0.5 * hm.mc2 * hm.alpha**4 / n**3
+    pref = _so_prefactor(hm, coupling) / n**3
     return pref * ls / (l * (l + 0.5) * (l + 1))
 
 

@@ -119,6 +119,27 @@ def test_simulate_stats_sidecar_is_written_when_a_projection_fails(
     assert set(stats["projection_failure"]) == {"residual", "best", "passes"}
 
 
+def test_a_failed_run_keeps_its_error_when_its_stats_are_not_finite(
+        tmp_path, monkeypatch, capsys):
+    """A failed run whose stats hold an infinity (a projection's first
+    residual can) exits 1 with its own error line, which says that the
+    sidecar is not written, and writes neither file."""
+    def integrate(*args, **kwargs):
+        exc = RuntimeError("constraint projection did not converge")
+        exc.stats = {"projection_failure": {"residual": math.inf}}
+        raise exc
+
+    monkeypatch.setattr(dynamics, "integrate", integrate)
+    cfg = _write(tmp_path, "sim.yaml", SIM_CFG)
+    out, side = tmp_path / "a.csv", tmp_path / "stats.json"
+    assert main(["simulate", "--config", cfg, "--out", str(out),
+                 "--stats", str(side)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: constraint projection did not converge; "
+                           "--stats not written: "), line
+    assert not out.exists() and not side.exists()
+
+
 def test_simulate_stats_sidecar_is_written_when_a_right_hand_side_fails(tmp_path, capsys):
     """At c = 2 this Coulomb orbit falls in until the energy radicand of
     the right-hand side turns negative in step 68, a step with no
@@ -271,6 +292,9 @@ FLOAT_EDGES = {
     "brackets-c-1e150": ("brackets", "units: {c: 1.0e+150}", "a = "),
     "brackets-c-1e155-m-1e-10": ("brackets", "units: {c: 1.0e+155}\nmodel: {m: 1.0e-10}",
                                  "m = 1e-10, c = 1e+155"),
+    # (m c)^2 and a are numbers here, but c^2 is not: refused by the PP block
+    "brackets-c-1e155-m-1e-100": ("brackets", "units: {c: 1.0e+155}\nmodel: {m: 1.0e-100}",
+                                  "closed-form brackets: c = 1e+155"),
     # exit 0 with -Infinity in 20 JSON fields, and inf in the CSV
     "spectrum-g-1e308": ("spectrum", "spectrum: {g: 1.0e+308}", "g = 1e+308"),
     "spectrum-g--1e308": ("spectrum", "spectrum: {g: -1.0e+308}", "g = -1e+308"),
@@ -292,17 +316,6 @@ def test_float_edges_exit_one_with_one_error_line(case, fmt, tmp_path, capsys):
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("error: ") and named in line, line
     assert not out.exists()
-
-
-def test_brackets_reports_where_only_c_squared_is_past_the_float_range(tmp_path):
-    """At c = 1e155 and m = 1e-100, (m c)^2 and the coefficient a are
-    numbers but c**2 and c**3 are not: dirac_coefficients (at c**3) and,
-    past it, closed_brackets (at c**2) ended in an OverflowError
-    traceback.  e^2 / (2 c c) is 0.0 there, and the report is strict JSON."""
-    cfg = _write(tmp_path, "edge.yaml", "units: {c: 1.0e+155}\nmodel: {m: 1.0e-100}\n")
-    out = tmp_path / "out.json"
-    assert main(["brackets", "--config", cfg, "--states", "2", "--out", str(out)]) == 0
-    json.loads(out.read_text(), parse_constant=lambda name: pytest.fail(name))
 
 
 def test_a_report_that_is_not_finite_is_refused_before_it_is_written(
