@@ -30,14 +30,19 @@ ValueError or RuntimeError ends the run of ``integrate``.
 Inside the rk4 loop of ``integrate`` the state is a list of 16 Python
 floats, from ``z0.vec.tolist()`` on, and the right-hand side is a
 closure that calls ``dirac_rhs(v, model)``: ``_rk4_step`` forms its
-stages and the final combination elementwise, in the operation order of
-the numpy form, so a step is the same to the bit; it projects with
-``_project``, the list form of ``project_state``, whose passes take
-their Minkowski products from ``minkowski.mdot``.  Each state is
-evaluated once: a projection's last pass evaluates the state it
-returns, which is the next step's first stage and, when recorded, the
-state's channel row.  Arrays appear only where a state crosses the
-``PhaseState`` boundary of ``project_state`` and in ``Trajectory.Z``.
+three stage states y + a k with ``_stage`` and the final combination
+itself, both written out on the 16 slots with each input unpacked once
+into names, as ``dirac_rhs`` does, in the operation order of the numpy
+form, so a step is the same to the bit and a state of another length
+raises.  The loop keeps no per-step count: a step's end time is formed
+at a record or a failure, and "rhs_evals" at a failure or the end.
+It projects with ``_project``, the list form of ``project_state``,
+whose passes take their Minkowski products from ``minkowski.mdot``.
+Each state is evaluated once: a projection's last pass evaluates the
+state it returns, which is the next step's first stage and, when
+recorded, the state's channel row.  Arrays appear only where a state
+crosses the ``PhaseState`` boundary of ``project_state`` and in
+``Trajectory.Z``.
 
 ``Trajectory.stats`` reports what a run did, apart from its results:
 the right-hand-side evaluations (four per completed step), the
@@ -225,20 +230,50 @@ def _project(vec, model, stats):
 PROJECT_EVERY = 25   # rk4 steps between projections, besides recording times
 
 
+def _stage(y, a, k):
+    """y + a k on two sequences of 16 floats, as a list: an rk4 stage
+    state, written out slot by slot; another length raises ValueError."""
+    y0, y1, y2, y3, y4, y5, y6, y7, y8, y9, y10, y11, y12, y13, y14, y15 = y
+    k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13, k14, k15 = k
+    return [y0 + a * k0, y1 + a * k1, y2 + a * k2, y3 + a * k3, y4 + a * k4, y5 + a * k5,
+            y6 + a * k6, y7 + a * k7, y8 + a * k8, y9 + a * k9, y10 + a * k10, y11 + a * k11,
+            y12 + a * k12, y13 + a * k13, y14 + a * k14, y15 + a * k15]
+
+
 def _rk4_step(f, y, h, k1):
-    """One classical rk4 step of y' = f(y) on a list of floats, returning
-    a new list; k1 is f(y), which the caller makes.  The stages are
-    y + (h/2) k and y + h k, and the step
-    y + (h/6) (((k1 + 2 k2) + 2 k3) + k4), elementwise in the operation
-    order of the numpy form (tests/oracles.rk4_step), so both give the
-    same bits."""
+    """One classical rk4 step of y' = f(y) on a list of 16 floats,
+    returning a new list; k1 is f(y), which the caller makes.  The
+    stages y + (h/2) k1, y + (h/2) k2 and y + h k3 (``_stage``) and the
+    step y + (h/6) (((k1 + 2 k2) + 2 k3) + k4) are written out on the
+    16 slots in the operation order of the numpy form
+    (tests/oracles.rk4_step), so both give the same bits; a y or a slope
+    of another length raises ValueError."""
     a = 0.5 * h
-    k2 = f([u + a * k for u, k in zip(y, k1)])
-    k3 = f([u + a * k for u, k in zip(y, k2)])
-    k4 = f([u + h * k for u, k in zip(y, k3)])
+    k2 = f(_stage(y, a, k1))
+    k3 = f(_stage(y, a, k2))
+    k4 = f(_stage(y, h, k3))
     b = h / 6.0
-    return [u + b * (((p + 2.0 * q) + 2.0 * r) + s)
-            for u, p, q, r, s in zip(y, k1, k2, k3, k4)]
+    y0, y1, y2, y3, y4, y5, y6, y7, y8, y9, y10, y11, y12, y13, y14, y15 = y
+    p0, p1, p2, p3, p4, p5, p6, p7, p8, p9, p10, p11, p12, p13, p14, p15 = k1
+    q0, q1, q2, q3, q4, q5, q6, q7, q8, q9, q10, q11, q12, q13, q14, q15 = k2
+    r0, r1, r2, r3, r4, r5, r6, r7, r8, r9, r10, r11, r12, r13, r14, r15 = k3
+    s0, s1, s2, s3, s4, s5, s6, s7, s8, s9, s10, s11, s12, s13, s14, s15 = k4
+    return [y0 + b * (((p0 + 2.0 * q0) + 2.0 * r0) + s0),
+            y1 + b * (((p1 + 2.0 * q1) + 2.0 * r1) + s1),
+            y2 + b * (((p2 + 2.0 * q2) + 2.0 * r2) + s2),
+            y3 + b * (((p3 + 2.0 * q3) + 2.0 * r3) + s3),
+            y4 + b * (((p4 + 2.0 * q4) + 2.0 * r4) + s4),
+            y5 + b * (((p5 + 2.0 * q5) + 2.0 * r5) + s5),
+            y6 + b * (((p6 + 2.0 * q6) + 2.0 * r6) + s6),
+            y7 + b * (((p7 + 2.0 * q7) + 2.0 * r7) + s7),
+            y8 + b * (((p8 + 2.0 * q8) + 2.0 * r8) + s8),
+            y9 + b * (((p9 + 2.0 * q9) + 2.0 * r9) + s9),
+            y10 + b * (((p10 + 2.0 * q10) + 2.0 * r10) + s10),
+            y11 + b * (((p11 + 2.0 * q11) + 2.0 * r11) + s11),
+            y12 + b * (((p12 + 2.0 * q12) + 2.0 * r12) + s12),
+            y13 + b * (((p13 + 2.0 * q13) + 2.0 * r13) + s13),
+            y14 + b * (((p14 + 2.0 * q14) + 2.0 * r14) + s14),
+            y15 + b * (((p15 + 2.0 * q15) + 2.0 * r15) + s15)]
 
 
 @dataclass
@@ -319,9 +354,9 @@ def _grid(t0, t_final, dt, record_every):
     ratio = (t_final - t0) / dt
     if ratio < 0.0:
         raise ValueError(f"dt = {dt} points away from t_final = {t_final} (t0 = {t0})")
-    if not math.isfinite(ratio):
-        raise ValueError(f"dt = {dt} is too small for a finite step count "
-                         f"from t0 = {t0} to t_final = {t_final}")
+    if not ratio <= 2.0 ** 53:   # past it k dt is not exact; inf included
+        raise ValueError(f"dt = {dt} is too small for a step count of at most 2**53, "
+                         f"where k dt is exact, from t0 = {t0} to t_final = {t_final}")
     n_full = int(round(ratio))
     short = abs(ratio - n_full) > 1e-9 * max(1.0, abs(ratio))
     if short:
@@ -338,7 +373,8 @@ def integrate(model, z0, t_final, dt, t0=0.0, record_every=1, project=True):
     A right-hand side or a projection that refuses the state
     (ValueError) or a projection that stalls (RuntimeError) ends the run;
     the error keeps its type and message and carries the run's stats, its
-    "rhs_evals" those of the completed steps, as ``exc.stats``, with
+    "rhs_evals" those of the steps whose stages completed (the failing
+    step's when its projection fails), as ``exc.stats``, with
     "failed_step" (counted from 1) and "t" (its end time) added, and
     "projection_failure" after a stall.  The run ends at t_final: when
     (t_final - t0)/dt is not an integer to rounding, it takes
@@ -348,8 +384,9 @@ def integrate(model, z0, t_final, dt, t0=0.0, record_every=1, project=True):
 
     ValueError, naming the argument: a non-finite t0, t_final or dt, a
     zero dt, a dt that points away from t_final or is too small for a
-    finite step count, and a record_every that is not a positive
-    integer (a bool included).
+    step count of at most 2**53 (past it k dt is not exact), before any
+    step, and a record_every that is not a positive integer (a bool
+    included).
     """
     start = time.perf_counter()
     n_full, n_steps = _grid(t0, t_final, dt, record_every)
@@ -360,28 +397,31 @@ def integrate(model, z0, t_final, dt, t0=0.0, record_every=1, project=True):
 
     rows = {}
     rhs = lambda v: dirac_rhs(v, model)   # cheaper to call than functools.partial
+    end_time = lambda k: t0 + k * dt if k <= n_full else t_final   # of step k
     y = z0.vec.tolist()
     evaluation = None   # of y, when a projection pass has just made it
+    stepped = 0   # the last step that reached its projection
     for k in range(1, n_steps + 1):
         h = dt if k <= n_full else t_final - (t0 + n_full * dt)
-        t = t0 + k * dt if k <= n_full else t_final
         try:
             y = _rk4_step(rhs, y, h, dirac_rhs(y, model, evaluation))
-            stats["rhs_evals"] += 4
             evaluation = None
             if project and (k % PROJECT_EVERY == 0 or k % record_every == 0):
+                stepped = k
                 y, evaluation, T = _project(y, model, stats)
                 stats["projections"] += 1
         except (RuntimeError, ValueError) as exc:
-            stats["failed_step"], stats["t"] = k, t
+            stats["rhs_evals"] = 4 * (k if stepped == k else k - 1)
+            stats["failed_step"], stats["t"] = k, end_time(k)
             exc.stats = stats
             raise
         if k % record_every == 0 or k == n_steps:
             if evaluation is not None:
                 rows[len(zs)] = _channel_row(model, evaluation[0], evaluation[1], T)
-            ts.append(t)
+            ts.append(end_time(k))
             zs.append(np.array(y))
 
+    stats["rhs_evals"] = 4 * n_steps
     stats["stepping_s"] = time.perf_counter() - start
     return Trajectory(t=np.array(ts), Z=np.array(zs), model=model, stats=stats, rows=rows)
 

@@ -26,8 +26,8 @@ layer and the field layer.
   ``dynamics.dirac_rhs`` writes the flow of grad H as symplectic
   pairings of the kernel's pieces; the tests pin all three to this form.
 * ``rk4_step``, the classical rk4 step written on numpy arrays;
-  ``dynamics._rk4_step`` writes it elementwise on a list of floats and
-  the tests pin the two to the bit.
+  ``dynamics._rk4_step`` and its stage ``dynamics._stage`` write it out
+  on the 16 floats of a list and the tests pin the two to the bit.
 * ``integrate_dop853``, the reference integrator: scipy's adaptive
   DOP853 on the same right-hand side, grid and projection as
   ``dynamics.integrate``, which the rk4 runs are compared against.

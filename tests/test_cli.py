@@ -165,6 +165,25 @@ def test_simulate_stats_sidecar_is_written_when_a_right_hand_side_fails(tmp_path
     assert "projection_failure" not in stats
 
 
+
+def test_simulate_refuses_a_dt_too_small_for_an_exact_step_count(tmp_path, monkeypatch,
+                                                                  capsys):
+    """simulate.dt need only be > 0, and dt = 1e-300 used to start
+    1e300 steps and not return.  integrate refuses it before any
+    right-hand side, and the command exits 1 with one error line naming
+    dt, as for any argument integrate refuses, and writes no --out."""
+    def never(*args):
+        raise AssertionError("dirac_rhs was called")
+
+    monkeypatch.setattr(dynamics, "dirac_rhs", never)
+    cfg = _write(tmp_path, "sim.yaml", SIM_CFG.replace("dt: 0.01", "dt: 1.0e-300")
+                 .replace("record_every: 10", "record_every: 1"))
+    out = tmp_path / "a.csv"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: dt = 1e-300 is too small for a step count"), line
+    assert not out.exists()
+
 def test_simulate_plot_format(tmp_path):
     cfg = _write(tmp_path, "sim.yaml", SIM_CFG)
     out = tmp_path / "a.txt"

@@ -8,6 +8,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from relspin import brackets, cli, dynamics, fields, minkowski, phase
 from relspin.brackets import defining_property_report, dirac_core
@@ -141,6 +143,28 @@ def test_integrate_refuses_bad_arguments(args, kwargs, name, method):
     with pytest.raises(ValueError, match=f"^{name} "):
         INTEGRATORS[method](model, z0, *args, **kwargs)
 
+
+
+def test_a_dt_too_small_for_an_exact_step_count_is_refused_before_any_step(monkeypatch):
+    """dt = 1e-300 from 0 to 1 asks for 1e300 steps: integrate used to
+    start them and not return, its record list growing at
+    record_every = 1.  Past 2**53 steps k dt is not exact, so such a dt
+    is refused by name before any right-hand side, backward too; the
+    grid takes 2**53 whole steps and refuses the next float up."""
+    model = build_model("crossed")
+    z0 = state_batch(model, 1, seed=5)[0]
+
+    def never(*args):
+        raise AssertionError("dirac_rhs was called")
+
+    monkeypatch.setattr(dynamics, "dirac_rhs", never)
+    for t_final, dt in ((1.0, 1e-300), (1.0, 2.0 ** -54), (-1.0, -1e-300)):
+        with pytest.raises(ValueError, match=rf"^dt = {dt} is too small for a step count "
+                                             r"of at most 2\*\*53"):
+            integrate(model, z0, t_final, dt, record_every=1)
+    assert dynamics._grid(0.0, 2.0 ** 53, 1.0, 1) == (2 ** 53, 2 ** 53)
+    with pytest.raises(ValueError, match="^dt = 1.0 is too small"):
+        dynamics._grid(0.0, 2.0 ** 53 + 2.0, 1.0, 1)
 
 def test_integrate_runs_backward_and_records_z0_at_t0():
     """dt < 0 with t_final < t0 runs backward and ends at t_final, with a
@@ -457,6 +481,34 @@ def test_a_failed_right_hand_side_tells_where_the_run_stopped(monkeypatch):
     assert run["rhs_evals"] == 4 * 8 and run["projections"] == 1
     assert "projection_failure" not in run
 
+
+
+@pytest.mark.parametrize("name, nth, record_every, rhs_evals, projections", [
+    ("_t3t4", 42, 2, 40, 5), ("_project", 11, 1, 44, 10)], ids=["rhs", "projection"])
+def test_a_failure_on_the_short_last_step_tells_where(name, nth, record_every, rhs_evals,
+                                                      projections, monkeypatch):
+    """A run of 1.05 at dt = 0.1 ends with a short step 11 of 0.05.  A
+    right-hand side refused in its second stage (the 42nd {T3,T4})
+    reports step 11 at t = t_final after the 40 right-hand sides of the
+    ten completed steps; a projection refused after its stages
+    (record_every = 1 projects step 11) reports the same step and time
+    after 44."""
+    model = build_model("crossed")
+    z0 = state_batch(model, 1, seed=5)[0]
+    real, calls = getattr(dynamics, name), []
+
+    def refusing(*args):
+        calls.append(1)
+        if len(calls) == nth:
+            raise ValueError(f"{name} refused here")
+        return real(*args)
+
+    monkeypatch.setattr(dynamics, name, refusing)
+    with pytest.raises(ValueError, match="refused here") as err:
+        integrate(model, z0, 1.05, 0.1, record_every=record_every)
+    run = err.value.stats
+    assert run["failed_step"] == 11 and run["t"] == 1.05
+    assert run["rhs_evals"] == rhs_evals and run["projections"] == projections
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_projection_refuses_a_non_finite_state(value, capfd):
@@ -861,6 +913,51 @@ def test_rk4_step_on_a_list_is_the_numpy_step_to_the_bit():
         y_arr = oracles.rk4_step(lambda v: np.array(dirac_rhs(v.tolist(), model)), y_arr, h)
         assert np.array_equal(_bits(y_list), _bits(y_arr))
 
+
+
+# finite floats of either sign whose rk4 sums stay below the float range
+# at |h| <= 1e3: signed zeros, subnormals and magnitudes up to 1e300
+_SLOTS = st.lists(st.floats(min_value=-1e300, max_value=1e300), min_size=16, max_size=16)
+_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e300, 1e300, 1.0,
+          -1.0, 1e-310, -1e150, 3.0, -0.0, 0.0, 7e299, -2.5]
+
+
+@settings(max_examples=300, deadline=None)
+@given(y=_SLOTS, ks=st.lists(_SLOTS, min_size=4, max_size=4),
+       h=st.one_of(st.floats(min_value=-1e3, max_value=1e3),
+                   st.just(1.05 - (0.0 + 10 * 0.1))))
+@example(y=_EDGES, ks=[_EDGES[::-1], [-0.0] * 16, _EDGES, [5e-324] * 16], h=-0.0)
+@example(y=_EDGES, ks=[_EDGES, _EDGES[::-1], [1e300] * 16, _EDGES], h=-1e3)
+@example(y=[-0.0] * 16, ks=[[0.0] * 16] * 4, h=1.05 - (0.0 + 10 * 0.1))
+def test_written_out_stage_and_step_are_the_numpy_form_to_the_bit(y, ks, h):
+    """_stage and _rk4_step, written out on the 16 slots, equal the
+    numpy form of tests/oracles.py bit for bit on arbitrary floats:
+    each stage state and the step."""
+    k_arr = np.array(ks)
+    for a, k in ((0.5 * h, ks[0]), (h, ks[2])):
+        assert np.array_equal(_bits(dynamics._stage(y, a, k)),
+                              _bits(np.array(y) + a * np.array(k)))
+    seen_list, seen_arr = [], []
+    f = _stages(k_arr, seen_list, True)
+    got = dynamics._rk4_step(f, y, h, f(y))
+    want = oracles.rk4_step(_stages(k_arr, seen_arr, False), np.array(y), h)
+    assert np.array_equal(_bits(got), _bits(want))
+    assert np.array_equal(seen_list, seen_arr)
+
+
+@pytest.mark.parametrize("n", [15, 17])
+def test_a_state_of_another_length_is_refused_not_truncated(n):
+    """The zip form stopped at the shorter input, so a state or slope of
+    15 floats gave a 15-float step and one of 17 lost its last slot; the
+    written-out forms unpack 16 names and raise ValueError."""
+    other, full = [1.0] * n, [0.5] * 16
+    for y, k in ((other, full), (full, other)):
+        with pytest.raises(ValueError):
+            dynamics._stage(y, 0.1, k)
+        with pytest.raises(ValueError):
+            dynamics._rk4_step(lambda v: list(full), y, 0.1, k)
+    with pytest.raises(ValueError):   # a stage slope of the other length
+        dynamics._rk4_step(lambda v: list(other), full, 0.1, full)
 
 @pytest.mark.parametrize("kind", ["coulomb", "crossed", "zero"])
 def test_rhs_and_step_return_lists_of_floats(kind):
