@@ -41,7 +41,7 @@ def main():
         closed = closed_vs_direct_report(states, model)
         aux = aux_table_report(states, model)
         print(f"\n[{kind}]")
-        print(f"  defining property  max |{{T_a, X}}_D| = {defining:.3e}")
+        print(f"  defining property  max |{{T_a, X}}_D| / (1 + |{{T_a, X}}|) = {defining:.3e}")
         worst_fam = list(closed)[np.argmax(list(closed.values()))]
         print(f"  closed vs direct   worst family {worst_fam} = "
               f"{closed[worst_fam]:.3e}")

@@ -43,8 +43,8 @@ def main():
         print(f"{tag:>8} {row['kinetic']:13.6e} {row['spin_orbit']:13.6e} "
               f"{row['total']:13.6e} {somm:>13} {defect:>10}")
 
-    split = p_level_splitting(hm, n=2)
-    naive = p_level_splitting_naive(hm, n=2)
+    split = p_level_splitting(hm)
+    naive = p_level_splitting_naive(hm)
     print(f"\n2p3/2 - 2p1/2 = {split:.6e} eV "
           f"(measured fine structure ~4.53e-5 eV)")
     # at g = 1 the realized splitting is 0 and there is no ratio

@@ -431,7 +431,15 @@ def closed_vs_direct_report(states, model):
             "T3T4": float(dev[-1])}
 
 
+def _defining_deviation(core, model):
+    """|{T_a, X}_D| / (1 + |{T_a, X}|) over the second-class pair and the
+    rows of row_gradients, (2, 22): the canonical bracket
+    {T_a, X} = -grad X . J grad T_a sets the size of the rounding, which
+    grows with c."""
+    G = row_gradients(core, model)
+    return np.abs(core.R[1:] @ core.flow(G).T) / (1.0 + np.abs(G @ core.JR.T).T)
+
+
 def defining_property_report(states, model):
-    """Max |{T_a, X}_D| over the second-class pair and the rows of row_gradients."""
-    return float(max_over_states(states, model, lambda core, model: np.max(
-        np.abs(core.R[1:] @ core.flow(row_gradients(core, model)).T))))
+    """Max |{T_a, X}_D| / (1 + |{T_a, X}|) over the states (_defining_deviation)."""
+    return float(np.max(max_over_states(states, model, _defining_deviation)))

@@ -378,7 +378,7 @@ def run_selftest():
 
     # name, measured quantity, measurement, bound (None: must be exactly 0)
     checks = (
-        ("dirac bracket kills the second-class pair", "max_dev",
+        ("dirac bracket kills the second-class pair", "max_rel",
          lambda: defining_property_report(states, model), 1e-10),
         ("closed forms match the direct oracle", "max_rel",
          lambda: np.max(list(closed_vs_direct_report(states, model).values())), 1e-8),

@@ -5,13 +5,11 @@ is its Dirac bracket with H, so the raw equations of motion are
 
     zdot = J grad H + ( {T4,H} J grad T3 - {T3,H} J grad T4 ) / {T3,T4}
 
-computed in one float pass per call (``dirac_rhs``, 16 floats in, a list
-of 16 floats out): one field evaluation, one call of the kernel
-``phase._kernel``, and three symplectic pairings of its pieces, which
-give {T3,T4}, {T3,H} and {T4,H}; no constraint value, row,
-``DiracCore`` or array is built, and this module does not import
-``brackets``.  The stacked form of the correction,
-``brackets.DiracCore.flow``, serves the bracket reports, and both are
+computed in one float pass per call (``dirac_rhs``): one field
+evaluation, one call of the kernel ``phase._kernel``, and three
+symplectic pairings of its pieces, which give {T3,T4}, {T3,H} and
+{T4,H}.  This module does not import ``brackets``, whose
+``DiracCore.flow`` is the stacked form of the correction; both are
 pinned to one reference.  The energy radicand check and the {T3,T4}
 floor that ``dirac_core`` shares (``phase._energy`` and
 ``phase._t3t4``) make it raise ValueError where the state is out of
@@ -24,37 +22,19 @@ construction of the bracket, T2 and T5 because {T2,T3} = -T3 and its
 three siblings vanish on the surface.  Numerical drift is removed by
 ``project_state``: the constraints solved for (omega, pi) at fixed calP,
 repeated with the new calP, which keeps x and pins S.S = 8 alpha too (a
-consequence of T2 = T5 = 0).  Where it refuses a state or stalls, its
-ValueError or RuntimeError ends the run of ``integrate``.
+consequence of T2 = T5 = 0).
 
-Inside the rk4 loop of ``integrate`` the state is a list of 16 Python
-floats, from ``z0.vec.tolist()`` on, and the right-hand side is a
-closure that calls ``dirac_rhs(v, model)``: ``_rk4_step`` forms its
-three stage states y + a k with ``_stage`` and the final combination
-itself, both written out on the 16 slots with each input unpacked once
-into names, as ``dirac_rhs`` does, in the operation order of the numpy
-form, so a step is the same to the bit and a state of another length
-raises.  The loop keeps no per-step count: a step's end time is formed
-at a record or a failure, and "rhs_evals" at a failure or the end.
-It projects with ``_project``, the list form of ``project_state``,
-whose passes take their Minkowski products from ``minkowski.mdot``.
-Each state is evaluated once: a projection's last pass evaluates the
-state it returns, which is the next step's first stage and, when
-recorded, the state's channel row.  Arrays appear only where a state
-crosses the ``PhaseState`` boundary of ``project_state`` and in
-``Trajectory.Z``.
-
-``Trajectory.stats`` reports what a run did, apart from its results:
-the right-hand-side evaluations (four per completed step), the
-projections and their fixed-point passes, the largest constraint
-residual met before a projection, the energy drift of the H channel,
-``energy_drift`` (written by the first ``channels()`` call), and the
-wall time (time.perf_counter spans) of the stepping, ``stepping_s``, and
-of the first ``channels()`` call, ``channels_s``.  ``channels`` makes
-one float pass per recorded state that no projection evaluated (one
-field evaluation, one kernel call and ``phase.t_values`` give calP, the
-constraint values and H) and takes the spin read-outs from the spin
-tensors of all states, which one ``phase.spin_tensor`` call writes.
+``integrate`` is the one writer of a run's record, and it evaluates
+each state once: the evaluation of a recorded or projected state, z0
+included (a field evaluation, a kernel call and ``phase.t_values``, or
+a projection's last pass), gives both its row in ``Trajectory.rows``
+(calP, T2..T5, H) and the next step's first stage.  ``Trajectory.stats``,
+also written by ``integrate`` alone, reports what the run did apart
+from its results: the right-hand-side evaluations, the projections and
+their fixed-point passes, the largest constraint residual met before a
+projection, the energy drift of the H column and the wall time of the
+run, ``stepping_s``.  ``Trajectory.channels`` is a view over t, Z and
+rows that evaluates nothing.
 
 A spinless state is omega = pi = 0 of the same flow: there
 {T3,T4} = calP.calP = -(m c)^2 and {T3,H} = {T4,H} = 0, so the flow
@@ -84,7 +64,7 @@ def dirac_rhs(vec, model, evaluation=None):
     a list of 16 floats; t is laboratory time.
 
     One field evaluation and one kernel call, or the evaluation (fields,
-    calP, pieces) of vec when given, whose pieces g0 = grad calP^0
+    calP, pieces, T) of vec when given, whose pieces g0 = grad calP^0
     and the explicit gradients e3, e4 (grad T_v = -v^0 g0 + e_v) enter
     through the symplectic pairing Omega(a, b) = {a, b} =
     <a_x, b_p> - <a_p, b_x> + <a_omega, b_pi> - <a_pi, b_omega>
@@ -100,7 +80,7 @@ def dirac_rhs(vec, model, evaluation=None):
         fields = field_data(model, vec[0:4])
         (P0, P1, P2, P3), (g0, ex3, ex4) = _kernel(vec, model, fields)
     else:
-        fields, (P0, P1, P2, P3), (g0, ex3, ex4) = evaluation
+        fields, (P0, P1, P2, P3), (g0, ex3, ex4), _ = evaluation
     _, g1, g2, g3, _, g5, g6, g7, g8, g9, g10, g11, g12, g13, g14, g15 = g0
     _, x1, x2, x3 = ex3
     _, y1, y2, y3 = ex4
@@ -138,7 +118,7 @@ PROJECTION_TOL = 1e-14   # largest residual returned, in units of 1 + (m c)^2
 SPIN_FLOOR = 2.0 ** -52
 
 
-def project_state(z, model, *, stats=None):
+def project_state(z, model):
     """Put z back on T2 = T3 = T4 = T5 = 0, moving (omega, pi) alone.
 
     At fixed calP the constraints have an explicit solution, and each
@@ -163,24 +143,22 @@ def project_state(z, model, *, stats=None):
     non-finite component, or a projected omega^2 or pi^2 not above
     SPIN_FLOOR, where rounding would set the spin (omega parallel to
     calP; pi in the plane of omega and calP, S = 0 included).
-
-    stats, when given, is a dict whose "projection_steps" grows by the
-    passes made and whose "max_residual_before_projection" is raised to
-    the largest residual before the first pass, each started at 0 when
-    absent; before the RuntimeError, "projection_failure" is set to
-    {"residual": the largest residual before the first pass, "best": the
-    least reached, "passes": the passes made}.
     """
-    vec, evaluation, _ = _project(z.vec.tolist(), model, stats)
+    vec, evaluation = _project(z.vec.tolist(), model,
+                               {"projection_steps": 0, "max_residual_before_projection": 0.0})
     return z if evaluation is None else PhaseState(vec=np.array(vec))
 
 
 def _project(vec, model, stats):
-    """project_state on a list: the projected list, the evaluation
-    (fields, calP, pieces) of its last pass and its values T, or the
-    spinless list as it is, None and None."""
+    """project_state on a list: the projected list and the evaluation
+    (fields, calP, pieces, T) of its last pass, or the spinless list as it
+    is and None.  stats, the dict of a run, gains the passes made in
+    "projection_steps" and the largest residual before the first pass in
+    "max_residual_before_projection"; before the RuntimeError,
+    "projection_failure" is set to {"residual": that residual, "best": the
+    least reached, "passes": the passes made}."""
     if not any(vec[8:]):
-        return vec, None, None
+        return vec, None
     if not all(map(math.isfinite, vec)):
         raise ValueError("cannot project a state with non-finite components in slots "
                          f"{[i for i, v in enumerate(vec) if not math.isfinite(v)]}")
@@ -193,11 +171,10 @@ def _project(vec, model, stats):
         T = t_values(vec, P, model)
         errs.append(max(map(abs, T)))
         if errs[-1] < tol:
-            if stats is not None:
-                stats["projection_steps"] = stats.get("projection_steps", 0) + len(errs) - 1
-                stats["max_residual_before_projection"] = max(
-                    stats.get("max_residual_before_projection", 0.0), errs[0])
-            return vec, (fields, P, pieces), T
+            stats["projection_steps"] += len(errs) - 1
+            stats["max_residual_before_projection"] = max(
+                stats["max_residual_before_projection"], errs[0])
+            return vec, (fields, P, pieces, T)
         if len(errs) > 1 and not errs[-1] < errs[-2]:
             break
         w, q = vec[8:12], vec[12:]
@@ -216,9 +193,8 @@ def _project(vec, model, stats):
                              f"(pi^2 = {qq:.3e} after removing both); cannot project")
         s = math.sqrt(math.sqrt(model.alpha / (ww * qq)))
         vec = head + [s * v for v in w1 + q1]
-    if stats is not None:
-        stats["projection_failure"] = {"residual": errs[0], "best": min(errs),
-                                       "passes": len(errs) - 1}
+    stats["projection_failure"] = {"residual": errs[0], "best": min(errs),
+                                   "passes": len(errs) - 1}
     raise RuntimeError(f"constraint projection did not converge: pass {len(errs) - 1} "
                        f"no longer shrank the residual; max residual {errs[0]:.3e} "
                        f"before, {min(errs):.3e} at best, tolerance {tol:.1e}")
@@ -281,54 +257,29 @@ class Trajectory:
     t: np.ndarray
     Z: np.ndarray
     model: object
+    rows: np.ndarray   # (n_records, 9): calP, T2..T5 and H of each record
     stats: dict = field(default_factory=dict)
-    rows: dict = field(default_factory=dict)   # record index -> row its projection made
 
     def channels(self):
-        """Named scalar time series for output and diagnostics (cached).
-
-        A float pass over the recorded states not in self.rows gives
-        calP, the constraint values and H from one field evaluation, one
-        kernel call and t_values each (A^0 read from the field's float
-        tuples); one spin_tensor call then writes the spin tensors of
-        all states, and one spin_readouts call on the stack gives their
-        spin read-outs.  A spinless state reads zero in every spin and
-        constraint channel (spin_tensor of omega = pi = 0 is +0.0).
-        The first call also writes the energy drift of the H channel to
-        stats["energy_drift"].  The keys, in their order, are the columns
-        of the simulate command.
+        """Named scalar time series for output and diagnostics (cached): a
+        view over t, Z and rows, with the spin read-outs of all states from
+        one spin_tensor and one spin_readouts call; it evaluates nothing.
+        A spinless state reads zero in every spin and constraint channel
+        (spin_tensor of omega = pi = 0 is +0.0).  The keys, in their
+        order, are the columns of the simulate command.
         """
-        if getattr(self, "_channels", None) is not None:
-            return self._channels
-        start = time.perf_counter()
-        model, Z = self.model, self.Z
-        out = {"t": self.t, **dict(zip(("x1", "x2", "x3"), Z[:, 1:4].T))}
-        rows = []
-        for k, vec in enumerate(Z.tolist()):
-            row = self.rows.get(k)
-            if row is None:
-                fields = field_data(model, vec[:4])
-                P, _ = _kernel(vec, model, fields)
-                row = _channel_row(model, fields, P, t_values(vec, P, model))
-            rows.append(row)
-        rows = np.array(rows)
-        P, T, H = rows[:, :4], rows[:, 4:8], rows[:, 8]
-        S3, D3, SS = spin_readouts(spin_tensor(Z[:, 8:12], Z[:, 12:]))
-        spin2 = np.where(Z[:, 8:].any(axis=1), SS - 8.0 * model.alpha, 0.0)
-        out.update(zip(("P0", "P1", "P2", "P3"), P.T))
-        out.update(zip(("S1", "S2", "S3"), S3.T))
-        out.update(zip(("D1", "D2", "D3"), D3.T))
-        out["H"] = H
-        out.update(zip(CONSTRAINT_NAMES, T.T))
-        out["spin2"] = spin2
-        self._channels = out
-        self.stats["energy_drift"] = float(np.max(np.abs(H - H[0])) / abs(H[0]))
-        self.stats["channels_s"] = time.perf_counter() - start
-        return out
+        if getattr(self, "_channels", None) is None:
+            Z, rows = self.Z, self.rows
+            S3, D3, SS = spin_readouts(spin_tensor(Z[:, 8:12], Z[:, 12:]))
+            spin2 = np.where(Z[:, 8:].any(axis=1), SS - 8.0 * self.model.alpha, 0.0)
+            names = ("t", "x1", "x2", "x3", "P0", "P1", "P2", "P3", "S1", "S2", "S3",
+                     "D1", "D2", "D3", "H", *CONSTRAINT_NAMES, "spin2")
+            self._channels = dict(zip(names, (self.t, *Z[:, 1:4].T, *rows[:, :4].T, *S3.T,
+                                              *D3.T, rows[:, 8], *rows[:, 4:8].T, spin2)))
+        return self._channels
 
     def energy_drift(self):
-        """Largest |H - H(t0)| / |H(t0)| over the recorded states."""
-        self.channels()
+        """Largest |H - H(0)| / |H(0)| over the recorded states."""
         return self.stats["energy_drift"]
 
     def constraint_drift(self):
@@ -336,14 +287,22 @@ class Trajectory:
         return {k: float(np.max(np.abs(ch[k]))) for k in (*CONSTRAINT_NAMES, "spin2")}
 
 
-def _channel_row(model, fields, P, T):
-    """(calP, T, H) of one state in Trajectory.channels."""
+def _evaluate(vec, model):
+    """The evaluation (fields, calP, pieces, T) of a list of 16 floats."""
+    fields = field_data(model, vec[:4])
+    P, pieces = _kernel(vec, model, fields)
+    return fields, P, pieces, t_values(vec, P, model)
+
+
+def _row(evaluation, model):
+    """A state's record row (calP, T2..T5, H) from its evaluation."""
+    fields, P, _, T = evaluation
     return (*P, *T, hamiltonian(P[0], fields, model))
 
 
-def _grid(t0, t_final, dt, record_every):
-    """(whole steps of dt, steps) from t0 to t_final; ValueError as in integrate."""
-    for name, value in (("t0", t0), ("t_final", t_final), ("dt", dt)):
+def _grid(t_final, dt, record_every):
+    """(whole steps of dt, steps) from 0 to t_final; ValueError as in integrate."""
+    for name, value in (("t_final", t_final), ("dt", dt)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
     if dt == 0.0:
@@ -351,12 +310,12 @@ def _grid(t0, t_final, dt, record_every):
     if not (isinstance(record_every, numbers.Integral) and not isinstance(record_every, bool)
             and record_every >= 1):
         raise ValueError(f"record_every must be a positive integer, got {record_every!r}")
-    ratio = (t_final - t0) / dt
+    ratio = t_final / dt
     if ratio < 0.0:
-        raise ValueError(f"dt = {dt} points away from t_final = {t_final} (t0 = {t0})")
+        raise ValueError(f"dt = {dt} points away from t_final = {t_final}")
     if not ratio <= 2.0 ** 53:   # past it k dt is not exact; inf included
         raise ValueError(f"dt = {dt} is too small for a step count of at most 2**53, "
-                         f"where k dt is exact, from t0 = {t0} to t_final = {t_final}")
+                         f"where k dt is exact, from 0 to t_final = {t_final}")
     n_full = int(round(ratio))
     short = abs(ratio - n_full) > 1e-9 * max(1.0, abs(ratio))
     if short:
@@ -364,66 +323,65 @@ def _grid(t0, t_final, dt, record_every):
     return n_full, n_full + int(short)
 
 
-def integrate(model, z0, t_final, dt, t0=0.0, record_every=1, project=True):
-    """Advance z0 from t0 to t_final by rk4 steps of dt, recording every
-    record_every steps and applying ``project_state`` at recording times
-    and every PROJECT_EVERY steps.  stats["rhs_evals"] counts four per
-    step, the first stages a projection evaluated included.
+def integrate(model, z0, t_final, dt, record_every=1, project=True):
+    """Advance z0 from t = 0 to t_final by rk4 steps of dt, recording
+    every record_every steps and applying ``project_state`` at recording
+    times and every PROJECT_EVERY steps.  stats["rhs_evals"] counts four
+    per step, the first stages that a record or a projection evaluated
+    included, and stats["energy_drift"] is the largest
+    |H - H(0)| / |H(0)| over the records.
 
-    A right-hand side or a projection that refuses the state
+    A state that its evaluation, a right-hand side or a projection refuses
     (ValueError) or a projection that stalls (RuntimeError) ends the run;
     the error keeps its type and message and carries the run's stats, its
-    "rhs_evals" those of the steps whose stages completed (the failing
-    step's when its projection fails), as ``exc.stats``, with
-    "failed_step" (counted from 1) and "t" (its end time) added, and
-    "projection_failure" after a stall.  The run ends at t_final: when
-    (t_final - t0)/dt is not an integer to rounding, it takes
-    floor((t_final - t0)/dt) steps of dt and one shorter last step, which
-    is always recorded.  dt < 0 runs backward to t_final < t0, and
-    t_final == t0 records z0 alone.
+    "rhs_evals" those of the steps whose stages completed, as
+    ``exc.stats``, with "failed_step" (counted from 1; 0 for z0) and "t"
+    (its end time) added, and "projection_failure" after a stall.  The
+    run ends at t_final: when t_final/dt is not an integer to rounding, it
+    takes floor(t_final/dt) steps of dt and one shorter last step, which
+    is always recorded.  dt < 0 runs backward to t_final < 0, and
+    t_final == 0 records z0 alone.
 
-    ValueError, naming the argument: a non-finite t0, t_final or dt, a
-    zero dt, a dt that points away from t_final or is too small for a
-    step count of at most 2**53 (past it k dt is not exact), before any
-    step, and a record_every that is not a positive integer (a bool
-    included).
+    ValueError, naming the argument: a non-finite t_final or dt, a zero
+    dt, a dt that points away from t_final or is too small for a step
+    count of at most 2**53 (past it k dt is not exact), before any step,
+    and a record_every that is not a positive integer (a bool included).
     """
     start = time.perf_counter()
-    n_full, n_steps = _grid(t0, t_final, dt, record_every)
-    ts = [t0]
-    zs = [z0.vec.copy()]
+    n_full, n_steps = _grid(t_final, dt, record_every)
     stats = {"n_steps": n_steps, "projections": 0, "rhs_evals": 0,
              "projection_steps": 0, "max_residual_before_projection": 0.0}
-
-    rows = {}
     rhs = lambda v: dirac_rhs(v, model)   # cheaper to call than functools.partial
-    end_time = lambda k: t0 + k * dt if k <= n_full else t_final   # of step k
+    end_time = lambda k: k * dt if k <= n_full else t_final   # of step k >= 1
     y = z0.vec.tolist()
-    evaluation = None   # of y, when a projection pass has just made it
-    stepped = 0   # the last step that reached its projection
-    for k in range(1, n_steps + 1):
-        h = dt if k <= n_full else t_final - (t0 + n_full * dt)
-        try:
+    ts, zs, rows = [0.0], [z0.vec.copy()], []
+    k = stepped = 0   # the step under way and the last whose stages completed
+    try:
+        evaluation = _evaluate(y, model)   # of y, handed to the next first stage
+        rows.append(_row(evaluation, model))
+        for k in range(1, n_steps + 1):
+            h = dt if k <= n_full else t_final - n_full * dt
             y = _rk4_step(rhs, y, h, dirac_rhs(y, model, evaluation))
-            evaluation = None
+            stepped, evaluation = k, None
             if project and (k % PROJECT_EVERY == 0 or k % record_every == 0):
-                stepped = k
-                y, evaluation, T = _project(y, model, stats)
+                y, evaluation = _project(y, model, stats)
                 stats["projections"] += 1
-        except (RuntimeError, ValueError) as exc:
-            stats["rhs_evals"] = 4 * (k if stepped == k else k - 1)
-            stats["failed_step"], stats["t"] = k, end_time(k)
-            exc.stats = stats
-            raise
-        if k % record_every == 0 or k == n_steps:
-            if evaluation is not None:
-                rows[len(zs)] = _channel_row(model, evaluation[0], evaluation[1], T)
-            ts.append(end_time(k))
-            zs.append(np.array(y))
-
+            if k % record_every == 0 or k == n_steps:
+                evaluation = evaluation or _evaluate(y, model)
+                rows.append(_row(evaluation, model))
+                ts.append(end_time(k))
+                zs.append(np.array(y))
+    except (RuntimeError, ValueError) as exc:
+        stats["rhs_evals"] = 4 * stepped
+        stats["failed_step"], stats["t"] = k, end_time(k) if k else 0.0
+        exc.stats = stats
+        raise
+    rows = np.array(rows)
+    H = rows[:, 8]
     stats["rhs_evals"] = 4 * n_steps
+    stats["energy_drift"] = float(np.max(np.abs(H - H[0])) / abs(H[0]))
     stats["stepping_s"] = time.perf_counter() - start
-    return Trajectory(t=np.array(ts), Z=np.array(zs), model=model, stats=stats, rows=rows)
+    return Trajectory(t=np.array(ts), Z=np.array(zs), model=model, rows=rows, stats=stats)
 
 
 # ---------------------------------------------------------------------------

@@ -121,20 +121,20 @@ def sommerfeld_shift(hm, n, j):
     return _alpha4(hm, n, j)
 
 
-def _p_splitting(hm, n, coupling):
-    kin = kinetic_shift(hm, n, 1)
-    return ((kin + _spin_orbit(hm, n, 1, 1.5, coupling))
-            - (kin + _spin_orbit(hm, n, 1, 0.5, coupling)))
+def _p_splitting(hm, coupling):
+    kin = kinetic_shift(hm, 2, 1)
+    return ((kin + _spin_orbit(hm, 2, 1, 1.5, coupling))
+            - (kin + _spin_orbit(hm, 2, 1, 0.5, coupling)))
 
 
-def p_level_splitting(hm, n=2):
-    """E(n p_{3/2}) - E(n p_{1/2}), n >= 2; mc^2 alpha^4 / 32 at g = 2, n = 2."""
-    return _p_splitting(hm, n, hm.g - 1.0)
+def p_level_splitting(hm):
+    """E(2p_{3/2}) - E(2p_{1/2}); mc^2 alpha^4 / 32 at g = 2."""
+    return _p_splitting(hm, hm.g - 1.0)
 
 
-def p_level_splitting_naive(hm, n=2):
+def p_level_splitting_naive(hm):
     """The same splitting with the bare-g coupling."""
-    return _p_splitting(hm, n, hm.g)
+    return _p_splitting(hm, hm.g)
 
 
 def fine_structure_table(hm, n_max=3):

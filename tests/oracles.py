@@ -30,7 +30,9 @@ layer and the field layer.
   on the 16 floats of a list and the tests pin the two to the bit.
 * ``integrate_dop853``, the reference integrator: scipy's adaptive
   DOP853 on the same right-hand side, grid and projection as
-  ``dynamics.integrate``, which the rk4 runs are compared against.
+  ``dynamics.integrate``, which the rk4 runs are compared against, and
+  ``record_rows``, the record rows of a run's states, each from its own
+  field evaluation.
 * ``FieldArrays``, the float tuples of ``phase.field_data`` as the
   arrays A, dA, F and dF and the lowered F and dF, which the forms
   above read; the package itself reads the tuples, and its closed forms
@@ -65,11 +67,11 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from relspin.brackets import ROW_OBSERVABLES
-from relspin.dynamics import Trajectory, _grid, dirac_rhs, project_state
+from relspin.dynamics import Trajectory, _grid, _project, dirac_rhs
 from relspin.fields import FieldBackground
 from relspin.minkowski import EPS3, ETA_DIAG, field_from_EB, field_tensor, lower2, mdot
-from relspin.phase import (CONSTRAINT_NAMES, J, Observable, PhaseState, _energy, _kernel,
-                           field_data, spin_tensor, t_rows, t_values)
+from relspin.phase import (CONSTRAINT_NAMES, J, Observable, _energy, _kernel,
+                           field_data, hamiltonian, spin_tensor, t_rows, t_values)
 
 
 class FieldArrays:
@@ -201,35 +203,36 @@ def rk4_step(f, y, h):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def integrate_dop853(model, z0, t_final, dt, t0=0.0, record_every=1, project=True,
+def integrate_dop853(model, z0, t_final, dt, record_every=1, project=True,
                      rtol=1e-10, atol=1e-12):
     """The reference integrator: scipy's adaptive DOP853 on
     ``dynamics.dirac_rhs`` between the recording times of
     ``dynamics.integrate``'s grid (``dynamics._grid``, with its
-    ValueErrors), and ``project_state`` at each of them.  Its records
-    are the whole multiples of record_every dt, then t_final.  A failed
-    projection ends the run as in integrate, with the projection stats,
-    "failed_step" (counting recording intervals) and "t" as exc.stats."""
-    n_full, n_steps = _grid(t0, t_final, dt, record_every)
-    ts = [t0]
+    ValueErrors), and the projection ``dynamics._project`` at each of
+    them.  Its records are the whole multiples of record_every dt, then
+    t_final, with the rows of ``record_rows``.  A failed projection ends
+    the run as in integrate, with the projection stats, "failed_step"
+    (counting recording intervals) and "t" as exc.stats."""
+    n_full, n_steps = _grid(t_final, dt, record_every)
+    ts = [0.0]
     zs = [z0.vec.copy()]
     stats = {"projections": 0, "projection_steps": 0, "max_residual_before_projection": 0.0}
 
     def projected(y, step, t):
         try:
-            return project_state(PhaseState(vec=y), model, stats=stats)
+            return np.array(_project(y.tolist(), model, stats)[0])
         except (RuntimeError, ValueError) as exc:
             stats["failed_step"], stats["t"] = step, t
             exc.stats = stats
             raise
 
-    t_eval = t0 + dt * record_every * np.arange(1, n_full // record_every + 1)
+    t_eval = dt * record_every * np.arange(1, n_full // record_every + 1)
     # the last record falls short of t_final, in the direction of dt
     if n_steps and (len(t_eval) == 0 or (t_final - t_eval[-1]) * math.copysign(1.0, dt)
                     > 1e-12 * abs(t_final)):
         t_eval = np.append(t_eval, t_final)
     y = z0.vec.copy()
-    t_prev = t0
+    t_prev = 0.0
     rhs = lambda t, y: dirac_rhs(y.tolist(), model)
     for n, t_next in enumerate(t_eval, 1):
         sol = solve_ivp(rhs, (t_prev, t_next), y, method="DOP853",
@@ -238,12 +241,26 @@ def integrate_dop853(model, z0, t_final, dt, t0=0.0, record_every=1, project=Tru
             raise RuntimeError(f"dop853 failed at t={t_prev}: {sol.message}")
         y = sol.y[:, -1]
         if project:
-            y = projected(y.copy(), n, float(t_next)).vec
+            y = projected(y, n, float(t_next))
             stats["projections"] += 1
         ts.append(t_next)
         zs.append(y.copy())
         t_prev = t_next
-    return Trajectory(t=np.array(ts), Z=np.array(zs), model=model, stats=stats)
+    Z = np.array(zs)
+    return Trajectory(t=np.array(ts), Z=Z, model=model, rows=record_rows(Z, model),
+                      stats=stats)
+
+
+def record_rows(Z, model):
+    """The record rows (calP, T2..T5, H) of the states Z, each from its
+    own field evaluation, kernel call and t_values: the rows that
+    ``dynamics.integrate`` takes from the evaluations it hands on."""
+    rows = []
+    for vec in Z.tolist():
+        fields = field_data(model, vec[:4])
+        P, _ = _kernel(vec, model, fields)
+        rows.append((*P, *t_values(vec, P, model), hamiltonian(P[0], fields, model)))
+    return np.array(rows)
 
 
 _EYE3 = np.eye(3)

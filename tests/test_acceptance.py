@@ -38,7 +38,7 @@ def test_criterion_1_defining_property():
         states = state_batch(model, 50, seed=101)
         worst = max(worst, defining_property_report(states, model))
     _verdict(1, worst < 1e-10,
-             f"max |{{T3|T4, X}}_D| = {worst:.2e} over 50 states in each of "
+             f"max |{{T3|T4, X}}_D| / (1 + |{{T3|T4, X}}|) = {worst:.2e} over 50 states in each of "
              f"5 backgrounds (tol 1e-10)")
 
 
@@ -197,9 +197,9 @@ def test_criterion_8_hydrogen_fine_structure():
     for row in fine_structure_table(hm, n_max=4):
         if row["l"] >= 1:
             worst = max(worst, abs(row["defect"]) / abs(row["sommerfeld"]))
-    split = p_level_splitting(hm, n=2)
+    split = p_level_splitting(hm)
     split_dev = abs(split - 4.53e-5) / 4.53e-5
-    ratio = p_level_splitting_naive(hm, n=2) / split
+    ratio = p_level_splitting_naive(hm) / split
     ok = worst < 1e-10 and split_dev < 5e-3 and abs(ratio - 2.0) < 1e-12
     _verdict(8, ok,
              f"worst Sommerfeld defect {worst:.2e} for n <= 4, l >= 1 "

@@ -42,6 +42,25 @@ def test_defining_property(kind):
     assert defining_property_report(states, model) < 1e-10
 
 
+@pytest.mark.parametrize("kind", ["zero", "coulomb", "crossed"])
+def test_defining_property_reads_rounding_at_any_c(kind, monkeypatch):
+    """The measure is |{T_a, X}_D| relative to 1 + |{T_a, X}|: the
+    canonical bracket sets the size of the rounding, which grows with c.
+    The absolute |{T_a, X}_D| read 4e4 at c = 1e20 (3.7e-6 at 1e10), past
+    the 1e-10 bound on working code.  Negative control: with the sign of
+    the second-class correction in DiracCore.flow flipped, the report
+    reads O(1) at every c."""
+    flow = brackets.DiracCore.flow
+    for c in (10.0, 1e10, 1e20):
+        model = build_model(kind, c=c)
+        states = state_batch(model, 4, seed=3)
+        assert defining_property_report(states, model) < 1e-10, c
+        with monkeypatch.context() as mp:
+            mp.setattr(brackets.DiracCore, "flow",
+                       lambda core, G: 2.0 * (G @ phase.J.T) - flow(core, G))
+            assert defining_property_report(states, model) > 0.5, c
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_closed_forms_match_oracle(kind):
     model = build_model(kind, g=2.3)

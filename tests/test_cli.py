@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relspin import brackets, cli, dynamics, expansion, hydrogen, phase
@@ -84,8 +84,8 @@ def test_simulate_json_format(tmp_path):
 
 
 def test_simulate_stats_sidecar_leaves_out_unchanged(tmp_path):
-    """--stats writes Trajectory.stats to its own file; the --out bytes
-    are the same with and without it (criterion 9)."""
+    """--stats writes Trajectory.stats, all of it written by integrate, to its
+    own file; the --out bytes are the same with and without it (criterion 9)."""
     cfg = _write(tmp_path, "sim.yaml", SIM_CFG)
     plain, with_stats = tmp_path / "a.csv", tmp_path / "b.csv"
     side = tmp_path / "stats.json"
@@ -97,8 +97,8 @@ def test_simulate_stats_sidecar_leaves_out_unchanged(tmp_path):
     assert stats["n_steps"] == 200 and stats["rhs_evals"] == 800
     assert stats["projections"] == sum(
         k % 10 == 0 or k % dynamics.PROJECT_EVERY == 0 for k in range(1, 201))
-    assert {"energy_drift", "stepping_s", "channels_s",
-            "max_residual_before_projection"} <= set(stats)
+    assert set(stats) == {"n_steps", "projections", "rhs_evals", "projection_steps",
+                          "max_residual_before_projection", "energy_drift", "stepping_s"}
 
 
 def test_simulate_stats_sidecar_is_written_when_a_projection_fails(
@@ -536,15 +536,24 @@ def mutated_configs(draw):
     return command, data
 
 
+# the refusals HydrogenModel makes beyond the schema, as the CLI prints them
+HYDROGEN_REFUSALS = (r"error: the energy scale mc2 \* alpha\^4 is past the float range: "
+                     r"alpha = \S+, mc2 = \S+\n",
+                     r"error: g = \S+ puts the spin-orbit prefactor past the float range\n")
+
+
 @settings(max_examples=300, deadline=None)
 @given(mutated_configs())
+@example(("spectrum", {"spectrum": {"alpha_fs": 7.2973525693e-3, "mc2": 1e300,
+                                    "g": 1e300, "n_max": 4}}))
 def test_mutated_configs_exit_two_or_reach_the_computation(tmp_path_factory,
                                                            case):
     """A mutated config either exits 2 with a config: message naming a
     field or section, or passes validation; nothing else escapes.  A
     spectrum config that passes may still be refused, with exit 1, by the
-    one check HydrogenModel makes beyond the schema: an mc2 alpha^4 past
-    the float range."""
+    two checks HydrogenModel makes beyond the schema: an mc2 alpha^4, or
+    a spin-orbit prefactor (the example: g = mc2 = 1e300), past the float
+    range."""
     command, data = case
     path = tmp_path_factory.mktemp("fuzz") / "cfg.yaml"
     path.write_text(yaml.safe_dump(data))
@@ -557,8 +566,8 @@ def test_mutated_configs_exit_two_or_reach_the_computation(tmp_path_factory,
         except _Reached:
             return
     if rc == 1 and command == "spectrum":
-        assert re.fullmatch(r"error: the energy scale mc2 \* alpha\^4 is past the float "
-                            r"range: alpha = \S+, mc2 = \S+\n", err.getvalue()), err.getvalue()
+        assert any(re.fullmatch(pattern, err.getvalue())
+                   for pattern in HYDROGEN_REFUSALS), err.getvalue()
         return
     assert rc == 2, err.getvalue()
     named = re.fullmatch(r"config: .*?'([^']+)'.*\n", err.getvalue(), re.S)

@@ -123,13 +123,12 @@ def test_integrate_ends_at_t_final():
     ((1.0, 1e-320), {}, "dt"),          # OverflowError: no finite step count
     ((np.inf, 0.1), {}, "t_final"),     # OverflowError
     ((np.nan, 0.1), {}, "t_final"),
-    ((1.0, 0.1), {"t0": -np.inf}, "t0"),
     ((1.0, 0.1), {"record_every": 0}, "record_every"),   # ZeroDivisionError
     ((1.0, 0.1), {"record_every": -2}, "record_every"),
     ((1.0, 0.1), {"record_every": 2.5}, "record_every"),
     ((1.0, 0.1), {"record_every": True}, "record_every"),   # a bool is an Integral: 1
 ], ids=["away", "away-negative-dt", "dt-zero", "dt-nan", "dt-inf", "dt-subnormal",
-        "t_final-inf", "t_final-nan", "t0-inf", "record_every-zero",
+        "t_final-inf", "t_final-nan", "record_every-zero",
         "record_every-negative", "record_every-float", "record_every-bool"])
 @pytest.mark.parametrize("method", ["rk4", "dop853"])
 def test_integrate_refuses_bad_arguments(args, kwargs, name, method):
@@ -162,21 +161,21 @@ def test_a_dt_too_small_for_an_exact_step_count_is_refused_before_any_step(monke
         with pytest.raises(ValueError, match=rf"^dt = {dt} is too small for a step count "
                                              r"of at most 2\*\*53"):
             integrate(model, z0, t_final, dt, record_every=1)
-    assert dynamics._grid(0.0, 2.0 ** 53, 1.0, 1) == (2 ** 53, 2 ** 53)
+    assert dynamics._grid(2.0 ** 53, 1.0, 1) == (2 ** 53, 2 ** 53)
     with pytest.raises(ValueError, match="^dt = 1.0 is too small"):
-        dynamics._grid(0.0, 2.0 ** 53 + 2.0, 1.0, 1)
+        dynamics._grid(2.0 ** 53 + 2.0, 1.0, 1)
 
 def test_integrate_runs_backward_and_records_z0_at_t0():
-    """dt < 0 with t_final < t0 runs backward and ends at t_final, with a
-    short last step as forward; running it forward again returns to the
-    start; t_final == t0 records z0 alone."""
+    """dt < 0 with t_final < 0 runs backward and ends at t_final, with a
+    short last step as forward; running its end forward as long returns
+    to the start, x^0 included; t_final == 0 records z0 alone."""
     model = build_model("crossed")
     z0 = state_batch(model, 1, seed=5)[0]
     traj = integrate(model, z0, -1.05, -0.1)
     assert traj.t[-1] == -1.05 and len(traj.t) == 12
     assert np.isclose(traj.Z[-1][0], model.c * -1.05, rtol=1e-14)
-    back = integrate(model, PhaseState(vec=traj.Z[-1].copy()), 0.0, 0.05, t0=-1.05)
-    assert back.t[-1] == 0.0
+    back = integrate(model, PhaseState(vec=traj.Z[-1].copy()), 1.05, 0.05)
+    assert back.t[-1] == 1.05
     assert np.allclose(back.Z[-1], z0.vec, rtol=0.0, atol=1e-9)
     still = integrate(model, z0, 0.0, 0.1)
     assert list(still.t) == [0.0] and np.array_equal(still.Z, [z0.vec])
@@ -398,8 +397,8 @@ def test_projection_raises_when_it_cannot_converge(monkeypatch):
 def test_a_failed_projection_tells_where_the_run_stopped(method, monkeypatch):
     """With PROJECTION_TOL at 0 no residual is small enough, so the
     passes go on until one no longer shrinks it: a forced stall.  The
-    RuntimeError keeps its type and message; project_state records the
-    residuals and passes in stats, and integrate attaches its stats,
+    RuntimeError keeps its type and message; the projection records the
+    residuals and passes in the run's stats, and integrate attaches them,
     with the failing step and time, to the error.  A refused state
     (ValueError) carries the same step and time.  The reference
     integrator reports its failures the same way."""
@@ -409,7 +408,7 @@ def test_a_failed_projection_tells_where_the_run_stopped(method, monkeypatch):
     monkeypatch.setattr(dynamics, "PROJECTION_TOL", 0.0)
     stats = {"projection_steps": 0, "max_residual_before_projection": 0.0}
     with pytest.raises(RuntimeError) as err:
-        project_state(z, model, stats=stats)
+        dynamics._project(z.vec.tolist(), model, stats)
     fail = stats["projection_failure"]
     assert set(fail) == {"residual", "best", "passes"}
     assert fail["passes"] >= 1 and 0.0 <= fail["best"] <= fail["residual"]
@@ -509,6 +508,57 @@ def test_a_failure_on_the_short_last_step_tells_where(name, nth, record_every, r
     run = err.value.stats
     assert run["failed_step"] == 11 and run["t"] == 1.05
     assert run["rhs_evals"] == rhs_evals and run["projections"] == projections
+
+
+@pytest.mark.parametrize("nth, step, t, rhs_evals", [(1, 0, 0.0, 0), (3, 4, 0.4, 16),
+                                                      (7, 11, 1.05, 44)],
+                         ids=["z0", "step-4", "short-last-step"])
+def test_a_state_its_record_evaluation_refuses_tells_where(nth, step, t, rhs_evals,
+                                                           monkeypatch):
+    """An unprojected run evaluates each record itself: z0 before the
+    first step, then steps 2, 4, ..., 10 and the short last step 11.
+    Where that evaluation refuses the state (here t_values made to refuse
+    its nth call), the run ends as for any refused state: the error
+    carries the stats, with the step of the record (0 for z0), its time
+    and the right-hand sides of the steps that completed."""
+    model = build_model("crossed")
+    z0 = state_batch(model, 1, seed=5)[0]
+    real, calls = dynamics.t_values, []
+
+    def refusing(*args):
+        calls.append(1)
+        if len(calls) == nth:
+            raise ValueError("t_values refused here")
+        return real(*args)
+
+    monkeypatch.setattr(dynamics, "t_values", refusing)
+    with pytest.raises(ValueError, match="refused here") as err:
+        integrate(model, z0, 1.05, 0.1, record_every=2, project=False)
+    run = err.value.stats
+    assert (run["failed_step"], run["t"], run["rhs_evals"]) == (step, t, rhs_evals)
+    assert run["projections"] == 0 and "energy_drift" not in run
+
+
+def test_channels_evaluate_nothing(monkeypatch):
+    """Once integrate has returned, channels() and every diagnostic read
+    from it (energy and constraint drift, the spin-plane rate, the orbit
+    averages) run with field_data and the kernel made to raise, and
+    leave stats as integrate wrote it."""
+    model = build_model("coulomb")
+    z0 = init_state(model, x3=(2.0, 0.0, 0.3), P3=(0.0, 0.6, 0.1), spin_dir=(0.3, 0.2, 0.9))
+    traj = integrate(model, z0, 1.0, 0.05, record_every=4)
+    before = dict(traj.stats)
+
+    def refuse(*args):
+        raise AssertionError("a state was evaluated")
+
+    for name in ("field_data", "_kernel", "t_values"):
+        monkeypatch.setattr(dynamics, name, refuse)
+        monkeypatch.setattr(phase, name, refuse)
+    traj.channels()
+    traj.energy_drift(), traj.constraint_drift()
+    spin_plane_rate(traj), dynamics.orbit_averages(traj)
+    assert traj.stats == before
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_projection_refuses_a_non_finite_state(value, capfd):
@@ -676,10 +726,11 @@ def test_rhs_matches_the_reference_rows_and_flow(name):
 def test_run_reports_its_work(monkeypatch):
     """Trajectory.stats counts the right-hand sides, the fixed-point
     passes of every projection and the largest residual met before one.
-    Each right-hand side and each iterate of a projection, the returned
-    one included, reads one kernel call, except the first stage after a
-    projection, which reads the kernel call of the projection's last
-    pass; channels() reads one for each record that was not projected."""
+    Each right-hand side, each iterate of a projection, the returned one
+    included, and each record that was not projected reads one kernel
+    call, except the first stage after a projection or a record, which
+    reads the kernel call of that state's evaluation; channels() reads
+    none."""
     model = build_model("crossed")
     z0 = init_state(model, x3=(0.5, -0.2, 0.1), P3=(0.4, 0.1, -0.3),
                     spin_dir=(0.2, 0.9, -0.1))
@@ -701,24 +752,24 @@ def test_run_reports_its_work(monkeypatch):
     stats = traj.stats
     assert stats["n_steps"] == 11 and stats["rhs_evals"] == 4 * 11
     assert stats["projections"] == 5
-    # the projections at steps 2, 4, ..., 10 give the first stages of
-    # steps 3, 5, ..., 11
-    assert (stats["rhs_evals"] - 5 + stats["projections"] + stats["projection_steps"]
+    # the records of z0 and of the short last step 11 are not projected;
+    # z0's and the projections at steps 2, 4, ..., 10 give the first
+    # stages of steps 1, 3, 5, ..., 11
+    assert (stats["rhs_evals"] - 6 + 2 + stats["projections"] + stats["projection_steps"]
             == seen["kernel"])
     assert stats["projection_steps"] > 0
     assert stats["max_residual_before_projection"] == seen["before"] > 0.0
     seen["kernel"] = 0
     traj.channels()
-    # z0 and the record of the short last step 11, which is not projected
-    assert seen["kernel"] == len(traj.t) - stats["projections"] == 2
+    assert seen["kernel"] == 0
 
 
 @pytest.mark.parametrize("kind", ["coulomb", "crossed"])
 def test_run_evaluates_the_fields_once_per_rhs_projection_and_record(kind):
     """An rk4 run calls the background's evaluator once per right-hand
-    side and once per projection, less the first stages that a projection
-    has evaluated, and channels() once per record that was not
-    projected."""
+    side, once per projection and once per record that was not
+    projected, less the first stages that a projection or a record has
+    evaluated, and channels() never."""
     model = build_model(kind)
     z0 = state_batch(model, 1, seed=5)[0]
     calls, bg_at = [], model.background.at
@@ -730,21 +781,21 @@ def test_run_evaluates_the_fields_once_per_rhs_projection_and_record(kind):
     model = dataclasses.replace(model, background=dataclasses.replace(model.background, at=at))
     traj = integrate(model, z0, 1.05, 0.1, record_every=2)
     assert traj.stats["rhs_evals"] == 44 and traj.stats["projections"] == 5
-    # the projections at steps 2, 4, ..., 10 give the first stages of
-    # steps 3, 5, ..., 11
-    assert len(calls) == traj.stats["rhs_evals"] - 5 + traj.stats["projections"]
+    # the records of z0 and of the short last step 11 are not projected;
+    # z0's and the projections at steps 2, 4, ..., 10 give the first
+    # stages of steps 1, 3, 5, ..., 11
+    assert len(calls) == traj.stats["rhs_evals"] - 6 + 2 + traj.stats["projections"]
     calls.clear()
     traj.channels()
-    # z0 and the record of the short last step 11, which is not projected
-    assert len(calls) == len(traj.t) - traj.stats["projections"] == 2
+    assert calls == []
 
 
 @pytest.mark.parametrize("kind", ["coulomb", "crossed"])
 def test_the_float_path_builds_no_field_array(kind, monkeypatch):
-    """integrate, channels() and project_state read the fields as the
-    float tuples of at(x): with minkowski.field_tensor, the one writer of
-    a field array, made to raise, they run and give the same bytes as
-    without."""
+    """integrate and project_state read the fields as the float tuples
+    of at(x): with minkowski.field_tensor, the one writer of a field
+    array, made to raise, they run and give the same bytes, channels
+    included, as without."""
     model = build_model(kind)
     z0 = state_batch(model, 1, seed=5)[0]
     off = z0.vec.copy()
@@ -766,20 +817,18 @@ def test_the_float_path_builds_no_field_array(kind, monkeypatch):
 
 
 def test_run_times_stepping_and_channels():
-    """stats holds the wall time of the stepping, set by integrate, and of
-    the channels, set by the first channels() call; a cached read keeps it.
-    The first channels() call also writes the energy drift of its H
-    channel, the value energy_drift() returns."""
+    """integrate writes every stat: the wall time of the run and the
+    energy drift of the H column of its rows, the value energy_drift()
+    returns.  channels() reads the rows and writes nothing to stats."""
     model = build_model("crossed")
     traj = integrate(model, state_batch(model, 1, seed=5)[0], 0.5, 0.1)
-    assert traj.stats["stepping_s"] > 0.0 and "channels_s" not in traj.stats
-    assert "energy_drift" not in traj.stats
-    H = traj.channels()["H"]
-    first = traj.stats["channels_s"]
-    traj.channels()
-    assert traj.stats["channels_s"] == first > 0.0
+    assert traj.stats["stepping_s"] > 0.0
+    H = traj.rows[:, 8]
     drift = np.max(np.abs(H - H[0])) / abs(H[0])
-    assert traj.stats["energy_drift"] == traj.energy_drift() == drift
+    assert traj.stats["energy_drift"] == traj.energy_drift() == drift > 0.0
+    before = dict(traj.stats)
+    assert traj.channels()["H"].tobytes() == H.tobytes()
+    assert traj.stats == before
 
 
 @pytest.mark.parametrize("kind", ["coulomb", "crossed"])
@@ -796,23 +845,9 @@ def test_projection_reads_one_kernel_call_per_iterate(kind, monkeypatch):
     monkeypatch.setattr(dynamics, "field_data", counting("field_data", dynamics.field_data))
     monkeypatch.setattr(dynamics, "_kernel", counting("_kernel", dynamics._kernel))
     stats = {"projection_steps": 0, "max_residual_before_projection": 0.0}
-    project_state(PhaseState(vec=vec), model, stats=stats)
+    dynamics._project(vec.tolist(), model, stats)
     assert stats["projection_steps"] > 0
     assert calls == {"field_data": 1, "_kernel": stats["projection_steps"] + 1}
-
-
-def test_projection_starts_absent_counters_at_zero():
-    """stats={} raised KeyError: 'projection_steps'.  Each counter the
-    projection updates starts at 0, so an empty dict ends as one that
-    held the zeros, and the state is the same."""
-    model = build_model("coulomb")
-    vec = state_batch(model, 1, seed=7)[0].vec.copy()
-    vec[8:16] *= 1.0 + 1e-3 * np.arange(1, 9)
-    stats, zeros = {}, {"projection_steps": 0, "max_residual_before_projection": 0.0}
-    got = project_state(PhaseState(vec=vec), model, stats=stats)
-    want = project_state(PhaseState(vec=vec), model, stats=zeros)
-    assert stats == zeros and stats["projection_steps"] > 0
-    assert got.vec.tobytes() == want.vec.tobytes()
 
 
 # (model kind, alpha, t_final, project): a projected run, an unprojected
@@ -825,27 +860,27 @@ RUNS = {"projected": ("coulomb", 0.75, 2.0, True), "unprojected": ("coulomb", 0.
 def test_channels_of_a_run_are_those_of_its_records(run):
     """A run's records are rk4 steps of dirac_rhs and project_state bit
     for bit, as the numpy loop of tests/oracles.py with no evaluation
-    reused gives them, and its channels equal, byte for byte and key for
-    key, those of a Trajectory built from (t, Z, model) alone, as
-    oracles.integrate_dop853 builds one: the rows the projections left
-    are the rows channels() computes.  Every projected record left one."""
+    reused gives them, and its rows, one per record, are those that an
+    evaluation of each state alone gives (oracles.record_rows), so its
+    channels equal, byte for byte and key for key, those of a
+    Trajectory built from (t, Z) and those rows."""
     kind, alpha, t_final, project = RUNS[run]
     model = build_model(kind, alpha=alpha)
     z0 = init_state(model, x3=(1.6, -0.8, 1.1), P3=(0.4, 0.3, -0.2), spin_dir=(0.3, -1.0, 0.5))
     traj = integrate(model, z0, t_final, 0.1, record_every=2, project=project)
-    n_full, n_steps = dynamics._grid(0.0, t_final, 0.1, 2)
+    n_full, n_steps = dynamics._grid(t_final, 0.1, 2)
     y, want = z0.vec, [z0.vec]
     for k in range(1, n_steps + 1):
-        h = 0.1 if k <= n_full else t_final - (0.0 + n_full * 0.1)
+        h = 0.1 if k <= n_full else t_final - n_full * 0.1
         y = oracles.rk4_step(lambda v: np.array(dirac_rhs(v.tolist(), model)), y, h)
         if project and (k % dynamics.PROJECT_EVERY == 0 or k % 2 == 0):
             y = project_state(PhaseState(vec=y), model).vec
         if k % 2 == 0 or k == n_steps:
             want.append(y)
     assert traj.Z.tobytes() == np.array(want).tobytes()
-    # the records of steps 2, 4, ...: not that of z0, nor of a short last step
-    assert len(traj.rows) == {"projected": 10, "short-last-step": 5}.get(run, 0)
-    fresh = dynamics.Trajectory(t=traj.t, Z=traj.Z, model=model).channels()
+    rows = oracles.record_rows(traj.Z, model)
+    assert traj.rows.shape == (len(traj.t), 9) and traj.rows.tobytes() == rows.tobytes()
+    fresh = dynamics.Trajectory(t=traj.t, Z=traj.Z, model=model, rows=rows).channels()
     got = traj.channels()
     assert list(got) == list(fresh)
     assert all(got[key].tobytes() == fresh[key].tobytes() for key in got)
@@ -1005,8 +1040,9 @@ def test_no_array_inside_a_step_or_a_projection_pass(kind, monkeypatch):
     vec = z.vec.copy()
     vec[8:16] *= 1.0 + 1e-3 * np.arange(1, 9)
     stats = {"projection_steps": 0, "max_residual_before_projection": 0.0}
-    zp = project_state(PhaseState(vec=vec), model, stats=stats)
-    assert stats["projection_steps"] >= 2
+    dynamics._project(vec.tolist(), model, stats)
+    assert stats["projection_steps"] >= 2 and seen == []
+    zp = project_state(PhaseState(vec=vec), model)
     assert seen == ["array"] and type(zp.vec) is np.ndarray
 
 

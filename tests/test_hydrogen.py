@@ -44,14 +44,14 @@ def test_j_degeneracy_across_l():
 
 def test_2p_splitting_physical_value():
     hm = HydrogenModel()
-    dE = p_level_splitting(hm, n=2)
+    dE = p_level_splitting(hm)
     assert np.isclose(dE, hm.mc2 * hm.alpha**4 / 32.0, rtol=1e-12)
     assert np.isclose(dE, 4.53e-5, rtol=5e-3)   # eV
 
 
 def test_naive_coupling_doubles_the_splitting():
     hm = HydrogenModel(g=2.0)
-    ratio = p_level_splitting_naive(hm, n=2) / p_level_splitting(hm, n=2)
+    ratio = p_level_splitting_naive(hm) / p_level_splitting(hm)
     # g / (g - 1) = 2 exactly at g = 2
     assert ratio == pytest.approx(2.0, abs=1e-12)
 
@@ -120,14 +120,6 @@ def test_shifts_refuse_a_level_that_does_not_exist(n, l):
     for shift in (spin_orbit_shift, spin_orbit_shift_naive):
         with pytest.raises(ValueError, match=f"no level n={n}, l={l}"):
             shift(hm, n, l, l + 0.5)
-
-
-@pytest.mark.parametrize("n", [1, 0, -2])
-def test_p_splitting_refuses_a_shell_without_p_levels(n):
-    """n = 1 has no p level; p_level_splitting(hm, 1) read 3.62e-4."""
-    for splitting in (p_level_splitting, p_level_splitting_naive):
-        with pytest.raises(ValueError, match=f"no level n={n}, l=1"):
-            splitting(HydrogenModel(), n)
 
 
 def test_kinetic_shift_scale():
