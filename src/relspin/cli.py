@@ -7,11 +7,14 @@ Subcommands
     spectrum   hydrogen-like fine-structure table
 
 All numeric output is deterministic: same config, same seed, same
-bytes.  Exit codes: 0 success, 1 runtime failure, 2 config error (the
-message names the offending field or YAML line; a key the subcommand
-does not read is one) or an --out or --stats path that cannot be
-written, refused before any computation.  SCHEMAS holds every key each
-subcommand reads, with its kind, default and lower bound.
+bytes.  Exit codes: 0 success, 1 runtime failure (an output that cannot
+be written is one; a reader of stdout that has gone ends the run with
+nothing on stderr), 2 config error (the message names the offending
+field or YAML line; a key the subcommand does not read is one, and so
+is a key repeated in one mapping) or an --out or --stats path that
+cannot be written, or a --stats naming the file of --out, refused
+before any computation.  SCHEMAS holds every key each subcommand reads,
+with its kind, default and lower bound: expand reads no background.
 
 Each command imports the modules it runs when it runs: spectrum loads
 no numpy, and no command but --selftest loads the operator ring.
@@ -56,12 +59,11 @@ _BOUNDS = {">": operator.gt, ">=": operator.ge}
 _KIND_NAMES = {float: "a finite number", int: "an integer", bool: "a boolean",
                "vec3": "a list of three finite numbers"}
 
-# units, model and background, shared by the commands that build a Model;
-# hbar's one effect is alpha's default, the spin one-half value 3 hbar^2 / 4
+# units and model, shared by the commands that build a Model; hbar's one
+# effect is alpha's default, the spin one-half value 3 hbar^2 / 4
 MODEL_KEYS = {
     "units.c": (float, 10.0, (">", 0)),
     "units.hbar": (float, 1.0, (">", 0)),
-    "background.kind": (KINDS, "zero", None),
     "model.e": (float, 1.0, None),
     "model.m": (float, 1.0, (">", 0)),
     "model.g": (float, 2.0, None),
@@ -75,9 +77,13 @@ BACKGROUND_KEYS = {
            for name, shape in params.items()}
     for kind, params in PARAMETERS.items()}
 
+# the background kind, read by the commands that run in a field; expand
+# reads none, and model_from_config gives it the zero background
+_FIELD_KEYS = {"background.kind": (KINDS, "zero", None), **MODEL_KEYS}
+
 SCHEMAS = {
     "simulate": {
-        **MODEL_KEYS,
+        **_FIELD_KEYS,
         "simulate.x0": ("vec3", (0.0, 0.0, 0.0), None),
         "simulate.P0": ("vec3", (0.0, 0.0, 0.0), None),
         "simulate.spin_dir": ("vec3", (0.0, 0.0, 1.0), None),
@@ -87,7 +93,7 @@ SCHEMAS = {
         "simulate.method": (("rk4",), "rk4", None),
         "simulate.project": (bool, True, None),
     },
-    "brackets": MODEL_KEYS,
+    "brackets": _FIELD_KEYS,
     "expand": {"expand.background": (("crossed", "coulomb"), "crossed", None),
                **MODEL_KEYS},
     "spectrum": {
@@ -97,6 +103,21 @@ SCHEMAS = {
         "spectrum.n_max": (int, 3, (">=", 1)),
     },
 }
+
+
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """yaml.safe_load's loader, except that a key repeated in one mapping
+    is refused, naming it and its line: safe_load keeps the last value."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key, _ in node.value if isinstance(node, yaml.MappingNode) else ():
+            name = (key.tag, key.value) if isinstance(key, yaml.ScalarNode) else key
+            if name in seen:
+                raise ConfigError(f"config: repeated key '{key.value}' at line "
+                                  f"{key.start_mark.line + 1}")
+            seen.add(name)
+        return super().construct_mapping(node, deep)
 
 
 def _load_yaml(path):
@@ -109,7 +130,7 @@ def _load_yaml(path):
     except OSError as exc:
         raise ConfigError(f"config: cannot read {path}: {exc}") from exc
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=_UniqueKeyLoader)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}" if mark else ""
@@ -193,7 +214,7 @@ def read_config(path, command):
 def model_from_config(cfg):
     from .phase import Model
 
-    kind = cfg["background.kind"]
+    kind = cfg.get("background.kind", "zero")
     params = {key.split(".")[1]: cfg[key] for key in BACKGROUND_KEYS[kind]}
     bg = make_background(kind, e=cfg["model.e"], c=cfg["units.c"], **params)
     return Model(background=bg, m=cfg["model.m"], g=cfg["model.g"],
@@ -432,7 +453,8 @@ def _int_at_least(low):
 def _unwritable(args):
     """A message naming the first of --out and --stats whose path cannot
     be opened for writing (a directory, or a file in a directory that
-    does not exist); None when both can.  Nothing is created."""
+    does not exist), or --stats naming the file of --out, which it would
+    overwrite; None when both can.  Nothing is created."""
     for option in ("out", "stats"):
         path = getattr(args, option, None)
         if not path:
@@ -442,6 +464,9 @@ def _unwritable(args):
             return f"--{option} {path}: is a directory"
         if not os.path.isdir(parent):
             return f"--{option} {path}: no directory {parent}"
+    stats = getattr(args, "stats", None)
+    if stats and args.out and os.path.realpath(stats) == os.path.realpath(args.out):
+        return f"--stats {stats}: the file of --out {args.out}"
     return None
 
 
@@ -477,9 +502,9 @@ def build_parser():
 def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.selftest:
-        return run_selftest()
-    if not getattr(args, "fn", None):
+    if args.selftest and args.command:
+        ap.error(f"--selftest takes no subcommand, got {args.command}")
+    if not (args.selftest or args.command):
         ap.print_help()
         return 2
     unwritable = _unwritable(args)
@@ -487,11 +512,20 @@ def main(argv=None):
         print(f"error: {unwritable}", file=sys.stderr)
         return 2
     try:
-        return args.fn(args)
+        code = run_selftest() if args.selftest else args.fn(args)
+        sys.stdout.flush()   # a reader that has gone is met here, not at exit
+        return code
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError) as exc:
+    except BrokenPipeError:
+        # stdout's reader has gone: what is left in its buffer goes to
+        # devnull, so that the flush at exit raises nothing
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

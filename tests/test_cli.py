@@ -2,9 +2,11 @@
 
 import contextlib
 import copy
+import errno
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -218,6 +220,21 @@ def test_unwritable_output_path_exits_two_before_computing(tmp_path, monkeypatch
     assert sorted(tmp_path.rglob("*")) == before
 
 
+def test_stats_naming_the_file_of_out_exits_two_before_computing(tmp_path, monkeypatch,
+                                                                 capsys):
+    """--stats would overwrite the report at --out: named by another
+    spelling of the same path, it exits 2 with one stderr line naming
+    both options, before any computation and creating no file."""
+    for mod, name in FIRST_COMPUTATIONS:
+        monkeypatch.setattr(mod, name, _reached)
+    cfg = _write(tmp_path, "sim.yaml", SIM_CFG)
+    out, side = tmp_path / "a.json", tmp_path / "." / "a.json"
+    assert main(["simulate", "--config", cfg, "--format", "json",
+                 "--out", str(out), "--stats", str(side)]) == 2
+    assert capsys.readouterr().err == f"error: --stats {side}: the file of --out {out}\n"
+    assert not out.exists()
+
+
 def test_brackets_seeded_determinism(tmp_path):
     cfg = _write(tmp_path, "brk.yaml", BRK_CFG)
     out1, out2, out3 = (tmp_path / n for n in ("r1.json", "r2.json", "r3.json"))
@@ -417,6 +434,24 @@ def test_exit_code_two_on_config_errors(tmp_path, capsys):
     assert "'model.alpha'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, text, named", [
+    ("spectrum", "spectrum: {g: 2.0, n_max: 2, g: 3.0}\n", "'g' at line 1"),
+    ("expand", "units: {c: 10.0}\nexpand: {background: coulomb}\nunits:\n  c: 20.0\n",
+     "'units' at line 3"),
+], ids=["key", "section"])
+def test_a_repeated_key_exits_two_naming_it_and_its_line(command, text, named, tmp_path,
+                                                         monkeypatch, capsys):
+    """YAML's safe_load keeps the last of two values of one key without a
+    word; a key or section given twice in one mapping exits 2 with a
+    config: line naming it and the line of its repeat, before any
+    computation."""
+    for mod, name in FIRST_COMPUTATIONS:
+        monkeypatch.setattr(mod, name, _reached)
+    cfg = _write(tmp_path, "twice.yaml", text)
+    assert main([command, "--config", cfg]) == 2
+    assert capsys.readouterr().err == f"config: repeated key {named}\n"
+
+
 def test_background_keys_are_the_required_parameters_of_fields(tmp_path, capsys):
     """The background keys, built from fields.PARAMETERS, are the table
     the CLI has always read: every parameter of the kind, all required.
@@ -606,17 +641,129 @@ def test_readme_config_table_matches_schemas():
                                     f"{bound[0]} {bound[1]}"), key
 
 
+# the config keys that change no output, each with its reason; the
+# benchmark's configs set them (perfbench/configs/simulate_dense.yaml and
+# expand.yaml), so they stay settable until those configs drop them
+NO_EFFECT = {
+    ("simulate", "simulate.method"): "rk4 is its one choice",
+    ("expand", "units.hbar"): "its one effect is the default of model.alpha",
+    ("expand", "model.e"): "the ladder builds its own particle on every rung, "
+                           "and the chart example reads (m c)^2 alone",
+    ("expand", "model.g"): "as model.e",
+    ("expand", "model.alpha"): "as model.e",
+}
+
+# a base config of each command, run with the extra arguments: a field
+# where the command takes one (in a zero field e and g change nothing), and
+# model.alpha unset (units.hbar sets only its default)
+PROBE_BASES = {
+    "simulate": ("""\
+units: {c: 10.0, hbar: 1.0}
+model: {m: 1.0, e: 1.0, g: 2.0}
+background: {kind: crossed, E: [0.2, 0.0, 0.1], B: [0.0, 0.0, 1.0]}
+simulate: {x0: [1.0, 0.5, 0.2], P0: [0.3, 1.0, 0.1], spin_dir: [0.0, 0.6, 0.8],
+           t_final: 0.5, dt: 0.01, record_every: 5, method: rk4, project: true}
+""", []),
+    "brackets": ("""\
+units: {c: 10.0, hbar: 1.0}
+model: {m: 1.0, e: 1.0, g: 2.3}
+background: {kind: coulomb, q: 1.0}
+""", ["--states", "2"]),
+    "expand": ("""\
+units: {c: 10.0, hbar: 1.0}
+model: {m: 1.0, e: 1.0, g: 2.0}
+expand: {background: crossed}
+""", []),
+    "spectrum": ("""\
+spectrum: {alpha_fs: 7.2973525693e-3, mc2: 510998.95, g: 2.0, n_max: 2}
+""", []),
+}
+# a background kind is switched to another together with that kind's
+# parameters
+COULOMB = {"kind": "coulomb", "q": 1.0}
+CROSSED = {"kind": "crossed", "E": [0.2, 0.0, 0.1], "B": [0.0, 0.0, 1.0]}
+
+
+def _changed(value, kind):
+    """The value of a key of this kind in the probe, or None when the kind
+    offers no other: a number times 1.25, each element of a vector times
+    1.25 plus 0.1, an integer plus 1, a boolean flipped, another choice."""
+    if isinstance(kind, tuple):
+        return next((choice for choice in kind if choice != value), None)
+    if kind == "vec3":
+        return [1.25 * x + 0.1 for x in value]
+    if kind is bool:
+        return not value
+    return value + 1 if kind is int else 1.25 * value
+
+
+def _probe_output(tmp_path, command, data, extra):
+    """The bytes a run of command on the config data writes: its JSON
+    report, and for simulate its --stats sidecar without the wall time."""
+    cfg, out, side = (tmp_path / name for name in ("probe.yaml", "probe.json", "stats.json"))
+    cfg.write_text(yaml.safe_dump(data))
+    stats = ["--stats", str(side)] if command == "simulate" else []
+    assert main([command, "--config", str(cfg), *extra, *stats,
+                 "--format", "json", "--out", str(out)]) == 0, data
+    if not stats:
+        return out.read_bytes()
+    sidecar = json.loads(side.read_text())
+    del sidecar["stepping_s"]
+    return out.read_bytes() + json.dumps(sidecar, sort_keys=True).encode()
+
+
+def test_every_config_key_changes_the_output_or_is_a_named_exemption(tmp_path):
+    """Each key each command reads is changed in turn from a base config
+    (the background kind together with the new kind's parameters); the
+    keys whose change leaves every output byte as it was are exactly the
+    named exemptions of NO_EFFECT."""
+    no_effect = set()
+    for command, (text, extra) in PROBE_BASES.items():
+        base = yaml.safe_load(text)
+        cfg = cli.read_config(_write(tmp_path, "base.yaml", text), command)
+        table = {**cli.SCHEMAS[command],
+                 **cli.BACKGROUND_KEYS.get(cfg.get("background.kind"), {})}
+        reference = _probe_output(tmp_path, command, base, extra)
+        for key, value in cfg.items():
+            data = copy.deepcopy(base)
+            if key == "background.kind":
+                data["background"] = dict(CROSSED if value == "coulomb" else COULOMB)
+            else:
+                new = _changed(value, table[key][0])
+                if new is None:
+                    no_effect.add((command, key))
+                    continue
+                section, name = key.split(".")
+                data.setdefault(section, {})[name] = new
+            if _probe_output(tmp_path, command, data, extra) == reference:
+                no_effect.add((command, key))
+    assert no_effect == set(NO_EFFECT)
+
+
+def test_expand_refuses_a_background_section(tmp_path, monkeypatch, capsys):
+    """expand runs its ladder in the background of expand.background and
+    its chart example in none: a background section exits 2, naming it,
+    before any computation."""
+    for mod, name in FIRST_COMPUTATIONS:
+        monkeypatch.setattr(mod, name, _reached)
+    for text in ("background: {kind: zero}", "background: {kind: coulomb, q: 1.0}"):
+        cfg = _write(tmp_path, "exp.yaml", f"{text}\nexpand: {{background: coulomb}}\n")
+        assert main(["expand", "--config", cfg]) == 2, text
+        assert capsys.readouterr().err == "config: unknown or unused field 'background'\n"
+
+
 @pytest.mark.parametrize("argv", (["spectrum", "--seed", "1"],
                                   ["expand", "--states", "3"],
                                   ["brackets", "--format", "plot"],
                                   ["brackets", "--states", "0"],
                                   ["brackets", "--states", "-3"],
-                                  ["brackets", "--seed", "-1"]))
+                                  ["brackets", "--seed", "-1"],
+                                  ["--selftest", "spectrum", "--out", "x.json"]))
 def test_options_belong_to_their_subcommand(argv, capsys):
     # --seed and --states feed only the brackets report; plot output
     # is a time-series layout, offered only by simulate; an empty
     # report would read as a perfect verification; a seed is a
-    # non-negative integer
+    # non-negative integer; --selftest runs no subcommand
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -644,6 +791,61 @@ def test_selftest_passes(capsys):
     timing = re.compile(r"(\S.*\S)  \d+\.\d{3} s")
     assert [timing.fullmatch(text).group(1)
             for text in captured.err.splitlines()] == names
+
+
+class _ReaderGoneAfterOneWrite(io.StringIO):
+    """A stdout on the file descriptor fd whose reader goes away after
+    the first write."""
+
+    def __init__(self, fd):
+        super().__init__()
+        self.fd = fd
+
+    def write(self, text):
+        if self.tell():
+            raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+        return super().write(text)
+
+    def fileno(self):
+        return self.fd
+
+
+def test_a_reader_that_goes_away_ends_the_run_with_exit_one_and_no_traceback(
+        tmp_path, monkeypatch, capsys):
+    """When stdout's reader goes away (relspin --selftest | head -1), the
+    run exits 1 with nothing on stderr, and stdout then points at
+    devnull, so that the flush at exit raises nothing either."""
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", _ReaderGoneAfterOneWrite(fd))
+        assert main(["--selftest"]) == 1
+        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+    finally:
+        os.close(fd)
+    assert capsys.readouterr().err == ""
+
+
+def test_a_closed_pipe_at_stdout_exits_one_with_an_empty_stderr(tmp_path):
+    """The same in a process of its own whose stdout is a pipe closed
+    before the report is written: no traceback, and no "Exception
+    ignored" from the flush at exit."""
+    proc = subprocess.Popen([sys.executable, "-m", "relspin.cli", "spectrum"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=src_env())
+    proc.stdout.close()
+    assert (proc.wait(timeout=120), proc.stderr.read()) == (1, b"")
+    proc.stderr.close()
+
+
+def test_a_failed_write_of_the_report_is_one_error_line(monkeypatch, capsys):
+    """An --out that cannot take the report (a full disk: --out
+    /dev/full) exits 1 with one error line, not an OSError traceback."""
+    class FullDisk(io.StringIO):
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(cli, "open", lambda *args, **kwargs: FullDisk(), raising=False)
+    assert main(["spectrum", "--out", "report.json"]) == 1
+    assert capsys.readouterr().err == f"error: [Errno 28] {os.strerror(errno.ENOSPC)}\n"
 
 
 def _nan_rhs(monkeypatch):
